@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build vet lint lint-audit wire-schema test race bench check
+.PHONY: build vet lint lint-audit wire-schema test race bench bench-quick check
 
 build:
 	$(GO) build ./...
@@ -41,5 +41,13 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# bench-quick is the smoke of the benchmark gate (BENCHMARK.json): it
+# vets benchmark/ and runs all four workloads for a twentieth of their
+# length, so a refactor that breaks a symbol the benchmark imports fails
+# here and not at the gate. Never use its numbers.
+bench-quick:
+	$(GO) vet ./benchmark/...
+	$(GO) run ./benchmark -quick
 
 check: vet lint lint-audit race

@@ -50,8 +50,8 @@
 // ways (-partition hash|region) and every query fans out over the
 // shards, with per-shard work visible as uots_shard_* series on
 // /metrics. -cache-size adds a result cache in front of the shards
-// (entries; 0 disables). The exhaustive/textfirst baselines and /batch
-// keep running on the monolithic engine.
+// (entries; 0 disables). The exhaustive/textfirst baselines keep
+// running on the monolithic engine.
 //
 // -remote-shards routes the default search to remote uotsshard
 // processes instead: "hostA:1,hostA2:1;hostB:2,hostB2:2" lists one
@@ -292,7 +292,7 @@ func main() {
 		// uots_shard_* counters, so /metrics shows the whole picture.
 		reg := obs.NewRegistry()
 		indexObs(reg)
-		sharded, err := shard.NewEngine(store, engineOpts, shard.Config{
+		sharded, err := shard.NewExecutor(store, engineOpts, shard.Config{
 			Shards:      *shards,
 			Partitioner: part,
 			CacheSize:   *cacheSize,

@@ -1,0 +1,139 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math"
+	"strings"
+)
+
+// Request is the paper's one query q = (O, ψ, λ, k) plus at most one
+// modifier. Every layer above the engine — the HTTP handler, the shard
+// scatter-gather, the RPC wire, the result cache — speaks Request and
+// derives what it needs from it (the variant label, the cache key, the
+// bound-exchange predicate) instead of spelling each modifier out as its
+// own entry point.
+//
+// The modifiers are pointers so that "absent" is distinct from a valid
+// zero value (the window 00:00–00:00, default diversity options). Gob
+// omits a pointer to a zero scalar, so a Theta of 0 does not survive the
+// wire — it is invalid anyway, and Validate rejects it before anything
+// is sent.
+type Request struct {
+	Query Query
+	// Theta turns the query into the threshold variant: every trajectory
+	// scoring at least θ ∈ (0, 1], best first (Query.K is ignored).
+	Theta *float64
+	// Window restricts the search to trajectories departing inside it.
+	Window *TimeWindow
+	// OrderAware matches the query locations in visiting order.
+	OrderAware bool
+	// Diversify re-ranks an enlarged relevance pool for route diversity.
+	Diversify *DiversifyOptions
+}
+
+// ErrModifierConflict rejects a request that sets more than one modifier.
+var ErrModifierConflict = errors.New("core: a request takes at most one of theta, window, orderAware, diversify")
+
+// Backend is the set of named entry points a Request dispatches onto.
+// Engine implements it, as do the sharded executors of internal/shard.
+type Backend interface {
+	SearchCtx(ctx context.Context, q Query) ([]Result, SearchStats, error)
+	SearchThresholdCtx(ctx context.Context, q Query, theta float64) ([]Result, SearchStats, error)
+	SearchWindowedCtx(ctx context.Context, q Query, w TimeWindow) ([]Result, SearchStats, error)
+	OrderAwareSearchCtx(ctx context.Context, q Query) ([]Result, SearchStats, error)
+	DiversifiedSearchCtx(ctx context.Context, q Query, opts DiversifyOptions) ([]Result, SearchStats, error)
+}
+
+var _ Backend = (*Engine)(nil)
+
+// modifiers names the modifiers r sets.
+func (r Request) modifiers() []string {
+	set := make([]string, 0, 4)
+	if r.Theta != nil {
+		set = append(set, "theta")
+	}
+	if r.Window != nil {
+		set = append(set, "window")
+	}
+	if r.OrderAware {
+		set = append(set, "orderAware")
+	}
+	if r.Diversify != nil {
+		set = append(set, "diversify")
+	}
+	return set
+}
+
+// Variant is the label metrics, trace notes and cache keys file r under.
+func (r Request) Variant() string {
+	if r.Theta != nil {
+		return "threshold"
+	}
+	if r.Window != nil {
+		return "windowed"
+	}
+	if r.OrderAware {
+		return "orderaware"
+	}
+	if r.Diversify != nil {
+		return "diversified"
+	}
+	return "search"
+}
+
+// Validate checks everything about r that does not need the graph: at
+// most one modifier, θ ∈ (0, 1], window bounds inside one day, μ ∈ [0, 1).
+// The query itself is validated by the engine that runs it.
+func (r Request) Validate() error {
+	if set := r.modifiers(); len(set) > 1 {
+		return fmt.Errorf("%w: got %s", ErrModifierConflict, strings.Join(set, ", "))
+	}
+	if r.Theta != nil {
+		if theta := *r.Theta; !(theta > 0) || theta > 1 || math.IsNaN(theta) {
+			return ErrBadThreshold
+		}
+	}
+	if r.Window != nil {
+		if err := r.Window.Validate(); err != nil {
+			return err
+		}
+	}
+	if r.Diversify != nil {
+		if _, err := r.Diversify.Normalize(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// SharesBound reports whether the partitions of a scattered r may
+// exchange a SharedBound: they must all run a top-k search with the same
+// K. A threshold search has no k-th score (its bar θ is global already),
+// and order-aware and diversified searches widen K internally, so a
+// small-K threshold could over-prune a large-K participant. (A scatter
+// runs a diversified request as a plain search for the enlarged pool,
+// and that search does share a bound.)
+func (r Request) SharesBound() bool {
+	return r.Theta == nil && !r.OrderAware && r.Diversify == nil
+}
+
+// Run validates r and calls the entry point of b it selects.
+func (r Request) Run(ctx context.Context, b Backend) ([]Result, SearchStats, error) {
+	if err := r.Validate(); err != nil {
+		return nil, SearchStats{}, err
+	}
+	switch r.Variant() {
+	case "threshold":
+		return b.SearchThresholdCtx(ctx, r.Query, *r.Theta)
+	case "windowed":
+		return b.SearchWindowedCtx(ctx, r.Query, *r.Window)
+	case "orderaware":
+		return b.OrderAwareSearchCtx(ctx, r.Query)
+	case "diversified":
+		return b.DiversifiedSearchCtx(ctx, r.Query, *r.Diversify)
+	default:
+		return b.SearchCtx(ctx, r.Query)
+	}
+}

@@ -100,7 +100,7 @@ func TestGroupFailoverToHealthyReplica(t *testing.T) {
 	good := newFakeReplica(t, resultsOf(2))
 	g := mustGroup(t, []string{bad.URL, good.URL}, fastCfg(), NewMetrics(reg))
 
-	resp, err := g.Search(context.Background(), SearchRequest{Variant: VariantSearch}, nil)
+	resp, err := g.Search(context.Background(), SearchRequest{}, nil)
 	if err != nil {
 		t.Fatalf("Search: %v", err)
 	}
@@ -124,7 +124,7 @@ func TestGroupEjectionAndReadmission(t *testing.T) {
 
 	// Each call that lands on bad charges one failure; threshold 2.
 	for i := 0; i < 6; i++ {
-		if _, err := g.Search(context.Background(), SearchRequest{Variant: VariantSearch}, nil); err != nil {
+		if _, err := g.Search(context.Background(), SearchRequest{}, nil); err != nil {
 			t.Fatalf("Search %d: %v", i, err)
 		}
 	}
@@ -139,7 +139,7 @@ func TestGroupEjectionAndReadmission(t *testing.T) {
 	// Ejected replicas stop receiving traffic (healthy rotation only).
 	before := bad.searches.Load()
 	for i := 0; i < 4; i++ {
-		if _, err := g.Search(context.Background(), SearchRequest{Variant: VariantSearch}, nil); err != nil {
+		if _, err := g.Search(context.Background(), SearchRequest{}, nil); err != nil {
 			t.Fatalf("Search post-ejection: %v", err)
 		}
 	}
@@ -182,7 +182,7 @@ func TestGroupExhaustedIsStoreFault(t *testing.T) {
 	bad.broken.Store(true)
 	g := mustGroup(t, []string{bad.URL}, fastCfg(), NewMetrics(reg))
 
-	_, err := g.Search(context.Background(), SearchRequest{Variant: VariantSearch}, nil)
+	_, err := g.Search(context.Background(), SearchRequest{}, nil)
 	if !errors.Is(err, ErrGroupExhausted) {
 		t.Fatalf("err = %v, want ErrGroupExhausted", err)
 	}
@@ -211,7 +211,7 @@ func TestGroupDefinitiveErrorNoRetry(t *testing.T) {
 	defer srv.Close()
 	g := mustGroup(t, []string{srv.URL}, fastCfg(), nil)
 
-	_, err := g.Search(context.Background(), SearchRequest{Variant: VariantSearch}, nil)
+	_, err := g.Search(context.Background(), SearchRequest{}, nil)
 	var we *Error
 	if !errors.As(err, &we) || we.Code != CodeBadQuery {
 		t.Fatalf("err = %v, want coded bad_query", err)
@@ -236,7 +236,7 @@ func TestGroupCallerCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := g.Search(ctx, SearchRequest{Variant: VariantSearch}, nil)
+		_, err := g.Search(ctx, SearchRequest{}, nil)
 		done <- err
 	}()
 	// Wait until the request is parked in the handler, then cancel.
@@ -261,7 +261,7 @@ func TestGroupAttemptTimeoutIsTransient(t *testing.T) {
 	cfg.CallTimeout = 20 * time.Millisecond
 	g := mustGroup(t, []string{slow.URL, fast.URL}, cfg, nil)
 
-	resp, err := g.Search(context.Background(), SearchRequest{Variant: VariantSearch}, nil)
+	resp, err := g.Search(context.Background(), SearchRequest{}, nil)
 	if err != nil {
 		t.Fatalf("Search: %v", err)
 	}
@@ -294,7 +294,7 @@ func TestHedgeBeatsSlowPrimary(t *testing.T) {
 	done := make(chan SearchResponse, 1)
 	errs := make(chan error, 1)
 	go func() {
-		resp, err := g.Search(context.Background(), SearchRequest{Variant: VariantSearch}, nil)
+		resp, err := g.Search(context.Background(), SearchRequest{}, nil)
 		done <- resp
 		errs <- err
 	}()
@@ -333,7 +333,7 @@ func TestHedgePrimaryWins(t *testing.T) {
 	}
 	g := mustGroup(t, []string{a.URL, b.URL}, cfg, NewMetrics(reg))
 
-	resp, err := g.Search(context.Background(), SearchRequest{Variant: VariantSearch}, nil)
+	resp, err := g.Search(context.Background(), SearchRequest{}, nil)
 	if err != nil {
 		t.Fatalf("Search: %v", err)
 	}
@@ -367,7 +367,7 @@ func TestGroupBoundPiggyback(t *testing.T) {
 
 	bound := &core.SharedBound{}
 	bound.Raise(0.25)
-	if _, err := g.Search(context.Background(), SearchRequest{Variant: VariantSearch}, bound); err != nil {
+	if _, err := g.Search(context.Background(), SearchRequest{}, bound); err != nil {
 		t.Fatalf("Search: %v", err)
 	}
 	if got := lastSeen.Load().(float64); got != 0.25 {
@@ -383,7 +383,7 @@ func TestGroupClosed(t *testing.T) {
 	g := mustGroup(t, []string{a.URL}, fastCfg(), nil)
 	g.Close()
 	g.Close() // idempotent
-	if _, err := g.Search(context.Background(), SearchRequest{Variant: VariantSearch}, nil); !errors.Is(err, ErrGroupClosed) {
+	if _, err := g.Search(context.Background(), SearchRequest{}, nil); !errors.Is(err, ErrGroupClosed) {
 		t.Fatalf("Search after Close: err = %v, want ErrGroupClosed", err)
 	}
 }

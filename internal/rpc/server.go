@@ -12,8 +12,8 @@ import (
 	"uots/internal/trajdb"
 )
 
-// ShardServer serves one partition of the corpus over the wire: the five
-// search variants, the batch path, and a health probe. It is an
+// ShardServer serves one partition of the corpus over the wire: searches
+// (any core.Request), the batch path, and a health probe. It is an
 // http.Handler factory — mount Handler on any listener. A ShardServer is
 // immutable after construction and safe for concurrent use.
 //
@@ -169,44 +169,14 @@ func (s *ShardServer) handleSearch(w http.ResponseWriter, r *http.Request) {
 
 	// Seed the shard-local bound exchange with the client's piggybacked
 	// global bound; read the final local threshold back out afterwards.
-	// Variants whose scatter runs boundless (threshold: the bar is
-	// global already; orderaware: shard-local K' rounds break the
-	// same-K precondition) skip the exchange, mirroring the in-process
-	// executor.
 	ctx, rec := s.beginTrace(r.Context(), req.Trace, req.TraceID)
 	var bound *core.SharedBound
-	switch req.Variant {
-	case VariantSearch, VariantWindowed:
+	if req.SharesBound() {
 		bound = &core.SharedBound{}
 		bound.Raise(req.Bound)
 		ctx = core.ContextWithSharedBound(ctx, bound)
 	}
-
-	var (
-		results []core.Result
-		stats   core.SearchStats
-		err     error
-	)
-	switch req.Variant {
-	case VariantSearch:
-		results, stats, err = s.engine.SearchCtx(ctx, req.Query)
-	case VariantThreshold:
-		results, stats, err = s.engine.SearchThresholdCtx(ctx, req.Query, req.Theta)
-	case VariantWindowed:
-		results, stats, err = s.engine.SearchWindowedCtx(ctx, req.Query, req.Window)
-	case VariantOrderAware:
-		results, stats, err = s.engine.OrderAwareSearchCtx(ctx, req.Query)
-	case VariantDiversified:
-		// Shard-local diversification: exact only over this partition.
-		// The distributed executor does NOT scatter this variant — it
-		// scatters the relevance pool as VariantSearch and runs the MMR
-		// selection globally — but the wire exposes it so a shard can be
-		// queried standalone with every engine entry point.
-		results, stats, err = s.engine.DiversifiedSearchCtx(ctx, req.Query, req.Div)
-	default:
-		writeWireError(w, http.StatusBadRequest, CodeBadQuery, fmt.Sprintf("unknown search variant %q", req.Variant))
-		return
-	}
+	results, stats, err := req.Run(ctx, s.engine)
 	if err != nil {
 		writeEngineError(w, err)
 		return

@@ -78,32 +78,33 @@ func TestServerSearchRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewPCG(19, 0))
 	q := f.query(rng, 5)
 	ctx := context.Background()
+	theta := 0.35
 	window := core.TimeWindow{From: 6 * 3600, To: 18 * 3600}
 	div := core.DiversifyOptions{Mu: 0.4}
 
 	cases := []struct {
-		req  SearchRequest
+		req  core.Request
 		want func() ([]core.Result, core.SearchStats, error)
 	}{
-		{SearchRequest{Variant: VariantSearch, Query: q},
+		{core.Request{Query: q},
 			func() ([]core.Result, core.SearchStats, error) { return f.engine.SearchCtx(ctx, q) }},
-		{SearchRequest{Variant: VariantThreshold, Query: q, Theta: 0.35},
-			func() ([]core.Result, core.SearchStats, error) { return f.engine.SearchThresholdCtx(ctx, q, 0.35) }},
-		{SearchRequest{Variant: VariantWindowed, Query: q, Window: window},
+		{core.Request{Query: q, Theta: &theta},
+			func() ([]core.Result, core.SearchStats, error) { return f.engine.SearchThresholdCtx(ctx, q, theta) }},
+		{core.Request{Query: q, Window: &window},
 			func() ([]core.Result, core.SearchStats, error) { return f.engine.SearchWindowedCtx(ctx, q, window) }},
-		{SearchRequest{Variant: VariantOrderAware, Query: q},
+		{core.Request{Query: q, OrderAware: true},
 			func() ([]core.Result, core.SearchStats, error) { return f.engine.OrderAwareSearchCtx(ctx, q) }},
-		{SearchRequest{Variant: VariantDiversified, Query: q, Div: div},
+		{core.Request{Query: q, Diversify: &div},
 			func() ([]core.Result, core.SearchStats, error) { return f.engine.DiversifiedSearchCtx(ctx, q, div) }},
 	}
 	for _, tc := range cases {
 		want, _, err := tc.want()
 		if err != nil {
-			t.Fatalf("%s: engine: %v", tc.req.Variant, err)
+			t.Fatalf("%s: engine: %v", tc.req.Variant(), err)
 		}
-		resp, err := c.Search(ctx, tc.req)
+		resp, err := c.Search(ctx, SearchRequest{Request: tc.req})
 		if err != nil {
-			t.Fatalf("%s: wire: %v", tc.req.Variant, err)
+			t.Fatalf("%s: wire: %v", tc.req.Variant(), err)
 		}
 		// nil and empty both mean "no results" (gob does not preserve
 		// the distinction); normalise before the exact comparison.
@@ -112,7 +113,7 @@ func TestServerSearchRoundTrip(t *testing.T) {
 			continue
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: wire results differ from engine results\n got: %+v\nwant: %+v", tc.req.Variant, got, want)
+			t.Errorf("%s: wire results differ from engine results\n got: %+v\nwant: %+v", tc.req.Variant(), got, want)
 		}
 	}
 }
@@ -176,7 +177,7 @@ func TestServerGlobalsRemap(t *testing.T) {
 	if err != nil {
 		t.Fatalf("engine: %v", err)
 	}
-	resp, err := c.Search(context.Background(), SearchRequest{Variant: VariantSearch, Query: q})
+	resp, err := c.Search(context.Background(), SearchRequest{Request: core.Request{Query: q}})
 	if err != nil {
 		t.Fatalf("wire: %v", err)
 	}
@@ -204,16 +205,17 @@ func TestServerErrorEnvelope(t *testing.T) {
 	c := startShardServer(t, f.engine, nil, 0, 1)
 	ctx := context.Background()
 
-	// Unknown variant → coded bad_query.
-	_, err := c.Search(ctx, SearchRequest{Variant: "bogus"})
+	// A request the shard's own validation rejects (two modifiers) →
+	// coded bad_query.
+	_, err := c.Search(ctx, SearchRequest{Request: core.Request{OrderAware: true, Window: &core.TimeWindow{}}})
 	var we *Error
 	if !errors.As(err, &we) || we.Code != CodeBadQuery {
-		t.Fatalf("unknown variant: err = %v, want coded bad_query", err)
+		t.Fatalf("conflicting modifiers: err = %v, want coded bad_query", err)
 	}
 
 	// Engine validation error (no locations) → coded bad_query, and not
 	// a transport error (it must not trigger retries).
-	_, err = c.Search(ctx, SearchRequest{Variant: VariantSearch, Query: core.Query{K: 5}})
+	_, err = c.Search(ctx, SearchRequest{Request: core.Request{Query: core.Query{K: 5}}})
 	if !errors.As(err, &we) || we.Code != CodeBadQuery {
 		t.Fatalf("invalid query: err = %v, want coded bad_query", err)
 	}
@@ -227,7 +229,7 @@ func TestServerErrorEnvelope(t *testing.T) {
 func TestServerEmptyShard(t *testing.T) {
 	c := startShardServer(t, nil, nil, 1, 4)
 	ctx := context.Background()
-	resp, err := c.Search(ctx, SearchRequest{Variant: VariantSearch, Query: core.Query{K: 5}})
+	resp, err := c.Search(ctx, SearchRequest{Request: core.Request{Query: core.Query{K: 5}}})
 	if err != nil || len(resp.Results) != 0 {
 		t.Fatalf("empty shard search: (%d results, %v), want (0, nil)", len(resp.Results), err)
 	}
@@ -263,14 +265,14 @@ func TestServerBoundPiggyback(t *testing.T) {
 	q := f.query(rng, 5)
 	ctx := context.Background()
 
-	base, err := c.Search(ctx, SearchRequest{Variant: VariantSearch, Query: q})
+	base, err := c.Search(ctx, SearchRequest{Request: core.Request{Query: q}})
 	if err != nil {
 		t.Fatalf("wire: %v", err)
 	}
 	if base.Bound <= 0 {
 		t.Fatalf("no piggybacked bound on a full-K answer: %v", base.Bound)
 	}
-	hinted, err := c.Search(ctx, SearchRequest{Variant: VariantSearch, Query: q, Bound: base.Bound})
+	hinted, err := c.Search(ctx, SearchRequest{Request: core.Request{Query: q}, Bound: base.Bound})
 	if err != nil {
 		t.Fatalf("wire (hinted): %v", err)
 	}
@@ -295,7 +297,7 @@ func TestServerCanceledContext(t *testing.T) {
 	c := startShardServer(t, f.engine, nil, 0, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := c.Search(ctx, SearchRequest{Variant: VariantSearch, Query: core.Query{K: 5}})
+	_, err := c.Search(ctx, SearchRequest{Request: core.Request{Query: core.Query{K: 5}}})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled search: err = %v, want context.Canceled", err)
 	}

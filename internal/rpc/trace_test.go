@@ -83,7 +83,7 @@ func TestGroupSearchTracedAttempt(t *testing.T) {
 	rec := obs.NewTraceRecorder(0)
 	ctx := obs.ContextWithTracer(context.Background(), rec)
 	ctx = obs.ContextWithTraceID(ctx, "req-777")
-	if _, err := g.Search(ctx, SearchRequest{Variant: VariantSearch}, nil); err != nil {
+	if _, err := g.Search(ctx, SearchRequest{}, nil); err != nil {
 		t.Fatalf("Search: %v", err)
 	}
 
@@ -124,7 +124,7 @@ func TestGroupSearchTracedAttempt(t *testing.T) {
 func TestGroupSearchUntracedStaysDark(t *testing.T) {
 	srv, lastReq := tracedReplica(t, []obs.SpanEvent{{Kind: "begin"}}, 0)
 	g := mustGroup(t, []string{srv.URL}, fastCfg(), nil)
-	resp, err := g.Search(context.Background(), SearchRequest{Variant: VariantSearch}, nil)
+	resp, err := g.Search(context.Background(), SearchRequest{}, nil)
 	if err != nil {
 		t.Fatalf("Search: %v", err)
 	}
@@ -148,7 +148,7 @@ func TestGroupRetryTraceSequence(t *testing.T) {
 
 	rec := obs.NewTraceRecorder(0)
 	ctx := obs.ContextWithTracer(context.Background(), rec)
-	if _, err := g.Search(ctx, SearchRequest{Variant: VariantSearch}, nil); err != nil {
+	if _, err := g.Search(ctx, SearchRequest{}, nil); err != nil {
 		t.Fatalf("Search: %v", err)
 	}
 	events := rec.Events()
@@ -193,7 +193,7 @@ func TestHedgeTraceSequence(t *testing.T) {
 	ctx := obs.ContextWithTracer(context.Background(), rec)
 	done := make(chan error, 1)
 	go func() {
-		_, err := g.Search(ctx, SearchRequest{Variant: VariantSearch}, nil)
+		_, err := g.Search(ctx, SearchRequest{}, nil)
 		done <- err
 	}()
 	waitFor(t, func() bool { return slow.searches.Load() > 0 })
@@ -238,7 +238,7 @@ func TestGroupExhaustedTraced(t *testing.T) {
 
 	rec := obs.NewTraceRecorder(0)
 	ctx := obs.ContextWithTracer(context.Background(), rec)
-	if _, err := g.Search(ctx, SearchRequest{Variant: VariantSearch}, nil); !errors.Is(err, ErrGroupExhausted) {
+	if _, err := g.Search(ctx, SearchRequest{}, nil); !errors.Is(err, ErrGroupExhausted) {
 		t.Fatalf("Search err = %v, want ErrGroupExhausted", err)
 	}
 	events := rec.Events()
@@ -268,7 +268,7 @@ func TestAttemptOutcomeMetrics(t *testing.T) {
 	bad.broken.Store(true)
 	good := newFakeReplica(t, resultsOf(2))
 	g := mustGroup(t, []string{bad.URL, good.URL}, fastCfg(), NewMetrics(reg))
-	if _, err := g.Search(context.Background(), SearchRequest{Variant: VariantSearch}, nil); err != nil {
+	if _, err := g.Search(context.Background(), SearchRequest{}, nil); err != nil {
 		t.Fatalf("Search: %v", err)
 	}
 	vec := reg.CounterVec("uots_rpc_attempt_outcomes_total", "", "replica", "outcome")
@@ -296,7 +296,7 @@ func TestServerSearchSpanRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewPCG(31, 0))
 	q := f.query(rng, 5)
 	resp, err := c.Search(context.Background(), SearchRequest{
-		Variant: VariantSearch, Query: q, Trace: true, TraceID: "trace-xyz",
+		Request: core.Request{Query: q}, Trace: true, TraceID: "trace-xyz",
 	})
 	if err != nil {
 		t.Fatalf("Search: %v", err)
@@ -320,7 +320,7 @@ func TestServerSearchSpanRoundTrip(t *testing.T) {
 	}
 
 	// An untraced request must not leave a recorder behind.
-	if _, err := c.Search(context.Background(), SearchRequest{Variant: VariantSearch, Query: q}); err != nil {
+	if _, err := c.Search(context.Background(), SearchRequest{Request: core.Request{Query: q}}); err != nil {
 		t.Fatalf("untraced Search: %v", err)
 	}
 	if ids := s.Traces().IDs(); len(ids) != 1 {

@@ -22,31 +22,16 @@ const (
 	PathHealth = "/rpc/v1/health"
 )
 
-// Search variants carried in SearchRequest.Variant. They mirror the five
-// core.Engine entry points the sharded executor scatters.
-const (
-	VariantSearch      = "search"
-	VariantThreshold   = "threshold"
-	VariantWindowed    = "windowed"
-	VariantOrderAware  = "orderaware"
-	VariantDiversified = "diversified"
-)
-
-// SearchRequest is the wire form of one scattered shard search. Exactly
-// one variant's auxiliary field is meaningful, selected by Variant.
+// SearchRequest is the wire form of one scattered shard search.
 type SearchRequest struct {
-	// Variant selects the engine entry point (Variant* constants).
-	Variant string
-	// Query is the search itself. Keyword term IDs are meaningful only
-	// when client and server were built from the same vocabulary — the
-	// topology contract is that every node loads the same dataset.
-	Query core.Query
-	// Theta is the score bar of VariantThreshold.
-	Theta float64
-	// Window is the departure filter of VariantWindowed.
-	Window core.TimeWindow
-	// Div are the re-ranking options of VariantDiversified.
-	Div core.DiversifyOptions
+	// Request is the search itself, modifier included. Keyword term IDs
+	// are meaningful only when client and server were built from the same
+	// vocabulary — the topology contract is that every node loads the
+	// same dataset. A diversified request is diversified shard-locally,
+	// exact only over this partition: the distributed executor does not
+	// scatter it (it scatters the relevance pool as a plain search and
+	// selects globally), but a shard can be queried standalone with it.
+	core.Request
 	// Bound is the client's best known global k-th-score lower bound at
 	// send time (0 = none). The shard seeds its core.SharedBound with it
 	// so a late, retried, or hedged call starts pruning at the level the

@@ -1,12 +1,19 @@
 package rpc
 
 import (
+	"bytes"
+	"encoding/gob"
 	"flag"
+	"math"
 	"os"
 	"reflect"
 	"sort"
 	"strings"
 	"testing"
+
+	"uots/internal/core"
+	"uots/internal/roadnet"
+	"uots/internal/textual"
 )
 
 // updateWireSchema rewrites wire_schema.golden from the compiled wire
@@ -145,4 +152,46 @@ func TestWireSchemaGolden(t *testing.T) {
 		}
 	}
 	t.Errorf("wire schema does not match %s; if the wire change is deliberate, run make wire-schema and coordinate a rolling upgrade", golden)
+}
+
+// TestWireGobRoundTrip: a SearchRequest of every variant, and a response
+// carrying the +Inf distance of an unreachable query location, survive
+// gob unchanged — modifier pointers included.
+func TestWireGobRoundTrip(t *testing.T) {
+	q := core.Query{Locations: []roadnet.VertexID{4, 2}, Keywords: textual.TermSet{1, 7}, Lambda: 0.5, K: 3}
+	theta := 0.35
+	reqs := []core.Request{
+		{Query: q},
+		{Query: q, Theta: &theta},
+		{Query: q, Window: &core.TimeWindow{}}, // 00:00–00:00 is a valid window
+		{Query: q, OrderAware: true},
+		{Query: q, Diversify: &core.DiversifyOptions{}}, // all defaults
+	}
+	for _, req := range reqs {
+		in := SearchRequest{Request: req, Bound: 0.25, Trace: true, TraceID: "id"}
+		var out SearchRequest
+		gobRoundTrip(t, &in, &out)
+		if !reflect.DeepEqual(in, out) {
+			t.Errorf("%s request changed on the wire:\n sent %+v\n got  %+v", req.Variant(), in, out)
+		}
+	}
+
+	in := SearchResponse{Results: []core.Result{{Traj: 9, Score: 0.5, Spatial: 0.25, Textual: 0.75,
+		Dists: []float64{1.5, math.Inf(1)}}}, Bound: 0.125}
+	var out SearchResponse
+	gobRoundTrip(t, &in, &out)
+	if !reflect.DeepEqual(in, out) {
+		t.Errorf("response changed on the wire:\n sent %+v\n got  %+v", in, out)
+	}
+}
+
+func gobRoundTrip(t *testing.T, in, out any) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(in); err != nil {
+		t.Fatalf("encode %T: %v", in, err)
+	}
+	if err := gob.NewDecoder(&buf).Decode(out); err != nil {
+		t.Fatalf("decode %T: %v", out, err)
+	}
 }

@@ -61,20 +61,26 @@ const (
 	codeDraining     = "draining"
 )
 
-// SearchBackend runs the default (expansion) search variants a /search
-// request dispatches plus the /batch path. core.Engine satisfies it, as
-// does shard.Engine — wiring a sharded backend through Config.Searcher
-// scales the default algorithm out without touching the handlers, and
-// batches then scatter whole to every shard so the shared-expansion
-// planner shares frontiers per shard. The explicit exhaustive and
-// textfirst algorithms always run on the monolithic engine: they are
-// baselines and diagnostics, not the serving path.
+// SearchBackend serves the default (expansion) algorithm: the entry
+// points a /search request's core.Request dispatches onto (core.Backend)
+// plus the /batch path. core.Engine satisfies it, as do shard.Executor
+// and shard.RemoteExecutor — wiring one through Config.Searcher scales
+// the default algorithm out without touching the handlers, and batches
+// then scatter whole to every shard so the shared-expansion planner
+// shares frontiers per shard. The explicit exhaustive and textfirst
+// algorithms always run on the monolithic engine: they are baselines and
+// diagnostics, not the serving path.
+//
+// The handlers speak core.Request and reach a backend only through
+// Request.Run. The seam still spells out five named search methods, and
+// the sharded executors still carry one-line adapters for them, only
+// because benchmark/layers implements this interface and calls those
+// names, and a refactor may not edit the benchmark that gates it.
+// Collapsing the seam to Search(ctx, core.Request) plus the batch method
+// (ROADMAP item 2's last step) needs a benchmark change that re-points
+// its spanBackend and runRequest first.
 type SearchBackend interface {
-	SearchCtx(ctx context.Context, q core.Query) ([]core.Result, core.SearchStats, error)
-	SearchThresholdCtx(ctx context.Context, q core.Query, theta float64) ([]core.Result, core.SearchStats, error)
-	SearchWindowedCtx(ctx context.Context, q core.Query, w core.TimeWindow) ([]core.Result, core.SearchStats, error)
-	OrderAwareSearchCtx(ctx context.Context, q core.Query) ([]core.Result, core.SearchStats, error)
-	DiversifiedSearchCtx(ctx context.Context, q core.Query, opts core.DiversifyOptions) ([]core.Result, core.SearchStats, error)
+	core.Backend
 	SearchBatch(ctx context.Context, queries []core.Query, opts core.BatchOptions) ([]core.BatchResult, core.BatchStats, error)
 }
 
@@ -115,9 +121,9 @@ type Config struct {
 	// handlers quiet under test).
 	Logger *log.Logger
 	// Searcher, when non-nil, serves the default-algorithm /search
-	// variants instead of the engine itself (e.g. a shard.Engine). The
-	// engine still backs /trajectory, /stats, /batch and the explicit
-	// baseline algorithms. Mutually exclusive with Live.
+	// variants and /batch instead of the engine itself (e.g. a
+	// shard.Executor). The engine still backs /trajectory, /stats and the
+	// explicit baseline algorithms. Mutually exclusive with Live.
 	Searcher SearchBackend
 	// Live, when non-nil, turns on the write path: POST /trajectories
 	// and GET /ingest/stats are mounted, and every read request resolves
@@ -493,9 +499,9 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, status, code, err.Error())
 		return
 	}
-	q, status, err := s.buildQuery(req)
+	sreq, err := s.buildRequest(req)
 	if err != nil {
-		writeError(w, r, status, codeBadRequest, err.Error())
+		writeError(w, r, http.StatusBadRequest, codeBadRequest, err.Error())
 		return
 	}
 	eng, backend, rerr := s.resolve()
@@ -507,28 +513,18 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 	var results []core.Result
 	var stats core.SearchStats
-	switch strings.ToLower(req.Algorithm) {
-	case "", "expansion":
-		switch {
-		case req.OrderAware:
-			results, stats, err = backend.OrderAwareSearchCtx(ctx, q)
-		case req.Window != "":
-			var win core.TimeWindow
-			win, err = parseWindow(req.Window)
-			if err == nil {
-				results, stats, err = backend.SearchWindowedCtx(ctx, q, win)
-			}
-		case req.Theta != nil:
-			results, stats, err = backend.SearchThresholdCtx(ctx, q, *req.Theta)
-		case req.DiversifyMu != nil:
-			results, stats, err = backend.DiversifiedSearchCtx(ctx, q, core.DiversifyOptions{Mu: *req.DiversifyMu})
-		default:
-			results, stats, err = backend.SearchCtx(ctx, q)
-		}
-	case "exhaustive":
-		results, stats, err = eng.ExhaustiveSearchCtx(ctx, q)
-	case "textfirst":
-		results, stats, err = eng.TextFirstSearchCtx(ctx, q, core.TextFirstOptions{})
+	algo := strings.ToLower(req.Algorithm)
+	switch {
+	case isExpansion(algo):
+		results, stats, err = sreq.Run(ctx, backend)
+	case sreq.Variant() != "search":
+		// The baselines answer the plain top-k query only; dropping the
+		// modifier would answer a different question with a 200.
+		err = fmt.Errorf("algorithm %q takes no window, orderAware, theta or diversifyMu (request is %s)", req.Algorithm, sreq.Variant())
+	case algo == "exhaustive":
+		results, stats, err = eng.ExhaustiveSearchCtx(ctx, sreq.Query)
+	case algo == "textfirst":
+		results, stats, err = eng.TextFirstSearchCtx(ctx, sreq.Query, core.TextFirstOptions{})
 	default:
 		err = fmt.Errorf("unknown algorithm %q", req.Algorithm)
 	}
@@ -548,6 +544,10 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
+
+// isExpansion reports whether a lower-cased "algorithm" field selects the
+// default expansion search.
+func isExpansion(algo string) bool { return algo == "" || algo == "expansion" }
 
 func statsJSON(stats core.SearchStats) StatsJSON {
 	return StatsJSON{
@@ -640,12 +640,15 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	queries := make([]core.Query, len(req.Queries))
 	valid := make([]bool, len(req.Queries))
 	for i, sr := range req.Queries {
-		q, _, err := s.buildQuery(sr)
+		breq, err := s.buildRequest(sr)
+		if err == nil && (breq.Variant() != "search" || !isExpansion(strings.ToLower(sr.Algorithm))) {
+			err = errors.New("batch entries are plain top-k queries; send window, orderAware, theta, diversifyMu and algorithm to /search")
+		}
 		if err != nil {
 			resp.Responses[i].Error = err.Error()
 			continue
 		}
-		queries[i] = q
+		queries[i] = breq.Query
 		valid[i] = true
 	}
 	// Run only the valid subset through the batch engine, preserving
@@ -698,8 +701,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// buildQuery validates and assembles the engine query from a request.
-func (s *Server) buildQuery(req SearchRequest) (core.Query, int, error) {
+// buildRequest assembles the engine request from a /search body: the
+// query, and the modifier its fields ask for. Conflicting modifiers are
+// carried through for Request.Validate to reject by name.
+func (s *Server) buildRequest(req SearchRequest) (core.Request, error) {
 	q := core.Query{Lambda: 0.5, K: req.K}
 	if req.Lambda != nil {
 		q.Lambda = *req.Lambda
@@ -709,27 +714,38 @@ func (s *Server) buildQuery(req SearchRequest) (core.Query, int, error) {
 	}
 	for _, id := range req.VertexIDs {
 		if id < 0 || int(id) >= s.graph.NumVertices() {
-			return q, http.StatusBadRequest, fmt.Errorf("vertex %d outside the network", id)
+			return core.Request{}, fmt.Errorf("vertex %d outside the network", id)
 		}
 		q.Locations = append(q.Locations, roadnet.VertexID(id))
 	}
 	for _, p := range req.Points {
 		v, _ := s.index.Nearest(geo.Point{X: p[0], Y: p[1]})
 		if v < 0 {
-			return q, http.StatusBadRequest, fmt.Errorf("cannot snap point (%g, %g)", p[0], p[1])
+			return core.Request{}, fmt.Errorf("cannot snap point (%g, %g)", p[0], p[1])
 		}
 		q.Locations = append(q.Locations, v)
 	}
 	if len(q.Locations) == 0 {
-		return q, http.StatusBadRequest, errors.New("request needs vertexIds or points")
+		return core.Request{}, errors.New("request needs vertexIds or points")
 	}
 	if req.Keywords != "" {
 		if s.vocab == nil {
-			return q, http.StatusBadRequest, errors.New("this dataset has no vocabulary; keywords unsupported")
+			return core.Request{}, errors.New("this dataset has no vocabulary; keywords unsupported")
 		}
 		q.Keywords = s.vocab.InternAll(textual.Tokenize(req.Keywords))
 	}
-	return q, http.StatusOK, nil
+	out := core.Request{Query: q, Theta: req.Theta, OrderAware: req.OrderAware}
+	if req.Window != "" {
+		win, err := parseWindow(req.Window)
+		if err != nil {
+			return core.Request{}, err
+		}
+		out.Window = &win
+	}
+	if req.DiversifyMu != nil {
+		out.Diversify = &core.DiversifyOptions{Mu: *req.DiversifyMu}
+	}
+	return out, nil
 }
 
 func (s *Server) keywordNames(st core.TrajStore, id trajdb.TrajID) []string {

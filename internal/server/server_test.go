@@ -155,23 +155,40 @@ func TestSearchByPoints(t *testing.T) {
 func TestSearchValidation(t *testing.T) {
 	s, _ := testServer(t)
 	cases := []struct {
-		name string
-		req  any
-		want int
+		name   string
+		req    any
+		want   int
+		naming []string // substrings the error message must carry
 	}{
-		{"no locations", SearchRequest{K: 3}, http.StatusBadRequest},
-		{"bad vertex", SearchRequest{VertexIDs: []int32{99999}}, http.StatusBadRequest},
-		{"bad lambda", SearchRequest{VertexIDs: []int32{1}, Lambda: ptr(3.0)}, http.StatusBadRequest},
-		{"bad algorithm", SearchRequest{VertexIDs: []int32{1}, Algorithm: "magic"}, http.StatusBadRequest},
-		{"bad window", SearchRequest{VertexIDs: []int32{1}, Window: "25:99"}, http.StatusBadRequest},
+		{"no locations", SearchRequest{K: 3}, http.StatusBadRequest, nil},
+		{"bad vertex", SearchRequest{VertexIDs: []int32{99999}}, http.StatusBadRequest, nil},
+		{"bad lambda", SearchRequest{VertexIDs: []int32{1}, Lambda: ptr(3.0)}, http.StatusBadRequest, nil},
+		{"bad algorithm", SearchRequest{VertexIDs: []int32{1}, Algorithm: "magic"}, http.StatusBadRequest, nil},
+		{"bad window", SearchRequest{VertexIDs: []int32{1}, Window: "25:99"}, http.StatusBadRequest, nil},
+		// Two modifiers used to answer 200 with the first one the handler
+		// looked at; a modifier beside a baseline algorithm was dropped.
+		{"order-aware + window", SearchRequest{VertexIDs: []int32{1}, OrderAware: true, Window: "07:00-11:00"},
+			http.StatusBadRequest, []string{"window", "orderAware"}},
+		{"theta + diversify", SearchRequest{VertexIDs: []int32{1}, Theta: ptr(0.5), DiversifyMu: ptr(0.5)},
+			http.StatusBadRequest, []string{"theta", "diversify"}},
+		{"exhaustive + theta", SearchRequest{VertexIDs: []int32{1}, Algorithm: "exhaustive", Theta: ptr(0.5)},
+			http.StatusBadRequest, []string{"exhaustive", "theta"}},
+		{"textfirst + window", SearchRequest{VertexIDs: []int32{1}, Algorithm: "textfirst", Window: "07:00-11:00"},
+			http.StatusBadRequest, []string{"textfirst", "window"}},
 	}
 	for _, c := range cases {
 		rec, body := doJSON(t, s.Handler(), "POST", "/search", c.req)
 		if rec.Code != c.want {
 			t.Errorf("%s: code %d, want %d (%v)", c.name, rec.Code, c.want, body)
 		}
-		if body["error"] == "" {
-			t.Errorf("%s: missing error message", c.name)
+		msg, _ := body["error"].(string)
+		if msg == "" || body["code"] != codeBadRequest {
+			t.Errorf("%s: body %v, want an error message with code %q", c.name, body, codeBadRequest)
+		}
+		for _, field := range c.naming {
+			if !strings.Contains(msg, field) {
+				t.Errorf("%s: error %q does not name %q", c.name, msg, field)
+			}
 		}
 	}
 	// Malformed JSON body.
@@ -407,5 +424,33 @@ func TestBatchValidation(t *testing.T) {
 	s.Handler().ServeHTTP(w, req)
 	if w.Code != http.StatusBadRequest {
 		t.Errorf("malformed batch body = %d", w.Code)
+	}
+
+	// Entries are plain top-k queries. One that carries a modifier or a
+	// baseline algorithm used to be answered as if it did not; it now
+	// fails alone, with its siblings served.
+	mixed := BatchRequest{Queries: []SearchRequest{
+		{VertexIDs: []int32{1}, K: 3},
+		{VertexIDs: []int32{1}, K: 3, Window: "07:00-11:00"},
+		{VertexIDs: []int32{1}, K: 3, OrderAware: true},
+		{VertexIDs: []int32{1}, K: 3, Theta: ptr(0.5)},
+		{VertexIDs: []int32{1}, K: 3, DiversifyMu: ptr(0.5)},
+		{VertexIDs: []int32{1}, K: 3, Algorithm: "exhaustive"},
+		{VertexIDs: []int32{1}, K: 3, Algorithm: "expansion"},
+	}}
+	rec, body := doJSON(t, s.Handler(), "POST", "/batch", mixed)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("mixed batch = %d: %v", rec.Code, body)
+	}
+	for i, raw := range body["responses"].([]any) {
+		entry := raw.(map[string]any)
+		msg, _ := entry["error"].(string)
+		if plain := i == 0 || i == len(mixed.Queries)-1; plain {
+			if msg != "" || len(entry["results"].([]any)) == 0 {
+				t.Errorf("plain entry %d: %v, want results", i, entry)
+			}
+		} else if !strings.Contains(msg, "/search") || entry["results"] != nil {
+			t.Errorf("entry %d: %v, want a per-entry error pointing at /search", i, entry)
+		}
 	}
 }

@@ -16,8 +16,11 @@ import (
 	"uots/internal/trajdb"
 )
 
-// The sharded engine must satisfy the serving seam.
-var _ SearchBackend = (*shard.Engine)(nil)
+// Both sharded executors must satisfy the serving seam.
+var (
+	_ SearchBackend = (*shard.Executor)(nil)
+	_ SearchBackend = (*shard.RemoteExecutor)(nil)
+)
 
 var (
 	shardWorldOnce sync.Once
@@ -27,7 +30,7 @@ var (
 )
 
 // shardedServer builds one server whose default /search path runs on a
-// 4-shard engine with a result cache, sharing one metrics registry
+// 4-shard executor with a result cache, sharing one metrics registry
 // between the sharded backend and the HTTP layer — the exact wiring
 // cmd/uotsserve -shards produces.
 func shardedServer(t *testing.T) (*Server, *obs.Registry, *core.Engine) {
@@ -46,7 +49,7 @@ func shardedServer(t *testing.T) (*Server, *obs.Registry, *core.Engine) {
 			panic(err)
 		}
 		reg := obs.NewRegistry()
-		sharded, err := shard.NewEngine(db, core.Options{}, shard.Config{
+		sharded, err := shard.NewExecutor(db, core.Options{}, shard.Config{
 			Shards: 4, CacheSize: 64, Metrics: reg,
 		})
 		if err != nil {
@@ -79,11 +82,11 @@ func TestShardedBackendSmoke(t *testing.T) {
 	}
 
 	// The sharded answer must match the monolithic engine's ranking.
-	q, _, err := s.buildQuery(req)
+	sreq, err := s.buildRequest(req)
 	if err != nil {
-		t.Fatalf("buildQuery: %v", err)
+		t.Fatalf("buildRequest: %v", err)
 	}
-	want, _, err := mono.SearchCtx(context.Background(), q)
+	want, _, err := mono.SearchCtx(context.Background(), sreq.Query)
 	if err != nil {
 		t.Fatalf("monolithic SearchCtx: %v", err)
 	}
@@ -175,11 +178,11 @@ func TestShardedBatchEndpoint(t *testing.T) {
 		t.Error("invalid entry missing its error")
 	}
 	for _, qi := range []int{0, 2, 3} {
-		q, _, err := s.buildQuery(req.Queries[qi])
+		sreq, err := s.buildRequest(req.Queries[qi])
 		if err != nil {
-			t.Fatalf("buildQuery %d: %v", qi, err)
+			t.Fatalf("buildRequest %d: %v", qi, err)
 		}
-		want, _, err := mono.SearchCtx(context.Background(), q)
+		want, _, err := mono.SearchCtx(context.Background(), sreq.Query)
 		if err != nil {
 			t.Fatalf("monolithic query %d: %v", qi, err)
 		}

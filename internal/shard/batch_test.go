@@ -12,7 +12,6 @@ import (
 	"uots/internal/core"
 	"uots/internal/obs"
 	"uots/internal/roadnet"
-	"uots/internal/trajdb"
 )
 
 // batchQueries draws n queries whose locations come from a small pool
@@ -228,29 +227,29 @@ func TestShardBatchBadAlgorithm(t *testing.T) {
 		t.Fatal("unknown algorithm accepted by Executor.SearchBatch")
 	}
 
-	eng, err := NewEngine(f.db, core.Options{}, Config{Shards: 2, CacheSize: 8})
+	cached, err := NewExecutor(f.db, core.Options{}, Config{Shards: 2, CacheSize: 8})
 	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
+		t.Fatalf("NewExecutor(CacheSize): %v", err)
 	}
-	defer eng.Close()
-	if _, _, err := eng.SearchBatch(context.Background(), queries,
+	defer cached.Close()
+	if _, _, err := cached.SearchBatch(context.Background(), queries,
 		core.BatchOptions{Algorithm: core.Algorithm(42)}); err == nil {
-		t.Fatal("unknown algorithm accepted by Engine.SearchBatch")
+		t.Fatal("unknown algorithm accepted by a caching Executor.SearchBatch")
 	}
 }
 
-// TestEngineBatchCacheIntegration verifies the engine batch path shares
+// TestExecutorBatchCacheIntegration verifies the batch path shares
 // cache entries with the single-query path: a batch fills the cache, a
 // repeat batch is served entirely from it (no store work), and a batch
 // after a single-query warmup hits that query's entry.
-func TestEngineBatchCacheIntegration(t *testing.T) {
+func TestExecutorBatchCacheIntegration(t *testing.T) {
 	f := testFixture(t)
 	rng := rand.New(rand.NewPCG(107, 0))
 	queries := batchQueries(f, rng, 6, 3)
 
 	reg := obs.NewRegistry()
 	calls := &atomic.Int64{}
-	eng, err := NewEngine(f.db, core.Options{}, Config{
+	eng, err := NewExecutor(f.db, core.Options{}, Config{
 		Shards:    3,
 		CacheSize: 32,
 		Metrics:   reg,
@@ -259,7 +258,7 @@ func TestEngineBatchCacheIntegration(t *testing.T) {
 		},
 	})
 	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
+		t.Fatalf("NewExecutor: %v", err)
 	}
 	defer eng.Close()
 
@@ -294,64 +293,5 @@ func TestEngineBatchCacheIntegration(t *testing.T) {
 	}
 	for i := range queries {
 		sameResults(t, fmt.Sprintf("cached q=%d", i), second[i].Results, first[i].Results)
-	}
-}
-
-// TestEngineBatchGenerationInvalidates verifies a dynamic-store
-// mutation between batches invalidates every batch cache entry at once.
-func TestEngineBatchGenerationInvalidates(t *testing.T) {
-	f := testFixture(t)
-	ds := trajdb.NewDynamic(f.g, nil)
-	for id := 0; id < 80; id++ {
-		tr := f.db.Traj(trajdb.TrajID(id))
-		if _, err := ds.Add(append([]trajdb.Sample(nil), tr.Samples...), tr.Keywords); err != nil {
-			t.Fatalf("seed Add: %v", err)
-		}
-	}
-	reg := obs.NewRegistry()
-	eng, err := NewDynamicEngine(ds, core.Options{}, Config{Shards: 2, CacheSize: 32, Metrics: reg})
-	if err != nil {
-		t.Fatalf("NewDynamicEngine: %v", err)
-	}
-	defer eng.Close()
-
-	rng := rand.New(rand.NewPCG(108, 0))
-	queries := batchQueries(f, rng, 4, 2)
-	if _, _, err := eng.SearchBatch(context.Background(), queries, core.BatchOptions{SharedExpansion: true}); err != nil {
-		t.Fatalf("first SearchBatch: %v", err)
-	}
-	if _, _, err := eng.SearchBatch(context.Background(), queries, core.BatchOptions{SharedExpansion: true}); err != nil {
-		t.Fatalf("second SearchBatch: %v", err)
-	}
-	hitsBefore := counterValue(t, reg, "uots_shard_cache_hits_total")
-	if hitsBefore == 0 {
-		t.Fatal("repeat batch recorded no cache hits")
-	}
-
-	tr := f.db.Traj(trajdb.TrajID(99))
-	if _, err := ds.Add(append([]trajdb.Sample(nil), tr.Samples...), tr.Keywords); err != nil {
-		t.Fatalf("mutating Add: %v", err)
-	}
-	out, _, err := eng.SearchBatch(context.Background(), queries, core.BatchOptions{SharedExpansion: true})
-	if err != nil {
-		t.Fatalf("post-mutation SearchBatch: %v", err)
-	}
-	if hits := counterValue(t, reg, "uots_shard_cache_hits_total"); hits != hitsBefore {
-		t.Fatalf("post-mutation batch hit stale entries: %d hits, want still %d", hits, hitsBefore)
-	}
-
-	// The re-sharded answers must agree with a monolithic engine over the
-	// new snapshot.
-	snap, _ := ds.Snapshot()
-	mono, err := core.NewEngine(snap, core.Options{})
-	if err != nil {
-		t.Fatalf("NewEngine(snapshot): %v", err)
-	}
-	for i, q := range queries {
-		want, _, err := mono.SearchCtx(context.Background(), q)
-		if err != nil {
-			t.Fatalf("monolithic query %d: %v", i, err)
-		}
-		sameResults(t, fmt.Sprintf("post-mutation q=%d", i), out[i].Results, want)
 	}
 }

@@ -10,10 +10,9 @@ import (
 	"uots/internal/core"
 )
 
-// Cache is a sharded LRU over search results, keyed by (variant,
-// snapshot generation, full query). Keys embed the generation, so a
-// mutated store never serves stale results: the Engine simply stops
-// asking for old-generation keys and their entries age out of the LRU.
+// Cache is a sharded LRU over search results, keyed by the full request
+// (see cacheKey). It belongs to one Executor, which is immutable over one
+// store snapshot, so an entry can never go stale.
 //
 // Hits return the results only, with zero work stats — a cached answer
 // did no store work, and reporting the original query's counters again
@@ -139,25 +138,17 @@ func (c *Cache) len() int {
 	return total
 }
 
-// Variant tags for cache keys.
-const (
-	cacheSearch      = 's'
-	cacheThreshold   = 't'
-	cacheWindowed    = 'w'
-	cacheOrderAware  = 'o'
-	cacheDiversified = 'd'
-)
-
-// cacheKey serialises a query into a compact binary key. Every scoring
-// input is included: the variant tag, the store snapshot generation, the
-// locations (order matters — it is the visiting order for order-aware
-// queries), the keyword term set (canonically sorted by the TermSet
-// invariant), λ, K, and any variant extras (θ, window bounds, diversity
-// parameters) passed as raw uint64 images.
-func cacheKey(variant byte, gen uint64, q core.Query, extras ...uint64) string {
+// cacheKey serialises a request into a compact binary key. Every scoring
+// input is included: the variant label (which also says which modifier
+// bytes follow), the locations (order matters — it is the visiting order
+// for order-aware queries), the keyword term set (canonically sorted by
+// the TermSet invariant), λ, K, and the modifier's parameters as raw
+// uint64 images.
+func cacheKey(req core.Request) string {
+	q := req.Query
 	buf := make([]byte, 0, 64)
-	buf = append(buf, variant)
-	buf = binary.AppendUvarint(buf, gen)
+	buf = append(buf, req.Variant()...)
+	buf = append(buf, 0)
 	buf = binary.AppendUvarint(buf, uint64(len(q.Locations)))
 	for _, v := range q.Locations {
 		buf = binary.AppendVarint(buf, int64(v))
@@ -168,8 +159,16 @@ func cacheKey(variant byte, gen uint64, q core.Query, extras ...uint64) string {
 	}
 	buf = binary.AppendUvarint(buf, math.Float64bits(q.Lambda))
 	buf = binary.AppendVarint(buf, int64(q.K))
-	for _, x := range extras {
-		buf = binary.AppendUvarint(buf, x)
+	if req.Theta != nil {
+		buf = binary.AppendUvarint(buf, math.Float64bits(*req.Theta))
+	}
+	if w := req.Window; w != nil {
+		buf = binary.AppendUvarint(buf, math.Float64bits(w.From))
+		buf = binary.AppendUvarint(buf, math.Float64bits(w.To))
+	}
+	if d := req.Diversify; d != nil {
+		buf = binary.AppendUvarint(buf, math.Float64bits(d.Mu))
+		buf = binary.AppendVarint(buf, int64(d.PoolFactor))
 	}
 	return string(buf)
 }

@@ -115,26 +115,41 @@ func TestCacheKeyDiscriminates(t *testing.T) {
 		Lambda:    0.5,
 		K:         5,
 	}
-	base := cacheKey(cacheSearch, 0, q)
-	if got := cacheKey(cacheSearch, 0, q); got != base {
+	plain := func(q core.Query) string { return cacheKey(core.Request{Query: q}) }
+	base := plain(q)
+	if got := plain(q); got != base {
 		t.Fatalf("identical inputs produced different keys")
 	}
+	theta, theta2 := 0.5, 0.6
 	variants := map[string]string{
-		"variant":    cacheKey(cacheOrderAware, 0, q),
-		"generation": cacheKey(cacheSearch, 1, q),
-		"lambda": cacheKey(cacheSearch, 0, core.Query{
+		"variant": cacheKey(core.Request{Query: q, OrderAware: true}),
+		"lambda": plain(core.Query{
 			Locations: q.Locations, Keywords: q.Keywords, Lambda: 0.6, K: q.K}),
-		"k": cacheKey(cacheSearch, 0, core.Query{
+		"k": plain(core.Query{
 			Locations: q.Locations, Keywords: q.Keywords, Lambda: q.Lambda, K: 6}),
-		"locations order": cacheKey(cacheSearch, 0, core.Query{
+		"locations order": plain(core.Query{
 			Locations: []roadnet.VertexID{1, 3}, Keywords: q.Keywords, Lambda: q.Lambda, K: q.K}),
-		"keywords": cacheKey(cacheSearch, 0, core.Query{
+		"keywords": plain(core.Query{
 			Locations: q.Locations, Keywords: textual.TermSet{2, 6}, Lambda: q.Lambda, K: q.K}),
-		"extras": cacheKey(cacheSearch, 0, q, 42),
+		"theta":     cacheKey(core.Request{Query: q, Theta: &theta}),
+		"window":    cacheKey(core.Request{Query: q, Window: &core.TimeWindow{From: 1, To: 2}}),
+		"diversify": cacheKey(core.Request{Query: q, Diversify: &core.DiversifyOptions{}}),
 	}
 	for what, key := range variants {
 		if key == base {
 			t.Errorf("changing the %s did not change the cache key", what)
+		}
+	}
+	// A modifier's parameters are part of the key, not just its presence.
+	params := [][2]core.Request{
+		{{Query: q, Theta: &theta}, {Query: q, Theta: &theta2}},
+		{{Query: q, Window: &core.TimeWindow{From: 1, To: 2}}, {Query: q, Window: &core.TimeWindow{From: 1, To: 3}}},
+		{{Query: q, Diversify: &core.DiversifyOptions{Mu: 0.2}}, {Query: q, Diversify: &core.DiversifyOptions{Mu: 0.4}}},
+		{{Query: q, Diversify: &core.DiversifyOptions{PoolFactor: 2}}, {Query: q, Diversify: &core.DiversifyOptions{PoolFactor: 3}}},
+	}
+	for _, p := range params {
+		if cacheKey(p[0]) == cacheKey(p[1]) {
+			t.Errorf("%s requests with different parameters share a cache key", p[0].Variant())
 		}
 	}
 }
@@ -166,14 +181,14 @@ func counterValue(t *testing.T, reg *obs.Registry, name string) uint64 {
 	return reg.Counter(name, "").Value()
 }
 
-func TestEngineCacheHitSkipsStore(t *testing.T) {
+func TestExecutorCacheHitSkipsStore(t *testing.T) {
 	f := testFixture(t)
 	rng := rand.New(rand.NewPCG(67, 0))
 	q := f.randomQuery(rng, 3, 3, 0.5, 5)
 
 	reg := obs.NewRegistry()
 	calls := &atomic.Int64{}
-	eng, err := NewEngine(f.db, core.Options{}, Config{
+	eng, err := NewExecutor(f.db, core.Options{}, Config{
 		Shards:    3,
 		CacheSize: 16,
 		Metrics:   reg,
@@ -182,7 +197,7 @@ func TestEngineCacheHitSkipsStore(t *testing.T) {
 		},
 	})
 	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
+		t.Fatalf("NewExecutor: %v", err)
 	}
 	defer eng.Close()
 
@@ -220,68 +235,4 @@ func TestEngineCacheHitSkipsStore(t *testing.T) {
 	if calls.Load() == afterMiss {
 		t.Fatalf("order-aware query was served from the plain search's cache entry")
 	}
-}
-
-func TestDynamicEngineGenerationInvalidatesCache(t *testing.T) {
-	f := testFixture(t)
-	ds := trajdb.NewDynamic(f.g, nil)
-	for id := 0; id < 60; id++ {
-		tr := f.db.Traj(trajdb.TrajID(id))
-		samples := append([]trajdb.Sample(nil), tr.Samples...)
-		if _, err := ds.Add(samples, tr.Keywords); err != nil {
-			t.Fatalf("seed Add: %v", err)
-		}
-	}
-
-	reg := obs.NewRegistry()
-	eng, err := NewDynamicEngine(ds, core.Options{}, Config{Shards: 2, CacheSize: 16, Metrics: reg})
-	if err != nil {
-		t.Fatalf("NewDynamicEngine: %v", err)
-	}
-	defer eng.Close()
-
-	rng := rand.New(rand.NewPCG(71, 0))
-	q := f.randomQuery(rng, 2, 2, 0.5, 5)
-
-	if _, _, err := eng.SearchCtx(context.Background(), q); err != nil {
-		t.Fatalf("first SearchCtx: %v", err)
-	}
-	if _, _, err := eng.SearchCtx(context.Background(), q); err != nil {
-		t.Fatalf("second SearchCtx: %v", err)
-	}
-	if hits := counterValue(t, reg, "uots_shard_cache_hits_total"); hits != 1 {
-		t.Fatalf("cache hits before mutation = %d, want 1", hits)
-	}
-
-	// Mutate: the generation bump must force a re-shard and a cache miss.
-	tr := f.db.Traj(trajdb.TrajID(99))
-	if _, err := ds.Add(append([]trajdb.Sample(nil), tr.Samples...), tr.Keywords); err != nil {
-		t.Fatalf("mutating Add: %v", err)
-	}
-	if _, _, err := eng.SearchCtx(context.Background(), q); err != nil {
-		t.Fatalf("post-mutation SearchCtx: %v", err)
-	}
-	if hits := counterValue(t, reg, "uots_shard_cache_hits_total"); hits != 1 {
-		t.Fatalf("cache hits after mutation = %d, want still 1 (new generation must miss)", hits)
-	}
-	if misses := counterValue(t, reg, "uots_shard_cache_misses_total"); misses != 2 {
-		t.Fatalf("cache misses after mutation = %d, want 2", misses)
-	}
-
-	// The rebuilt executor must agree with a monolithic engine over the
-	// new snapshot.
-	snap, _ := ds.Snapshot()
-	mono, err := core.NewEngine(snap, core.Options{})
-	if err != nil {
-		t.Fatalf("NewEngine(snapshot): %v", err)
-	}
-	want, _, err := mono.SearchCtx(context.Background(), q)
-	if err != nil {
-		t.Fatalf("monolithic SearchCtx: %v", err)
-	}
-	got, _, err := eng.SearchCtx(context.Background(), q)
-	if err != nil {
-		t.Fatalf("cached SearchCtx: %v", err)
-	}
-	sameResults(t, "post-mutation", got, want)
 }

@@ -34,16 +34,16 @@ func (s *gateStore) TrajsAtVertex(v roadnet.VertexID) []trajdb.TrajID {
 	return s.TrajStore.TrajsAtVertex(v)
 }
 
-// TestEngineCloseIdempotent: repeated and concurrent Close calls are
+// TestExecutorCloseIdempotent: repeated and concurrent Close calls are
 // all safe, and queries after any of them fail with ErrClosed.
-func TestEngineCloseIdempotent(t *testing.T) {
+func TestExecutorCloseIdempotent(t *testing.T) {
 	f := testFixture(t)
 	rng := rand.New(rand.NewPCG(101, 0))
 	q := f.randomQuery(rng, 2, 2, 0.5, 5)
 
-	eng, err := NewEngine(f.db, core.Options{}, Config{Shards: 2})
+	eng, err := NewExecutor(f.db, core.Options{}, Config{Shards: 2})
 	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
+		t.Fatalf("NewExecutor: %v", err)
 	}
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
@@ -60,16 +60,16 @@ func TestEngineCloseIdempotent(t *testing.T) {
 	}
 }
 
-// TestEngineCloseDuringQuery: Close racing an in-flight query waits for
+// TestExecutorCloseDuringQuery: Close racing an in-flight query waits for
 // it to drain; the query either completes normally or fails ErrClosed,
 // and later queries always fail ErrClosed.
-func TestEngineCloseDuringQuery(t *testing.T) {
+func TestExecutorCloseDuringQuery(t *testing.T) {
 	f := testFixture(t)
 	rng := rand.New(rand.NewPCG(103, 0))
 	q := f.randomQuery(rng, 3, 3, 0.5, 5)
 
 	gs := &gateStore{parked: make(chan struct{}), gate: make(chan struct{})}
-	eng, err := NewEngine(f.db, core.Options{}, Config{
+	eng, err := NewExecutor(f.db, core.Options{}, Config{
 		Shards: 2,
 		WrapStore: func(_ int, s core.TrajStore) core.TrajStore {
 			if gs.TrajStore == nil {
@@ -80,7 +80,7 @@ func TestEngineCloseDuringQuery(t *testing.T) {
 		},
 	})
 	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
+		t.Fatalf("NewExecutor: %v", err)
 	}
 
 	type out struct {
@@ -119,8 +119,8 @@ func TestEngineCloseDuringQuery(t *testing.T) {
 	}
 }
 
-// TestRemoteExecutorCloseIdempotent mirrors the Engine contract for the
-// network executor.
+// TestRemoteExecutorCloseIdempotent mirrors the Executor contract for
+// the network executor.
 func TestRemoteExecutorCloseIdempotent(t *testing.T) {
 	f := testFixture(t)
 	rng := rand.New(rand.NewPCG(107, 0))

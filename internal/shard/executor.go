@@ -2,97 +2,50 @@ package shard
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sort"
-	"time"
 
 	"uots/internal/core"
-	"uots/internal/obs"
-	"uots/internal/pqueue"
 	"uots/internal/trajdb"
-)
-
-// Trace event kinds emitted by the sharded executor (alongside the
-// per-shard engines' core.Trace* events, whose trajectory IDs are
-// shard-local). Scatter-level events are emitted at gather time in shard
-// index order, so a traced query replays deterministically even though
-// the shards themselves finish in any order.
-const (
-	// TraceScatter opens a scatter: Value = shards scattered, Note = the
-	// search variant.
-	TraceScatter = "shard_scatter"
-	// TraceShardDone records one shard's completion: Value = shard index,
-	// Extra = local result count, Note = "err" when the shard failed.
-	TraceShardDone = "shard_done"
-	// TraceMerge closes a scatter: Value = merged result count, Extra =
-	// candidates considered across shards.
-	TraceMerge = "shard_merge"
-	// TraceDegraded records a shard dropped from the merge under
-	// PartialDegrade: Value = shard index.
-	TraceDegraded = "shard_degraded"
-	// TraceCacheHit records a query served from the result cache without
-	// touching any store.
-	TraceCacheHit = "cache_hit"
-	// TracePartition opens one partition's remote replay (RemoteExecutor
-	// only): the events until the matching TracePartitionDone — attempts,
-	// retries, hedges, and the shard server's own span — were buffered by
-	// partition Value's replica-group call and are replayed in partition
-	// index order after the scatter joins. Extra = the partition's
-	// wall-clock milliseconds, the per-hop latency attribution
-	// (run-dependent; mask it to compare traces across runs).
-	TracePartition = "remote_partition"
-	// TracePartitionDone closes a partition replay: Value = partition
-	// index, Extra = events the partition's buffer dropped over its cap.
-	TracePartitionDone = "remote_partition_done"
 )
 
 // shardHandle is one partition: an engine over the shard-local store and
 // the shard-local → global trajectory ID mapping (ascending, see the
 // Partitioner contract). engine is nil for empty shards.
 type shardHandle struct {
-	engine   *core.Engine
-	globals  []trajdb.TrajID
-	counters shardCounters
+	engine  *core.Engine
+	globals []trajdb.TrajID
+}
+
+// remap rewrites shard-local trajectory IDs to global ones in place.
+func (h *shardHandle) remap(results []core.Result) {
+	for j := range results {
+		results[j].Traj = h.globals[results[j].Traj]
+	}
 }
 
 // Executor runs every search variant as a scatter-gather over the shards
-// of one store. Results are byte-identical to a monolithic core.Engine
-// over the same store (see the package comment for why). An Executor is
-// immutable after construction and safe for concurrent use; Close
-// releases its worker pool.
+// of one store (see gatherer for the methods). Results are byte-identical
+// to a monolithic core.Engine over the same store (see the package
+// comment for why). An Executor is immutable over one store snapshot and
+// safe for concurrent use.
+//
+// With Config.CacheSize > 0 a result cache sits in front of the scatter:
+// a hit serves the cached result list without touching any trajectory
+// store and reports zero work stats (only Elapsed is set). The executor
+// never outlives its snapshot, so keys carry no generation.
 type Executor struct {
-	global  *core.Engine
-	shards  []shardHandle
-	pool    *workerPool
-	ownPool bool
-	partial PartialPolicy
-	noBound bool
-	part    Partitioner
-	metrics *metrics
+	gatherer
+	shards []shardHandle
+	pool   *workerPool
+	part   Partitioner
 }
 
 // NewExecutor partitions db into cfg.Shards shards and builds the
 // per-shard engines. The shard count is clamped to the store's
 // trajectory count. opts configures every engine (global and per-shard)
 // identically; corpus-dependent text similarities are rejected with
-// ErrShardedTextSim.
-func NewExecutor(db core.TrajStore, opts core.Options, cfg Config) (*Executor, error) {
-	return newExecutor(db, opts, cfg, nil)
-}
-
-// newExecutor is NewExecutor with an optional externally owned worker
-// pool (Engine shares one pool across snapshot rebuilds; Close then
-// leaves it running).
-func newExecutor(db core.TrajStore, opts core.Options, cfg Config, pool *workerPool) (ex *Executor, err error) {
-	var cleanup *workerPool
-	defer func() {
-		// A failed build must not leak the pool it created (store faults
-		// surface through recoverBuildFault below, which runs first).
-		if err != nil && cleanup != nil {
-			cleanup.close()
-		}
-	}()
+// ErrShardedTextSim. db must not be mutated afterwards.
+func NewExecutor(db core.TrajStore, opts core.Options, cfg Config) (ex *Executor, err error) {
 	defer recoverBuildFault(&err)
 	if cfg.Shards <= 0 {
 		return nil, fmt.Errorf("%w: got %d", ErrBadShards, cfg.Shards)
@@ -121,26 +74,13 @@ func newExecutor(db core.TrajStore, opts core.Options, cfg Config, pool *workerP
 		return nil, fmt.Errorf("shard: partitioner %q returned %d shards, want %d", part, len(assignment), n)
 	}
 
-	ownPool := pool == nil
-	if ownPool {
-		pool = newWorkerPool(cfg.Workers)
-		cleanup = pool
-	}
 	m := newMetrics(cfg.Metrics)
-	ex = &Executor{
-		global:  global,
-		shards:  make([]shardHandle, n),
-		pool:    pool,
-		ownPool: ownPool,
-		partial: cfg.Partial,
-		noBound: cfg.DisableSharedBound,
-		part:    part,
-		metrics: m,
-	}
+	shards := make([]shardHandle, n)
+	counters := make([]shardCounters, n)
 	for s, ids := range assignment {
-		h := &ex.shards[s]
+		h := &shards[s]
 		h.globals = append([]trajdb.TrajID(nil), ids...)
-		h.counters = m.forShard(s)
+		counters[s] = m.forShard(s)
 		if len(ids) == 0 {
 			continue // empty shard: skipped at query time
 		}
@@ -164,6 +104,17 @@ func newExecutor(db core.TrajStore, opts core.Options, cfg Config, pool *workerP
 		}
 		h.engine = engine
 	}
+	// The pool starts last, so no failed build has workers to stop.
+	ex = &Executor{shards: shards, pool: newWorkerPool(cfg.Workers), part: part}
+	ex.gatherer = gatherer{
+		fleet:    ex,
+		counters: counters,
+		partial:  cfg.Partial,
+		noBound:  cfg.DisableSharedBound,
+		global:   global,
+		cache:    newCache(cfg.CacheSize),
+		metrics:  m,
+	}
 	return ex, nil
 }
 
@@ -183,357 +134,80 @@ func recoverBuildFault(err *error) {
 	*err = fmt.Errorf("%w: %w", core.ErrStoreFault, se)
 }
 
-// NumShards returns the effective shard count (after clamping).
-func (ex *Executor) NumShards() int { return len(ex.shards) }
-
 // Partitioner returns the partition strategy in use.
 func (ex *Executor) Partitioner() Partitioner { return ex.part }
 
-// Global returns the monolithic engine over the unpartitioned store.
-func (ex *Executor) Global() *core.Engine { return ex.global }
+// Close stops the executor's workers after in-flight shard searches
+// finish. It is idempotent — repeated and concurrent Close calls are
+// safe (the pool shutdown is once-guarded and every call waits for the
+// drain) — and safe against in-flight queries: a query racing Close
+// either completes normally or fails with ErrClosed. Queries submitted
+// after Close fail with ErrClosed.
+func (ex *Executor) Close() { ex.pool.close() }
 
-// Close stops the executor's workers (waiting for in-flight shard
-// searches). Queries submitted after Close fail with ErrClosed.
-func (ex *Executor) Close() {
-	if ex.ownPool {
-		ex.pool.close()
+// enter implements fleet: a closed executor serves nothing, not even
+// cache hits.
+func (ex *Executor) enter() (func(), error) {
+	select {
+	case <-ex.pool.quit:
+		return nil, ErrClosed
+	default:
+		return func() {}, nil
 	}
 }
 
-// shardOut is one shard's scatter outcome.
-type shardOut struct {
-	results []core.Result
-	stats   core.SearchStats
-	err     error
-	ran     bool
-}
-
-// scatter fans fn out over every non-empty shard on the worker pool and
-// waits for all submitted tasks. Under PartialFail the first shard error
-// cancels the siblings' context so they abort within one poll interval.
-// out[i].ran is false only for empty shards.
-func (ex *Executor) scatter(ctx context.Context, fn func(ctx context.Context, h *shardHandle) ([]core.Result, core.SearchStats, error)) []shardOut {
-	sctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	out := make([]shardOut, len(ex.shards))
+// each implements fleet on the worker pool, which bounds the shard
+// searches running at once across every in-flight query.
+func (ex *Executor) each(ctx context.Context, task func(ctx context.Context, i int)) []error {
+	var unstarted []error
 	done := make(chan struct{}, len(ex.shards))
 	submitted := 0
 	for i := range ex.shards {
-		h := &ex.shards[i]
-		if h.engine == nil {
+		if ex.shards[i].engine == nil {
 			continue
 		}
-		o := &out[i]
-		ok := ex.pool.submit(sctx, func() {
-			res, stats, err := fn(sctx, h)
-			o.results, o.stats, o.err, o.ran = res, stats, err, true
-			h.counters.record(stats, err)
-			if err != nil && ex.partial == PartialFail {
-				cancel()
-			}
-			done <- struct{}{}
-		})
-		if !ok {
-			// The scatter context died (or the pool closed) before a
-			// worker freed up; the task never ran.
-			err := sctx.Err()
-			if err == nil {
-				err = ErrClosed
-			}
-			o.err, o.ran = err, true
+		if ex.pool.submit(ctx, func() { task(ctx, i); done <- struct{}{} }) {
+			submitted++
 			continue
 		}
-		submitted++
+		// The scatter context died (or the pool closed) before a worker
+		// freed up; the task never ran.
+		err := ctx.Err()
+		if err == nil {
+			err = ErrClosed
+		}
+		if unstarted == nil {
+			unstarted = make([]error, len(ex.shards))
+		}
+		unstarted[i] = err
 	}
-	for j := 0; j < submitted; j++ {
+	for ; submitted > 0; submitted-- {
 		<-done
 	}
-	return out
+	return unstarted
 }
 
-// resolve turns a gathered scatter into the indices of shards whose
-// results enter the merge, the summed work stats, and the query error.
-// Errors resolve in a fixed precedence so concurrent failures stay
-// deterministic: the caller's own cancellation first, then the
-// lowest-index shard error that is not a secondary cancellation, with
-// PartialDegrade store faults dropped (not failed) unless every shard
-// faulted.
-func (ex *Executor) resolve(ctx context.Context, out []shardOut, trace obs.Tracer) (use []int, stats core.SearchStats, err error) {
-	return resolveOuts(ctx, out, ex.partial, ex.metrics, trace)
+// search implements fleet: shard i's engine runs req, publishing to and
+// pruning against bound.
+func (ex *Executor) search(ctx context.Context, i int, req core.Request, bound *core.SharedBound) ([]core.Result, core.SearchStats, error) {
+	if bound != nil {
+		ctx = core.ContextWithSharedBound(ctx, bound)
+	}
+	h := &ex.shards[i]
+	results, stats, err := req.Run(ctx, h.engine)
+	h.remap(results)
+	return results, stats, err
 }
 
-// resolveOuts is resolve's policy core, shared by the in-process
-// Executor and the RemoteExecutor (whose shard outcomes arrive over the
-// wire but resolve under exactly the same precedence).
-func resolveOuts(ctx context.Context, out []shardOut, partial PartialPolicy, m *metrics, trace obs.Tracer) (use []int, stats core.SearchStats, err error) {
-	var firstErr, firstNonCancel, firstFault error
-	degraded := 0
-	for i := range out {
-		o := &out[i]
-		if !o.ran {
-			continue
-		}
-		stats.Add(o.stats)
-		if o.stats.EarlyTerminated {
-			stats.EarlyTerminated = true
-		}
-		if trace != nil {
-			note := ""
-			if o.err != nil {
-				note = "err"
-			}
-			trace.Emit(obs.SpanEvent{Kind: TraceShardDone, Source: -1, Traj: -1,
-				Value: float64(i), Extra: float64(len(o.results)), Note: note})
-		}
-		if o.err == nil {
-			use = append(use, i)
-			continue
-		}
-		if partial == PartialDegrade && errors.Is(o.err, core.ErrStoreFault) {
-			if firstFault == nil {
-				firstFault = o.err
-			}
-			degraded++
-			if trace != nil {
-				trace.Emit(obs.SpanEvent{Kind: TraceDegraded, Source: -1, Traj: -1, Value: float64(i)})
-			}
-			continue
-		}
-		if firstErr == nil {
-			firstErr = o.err
-		}
-		if firstNonCancel == nil && !errors.Is(o.err, context.Canceled) {
-			firstNonCancel = o.err
-		}
+// batch implements fleet.
+func (ex *Executor) batch(ctx context.Context, i int, queries []core.Query, opts core.BatchOptions) ([]core.BatchResult, core.BatchStats, error) {
+	h := &ex.shards[i]
+	out, stats, err := h.engine.SearchBatch(ctx, queries, opts)
+	for j := range out {
+		h.remap(out[j].Results)
 	}
-	// The caller's own cancellation (deadline or cancel) outranks
-	// whatever the shards reported — a monolithic engine would have
-	// returned exactly this error.
-	if cerr := ctx.Err(); cerr != nil {
-		return nil, stats, cerr
-	}
-	if firstNonCancel != nil {
-		return nil, stats, firstNonCancel
-	}
-	if firstErr != nil {
-		return nil, stats, firstErr
-	}
-	if degraded > 0 && len(use) == 0 {
-		return nil, stats, fmt.Errorf("%w: %w", ErrAllShardsFailed, firstFault)
-	}
-	m.recordDegraded(degraded)
-	return use, stats, nil
+	return out, stats, err
 }
 
-// mergeTopK folds the usable shards' local top-k lists into the global
-// top-k, remapping shard-local trajectory IDs to global ones. The
-// tie-break (score descending, then global ID ascending) matches
-// core.sortResults, so the merged order is the monolithic order.
-func (ex *Executor) mergeTopK(out []shardOut, use []int, k int) ([]core.Result, int) {
-	for _, i := range use {
-		ex.remap(i, out[i].results)
-	}
-	return mergeTopKGlobal(out, use, k)
-}
-
-// remap rewrites shard i's local trajectory IDs to global ones in place.
-func (ex *Executor) remap(i int, results []core.Result) {
-	globals := ex.shards[i].globals
-	for j := range results {
-		results[j].Traj = globals[results[j].Traj]
-	}
-}
-
-// mergeTopKGlobal folds already-global result lists into the global
-// top-k. The remote executor feeds it directly (shard servers remap
-// before answering); the in-process mergeTopK remaps first.
-func mergeTopKGlobal(out []shardOut, use []int, k int) ([]core.Result, int) {
-	if k < 1 {
-		k = 1
-	}
-	top := pqueue.NewTopK[core.Result](k)
-	considered := 0
-	for _, i := range use {
-		for _, r := range out[i].results {
-			top.Offer(r.Score, int64(r.Traj), r)
-			considered++
-		}
-	}
-	return top.Results(), considered
-}
-
-// mergeAll concatenates the usable shards' full result lists (threshold
-// searches return every qualifying trajectory) and re-sorts them into
-// the monolithic order.
-func (ex *Executor) mergeAll(out []shardOut, use []int) ([]core.Result, int) {
-	for _, i := range use {
-		ex.remap(i, out[i].results)
-	}
-	return mergeAllGlobal(out, use)
-}
-
-// mergeAllGlobal is mergeAll over already-global result lists.
-func mergeAllGlobal(out []shardOut, use []int) ([]core.Result, int) {
-	var all []core.Result
-	for _, i := range use {
-		all = append(all, out[i].results...)
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Score != all[j].Score {
-			return all[i].Score > all[j].Score
-		}
-		return all[i].Traj < all[j].Traj
-	})
-	return all, len(all)
-}
-
-// begin opens a scatter: it records the query metric, emits the scatter
-// trace event, and attaches a fresh cross-shard bound when the variant
-// supports one (withBound) and the exchange is enabled.
-func (ex *Executor) begin(ctx context.Context, variant string, withBound bool) (context.Context, obs.Tracer) {
-	ex.metrics.recordQuery(variant)
-	trace := obs.TracerFromContext(ctx)
-	if trace != nil {
-		trace.Emit(obs.SpanEvent{Kind: TraceScatter, Source: -1, Traj: -1,
-			Value: float64(len(ex.shards)), Note: variant})
-	}
-	if withBound && !ex.noBound {
-		// Valid only when every shard runs the same K (see
-		// core.SharedBound): a shard's k-th threshold then lower-bounds
-		// the global k-th.
-		ctx = core.ContextWithSharedBound(ctx, &core.SharedBound{})
-	}
-	return ctx, trace
-}
-
-// finish emits the merge trace event and stamps the scatter's wall time.
-func finish(trace obs.Tracer, stats *core.SearchStats, merged, considered int, elapsed func() time.Duration) {
-	if trace != nil {
-		trace.Emit(obs.SpanEvent{Kind: TraceMerge, Source: -1, Traj: -1,
-			Value: float64(merged), Extra: float64(considered)})
-	}
-	stats.Elapsed = elapsed()
-}
-
-// SearchCtx answers a top-k query by scattering core.Engine.SearchCtx
-// over the shards with the cross-shard bound exchange enabled, then
-// merging the local top-k lists.
-func (ex *Executor) SearchCtx(ctx context.Context, q core.Query) ([]core.Result, core.SearchStats, error) {
-	elapsed := obs.Stopwatch()
-	sctx, trace := ex.begin(ctx, "search", true)
-	out := ex.scatter(sctx, func(ctx context.Context, h *shardHandle) ([]core.Result, core.SearchStats, error) {
-		return h.engine.SearchCtx(ctx, q)
-	})
-	use, stats, err := ex.resolve(ctx, out, trace)
-	if err != nil {
-		stats.Elapsed = elapsed()
-		return nil, stats, err
-	}
-	results, considered := ex.mergeTopK(out, use, q.K)
-	finish(trace, &stats, len(results), considered, elapsed)
-	return results, stats, nil
-}
-
-// SearchThresholdCtx answers a score-threshold query: every shard
-// returns all locally qualifying trajectories (the bar θ is global
-// already, so no bound exchange is needed) and the merge is a re-sorted
-// concatenation.
-func (ex *Executor) SearchThresholdCtx(ctx context.Context, q core.Query, theta float64) ([]core.Result, core.SearchStats, error) {
-	elapsed := obs.Stopwatch()
-	sctx, trace := ex.begin(ctx, "threshold", false)
-	out := ex.scatter(sctx, func(ctx context.Context, h *shardHandle) ([]core.Result, core.SearchStats, error) {
-		return h.engine.SearchThresholdCtx(ctx, q, theta)
-	})
-	use, stats, err := ex.resolve(ctx, out, trace)
-	if err != nil {
-		stats.Elapsed = elapsed()
-		return nil, stats, err
-	}
-	results, considered := ex.mergeAll(out, use)
-	finish(trace, &stats, len(results), considered, elapsed)
-	return results, stats, nil
-}
-
-// SearchWindowedCtx answers a departure-time-windowed top-k query. The
-// window filter is shard-local (it depends only on each trajectory), so
-// the scatter runs with the bound exchange like SearchCtx.
-func (ex *Executor) SearchWindowedCtx(ctx context.Context, q core.Query, window core.TimeWindow) ([]core.Result, core.SearchStats, error) {
-	elapsed := obs.Stopwatch()
-	sctx, trace := ex.begin(ctx, "windowed", true)
-	out := ex.scatter(sctx, func(ctx context.Context, h *shardHandle) ([]core.Result, core.SearchStats, error) {
-		return h.engine.SearchWindowedCtx(ctx, q, window)
-	})
-	use, stats, err := ex.resolve(ctx, out, trace)
-	if err != nil {
-		stats.Elapsed = elapsed()
-		return nil, stats, err
-	}
-	results, considered := ex.mergeTopK(out, use, q.K)
-	finish(trace, &stats, len(results), considered, elapsed)
-	return results, stats, nil
-}
-
-// OrderAwareSearchCtx answers an order-aware top-k query. The bound
-// exchange stays OFF: each shard's order-aware search runs its own
-// candidate-widening rounds with shard-local K′ values, so the same-K
-// precondition of the shared bound does not hold. The selection lemma
-// still does — every globally top-k trajectory is in its own shard's
-// local top-k — so merging the per-shard order-aware top-k lists is
-// exact.
-func (ex *Executor) OrderAwareSearchCtx(ctx context.Context, q core.Query) ([]core.Result, core.SearchStats, error) {
-	elapsed := obs.Stopwatch()
-	sctx, trace := ex.begin(ctx, "orderaware", false)
-	out := ex.scatter(sctx, func(ctx context.Context, h *shardHandle) ([]core.Result, core.SearchStats, error) {
-		return h.engine.OrderAwareSearchCtx(ctx, q)
-	})
-	use, stats, err := ex.resolve(ctx, out, trace)
-	if err != nil {
-		stats.Elapsed = elapsed()
-		return nil, stats, err
-	}
-	results, considered := ex.mergeTopK(out, use, q.K)
-	finish(trace, &stats, len(results), considered, elapsed)
-	return results, stats, nil
-}
-
-// DiversifiedSearchCtx answers a diversity-re-ranked top-k query: the
-// shards scatter the enlarged relevance pool (same pool K everywhere, so
-// the bound exchange applies), the pools merge into the global pool, and
-// the global engine runs the exact monolithic MMR selection over it.
-func (ex *Executor) DiversifiedSearchCtx(ctx context.Context, q core.Query, opts core.DiversifyOptions) ([]core.Result, core.SearchStats, error) {
-	elapsed := obs.Stopwatch()
-	nopts, err := opts.Normalize()
-	if err != nil {
-		return nil, core.SearchStats{}, err
-	}
-	poolQ := q
-	kk := q.K
-	if kk >= 0 {
-		if kk == 0 {
-			kk = 1 // Query.normalize's default
-		}
-		poolQ.K = nopts.PoolK(kk)
-	}
-	// A negative K stays on poolQ so the per-shard engines reject it with
-	// the same core.ErrBadK the monolithic engine returns.
-	sctx, trace := ex.begin(ctx, "diversified", true)
-	out := ex.scatter(sctx, func(ctx context.Context, h *shardHandle) ([]core.Result, core.SearchStats, error) {
-		return h.engine.SearchCtx(ctx, poolQ)
-	})
-	use, stats, err := ex.resolve(ctx, out, trace)
-	if err != nil {
-		stats.Elapsed = elapsed()
-		return nil, stats, err
-	}
-	pool, considered := ex.mergeTopK(out, use, poolQ.K)
-	// Selection runs on the global engine: the merged pool carries global
-	// trajectory IDs and route overlaps need the full store.
-	picked, err := ex.global.SelectDiverseCtx(ctx, pool, kk, nopts)
-	if err != nil {
-		stats.Elapsed = elapsed()
-		return nil, stats, err
-	}
-	finish(trace, &stats, len(picked), considered, elapsed)
-	return picked, stats, nil
-}
+// failure implements fleet: in-process errors are final.
+func (ex *Executor) failure(_ context.Context, err error) error { return err }

@@ -70,17 +70,24 @@ func TestExecutorClosedRejectsQueries(t *testing.T) {
 	}
 }
 
-func TestEngineClosedRejectsQueries(t *testing.T) {
+// A closed executor serves nothing, not even what its cache holds.
+func TestExecutorClosedRejectsCachedQueries(t *testing.T) {
 	f := testFixture(t)
-	eng, err := NewEngine(f.db, core.Options{}, Config{Shards: 2})
+	ex, err := NewExecutor(f.db, core.Options{}, Config{Shards: 2, CacheSize: 4})
 	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
+		t.Fatalf("NewExecutor: %v", err)
 	}
-	eng.Close()
 	rng := rand.New(rand.NewPCG(79, 0))
 	q := f.randomQuery(rng, 2, 2, 0.5, 3)
-	if _, _, err := eng.SearchCtx(context.Background(), q); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Engine.SearchCtx after Close: err = %v, want ErrClosed", err)
+	if _, _, err := ex.SearchCtx(context.Background(), q); err != nil {
+		t.Fatalf("warming SearchCtx: %v", err)
+	}
+	ex.Close()
+	if _, _, err := ex.SearchCtx(context.Background(), q); !errors.Is(err, ErrClosed) {
+		t.Fatalf("cached SearchCtx after Close: err = %v, want ErrClosed", err)
+	}
+	if _, _, err := ex.SearchBatch(context.Background(), []core.Query{q}, core.BatchOptions{}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("cached SearchBatch after Close: err = %v, want ErrClosed", err)
 	}
 }
 

@@ -45,24 +45,21 @@ type RemoteConfig struct {
 
 // RemoteExecutor runs every search variant as a scatter-gather over
 // remote shard servers, one rpc.Group (replica set) per partition. It
-// is the network twin of Executor: the same resolve precedence, the
-// same deterministic merge, and byte-identical results to a monolithic
-// core.Engine over the unpartitioned store — retries, hedges, and
-// failover can reorder *work*, never *answers*. It satisfies the
-// server.SearchBackend seam, so a router wires it through
-// server.Config.Searcher exactly like a local shard.Engine.
+// is the network twin of Executor — the same gatherer over a different
+// fleet: the same resolve precedence, the same deterministic merge, and
+// byte-identical results to a monolithic core.Engine over the
+// unpartitioned store — retries, hedges, and failover can reorder
+// *work*, never *answers*. It satisfies the server.SearchBackend seam,
+// so a router wires it through server.Config.Searcher exactly like a
+// local Executor.
 //
-// Close follows the shard.Engine contract: idempotent, safe against
-// in-flight queries (it aborts their scatters and waits for them to
-// drain), and queries issued after Close fail with ErrClosed. Close
-// also closes the executor's rpc.Groups — the executor owns them.
+// Close is idempotent and safe against in-flight queries (it aborts
+// their scatters and waits for them to drain); queries issued after
+// Close fail with ErrClosed. Close also closes the executor's
+// rpc.Groups — the executor owns them.
 type RemoteExecutor struct {
-	groups   []*rpc.Group
-	global   *core.Engine
-	partial  PartialPolicy
-	noBound  bool
-	metrics  *metrics
-	counters []shardCounters
+	gatherer
+	groups []*rpc.Group
 
 	closeCtx    context.Context
 	closeCancel context.CancelFunc
@@ -82,13 +79,14 @@ func NewRemoteExecutor(groups []*rpc.Group, cfg RemoteConfig) (*RemoteExecutor, 
 		return nil, fmt.Errorf("%w: got 0 partitions", ErrBadShards)
 	}
 	m := newMetrics(cfg.Metrics)
-	re := &RemoteExecutor{
-		groups:   groups,
-		global:   cfg.Global,
+	re := &RemoteExecutor{groups: groups}
+	re.gatherer = gatherer{
+		fleet:    re,
+		counters: make([]shardCounters, len(groups)),
 		partial:  cfg.Partial,
 		noBound:  cfg.DisableSharedBound,
+		global:   cfg.Global,
 		metrics:  m,
-		counters: make([]shardCounters, len(groups)),
 	}
 	for i := range groups {
 		re.counters[i] = m.forShard(i)
@@ -96,9 +94,6 @@ func NewRemoteExecutor(groups []*rpc.Group, cfg RemoteConfig) (*RemoteExecutor, 
 	re.closeCtx, re.closeCancel = context.WithCancel(context.Background())
 	return re, nil
 }
-
-// NumShards returns the partition count.
-func (re *RemoteExecutor) NumShards() int { return len(re.groups) }
 
 // Close aborts in-flight scatters, waits for them to drain, and closes
 // the replica groups. Idempotent and safe to call concurrently with
@@ -116,11 +111,12 @@ func (re *RemoteExecutor) Close() {
 	})
 }
 
-// beginQuery admits one query, returning its release func. The read
-// lock is held for the query's whole lifetime so Close can drain.
+// enter implements fleet: it admits one query, returning its release
+// func. The read lock is held for the query's whole lifetime so Close
+// can drain.
 //
 //uots:allow lockscope -- deliberate lock handoff: the query-lifetime read lock is returned as the release func, and every caller releases it via defer; Close takes the write side as the drain barrier
-func (re *RemoteExecutor) beginQuery() (func(), error) {
+func (re *RemoteExecutor) enter() (func(), error) {
 	if re.closed.Load() {
 		return nil, ErrClosed
 	}
@@ -132,30 +128,11 @@ func (re *RemoteExecutor) beginQuery() (func(), error) {
 	return re.mu.RUnlock, nil
 }
 
-// begin records the query metric and emits the scatter trace event.
-func (re *RemoteExecutor) begin(ctx context.Context, variant string) obs.Tracer {
-	re.metrics.recordQuery(variant)
-	trace := obs.TracerFromContext(ctx)
-	if trace != nil {
-		trace.Emit(obs.SpanEvent{Kind: TraceScatter, Source: -1, Traj: -1,
-			Value: float64(len(re.groups)), Note: variant})
-	}
-	return trace
-}
-
-// newBound starts a scatter-wide k-th-score bound for same-K variants;
-// the rpc groups piggyback it on requests and responses.
-func (re *RemoteExecutor) newBound() *core.SharedBound {
-	if re.noBound {
-		return nil
-	}
-	return &core.SharedBound{}
-}
-
-// mapClosed rewrites the cancellation injected by Close into ErrClosed.
-// The caller's own context error always wins (resolveOuts already
-// guarantees that), so only a close-induced cancellation is rewritten.
-func (re *RemoteExecutor) mapClosed(ctx context.Context, err error) error {
+// failure implements fleet: it rewrites the cancellation injected by
+// Close into ErrClosed. The caller's own context error always wins
+// (resolve already guarantees that), so only a close-induced
+// cancellation is rewritten.
+func (re *RemoteExecutor) failure(ctx context.Context, err error) error {
 	if err != nil && ctx.Err() == nil && re.closed.Load() && errors.Is(err, context.Canceled) {
 		return ErrClosed
 	}
@@ -166,7 +143,7 @@ func (re *RemoteExecutor) mapClosed(ctx context.Context, err error) error {
 // scatter is in flight. The partition goroutines run concurrently, so
 // letting them emit into the caller's tracer directly would interleave
 // events nondeterministically; instead each partition records into its
-// own bounded buffer and merge replays the buffers into the parent in
+// own bounded buffer and replay copies the buffers into the parent in
 // partition index order after the scatter joins, each inside a
 // TracePartition / TracePartitionDone bracket carrying the partition's
 // wall-clock. A nil *partitionTraces (untraced query) is a no-op.
@@ -176,17 +153,17 @@ type partitionTraces struct {
 	elapsed []time.Duration
 }
 
-// newPartitionTraces returns the buffer set for a traced scatter, or
-// nil when the caller's context carries no tracer.
-func (re *RemoteExecutor) newPartitionTraces(ctx context.Context) *partitionTraces {
+// newPartitionTraces returns the buffer set for a traced scatter over n
+// partitions, or nil when the caller's context carries no tracer.
+func newPartitionTraces(ctx context.Context, n int) *partitionTraces {
 	parent := obs.TracerFromContext(ctx)
 	if parent == nil {
 		return nil
 	}
 	pt := &partitionTraces{
 		parent:  parent,
-		bufs:    make([]*obs.TraceRecorder, len(re.groups)),
-		elapsed: make([]time.Duration, len(re.groups)),
+		bufs:    make([]*obs.TraceRecorder, n),
+		elapsed: make([]time.Duration, n),
 	}
 	for i := range pt.bufs {
 		pt.bufs[i] = obs.NewTraceRecorder(0)
@@ -205,10 +182,10 @@ func (pt *partitionTraces) wrap(ctx context.Context, i int) (context.Context, fu
 	return obs.ContextWithTracer(ctx, pt.bufs[i]), func() { pt.elapsed[i] = sw() }
 }
 
-// merge replays the buffers into the parent trace in partition index
+// replay copies the buffers into the parent trace in partition index
 // order. Called after the scatter's WaitGroup joins, so the buffers are
 // quiescent.
-func (pt *partitionTraces) merge() {
+func (pt *partitionTraces) replay() {
 	if pt == nil {
 		return
 	}
@@ -223,238 +200,57 @@ func (pt *partitionTraces) merge() {
 	}
 }
 
-// scatter fans fn out over every partition's replica group. Network
-// calls park on the wire, so each partition gets a goroutine — no
-// worker pool. Under PartialFail the first partition error cancels the
-// siblings; Close cancels every in-flight scatter the same way.
-func (re *RemoteExecutor) scatter(ctx context.Context, fn func(ctx context.Context, g *rpc.Group, i int) ([]core.Result, core.SearchStats, error)) []shardOut {
-	sctx, cancel := context.WithCancel(ctx)
+// each implements fleet. Network calls park on the wire, so each
+// partition gets a goroutine — no worker pool — with its own trace
+// buffer on the context. Close cancels every in-flight scatter.
+func (re *RemoteExecutor) each(ctx context.Context, task func(ctx context.Context, i int)) []error {
+	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	stop := context.AfterFunc(re.closeCtx, cancel)
 	defer stop()
 
-	pt := re.newPartitionTraces(ctx)
-	out := make([]shardOut, len(re.groups))
+	pt := newPartitionTraces(ctx, len(re.groups))
 	var wg sync.WaitGroup
 	for i := range re.groups {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			pctx, done := pt.wrap(sctx, i)
-			res, stats, err := fn(pctx, re.groups[i], i)
-			done()
-			o := &out[i]
-			o.results, o.stats, o.err, o.ran = res, stats, err, true
-			re.counters[i].record(stats, err)
-			if err != nil && re.partial == PartialFail {
-				cancel()
-			}
-		}()
-	}
-	wg.Wait()
-	pt.merge()
-	return out
-}
-
-// searchScatter is the shared single-query path: scatter req to every
-// partition (stamping the bound exchange), resolve, merge.
-func (re *RemoteExecutor) searchScatter(ctx context.Context, variant string, req rpc.SearchRequest, bound *core.SharedBound, topK int) ([]core.Result, core.SearchStats, error) {
-	elapsed := obs.Stopwatch()
-	end, err := re.beginQuery()
-	if err != nil {
-		return nil, core.SearchStats{}, err
-	}
-	defer end()
-	trace := re.begin(ctx, variant)
-	out := re.scatter(ctx, func(ctx context.Context, g *rpc.Group, i int) ([]core.Result, core.SearchStats, error) {
-		resp, err := g.Search(ctx, req, bound)
-		return resp.Results, resp.Stats, err
-	})
-	use, stats, err := resolveOuts(ctx, out, re.partial, re.metrics, trace)
-	if err != nil {
-		stats.Elapsed = elapsed()
-		return nil, stats, re.mapClosed(ctx, err)
-	}
-	var results []core.Result
-	var considered int
-	if topK >= 0 {
-		results, considered = mergeTopKGlobal(out, use, topK)
-	} else {
-		results, considered = mergeAllGlobal(out, use)
-	}
-	finish(trace, &stats, len(results), considered, elapsed)
-	return results, stats, nil
-}
-
-// SearchCtx mirrors Executor.SearchCtx over the remote shards.
-func (re *RemoteExecutor) SearchCtx(ctx context.Context, q core.Query) ([]core.Result, core.SearchStats, error) {
-	return re.searchScatter(ctx, "search",
-		rpc.SearchRequest{Variant: rpc.VariantSearch, Query: q}, re.newBound(), q.K)
-}
-
-// SearchThresholdCtx mirrors Executor.SearchThresholdCtx: no bound
-// exchange (the bar θ is global already), concatenating merge.
-func (re *RemoteExecutor) SearchThresholdCtx(ctx context.Context, q core.Query, theta float64) ([]core.Result, core.SearchStats, error) {
-	return re.searchScatter(ctx, "threshold",
-		rpc.SearchRequest{Variant: rpc.VariantThreshold, Query: q, Theta: theta}, nil, -1)
-}
-
-// SearchWindowedCtx mirrors Executor.SearchWindowedCtx.
-func (re *RemoteExecutor) SearchWindowedCtx(ctx context.Context, q core.Query, window core.TimeWindow) ([]core.Result, core.SearchStats, error) {
-	return re.searchScatter(ctx, "windowed",
-		rpc.SearchRequest{Variant: rpc.VariantWindowed, Query: q, Window: window}, re.newBound(), q.K)
-}
-
-// OrderAwareSearchCtx mirrors Executor.OrderAwareSearchCtx: the bound
-// exchange stays off (shard-local K′ rounds break the same-K
-// precondition) but the selection lemma keeps the merge exact.
-func (re *RemoteExecutor) OrderAwareSearchCtx(ctx context.Context, q core.Query) ([]core.Result, core.SearchStats, error) {
-	return re.searchScatter(ctx, "orderaware",
-		rpc.SearchRequest{Variant: rpc.VariantOrderAware, Query: q}, nil, q.K)
-}
-
-// DiversifiedSearchCtx mirrors Executor.DiversifiedSearchCtx: the
-// shards scatter the enlarged relevance pool as plain searches (same
-// pool K everywhere, so the bound exchange applies) and the router's
-// global engine runs the exact monolithic MMR selection over the merged
-// pool.
-func (re *RemoteExecutor) DiversifiedSearchCtx(ctx context.Context, q core.Query, opts core.DiversifyOptions) ([]core.Result, core.SearchStats, error) {
-	elapsed := obs.Stopwatch()
-	if re.global == nil {
-		return nil, core.SearchStats{}, ErrRemoteDiversify
-	}
-	nopts, err := opts.Normalize()
-	if err != nil {
-		return nil, core.SearchStats{}, err
-	}
-	poolQ := q
-	kk := q.K
-	if kk >= 0 {
-		if kk == 0 {
-			kk = 1 // Query.normalize's default
-		}
-		poolQ.K = nopts.PoolK(kk)
-	}
-	// A negative K stays on poolQ so the shard servers reject it with the
-	// same core.ErrBadK the monolithic engine returns.
-	end, err := re.beginQuery()
-	if err != nil {
-		return nil, core.SearchStats{}, err
-	}
-	defer end()
-	trace := re.begin(ctx, "diversified")
-	bound := re.newBound()
-	out := re.scatter(ctx, func(ctx context.Context, g *rpc.Group, i int) ([]core.Result, core.SearchStats, error) {
-		resp, err := g.Search(ctx, rpc.SearchRequest{Variant: rpc.VariantSearch, Query: poolQ}, bound)
-		return resp.Results, resp.Stats, err
-	})
-	use, stats, err := resolveOuts(ctx, out, re.partial, re.metrics, trace)
-	if err != nil {
-		stats.Elapsed = elapsed()
-		return nil, stats, re.mapClosed(ctx, err)
-	}
-	pool, considered := mergeTopKGlobal(out, use, poolQ.K)
-	picked, err := re.global.SelectDiverseCtx(ctx, pool, kk, nopts)
-	if err != nil {
-		stats.Elapsed = elapsed()
-		return nil, stats, err
-	}
-	finish(trace, &stats, len(picked), considered, elapsed)
-	return picked, stats, nil
-}
-
-// scatterBatch fans the whole batch out to every partition's replica
-// group, converting wire entries back into core.BatchResults (coded
-// errors become the canonical sentinels again).
-func (re *RemoteExecutor) scatterBatch(ctx context.Context, queries []core.Query, opts core.BatchOptions) []shardBatchOut {
-	sctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	stop := context.AfterFunc(re.closeCtx, cancel)
-	defer stop()
-
-	pt := re.newPartitionTraces(ctx)
-	out := make([]shardBatchOut, len(re.groups))
-	var wg sync.WaitGroup
-	for i := range re.groups {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			pctx, done := pt.wrap(sctx, i)
+			pctx, done := pt.wrap(ctx, i)
 			defer done()
-			o := &out[i]
-			wopts := rpc.BatchOptions{Workers: opts.Workers, SharedExpansion: opts.SharedExpansion}
-			resp, err := re.groups[i].Batch(pctx, rpc.BatchRequest{Queries: queries, Opts: wopts})
-			if err != nil {
-				o.err, o.ran = err, true
-				re.counters[i].record(core.SearchStats{}, err)
-				return
-			}
-			brs := make([]core.BatchResult, len(resp.Entries))
-			for j, e := range resp.Entries {
-				brs[j] = core.BatchResult{Index: e.Index, Results: e.Results, Stats: e.Stats, Err: e.Err()}
-			}
-			o.out, o.stats, o.ran = brs, resp.Stats, true
-			re.counters[i].record(resp.Stats.PerQuery, nil)
+			task(pctx, i)
 		}()
 	}
 	wg.Wait()
-	pt.merge()
-	return out
+	pt.replay()
+	return nil
 }
 
-// SearchBatch mirrors Executor.SearchBatch over the remote shards:
-// every partition runs the whole batch (sharing expansion frontiers
-// per shard when enabled) and results merge per query under the same
-// deterministic precedence. The returned error is ctx.Err(), matching
-// the monolithic contract.
-func (re *RemoteExecutor) SearchBatch(ctx context.Context, queries []core.Query, opts core.BatchOptions) ([]core.BatchResult, core.BatchStats, error) {
-	elapsed := obs.Stopwatch()
-	if opts.Algorithm != core.AlgoExpansion {
-		return nil, core.BatchStats{}, ErrRemoteBatchAlgo
-	}
-	end, err := re.beginQuery()
+// search implements fleet: the rpc group piggybacks bound on the request
+// and folds the shard's answer back into it.
+func (re *RemoteExecutor) search(ctx context.Context, i int, req core.Request, bound *core.SharedBound) ([]core.Result, core.SearchStats, error) {
+	resp, err := re.groups[i].Search(ctx, rpc.SearchRequest{Request: req}, bound)
+	return resp.Results, resp.Stats, err
+}
+
+// batch implements fleet, converting wire entries back into
+// core.BatchResults (coded errors become the canonical sentinels again).
+func (re *RemoteExecutor) batch(ctx context.Context, i int, queries []core.Query, opts core.BatchOptions) ([]core.BatchResult, core.BatchStats, error) {
+	wopts := rpc.BatchOptions{Workers: opts.Workers, SharedExpansion: opts.SharedExpansion}
+	resp, err := re.groups[i].Batch(ctx, rpc.BatchRequest{Queries: queries, Opts: wopts})
 	if err != nil {
 		return nil, core.BatchStats{}, err
 	}
-	defer end()
-	trace := re.begin(ctx, "batch")
-	outs := re.scatterBatch(ctx, queries, opts)
+	out := make([]core.BatchResult, len(resp.Entries))
+	for j, e := range resp.Entries {
+		out[j] = core.BatchResult{Index: e.Index, Results: e.Results, Stats: e.Stats, Err: e.Err()}
+	}
+	return out, resp.Stats, nil
+}
 
-	var bstats core.BatchStats
-	bstats.Queries = len(queries)
-	out := make([]core.BatchResult, len(queries))
-	considered := 0
-	for i := range outs {
-		o := &outs[i]
-		if !o.ran {
-			continue
-		}
-		bstats.DistinctSources += o.stats.DistinctSources
-		bstats.SourceRefs += o.stats.SourceRefs
-		bstats.FrontierSettles += o.stats.FrontierSettles
-		bstats.ServedSettles += o.stats.ServedSettles
-		if trace != nil {
-			note := ""
-			if o.err != nil {
-				note = "err"
-			}
-			trace.Emit(obs.SpanEvent{Kind: TraceShardDone, Source: -1, Traj: -1,
-				Value: float64(i), Extra: float64(len(o.out)), Note: note})
-		}
+// SearchBatch is the gatherer's, restricted to what crosses the wire.
+func (re *RemoteExecutor) SearchBatch(ctx context.Context, queries []core.Query, opts core.BatchOptions) ([]core.BatchResult, core.BatchStats, error) {
+	if opts.Algorithm != core.AlgoExpansion {
+		return nil, core.BatchStats{}, ErrRemoteBatchAlgo
 	}
-	for qi := range queries {
-		out[qi] = gatherQueryOuts(ctx, outs, qi, queries[qi].K, re.partial, re.metrics, nil, &considered)
-		if out[qi].Err != nil {
-			out[qi].Err = re.mapClosed(ctx, out[qi].Err)
-			bstats.Failed++
-			continue
-		}
-		bstats.PerQuery.Add(out[qi].Stats)
-	}
-	if trace != nil {
-		trace.Emit(obs.SpanEvent{Kind: TraceMerge, Source: -1, Traj: -1,
-			Value: float64(len(queries) - bstats.Failed), Extra: float64(considered)})
-	}
-	bstats.WallClock = elapsed()
-	return out, bstats, ctx.Err()
+	return re.gatherer.SearchBatch(ctx, queries, opts)
 }

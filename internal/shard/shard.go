@@ -30,9 +30,10 @@
 // the per-shard engines poll the scatter context and abort within one
 // poll interval.
 //
-// Engine layers a snapshot-generation-keyed result cache (sharded LRU)
-// in front of the executor; see Engine and NewDynamicEngine for the
-// invalidation contract.
+// One scatter-gather (gatherer) serves both the in-process Executor and
+// the RemoteExecutor over rpc replica groups; they differ only in their
+// fleet. Config.CacheSize puts an optional result cache (sharded LRU) in
+// front of the Executor's scatter.
 package shard
 
 import (
@@ -105,7 +106,7 @@ type Config struct {
 	// (ablation; results are identical either way, only pruning differs).
 	DisableSharedBound bool
 	// CacheSize caps the result cache at this many entries across all
-	// cache shards (0 disables caching; only Engine consults it).
+	// cache shards (0 disables caching).
 	CacheSize int
 	// Metrics receives the executor's uots_shard_* instruments
 	// (nil disables metrics).
