@@ -32,7 +32,7 @@ func benchWorld(b *testing.B) *experiments.Dataset {
 func benchEngine(b *testing.B, ds *experiments.Dataset, cfg experiments.AlgoConfig) *core.Engine {
 	b.Helper()
 	opts := cfg.Opts
-	if cfg.Kind == core.AlgoExpansion && !cfg.NoLandmarks {
+	if cfg.Kind != core.AlgoExhaustive && !cfg.NoLandmarks {
 		opts.Landmarks = ds.Landmarks()
 	}
 	e, err := core.NewEngine(ds.Store, opts)
@@ -44,7 +44,7 @@ func benchEngine(b *testing.B, ds *experiments.Dataset, cfg experiments.AlgoConf
 
 // runQueries cycles the workload through b.N iterations and reports the
 // mean visited-trajectory count.
-func runQueries(b *testing.B, e *core.Engine, cfg experiments.AlgoConfig, ds *experiments.Dataset, queries []core.Query, theta float64) {
+func runQueries(b *testing.B, e *core.Engine, cfg experiments.AlgoConfig, queries []core.Query, theta float64) {
 	b.Helper()
 	visited := 0
 	b.ResetTimer()
@@ -60,7 +60,7 @@ func runQueries(b *testing.B, e *core.Engine, cfg experiments.AlgoConfig, ds *ex
 		case cfg.Kind == core.AlgoExhaustive:
 			_, stats, err = e.ExhaustiveSearch(q)
 		case cfg.Kind == core.AlgoTextFirst:
-			_, stats, err = e.TextFirstSearch(q, core.TextFirstOptions{Landmarks: ds.Landmarks()})
+			_, stats, err = e.TextFirstSearch(q)
 		default:
 			_, stats, err = e.Search(q)
 		}
@@ -77,7 +77,7 @@ func benchCell(b *testing.B, spec experiments.QuerySpec, cfg experiments.AlgoCon
 	ds := benchWorld(b)
 	queries := experiments.GenQueries(ds, spec, 8)
 	e := benchEngine(b, ds, cfg)
-	runQueries(b, e, cfg, ds, queries, theta)
+	runQueries(b, e, cfg, queries, theta)
 }
 
 func algoPair() []experiments.AlgoConfig {
@@ -108,7 +108,7 @@ func BenchmarkCardinality(b *testing.B) {
 			b.Run(fmt.Sprintf("T=%d/%s", trajs, cfg.Name), func(b *testing.B) {
 				queries := experiments.GenQueries(ds, experiments.DefaultQuerySpec(), 8)
 				e := benchEngine(b, ds, cfg)
-				runQueries(b, e, cfg, ds, queries, 0)
+				runQueries(b, e, cfg, queries, 0)
 			})
 		}
 	}

@@ -91,7 +91,7 @@ func main() {
 	case "exhaustive":
 		results, stats, err = engine.ExhaustiveSearch(q)
 	case "textfirst":
-		results, stats, err = engine.TextFirstSearch(q, uots.TextFirstOptions{})
+		results, stats, err = engine.TextFirstSearch(q)
 	default:
 		err = fmt.Errorf("unknown algorithm %q", *algo)
 	}

@@ -15,7 +15,6 @@
 //	POST /rpc/v1/search      one search, any variant (gob)
 //	POST /rpc/v1/batch       a whole query batch (gob)
 //	GET  /rpc/v1/health      shard identity + liveness (gob)
-//	GET  /metrics            Prometheus text exposition
 //	GET  /debug/trace/{id}   this shard's span of a sampled request (JSON)
 //
 // A request the router sampled (the client sent "X-Trace: 1") carries
@@ -45,7 +44,6 @@ import (
 
 	"uots"
 	"uots/internal/core"
-	"uots/internal/obs"
 	"uots/internal/rpc"
 	"uots/internal/shard"
 )
@@ -91,10 +89,8 @@ func main() {
 		fatal(err)
 	}
 
-	reg := obs.NewRegistry()
 	mux := http.NewServeMux()
 	mux.Handle("/", ss.Handler())
-	mux.Handle("/metrics", reg.Handler())
 	mux.HandleFunc("GET /debug/trace/{id}", func(w http.ResponseWriter, r *http.Request) {
 		id := r.PathValue("id")
 		rec, ok := ss.Traces().Get(id)

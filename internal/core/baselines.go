@@ -2,11 +2,9 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"sort"
 
-	"uots/internal/index"
 	"uots/internal/pqueue"
 	"uots/internal/roadnet"
 	"uots/internal/trajdb"
@@ -27,23 +25,8 @@ func (e *Engine) ExhaustiveSearch(q Query) ([]Result, SearchStats, error) {
 // ExhaustiveSearchCtx is ExhaustiveSearch with cancellation: both the
 // Dijkstra field computation and the scoring scan poll ctx at bounded
 // intervals (see SearchCtx).
-func (e *Engine) ExhaustiveSearchCtx(ctx context.Context, q Query) (results []Result, stats SearchStats, err error) {
-	defer recoverStoreFault(&results, &err)
-	elapsed := stopwatch()
-	q, err = q.normalize(e.g)
-	if err != nil {
-		return nil, SearchStats{}, err
-	}
-	topk := pqueue.NewTopK[Result](q.K)
-	stats, err = e.exhaustiveScan(ctx, q, func(r Result) {
-		topk.Offer(r.Score, int64(r.Traj), r)
-	})
-	stats.Elapsed = elapsed()
-	if err != nil {
-		return nil, stats, err
-	}
-	results = topk.Results()
-	return results, stats, nil
+func (e *Engine) ExhaustiveSearchCtx(ctx context.Context, q Query) ([]Result, SearchStats, error) {
+	return e.run(ctx, Request{Query: q}, AlgoExhaustive)
 }
 
 // ExhaustiveThreshold answers the threshold variant exhaustively.
@@ -54,24 +37,27 @@ func (e *Engine) ExhaustiveThreshold(q Query, theta float64) ([]Result, SearchSt
 }
 
 // ExhaustiveThresholdCtx is ExhaustiveThreshold with cancellation.
-func (e *Engine) ExhaustiveThresholdCtx(ctx context.Context, q Query, theta float64) (results []Result, stats SearchStats, err error) {
-	defer recoverStoreFault(&results, &err)
-	elapsed := stopwatch()
-	q, err = q.normalize(e.g)
-	if err != nil {
-		return nil, SearchStats{}, err
-	}
-	if !(theta > 0) || theta > 1 || math.IsNaN(theta) {
-		return nil, SearchStats{}, ErrBadThreshold
-	}
-	stats, err = e.exhaustiveScan(ctx, q, func(r Result) {
-		if r.Score >= theta {
+func (e *Engine) ExhaustiveThresholdCtx(ctx context.Context, q Query, theta float64) ([]Result, SearchStats, error) {
+	return e.run(ctx, Request{Query: q, Theta: &theta}, AlgoExhaustive)
+}
+
+// exhaustive is the brute-force candidate generator: the top q.K of a
+// full scan, or with theta > 0 everything scoring at least theta.
+func (e *Engine) exhaustive(ctx context.Context, q Query, theta float64) ([]Result, SearchStats, error) {
+	var results []Result
+	topk := pqueue.NewTopK[Result](q.K)
+	stats, err := e.exhaustiveScan(ctx, q, func(r Result) {
+		if theta == 0 {
+			topk.Offer(r.Score, int64(r.Traj), r)
+		} else if r.Score >= theta {
 			results = append(results, r)
 		}
 	})
-	stats.Elapsed = elapsed()
 	if err != nil {
 		return nil, stats, err
+	}
+	if theta == 0 {
+		return topk.Results(), stats, nil
 	}
 	sortResults(results)
 	return results, stats, nil
@@ -142,18 +128,6 @@ func (e *Engine) exhaustiveScan(ctx context.Context, q Query, sink func(Result))
 	return stats, nil
 }
 
-// TextFirstOptions tunes the TextFirst baseline.
-type TextFirstOptions struct {
-	// Landmarks, when non-nil, provides network-distance lower bounds used
-	// to skip exact spatial evaluations that provably cannot qualify.
-	Landmarks *roadnet.Landmarks
-	// Index, when non-nil, supersedes Landmarks with the precomputed
-	// per-trajectory interval bounds: O(K) per (location, candidate) and
-	// no store access, versus the O(K·|τ|) vertex-set scan (a record
-	// fault per candidate on a disk store) the raw ALT tables need.
-	Index *index.TrajBounds
-}
-
 // TextFirstSearch answers a top-k UOTS query with the one-domain-first
 // baseline: trajectories are visited in descending textual-similarity
 // order; each visit computes the exact spatial similarity with
@@ -162,75 +136,50 @@ type TextFirstOptions struct {
 // trajectory with zero textual score can still win on spatial similarity
 // alone, the baseline must fall back to scanning the zero-text tail
 // whenever the bar allows it — the structural weakness the paper's
-// expansion algorithm removes.
+// expansion algorithm removes. When the engine carries a pruning aid
+// (Options.Index or Options.Landmarks) the baseline uses it to skip exact
+// spatial evaluations that provably cannot qualify.
 //
 //uots:allow ctxflow -- compat wrapper: the context-free API has no caller context to thread
-func (e *Engine) TextFirstSearch(q Query, opts TextFirstOptions) ([]Result, SearchStats, error) {
-	return e.TextFirstSearchCtx(context.Background(), q, opts)
+func (e *Engine) TextFirstSearch(q Query) ([]Result, SearchStats, error) {
+	return e.TextFirstSearchCtx(context.Background(), q)
 }
 
 // TextFirstSearchCtx is TextFirstSearch with cancellation: the candidate
 // scan polls ctx between per-trajectory evaluations and inside each
 // evaluation's Dijkstras (see SearchCtx).
-func (e *Engine) TextFirstSearchCtx(ctx context.Context, q Query, opts TextFirstOptions) (results []Result, stats SearchStats, err error) {
-	defer recoverStoreFault(&results, &err)
-	elapsed := stopwatch()
-	q, err = q.normalize(e.g)
-	if err != nil {
-		return nil, SearchStats{}, err
-	}
-	if opts.Index != nil && opts.Index.NumTrajectories() != e.db.NumTrajectories() {
-		return nil, SearchStats{}, fmt.Errorf("%w: index covers %d trajectories, store has %d",
-			ErrIndexMismatch, opts.Index.NumTrajectories(), e.db.NumTrajectories())
-	}
+func (e *Engine) TextFirstSearchCtx(ctx context.Context, q Query) ([]Result, SearchStats, error) {
+	return e.run(ctx, Request{Query: q}, AlgoTextFirst)
+}
+
+// textFirst is the textual-order candidate generator.
+func (e *Engine) textFirst(ctx context.Context, q Query) ([]Result, SearchStats, error) {
+	var stats SearchStats
 	cancel := newCanceller(ctx)
 	topk := pqueue.NewTopK[Result](q.K)
 	sssp := roadnet.NewSSSP(e.g)
 
 	var cancelErr error
+	settled := func() bool {
+		stats.SettledVertices++
+		if stats.SettledVertices%1024 == 0 {
+			cancelErr = cancel.check()
+		}
+		return cancelErr == nil
+	}
 	evaluate := func(tid trajdb.TrajID, text float64) {
 		stats.VisitedTrajectories++
 		// Landmark pruning: a lower bound on every query-location distance
 		// upper-bounds the spatial similarity.
-		if bar, ok := topk.Threshold(); ok && (opts.Index != nil || opts.Landmarks != nil) {
-			ubSpatial := 0.0
-			if opts.Index != nil {
-				for _, o := range q.Locations {
-					ubSpatial += e.kernel(opts.Index.LowerBound(o, tid))
-				}
-			} else {
-				for _, o := range q.Locations {
-					lb := opts.Landmarks.LowerBoundToSet(o, e.db.UniqueVertices(tid))
-					ubSpatial += e.kernel(lb)
-				}
-			}
-			ubSpatial /= float64(len(q.Locations))
-			if combine(q.Lambda, ubSpatial, text) < bar {
+		if bar, ok := topk.Threshold(); ok && e.hasLandmarkBounds() {
+			if combine(q.Lambda, e.landmarkSpatialUB(q.Locations, tid), text) < bar {
 				stats.LandmarkPrunes++
 				return
 			}
 		}
-		dists := make([]float64, len(q.Locations))
-		for i, o := range q.Locations {
-			sssp.RunUntil(o, func(v roadnet.VertexID, d float64) bool {
-				stats.SettledVertices++
-				if stats.SettledVertices%1024 == 0 {
-					if cancelErr = cancel.check(); cancelErr != nil {
-						return false
-					}
-				}
-				if e.db.ContainsVertex(tid, v) {
-					dists[i] = d
-					return false
-				}
-				return true
-			})
-			if cancelErr != nil {
-				return
-			}
-			if dists[i] == 0 && !e.db.ContainsVertex(tid, o) {
-				dists[i] = math.Inf(1) // unreachable from o
-			}
+		dists := e.exactDists(sssp, q.Locations, tid, settled)
+		if cancelErr != nil {
+			return
 		}
 		spatial := e.spatialFromDists(dists)
 		stats.Candidates++
@@ -257,7 +206,6 @@ func (e *Engine) TextFirstSearchCtx(ctx context.Context, q Query, opts TextFirst
 		for i, d := range docs {
 			if i%cancelPollEvery == 0 {
 				if err := cancel.check(); err != nil {
-					stats.Elapsed = elapsed()
 					return nil, stats, err
 				}
 			}
@@ -274,7 +222,6 @@ func (e *Engine) TextFirstSearchCtx(ctx context.Context, q Query, opts TextFirst
 	}
 	for _, s := range ranked {
 		if err := cancel.check(); err != nil {
-			stats.Elapsed = elapsed()
 			return nil, stats, err
 		}
 		if bar, ok := topk.Threshold(); ok && combine(q.Lambda, 1, s.text) < bar {
@@ -283,7 +230,6 @@ func (e *Engine) TextFirstSearchCtx(ctx context.Context, q Query, opts TextFirst
 		}
 		evaluate(s.id, s.text)
 		if cancelErr != nil {
-			stats.Elapsed = elapsed()
 			return nil, stats, cancelErr
 		}
 	}
@@ -298,7 +244,6 @@ func (e *Engine) TextFirstSearchCtx(ctx context.Context, q Query, opts TextFirst
 			}
 			if id%cancelPollEvery == 0 {
 				if err := cancel.check(); err != nil {
-					stats.Elapsed = elapsed()
 					return nil, stats, err
 				}
 			}
@@ -308,7 +253,6 @@ func (e *Engine) TextFirstSearchCtx(ctx context.Context, q Query, opts TextFirst
 			}
 			evaluate(tid, 0)
 			if cancelErr != nil {
-				stats.Elapsed = elapsed()
 				return nil, stats, cancelErr
 			}
 		}
@@ -316,7 +260,5 @@ func (e *Engine) TextFirstSearchCtx(ctx context.Context, q Query, opts TextFirst
 		stats.EarlyTerminated = true
 	}
 
-	results = topk.Results()
-	stats.Elapsed = elapsed()
-	return results, stats, nil
+	return topk.Results(), stats, nil
 }

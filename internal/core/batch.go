@@ -44,8 +44,6 @@ type BatchOptions struct {
 	Workers int
 	// Algorithm selects the per-query strategy (default AlgoExpansion).
 	Algorithm Algorithm
-	// TextFirst tunes AlgoTextFirst runs.
-	TextFirst TextFirstOptions
 	// SharedExpansion enables the batch planner: queries referencing the
 	// same source vertex share one expansion frontier and its memoized
 	// vertex→trajectory scans (see batchplan.go), doing each network
@@ -101,8 +99,8 @@ type BatchStats struct {
 // returning, so no goroutines outlive the call; its error is ctx.Err().
 func (e *Engine) SearchBatch(ctx context.Context, queries []Query, opts BatchOptions) (out []BatchResult, stats BatchStats, err error) {
 	// Store panics inside worker goroutines are converted to per-query
-	// errors by the entry points the workers call; this guard covers the
-	// batch frame itself.
+	// errors by run, which every worker calls; this guard covers the batch
+	// frame itself.
 	defer recoverStoreFault(nil, &err)
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
@@ -137,7 +135,7 @@ func (e *Engine) SearchBatch(ctx context.Context, queries []Query, opts BatchOpt
 					out[idx] = BatchResult{Index: idx, Err: err}
 					continue
 				}
-				res, stats, err := e.runOne(ctx, queries[idx], opts)
+				res, stats, err := e.run(ctx, Request{Query: queries[idx]}, opts.Algorithm)
 				out[idx] = BatchResult{Index: idx, Results: res, Stats: stats, Err: err}
 			}
 		}()
@@ -191,15 +189,4 @@ func finalizeBatch(out []BatchResult, scheduled []bool, ctxErr error) BatchStats
 		stats.PerQuery.Add(out[i].Stats)
 	}
 	return stats
-}
-
-func (e *Engine) runOne(ctx context.Context, q Query, opts BatchOptions) ([]Result, SearchStats, error) {
-	switch opts.Algorithm {
-	case AlgoExhaustive:
-		return e.ExhaustiveSearchCtx(ctx, q)
-	case AlgoTextFirst:
-		return e.TextFirstSearchCtx(ctx, q, opts.TextFirst)
-	default:
-		return e.SearchCtx(ctx, q)
-	}
 }

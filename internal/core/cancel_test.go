@@ -30,7 +30,7 @@ func ctxVariants() []ctxVariant {
 			return e.ExhaustiveThresholdCtx(ctx, q, 0.4)
 		}},
 		{"TextFirstSearchCtx", func(e *Engine, ctx context.Context, q Query) ([]Result, SearchStats, error) {
-			return e.TextFirstSearchCtx(ctx, q, TextFirstOptions{})
+			return e.TextFirstSearchCtx(ctx, q)
 		}},
 		{"OrderAwareSearchCtx", func(e *Engine, ctx context.Context, q Query) ([]Result, SearchStats, error) {
 			return e.OrderAwareSearchCtx(ctx, q)

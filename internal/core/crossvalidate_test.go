@@ -53,7 +53,7 @@ func TestTextFirstMatchesExhaustive(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: exhaustive: %v", trial, err)
 		}
-		got, _, err := e.TextFirstSearch(q, TextFirstOptions{})
+		got, _, err := e.TextFirstSearch(q)
 		if err != nil {
 			t.Fatalf("trial %d: textfirst: %v", trial, err)
 		}
@@ -64,8 +64,11 @@ func TestTextFirstMatchesExhaustive(t *testing.T) {
 // TestTextFirstWithLandmarksMatchesExhaustive validates that the landmark
 // pruning inside the TextFirst baseline never changes its answers.
 func TestTextFirstWithLandmarksMatchesExhaustive(t *testing.T) {
-	e, f := testEngineDefault(t)
-	lm := roadnet.NewLandmarks(f.g, 8, 0)
+	f := testFixture(t)
+	e, err := NewEngine(f.db, Options{Landmarks: roadnet.NewLandmarks(f.g, 8, 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
 	rng := rand.New(rand.NewPCG(52, 53))
 	for trial := 0; trial < 8; trial++ {
 		q := f.randomQuery(rng, 1+rng.IntN(4), rng.IntN(4), [4]float64{0.1, 0.4, 0.7, 1}[rng.IntN(4)], 1+rng.IntN(5))
@@ -73,7 +76,7 @@ func TestTextFirstWithLandmarksMatchesExhaustive(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: exhaustive: %v", trial, err)
 		}
-		got, _, err := e.TextFirstSearch(q, TextFirstOptions{Landmarks: lm})
+		got, _, err := e.TextFirstSearch(q)
 		if err != nil {
 			t.Fatalf("trial %d: textfirst+landmarks: %v", trial, err)
 		}

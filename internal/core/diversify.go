@@ -34,10 +34,9 @@ type DiversifyOptions struct {
 	PoolFactor int
 }
 
-// Normalize validates opts and fills defaults, returning the effective
-// options. Exported for executors layered above the engine (the sharded
-// scatter-gather in internal/shard sizes its merged pool with it).
-func (o DiversifyOptions) Normalize() (DiversifyOptions, error) {
+// normalize validates opts and fills defaults, returning the effective
+// options.
+func (o DiversifyOptions) normalize() (DiversifyOptions, error) {
 	if o.Mu == 0 {
 		o.Mu = 0.3
 	}
@@ -50,16 +49,6 @@ func (o DiversifyOptions) Normalize() (DiversifyOptions, error) {
 	return o, nil
 }
 
-// PoolK returns the unordered candidate pool size the MMR selection
-// draws k results from. o must be normalized.
-func (o DiversifyOptions) PoolK(k int) int {
-	p := k * o.PoolFactor
-	if p < 16 {
-		p = 16
-	}
-	return p
-}
-
 // DiversifiedSearch answers a top-k query re-ranked for route diversity.
 //
 //uots:allow ctxflow -- compat wrapper: the context-free API has no caller context to thread
@@ -70,48 +59,32 @@ func (e *Engine) DiversifiedSearch(q Query, opts DiversifyOptions) ([]Result, Se
 // DiversifiedSearchCtx is DiversifiedSearch with cancellation: the pool
 // retrieval polls ctx (see SearchCtx), and the MMR selection polls between
 // greedy picks.
-func (e *Engine) DiversifiedSearchCtx(ctx context.Context, q Query, opts DiversifyOptions) (results []Result, stats SearchStats, err error) {
-	defer recoverStoreFault(&results, &err)
-	elapsed := stopwatch()
-	q, err = q.normalize(e.g)
-	if err != nil {
-		return nil, SearchStats{}, err
-	}
-	opts, err = opts.Normalize()
-	if err != nil {
-		return nil, SearchStats{}, err
-	}
-	poolQ := q
-	poolQ.K = opts.PoolK(q.K)
-	pool, stats, err := e.SearchCtx(ctx, poolQ)
-	if err != nil {
-		return nil, stats, err
-	}
-	picked, err := e.SelectDiverseCtx(ctx, pool, q.K, opts)
-	if err != nil {
-		stats.Elapsed = elapsed()
-		return nil, stats, err
-	}
-	stats.Elapsed = elapsed()
-	return picked, stats, nil
+func (e *Engine) DiversifiedSearchCtx(ctx context.Context, q Query, opts DiversifyOptions) ([]Result, SearchStats, error) {
+	return e.run(ctx, Request{Query: q, Diversify: &opts}, AlgoExpansion)
 }
 
 // SelectDiverseCtx greedily picks k results from a best-first candidate
 // pool by maximal marginal relevance, polling ctx between picks. It is
-// the selection half of DiversifiedSearchCtx, exported so executors that
+// the select stage of a diversified search, exported so executors that
 // assemble the pool differently (internal/shard merges per-partition
 // pools) run the exact same selection and stay byte-identical with the
 // monolithic engine. Route overlaps are computed against this engine's
 // store, so the pool's trajectory IDs must be valid in it.
 func (e *Engine) SelectDiverseCtx(ctx context.Context, pool []Result, k int, opts DiversifyOptions) (picked []Result, err error) {
 	defer recoverStoreFault(&picked, &err)
-	opts, err = opts.Normalize()
+	opts, err = opts.normalize()
 	if err != nil {
 		return nil, err
 	}
+	return e.selectDiverse(ctx, pool, k, opts)
+}
+
+// selectDiverse is the select stage proper; opts must be normalized and
+// the caller holds the store-fault guard.
+func (e *Engine) selectDiverse(ctx context.Context, pool []Result, k int, opts DiversifyOptions) ([]Result, error) {
 	cancel := newCanceller(ctx)
 	trace := tracerFrom(ctx)
-	picked = make([]Result, 0, k)
+	picked := make([]Result, 0, k)
 	used := make([]bool, len(pool))
 	for len(picked) < k && len(picked) < len(pool) {
 		if err := cancel.check(); err != nil {

@@ -84,6 +84,36 @@ func combine(lambda, spatial, textual float64) float64 {
 	return lambda*spatial + (1-lambda)*textual
 }
 
+// hasLandmarkBounds reports whether some form of landmark lower bound
+// is configured (the per-trajectory interval index or raw ALT tables).
+// Options is the one place pruning aids are configured: the expansion
+// search and the TextFirst baseline both read them from here.
+func (e *Engine) hasLandmarkBounds() bool {
+	return e.opts.Index != nil || e.opts.Landmarks != nil
+}
+
+// landmarkSpatialUB upper-bounds a trajectory's spatial similarity from
+// landmark lower bounds on its distance to every query location. With
+// Options.Index present the bound is an O(K) interval lookup per
+// location and touches no store state; the Landmarks fallback scans the
+// trajectory's vertex set (O(K·|τ|), faulting the record on a disk
+// store) for a tighter but costlier bound.
+func (e *Engine) landmarkSpatialUB(locations []roadnet.VertexID, tid trajdb.TrajID) float64 {
+	var sum float64
+	if ix := e.opts.Index; ix != nil {
+		for _, o := range locations {
+			sum += e.kernel(ix.LowerBound(o, tid))
+		}
+	} else {
+		lm := e.opts.Landmarks
+		verts := e.db.UniqueVertices(tid)
+		for _, o := range locations {
+			sum += e.kernel(lm.LowerBoundToSet(o, verts))
+		}
+	}
+	return sum / float64(len(locations))
+}
+
 // Evaluate computes the exact similarity of one trajectory against a
 // query, including per-location network distances. It is the reference
 // scorer used by tests and by callers that want to explain a
@@ -100,7 +130,7 @@ func (e *Engine) Evaluate(q Query, id trajdb.TrajID) (res Result, err error) {
 		return Result{}, ErrTrajRange
 	}
 	sssp := roadnet.NewSSSP(e.g)
-	dists := e.exactDists(sssp, q.Locations, id)
+	dists := e.exactDists(sssp, q.Locations, id, nil)
 	spatial := e.spatialFromDists(dists)
 	text := e.textScore(q.Keywords, id)
 	return Result{
@@ -113,14 +143,24 @@ func (e *Engine) Evaluate(q Query, id trajdb.TrajID) (res Result, err error) {
 }
 
 // exactDists computes d(o, τ) for each query location o with an
-// early-terminating Dijkstra whose target set is τ's vertex set.
-func (e *Engine) exactDists(sssp *roadnet.SSSP, locations []roadnet.VertexID, id trajdb.TrajID) []float64 {
+// early-terminating Dijkstra whose target set is τ's vertex set. A
+// non-nil settled is called once per settled vertex — the TextFirst
+// baseline counts its work and polls cancellation there — and abandons
+// the computation (nil distances) by returning false.
+func (e *Engine) exactDists(sssp *roadnet.SSSP, locations []roadnet.VertexID, id trajdb.TrajID, settled func() bool) []float64 {
 	dists := make([]float64, len(locations))
 	for i, o := range locations {
-		_, d := sssp.DistToSet(o, func(v roadnet.VertexID) bool {
+		abandoned := false
+		_, dists[i] = sssp.DistToSet(o, func(v roadnet.VertexID) bool {
+			if settled != nil && !settled() {
+				abandoned = true
+				return true
+			}
 			return e.db.ContainsVertex(id, v)
 		})
-		dists[i] = d
+		if abandoned {
+			return nil
+		}
 	}
 	return dists
 }

@@ -31,29 +31,8 @@ func (e *Engine) Search(q Query) ([]Result, SearchStats, error) {
 // bounded intervals (every cancelPollEvery steps) and, once the context is
 // cancelled or its deadline expires, stops within one poll interval and
 // returns nil results, the stats of the work done so far, and ctx.Err().
-func (e *Engine) SearchCtx(ctx context.Context, q Query) (results []Result, stats SearchStats, err error) {
-	defer recoverStoreFault(&results, &err)
-	elapsed := stopwatch()
-	q, err = q.normalize(e.g)
-	if err != nil {
-		return nil, SearchStats{}, err
-	}
-	if q.Lambda == 0 {
-		res, stats, err := e.textOnlyTopK(ctx, q, nil)
-		stats.Elapsed = elapsed()
-		if err != nil {
-			return nil, stats, err
-		}
-		return res, stats, nil
-	}
-	st := newExpansionState(ctx, e, q, 0, true)
-	if err := st.run(); err != nil {
-		st.stats.Elapsed = elapsed()
-		return nil, st.stats, err
-	}
-	results = st.topk.Results()
-	st.stats.Elapsed = elapsed()
-	return results, st.stats, nil
+func (e *Engine) SearchCtx(ctx context.Context, q Query) ([]Result, SearchStats, error) {
+	return e.run(ctx, Request{Query: q}, AlgoExpansion)
 }
 
 // SearchThreshold answers the threshold variant of the UOTS query: every
@@ -66,32 +45,8 @@ func (e *Engine) SearchThreshold(q Query, theta float64) ([]Result, SearchStats,
 }
 
 // SearchThresholdCtx is SearchThreshold with cancellation (see SearchCtx).
-func (e *Engine) SearchThresholdCtx(ctx context.Context, q Query, theta float64) (results []Result, stats SearchStats, err error) {
-	defer recoverStoreFault(&results, &err)
-	elapsed := stopwatch()
-	q, err = q.normalize(e.g)
-	if err != nil {
-		return nil, SearchStats{}, err
-	}
-	if !(theta > 0) || theta > 1 || math.IsNaN(theta) {
-		return nil, SearchStats{}, ErrBadThreshold
-	}
-	if q.Lambda == 0 {
-		res, stats, err := e.textOnlyThreshold(ctx, q, theta)
-		stats.Elapsed = elapsed()
-		if err != nil {
-			return nil, stats, err
-		}
-		return res, stats, nil
-	}
-	st := newExpansionState(ctx, e, q, theta, false)
-	if err := st.run(); err != nil {
-		st.stats.Elapsed = elapsed()
-		return nil, st.stats, err
-	}
-	sortResults(st.qualified)
-	st.stats.Elapsed = elapsed()
-	return st.qualified, st.stats, nil
+func (e *Engine) SearchThresholdCtx(ctx context.Context, q Query, theta float64) ([]Result, SearchStats, error) {
+	return e.run(ctx, Request{Query: q, Theta: &theta}, AlgoExpansion)
 }
 
 // sortResults orders results best-first: descending score, ascending ID.
@@ -163,7 +118,11 @@ type expansionState struct {
 	slabDists []float64 // arena for per-cand distance vectors
 }
 
-func newExpansionState(ctx context.Context, e *Engine, q Query, theta float64, useTopK bool) *expansionState {
+// newExpansionState prepares one expansion search: top-k when theta is 0,
+// otherwise the threshold variant. A non-nil keep is pushed into every
+// access path: filtered trajectories never enter the textual bound, never
+// trigger probes, and are scanned but never scored.
+func newExpansionState(ctx context.Context, e *Engine, q Query, theta float64, keep func(trajdb.TrajID) bool) *expansionState {
 	st := &expansionState{
 		e:        e,
 		q:        q,
@@ -171,7 +130,8 @@ func newExpansionState(ctx context.Context, e *Engine, q Query, theta float64, u
 		trace:    tracerFrom(ctx),
 		lastPick: -1,
 		theta:    theta,
-		useTopK:  useTopK,
+		useTopK:  theta == 0,
+		keep:     keep,
 		sources:  make([]expander, len(q.Locations)),
 		live:     make([]bool, len(q.Locations)),
 		radExp:   make([]float64, len(q.Locations)),
@@ -196,7 +156,7 @@ func newExpansionState(ctx context.Context, e *Engine, q Query, theta float64, u
 		st.live[i] = true
 		st.radExp[i] = 1 // e^{−0/γ}
 	}
-	if useTopK {
+	if st.useTopK {
 		st.topk = pqueue.NewTopK[Result](q.K)
 		st.shared = sharedBoundFrom(ctx)
 	}
@@ -213,8 +173,9 @@ func maskAll(n int) uint64 {
 }
 
 // initText scores every trajectory sharing at least one query keyword —
-// the only trajectories with non-zero textual similarity — and loads them
-// into the descending text heap that feeds the unseen-trajectory bound.
+// the only trajectories with non-zero textual similarity — and loads the
+// ones keep accepts into the descending text heap that feeds the
+// unseen-trajectory bound.
 func (st *expansionState) initText() {
 	st.textScores = make(map[trajdb.TrajID]float64)
 	if len(st.q.Keywords) == 0 {
@@ -235,7 +196,7 @@ func (st *expansionState) initText() {
 		}
 		id := trajdb.TrajID(d)
 		s := st.e.textScore(st.q.Keywords, id)
-		if s > 0 {
+		if s > 0 && (st.keep == nil || st.keep(id)) {
 			st.textScores[id] = s
 			st.textHeap.Push(s, id)
 		}
@@ -355,7 +316,7 @@ func (st *expansionState) candFor(tid trajdb.TrajID) *cand {
 	// ties at the bar always survive.
 	if !c.complete && st.e.opts.Index != nil {
 		if bar, ok := st.bar(); ok {
-			if ub := combine(st.q.Lambda, st.landmarkSpatialUB(tid), c.text); ub < bar {
+			if ub := combine(st.q.Lambda, st.e.landmarkSpatialUB(st.q.Locations, tid), c.text); ub < bar {
 				c.complete = true
 				st.stats.LandmarkPrunes++
 				st.emit(TracePrune, -1, int64(tid), ub, bar, NoteLandmark)
@@ -484,8 +445,8 @@ func (st *expansionState) rescan() bool {
 				break
 			}
 			_, tid, _ := st.textHeap.Pop()
-			if st.hasLandmarkBounds() {
-				if ubS := st.landmarkSpatialUB(tid); combine(lambda, ubS, textTop) < bar {
+			if st.e.hasLandmarkBounds() {
+				if ubS := st.e.landmarkSpatialUB(st.q.Locations, tid); combine(lambda, ubS, textTop) < bar {
 					// Provably outside the result: discard with no
 					// Dijkstra work at all. candFor's admission prune may
 					// have reached the same verdict already (it runs the
@@ -580,34 +541,6 @@ func (st *expansionState) rescan() bool {
 	}
 
 	return false
-}
-
-// hasLandmarkBounds reports whether some form of landmark lower bound
-// is configured (the per-trajectory interval index or raw ALT tables).
-func (st *expansionState) hasLandmarkBounds() bool {
-	return st.e.opts.Index != nil || st.e.opts.Landmarks != nil
-}
-
-// landmarkSpatialUB upper-bounds a trajectory's spatial similarity from
-// landmark lower bounds on its distance to every query location. With
-// Options.Index present the bound is an O(K) interval lookup per
-// location and touches no store state; the Landmarks fallback scans the
-// trajectory's vertex set (O(K·|τ|), faulting the record on a disk
-// store) for a tighter but costlier bound.
-func (st *expansionState) landmarkSpatialUB(tid trajdb.TrajID) float64 {
-	var sum float64
-	if ix := st.e.opts.Index; ix != nil {
-		for _, o := range st.q.Locations {
-			sum += st.e.kernel(ix.LowerBound(o, tid))
-		}
-	} else {
-		lm := st.e.opts.Landmarks
-		verts := st.e.db.UniqueVertices(tid)
-		for _, o := range st.q.Locations {
-			sum += st.e.kernel(lm.LowerBoundToSet(o, verts))
-		}
-	}
-	return sum / float64(len(st.q.Locations))
 }
 
 // probe computes the exact spatial distances of one trajectory with
@@ -756,11 +689,11 @@ func (st *expansionState) finalizeExhausted() error {
 	return nil
 }
 
-// textOnlyTopK is the λ=0 fast path: the ranking is fully determined by
-// the textual index; spatial distances are resolved only for the k
-// returned trajectories so the Result decomposition stays complete.
-// A non-nil keep restricts the ranking to accepted trajectories.
-func (e *Engine) textOnlyTopK(ctx context.Context, q Query, keep func(trajdb.TrajID) bool) ([]Result, SearchStats, error) {
+// textOnly is the λ=0 candidate generator: the ranking is fully
+// determined by the textual index; spatial distances are resolved only
+// for the returned trajectories so the Result decomposition stays
+// complete. theta and keep are as in candidates.
+func (e *Engine) textOnly(ctx context.Context, q Query, theta float64, keep func(trajdb.TrajID) bool) ([]Result, SearchStats, error) {
 	var stats SearchStats
 	cancel := newCanceller(ctx)
 	trace := tracerFrom(ctx)
@@ -769,7 +702,8 @@ func (e *Engine) textOnlyTopK(ctx context.Context, q Query, keep func(trajdb.Tra
 			Value: float64(len(q.Locations)), Extra: float64(e.db.NumTrajectories()), Note: TermTextOnly})
 		defer trace.Emit(obs.SpanEvent{Kind: TraceTerminate, Source: -1, Traj: -1, Note: TermTextOnly})
 	}
-	topk := pqueue.NewTopK[trajdb.TrajID](q.K)
+	topk := pqueue.NewTopK[Result](q.K)
+	var hits []Result
 	scored := make(map[trajdb.TrajID]bool)
 	if len(q.Keywords) > 0 {
 		docs := e.db.TextIndex().DocsWithAny(q.Keywords)
@@ -785,82 +719,47 @@ func (e *Engine) textOnlyTopK(ctx context.Context, q Query, keep func(trajdb.Tra
 			if keep != nil && !keep(id) {
 				continue
 			}
-			topk.Offer(e.textScore(q.Keywords, id), int64(id), id)
-		}
-	}
-	// Fill remaining slots with zero-score trajectories (smallest IDs win
-	// the ties), so λ=0 agrees with the general algorithms on result size.
-	for id := 0; id < e.db.NumTrajectories() && !topk.Full(); id++ {
-		if id%4096 == 0 {
-			if err := cancel.check(); err != nil {
-				return nil, stats, err
+			text := e.textScore(q.Keywords, id)
+			r := Result{Traj: id, Score: text, Textual: text}
+			if theta == 0 {
+				topk.Offer(text, int64(id), r)
+			} else if text >= theta {
+				hits = append(hits, r)
 			}
 		}
-		tid := trajdb.TrajID(id)
-		if !scored[tid] && (keep == nil || keep(tid)) {
-			topk.Offer(0, int64(id), tid)
-		}
 	}
-	ids := topk.Results()
-	stats.VisitedTrajectories = len(scored)
-	stats.Candidates = len(ids)
-	stats.EarlyTerminated = true
-
-	sssp := roadnet.NewSSSP(e.g)
-	results := make([]Result, len(ids))
-	for i, id := range ids {
-		// One early-terminating Dijkstra per returned result: poll every
-		// iteration, the per-unit work dwarfs the poll.
-		if err := cancel.check(); err != nil {
-			return nil, stats, err
-		}
-		dists := e.exactDists(sssp, q.Locations, id)
-		spatial := e.spatialFromDists(dists)
-		text := e.textScore(q.Keywords, id)
-		results[i] = Result{Traj: id, Score: text, Spatial: spatial, Textual: text, Dists: dists}
-	}
-	return results, stats, nil
-}
-
-// textOnlyThreshold is the λ=0 fast path for the threshold variant.
-func (e *Engine) textOnlyThreshold(ctx context.Context, q Query, theta float64) ([]Result, SearchStats, error) {
-	var stats SearchStats
-	cancel := newCanceller(ctx)
-	trace := tracerFrom(ctx)
-	if trace != nil {
-		trace.Emit(obs.SpanEvent{Kind: TraceBegin, Source: -1, Traj: -1,
-			Value: float64(len(q.Locations)), Extra: float64(e.db.NumTrajectories()), Note: TermTextOnly})
-		defer trace.Emit(obs.SpanEvent{Kind: TraceTerminate, Source: -1, Traj: -1, Note: TermTextOnly})
-	}
-	var results []Result
-	sssp := roadnet.NewSSSP(e.g)
-	if len(q.Keywords) > 0 {
-		docs := e.db.TextIndex().DocsWithAny(q.Keywords)
-		stats.TextScored = len(docs)
-		for i, d := range docs {
-			if i%cancelPollEvery == 0 {
+	if theta > 0 {
+		sortResults(hits)
+	} else {
+		// Fill remaining slots with zero-score trajectories (smallest IDs
+		// win the ties), so λ=0 agrees with the general algorithms on
+		// result size.
+		for id := 0; id < e.db.NumTrajectories() && !topk.Full(); id++ {
+			if id%4096 == 0 {
 				if err := cancel.check(); err != nil {
 					return nil, stats, err
 				}
 			}
-			id := trajdb.TrajID(d)
-			text := e.textScore(q.Keywords, id)
-			if text < theta {
-				continue
+			tid := trajdb.TrajID(id)
+			if !scored[tid] && (keep == nil || keep(tid)) {
+				topk.Offer(0, int64(id), Result{Traj: tid})
 			}
-			dists := e.exactDists(sssp, q.Locations, id)
-			results = append(results, Result{
-				Traj:    id,
-				Score:   text,
-				Spatial: e.spatialFromDists(dists),
-				Textual: text,
-				Dists:   dists,
-			})
 		}
+		hits = topk.Results()
 	}
-	stats.VisitedTrajectories = stats.TextScored
-	stats.Candidates = len(results)
+	stats.VisitedTrajectories = len(scored)
+	stats.Candidates = len(hits)
 	stats.EarlyTerminated = true
-	sortResults(results)
-	return results, stats, nil
+
+	sssp := roadnet.NewSSSP(e.g)
+	for i := range hits {
+		// One early-terminating Dijkstra per location of each returned
+		// result: poll every iteration, the per-unit work dwarfs the poll.
+		if err := cancel.check(); err != nil {
+			return nil, stats, err
+		}
+		hits[i].Dists = e.exactDists(sssp, q.Locations, hits[i].Traj, nil)
+		hits[i].Spatial = e.spatialFromDists(hits[i].Dists)
+	}
+	return hits, stats, nil
 }

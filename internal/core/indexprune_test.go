@@ -30,51 +30,30 @@ func testBounds(t *testing.T) (*index.TrajBounds, *roadnet.Landmarks) {
 	return testBoundsVal, testBoundsLM
 }
 
-// pruneVariant pairs one entry point's plain and index-assisted runs so
-// the oracle can diff them byte for byte.
-type pruneVariant struct {
-	name    string
-	plain   func(e *Engine, ctx context.Context, q Query) ([]Result, SearchStats, error)
-	indexed func(e *Engine, ctx context.Context, q Query) ([]Result, SearchStats, error)
-}
-
-func pruneVariants(tb *index.TrajBounds) []pruneVariant {
-	same := func(run func(e *Engine, ctx context.Context, q Query) ([]Result, SearchStats, error)) pruneVariant {
-		return pruneVariant{plain: run, indexed: run}
-	}
-	vs := []pruneVariant{
-		same(func(e *Engine, ctx context.Context, q Query) ([]Result, SearchStats, error) {
+// pruneVariants are the entry points the oracle runs on a plain and on
+// an Options.Index engine to diff the answers byte for byte.
+func pruneVariants() []ctxVariant {
+	return []ctxVariant{
+		{"Search", func(e *Engine, ctx context.Context, q Query) ([]Result, SearchStats, error) {
 			return e.SearchCtx(ctx, q)
-		}),
-		same(func(e *Engine, ctx context.Context, q Query) ([]Result, SearchStats, error) {
+		}},
+		{"SearchThreshold", func(e *Engine, ctx context.Context, q Query) ([]Result, SearchStats, error) {
 			return e.SearchThresholdCtx(ctx, q, 0.4)
-		}),
-		same(func(e *Engine, ctx context.Context, q Query) ([]Result, SearchStats, error) {
+		}},
+		{"ExhaustiveSearch", func(e *Engine, ctx context.Context, q Query) ([]Result, SearchStats, error) {
 			return e.ExhaustiveSearchCtx(ctx, q)
-		}),
-		same(func(e *Engine, ctx context.Context, q Query) ([]Result, SearchStats, error) {
+		}},
+		{"ExhaustiveThreshold", func(e *Engine, ctx context.Context, q Query) ([]Result, SearchStats, error) {
 			return e.ExhaustiveThresholdCtx(ctx, q, 0.4)
-		}),
-		{
-			// TextFirst takes the index per call rather than from the
-			// engine, so the two sides differ only in TextFirstOptions.
-			plain: func(e *Engine, ctx context.Context, q Query) ([]Result, SearchStats, error) {
-				return e.TextFirstSearchCtx(ctx, q, TextFirstOptions{})
-			},
-			indexed: func(e *Engine, ctx context.Context, q Query) ([]Result, SearchStats, error) {
-				return e.TextFirstSearchCtx(ctx, q, TextFirstOptions{Index: tb})
-			},
-		},
+		}},
+		{"TextFirst", func(e *Engine, ctx context.Context, q Query) ([]Result, SearchStats, error) {
+			return e.TextFirstSearchCtx(ctx, q)
+		}},
 	}
-	names := []string{"Search", "SearchThreshold", "ExhaustiveSearch", "ExhaustiveThreshold", "TextFirst"}
-	for i := range vs {
-		vs[i].name = names[i]
-	}
-	return vs
 }
 
 // TestIndexPruningIsByteIdentical is the oracle the tentpole rests on:
-// enabling Options.Index (or TextFirstOptions.Index) must change zero
+// enabling Options.Index must change zero
 // result bytes on every search variant — same IDs, same scores, same
 // order, bit-for-bit — while actually pruning (a prune that never fires
 // would make the test vacuous).
@@ -88,12 +67,12 @@ func TestIndexPruningIsByteIdentical(t *testing.T) {
 	prunes := 0
 	for i := 0; i < 15; i++ {
 		q := f.randomQuery(rng, 2+i%3, 2+i%4, 0.3+0.05*float64(i%9), 5+i%8)
-		for _, v := range pruneVariants(tb) {
-			want, _, err := v.plain(plain, ctx, q)
+		for _, v := range pruneVariants() {
+			want, _, err := v.run(plain, ctx, q)
 			if err != nil {
 				t.Fatalf("query %d %s plain: %v", i, v.name, err)
 			}
-			got, stats, err := v.indexed(pruned, ctx, q)
+			got, stats, err := v.run(pruned, ctx, q)
 			if err != nil {
 				t.Fatalf("query %d %s indexed: %v", i, v.name, err)
 			}
@@ -146,8 +125,8 @@ func TestIndexPruningUnderCancellation(t *testing.T) {
 
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, v := range pruneVariants(tb) {
-		res, _, err := v.indexed(pruned, cancelled, q)
+	for _, v := range pruneVariants() {
+		res, _, err := v.run(pruned, cancelled, q)
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: err = %v, want context.Canceled", v.name, err)
 		}
@@ -157,12 +136,12 @@ func TestIndexPruningUnderCancellation(t *testing.T) {
 	}
 	// The aborted runs must leave no state behind: a fresh context still
 	// reproduces the plain engine byte for byte.
-	for _, v := range pruneVariants(tb) {
-		want, _, err := v.plain(plain, context.Background(), q)
+	for _, v := range pruneVariants() {
+		want, _, err := v.run(plain, context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s plain: %v", v.name, err)
 		}
-		got, _, err := v.indexed(pruned, context.Background(), q)
+		got, _, err := v.run(pruned, context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s indexed after cancel: %v", v.name, err)
 		}
@@ -188,8 +167,8 @@ func TestIndexPruningUnderStoreFaults(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewEngine over FaultStore: %v", err)
 	}
-	for _, v := range pruneVariants(tb) {
-		if _, _, err := v.indexed(e, context.Background(), q); !errors.Is(err, ErrStoreFault) {
+	for _, v := range pruneVariants() {
+		if _, _, err := v.run(e, context.Background(), q); !errors.Is(err, ErrStoreFault) {
 			t.Errorf("%s: err = %v, want ErrStoreFault", v.name, err)
 		}
 	}
@@ -200,12 +179,12 @@ func TestIndexPruningUnderStoreFaults(t *testing.T) {
 		t.Fatalf("NewEngine over healthy FaultStore: %v", err)
 	}
 	plain, _ := newTestEngine(t, Options{})
-	for _, v := range pruneVariants(tb) {
-		want, _, err := v.plain(plain, context.Background(), q)
+	for _, v := range pruneVariants() {
+		want, _, err := v.run(plain, context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s plain: %v", v.name, err)
 		}
-		got, _, err := v.indexed(wrapped, context.Background(), q)
+		got, _, err := v.run(wrapped, context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s wrapped: %v", v.name, err)
 		}
@@ -222,19 +201,14 @@ type shortSource struct{ *trajdb.Store }
 func (s shortSource) NumTrajectories() int { return s.Store.NumTrajectories() - 1 }
 
 // TestIndexMismatchRejected: an index that does not cover the store is
-// refused up front, both at engine construction and per TextFirst call —
-// silently pruning with stale bounds would drop live trajectories.
+// refused up front at engine construction, the one place pruning aids are
+// configured — silently pruning with stale bounds would drop live
+// trajectories.
 func TestIndexMismatchRejected(t *testing.T) {
 	_, lm := testBounds(t)
 	f := testFixture(t)
 	stale := index.NewTrajBounds(shortSource{f.db}, lm)
 	if _, err := NewEngine(f.db, Options{Index: stale}); !errors.Is(err, ErrIndexMismatch) {
 		t.Errorf("NewEngine: err = %v, want ErrIndexMismatch", err)
-	}
-	e, _ := newTestEngine(t, Options{})
-	rng := rand.New(rand.NewPCG(17, 0))
-	q := f.randomQuery(rng, 2, 3, 0.5, 5)
-	if _, _, err := e.TextFirstSearch(q, TextFirstOptions{Index: stale}); !errors.Is(err, ErrIndexMismatch) {
-		t.Errorf("TextFirstSearch: err = %v, want ErrIndexMismatch", err)
 	}
 }

@@ -134,13 +134,15 @@ func (e *Engine) OrderAwareSearch(q Query) ([]Result, SearchStats, error) {
 // underlying unordered retrieval polls ctx, and the reranking loop polls
 // between per-trajectory scorings (each one runs |O| Dijkstras, so the
 // poll interval is one trajectory).
-func (e *Engine) OrderAwareSearchCtx(ctx context.Context, q Query) (results []Result, stats SearchStats, err error) {
-	defer recoverStoreFault(&results, &err)
-	elapsed := stopwatch()
-	q, err = q.normalize(e.g)
-	if err != nil {
-		return nil, SearchStats{}, err
-	}
+func (e *Engine) OrderAwareSearchCtx(ctx context.Context, q Query) ([]Result, SearchStats, error) {
+	return e.run(ctx, Request{Query: q, OrderAware: true}, AlgoExpansion)
+}
+
+// rerankOrdered is the order-aware post-stage: retrieve the unordered
+// top-K′ candidates of the normalized q, rerank them with the exact
+// order-aware score, and double K′ until the unordered bound certifies
+// the ordered top-k.
+func (e *Engine) rerankOrdered(ctx context.Context, q Query, algo Algorithm) ([]Result, SearchStats, error) {
 	cancel := newCanceller(ctx)
 	trace := tracerFrom(ctx)
 	var total SearchStats
@@ -152,17 +154,15 @@ func (e *Engine) OrderAwareSearchCtx(ctx context.Context, q Query) (results []Re
 	for round := 0; ; round++ {
 		uq := q
 		uq.K = kPrime
-		unordered, stats, err := e.SearchCtx(ctx, uq)
+		unordered, stats, err := e.candidates(ctx, uq, 0, nil, algo)
 		total.Add(stats)
 		if err != nil {
-			total.Elapsed = elapsed()
 			return nil, total, err
 		}
 
 		reranked := make([]Result, len(unordered))
 		for i, r := range unordered {
 			if err := cancel.check(); err != nil {
-				total.Elapsed = elapsed()
 				return nil, total, err
 			}
 			reranked[i] = e.orderAwareResult(sssp, q, r.Traj)
@@ -187,14 +187,11 @@ func (e *Engine) OrderAwareSearchCtx(ctx context.Context, q Query) (results []Re
 		if len(unordered) < kPrime {
 			// The store has fewer trajectories than K′: everything was
 			// considered.
-			total.EarlyTerminated = false
-			total.Elapsed = elapsed()
 			return reranked, total, nil
 		}
 		bound := unordered[len(unordered)-1].Score
 		if len(reranked) == q.K && reranked[q.K-1].Score >= bound {
 			total.EarlyTerminated = true
-			total.Elapsed = elapsed()
 			return reranked, total, nil
 		}
 		kPrime *= 2

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"strings"
+
+	"uots/internal/trajdb"
 )
 
 // Request is the paper's one query q = (O, ψ, λ, k) plus at most one
@@ -37,7 +39,8 @@ type Request struct {
 var ErrModifierConflict = errors.New("core: a request takes at most one of theta, window, orderAware, diversify")
 
 // Backend is the set of named entry points a Request dispatches onto.
-// Engine implements it, as do the sharded executors of internal/shard.
+// Engine implements it (each one a thin wrapper onto Engine.run), as do
+// the sharded executors of internal/shard.
 type Backend interface {
 	SearchCtx(ctx context.Context, q Query) ([]Result, SearchStats, error)
 	SearchThresholdCtx(ctx context.Context, q Query, theta float64) ([]Result, SearchStats, error)
@@ -85,7 +88,8 @@ func (r Request) Variant() string {
 
 // Validate checks everything about r that does not need the graph: at
 // most one modifier, θ ∈ (0, 1], window bounds inside one day, μ ∈ [0, 1).
-// The query itself is validated by the engine that runs it.
+// It is the only place those ranges are checked. The query itself is
+// validated by the engine that runs it.
 func (r Request) Validate() error {
 	if set := r.modifiers(); len(set) > 1 {
 		return fmt.Errorf("%w: got %s", ErrModifierConflict, strings.Join(set, ", "))
@@ -101,7 +105,7 @@ func (r Request) Validate() error {
 		}
 	}
 	if r.Diversify != nil {
-		if _, err := r.Diversify.Normalize(); err != nil {
+		if _, err := r.Diversify.normalize(); err != nil {
 			return err
 		}
 	}
@@ -117,6 +121,24 @@ func (r Request) Validate() error {
 // and that search does share a bound.)
 func (r Request) SharesBound() bool {
 	return r.Theta == nil && !r.OrderAware && r.Diversify == nil
+}
+
+// Pool splits a diversified r (one Validate accepted) into its two
+// stages: the plain request whose answer is the relevance pool, and the k
+// picks the MMR selection draws from that pool under the normalized opts.
+// The monolithic engine and the sharded scatter both plan with it, so
+// both retrieve the same pool. A negative K stays on the pool query: the
+// engine that runs it rejects it with ErrBadK.
+func (r Request) Pool() (pool Request, k int, opts DiversifyOptions) {
+	opts, _ = r.Diversify.normalize()
+	pool, k = Request{Query: r.Query}, r.Query.K
+	if k == 0 {
+		k = 1 // the engine's default
+	}
+	if k > 0 {
+		pool.Query.K = max(16, k*opts.PoolFactor)
+	}
+	return pool, k, opts
 }
 
 // Run validates r and calls the entry point of b it selects.
@@ -136,4 +158,78 @@ func (r Request) Run(ctx context.Context, b Backend) ([]Result, SearchStats, err
 	default:
 		return b.SearchCtx(ctx, r.Query)
 	}
+}
+
+// run is the one search pipeline every entry point — the five variants,
+// the two baselines, each query of a batch — is a thin wrapper onto. It
+// validates and normalizes once, holds the store-fault guard and the
+// stopwatch, and then runs the plan the request spells out:
+//
+//	candidates → [rerank | select]
+//
+// where candidates is the generator algo names (with the θ cut or the
+// window filter pushed into it), rerank is the order-aware
+// certify-and-double loop and select is the MMR pick over the enlarged
+// pool. Both post-stages draw from the same candidates stage.
+func (e *Engine) run(ctx context.Context, req Request, algo Algorithm) (results []Result, stats SearchStats, err error) {
+	defer recoverStoreFault(&results, &err)
+	elapsed := stopwatch()
+	if err := req.Validate(); err != nil {
+		return nil, SearchStats{}, err
+	}
+	q, err := req.Query.normalize(e.g)
+	if err != nil {
+		return nil, SearchStats{}, err
+	}
+	switch {
+	case req.OrderAware:
+		results, stats, err = e.rerankOrdered(ctx, q, algo)
+	case req.Diversify != nil:
+		req.Query = q
+		pool, k, opts := req.Pool()
+		results, stats, err = e.candidates(ctx, pool.Query, 0, nil, algo)
+		if err == nil {
+			results, err = e.selectDiverse(ctx, results, k, opts)
+		}
+	default:
+		var theta float64
+		if req.Theta != nil {
+			theta = *req.Theta
+		}
+		var keep func(trajdb.TrajID) bool
+		if w := req.Window; w != nil {
+			keep = func(id trajdb.TrajID) bool { return w.Contains(e.db.Traj(id).Start()) }
+		}
+		results, stats, err = e.candidates(ctx, q, theta, keep, algo)
+	}
+	stats.Elapsed = elapsed()
+	if err != nil {
+		return nil, stats, err
+	}
+	return results, stats, nil
+}
+
+// candidates is the generator stage: the exact results of the normalized
+// q, best first — the top q.K, or with theta > 0 every trajectory scoring
+// at least theta. A non-nil keep restricts the search to the trajectories
+// it accepts. The baselines generate the plain top-k, except that the
+// exhaustive scan also honours theta.
+func (e *Engine) candidates(ctx context.Context, q Query, theta float64, keep func(trajdb.TrajID) bool, algo Algorithm) ([]Result, SearchStats, error) {
+	switch {
+	case algo == AlgoExhaustive:
+		return e.exhaustive(ctx, q, theta)
+	case algo == AlgoTextFirst:
+		return e.textFirst(ctx, q)
+	case q.Lambda == 0:
+		return e.textOnly(ctx, q, theta, keep)
+	}
+	st := newExpansionState(ctx, e, q, theta, keep)
+	if err := st.run(); err != nil {
+		return nil, st.stats, err
+	}
+	if theta > 0 {
+		sortResults(st.qualified)
+		return st.qualified, st.stats, nil
+	}
+	return st.topk.Results(), st.stats, nil
 }

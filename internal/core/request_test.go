@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"math/rand/v2"
 	"reflect"
 	"strings"
 	"testing"
@@ -132,6 +133,62 @@ func TestRequest(t *testing.T) {
 			t.Errorf("%s: Run = %v after reaching %q, want %v before any entry point", tc.name, err, rec.method, tc.want)
 		}
 	}
+	// On a real Engine the named entry points and Request.Run are doors
+	// onto the same pipeline: the same request gives the same results and
+	// the same work counters, and a bad θ / window / μ meets the same
+	// sentinel, whichever door it comes through.
+	ctx := context.Background()
+	direct := func(e *Engine, r Request) ([]Result, SearchStats, error) {
+		switch {
+		case r.Theta != nil:
+			return e.SearchThresholdCtx(ctx, r.Query, *r.Theta)
+		case r.Window != nil:
+			return e.SearchWindowedCtx(ctx, r.Query, *r.Window)
+		case r.OrderAware:
+			return e.OrderAwareSearchCtx(ctx, r.Query)
+		case r.Diversify != nil:
+			return e.DiversifiedSearchCtx(ctx, r.Query, *r.Diversify)
+		}
+		return e.SearchCtx(ctx, r.Query)
+	}
+	e, fx := newTestEngine(t, Options{})
+	rq := fx.randomQuery(rand.New(rand.NewPCG(91, 0)), 1, 3, 0.8, 4)
+	reqs := []Request{{Query: rq}}
+	for _, m := range single {
+		req := Request{Query: rq}
+		m.set(&req)
+		reqs = append(reqs, req)
+	}
+	for _, req := range reqs {
+		want, wantStats, err := direct(e, req)
+		if err != nil {
+			t.Fatalf("%s: named entry point: %v", req.Variant(), err)
+		}
+		got, gotStats, err := req.Run(ctx, e)
+		if err != nil {
+			t.Fatalf("%s: Run: %v", req.Variant(), err)
+		}
+		wantStats.Elapsed, gotStats.Elapsed = 0, 0
+		if len(got) == 0 || !reflect.DeepEqual(got, want) || gotStats != wantStats {
+			t.Errorf("%s: Run = (%d results, %+v), named entry point = (%d results, %+v)",
+				req.Variant(), len(got), gotStats, len(want), wantStats)
+		}
+	}
+	for _, tc := range bad {
+		tc.req.Query = rq
+		if _, _, err := direct(e, tc.req); !errors.Is(err, tc.want) {
+			t.Errorf("%s: named entry point = %v, want %v", tc.name, err, tc.want)
+		}
+		if _, _, err := tc.req.Run(ctx, e); !errors.Is(err, tc.want) {
+			t.Errorf("%s: Run on the engine = %v, want %v", tc.name, err, tc.want)
+		}
+		if tc.req.Theta != nil {
+			if _, _, err := e.ExhaustiveThresholdCtx(ctx, rq, *tc.req.Theta); !errors.Is(err, tc.want) {
+				t.Errorf("%s: ExhaustiveThresholdCtx = %v, want %v", tc.name, err, tc.want)
+			}
+		}
+	}
+
 	// Boundary values that are valid.
 	for name, req := range map[string]Request{
 		"theta 1":          {Query: q, Theta: f(1)},

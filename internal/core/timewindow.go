@@ -48,59 +48,6 @@ func (e *Engine) SearchWindowed(q Query, window TimeWindow) ([]Result, SearchSta
 }
 
 // SearchWindowedCtx is SearchWindowed with cancellation (see SearchCtx).
-func (e *Engine) SearchWindowedCtx(ctx context.Context, q Query, window TimeWindow) (results []Result, stats SearchStats, err error) {
-	defer recoverStoreFault(&results, &err)
-	if err := window.Validate(); err != nil {
-		return nil, SearchStats{}, err
-	}
-	return e.searchFiltered(ctx, q, func(id trajdb.TrajID) bool {
-		return window.Contains(e.db.Traj(id).Start())
-	})
-}
-
-// searchFiltered runs the expansion search over the subset of trajectories
-// accepted by keep. The filter is pushed into every access path: filtered
-// trajectories never become candidates, never enter the textual bound, and
-// never trigger probes. Callers hold the store-fault guard: keep typically
-// touches the store's record path.
-func (e *Engine) searchFiltered(ctx context.Context, q Query, keep func(trajdb.TrajID) bool) ([]Result, SearchStats, error) {
-	elapsed := stopwatch()
-	q, err := q.normalize(e.g)
-	if err != nil {
-		return nil, SearchStats{}, err
-	}
-	if q.Lambda == 0 {
-		res, stats, err := e.textOnlyTopK(ctx, q, keep)
-		stats.Elapsed = elapsed()
-		if err != nil {
-			return nil, stats, err
-		}
-		return res, stats, nil
-	}
-	st := newExpansionState(ctx, e, q, 0, true)
-	st.keep = keep
-	st.dropFilteredText()
-	if err := st.run(); err != nil {
-		st.stats.Elapsed = elapsed()
-		return nil, st.stats, err
-	}
-	results := st.topk.Results()
-	st.stats.Elapsed = elapsed()
-	return results, st.stats, nil
-}
-
-// dropFilteredText removes filtered trajectories from the textual bound
-// structures so they cannot block termination or waste probes.
-func (st *expansionState) dropFilteredText() {
-	if st.keep == nil {
-		return
-	}
-	st.textHeap.Reset()
-	for id := range st.textScores {
-		if !st.keep(id) {
-			delete(st.textScores, id)
-			continue
-		}
-		st.textHeap.Push(st.textScores[id], id)
-	}
+func (e *Engine) SearchWindowedCtx(ctx context.Context, q Query, window TimeWindow) ([]Result, SearchStats, error) {
+	return e.run(ctx, Request{Query: q, Window: &window}, AlgoExpansion)
 }

@@ -57,12 +57,8 @@ func Indexing(ctx context.Context, w io.Writer, p Profile) error {
 		{"expansion/no-assist", "", plain.Search},
 		{"expansion/landmarks", "expansion/no-assist", withLM.Search},
 		{"expansion/trajbounds", "expansion/no-assist", withIx.Search},
-		{"textfirst/no-assist", "", func(q core.Query) ([]core.Result, core.SearchStats, error) {
-			return plain.TextFirstSearch(q, core.TextFirstOptions{})
-		}},
-		{"textfirst/trajbounds", "textfirst/no-assist", func(q core.Query) ([]core.Result, core.SearchStats, error) {
-			return plain.TextFirstSearch(q, core.TextFirstOptions{Index: ds.Bounds()})
-		}},
+		{"textfirst/no-assist", "", plain.TextFirstSearch},
+		{"textfirst/trajbounds", "textfirst/no-assist", withIx.TextFirstSearch},
 	}
 
 	t := NewTable(fmt.Sprintf("F13 landmark/TrajBounds pruning index (%s, per-query latency)", ds.Name),

@@ -14,7 +14,7 @@ type AlgoConfig struct {
 	Kind core.Algorithm
 	Opts core.Options
 	// NoLandmarks keeps the dataset's landmark accelerator out of an
-	// expansion configuration (ablation).
+	// expansion or textfirst configuration (ablation).
 	NoLandmarks bool
 }
 
@@ -50,7 +50,7 @@ type Aggregate struct {
 // variant and keeps using top-k). Cancelling ctx aborts the in-flight
 // search and returns its error.
 func Measure(ctx context.Context, ds *Dataset, cfg AlgoConfig, queries []core.Query, theta float64) (Aggregate, error) {
-	if cfg.Kind == core.AlgoExpansion && cfg.Opts.Landmarks == nil && !cfg.NoLandmarks {
+	if cfg.Kind != core.AlgoExhaustive && cfg.Opts.Landmarks == nil && !cfg.NoLandmarks {
 		cfg.Opts.Landmarks = ds.Landmarks()
 	}
 	e, err := core.NewEngine(ds.Store, cfg.Opts)
@@ -72,7 +72,7 @@ func Measure(ctx context.Context, ds *Dataset, cfg AlgoConfig, queries []core.Qu
 		case cfg.Kind == core.AlgoExhaustive:
 			_, stats, runErr = e.ExhaustiveSearch(q)
 		case cfg.Kind == core.AlgoTextFirst:
-			_, stats, runErr = e.TextFirstSearch(q, core.TextFirstOptions{Landmarks: ds.Landmarks()})
+			_, stats, runErr = e.TextFirstSearch(q)
 		default:
 			_, stats, runErr = e.Search(q)
 		}

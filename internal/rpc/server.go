@@ -156,10 +156,25 @@ func (s *ShardServer) remap(results []core.Result) {
 	}
 }
 
+// maxRequestBytes caps a request body, matching the public server's
+// default: a router is trusted, but an unbounded gob decode lets any
+// client that can reach the port make the shard allocate without limit.
+const maxRequestBytes = 8 << 20
+
+// decodeRequest gob-decodes the capped body into req. On failure — an
+// oversized body included — it answers with the coded bad_query envelope
+// and reports false.
+func decodeRequest(w http.ResponseWriter, r *http.Request, what string, req any) bool {
+	if err := gob.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(req); err != nil {
+		writeWireError(w, http.StatusBadRequest, CodeBadQuery, "undecodable "+what+" request: "+err.Error())
+		return false
+	}
+	return true
+}
+
 func (s *ShardServer) handleSearch(w http.ResponseWriter, r *http.Request) {
 	var req SearchRequest
-	if err := gob.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeWireError(w, http.StatusBadRequest, CodeBadQuery, "undecodable search request: "+err.Error())
+	if !decodeRequest(w, r, "search", &req) {
 		return
 	}
 	if s.engine == nil {
@@ -197,8 +212,7 @@ func (s *ShardServer) handleSearch(w http.ResponseWriter, r *http.Request) {
 
 func (s *ShardServer) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
-	if err := gob.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeWireError(w, http.StatusBadRequest, CodeBadQuery, "undecodable batch request: "+err.Error())
+	if !decodeRequest(w, r, "batch", &req) {
 		return
 	}
 	if s.engine == nil {

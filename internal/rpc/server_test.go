@@ -1,12 +1,16 @@
 package rpc
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"errors"
 	"math"
 	"math/rand/v2"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -300,5 +304,48 @@ func TestServerCanceledContext(t *testing.T) {
 	_, err := c.Search(ctx, SearchRequest{Request: core.Request{Query: core.Query{K: 5}}})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled search: err = %v, want context.Canceled", err)
+	}
+}
+
+// TestServerBodyCap: both decoding handlers refuse a body one byte over
+// maxRequestBytes with the coded bad_query envelope instead of buffering
+// it, while a body of exactly the limit is read in full (and then fails
+// as ordinary undecodable gob).
+func TestServerBodyCap(t *testing.T) {
+	s, err := NewShardServer(testServerFixture(t).engine, nil, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(s.Handler())
+	defer hs.Close()
+
+	// One gob message whose length prefix (0xFD = three length bytes
+	// follow) claims the whole rest of the body, so the decoder has to
+	// read all of it before it can look at the contents.
+	body := func(total int) []byte {
+		b, n := make([]byte, total), total-4
+		b[0], b[1], b[2], b[3] = 0xFD, byte(n>>16), byte(n>>8), byte(n)
+		return b
+	}
+	for _, path := range []string{PathSearch, PathBatch} {
+		for _, tc := range []struct {
+			size     int
+			tooLarge bool
+		}{{maxRequestBytes, false}, {maxRequestBytes + 1, true}} {
+			resp, err := http.Post(hs.URL+path, ContentType, bytes.NewReader(body(tc.size)))
+			if err != nil {
+				t.Fatalf("%s %d bytes: %v", path, tc.size, err)
+			}
+			var we Error
+			derr := gob.NewDecoder(resp.Body).Decode(&we)
+			resp.Body.Close()
+			if derr != nil || resp.StatusCode != http.StatusBadRequest || we.Code != CodeBadQuery {
+				t.Fatalf("%s %d bytes: status %d, envelope %+v (%v), want 400 coded bad_query",
+					path, tc.size, resp.StatusCode, we, derr)
+			}
+			if got := strings.Contains(we.Msg, "request body too large"); got != tc.tooLarge {
+				t.Errorf("%s %d bytes: message %q, want body-too-large = %v", path, tc.size, we.Msg, tc.tooLarge)
+			}
+		}
 	}
 }

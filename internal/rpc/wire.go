@@ -70,10 +70,8 @@ type SearchResponse struct {
 }
 
 // BatchOptions is the wire-safe subset of core.BatchOptions. Remote
-// batches are expansion-only: the text-first baseline is tuned with an
-// in-process landmark index (core.TextFirstOptions.Landmarks) that
-// cannot cross the wire, and the RemoteExecutor rejects it before
-// scattering.
+// batches are expansion-only: the algorithm does not cross the wire, and
+// the RemoteExecutor rejects the baselines before scattering.
 type BatchOptions struct {
 	Workers         int
 	SharedExpansion bool

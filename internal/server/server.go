@@ -524,7 +524,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	case algo == "exhaustive":
 		results, stats, err = eng.ExhaustiveSearchCtx(ctx, sreq.Query)
 	case algo == "textfirst":
-		results, stats, err = eng.TextFirstSearchCtx(ctx, sreq.Query, core.TextFirstOptions{})
+		results, stats, err = eng.TextFirstSearchCtx(ctx, sreq.Query)
 	default:
 		err = fmt.Errorf("unknown algorithm %q", req.Algorithm)
 	}

@@ -180,16 +180,7 @@ func (g *gatherer) do(ctx context.Context, req core.Request) ([]core.Result, cor
 		if g.global == nil {
 			return nil, core.SearchStats{}, ErrRemoteDiversify
 		}
-		div, _ = req.Diversify.Normalize() // Validate accepted it
-		part = core.Request{Query: req.Query}
-		// A negative K stays on the partition query so the engines reject
-		// it with the same core.ErrBadK the monolithic engine returns.
-		if k >= 0 {
-			if k == 0 {
-				k = 1 // the engine's default
-			}
-			part.Query.K = div.PoolK(k)
-		}
+		part, k, div = req.Pool()
 	}
 	var bound *core.SharedBound
 	if part.SharesBound() && !g.noBound {

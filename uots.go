@@ -98,8 +98,6 @@ type (
 	TextSim = core.TextSim
 	// TimeWindow is the optional departure-time filter extension.
 	TimeWindow = core.TimeWindow
-	// TextFirstOptions tunes the TextFirst baseline.
-	TextFirstOptions = core.TextFirstOptions
 	// DiversifyOptions tunes route-diversity re-ranking.
 	DiversifyOptions = core.DiversifyOptions
 	// BatchOptions configures parallel batch runs.
