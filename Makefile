@@ -28,8 +28,8 @@ lint-audit:
 
 # wire-schema regenerates internal/rpc/wire_schema.golden from the
 # compiled wire structs. Run it only for a deliberate wire change, and
-# commit the golden diff (wirecompat and TestWireSchemaGolden fail
-# until you do).
+# commit the golden diff (TestWireSchemaGolden, its one generator and
+# checker, fails until you do).
 wire-schema:
 	cd internal/rpc && $(GO) test -run TestWireSchemaGolden -args -update-wire-schema
 

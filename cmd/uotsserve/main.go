@@ -7,7 +7,7 @@
 //	          [-timeout 10s -max-inflight 64 -max-body 8388608 -drain 10s]
 //	          [-debug-addr 127.0.0.1:6060 -trace-depth 64 -log-requests]
 //	          [-slow-query-ms 250 -slow-query-depth 32]
-//	          [-shards 4 -partition hash -cache-size 1024]
+//	          [-shards 4 -partition hash]
 //	          [-remote-shards 'h1:p,h2:p;h3:p,h4:p' -rpc-timeout 2s -rpc-retries 3
 //	           -hedge-delay 5ms -probe-interval 5s -rpc-partial degrade]
 //	          [-ingest -wal-dir walblocks -fsync always]
@@ -49,9 +49,8 @@
 // scatter-gather engine (internal/shard): the store is partitioned N
 // ways (-partition hash|region) and every query fans out over the
 // shards, with per-shard work visible as uots_shard_* series on
-// /metrics. -cache-size adds a result cache in front of the shards
-// (entries; 0 disables). The exhaustive/textfirst baselines keep
-// running on the monolithic engine.
+// /metrics. The exhaustive/textfirst baselines keep running on the
+// monolithic engine.
 //
 // -remote-shards routes the default search to remote uotsshard
 // processes instead: "hostA:1,hostA2:1;hostB:2,hostB2:2" lists one
@@ -123,7 +122,6 @@ func main() {
 	logRequests := flag.Bool("log-requests", false, "log one line per request, tagged with its request ID")
 	shards := flag.Int("shards", 1, "serve the default search from this many store shards (1 = monolithic)")
 	partition := flag.String("partition", "hash", "shard partitioner: hash or region")
-	cacheSize := flag.Int("cache-size", 0, "sharded result-cache capacity in entries (0 disables; needs -shards > 1)")
 	remoteShards := flag.String("remote-shards", "", "route the default search to remote uotsshard replica groups: 'a,b;c,d' (';' partitions, ',' replicas)")
 	rpcTimeout := flag.Duration("rpc-timeout", 2*time.Second, "per-attempt deadline for remote shard calls (0 = caller deadline only)")
 	rpcRetries := flag.Int("rpc-retries", 3, "total attempts per remote shard call before the partition counts as faulted")
@@ -295,7 +293,6 @@ func main() {
 		sharded, err := shard.NewExecutor(store, engineOpts, shard.Config{
 			Shards:      *shards,
 			Partitioner: part,
-			CacheSize:   *cacheSize,
 			Metrics:     reg,
 		})
 		if err != nil {
@@ -304,8 +301,7 @@ func main() {
 		defer sharded.Close()
 		cfg.Metrics = reg
 		cfg.Searcher = sharded
-		log.Printf("uotsserve: sharded search over %d shards (%s partitioning, cache %d entries)",
-			sharded.NumShards(), part, *cacheSize)
+		log.Printf("uotsserve: sharded search over %d shards (%s partitioning)", sharded.NumShards(), part)
 	}
 	var live *ingest.Service
 	if *ingestMode {

@@ -15,10 +15,9 @@ const name = "lockscope"
 
 // scopePkgs cover every package that guards shared state with a mutex
 // on the query path: the batch planner's shared frontier, the shard
-// result cache and engine, the RPC replica groups, the server's
-// admission semaphore, the disk store's buffer, and the ingest WAL and
-// commit queue (whose mutexes sit directly on the write path's group
-// committer).
+// executors, the RPC replica groups, the server's admission semaphore,
+// the disk store's buffer, and the ingest WAL and commit queue (whose
+// mutexes sit directly on the write path's group committer).
 var scopePkgs = map[string]bool{
 	"core":      true,
 	"shard":     true,

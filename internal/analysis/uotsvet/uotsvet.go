@@ -5,7 +5,6 @@ package uotsvet
 
 import (
 	"uots/internal/analysis"
-	"uots/internal/analysis/cachealias"
 	"uots/internal/analysis/ctxflow"
 	"uots/internal/analysis/errcode"
 	"uots/internal/analysis/lockscope"
@@ -13,13 +12,11 @@ import (
 	"uots/internal/analysis/nodrift"
 	"uots/internal/analysis/spawnjoin"
 	"uots/internal/analysis/storefault"
-	"uots/internal/analysis/wirecompat"
 )
 
 // Analyzers returns the full suite, in stable (alphabetical) order.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		cachealias.Analyzer,
 		ctxflow.Analyzer,
 		errcode.Analyzer,
 		lockscope.Analyzer,
@@ -27,6 +24,5 @@ func Analyzers() []*analysis.Analyzer {
 		nodrift.Analyzer,
 		spawnjoin.Analyzer,
 		storefault.Analyzer,
-		wirecompat.Analyzer,
 	}
 }

@@ -18,7 +18,6 @@ func TestRegistry(t *testing.T) {
 		name       string
 		docKeyword string // a phrase the Doc must contain
 	}{
-		{"cachealias", "deep-copy"},
 		{"ctxflow", "context"},
 		{"errcode", "writeError"},
 		{"lockscope", "blocking"},
@@ -26,7 +25,6 @@ func TestRegistry(t *testing.T) {
 		{"nodrift", "deterministic"},
 		{"spawnjoin", "join path"},
 		{"storefault", "StoreError"},
-		{"wirecompat", "gob"},
 	}
 
 	contributing, err := os.ReadFile(filepath.Join("..", "..", "..", "CONTRIBUTING.md"))

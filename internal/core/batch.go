@@ -105,6 +105,9 @@ func (e *Engine) SearchBatch(ctx context.Context, queries []Query, opts BatchOpt
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
+	// A worker per query is the most that can ever run; the count comes
+	// from the client and must not size the pool unchecked.
+	opts.Workers = min(opts.Workers, len(queries))
 	switch opts.Algorithm {
 	case AlgoExpansion, AlgoExhaustive, AlgoTextFirst:
 	default:

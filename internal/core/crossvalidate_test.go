@@ -17,7 +17,7 @@ func TestExpansionMatchesExhaustiveTopK(t *testing.T) {
 		{Scheduling: ScheduleRoundRobin},
 		{Scheduling: ScheduleMinRadius},
 		{Scheduling: ScheduleHeuristic, DisableTextProbe: true},
-		{Scheduling: ScheduleHeuristic, RelabelEvery: 7},
+		{Scheduling: ScheduleHeuristic, relabelEvery: 7},
 	}
 	for ci, opts := range configs {
 		e, f := newTestEngine(t, opts)

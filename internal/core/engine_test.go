@@ -24,10 +24,8 @@ func TestNewEngineValidation(t *testing.T) {
 	bad := []Options{
 		{DistScale: -1},
 		{DistScale: math.NaN()},
-		{RelabelEvery: -3},
 		{Scheduling: Scheduling(99)},
 		{TextSim: TextSim(99)},
-		{ProbeRadiusFactor: -1},
 	}
 	for i, opts := range bad {
 		if _, err := NewEngine(f.db, opts); err == nil {
@@ -39,7 +37,7 @@ func TestNewEngineValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := e.Options()
-	if got.DistScale != 1 || got.RelabelEvery != 64 || got.ProbeRadiusFactor != 2.5 {
+	if got.DistScale != 1 || got.relabelEvery != 64 || got.probeRadiusFactor != 2.5 {
 		t.Errorf("defaults not applied: %+v", got)
 	}
 	if e.Store() != f.db {

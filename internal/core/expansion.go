@@ -230,7 +230,7 @@ func (st *expansionState) run() error {
 		st.emit(TraceTerminate, -1, -1, 0, 0, TermCancelled)
 		return st.initErr
 	}
-	relabel := st.e.opts.RelabelEvery
+	relabel := st.e.opts.relabelEvery
 	for st.liveN > 0 {
 		if st.steps%cancelPollEvery == 0 {
 			if err := st.cancel.check(); err != nil {
@@ -585,7 +585,7 @@ func (st *expansionState) probe(tid trajdb.TrajID) {
 // willing to let the expansion grow to before it starts resolving textual
 // blockers directly.
 func (st *expansionState) probeFloor() float64 {
-	return math.Exp(-st.e.opts.ProbeRadiusFactor)
+	return math.Exp(-st.e.opts.probeRadiusFactor)
 }
 
 // radiiPastFloor reports whether every live expansion radius has grown

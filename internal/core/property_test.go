@@ -39,7 +39,7 @@ func TestExpansionMatchesExhaustiveOnRandomWorlds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, err := NewEngine(db, Options{RelabelEvery: 1 + rng.IntN(100)})
+		e, err := NewEngine(db, Options{relabelEvery: 1 + rng.IntN(100)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,11 +172,11 @@ func TestSingleTrajectoryStore(t *testing.T) {
 // not change results, only cost.
 func TestRelabelEveryOne(t *testing.T) {
 	f := testFixture(t)
-	aggressive, err := NewEngine(f.db, Options{RelabelEvery: 1})
+	aggressive, err := NewEngine(f.db, Options{relabelEvery: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lazy, err := NewEngine(f.db, Options{RelabelEvery: 5000})
+	lazy, err := NewEngine(f.db, Options{relabelEvery: 5000})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,7 +66,6 @@ var (
 	ErrNilStore          = errors.New("core: engine requires a trajectory store")
 	ErrEmptyStore        = errors.New("core: trajectory store is empty")
 	ErrBadDistScale      = errors.New("core: DistScale must be positive")
-	ErrBadRelabelEvery   = errors.New("core: RelabelEvery must be positive")
 	ErrUnknownScheduling = errors.New("core: unknown scheduling strategy")
 	ErrIndexMismatch     = errors.New("core: Options.Index does not cover the engine's store")
 	ErrUnknownTextSim    = errors.New("core: unknown text similarity")
@@ -175,19 +174,23 @@ type Options struct {
 	// DistScale is γ, the kilometres-to-similarity scale of the spatial
 	// kernel e^{−d/γ}. Default 1.
 	DistScale float64
-	// RelabelEvery is the number of expansion steps between periodic
-	// bound/label refreshes and termination checks. Default 64.
-	RelabelEvery int
+	// relabelEvery is the number of expansion steps between periodic
+	// bound/label refreshes and termination checks; 64. Unexported, like
+	// probeRadiusFactor: one value is in use, and only the in-package
+	// stress tests vary them to shake out cadence- and policy-dependent
+	// bugs. Both sit where the exported fields did, so Options (and the
+	// Engine holding it) keeps its layout.
+	relabelEvery int
 	// DisableTextProbe turns off adaptive candidate generation (directly
 	// computing the spatial distances of a termination-blocking,
 	// textually top-ranked trajectory). Exposed for ablation benches.
 	DisableTextProbe bool
-	// ProbeRadiusFactor sets the probe policy's radius floor, in units of
+	// probeRadiusFactor sets the probe policy's radius floor, in units of
 	// DistScale: textual blockers that would stop blocking once every
-	// expansion radius reaches ProbeRadiusFactor·γ are left to the
+	// expansion radius reaches probeRadiusFactor·γ are left to the
 	// expansion; only blockers that survive even that radius are resolved
-	// with direct distance probes. Default 2.5.
-	ProbeRadiusFactor float64
+	// with direct distance probes; 2.5.
+	probeRadiusFactor float64
 	// Landmarks, when non-nil, provides ALT network-distance lower bounds
 	// (roadnet.NewLandmarks) that let the engine discard
 	// termination-blocking textual candidates without running any
@@ -211,17 +214,11 @@ func (o Options) normalize() (Options, error) {
 	if o.DistScale < 0 || math.IsNaN(o.DistScale) {
 		return o, fmt.Errorf("%w: got %g", ErrBadDistScale, o.DistScale)
 	}
-	if o.RelabelEvery == 0 {
-		o.RelabelEvery = 64
+	if o.relabelEvery == 0 {
+		o.relabelEvery = 64
 	}
-	if o.RelabelEvery < 0 {
-		return o, fmt.Errorf("%w: got %d", ErrBadRelabelEvery, o.RelabelEvery)
-	}
-	if o.ProbeRadiusFactor == 0 {
-		o.ProbeRadiusFactor = 2.5
-	}
-	if o.ProbeRadiusFactor < 0 || math.IsNaN(o.ProbeRadiusFactor) {
-		return o, fmt.Errorf("core: ProbeRadiusFactor must be positive, got %g", o.ProbeRadiusFactor)
+	if o.probeRadiusFactor == 0 {
+		o.probeRadiusFactor = 2.5
 	}
 	switch o.Scheduling {
 	case ScheduleHeuristic, ScheduleRoundRobin, ScheduleMinRadius:

@@ -12,10 +12,9 @@ import (
 
 // Request is the paper's one query q = (O, ψ, λ, k) plus at most one
 // modifier. Every layer above the engine — the HTTP handler, the shard
-// scatter-gather, the RPC wire, the result cache — speaks Request and
-// derives what it needs from it (the variant label, the cache key, the
-// bound-exchange predicate) instead of spelling each modifier out as its
-// own entry point.
+// scatter-gather, the RPC wire — speaks Request and derives what it needs
+// from it (the variant label, the bound-exchange predicate) instead of
+// spelling each modifier out as its own entry point.
 //
 // The modifiers are pointers so that "absent" is distinct from a valid
 // zero value (the window 00:00–00:00, default diversity options). Gob
@@ -69,7 +68,7 @@ func (r Request) modifiers() []string {
 	return set
 }
 
-// Variant is the label metrics, trace notes and cache keys file r under.
+// Variant is the label metrics and trace notes file r under.
 func (r Request) Variant() string {
 	if r.Theta != nil {
 		return "threshold"
@@ -180,6 +179,16 @@ func (e *Engine) run(ctx context.Context, req Request, algo Algorithm) (results 
 	q, err := req.Query.normalize(e.g)
 	if err != nil {
 		return nil, SearchStats{}, err
+	}
+	if n := e.db.NumTrajectories(); q.K > n {
+		// An answer cannot outgrow the store, and every stage below sizes
+		// buffers by K: an unbounded client k must not reach an allocation.
+		q.K = n
+		// A full top-n holds this store's n-th score, not the K-th score
+		// the peers of a SharedBound exchange: leave the exchange.
+		if sharedBoundFrom(ctx) != nil {
+			ctx = ContextWithSharedBound(ctx, nil)
+		}
 	}
 	switch {
 	case req.OrderAware:

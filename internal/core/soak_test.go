@@ -47,9 +47,9 @@ func TestSoakWideRandomWorlds(t *testing.T) {
 		e, err := NewEngine(db, Options{
 			Scheduling:        Scheduling(rng.IntN(3)),
 			TextSim:           TextSim(rng.IntN(2)),
-			RelabelEvery:      1 + rng.IntN(200),
+			relabelEvery:      1 + rng.IntN(200),
 			DisableTextProbe:  rng.IntN(3) == 0,
-			ProbeRadiusFactor: 0.5 + rng.Float64()*6,
+			probeRadiusFactor: 0.5 + rng.Float64()*6,
 			DistScale:         0.2 + rng.Float64()*3,
 			Landmarks:         lm,
 		})

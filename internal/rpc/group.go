@@ -57,12 +57,6 @@ type GroupConfig struct {
 	// Timer overrides the timer used for hedge delays and backoff waits.
 	// Nil means the real clock.
 	Timer TimerFunc
-	// HealthTrace receives the fleet-health events the background prober
-	// generates (probe failures, ejections, re-admissions) — those happen
-	// outside any request, so they cannot ride a request trace. Nil
-	// disables them. Request-driven health transitions additionally land
-	// in the active request's trace.
-	HealthTrace obs.Tracer
 	// HTTPClient carries the transport shared by the group's replicas.
 	// Nil means a private client with default pooling.
 	HTTPClient *http.Client
@@ -243,23 +237,22 @@ func (g *Group) prober() {
 //
 //uots:allow ctxflow -- probes run on the group's lifetime, not any caller's request; there is no inbound context to thread.
 func (g *Group) ProbeAll() {
-	tr := g.cfg.HealthTrace
 	for _, r := range g.replicas {
 		ctx, cancel := context.WithTimeout(context.Background(), g.cfg.ProbeTimeout)
 		_, err := r.client.Health(ctx)
 		cancel()
 		if err != nil {
 			r.counters.probeFailure()
-			emitRPC(tr, TraceProbeFail, r.client.Base(), 0, 0)
-			g.markFailure(tr, r)
+			g.markFailure(nil, r)
 			continue
 		}
-		g.markSuccess(tr, r)
+		g.markSuccess(nil, r)
 	}
 }
 
 // markFailure charges one transport-class failure; an ejection lands in
-// tr (the active request's trace, or HealthTrace for probes).
+// tr, the active request's trace (nil for probes, which run outside any
+// request and show up in the uots_rpc_* counters only).
 func (g *Group) markFailure(tr obs.Tracer, r *replica) {
 	if r.noteFailure(g.cfg.FailureThreshold) {
 		r.counters.ejection()

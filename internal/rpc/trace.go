@@ -54,9 +54,6 @@ const (
 	// TraceReadmit marks an ejected replica re-entering rotation after a
 	// success. Note is the replica.
 	TraceReadmit = "rpc_readmit"
-	// TraceProbeFail marks a failed health probe (GroupConfig.HealthTrace
-	// traces only; probes run outside any request). Note is the replica.
-	TraceProbeFail = "rpc_probe_fail"
 	// TraceExhausted marks the whole ladder failing: every retry and
 	// failover attempt lost. Value is the attempt budget, Note the last
 	// failure's outcome label.

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"encoding/gob"
 	"flag"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"math"
 	"os"
 	"reflect"
@@ -19,15 +22,14 @@ import (
 // updateWireSchema rewrites wire_schema.golden from the compiled wire
 // structs: go test ./internal/rpc -run TestWireSchemaGolden -args
 // -update-wire-schema (or make wire-schema). Regenerating is the
-// deliberate act the wirecompat analyzer exists to force - do it only
+// deliberate act TestWireSchemaGolden exists to force - do it only
 // when a wire change is intended, and plan the rolling upgrade.
 var updateWireSchema = flag.Bool("update-wire-schema", false,
 	"rewrite wire_schema.golden from the compiled wire structs")
 
-// wireRoots enumerates every struct gob-encoded onto the wire. Keep in
-// lockstep with wire.go: the wirecompat analyzer independently derives
-// the same set from the wire.go declarations, so a struct added there
-// but not here shows up as a schema mismatch.
+// wireRoots enumerates every struct gob-encoded onto the wire.
+// TestWireSchemaGolden fails when a struct declared in wire.go is
+// missing here.
 func wireRoots() []reflect.Type {
 	return []reflect.Type{
 		reflect.TypeOf(SearchRequest{}),
@@ -42,18 +44,24 @@ func wireRoots() []reflect.Type {
 
 // wireSchema renders the canonical wire schema: a version header, then
 // one block per named struct reachable from the roots through exported
-// fields, blocks sorted by qualified name and fields sorted by name.
-// The rendering must stay in lockstep with the go/types-based
-// generator in internal/analysis/wirecompat (Schema): both sides use
-// package-name qualifiers and "  Name Type" field lines, so the same
-// golden satisfies the test and the analyzer. Avoid []byte fields in
-// wire structs: reflect renders them []uint8 while go/types renders
-// []byte, and the generators would disagree.
-func wireSchema(roots []reflect.Type) string {
+// fields, blocks sorted by qualified name and fields sorted by name,
+// with package-name qualifiers and "  Name Type" field lines.
+//
+// unsafe names every exported field that reaches an interface, func or
+// channel. Gob cannot carry those, and it drops such a field silently
+// when the value is nil - so a round-trip test does not see it (errors
+// cross as (code, message) string pairs instead, see BatchEntry).
+func wireSchema(roots []reflect.Type) (schema string, unsafe []string) {
 	blocks := make(map[string][]string)
 	seen := make(map[string]bool)
-	var visit func(t reflect.Type)
-	visit = func(t reflect.Type) {
+	// field is the named-struct field whose type is being walked.
+	var visit func(t reflect.Type, field string)
+	visit = func(t reflect.Type, field string) {
+		switch t.Kind() {
+		case reflect.Interface, reflect.Func, reflect.Chan:
+			unsafe = append(unsafe, field+" "+t.String())
+			return
+		}
 		if t.PkgPath() != "" { // named type
 			qname := t.String()
 			if seen[qname] {
@@ -68,7 +76,7 @@ func wireSchema(roots []reflect.Type) string {
 						continue
 					}
 					lines = append(lines, "  "+f.Name+" "+f.Type.String())
-					visit(f.Type)
+					visit(f.Type, qname+"."+f.Name)
 				}
 				sort.Strings(lines)
 				blocks[qname] = lines
@@ -79,20 +87,20 @@ func wireSchema(roots []reflect.Type) string {
 		}
 		switch t.Kind() {
 		case reflect.Pointer, reflect.Slice, reflect.Array:
-			visit(t.Elem())
+			visit(t.Elem(), field)
 		case reflect.Map:
-			visit(t.Key())
-			visit(t.Elem())
+			visit(t.Key(), field)
+			visit(t.Elem(), field)
 		case reflect.Struct:
 			for i := 0; i < t.NumField(); i++ {
 				if f := t.Field(i); f.IsExported() {
-					visit(f.Type)
+					visit(f.Type, field)
 				}
 			}
 		}
 	}
 	for _, r := range roots {
-		visit(r)
+		visit(r, r.String())
 	}
 	names := make([]string, 0, len(blocks))
 	for qname := range blocks {
@@ -110,17 +118,97 @@ func wireSchema(roots []reflect.Type) string {
 			b.WriteString("\n")
 		}
 	}
-	return b.String()
+	return b.String(), unsafe
+}
+
+// missingRoots parses Go source (filename, or src when non-nil, as
+// go/parser takes them) and names the struct types it declares that
+// roots does not list.
+func missingRoots(filename string, src any, roots []reflect.Type) ([]string, error) {
+	file, err := parser.ParseFile(token.NewFileSet(), filename, src, parser.SkipObjectResolution)
+	if err != nil {
+		return nil, err
+	}
+	listed := make(map[string]bool)
+	for _, r := range roots {
+		listed[r.Name()] = true
+	}
+	var missing []string
+	for _, decl := range file.Decls {
+		gd, ok := decl.(*ast.GenDecl)
+		if !ok || gd.Tok != token.TYPE {
+			continue
+		}
+		for _, spec := range gd.Specs {
+			ts := spec.(*ast.TypeSpec)
+			if _, ok := ts.Type.(*ast.StructType); ok && !listed[ts.Name.Name] {
+				missing = append(missing, ts.Name.Name)
+			}
+		}
+	}
+	return missing, nil
 }
 
 // TestWireSchemaGolden pins the wire schema: it fails when a wire
 // struct (or any struct reachable from one) gains, loses, renames or
 // retypes an exported field without wire_schema.golden being
-// regenerated. That makes every wire change a reviewed diff instead of
-// a silent decode break in a mixed-version fleet.
+// regenerated, when a field gob cannot carry becomes reachable, and
+// when wire.go declares a struct wireRoots does not list. That makes
+// every wire change a reviewed diff instead of a silent decode break in
+// a mixed-version fleet.
 func TestWireSchemaGolden(t *testing.T) {
+	// Each structural check, on an input that breaks it.
+	t.Run("rejects gob-unsafe kinds", func(t *testing.T) {
+		type inner struct {
+			Err  error  // what core.BatchResult carries and BatchEntry must not
+			skip func() // unexported: gob never sees it
+		}
+		type bad struct {
+			OK      []float64
+			Nested  map[string][]*inner
+			Hook    func()
+			Updates chan int
+		}
+		_, unsafe := wireSchema([]reflect.Type{reflect.TypeOf(bad{})})
+		want := []string{"rpc.inner.Err error", "rpc.bad.Hook func()", "rpc.bad.Updates chan int"}
+		if !reflect.DeepEqual(unsafe, want) {
+			t.Errorf("unsafe fields = %q, want %q", unsafe, want)
+		}
+	})
+	t.Run("rejects struct missing from wireRoots", func(t *testing.T) {
+		const src = `package rpc
+const PathNew = "/rpc/v1/new"
+type SearchRequest struct{ Bound float64 }
+type (
+	NewRequest struct{ ID string }
+	Codes      []string
+)
+func helper() {}
+`
+		missing, err := missingRoots("snippet.go", src, wireRoots())
+		if err != nil {
+			t.Fatalf("parsing snippet: %v", err)
+		}
+		if want := []string{"NewRequest"}; !reflect.DeepEqual(missing, want) {
+			t.Errorf("missing roots = %q, want %q", missing, want)
+		}
+	})
+
 	const golden = "wire_schema.golden"
-	schema := wireSchema(wireRoots())
+	missing, err := missingRoots("wire.go", nil, wireRoots())
+	if err != nil {
+		t.Fatalf("parsing wire.go: %v", err)
+	}
+	for _, name := range missing {
+		t.Errorf("wire.go declares struct %s, which wireRoots() does not list", name)
+	}
+	schema, unsafe := wireSchema(wireRoots())
+	for _, field := range unsafe {
+		t.Errorf("wire field %s: gob cannot encode it; carry a coded representation instead (see BatchEntry.ErrCode/ErrMsg)", field)
+	}
+	if t.Failed() {
+		return // a schema of the wrong structs is meaningless
+	}
 	if *updateWireSchema {
 		if err := os.WriteFile(golden, []byte(schema), 0o644); err != nil {
 			t.Fatalf("writing %s: %v", golden, err)

@@ -828,17 +828,6 @@ func writeError(w http.ResponseWriter, r *http.Request, status int, code, msg st
 	writeJSON(w, status, errorJSON{Error: msg, Code: code, RequestID: id})
 }
 
-// ListenAndServe runs the server on addr until the listener fails.
-// Exposed for compatibility; prefer Serve, which adds graceful shutdown.
-func (s *Server) ListenAndServe(addr string) error {
-	srv := &http.Server{
-		Addr:              addr,
-		Handler:           s.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-	}
-	return srv.ListenAndServe()
-}
-
 // Serve runs the server on addr until ctx is cancelled, then shuts down
 // gracefully: the listener closes immediately, in-flight requests get up
 // to drain to finish (their own deadlines still apply), and stragglers

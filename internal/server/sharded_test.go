@@ -25,15 +25,14 @@ var (
 var (
 	shardWorldOnce sync.Once
 	shardWorldSrv  *Server
-	shardWorldReg  *obs.Registry
 	shardWorldEng  *core.Engine
 )
 
 // shardedServer builds one server whose default /search path runs on a
-// 4-shard executor with a result cache, sharing one metrics registry
-// between the sharded backend and the HTTP layer — the exact wiring
-// cmd/uotsserve -shards produces.
-func shardedServer(t *testing.T) (*Server, *obs.Registry, *core.Engine) {
+// 4-shard executor, sharing one metrics registry between the sharded
+// backend and the HTTP layer — the exact wiring cmd/uotsserve -shards
+// produces.
+func shardedServer(t *testing.T) (*Server, *core.Engine) {
 	t.Helper()
 	shardWorldOnce.Do(func() {
 		g := roadnet.BRNLike(0.1, 4)
@@ -50,7 +49,7 @@ func shardedServer(t *testing.T) (*Server, *obs.Registry, *core.Engine) {
 		}
 		reg := obs.NewRegistry()
 		sharded, err := shard.NewExecutor(db, core.Options{}, shard.Config{
-			Shards: 4, CacheSize: 64, Metrics: reg,
+			Shards: 4, Metrics: reg,
 		})
 		if err != nil {
 			panic(err)
@@ -59,17 +58,16 @@ func shardedServer(t *testing.T) (*Server, *obs.Registry, *core.Engine) {
 			Metrics:  reg,
 			Searcher: sharded,
 		})
-		shardWorldReg = reg
 		shardWorldEng = engine
 	})
-	return shardWorldSrv, shardWorldReg, shardWorldEng
+	return shardWorldSrv, shardWorldEng
 }
 
 // TestShardedBackendSmoke is the CI smoke: a /search query served by the
-// sharded backend answers exactly like the monolithic engine, a repeat
-// hits the result cache, and /metrics exposes the uots_shard_* series.
+// sharded backend answers exactly like the monolithic engine, and
+// /metrics exposes the uots_shard_* series.
 func TestShardedBackendSmoke(t *testing.T) {
-	s, reg, mono := shardedServer(t)
+	s, mono := shardedServer(t)
 
 	req := SearchRequest{VertexIDs: []int32{3, 17, 29}, Keywords: "t0_kw0 t1_kw1", K: 5}
 	rec, body := doJSON(t, s.Handler(), "POST", "/search", req)
@@ -100,20 +98,6 @@ func TestShardedBackendSmoke(t *testing.T) {
 		}
 	}
 
-	// A repeat of the same query is a cache hit.
-	misses := reg.Counter("uots_shard_cache_misses_total", "").Value()
-	hitsBefore := reg.Counter("uots_shard_cache_hits_total", "").Value()
-	if misses == 0 {
-		t.Error("first sharded query recorded no cache miss")
-	}
-	rec, _ = doJSON(t, s.Handler(), "POST", "/search", req)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("repeat /search = %d", rec.Code)
-	}
-	if hits := reg.Counter("uots_shard_cache_hits_total", "").Value(); hits != hitsBefore+1 {
-		t.Errorf("repeat query recorded %d cache hits, want %d", hits, hitsBefore+1)
-	}
-
 	// The windowed and order-aware variants route through the backend too.
 	winReq := req
 	winReq.Window = "06:00-18:00"
@@ -139,7 +123,6 @@ func TestShardedBackendSmoke(t *testing.T) {
 	for _, name := range []string{
 		"uots_shard_queries_total",
 		"uots_shard_searches_total",
-		"uots_shard_cache_hits_total",
 		"uots_http_requests_total",
 	} {
 		if !strings.Contains(text, name) {
@@ -149,11 +132,10 @@ func TestShardedBackendSmoke(t *testing.T) {
 }
 
 // TestShardedBatchEndpoint drives /batch through the sharded backend:
-// mixed valid/invalid entries answer per slot, every valid entry
-// matches the monolithic engine, and a repeat batch serves from the
-// shard result cache without re-scattering.
+// mixed valid/invalid entries answer per slot and every valid entry
+// matches the monolithic engine.
 func TestShardedBatchEndpoint(t *testing.T) {
-	s, reg, mono := shardedServer(t)
+	s, mono := shardedServer(t)
 
 	req := BatchRequest{
 		Queries: []SearchRequest{
@@ -194,27 +176,6 @@ func TestShardedBatchEndpoint(t *testing.T) {
 			got := int32(raw.(map[string]any)["trajectory"].(float64))
 			if got != int32(want[i].Traj) {
 				t.Errorf("entry %d rank %d: sharded %d, monolithic %d", qi, i, got, want[i].Traj)
-			}
-		}
-	}
-
-	// A repeat of the same batch is all cache hits (3 valid entries).
-	hitsBefore := reg.Counter("uots_shard_cache_hits_total", "").Value()
-	rec, body2 := doJSON(t, s.Handler(), "POST", "/batch", req)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("repeat sharded /batch = %d", rec.Code)
-	}
-	if hits := reg.Counter("uots_shard_cache_hits_total", "").Value(); hits != hitsBefore+3 {
-		t.Errorf("repeat batch recorded %d cache hits, want %d", hits, hitsBefore+3)
-	}
-	for _, qi := range []int{0, 2, 3} {
-		a := responses[qi].(map[string]any)["results"].([]any)
-		b := body2["responses"].([]any)[qi].(map[string]any)["results"].([]any)
-		for i := range a {
-			at := a[i].(map[string]any)["trajectory"]
-			bt := b[i].(map[string]any)["trajectory"]
-			if at != bt {
-				t.Errorf("entry %d rank %d: cached %v != fresh %v", qi, i, bt, at)
 			}
 		}
 	}

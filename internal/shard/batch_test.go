@@ -6,11 +6,9 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"uots/internal/core"
-	"uots/internal/obs"
 	"uots/internal/roadnet"
 )
 
@@ -225,73 +223,5 @@ func TestShardBatchBadAlgorithm(t *testing.T) {
 	if _, _, err := ex.SearchBatch(context.Background(), queries,
 		core.BatchOptions{Algorithm: core.Algorithm(42)}); err == nil {
 		t.Fatal("unknown algorithm accepted by Executor.SearchBatch")
-	}
-
-	cached, err := NewExecutor(f.db, core.Options{}, Config{Shards: 2, CacheSize: 8})
-	if err != nil {
-		t.Fatalf("NewExecutor(CacheSize): %v", err)
-	}
-	defer cached.Close()
-	if _, _, err := cached.SearchBatch(context.Background(), queries,
-		core.BatchOptions{Algorithm: core.Algorithm(42)}); err == nil {
-		t.Fatal("unknown algorithm accepted by a caching Executor.SearchBatch")
-	}
-}
-
-// TestExecutorBatchCacheIntegration verifies the batch path shares
-// cache entries with the single-query path: a batch fills the cache, a
-// repeat batch is served entirely from it (no store work), and a batch
-// after a single-query warmup hits that query's entry.
-func TestExecutorBatchCacheIntegration(t *testing.T) {
-	f := testFixture(t)
-	rng := rand.New(rand.NewPCG(107, 0))
-	queries := batchQueries(f, rng, 6, 3)
-
-	reg := obs.NewRegistry()
-	calls := &atomic.Int64{}
-	eng, err := NewExecutor(f.db, core.Options{}, Config{
-		Shards:    3,
-		CacheSize: 32,
-		Metrics:   reg,
-		WrapStore: func(_ int, s core.TrajStore) core.TrajStore {
-			return &countingStore{TrajStore: s, calls: calls}
-		},
-	})
-	if err != nil {
-		t.Fatalf("NewExecutor: %v", err)
-	}
-	defer eng.Close()
-
-	// Warm one entry through the single-query path.
-	warm, _, err := eng.SearchCtx(context.Background(), queries[0])
-	if err != nil {
-		t.Fatalf("warmup SearchCtx: %v", err)
-	}
-
-	first, _, err := eng.SearchBatch(context.Background(), queries, core.BatchOptions{SharedExpansion: true})
-	if err != nil {
-		t.Fatalf("first SearchBatch: %v", err)
-	}
-	if hits := counterValue(t, reg, "uots_shard_cache_hits_total"); hits != 1 {
-		t.Fatalf("batch after warmup recorded %d hits, want 1 (the warmed query)", hits)
-	}
-	sameResults(t, "warmed slot", first[0].Results, warm)
-
-	afterFirst := calls.Load()
-	second, stats, err := eng.SearchBatch(context.Background(), queries, core.BatchOptions{SharedExpansion: true})
-	if err != nil {
-		t.Fatalf("second SearchBatch: %v", err)
-	}
-	if calls.Load() != afterFirst {
-		t.Fatalf("fully-cached batch touched the store: %d calls, want %d", calls.Load(), afterFirst)
-	}
-	if stats.Failed != 0 {
-		t.Fatalf("cached batch reported %d failures", stats.Failed)
-	}
-	if stats.ServedSettles != 0 || stats.DistinctSources != 0 {
-		t.Fatalf("fully-cached batch reported planner work: %+v", stats)
-	}
-	for i := range queries {
-		sameResults(t, fmt.Sprintf("cached q=%d", i), second[i].Results, first[i].Results)
 	}
 }

@@ -28,11 +28,6 @@ func (h *shardHandle) remap(results []core.Result) {
 // to a monolithic core.Engine over the same store (see the package
 // comment for why). An Executor is immutable over one store snapshot and
 // safe for concurrent use.
-//
-// With Config.CacheSize > 0 a result cache sits in front of the scatter:
-// a hit serves the cached result list without touching any trajectory
-// store and reports zero work stats (only Elapsed is set). The executor
-// never outlives its snapshot, so keys carry no generation.
 type Executor struct {
 	gatherer
 	shards []shardHandle
@@ -112,7 +107,6 @@ func NewExecutor(db core.TrajStore, opts core.Options, cfg Config) (ex *Executor
 		partial:  cfg.Partial,
 		noBound:  cfg.DisableSharedBound,
 		global:   global,
-		cache:    newCache(cfg.CacheSize),
 		metrics:  m,
 	}
 	return ex, nil
@@ -145,8 +139,7 @@ func (ex *Executor) Partitioner() Partitioner { return ex.part }
 // after Close fail with ErrClosed.
 func (ex *Executor) Close() { ex.pool.close() }
 
-// enter implements fleet: a closed executor serves nothing, not even
-// cache hits.
+// enter implements fleet: a closed executor serves nothing.
 func (ex *Executor) enter() (func(), error) {
 	select {
 	case <-ex.pool.quit:

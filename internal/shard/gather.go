@@ -28,9 +28,6 @@ const (
 	// TraceDegraded records a shard dropped from the merge under
 	// PartialDegrade: Value = shard index.
 	TraceDegraded = "shard_degraded"
-	// TraceCacheHit records a query served from the result cache without
-	// touching any store.
-	TraceCacheHit = "cache_hit"
 	// TracePartition opens one partition's remote replay (RemoteExecutor
 	// only): the events until the matching TracePartitionDone — attempts,
 	// retries, hedges, and the shard server's own span — were buffered by
@@ -73,7 +70,6 @@ type gatherer struct {
 	partial  PartialPolicy
 	noBound  bool
 	global   *core.Engine // runs the diversity selection; may be nil (RemoteConfig.Global)
-	cache    *Cache       // nil = no result cache
 	metrics  *metrics
 }
 
@@ -114,32 +110,6 @@ func (g *gatherer) DiversifiedSearchCtx(ctx context.Context, q core.Query, opts 
 	return g.do(ctx, core.Request{Query: q, Diversify: &opts})
 }
 
-// cached looks key up in the result cache, recording hit/miss metrics
-// and the cache_hit trace event.
-func (g *gatherer) cached(ctx context.Context, key string) ([]core.Result, bool) {
-	res, ok := g.cache.get(key)
-	if !ok {
-		if g.metrics != nil {
-			g.metrics.cacheMisses.Inc()
-		}
-		return nil, false
-	}
-	if g.metrics != nil {
-		g.metrics.cacheHits.Inc()
-	}
-	if trace := obs.TracerFromContext(ctx); trace != nil {
-		trace.Emit(obs.SpanEvent{Kind: TraceCacheHit, Source: -1, Traj: -1, Value: float64(len(res))})
-	}
-	return res, true
-}
-
-// store saves a successful answer under key.
-func (g *gatherer) store(key string, res []core.Result) {
-	if ev := g.cache.put(key, res); ev > 0 && g.metrics != nil {
-		g.metrics.cacheEvictions.Add(uint64(ev))
-	}
-}
-
 // begin records the query metric and emits the scatter trace event.
 func (g *gatherer) begin(ctx context.Context, variant string) obs.Tracer {
 	g.metrics.recordQuery(variant)
@@ -151,8 +121,7 @@ func (g *gatherer) begin(ctx context.Context, variant string) obs.Tracer {
 	return trace
 }
 
-// do answers one request. With a result cache, a hit is served without
-// touching any store and reports zero work stats (only Elapsed is set).
+// do answers one request.
 func (g *gatherer) do(ctx context.Context, req core.Request) ([]core.Result, core.SearchStats, error) {
 	elapsed := obs.Stopwatch()
 	if err := req.Validate(); err != nil {
@@ -163,13 +132,6 @@ func (g *gatherer) do(ctx context.Context, req core.Request) ([]core.Result, cor
 		return nil, core.SearchStats{}, err
 	}
 	defer leave()
-	key := ""
-	if g.cache != nil {
-		key = cacheKey(req)
-		if res, ok := g.cached(ctx, key); ok {
-			return res, core.SearchStats{Elapsed: elapsed()}, nil
-		}
-	}
 
 	// The plan: what every partition runs and how many results the merge
 	// keeps. A diversified request scatters as a plain search for the
@@ -180,6 +142,9 @@ func (g *gatherer) do(ctx context.Context, req core.Request) ([]core.Result, cor
 		if g.global == nil {
 			return nil, core.SearchStats{}, ErrRemoteDiversify
 		}
+		// The pool is sized from K, so K is clamped to the store first,
+		// exactly as the monolithic engine plans it.
+		req.Query.K = min(req.Query.K, g.global.Store().NumTrajectories())
 		part, k, div = req.Pool()
 	}
 	var bound *core.SharedBound
@@ -210,9 +175,6 @@ func (g *gatherer) do(ctx context.Context, req core.Request) ([]core.Result, cor
 			Value: float64(len(results)), Extra: float64(considered)})
 	}
 	stats.Elapsed = elapsed()
-	if g.cache != nil {
-		g.store(key, results)
-	}
 	return results, stats, nil
 }
 
@@ -330,8 +292,8 @@ func merge(out []partOut[[]core.Result], use []int, k int, all bool) ([]core.Res
 	for _, i := range use {
 		considered += len(out[i].val)
 	}
-	if all {
-		k = considered
+	if all || k > considered {
+		k = considered // also bounds an unbounded client k by the store
 	}
 	if k < 1 {
 		k = 1 // the engine's default
@@ -362,11 +324,6 @@ type batchOut struct {
 // participants of the same query, and a batch multiplexes many queries
 // over one scatter. Nor is there fail-fast sibling cancellation: a
 // per-query store fault is a per-query outcome.
-//
-// With a result cache, AlgoExpansion entries share SearchCtx's keys — a
-// batch answer for a query is byte-identical to its single-query answer.
-// Hits are served without scattering (zero work stats) and the misses
-// scatter as one sub-batch.
 func (g *gatherer) SearchBatch(ctx context.Context, queries []core.Query, opts core.BatchOptions) ([]core.BatchResult, core.BatchStats, error) {
 	elapsed := obs.Stopwatch()
 	switch opts.Algorithm {
@@ -382,72 +339,54 @@ func (g *gatherer) SearchBatch(ctx context.Context, queries []core.Query, opts c
 
 	answers := make([]core.BatchResult, len(queries))
 	bstats := core.BatchStats{Queries: len(queries)}
-	slot := make([]int, 0, len(queries)) // live[j] is queries[slot[j]]
-	live := make([]core.Query, 0, len(queries))
-	var keys []string // keys[j] is live[j]'s cache key, when cacheable
-	cacheable := g.cache != nil && opts.Algorithm == core.AlgoExpansion
-	for i, q := range queries {
-		if cacheable {
-			key := cacheKey(core.Request{Query: q})
-			if res, ok := g.cached(ctx, key); ok {
-				answers[i] = core.BatchResult{Index: i, Results: res}
-				continue
-			}
-			keys = append(keys, key)
-		}
-		slot = append(slot, i)
-		live = append(live, q)
+	if len(queries) == 0 {
+		return answers, bstats, ctx.Err()
 	}
-	if len(live) > 0 {
-		trace := g.begin(ctx, "batch")
-		outs := scatter(ctx, g, false, func(ctx context.Context, i int) (batchOut, core.SearchStats, error) {
-			res, stats, err := g.fleet.batch(ctx, i, live, opts)
-			return batchOut{res, stats}, stats.PerQuery, err
-		})
+	trace := g.begin(ctx, "batch")
+	outs := scatter(ctx, g, false, func(ctx context.Context, i int) (batchOut, core.SearchStats, error) {
+		res, stats, err := g.fleet.batch(ctx, i, queries, opts)
+		return batchOut{res, stats}, stats.PerQuery, err
+	})
+	for i := range outs {
+		o := &outs[i]
+		if !o.ran {
+			continue
+		}
+		bstats.DistinctSources += o.val.stats.DistinctSources
+		bstats.SourceRefs += o.val.stats.SourceRefs
+		bstats.FrontierSettles += o.val.stats.FrontierSettles
+		bstats.ServedSettles += o.val.stats.ServedSettles
+		if trace != nil {
+			trace.Emit(shardDone(i, len(o.val.results), o.err))
+		}
+	}
+	considered := 0
+	one := make([]partOut[[]core.Result], len(outs)) // one query's view of outs
+	for j, q := range queries {
 		for i := range outs {
 			o := &outs[i]
-			if !o.ran {
-				continue
-			}
-			bstats.DistinctSources += o.val.stats.DistinctSources
-			bstats.SourceRefs += o.val.stats.SourceRefs
-			bstats.FrontierSettles += o.val.stats.FrontierSettles
-			bstats.ServedSettles += o.val.stats.ServedSettles
-			if trace != nil {
-				trace.Emit(shardDone(i, len(o.val.results), o.err))
+			one[i] = partOut[[]core.Result]{err: o.err, ran: o.ran}
+			if o.ran && o.err == nil {
+				r := o.val.results[j]
+				one[i] = partOut[[]core.Result]{val: r.Results, stats: r.Stats, err: r.Err, ran: true}
 			}
 		}
-		considered := 0
-		one := make([]partOut[[]core.Result], len(outs)) // one query's view of outs
-		for j, q := range live {
-			for i := range outs {
-				o := &outs[i]
-				one[i] = partOut[[]core.Result]{err: o.err, ran: o.ran}
-				if o.ran && o.err == nil {
-					r := o.val.results[j]
-					one[i] = partOut[[]core.Result]{val: r.Results, stats: r.Stats, err: r.Err, ran: true}
-				}
-			}
-			a := &answers[slot[j]]
-			a.Index = slot[j]
-			var use []int
-			if use, a.Stats, a.Err = g.resolve(ctx, one, nil); a.Err != nil {
-				a.Err = g.fleet.failure(ctx, a.Err)
-				bstats.Failed++
-				continue
-			}
-			var n int
-			a.Results, n = merge(one, use, q.K, false)
-			considered += n
-			bstats.PerQuery.Add(a.Stats)
-			if cacheable {
-				g.store(keys[j], a.Results)
-			}
+		a := &answers[j]
+		a.Index = j
+		var use []int
+		if use, a.Stats, a.Err = g.resolve(ctx, one, nil); a.Err != nil {
+			a.Err = g.fleet.failure(ctx, a.Err)
+			bstats.Failed++
+			continue
 		}
-		if trace != nil {
-			trace.Emit(obs.SpanEvent{Kind: TraceMerge, Source: -1, Traj: -1,
-				Value: float64(len(live) - bstats.Failed), Extra: float64(considered)})
-		}
+		var n int
+		a.Results, n = merge(one, use, q.K, false)
+		considered += n
+		bstats.PerQuery.Add(a.Stats)
+	}
+	if trace != nil {
+		trace.Emit(obs.SpanEvent{Kind: TraceMerge, Source: -1, Traj: -1,
+			Value: float64(len(queries) - bstats.Failed), Extra: float64(considered)})
 	}
 	bstats.WallClock = elapsed()
 	return answers, bstats, ctx.Err()

@@ -18,10 +18,6 @@ type metrics struct {
 	settled  *obs.CounterVec
 	xprunes  *obs.CounterVec
 	errors   *obs.CounterVec
-
-	cacheHits      *obs.Counter
-	cacheMisses    *obs.Counter
-	cacheEvictions *obs.Counter
 }
 
 func newMetrics(reg *obs.Registry) *metrics {
@@ -43,12 +39,6 @@ func newMetrics(reg *obs.Registry) *metrics {
 			"Candidates pruned by the cross-shard k-th-bound exchange, per shard.", "shard"),
 		errors: reg.CounterVec("uots_shard_errors_total",
 			"Per-shard search failures (store faults and cancellations).", "shard"),
-		cacheHits: reg.Counter("uots_shard_cache_hits_total",
-			"Sharded-engine result-cache hits (query served without touching the store)."),
-		cacheMisses: reg.Counter("uots_shard_cache_misses_total",
-			"Sharded-engine result-cache misses."),
-		cacheEvictions: reg.Counter("uots_shard_cache_evictions_total",
-			"Sharded-engine result-cache LRU evictions."),
 	}
 }
 

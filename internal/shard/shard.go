@@ -32,8 +32,7 @@
 //
 // One scatter-gather (gatherer) serves both the in-process Executor and
 // the RemoteExecutor over rpc replica groups; they differ only in their
-// fleet. Config.CacheSize puts an optional result cache (sharded LRU) in
-// front of the Executor's scatter.
+// fleet.
 package shard
 
 import (
@@ -105,9 +104,6 @@ type Config struct {
 	// DisableSharedBound turns off the cross-shard k-th-bound exchange
 	// (ablation; results are identical either way, only pruning differs).
 	DisableSharedBound bool
-	// CacheSize caps the result cache at this many entries across all
-	// cache shards (0 disables caching).
-	CacheSize int
 	// Metrics receives the executor's uots_shard_* instruments
 	// (nil disables metrics).
 	Metrics *obs.Registry
