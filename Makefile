@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build vet lint lint-audit wire-schema test race bench bench-quick check
+.PHONY: build vet lint wire-schema test race bench bench-quick check
 
 build:
 	$(GO) build ./...
@@ -12,19 +12,14 @@ build:
 vet:
 	$(GO) vet ./...
 
-# lint builds the project's analyzer suite and runs it over every
-# package through go vet's vettool protocol. See CONTRIBUTING.md for
-# the enforced contracts and the //uots:allow escape hatch.
+# lint builds the project's analyzer suite and runs it once over every
+# package: findings go to stderr and, as a JSON array, to stdout. The
+# same run audits the //uots:allow escape hatch — a directive that no
+# longer suppresses a diagnostic fails the target and must be pruned.
+# See CONTRIBUTING.md for the enforced contracts.
 lint:
 	$(GO) build -o bin/uotsvet ./cmd/uotsvet
-	$(GO) vet -vettool=$(CURDIR)/bin/uotsvet ./...
-
-# lint-audit runs the analyzers in standalone mode with the
-# unused-allows audit: every //uots:allow directive must still suppress
-# a diagnostic, or the target fails and the directive must be pruned.
-lint-audit:
-	$(GO) build -o bin/uotsvet ./cmd/uotsvet
-	./bin/uotsvet -unused-allows ./...
+	./bin/uotsvet -json -unused-allows ./...
 
 # wire-schema regenerates internal/rpc/wire_schema.golden from the
 # compiled wire structs. Run it only for a deliberate wire change, and
@@ -50,4 +45,4 @@ bench-quick:
 	$(GO) vet ./benchmark/...
 	$(GO) run ./benchmark -quick
 
-check: vet lint lint-audit race
+check: vet lint race

@@ -4,43 +4,28 @@
 // Usage:
 //
 //	uotsbench [-profile small|medium|full] [-exp all|settings|pruning|...]
-//	          [-metrics-out metrics.json]
+//	uotsbench -list
 //
 // Profiles scale the datasets to the host; the experiment set and
 // expected result shapes are documented in EXPERIMENTS.md. Interrupting
 // the run (SIGINT/SIGTERM) cancels the in-flight experiment's searches
 // and exits promptly.
 //
-// -metrics-out writes a machine-readable JSON snapshot of the run's
-// uots_bench_* work counters and latency histograms (per algorithm
-// configuration) next to the human-readable tables, for regression
-// tracking across runs. The snapshot is taken once at exit and flushed
-// on every exit path — a run that fails or is interrupted partway still
-// writes what it measured.
-//
-// Running one of the distributed-fleet experiments alone (-exp F10, F11
-// or F12, by ID or name) additionally writes a BENCH_<ID>.json
-// trajectory file — {"experiment", "profile", "metrics"} wrapping the
-// same snapshot — into -bench-dir (default the working directory),
-// unless -metrics-out already captures the run. These files are the
-// committed baselines regression tooling diffs against; the flush
-// shares every exit-path guarantee of -metrics-out.
+// The tables are the only output: nothing is written to disk. Numbers
+// that gate a change come from the serving benchmark under benchmark/
+// (see BENCHMARK.json), not from here.
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 
 	"uots/internal/experiments"
-	"uots/internal/obs"
 )
 
 func main() {
@@ -52,16 +37,13 @@ func main() {
 }
 
 // run is main minus the process globals (signal wiring, exit), so tests
-// can drive every exit path. The named return lets the deferred metrics
-// flush both see the run's outcome and fail the process itself.
-func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int) {
+// can drive it.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("uotsbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	profile := fs.String("profile", "medium", "dataset scale: small, medium or full")
 	exp := fs.String("exp", "all", "experiment to run (name or ID), or 'all'")
 	list := fs.Bool("list", false, "list experiments and exit")
-	metricsOut := fs.String("metrics-out", "", "write a JSON metrics snapshot of the run to this file ('-' = stdout)")
-	benchDir := fs.String("bench-dir", ".", "directory receiving the default BENCH_<ID>.json files of single F10-F12 runs")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -71,37 +53,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 			fmt.Fprintf(stdout, "%-4s %-12s %s\n", e.ID, e.Name, e.Desc)
 		}
 		return 0
-	}
-	var reg *obs.Registry
-	switch {
-	case *metricsOut != "":
-		reg = obs.NewRegistry()
-		ctx = experiments.WithMetrics(ctx, reg)
-		// Deferred, not sequenced after the run: the snapshot must land
-		// even when an experiment fails or the run is interrupted.
-		defer func() {
-			if err := writeMetrics(*metricsOut, stdout, reg); err != nil {
-				fmt.Fprintln(stderr, "uotsbench:", err)
-				if code == 0 {
-					code = 1
-				}
-			}
-		}()
-	case benchExperimentID(*exp) != "":
-		id := benchExperimentID(*exp)
-		path := filepath.Join(*benchDir, "BENCH_"+id+".json")
-		reg = obs.NewRegistry()
-		ctx = experiments.WithMetrics(ctx, reg)
-		defer func() {
-			if err := writeBench(path, id, *profile, reg); err != nil {
-				fmt.Fprintln(stderr, "uotsbench:", err)
-				if code == 0 {
-					code = 1
-				}
-				return
-			}
-			fmt.Fprintf(stdout, "\nwrote %s\n", path)
-		}()
 	}
 
 	p, err := experiments.ProfileByName(*profile)
@@ -127,55 +78,4 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 		return 1
 	}
 	return 0
-}
-
-// benchExperimentID resolves exp (name or ID) to its experiment ID when
-// it is one of the distributed-fleet experiments that emit a
-// BENCH_<ID>.json baseline by default, and "" otherwise.
-func benchExperimentID(exp string) string {
-	e, err := experiments.ByName(exp)
-	if err != nil {
-		return ""
-	}
-	switch e.ID {
-	case "F10", "F11", "F12", "F13":
-		return e.ID
-	}
-	return ""
-}
-
-// writeBench writes the committed-baseline trajectory file: the run's
-// registry snapshot wrapped with the experiment and profile that
-// produced it, so a diff against a checked-in BENCH_<ID>.json is
-// self-describing.
-func writeBench(path, experiment, profile string, reg *obs.Registry) error {
-	var snap bytes.Buffer
-	if err := experiments.WriteSnapshot(&snap, reg); err != nil {
-		return err
-	}
-	out, err := json.MarshalIndent(map[string]json.RawMessage{
-		"experiment": json.RawMessage(fmt.Sprintf("%q", experiment)),
-		"profile":    json.RawMessage(fmt.Sprintf("%q", profile)),
-		"metrics":    json.RawMessage(bytes.TrimSpace(snap.Bytes())),
-	}, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
-}
-
-// writeMetrics dumps the registry snapshot to path ('-' = stdout).
-func writeMetrics(path string, stdout io.Writer, reg *obs.Registry) error {
-	if path == "-" {
-		return experiments.WriteSnapshot(stdout, reg)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := experiments.WriteSnapshot(f, reg); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -2,117 +2,10 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
-
-// TestRunFlushesMetricsOnErrorExit is the regression for the lost
-// snapshot: a run that fails partway must still write -metrics-out
-// (previously the error path exited before the flush).
-func TestRunFlushesMetricsOnErrorExit(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "metrics.json")
-	var stdout, stderr bytes.Buffer
-	code := run(t.Context(), []string{"-exp", "no-such-experiment", "-metrics-out", path}, &stdout, &stderr)
-	if code == 0 {
-		t.Fatal("unknown experiment should exit non-zero")
-	}
-	if !strings.Contains(stderr.String(), "unknown experiment") {
-		t.Fatalf("stderr = %q, want the unknown-experiment error", stderr.String())
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("metrics snapshot not written on error exit: %v", err)
-	}
-	var snap any
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		t.Fatalf("snapshot is not valid JSON: %v\n%s", err, raw)
-	}
-}
-
-func TestRunFlushesMetricsToStdout(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	code := run(t.Context(), []string{"-profile", "bogus", "-metrics-out", "-"}, &stdout, &stderr)
-	if code == 0 {
-		t.Fatal("unknown profile should exit non-zero")
-	}
-	var snap any
-	if err := json.Unmarshal(stdout.Bytes(), &snap); err != nil {
-		t.Fatalf("stdout snapshot is not valid JSON: %v\n%s", err, stdout.String())
-	}
-}
-
-// TestRunEmitsBenchBaseline: a single F10-F12 run with no -metrics-out
-// writes BENCH_<ID>.json into -bench-dir, wrapping the metrics snapshot
-// with the experiment and profile that produced it.
-func TestRunEmitsBenchBaseline(t *testing.T) {
-	dir := t.TempDir()
-	var stdout, stderr bytes.Buffer
-	code := run(t.Context(), []string{"-exp", "sharding", "-profile", "small", "-bench-dir", dir}, &stdout, &stderr)
-	if code != 0 {
-		t.Fatalf("F10 run exited %d: %s", code, stderr.String())
-	}
-	raw, err := os.ReadFile(filepath.Join(dir, "BENCH_F10.json"))
-	if err != nil {
-		t.Fatalf("BENCH_F10.json not written: %v", err)
-	}
-	var bench struct {
-		Experiment string `json:"experiment"`
-		Profile    string `json:"profile"`
-		Metrics    []any  `json:"metrics"`
-	}
-	if err := json.Unmarshal(raw, &bench); err != nil {
-		t.Fatalf("BENCH_F10.json is not valid JSON: %v\n%s", err, raw)
-	}
-	if bench.Experiment != "F10" || bench.Profile != "small" {
-		t.Errorf("bench header = %q/%q, want F10/small", bench.Experiment, bench.Profile)
-	}
-	if len(bench.Metrics) == 0 {
-		t.Error("bench metrics snapshot is empty")
-	}
-	if !strings.Contains(stdout.String(), "BENCH_F10.json") {
-		t.Error("stdout does not mention the written baseline")
-	}
-}
-
-// TestRunBenchFlushesOnErrorExit mirrors the -metrics-out guarantee: a
-// failed F10-F12 run still writes its baseline with what it measured.
-func TestRunBenchFlushesOnErrorExit(t *testing.T) {
-	dir := t.TempDir()
-	var stdout, stderr bytes.Buffer
-	code := run(t.Context(), []string{"-exp", "F12", "-profile", "bogus", "-bench-dir", dir}, &stdout, &stderr)
-	if code == 0 {
-		t.Fatal("unknown profile should exit non-zero")
-	}
-	raw, err := os.ReadFile(filepath.Join(dir, "BENCH_F12.json"))
-	if err != nil {
-		t.Fatalf("BENCH_F12.json not written on error exit: %v", err)
-	}
-	var snap any
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		t.Fatalf("baseline is not valid JSON: %v\n%s", err, raw)
-	}
-}
-
-// TestRunMetricsOutSupersedesBench: an explicit -metrics-out captures
-// the run; no BENCH file appears.
-func TestRunMetricsOutSupersedesBench(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "metrics.json")
-	var stdout, stderr bytes.Buffer
-	code := run(t.Context(), []string{"-exp", "F11", "-profile", "bogus", "-bench-dir", dir, "-metrics-out", path}, &stdout, &stderr)
-	if code == 0 {
-		t.Fatal("unknown profile should exit non-zero")
-	}
-	if _, err := os.Stat(path); err != nil {
-		t.Errorf("-metrics-out not written: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "BENCH_F11.json")); err == nil {
-		t.Error("BENCH_F11.json written despite -metrics-out")
-	}
-}
 
 func TestRunList(t *testing.T) {
 	var stdout, stderr bytes.Buffer
@@ -123,5 +16,26 @@ func TestRunList(t *testing.T) {
 		if !strings.Contains(stdout.String(), want) {
 			t.Errorf("-list output missing %q", want)
 		}
+	}
+}
+
+// TestRunWritesNoFile: the tables on stdout are the whole output — a
+// solo fleet-experiment run leaves its working directory empty.
+func TestRunWritesNoFile(t *testing.T) {
+	dir := t.TempDir()
+	t.Chdir(dir)
+	var stdout, stderr bytes.Buffer
+	if code := run(t.Context(), []string{"-exp", "F10", "-profile", "small"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exited %d: %s", code, stderr.String())
+	}
+	if !strings.Contains(stdout.String(), "monolithic") {
+		t.Errorf("F10 table not printed:\n%s", stdout.String())
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		t.Errorf("run left %s in the working directory", e.Name())
 	}
 }

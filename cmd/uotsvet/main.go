@@ -1,6 +1,6 @@
-// Command uotsvet runs the project's contract analyzers. Use it as a
-// vet tool (go vet -vettool=bin/uotsvet ./...) or standalone
-// (bin/uotsvet ./...); `uotsvet help` prints the contract docs.
+// Command uotsvet runs the project's contract analyzers over the named
+// packages (bin/uotsvet [-json] [-unused-allows] ./...); `uotsvet help`
+// prints the contract docs.
 package main
 
 import (

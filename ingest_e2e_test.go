@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -41,16 +40,15 @@ func (b *syncBuffer) String() string {
 // generated dataset, ingest batches with -fsync always, capture the
 // corpus over the read API, SIGKILL the process with a batch possibly
 // in flight, restart on the same WAL directory, and require every
-// acknowledged trajectory back byte-identically. Then a short uotsload
-// run against the recovered server must report nonzero throughput into
-// BENCH_LOAD.json.
+// acknowledged trajectory back byte-identically; a SIGTERM then drains
+// the queue and syncs the WAL.
 func TestLiveIngestCrashRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live-ingest end-to-end skipped in -short mode")
 	}
 	dir := t.TempDir()
 	bin := func(name string) string { return filepath.Join(dir, name) }
-	for _, name := range []string{"uotsdgen", "uotsserve", "uotsload"} {
+	for _, name := range []string{"uotsdgen", "uotsserve"} {
 		out, err := exec.Command("go", "build", "-o", bin(name), "./cmd/"+name).CombinedOutput()
 		if err != nil {
 			t.Fatalf("building %s: %v\n%s", name, err, out)
@@ -158,36 +156,6 @@ func TestLiveIngestCrashRecovery(t *testing.T) {
 			t.Fatalf("trajectory %d changed across crash recovery:\nbefore: %s\nafter:  %s",
 				id, before[id], after)
 		}
-	}
-
-	// Closed-loop smoke: a short seeded load run against the recovered
-	// server must complete requests and write its snapshot.
-	loadOut := filepath.Join(dir, "BENCH_LOAD.json")
-	out, err = exec.Command(bin("uotsload"),
-		"-target", base, "-qps", "100", "-duration", "1s", "-seed", "3",
-		"-out", loadOut).CombinedOutput()
-	if err != nil {
-		t.Fatalf("uotsload: %v\n%s", err, out)
-	}
-	raw, err := os.ReadFile(loadOut)
-	if err != nil {
-		t.Fatalf("BENCH_LOAD.json not written: %v", err)
-	}
-	var load struct {
-		Summary struct {
-			Completed   uint64  `json:"completed"`
-			AchievedQPS float64 `json:"achieved_qps"`
-			ErrorRate   float64 `json:"error_rate"`
-		} `json:"summary"`
-	}
-	if err := json.Unmarshal(raw, &load); err != nil {
-		t.Fatalf("BENCH_LOAD.json parse: %v\n%s", err, raw)
-	}
-	if load.Summary.Completed == 0 || load.Summary.AchievedQPS <= 0 {
-		t.Fatalf("load summary reports no throughput: %+v\n%s", load.Summary, out)
-	}
-	if load.Summary.ErrorRate > 0.05 {
-		t.Fatalf("load error rate %.2f%% against an idle server\n%s", 100*load.Summary.ErrorRate, out)
 	}
 
 	// Graceful exit drains the queue and syncs the WAL.

@@ -1,18 +1,11 @@
 // Package driver runs a set of analysis.Analyzers over type-checked
-// packages. It speaks two dialects:
-//
-//   - the cmd/go vet-tool protocol (go vet -vettool=bin/uotsvet ./...):
-//     respond to -V=full and -flags, then accept a *.cfg JSON file per
-//     package, type-checking from the export data cmd/go already built;
-//   - a standalone mode (bin/uotsvet ./...): shell out to
-//     `go list -e -deps -export -json` and load packages the same way.
-//
-// Both modes print diagnostics as file:line:col: [analyzer] message and
-// exit non-zero when any diagnostic fires.
+// packages (bin/uotsvet ./...): it shells out to
+// `go list -e -deps -export -json` and type-checks each package from the
+// export data cmd/go built. Diagnostics print as
+// file:line:col: [analyzer] message and any of them exits non-zero.
 package driver
 
 import (
-	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"go/ast"
@@ -25,7 +18,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"runtime"
-	"strings"
 
 	"uots/internal/analysis"
 )
@@ -39,24 +31,8 @@ func Main(analyzers []*analysis.Analyzer) {
 		printHelp(progname, analyzers)
 		os.Exit(0)
 	}
-	if len(args) >= 1 && strings.HasPrefix(args[0], "-V") {
-		// cmd/go version handshake: at least three fields, the third
-		// must not be "devel". Hash the executable so edits to the
-		// tool invalidate vet's result cache.
-		fmt.Printf("%s version %s\n", progname, selfHash())
-		os.Exit(0)
-	}
-	if len(args) >= 1 && args[0] == "-flags" {
-		// We expose no analyzer flags to cmd/go.
-		fmt.Println("[]")
-		os.Exit(0)
-	}
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(runUnitchecker(args[0], analyzers))
-	}
-	// Standalone-only flags, accepted anywhere before or between the
-	// package patterns (cmd/go never passes them).
-	var opts standaloneOptions
+	// Flags are accepted anywhere before or between the package patterns.
+	var opts options
 	var patterns []string
 	for _, arg := range args {
 		switch arg {
@@ -69,14 +45,14 @@ func Main(analyzers []*analysis.Analyzer) {
 		}
 	}
 	if len(patterns) == 0 {
-		fmt.Fprintf(os.Stderr, "usage: %s [-json] [-unused-allows] [package pattern ...] | go vet -vettool=%s ./...\n", progname, progname)
+		fmt.Fprintf(os.Stderr, "usage: %s [-json] [-unused-allows] package-pattern...\n", progname)
 		os.Exit(1)
 	}
-	os.Exit(runStandalone(patterns, analyzers, opts))
+	os.Exit(run(patterns, analyzers, opts))
 }
 
-// standaloneOptions are the flags of the standalone (non-vettool) mode.
-type standaloneOptions struct {
+// options are the driver's flags.
+type options struct {
 	// jsonOut additionally prints the findings as a JSON array on
 	// stdout (file/line/col/analyzer/message), for CI artifacts.
 	jsonOut bool
@@ -102,101 +78,7 @@ func printHelp(progname string, analyzers []*analysis.Analyzer) {
 	}
 }
 
-// selfHash fingerprints the running binary for vet's cache key.
-func selfHash() string {
-	exe, err := os.Executable()
-	if err == nil {
-		if f, err := os.Open(exe); err == nil {
-			defer f.Close()
-			h := sha256.New()
-			if _, err := io.Copy(h, f); err == nil {
-				return fmt.Sprintf("%x", h.Sum(nil))
-			}
-		}
-	}
-	return "unversioned" // fallback; anything but "devel" satisfies cmd/go
-}
-
-// vetConfig mirrors the JSON cmd/go writes for vet tools.
-type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoVersion                 string
-	GoFiles                   []string
-	NonGoFiles                []string
-	IgnoredFiles              []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	Standard                  map[string]bool
-	PackageVetx               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-func runUnitchecker(cfgPath string, analyzers []*analysis.Analyzer) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "uotsvet: parsing %s: %v\n", cfgPath, err)
-		return 1
-	}
-	// We compute no cross-package facts, but cmd/go caches the output
-	// file, so it must exist even in facts-only mode.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-
-	fset := token.NewFileSet()
-	files, err := parseFiles(fset, cfg.GoFiles)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	lookup := func(path string) (io.ReadCloser, error) {
-		if mapped, ok := cfg.ImportMap[path]; ok {
-			path = mapped
-		}
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	}
-	pkg, info, err := typecheck(fset, cfg.ImportPath, cfg.Compiler, cfg.GoVersion, files, lookup)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fmt.Fprintf(os.Stderr, "uotsvet: typechecking %s: %v\n", cfg.ImportPath, err)
-		return 1
-	}
-	diags, _, err := runAnalyzers(analyzers, fset, files, pkg, info)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	printDiags(fset, diags)
-	if len(diags) > 0 {
-		return 2 // the vet-tool convention for "diagnostics reported"
-	}
-	return 0
-}
-
-// listPackage is the subset of `go list -json` output the standalone
-// loader needs.
+// listPackage is the subset of `go list -json` output the loader needs.
 type listPackage struct {
 	ImportPath string
 	Dir        string
@@ -207,7 +89,7 @@ type listPackage struct {
 	Error      *struct{ Err string }
 }
 
-func runStandalone(patterns []string, analyzers []*analysis.Analyzer, opts standaloneOptions) int {
+func run(patterns []string, analyzers []*analysis.Analyzer, opts options) int {
 	cmd := exec.Command("go", append([]string{"list", "-e", "-deps", "-export", "-json=ImportPath,Dir,GoFiles,ImportMap,Export,DepOnly,Error"}, patterns...)...)
 	cmd.Stderr = os.Stderr
 	out, err := cmd.StdoutPipe()
@@ -280,7 +162,7 @@ func runStandalone(patterns []string, analyzers []*analysis.Analyzer, opts stand
 			exit = 1
 			continue
 		}
-		pkg, info, err := typecheck(fset, p.ImportPath, "gc", "", files, lookup)
+		pkg, info, err := typecheck(fset, p.ImportPath, files, lookup)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "uotsvet: typechecking %s: %v\n", p.ImportPath, err)
 			exit = 1
@@ -376,20 +258,14 @@ func (i unsafeAwareImporter) Import(path string) (*types.Package, error) {
 	return i.under.Import(path)
 }
 
-func typecheck(fset *token.FileSet, importPath, compiler, goVersion string, files []*ast.File, lookup func(string) (io.ReadCloser, error)) (*types.Package, *types.Info, error) {
-	if compiler == "" {
-		compiler = "gc"
-	}
+func typecheck(fset *token.FileSet, importPath string, files []*ast.File, lookup func(string) (io.ReadCloser, error)) (*types.Package, *types.Info, error) {
 	goarch := os.Getenv("GOARCH")
 	if goarch == "" {
 		goarch = runtime.GOARCH
 	}
 	conf := types.Config{
-		Importer: unsafeAwareImporter{importer.ForCompiler(fset, compiler, lookup)},
-		Sizes:    types.SizesFor(compiler, goarch),
-	}
-	if strings.HasPrefix(goVersion, "go") {
-		conf.GoVersion = goVersion
+		Importer: unsafeAwareImporter{importer.ForCompiler(fset, "gc", lookup)},
+		Sizes:    types.SizesFor("gc", goarch),
 	}
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),

@@ -7,7 +7,6 @@ import (
 	"math/rand/v2"
 
 	"uots/internal/core"
-	"uots/internal/obs"
 	"uots/internal/roadnet"
 )
 
@@ -28,8 +27,6 @@ func BatchShare(ctx context.Context, w io.Writer, p Profile) error {
 	if err != nil {
 		return err
 	}
-	reg := MetricsFrom(ctx)
-	bm := obs.NewBatchMetrics(reg) // nil-safe: no-op without -metrics-out
 	batchSize := p.Queries * 4
 
 	t := NewTable("F11 shared-expansion batch planner vs independent execution (expansion, default settings)",
@@ -67,9 +64,6 @@ func BatchShare(ctx context.Context, w io.Writer, p Profile) error {
 			if n := countFailed(indep); n > 0 {
 				return fmt.Errorf("experiments: %d independent batch queries failed", n)
 			}
-			bm.RecordBatch(sstats.Queries, sstats.Failed, sstats.DistinctSources,
-				sstats.SourceRefs, sstats.FrontierSettles, sstats.ServedSettles, true)
-
 			saved := 0.0
 			if sstats.ServedSettles > 0 {
 				saved = 1 - float64(sstats.FrontierSettles)/float64(sstats.ServedSettles)

@@ -78,7 +78,6 @@ func Hedging(ctx context.Context, w io.Writer, p Profile) error {
 		ds.Name, hedgeSlowDelay),
 		"config", "p50 ms", "p90 ms", "p99 ms", "mean ms", "hedges", "hedge wins")
 	for _, cfg := range configs {
-		bench := newBenchCollector(MetricsFrom(ctx), cfg.name)
 		reg := obs.NewRegistry()
 		m := rpc.NewMetrics(reg)
 		groups := make([]*rpc.Group, partitions)
@@ -97,26 +96,13 @@ func Hedging(ctx context.Context, w io.Writer, p Profile) error {
 		lat := make([]float64, 0, len(queries))
 		for _, q := range queries {
 			start := time.Now()
-			_, st, err := re.SearchCtx(ctx, q)
-			if err != nil {
+			if _, _, err := re.SearchCtx(ctx, q); err != nil {
 				re.Close()
 				return err
 			}
-			elapsed := time.Since(start)
-			bench.record(st, elapsed.Seconds())
-			lat = append(lat, float64(elapsed.Microseconds())/1000)
+			lat = append(lat, float64(time.Since(start).Microseconds())/1000)
 		}
 		re.Close()
-		// Mirror the hedge counters into the bench registry so the
-		// BENCH_F12.json baseline captures them per configuration.
-		if breg := MetricsFrom(ctx); breg != nil {
-			breg.CounterVec("uots_bench_hedges_total",
-				"Hedged attempts fired during the benchmark run, by configuration.", "algo").
-				With(cfg.name).AddInt(int(reg.Counter("uots_rpc_hedges_total", "").Value()))
-			breg.CounterVec("uots_bench_hedge_wins_total",
-				"Hedged attempts that answered first, by configuration.", "algo").
-				With(cfg.name).AddInt(int(reg.Counter("uots_rpc_hedge_wins_total", "").Value()))
-		}
 		sort.Float64s(lat)
 		mean := 0.0
 		for _, v := range lat {

@@ -69,7 +69,6 @@ func Indexing(ctx context.Context, w io.Writer, p Profile) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		bench := newBenchCollector(MetricsFrom(ctx), cfg.name)
 		lat := make([]float64, 0, len(queries))
 		results := make([][]core.Result, 0, len(queries))
 		var sum core.SearchStats
@@ -79,20 +78,13 @@ func Indexing(ctx context.Context, w io.Writer, p Profile) error {
 			if err != nil {
 				return fmt.Errorf("experiments: F13 %s: %w", cfg.name, err)
 			}
-			elapsed := time.Since(start)
-			bench.record(st, elapsed.Seconds())
-			lat = append(lat, float64(elapsed.Microseconds())/1000)
+			lat = append(lat, float64(time.Since(start).Microseconds())/1000)
 			results = append(results, res)
 			sum.Add(st)
 			if cfg.baseline != "" && !reflect.DeepEqual(res, baselines[cfg.baseline][qi]) {
 				return fmt.Errorf("experiments: F13 %s: query %d results diverged from %s — the prune is not byte-identical",
 					cfg.name, qi, cfg.baseline)
 			}
-		}
-		if breg := MetricsFrom(ctx); breg != nil {
-			breg.CounterVec("uots_bench_landmark_prunes_total",
-				"Trajectories discarded purely from landmark lower bounds, by configuration.", "algo").
-				With(cfg.name).AddInt(sum.LandmarkPrunes)
 		}
 		sort.Float64s(lat)
 		p50 := percentile(lat, 0.50)

@@ -58,7 +58,6 @@ func Measure(ctx context.Context, ds *Dataset, cfg AlgoConfig, queries []core.Qu
 		return Aggregate{}, fmt.Errorf("experiments: %s: %w", cfg.Name, err)
 	}
 	agg := Aggregate{Algo: cfg.Name, Queries: len(queries)}
-	collector := newBenchCollector(MetricsFrom(ctx), cfg.Name)
 	var totalMs float64
 	for _, q := range queries {
 		var stats core.SearchStats
@@ -66,22 +65,20 @@ func Measure(ctx context.Context, ds *Dataset, cfg AlgoConfig, queries []core.Qu
 		start := time.Now()
 		switch {
 		case theta > 0 && cfg.Kind == core.AlgoExpansion:
-			_, stats, runErr = e.SearchThreshold(q, theta)
+			_, stats, runErr = e.SearchThresholdCtx(ctx, q, theta)
 		case theta > 0 && cfg.Kind == core.AlgoExhaustive:
-			_, stats, runErr = e.ExhaustiveThreshold(q, theta)
+			_, stats, runErr = e.ExhaustiveThresholdCtx(ctx, q, theta)
 		case cfg.Kind == core.AlgoExhaustive:
-			_, stats, runErr = e.ExhaustiveSearch(q)
+			_, stats, runErr = e.ExhaustiveSearchCtx(ctx, q)
 		case cfg.Kind == core.AlgoTextFirst:
-			_, stats, runErr = e.TextFirstSearch(q)
+			_, stats, runErr = e.TextFirstSearchCtx(ctx, q)
 		default:
-			_, stats, runErr = e.Search(q)
+			_, stats, runErr = e.SearchCtx(ctx, q)
 		}
 		if runErr != nil {
 			return Aggregate{}, fmt.Errorf("experiments: %s: %w", cfg.Name, runErr)
 		}
-		elapsed := time.Since(start)
-		totalMs += float64(elapsed.Microseconds()) / 1000.0
-		collector.record(stats, elapsed.Seconds())
+		totalMs += float64(time.Since(start).Microseconds()) / 1000.0
 		agg.MeanVisited += float64(stats.VisitedTrajectories)
 		agg.MeanCandidates += float64(stats.Candidates)
 		agg.MeanSettled += float64(stats.SettledVertices)

@@ -27,7 +27,6 @@ func Sharding(ctx context.Context, w io.Writer, p Profile) error {
 		return err
 	}
 	counts := []int{1, 2, 4, 8}
-	reg := MetricsFrom(ctx)
 	t := NewTable("F10 sharded scatter-gather vs monolithic (expansion, default settings)",
 		"dataset", "config", "mean ms", "visited", "settled", "xprunes")
 	for _, ds := range dss {
@@ -38,7 +37,7 @@ func Sharding(ctx context.Context, w io.Writer, p Profile) error {
 		if err != nil {
 			return err
 		}
-		cell, err := runShardCell(newBenchCollector(reg, "monolithic"), queries,
+		cell, err := runShardCell(queries,
 			func(q core.Query) (core.SearchStats, error) {
 				_, st, err := mono.SearchCtx(ctx, q)
 				return st, err
@@ -53,7 +52,7 @@ func Sharding(ctx context.Context, w io.Writer, p Profile) error {
 			if err != nil {
 				return err
 			}
-			cell, err := runShardCell(newBenchCollector(reg, fmt.Sprintf("sharded-%d", n)), queries,
+			cell, err := runShardCell(queries,
 				func(q core.Query) (core.SearchStats, error) {
 					_, st, err := ex.SearchCtx(ctx, q)
 					return st, err
@@ -72,8 +71,7 @@ func Sharding(ctx context.Context, w io.Writer, p Profile) error {
 // shardCell is one (config, workload) measurement, per-query means.
 type shardCell struct{ ms, visited, settled, xprunes float64 }
 
-func runShardCell(c *benchCollector, queries []core.Query,
-	search func(core.Query) (core.SearchStats, error)) (shardCell, error) {
+func runShardCell(queries []core.Query, search func(core.Query) (core.SearchStats, error)) (shardCell, error) {
 	var cell shardCell
 	for _, q := range queries {
 		start := time.Now()
@@ -81,9 +79,7 @@ func runShardCell(c *benchCollector, queries []core.Query,
 		if err != nil {
 			return cell, err
 		}
-		elapsed := time.Since(start)
-		c.record(st, elapsed.Seconds())
-		cell.ms += float64(elapsed.Microseconds()) / 1000
+		cell.ms += float64(time.Since(start).Microseconds()) / 1000
 		cell.visited += float64(st.VisitedTrajectories)
 		cell.settled += float64(st.SettledVertices)
 		cell.xprunes += float64(st.SharedBoundPrunes)

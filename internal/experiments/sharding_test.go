@@ -5,15 +5,11 @@ import (
 	"context"
 	"strings"
 	"testing"
-
-	"uots/internal/obs"
 )
 
 func TestShardingExperiment(t *testing.T) {
-	reg := obs.NewRegistry()
-	ctx := WithMetrics(context.Background(), reg)
 	var buf bytes.Buffer
-	if err := Sharding(ctx, &buf, tinyProfile()); err != nil {
+	if err := Sharding(context.Background(), &buf, tinyProfile()); err != nil {
 		t.Fatalf("Sharding: %v", err)
 	}
 	out := buf.String()
@@ -21,22 +17,5 @@ func TestShardingExperiment(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("F10 output missing %q:\n%s", want, out)
 		}
-	}
-	// The sweep records per-configuration bench metrics like any other
-	// experiment, so -metrics-out captures the sharded runs too.
-	found := false
-	for _, m := range reg.Snapshot() {
-		if m.Name == "uots_bench_queries_total" {
-			for _, s := range m.Series {
-				for _, v := range s.Labels {
-					if strings.HasPrefix(v, "sharded-") {
-						found = true
-					}
-				}
-			}
-		}
-	}
-	if !found {
-		t.Error("no sharded-* series recorded in the bench registry")
 	}
 }

@@ -205,7 +205,7 @@ func (s *Service) indexFor(snap *trajdb.Store) *index.TrajBounds {
 }
 
 // Stats is a point-in-time snapshot of the write path, served at
-// /ingest/stats and scraped by the load harness for ingest lag.
+// /ingest/stats.
 type Stats struct {
 	Live            int    `json:"live"`
 	Generation      uint64 `json:"generation"`

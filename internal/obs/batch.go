@@ -3,10 +3,7 @@ package obs
 // BatchMetrics bundles the uots_batch_* instruments describing batch
 // search execution and the shared-expansion batch planner (see
 // core.BatchStats). The serving layer registers them on the server
-// registry (fed by /batch), and the bench harness registers them on the
-// run registry (fed by the F11 batch-sharing experiment) — same names,
-// separate registries, per the uots_* naming convention in
-// CONTRIBUTING.md.
+// registry, fed by /batch.
 //
 // The planner's headline signal is ServedSettles − FrontierSettles:
 // settles served to queries minus Dijkstra settles actually performed,
@@ -22,13 +19,8 @@ type BatchMetrics struct {
 	ServedSettles   *Counter // uots_batch_served_settles_total
 }
 
-// NewBatchMetrics registers the uots_batch_* instruments on reg. A nil
-// registry returns nil, whose RecordBatch is a no-op — callers with
-// optional metrics (the bench harness) need no guard.
+// NewBatchMetrics registers the uots_batch_* instruments on reg.
 func NewBatchMetrics(reg *Registry) *BatchMetrics {
-	if reg == nil {
-		return nil
-	}
 	return &BatchMetrics{
 		Batches: reg.Counter("uots_batch_requests_total",
 			"Batch search runs executed."),
@@ -53,9 +45,6 @@ func NewBatchMetrics(reg *Registry) *BatchMetrics {
 // are plain integers rather than a core type so obs stays free of
 // engine imports (core imports obs).
 func (m *BatchMetrics) RecordBatch(queries, failed, distinctSources, sourceRefs int, frontierSettles, servedSettles uint64, shared bool) {
-	if m == nil {
-		return
-	}
 	m.Batches.Inc()
 	m.Queries.AddInt(queries)
 	m.Failed.AddInt(failed)

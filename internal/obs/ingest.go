@@ -13,8 +13,8 @@ const (
 	TraceIngestReject = "ingest_reject"
 )
 
-// Rejection reasons for uots_ingest_rejected_total. Pinned here so the
-// serving layer and the load harness agree on label values.
+// Rejection reasons for uots_ingest_rejected_total, pinned here as the
+// label's whole value set.
 const (
 	IngestRejectInvalid = "invalid" // failed trajectory validation
 	IngestRejectBacklog = "backlog" // bounded ingest queue full (backpressure)

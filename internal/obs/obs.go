@@ -25,8 +25,8 @@ import "time"
 // observability twin of core's internal stopwatch helper: call it once
 // at the start of a measured section and invoke the returned function
 // for the elapsed time. Every instrumented layer (request middleware,
-// bench harnesses) times through this helper so the nodrift analyzer
-// can audit all wall-clock reads in one place.
+// scatter-gather, RPC) times through this helper so the nodrift
+// analyzer can audit all wall-clock reads in one place.
 //
 //uots:allow nodrift -- designated timing helper: elapsed time feeds metrics and logs only, never scores or pruning
 func Stopwatch() func() time.Duration {

@@ -140,75 +140,3 @@ func (r *Registry) Handler() http.Handler {
 		_ = r.WritePrometheus(w) // the connection is the only failure mode
 	})
 }
-
-// BucketSnapshot is one cumulative histogram bucket in a Snapshot.
-type BucketSnapshot struct {
-	// LE is the bucket's inclusive upper bound ("+Inf" for the last).
-	LE string `json:"le"`
-	// Count is the cumulative observation count at this bound.
-	Count uint64 `json:"count"`
-}
-
-// SeriesSnapshot is one labelled series in a Snapshot.
-type SeriesSnapshot struct {
-	Labels  map[string]string `json:"labels,omitempty"`
-	Value   *float64          `json:"value,omitempty"` // counters and gauges
-	Sum     *float64          `json:"sum,omitempty"`   // histograms
-	Count   *uint64           `json:"count,omitempty"`
-	Buckets []BucketSnapshot  `json:"buckets,omitempty"`
-}
-
-// MetricSnapshot is one metric family in a Snapshot.
-type MetricSnapshot struct {
-	Name   string           `json:"name"`
-	Type   string           `json:"type"`
-	Help   string           `json:"help,omitempty"`
-	Series []SeriesSnapshot `json:"series"`
-}
-
-// Snapshot returns the registry's current state as plain data, ordered
-// like WritePrometheus — the machine-readable form bench runs persist
-// next to their text tables.
-func (r *Registry) Snapshot() []MetricSnapshot {
-	out := []MetricSnapshot{} // non-nil so an empty registry marshals as [], not null
-	for _, f := range r.sortedFamilies() {
-		values, metrics := f.sortedSeries()
-		if len(metrics) == 0 {
-			continue
-		}
-		ms := MetricSnapshot{Name: f.name, Type: f.typ, Help: f.help}
-		for i, m := range metrics {
-			ss := SeriesSnapshot{}
-			if len(f.labelNames) > 0 {
-				ss.Labels = make(map[string]string, len(f.labelNames))
-				for j, n := range f.labelNames {
-					ss.Labels[n] = values[i][j]
-				}
-			}
-			switch m := m.(type) {
-			case *Counter:
-				v := float64(m.Value())
-				ss.Value = &v
-			case *Gauge:
-				v := float64(m.Value())
-				ss.Value = &v
-			case *Histogram:
-				sum, count := m.Sum(), uint64(0)
-				cum := m.cumulative()
-				ss.Buckets = make([]BucketSnapshot, len(cum))
-				for j, c := range cum {
-					le := "+Inf"
-					if j < len(m.upper) {
-						le = formatFloat(m.upper[j])
-					}
-					ss.Buckets[j] = BucketSnapshot{LE: le, Count: c}
-				}
-				count = cum[len(cum)-1]
-				ss.Sum, ss.Count = &sum, &count
-			}
-			ms.Series = append(ms.Series, ss)
-		}
-		out = append(out, ms)
-	}
-	return out
-}

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -95,44 +94,5 @@ func TestPrometheusEscaping(t *testing.T) {
 	}
 	if !strings.Contains(got, `uots_weird_total{q="a\"b\\c\nd"} 1`) {
 		t.Errorf("label value not escaped:\n%s", got)
-	}
-}
-
-func TestSnapshotRoundTripsThroughJSON(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("uots_queries_total", "Queries.").Add(3)
-	reg.HistogramVec("uots_query_seconds", "Per-query time.", []float64{1}, "algo").
-		With("expansion").Observe(0.5)
-
-	raw, err := json.Marshal(reg.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snaps []MetricSnapshot
-	if err := json.Unmarshal(raw, &snaps); err != nil {
-		t.Fatal(err)
-	}
-	if len(snaps) != 2 {
-		t.Fatalf("snapshot families = %d, want 2", len(snaps))
-	}
-	if snaps[0].Name != "uots_queries_total" || snaps[0].Type != "counter" {
-		t.Errorf("first family = %s %s", snaps[0].Name, snaps[0].Type)
-	}
-	if v := snaps[0].Series[0].Value; v == nil || *v != 3 {
-		t.Errorf("counter value = %v, want 3", v)
-	}
-	hist := snaps[1]
-	if hist.Name != "uots_query_seconds" || hist.Type != "histogram" {
-		t.Fatalf("second family = %s %s", hist.Name, hist.Type)
-	}
-	s := hist.Series[0]
-	if s.Labels["algo"] != "expansion" {
-		t.Errorf("labels = %v", s.Labels)
-	}
-	if s.Count == nil || *s.Count != 1 || s.Sum == nil || *s.Sum != 0.5 {
-		t.Errorf("histogram count/sum = %v/%v", s.Count, s.Sum)
-	}
-	if len(s.Buckets) != 2 || s.Buckets[1].LE != "+Inf" || s.Buckets[1].Count != 1 {
-		t.Errorf("buckets = %v", s.Buckets)
 	}
 }

@@ -155,6 +155,8 @@ func TestIngestEndpointValidation(t *testing.T) {
 	if rec.Code != http.StatusBadRequest || body["code"] != codeBadRequest {
 		t.Fatalf("oversized batch = %d %v, want 400 %q", rec.Code, body, codeBadRequest)
 	}
+
+	checkStrictBody(t, h, "/trajectories", `{"trajectories":[{"samples":[{"vertex":0,"t":1}]}]}`)
 }
 
 func TestIngestEndpointBackpressure(t *testing.T) {

@@ -19,6 +19,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"strconv"
@@ -461,18 +462,28 @@ func (s *Server) handleTrajectory(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// decodeJSON decodes a request body, distinguishing the body-cap limit
-// from plain malformed JSON.
+// decodeJSON decodes a request body that must be exactly one JSON value
+// using only fields v declares, distinguishing the body-cap limit from
+// plain malformed JSON. A misspelt field or trailing data is a 400, not
+// a different question answered with a 200.
 func decodeJSON(r *http.Request, v any) (status int, code string, err error) {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			return http.StatusRequestEntityTooLarge, codeBodyTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", mbe.Limit)
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	var mbe *http.MaxBytesError
+	if err = dec.Decode(v); err == nil {
+		// One value only: the next token must be the end of the body.
+		if _, err = dec.Token(); err == io.EOF {
+			return http.StatusOK, "", nil
 		}
-		return http.StatusBadRequest, codeBadRequest, fmt.Errorf("bad request body: %w", err)
+		if !errors.As(err, &mbe) {
+			err = errors.New("unexpected data after the JSON value")
+		}
 	}
-	return http.StatusOK, "", nil
+	if errors.As(err, &mbe) {
+		return http.StatusRequestEntityTooLarge, codeBodyTooLarge,
+			fmt.Errorf("request body exceeds %d bytes", mbe.Limit)
+	}
+	return http.StatusBadRequest, codeBadRequest, fmt.Errorf("bad request body: %w", err)
 }
 
 // writeEngineError maps an engine-side failure onto the documented error
@@ -732,7 +743,7 @@ func (s *Server) buildRequest(req SearchRequest) (core.Request, error) {
 		if s.vocab == nil {
 			return core.Request{}, errors.New("this dataset has no vocabulary; keywords unsupported")
 		}
-		q.Keywords = s.vocab.InternAll(textual.Tokenize(req.Keywords))
+		q.Keywords = s.vocab.LookupAll(textual.Tokenize(req.Keywords))
 	}
 	out := core.Request{Query: q, Theta: req.Theta, OrderAware: req.OrderAware}
 	if req.Window != "" {

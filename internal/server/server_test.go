@@ -12,6 +12,7 @@ import (
 
 	"uots/internal/core"
 	"uots/internal/index"
+	"uots/internal/ingest"
 	"uots/internal/roadnet"
 	"uots/internal/textual"
 	"uots/internal/trajdb"
@@ -46,17 +47,20 @@ func testServer(t *testing.T) (*Server, *trajdb.Store) {
 
 func doJSON(t *testing.T, h http.Handler, method, path string, body any) (*httptest.ResponseRecorder, map[string]any) {
 	t.Helper()
-	var rd *bytes.Reader
+	var raw []byte
 	if body != nil {
-		raw, err := json.Marshal(body)
-		if err != nil {
+		var err error
+		if raw, err = json.Marshal(body); err != nil {
 			t.Fatal(err)
 		}
-		rd = bytes.NewReader(raw)
-	} else {
-		rd = bytes.NewReader(nil)
 	}
-	req := httptest.NewRequest(method, path, rd)
+	return doRaw(t, h, method, path, raw)
+}
+
+// doRaw sends body verbatim, for bodies json.Marshal cannot produce.
+func doRaw(t *testing.T, h http.Handler, method, path string, body []byte) (*httptest.ResponseRecorder, map[string]any) {
+	t.Helper()
+	req := httptest.NewRequest(method, path, bytes.NewReader(body))
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
 	var parsed map[string]any
@@ -66,6 +70,27 @@ func doJSON(t *testing.T, h http.Handler, method, path string, body any) (*httpt
 		}
 	}
 	return rec, parsed
+}
+
+// checkStrictBody posts valid (a JSON object path answers 200 to) with
+// an undeclared field spliced in and with data after it: both used to be
+// answered 200 as if the extra were not there, and are now 400s that
+// say what was wrong.
+func checkStrictBody(t *testing.T, h http.Handler, path, valid string) {
+	t.Helper()
+	if rec, body := doRaw(t, h, "POST", path, []byte(valid)); rec.Code != http.StatusOK {
+		t.Fatalf("%s: valid body = %d %v", path, rec.Code, body)
+	}
+	for _, c := range []struct{ name, body, naming string }{
+		{"unknown field", `{"order_aware":true,` + valid[1:], `"order_aware"`},
+		{"trailing data", valid + " trailing", "after the JSON value"},
+	} {
+		rec, body := doRaw(t, h, "POST", path, []byte(c.body))
+		msg, _ := body["error"].(string)
+		if rec.Code != http.StatusBadRequest || body["code"] != codeBadRequest || !strings.Contains(msg, c.naming) {
+			t.Errorf("%s with %s = %d %v, want 400 %q naming %s", path, c.name, rec.Code, body, codeBadRequest, c.naming)
+		}
+	}
 }
 
 func TestHealthAndStats(t *testing.T) {
@@ -193,12 +218,10 @@ func TestSearchValidation(t *testing.T) {
 		}
 	}
 	// Malformed JSON body.
-	req := httptest.NewRequest("POST", "/search", strings.NewReader("{nope"))
-	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, req)
-	if rec.Code != http.StatusBadRequest {
+	if rec, _ := doRaw(t, s.Handler(), "POST", "/search", []byte("{nope")); rec.Code != http.StatusBadRequest {
 		t.Errorf("malformed body = %d", rec.Code)
 	}
+	checkStrictBody(t, s.Handler(), "/search", `{"vertexIds":[1],"k":3}`)
 }
 
 func ptr(f float64) *float64 { return &f }
@@ -455,12 +478,10 @@ func TestBatchValidation(t *testing.T) {
 	if rec.Code != http.StatusBadRequest {
 		t.Errorf("oversized batch = %d", rec.Code)
 	}
-	req := httptest.NewRequest("POST", "/batch", strings.NewReader("{bad"))
-	w := httptest.NewRecorder()
-	s.Handler().ServeHTTP(w, req)
-	if w.Code != http.StatusBadRequest {
-		t.Errorf("malformed batch body = %d", w.Code)
+	if rec, _ = doRaw(t, s.Handler(), "POST", "/batch", []byte("{bad")); rec.Code != http.StatusBadRequest {
+		t.Errorf("malformed batch body = %d", rec.Code)
 	}
+	checkStrictBody(t, s.Handler(), "/batch", `{"queries":[{"vertexIds":[1],"k":3}]}`)
 
 	// Entries are plain top-k queries. One that carries a modifier or a
 	// baseline algorithm used to be answered as if it did not; it now
@@ -488,5 +509,115 @@ func TestBatchValidation(t *testing.T) {
 		} else if !strings.Contains(msg, "/search") || entry["results"] != nil {
 			t.Errorf("entry %d: %v, want a per-entry error pointing at /search", i, entry)
 		}
+	}
+}
+
+// TestSearchDoesNotGrowVocabulary: a query's keywords are looked up, not
+// stored. InternAll on the read path let any client grow the server's
+// vocabulary (and its memory) without bound, one unseen word at a time.
+func TestSearchDoesNotGrowVocabulary(t *testing.T) {
+	s, _ := testServer(t)
+	h := s.Handler()
+	vocab := mustVocab(s)
+	size := vocab.Size()
+
+	for i := 0; i < 5; i++ {
+		rec, body := doJSON(t, h, "POST", "/search", SearchRequest{
+			VertexIDs: []int32{5}, Keywords: fmt.Sprintf("t0_kw0 ghost%d phantom%d", i, i), K: 3,
+		})
+		if rec.Code != http.StatusOK {
+			t.Fatalf("search %d = %d: %v", i, rec.Code, body)
+		}
+	}
+	rec, body := doJSON(t, h, "POST", "/batch", BatchRequest{Queries: []SearchRequest{
+		{VertexIDs: []int32{5}, Keywords: "batchghost t0_kw1", K: 3},
+		{VertexIDs: []int32{60}, Keywords: "batchphantom", K: 3},
+	}})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("batch = %d: %v", rec.Code, body)
+	}
+	if got := vocab.Size(); got != size {
+		t.Errorf("vocabulary grew %d -> %d across reads", size, got)
+	}
+	if _, body = doJSON(t, h, "GET", "/stats", nil); int(body["vocabulary"].(float64)) != size {
+		t.Errorf("/stats vocabulary = %v, want %d", body["vocabulary"], size)
+	}
+
+	// Unseen words still count in the union of SimT: the answer equals
+	// the one the engine gives the same words interned into a private
+	// copy of the vocabulary.
+	private := textual.NewVocab()
+	for id := 0; id < size; id++ {
+		term, _ := vocab.Term(textual.TermID(id))
+		private.Intern(term)
+	}
+	const words = "t0_kw0 ghost t0_kw1 phantom ghost"
+	want, wantStats, err := mustEngine(s).Search(core.Query{
+		Locations: []roadnet.VertexID{5, 60},
+		Keywords:  private.InternAll(textual.Tokenize(words)),
+		Lambda:    0.5, K: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, body = doJSON(t, h, "POST", "/search", SearchRequest{VertexIDs: []int32{5, 60}, Keywords: words, K: 5})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("mixed search = %d: %v", rec.Code, body)
+	}
+	got := body["results"].([]any)
+	if len(got) != len(want) {
+		t.Fatalf("got %d results, want %d", len(got), len(want))
+	}
+	for i, raw := range got {
+		r := raw.(map[string]any)
+		if int(r["trajectory"].(float64)) != int(want[i].Traj) ||
+			r["textual"].(float64) != want[i].Textual || r["score"].(float64) != want[i].Score {
+			t.Errorf("result %d = %v, want traj %d textual %v score %v",
+				i, r, want[i].Traj, want[i].Textual, want[i].Score)
+		}
+	}
+	stats := body["stats"].(map[string]any)
+	if int(stats["visitedTrajectories"].(float64)) != wantStats.VisitedTrajectories ||
+		int(stats["candidates"].(float64)) != wantStats.Candidates {
+		t.Errorf("stats = %v, want visited %d candidates %d", stats, wantStats.VisitedTrajectories, wantStats.Candidates)
+	}
+
+	// Live ingest: a word a commit interns between two queries carrying
+	// an unseen word must not become that word (the hazard of numbering
+	// unseen words upward from Size()).
+	live, _ := liveServer(t, ingest.Config{Fsync: ingest.FsyncNone}, Config{})
+	h = live.Handler()
+	ingestOne := func(vertex int32, keywords string) {
+		t.Helper()
+		rec, body := doJSON(t, h, "POST", "/trajectories", IngestRequest{Trajectories: []IngestTrajectory{{
+			Samples: []IngestSample{{Vertex: vertex, T: 1}}, Keywords: keywords,
+		}}})
+		if rec.Code != http.StatusOK {
+			t.Fatalf("ingest %q = %d %v", keywords, rec.Code, body)
+		}
+	}
+	textualByTraj := func() map[int]float64 {
+		t.Helper()
+		rec, body := doJSON(t, h, "POST", "/search", SearchRequest{VertexIDs: []int32{0}, Keywords: "museum ghost", K: 5})
+		if rec.Code != http.StatusOK {
+			t.Fatalf("live search = %d %v", rec.Code, body)
+		}
+		out := make(map[int]float64)
+		for _, raw := range body["results"].([]any) {
+			r := raw.(map[string]any)
+			out[int(r["trajectory"].(float64))] = r["textual"].(float64)
+		}
+		return out
+	}
+	ingestOne(0, "museum park")
+	if got := textualByTraj(); len(got) != 1 || got[0] != 1.0/3 {
+		t.Fatalf("before the commit: textual by trajectory = %v, want {0: 1/3}", got)
+	}
+	ingestOne(1, "brandnew")
+	if got := textualByTraj(); len(got) != 2 || got[0] != 1.0/3 || got[1] != 0 {
+		t.Errorf("after the commit: textual by trajectory = %v, want {0: 1/3, 1: 0}", got)
+	}
+	if got := mustVocab(live).Size(); got != 3 {
+		t.Errorf("live vocabulary = %d terms, want the 3 the ingests stored", got)
 	}
 }

@@ -10,6 +10,7 @@
 package textual
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -22,7 +23,7 @@ type TermID int32
 // Vocab is a bidirectional mapping between keyword strings and TermIDs.
 // The zero value is an empty, ready-to-use vocabulary. Vocab is safe for
 // concurrent use: the live ingest path interns new corpus keywords while
-// query setup interns search terms, so interning takes a write lock and
+// query setup looks search terms up, so interning takes a write lock and
 // lookups a read lock. Scoring itself runs on interned TermIDs and never
 // touches the vocabulary.
 type Vocab struct {
@@ -92,6 +93,31 @@ func (v *Vocab) InternAll(keywords []string) TermSet {
 		if id, ok := v.Intern(k); ok {
 			ids = append(ids, id)
 		}
+	}
+	return NewTermSet(ids)
+}
+
+// LookupAll is InternAll's read-only twin, for query keywords: a keyword
+// the vocabulary holds resolves to its TermID, and each distinct keyword
+// it does not hold gets a negative ID of its own, meaningful within the
+// returned set only. Intern never issues a negative ID, so no stored
+// document can match one — not even a document committed while the
+// query runs — yet the keyword still counts in the set's size (the union
+// of Jaccard) exactly as a freshly interned ID would. Nothing is stored:
+// a query cannot grow the vocabulary.
+func (v *Vocab) LookupAll(keywords []string) TermSet {
+	ids := make([]TermID, 0, len(keywords))
+	var unseen []string
+	for _, k := range keywords {
+		if id, ok := v.Lookup(k); ok {
+			ids = append(ids, id)
+		} else if norm := Normalize(k); norm != "" {
+			unseen = append(unseen, norm)
+		}
+	}
+	slices.Sort(unseen)
+	for i := range slices.Compact(unseen) {
+		ids = append(ids, TermID(-1-i))
 	}
 	return NewTermSet(ids)
 }

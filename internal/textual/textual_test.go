@@ -74,6 +74,15 @@ func TestVocabIntern(t *testing.T) {
 	if len(set) != 2 {
 		t.Fatalf("InternAll = %v", set)
 	}
+	// LookupAll stores nothing: known words keep their IDs, each distinct
+	// unknown word gets its own negative one.
+	got := v.LookupAll([]string{"Market", "ghost", "food", "phantom", "GHOST", "???"})
+	if want := (TermSet{-2, -1, 0, 1}); !reflect.DeepEqual(got, want) {
+		t.Errorf("LookupAll = %v, want %v", got, want)
+	}
+	if v.Size() != 2 {
+		t.Errorf("LookupAll grew the vocabulary to %d terms", v.Size())
+	}
 }
 
 func TestNewTermSetSortsAndDedups(t *testing.T) {
