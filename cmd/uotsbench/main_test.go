@@ -12,24 +12,27 @@ func TestRunList(t *testing.T) {
 	if code := run(t.Context(), []string{"-list"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("-list exited %d: %s", code, stderr.String())
 	}
-	for _, want := range []string{"T1", "F10", "sharding"} {
-		if !strings.Contains(stdout.String(), want) {
-			t.Errorf("-list output missing %q", want)
-		}
+	var ids []string
+	for _, line := range strings.Split(strings.TrimSpace(stdout.String()), "\n") {
+		ids = append(ids, strings.Fields(line)[0])
+	}
+	want := "T1 T2 T3 F1 F2 F3 F4 F5 F6 F7 F8 F9 F12"
+	if got := strings.Join(ids, " "); got != want {
+		t.Errorf("-list IDs = %s, want %s", got, want)
 	}
 }
 
 // TestRunWritesNoFile: the tables on stdout are the whole output — a
-// solo fleet-experiment run leaves its working directory empty.
+// solo run of the fleet experiment leaves its working directory empty.
 func TestRunWritesNoFile(t *testing.T) {
 	dir := t.TempDir()
 	t.Chdir(dir)
 	var stdout, stderr bytes.Buffer
-	if code := run(t.Context(), []string{"-exp", "F10", "-profile", "small"}, &stdout, &stderr); code != 0 {
+	if code := run(t.Context(), []string{"-exp", "F12", "-profile", "small"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exited %d: %s", code, stderr.String())
 	}
-	if !strings.Contains(stdout.String(), "monolithic") {
-		t.Errorf("F10 table not printed:\n%s", stdout.String())
+	if !strings.Contains(stdout.String(), "no-hedge") {
+		t.Errorf("F12 table not printed:\n%s", stdout.String())
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {

@@ -58,6 +58,11 @@
 // order, ',' separates that partition's interchangeable replicas; a
 // bare host:port gets http://). Every node must serve the same dataset
 // partitioned the same way (-partition, partition count = group count).
+// Before it listens the router probes every replica once and exits 1 if
+// a reachable one reports another partition index or count than its
+// place in the list; the health prober keeps checking, and a replica
+// that changes identity is refused, not merged. (A shard started with
+// another -partition reports the same identity and is not detected.)
 // Per-attempt deadlines (-rpc-timeout), bounded retries (-rpc-retries),
 // hedged requests (-hedge-delay; 0 disables), and health probes
 // (-probe-interval) guard the wire; -rpc-partial picks whether a dead
@@ -131,7 +136,7 @@ func main() {
 	ingestMode := flag.Bool("ingest", false, "enable the live write path (POST /trajectories) backed by a write-ahead log")
 	walDir := flag.String("wal-dir", "", "directory holding the ingest WAL (required with -ingest; replayed on boot)")
 	fsyncPolicy := flag.String("fsync", "always", "ingest WAL durability point: always, interval, or none")
-	landmarksK := flag.Int("landmarks", 0, "build this many ALT landmarks plus a per-trajectory pruning index for every search engine (0 disables)")
+	landmarksK := flag.Int("landmarks", 0, "build this many ALT landmarks plus a per-trajectory pruning index for every engine in this process; with -remote-shards that is only the router's baseline engine, uotsshard builds no index (0 disables)")
 	flag.Parse()
 
 	if *ingestMode {
@@ -179,8 +184,10 @@ func main() {
 	}
 
 	// -landmarks K builds the pruning index once over the boot store and
-	// threads it into every engine (monolithic, per-shard rebuilds, and
-	// the ingest snapshot path, which keeps it extended incrementally).
+	// threads it into every engine this process builds (monolithic,
+	// per-shard rebuilds under -shards, and the ingest snapshot path,
+	// which keeps it extended incrementally). Remote shard servers build
+	// their own engines and have no such flag.
 	engineOpts := core.Options{}
 	var indexBuildSecs float64
 	if *landmarksK > 0 {
@@ -191,19 +198,18 @@ func main() {
 		log.Printf("uotsserve: pruning index ready (%d landmarks, %d trajectories, %.2fs)",
 			lm.Count(), engineOpts.Index.NumTrajectories(), indexBuildSecs)
 	}
-	// indexObs registers the uots_index_* instruments on the serving
-	// registry and backfills the boot-time events (index build, sidecar
-	// warm start vs rebuild scan).
-	indexObs := func(reg *obs.Registry) *obs.IndexMetrics {
-		m := obs.NewIndexMetrics(reg)
-		if ds, ok := store.(*diskstore.Store); ok {
-			m.RecordOpen(ds.WarmStart())
-		}
-		if engineOpts.Index != nil {
-			m.RecordBuild(engineOpts.Index.Landmarks().Count(),
-				engineOpts.Index.NumTrajectories(), indexBuildSecs)
-		}
-		return m
+	// One registry serves every mode: the HTTP instruments, the
+	// uots_index_* family with its boot-time events backfilled here (index
+	// build, sidecar warm start vs rebuild scan), and whichever of the
+	// uots_shard_*, uots_rpc_* and uots_ingest_* families the mode adds.
+	reg := obs.NewRegistry()
+	indexMetrics := obs.NewIndexMetrics(reg)
+	if ds, ok := store.(*diskstore.Store); ok {
+		indexMetrics.RecordOpen(ds.WarmStart())
+	}
+	if engineOpts.Index != nil {
+		indexMetrics.RecordBuild(engineOpts.Index.Landmarks().Count(),
+			engineOpts.Index.NumTrajectories(), indexBuildSecs)
 	}
 
 	// In live-ingest mode engines are resolved per request from the
@@ -216,6 +222,7 @@ func main() {
 		}
 	}
 	cfg := server.Config{
+		Metrics:            reg,
 		Timeout:            *timeout,
 		MaxInFlight:        *maxInflight,
 		MaxBodyBytes:       *maxBody,
@@ -239,8 +246,6 @@ func main() {
 		default:
 			fatal(fmt.Errorf("unknown -rpc-partial %q (want fail or degrade)", *rpcPartial))
 		}
-		reg := obs.NewRegistry()
-		indexObs(reg)
 		m := rpc.NewMetrics(reg)
 		gcfg := rpc.GroupConfig{
 			CallTimeout:   *rpcTimeout,
@@ -276,7 +281,17 @@ func main() {
 			fatal(err)
 		}
 		defer remote.Close()
-		cfg.Metrics = reg
+		// A replica that answers for another partition (one address listed
+		// twice, a shard started with another -shard/-shards, the groups in
+		// the wrong order) would be merged into a 200 all the same — with
+		// duplicated and missing trajectories, or at best under the wrong
+		// partition's labels — so refuse to start on one. Unreachable
+		// replicas are the retry ladder's business, as before.
+		for i, g := range groups {
+			if err := g.ProbeAll(); err != nil {
+				fatal(fmt.Errorf("remote partition %d is mis-wired: %w", i, err))
+			}
+		}
 		cfg.Searcher = remote
 		log.Printf("uotsserve: remote search over %d partitions (%s; retries=%d timeout=%s hedge=%s probe=%s)",
 			len(groups), partial, *rpcRetries, *rpcTimeout, *hedgeDelay, *probeInterval)
@@ -286,10 +301,6 @@ func main() {
 		if !ok {
 			fatal(fmt.Errorf("unknown partitioner %q (want hash or region)", *partition))
 		}
-		// One registry feeds both the HTTP instruments and the per-shard
-		// uots_shard_* counters, so /metrics shows the whole picture.
-		reg := obs.NewRegistry()
-		indexObs(reg)
 		sharded, err := shard.NewExecutor(store, engineOpts, shard.Config{
 			Shards:      *shards,
 			Partitioner: part,
@@ -299,7 +310,6 @@ func main() {
 			fatal(err)
 		}
 		defer sharded.Close()
-		cfg.Metrics = reg
 		cfg.Searcher = sharded
 		log.Printf("uotsserve: sharded search over %d shards (%s partitioning)", sharded.NumShards(), part)
 	}
@@ -313,31 +323,22 @@ func main() {
 			fatal(err)
 		}
 		walPath := filepath.Join(*walDir, "ingest.wal")
-		reg := obs.NewRegistry()
 		dyn := trajdb.NewDynamicFromStore(memStore)
 		svc, err := ingest.Open(dyn, ingest.Config{
 			WALPath:      walPath,
 			Fsync:        pol,
 			Engine:       engineOpts,
 			Metrics:      obs.NewIngestMetrics(reg),
-			IndexMetrics: indexObs(reg),
+			IndexMetrics: indexMetrics,
 		})
 		if err != nil {
 			fatal(err)
 		}
 		live = svc
-		cfg.Metrics = reg
 		cfg.Live = svc
 		rec := svc.Recovery()
 		log.Printf("uotsserve: live ingest (wal=%s fsync=%s): replayed %d records / %d trajectories (%d truncated tail bytes), %d live",
 			walPath, pol, rec.Records, rec.Trajs, rec.TruncatedBytes, dyn.Len())
-	}
-	if cfg.Metrics == nil {
-		// Monolithic path: give the server its registry up front so the
-		// uots_index_* boot events appear on /metrics here too.
-		reg := obs.NewRegistry()
-		indexObs(reg)
-		cfg.Metrics = reg
 	}
 	srv := server.NewWithConfig(engine, vocab, nil, cfg)
 	log.Printf("uotsserve: %d vertices, %d trajectories, listening on %s (timeout=%s max-inflight=%d)",

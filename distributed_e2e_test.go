@@ -198,6 +198,38 @@ func TestDistributedServing(t *testing.T) {
 			time.Sleep(100 * time.Millisecond)
 		}
 	}
+	// A router whose -remote-shards disagrees with what the shards serve
+	// (here: partition 1's replicas listed as both partitions) would
+	// answer 200 with half the corpus twice and the other half missing;
+	// it must refuse to start instead, naming a replica and both
+	// identities.
+	t.Run("miswired router exits 1", func(t *testing.T) {
+		cmd := exec.Command(bin("uotsserve"), "-data", data, "-addr", "127.0.0.1:18938",
+			"-remote-shards", topo[1]+";"+topo[1])
+		var stderr strings.Builder
+		cmd.Stderr = &stderr
+		if err := cmd.Start(); err != nil {
+			t.Fatalf("uotsserve start: %v", err)
+		}
+		exitc := make(chan error, 1)
+		go func() { exitc <- cmd.Wait() }()
+		select {
+		case <-exitc:
+		case <-time.After(20 * time.Second):
+			cmd.Process.Kill()
+			<-exitc
+			t.Fatalf("mis-wired router kept running; stderr:\n%s", stderr.String())
+		}
+		if code := cmd.ProcessState.ExitCode(); code != 1 {
+			t.Errorf("exit code %d, want 1", code)
+		}
+		for _, want := range []string{grid[1][0].addr, "reports partition 1 of 2", "expects 0 of 2"} {
+			if !strings.Contains(stderr.String(), want) {
+				t.Errorf("stderr does not mention %q:\n%s", want, stderr.String())
+			}
+		}
+	})
+
 	startServe("-addr", monoAddr)
 	router := startServe("-addr", routerAddr,
 		"-remote-shards", strings.Join(topo, ";"),

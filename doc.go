@@ -16,8 +16,9 @@
 //   - an HMM map matcher for raw GPS input,
 //   - the UOTS engine: the expansion search with upper-bound pruning,
 //     heuristic query-source scheduling, adaptive probes and early
-//     termination, plus Exhaustive and TextFirst baselines and a parallel
-//     batch engine.
+//     termination, plus Exhaustive and TextFirst baselines, a parallel
+//     batch engine, and one optional pruning aid (Options.Index, built
+//     with NewTrajBounds) that prunes work without changing an answer.
 //
 // # Quickstart
 //

@@ -3,6 +3,7 @@ package uots_test
 import (
 	"bytes"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"uots"
@@ -80,6 +81,16 @@ func TestFacadeWrappers(t *testing.T) {
 	}
 	if len(res) != 2 {
 		t.Fatalf("disk engine results = %d", len(res))
+	}
+
+	// The pruning aid through the facade: same answer, built from outside
+	// the module's internal packages.
+	indexed, err := uots.NewEngine(disk, uots.Options{Index: uots.NewTrajBounds(disk, uots.NewLandmarks(g, 4, 0))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _, err := indexed.Search(uots.Query{Locations: []uots.VertexID{3}, Lambda: 1, K: 2}); err != nil || !reflect.DeepEqual(got, res) {
+		t.Fatalf("indexed search = (%+v, %v), want the plain engine's %+v", got, err, res)
 	}
 
 	// ShortestPath helper.

@@ -1,12 +1,13 @@
 // Package driver runs a set of analysis.Analyzers over type-checked
-// packages (bin/uotsvet ./...): it shells out to
-// `go list -e -deps -export -json` and type-checks each package from the
-// export data cmd/go built. Diagnostics print as
-// file:line:col: [analyzer] message and any of them exits non-zero.
+// packages: it shells out to `go list -e -deps -export -json` and
+// type-checks each package from the export data cmd/go built. Run is
+// the whole of it; Main wraps Run for bin/uotsvet, and the tier-1 test
+// in internal/analysis/uotsvet calls Run directly.
 package driver
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/importer"
@@ -23,6 +24,9 @@ import (
 )
 
 // Main is the entry point shared by cmd/uotsvet. It never returns.
+// Diagnostics print as file:line:col: [analyzer] message and any of
+// them exits non-zero; -unused-allows also prints the allow audit and
+// fails on a stale directive.
 func Main(analyzers []*analysis.Analyzer) {
 	progname := filepath.Base(os.Args[0])
 	args := os.Args[1:]
@@ -31,44 +35,52 @@ func Main(analyzers []*analysis.Analyzer) {
 		printHelp(progname, analyzers)
 		os.Exit(0)
 	}
-	// Flags are accepted anywhere before or between the package patterns.
-	var opts options
+	// The flag is accepted anywhere before or between the package patterns.
+	auditAllows := false
 	var patterns []string
 	for _, arg := range args {
-		switch arg {
-		case "-json":
-			opts.jsonOut = true
-		case "-unused-allows":
-			opts.auditAllows = true
-		default:
+		if arg == "-unused-allows" {
+			auditAllows = true
+		} else {
 			patterns = append(patterns, arg)
 		}
 	}
 	if len(patterns) == 0 {
-		fmt.Fprintf(os.Stderr, "usage: %s [-json] [-unused-allows] package-pattern...\n", progname)
+		fmt.Fprintf(os.Stderr, "usage: %s [-unused-allows] package-pattern...\n", progname)
 		os.Exit(1)
 	}
-	os.Exit(run(patterns, analyzers, opts))
+	rep, err := Run(patterns, analyzers)
+	exit := 0
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		exit = 1
+	}
+	for _, f := range rep.Findings {
+		fmt.Fprintln(os.Stderr, f)
+		exit = 1
+	}
+	if auditAllows {
+		for _, s := range rep.StaleAllows {
+			fmt.Fprintf(os.Stderr, "uotsvet: unused allow: %s\n", s)
+			exit = 1
+		}
+		fmt.Fprintf(os.Stderr, "uotsvet: allow audit: %d directive names, %d in use, %d stale\n",
+			rep.Allows, rep.AllowsInUse, len(rep.StaleAllows))
+	}
+	os.Exit(exit)
 }
 
-// options are the driver's flags.
-type options struct {
-	// jsonOut additionally prints the findings as a JSON array on
-	// stdout (file/line/col/analyzer/message), for CI artifacts.
-	jsonOut bool
-	// auditAllows reports //uots:allow directives that suppressed no
-	// diagnostic over the analyzed packages - stale escape hatches that
-	// should be pruned.
-	auditAllows bool
-}
-
-// finding is the JSON shape of one diagnostic.
-type finding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
+// Report is what one Run found.
+type Report struct {
+	// Findings are the diagnostics, each rendered as
+	// "file:line:col: [analyzer] message".
+	Findings []string
+	// StaleAllows are the //uots:allow directives that suppressed no
+	// diagnostic over the analyzed packages — escape hatches to prune.
+	StaleAllows []string
+	// Allows and AllowsInUse count the (directive, analyzer name) pairs
+	// seen and the ones that suppressed something.
+	Allows, AllowsInUse int
 }
 
 func printHelp(progname string, analyzers []*analysis.Analyzer) {
@@ -89,17 +101,20 @@ type listPackage struct {
 	Error      *struct{ Err string }
 }
 
-func run(patterns []string, analyzers []*analysis.Analyzer, opts options) int {
+// Run loads the packages matching patterns (resolved by `go list` from
+// the working directory) and runs every analyzer over each. The error
+// joins whatever kept a package from being analyzed; the report covers
+// the packages that were.
+func Run(patterns []string, analyzers []*analysis.Analyzer) (Report, error) {
+	var rep Report
 	cmd := exec.Command("go", append([]string{"list", "-e", "-deps", "-export", "-json=ImportPath,Dir,GoFiles,ImportMap,Export,DepOnly,Error"}, patterns...)...)
 	cmd.Stderr = os.Stderr
 	out, err := cmd.StdoutPipe()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
+		return rep, err
 	}
 	if err := cmd.Start(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
+		return rep, err
 	}
 	var targets []*listPackage
 	index := make(map[string]*listPackage) // import path -> package
@@ -110,8 +125,7 @@ func run(patterns []string, analyzers []*analysis.Analyzer, opts options) int {
 		if err := dec.Decode(&p); err == io.EOF {
 			break
 		} else if err != nil {
-			fmt.Fprintf(os.Stderr, "uotsvet: go list: %v\n", err)
-			return 1
+			return rep, fmt.Errorf("uotsvet: go list: %w", err)
 		}
 		pp := p
 		index[p.ImportPath] = &pp
@@ -123,8 +137,7 @@ func run(patterns []string, analyzers []*analysis.Analyzer, opts options) int {
 		}
 	}
 	if err := cmd.Wait(); err != nil {
-		fmt.Fprintf(os.Stderr, "uotsvet: go list: %v\n", err)
-		return 1
+		return rep, fmt.Errorf("uotsvet: go list: %w", err)
 	}
 
 	lookup := func(path string) (io.ReadCloser, error) {
@@ -138,14 +151,10 @@ func run(patterns []string, analyzers []*analysis.Analyzer, opts options) int {
 		return os.Open(p.Export)
 	}
 
-	exit := 0
-	findings := []finding{} // non-nil: -json prints [] when clean
-	var stale []string
-	totalAllows, usedAllows := 0, 0
+	var errs []error
 	for _, p := range targets {
 		if p.Error != nil {
-			fmt.Fprintf(os.Stderr, "uotsvet: %s: %s\n", p.ImportPath, p.Error.Err)
-			exit = 1
+			errs = append(errs, fmt.Errorf("uotsvet: %s: %s", p.ImportPath, p.Error.Err))
 			continue
 		}
 		if len(p.GoFiles) == 0 {
@@ -158,61 +167,29 @@ func run(patterns []string, analyzers []*analysis.Analyzer, opts options) int {
 		}
 		files, err := parseFiles(fset, paths)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			exit = 1
+			errs = append(errs, err)
 			continue
 		}
 		pkg, info, err := typecheck(fset, p.ImportPath, files, lookup)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "uotsvet: typechecking %s: %v\n", p.ImportPath, err)
-			exit = 1
+			errs = append(errs, fmt.Errorf("uotsvet: typechecking %s: %w", p.ImportPath, err))
 			continue
 		}
 		diags, used, err := runAnalyzers(analyzers, fset, files, pkg, info)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			exit = 1
+			errs = append(errs, err)
 			continue
 		}
-		printDiags(fset, diags)
-		if len(diags) > 0 {
-			exit = 1
+		for _, d := range diags {
+			rep.Findings = append(rep.Findings,
+				fmt.Sprintf("%s: [%s] %s", fset.Position(d.Pos), d.Analyzer, d.Message))
 		}
-		if opts.jsonOut {
-			for _, d := range diags {
-				pos := fset.Position(d.Pos)
-				findings = append(findings, finding{
-					File: pos.Filename, Line: pos.Line, Col: pos.Column,
-					Analyzer: d.Analyzer, Message: d.Message,
-				})
-			}
-		}
-		if opts.auditAllows {
-			s, total, inUse := auditAllows(fset, files, used)
-			stale = append(stale, s...)
-			totalAllows += total
-			usedAllows += inUse
-		}
+		stale, total, inUse := auditAllows(fset, files, used)
+		rep.StaleAllows = append(rep.StaleAllows, stale...)
+		rep.Allows += total
+		rep.AllowsInUse += inUse
 	}
-	if opts.jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(findings); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			exit = 1
-		}
-	}
-	if opts.auditAllows {
-		for _, s := range stale {
-			fmt.Fprintf(os.Stderr, "uotsvet: unused allow: %s\n", s)
-		}
-		fmt.Fprintf(os.Stderr, "uotsvet: allow audit: %d directive names, %d in use, %d stale\n",
-			totalAllows, usedAllows, len(stale))
-		if len(stale) > 0 {
-			exit = 1
-		}
-	}
-	return exit
+	return rep, errors.Join(errs...)
 }
 
 // auditAllows compares the package's allow directives against the
@@ -297,10 +274,4 @@ func runAnalyzers(analyzers []*analysis.Analyzer, fset *token.FileSet, files []*
 		}
 	}
 	return diags, used, nil
-}
-
-func printDiags(fset *token.FileSet, diags []analysis.Diagnostic) {
-	for _, d := range diags {
-		fmt.Fprintf(os.Stderr, "%s: [%s] %s\n", fset.Position(d.Pos), d.Analyzer, d.Message)
-	}
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"uots/internal/analysis/driver"
 	"uots/internal/analysis/uotsvet"
 )
 
@@ -84,5 +85,29 @@ func TestRegistry(t *testing.T) {
 		if !strings.Contains(string(contributing), "`"+a.Name+"`") {
 			t.Errorf("analyzer %q is not described in CONTRIBUTING.md", a.Name)
 		}
+	}
+}
+
+// TestTreeIsClean is `make lint` as a tier-1 test: the whole suite over
+// every package of the module, through the same driver.Run bin/uotsvet
+// calls. A finding fails it, and so does a //uots:allow that no longer
+// suppresses anything.
+func TestTreeIsClean(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads and type-checks the whole module")
+	}
+	rep, err := driver.Run([]string{"uots/..."}, uotsvet.Analyzers())
+	if err != nil {
+		t.Fatalf("loading the module: %v", err)
+	}
+	for _, f := range rep.Findings {
+		t.Errorf("finding: %s", f)
+	}
+	for _, s := range rep.StaleAllows {
+		t.Errorf("stale allow: %s", s)
+	}
+	if rep.Allows == 0 || rep.AllowsInUse != rep.Allows-len(rep.StaleAllows) {
+		t.Errorf("allow audit saw %d directive names, %d in use, %d stale — the run analyzed nothing, or the counts disagree",
+			rep.Allows, rep.AllowsInUse, len(rep.StaleAllows))
 	}
 }

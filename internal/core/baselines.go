@@ -137,8 +137,8 @@ func (e *Engine) exhaustiveScan(ctx context.Context, q Query, sink func(Result))
 // alone, the baseline must fall back to scanning the zero-text tail
 // whenever the bar allows it — the structural weakness the paper's
 // expansion algorithm removes. When the engine carries a pruning aid
-// (Options.Index or Options.Landmarks) the baseline uses it to skip exact
-// spatial evaluations that provably cannot qualify.
+// (Options.Index) the baseline uses it to skip exact spatial evaluations
+// that provably cannot qualify.
 //
 //uots:allow ctxflow -- compat wrapper: the context-free API has no caller context to thread
 func (e *Engine) TextFirstSearch(q Query) ([]Result, SearchStats, error) {
@@ -171,7 +171,7 @@ func (e *Engine) textFirst(ctx context.Context, q Query) ([]Result, SearchStats,
 		stats.VisitedTrajectories++
 		// Landmark pruning: a lower bound on every query-location distance
 		// upper-bounds the spatial similarity.
-		if bar, ok := topk.Threshold(); ok && e.hasLandmarkBounds() {
+		if bar, ok := topk.Threshold(); ok && e.opts.Index != nil {
 			if combine(q.Lambda, e.landmarkSpatialUB(q.Locations, tid), text) < bar {
 				stats.LandmarkPrunes++
 				return

@@ -3,8 +3,6 @@ package core
 import (
 	"math/rand/v2"
 	"testing"
-
-	"uots/internal/roadnet"
 )
 
 // TestExpansionMatchesExhaustiveTopK is the central correctness test: over
@@ -15,7 +13,6 @@ func TestExpansionMatchesExhaustiveTopK(t *testing.T) {
 	configs := []Options{
 		{Scheduling: ScheduleHeuristic},
 		{Scheduling: ScheduleRoundRobin},
-		{Scheduling: ScheduleMinRadius},
 		{Scheduling: ScheduleHeuristic, DisableTextProbe: true},
 		{Scheduling: ScheduleHeuristic, relabelEvery: 7},
 	}
@@ -64,11 +61,8 @@ func TestTextFirstMatchesExhaustive(t *testing.T) {
 // TestTextFirstWithLandmarksMatchesExhaustive validates that the landmark
 // pruning inside the TextFirst baseline never changes its answers.
 func TestTextFirstWithLandmarksMatchesExhaustive(t *testing.T) {
-	f := testFixture(t)
-	e, err := NewEngine(f.db, Options{Landmarks: roadnet.NewLandmarks(f.g, 8, 0)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb, _ := testBounds(t)
+	e, f := newTestEngine(t, Options{Index: tb})
 	rng := rand.New(rand.NewPCG(52, 53))
 	for trial := 0; trial < 8; trial++ {
 		q := f.randomQuery(rng, 1+rng.IntN(4), rng.IntN(4), [4]float64{0.1, 0.4, 0.7, 1}[rng.IntN(4)], 1+rng.IntN(5))

@@ -84,32 +84,14 @@ func combine(lambda, spatial, textual float64) float64 {
 	return lambda*spatial + (1-lambda)*textual
 }
 
-// hasLandmarkBounds reports whether some form of landmark lower bound
-// is configured (the per-trajectory interval index or raw ALT tables).
-// Options is the one place pruning aids are configured: the expansion
-// search and the TextFirst baseline both read them from here.
-func (e *Engine) hasLandmarkBounds() bool {
-	return e.opts.Index != nil || e.opts.Landmarks != nil
-}
-
 // landmarkSpatialUB upper-bounds a trajectory's spatial similarity from
-// landmark lower bounds on its distance to every query location. With
-// Options.Index present the bound is an O(K) interval lookup per
-// location and touches no store state; the Landmarks fallback scans the
-// trajectory's vertex set (O(K·|τ|), faulting the record on a disk
-// store) for a tighter but costlier bound.
+// Options.Index's landmark lower bounds on its distance to every query
+// location: an O(K) interval lookup per location that touches no store
+// state. Callers check Options.Index != nil first.
 func (e *Engine) landmarkSpatialUB(locations []roadnet.VertexID, tid trajdb.TrajID) float64 {
 	var sum float64
-	if ix := e.opts.Index; ix != nil {
-		for _, o := range locations {
-			sum += e.kernel(ix.LowerBound(o, tid))
-		}
-	} else {
-		lm := e.opts.Landmarks
-		verts := e.db.UniqueVertices(tid)
-		for _, o := range locations {
-			sum += e.kernel(lm.LowerBoundToSet(o, verts))
-		}
+	for _, o := range locations {
+		sum += e.kernel(e.opts.Index.LowerBound(o, tid))
 	}
 	return sum / float64(len(locations))
 }

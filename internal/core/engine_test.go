@@ -256,16 +256,9 @@ func TestCosineTextSim(t *testing.T) {
 }
 
 func TestLandmarkAssistedSearchExact(t *testing.T) {
-	f := testFixture(t)
-	lm := roadnet.NewLandmarks(f.g, 8, 0)
-	e, err := NewEngine(f.db, Options{Landmarks: lm})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := NewEngine(f.db, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb, _ := testBounds(t)
+	e, f := newTestEngine(t, Options{Index: tb})
+	plain, _ := newTestEngine(t, Options{})
 	rng := rand.New(rand.NewPCG(71, 72))
 	for trial := 0; trial < 10; trial++ {
 		q := f.randomQuery(rng, 1+rng.IntN(4), 1+rng.IntN(4), 0.1+0.8*rng.Float64(), 5)
@@ -392,8 +385,7 @@ func TestBatchAlgorithmsAgree(t *testing.T) {
 
 func TestStringers(t *testing.T) {
 	if ScheduleHeuristic.String() != "heuristic" ||
-		ScheduleRoundRobin.String() != "roundrobin" ||
-		ScheduleMinRadius.String() != "minradius" {
+		ScheduleRoundRobin.String() != "roundrobin" {
 		t.Error("Scheduling strings wrong")
 	}
 	if Scheduling(9).String() == "" {

@@ -445,13 +445,13 @@ func (st *expansionState) rescan() bool {
 				break
 			}
 			_, tid, _ := st.textHeap.Pop()
-			if st.e.hasLandmarkBounds() {
+			if st.e.opts.Index != nil {
 				if ubS := st.e.landmarkSpatialUB(st.q.Locations, tid); combine(lambda, ubS, textTop) < bar {
 					// Provably outside the result: discard with no
 					// Dijkstra work at all. candFor's admission prune may
 					// have reached the same verdict already (it runs the
-					// identical bound when Options.Index is set), so only
-					// count and emit when this check did the work.
+					// identical bound), so only count and emit when this
+					// check did the work.
 					if c := st.candFor(tid); !c.complete {
 						c.complete = true
 						st.stats.LandmarkPrunes++
@@ -611,8 +611,6 @@ func (st *expansionState) pickSource() int {
 				return st.rr
 			}
 		}
-	case ScheduleMinRadius:
-		return st.minRadiusSource()
 	default: // ScheduleHeuristic
 		// Among the sources that still owe scans to live partly scanned
 		// candidates (per the labels of the last rescan), expand the one

@@ -88,31 +88,6 @@ func TestIndexPruningIsByteIdentical(t *testing.T) {
 	}
 }
 
-// TestIndexPruningMatchesLandmarkPruning: the interval index and the
-// exact per-vertex ALT prune are interchangeable — both must agree with
-// each other (both already agree with the unassisted engine above).
-func TestIndexPruningMatchesLandmarkPruning(t *testing.T) {
-	tb, lm := testBounds(t)
-	viaLM, f := newTestEngine(t, Options{Landmarks: lm})
-	viaIx, _ := newTestEngine(t, Options{Index: tb})
-	rng := rand.New(rand.NewPCG(877, 0))
-	for i := 0; i < 10; i++ {
-		q := f.randomQuery(rng, 3, 3, 0.5, 10)
-		want, _, err := viaLM.Search(q)
-		if err != nil {
-			t.Fatalf("query %d landmarks: %v", i, err)
-		}
-		got, _, err := viaIx.Search(q)
-		if err != nil {
-			t.Fatalf("query %d index: %v", i, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("query %d: Options.Index and Options.Landmarks disagree\ngot  %+v\nwant %+v",
-				i, got, want)
-		}
-	}
-}
-
 // TestIndexPruningUnderCancellation: the indexed engine observes a
 // pre-cancelled context exactly like the plain one — context.Canceled,
 // no partial results — and stays uncorrupted for the next query.

@@ -122,9 +122,6 @@ const (
 	// ScheduleRoundRobin cycles through sources — the "w/o heuristic"
 	// ablation configuration of the paper's experiments.
 	ScheduleRoundRobin
-	// ScheduleMinRadius always expands the source with the smallest
-	// current radius, greedily shrinking the unseen-trajectory bound.
-	ScheduleMinRadius
 )
 
 // String implements fmt.Stringer.
@@ -134,8 +131,6 @@ func (s Scheduling) String() string {
 		return "heuristic"
 	case ScheduleRoundRobin:
 		return "roundrobin"
-	case ScheduleMinRadius:
-		return "minradius"
 	default:
 		return fmt.Sprintf("Scheduling(%d)", int(s))
 	}
@@ -191,19 +186,16 @@ type Options struct {
 	// expansion; only blockers that survive even that radius are resolved
 	// with direct distance probes; 2.5.
 	probeRadiusFactor float64
-	// Landmarks, when non-nil, provides ALT network-distance lower bounds
-	// (roadnet.NewLandmarks) that let the engine discard
-	// termination-blocking textual candidates without running any
-	// Dijkstra: a lower bound on every query-location distance
-	// upper-bounds the spatial similarity. Optional; a systems-level
+	// Index, when non-nil, is the engine's one pruning aid: precomputed
+	// per-trajectory landmark interval bounds (index.NewTrajBounds). A
+	// lower bound on every query-location distance upper-bounds the
+	// spatial similarity, at O(K) per (location, trajectory) with no
+	// store access, so the expansion search tests every admission and
+	// every termination-blocking textual candidate against the bar, and
+	// the TextFirst baseline every visit, before any Dijkstra runs. The
+	// index must cover exactly the engine's store (same dense IDs);
+	// NewEngine rejects a size mismatch. Optional; a systems-level
 	// optimization flagged as an extension in DESIGN.md.
-	Landmarks *roadnet.Landmarks
-	// Index, when non-nil, provides precomputed per-trajectory landmark
-	// interval bounds (index.NewTrajBounds) and supersedes Landmarks for
-	// spatial upper-bounding: bounds cost O(K) per (location, trajectory)
-	// with no store access, which additionally enables the admission-time
-	// prune in the expansion scan loop. The index must cover exactly the
-	// engine's store (same dense IDs); NewEngine rejects a size mismatch.
 	Index *index.TrajBounds
 }
 
@@ -221,7 +213,7 @@ func (o Options) normalize() (Options, error) {
 		o.probeRadiusFactor = 2.5
 	}
 	switch o.Scheduling {
-	case ScheduleHeuristic, ScheduleRoundRobin, ScheduleMinRadius:
+	case ScheduleHeuristic, ScheduleRoundRobin:
 	default:
 		return o, fmt.Errorf("%w: %d", ErrUnknownScheduling, int(o.Scheduling))
 	}
@@ -261,9 +253,9 @@ type SearchStats struct {
 	// sharded execution.
 	SharedBoundPrunes int
 	// LandmarkPrunes counts trajectories discarded purely from landmark
-	// lower bounds (Options.Landmarks or Options.Index): their spatial
-	// upper bound fell below the bar before any exact distance was
-	// computed, so no Dijkstra or record access was spent on them.
+	// lower bounds (Options.Index): their spatial upper bound fell below
+	// the bar before any exact distance was computed, so no Dijkstra or
+	// record access was spent on them.
 	LandmarkPrunes int
 	// EarlyTerminated reports whether the upper bound dropped below the
 	// pruning threshold before the search space was exhausted.

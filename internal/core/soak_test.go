@@ -5,6 +5,7 @@ import (
 	"os"
 	"testing"
 
+	"uots/internal/index"
 	"uots/internal/roadnet"
 	"uots/internal/textual"
 	"uots/internal/trajdb"
@@ -40,18 +41,18 @@ func TestSoakWideRandomWorlds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var lm *roadnet.Landmarks
+		var tb *index.TrajBounds
 		if trial%2 == 1 {
-			lm = roadnet.NewLandmarks(g, 1+rng.IntN(6), 0)
+			tb = index.NewTrajBounds(db, roadnet.NewLandmarks(g, 1+rng.IntN(6), 0))
 		}
 		e, err := NewEngine(db, Options{
-			Scheduling:        Scheduling(rng.IntN(3)),
+			Scheduling:        Scheduling(rng.IntN(2)),
 			TextSim:           TextSim(rng.IntN(2)),
 			relabelEvery:      1 + rng.IntN(200),
 			DisableTextProbe:  rng.IntN(3) == 0,
 			probeRadiusFactor: 0.5 + rng.Float64()*6,
 			DistScale:         0.2 + rng.Float64()*3,
-			Landmarks:         lm,
+			Index:             tb,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -69,9 +69,9 @@ const (
 const NoteCrossShard = "xshard"
 
 // NoteLandmark marks a TracePrune decided purely from landmark
-// lower bounds (Options.Landmarks or Options.Index): the candidate was
-// discarded before any exact distance computation or record access
-// (counted in SearchStats.LandmarkPrunes).
+// lower bounds (Options.Index): the candidate was discarded before any
+// exact distance computation or record access (counted in
+// SearchStats.LandmarkPrunes).
 const NoteLandmark = "landmark"
 
 // Termination causes carried in TraceTerminate's Note.

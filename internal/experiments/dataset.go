@@ -23,9 +23,6 @@ type Dataset struct {
 	Vocab *textual.SyntheticVocab
 	Store *trajdb.Store
 
-	lmOnce sync.Once
-	lm     *roadnet.Landmarks
-
 	ixOnce sync.Once
 	ix     *roadnet.VertexIndex
 
@@ -33,22 +30,12 @@ type Dataset struct {
 	tb     *index.TrajBounds
 }
 
-// Landmarks returns (building lazily, once) the ALT landmark set the
-// TextFirst baseline uses for distance lower bounds.
-func (d *Dataset) Landmarks() *roadnet.Landmarks {
-	d.lmOnce.Do(func() {
-		d.lm = roadnet.NewLandmarks(d.Graph, 16, 0)
-	})
-	return d.lm
-}
-
-// Bounds returns (building lazily, once) the per-trajectory landmark
-// interval index over the dataset's corpus, sharing the Landmarks
-// distance tables. Experiments opt into it explicitly (F13); Measure
-// never attaches it, so the committed F1–F12 baselines are unaffected.
+// Bounds returns (building lazily, once) the pruning index every
+// measured engine carries: per-trajectory interval bounds over 16 ALT
+// landmarks, what `uotsserve -landmarks 16` builds at boot.
 func (d *Dataset) Bounds() *index.TrajBounds {
 	d.tbOnce.Do(func() {
-		d.tb = index.NewTrajBounds(d.Store, d.Landmarks())
+		d.tb = index.NewTrajBounds(d.Store, roadnet.NewLandmarks(d.Graph, 16, 0))
 	})
 	return d.tb
 }

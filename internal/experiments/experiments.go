@@ -32,10 +32,7 @@ func All() []Experiment {
 		{"F7", "threshold", "effect of similarity threshold θ", Threshold},
 		{"F8", "disk", "disk-resident store vs memory (LRU buffer budgets)", DiskResident},
 		{"F9", "locality", "effect of query-location spread (clustered → city-wide)", Locality},
-		{"F10", "sharding", "sharded scatter-gather vs monolithic (shard count N)", Sharding},
-		{"F11", "batchshare", "shared-expansion batch planner vs independent execution (source-overlap rate)", BatchShare},
 		{"F12", "hedging", "hedged requests vs tail latency (distributed path, injected slow replica)", Hedging},
-		{"F13", "indexing", "landmark/TrajBounds pruning index vs unassisted scan (per-query latency, byte-identical results)", Indexing},
 	}
 }
 
@@ -269,12 +266,12 @@ func Threshold(ctx context.Context, w io.Writer, p Profile) error {
 		algos, func(v float64) float64 { return v })
 }
 
-// SchedulingAblation reproduces the strategy ablation: the three source
-// schedulers plus the no-text-probe configuration.
+// SchedulingAblation reproduces the paper's strategy ablations: the
+// heuristic source scheduler, round-robin (no heuristic), and the
+// heuristic without text probes.
 func SchedulingAblation(ctx context.Context, w io.Writer, p Profile) error {
 	algos := []AlgoConfig{
 		{Name: "heuristic", Kind: core.AlgoExpansion, Opts: core.Options{Scheduling: core.ScheduleHeuristic}},
-		{Name: "minradius", Kind: core.AlgoExpansion, Opts: core.Options{Scheduling: core.ScheduleMinRadius}},
 		{Name: "roundrobin", Kind: core.AlgoExpansion, Opts: core.Options{Scheduling: core.ScheduleRoundRobin}},
 		{Name: "heuristic-no-probe", Kind: core.AlgoExpansion, Opts: core.Options{Scheduling: core.ScheduleHeuristic, DisableTextProbe: true}},
 	}
@@ -299,9 +296,8 @@ func SchedulingAblation(ctx context.Context, w io.Writer, p Profile) error {
 }
 
 // Workers reproduces the thread-count figure: wall-clock time of a fixed
-// query batch under growing worker pools. (On a single-core host the
-// curve flattens at one; the shape is recorded with the host's core count
-// in EXPERIMENTS.md.)
+// query batch under growing worker pools. The curve flattens at the
+// host's core count, which EXPERIMENTS.md records beside the numbers.
 func Workers(ctx context.Context, w io.Writer, p Profile) error {
 	dss, err := bothDatasets(p)
 	if err != nil {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -54,7 +55,7 @@ func TestBuildCachedMemoizes(t *testing.T) {
 	if a != b {
 		t.Error("same spec should return the same dataset instance")
 	}
-	if a.Landmarks() != b.Landmarks() || a.VertexIndex() == nil {
+	if a.Bounds() != b.Bounds() || a.VertexIndex() == nil {
 		t.Error("lazy accessories should be shared")
 	}
 }
@@ -164,6 +165,51 @@ func TestMeasureAgainstAllAlgorithms(t *testing.T) {
 	}
 }
 
+// TestMeasureUsesIndex: the engine Measure runs on carries the pruning
+// index, and the index changes work, never answers.
+func TestMeasureUsesIndex(t *testing.T) {
+	ds, err := BuildCached(tinyProfile().BRNSpec(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := core.NewEngine(ds.Store, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	measured, err := measuredEngine(ds, DefaultAlgos()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if measured.Options().Index != ds.Bounds() {
+		t.Fatal("Measure's engine does not carry the dataset's pruning index")
+	}
+	prunes := 0
+	for i, q := range GenQueries(ds, DefaultQuerySpec(), 6) {
+		for name, run := range map[string]func(*core.Engine, core.Query) ([]core.Result, core.SearchStats, error){
+			"expansion": (*core.Engine).Search,
+			"textfirst": (*core.Engine).TextFirstSearch,
+		} {
+			want, _, err := run(plain, q)
+			if err != nil {
+				t.Fatalf("query %d %s unassisted: %v", i, name, err)
+			}
+			got, stats, err := run(measured, q)
+			if err != nil {
+				t.Fatalf("query %d %s indexed: %v", i, name, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("query %d %s: indexed answer differs from the unassisted engine's\ngot  %+v\nwant %+v", i, name, got, want)
+			}
+			if name == "textfirst" {
+				prunes += stats.LandmarkPrunes
+			}
+		}
+	}
+	if prunes == 0 {
+		t.Error("TextFirst never pruned through the index")
+	}
+}
+
 func TestMeasurePropagatesErrors(t *testing.T) {
 	p := tinyProfile()
 	ds, err := BuildCached(p.BRNSpec(0))
@@ -214,7 +260,7 @@ func TestFormatHelpers(t *testing.T) {
 
 func TestExperimentsRegistry(t *testing.T) {
 	all := All()
-	if len(all) != 16 {
+	if len(all) != 13 {
 		t.Fatalf("registry has %d experiments", len(all))
 	}
 	seen := map[string]bool{}

@@ -13,9 +13,6 @@ type AlgoConfig struct {
 	Name string
 	Kind core.Algorithm
 	Opts core.Options
-	// NoLandmarks keeps the dataset's landmark accelerator out of an
-	// expansion or textfirst configuration (ablation).
-	NoLandmarks bool
 }
 
 // DefaultAlgos returns the evaluation's four standing configurations:
@@ -44,18 +41,27 @@ type Aggregate struct {
 	VisitRatio     float64 // MeanVisited / |T|
 }
 
+// measuredEngine builds the engine Measure runs cfg on — the one
+// `uotsserve -landmarks 16` serves: cfg.Opts plus the dataset's pruning
+// index (which the exhaustive baseline never consults).
+func measuredEngine(ds *Dataset, cfg AlgoConfig) (*core.Engine, error) {
+	cfg.Opts.Index = ds.Bounds()
+	e, err := core.NewEngine(ds.Store, cfg.Opts)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %s: %w", cfg.Name, err)
+	}
+	return e, nil
+}
+
 // Measure runs every query under one algorithm configuration and averages
 // the work counters. theta > 0 switches the expansion/exhaustive
 // algorithms to their threshold variants (TextFirst has no threshold
 // variant and keeps using top-k). Cancelling ctx aborts the in-flight
 // search and returns its error.
 func Measure(ctx context.Context, ds *Dataset, cfg AlgoConfig, queries []core.Query, theta float64) (Aggregate, error) {
-	if cfg.Kind != core.AlgoExhaustive && cfg.Opts.Landmarks == nil && !cfg.NoLandmarks {
-		cfg.Opts.Landmarks = ds.Landmarks()
-	}
-	e, err := core.NewEngine(ds.Store, cfg.Opts)
+	e, err := measuredEngine(ds, cfg)
 	if err != nil {
-		return Aggregate{}, fmt.Errorf("experiments: %s: %w", cfg.Name, err)
+		return Aggregate{}, err
 	}
 	agg := Aggregate{Algo: cfg.Name, Queries: len(queries)}
 	var totalMs float64

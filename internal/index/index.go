@@ -4,12 +4,13 @@
 // format that lets the disk store's memory-resident indexes skip their
 // build scan on warm starts (sidecar.go).
 //
-// TrajBounds turns the engine's per-candidate spatial upper bound from
-// an O(K·|τ|) scan over the trajectory's vertex set — a record fault on
-// the disk store — into an O(K) lookup over precomputed per-landmark
-// intervals, at the cost of a slightly looser bound. The engine uses it
-// to discard whole trajectories at admission time, before any Dijkstra
-// settle or store access.
+// TrajBounds gives the engine its per-candidate spatial upper bound as
+// an O(K) lookup over precomputed per-landmark intervals, where the
+// per-vertex ALT bound (roadnet.Landmarks.LowerBoundToSet) would scan the
+// trajectory's vertex set — O(K·|τ|) and a record fault on the disk
+// store — for a slightly tighter value. The engine uses it to discard
+// whole trajectories at admission time, before any Dijkstra settle or
+// store access.
 package index
 
 import (

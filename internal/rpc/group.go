@@ -68,6 +68,9 @@ var (
 	ErrNoReplicas = errors.New("rpc: replica group needs at least one replica")
 	// ErrGroupClosed answers calls issued after Close.
 	ErrGroupClosed = errors.New("rpc: replica group closed")
+	// ErrWrongPartition marks a replica whose health answer names another
+	// partition than the one its group was bound to (see Group.Bind).
+	ErrWrongPartition = errors.New("rpc: replica serves another partition")
 )
 
 // replica is one backend plus its health state.
@@ -78,6 +81,21 @@ type replica struct {
 	mu          sync.Mutex
 	consecFails int
 	ejected     bool
+	miswired    error // the last probe's identity verdict; non-nil refuses calls
+}
+
+// wiring returns the last probe's identity verdict: nil, or the
+// transport-class error every call to a mis-wired replica fails with.
+func (r *replica) wiring() error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.miswired
+}
+
+func (r *replica) setWiring(err error) {
+	r.mu.Lock()
+	r.miswired = err
+	r.mu.Unlock()
 }
 
 func (r *replica) isEjected() bool {
@@ -119,6 +137,9 @@ type ReplicaStatus struct {
 	ConsecutiveFailures int
 }
 
+// partition is a shard server's identity: index shard of shards.
+type partition struct{ shard, shards int }
+
 // Group fans calls over one partition's replicas with retries, hedging,
 // and health-checked failover. Safe for concurrent use.
 type Group struct {
@@ -127,6 +148,11 @@ type Group struct {
 	metrics  *Metrics
 	timerFn  TimerFunc
 	hc       *http.Client
+
+	// bound is the identity Bind declared, nil while unbound. Atomic
+	// because the background prober may already be running when the
+	// owner binds the group.
+	bound atomic.Pointer[partition]
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
@@ -190,6 +216,29 @@ func NewGroup(bases []string, cfg GroupConfig, m *Metrics) (*Group, error) {
 	return g, nil
 }
 
+// Bind declares the partition the group's replicas must serve — shard
+// of shards, the identity every HealthResponse reports. The owner of a
+// partition layout calls it (shard.NewRemoteExecutor: groups[i] is
+// partition i of len(groups)). From then on a probe answer naming
+// another partition is a failed probe, and the replica refuses calls
+// until a later probe sees the right identity: a mis-wired replica
+// answers searches perfectly well, with another partition's
+// trajectories, so only its health answer can tell. An unbound group
+// checks nothing.
+func (g *Group) Bind(shard, shards int) {
+	g.bound.Store(&partition{shard, shards})
+}
+
+// checkIdentity compares a health answer with the bound partition.
+func (g *Group) checkIdentity(r *replica, h HealthResponse) error {
+	want := g.bound.Load()
+	if want == nil || *want == (partition{h.Shard, h.Shards}) {
+		return nil
+	}
+	return &TransportError{Replica: r.client.Base(), Err: fmt.Errorf("%w: it reports partition %d of %d, the router expects %d of %d",
+		ErrWrongPartition, h.Shard, h.Shards, want.shard, want.shards)}
+}
+
 // Close stops the health prober and releases idle connections. It is
 // idempotent and safe to call concurrently with in-flight calls (those
 // finish normally; new calls get ErrGroupClosed).
@@ -232,15 +281,27 @@ func (g *Group) prober() {
 // ProbeAll health-checks every replica once: a failed probe counts
 // against the replica's error budget (ejecting it at the threshold), a
 // successful probe resets the budget and re-admits an ejected replica.
-// The background prober calls this on its ticker; tests call it
-// directly for deterministic health transitions.
+// An answer from the wrong partition (see Bind) is a failed probe; the
+// returned error joins those identity mismatches and nothing else — an
+// unreachable replica may yet come up right, a mis-wired one will not.
+// The background prober calls this on its ticker, uotsserve once before
+// it listens; tests call it directly for deterministic health
+// transitions.
 //
 //uots:allow ctxflow -- probes run on the group's lifetime, not any caller's request; there is no inbound context to thread.
-func (g *Group) ProbeAll() {
+func (g *Group) ProbeAll() error {
+	var miswired []error
 	for _, r := range g.replicas {
 		ctx, cancel := context.WithTimeout(context.Background(), g.cfg.ProbeTimeout)
-		_, err := r.client.Health(ctx)
+		h, err := r.client.Health(ctx)
 		cancel()
+		if err == nil {
+			err = g.checkIdentity(r, h)
+			r.setWiring(err)
+			if err != nil {
+				miswired = append(miswired, err)
+			}
+		}
 		if err != nil {
 			r.counters.probeFailure()
 			g.markFailure(nil, r)
@@ -248,6 +309,7 @@ func (g *Group) ProbeAll() {
 		}
 		g.markSuccess(nil, r)
 	}
+	return errors.Join(miswired...)
 }
 
 // markFailure charges one transport-class failure; an ejection lands in
@@ -310,11 +372,20 @@ func callOnce[T any](g *Group, ctx context.Context, r *replica, do func(context.
 		actx, cancel = context.WithTimeout(ctx, g.cfg.CallTimeout)
 	}
 	defer cancel()
-	r.counters.request()
-	sw := obs.Stopwatch()
-	out, err := do(actx, r.client)
-	elapsed := sw()
-	r.counters.observe(elapsed.Seconds())
+	var out T
+	var elapsed time.Duration
+	// A replica the last probe found serving another partition is not
+	// sent anything: the refusal takes the transport-failure path below,
+	// so the ladder fails over and, with no replica left, exhausts into a
+	// store fault.
+	err := r.wiring()
+	if err == nil {
+		r.counters.request()
+		sw := obs.Stopwatch()
+		out, err = do(actx, r.client)
+		elapsed = sw()
+		r.counters.observe(elapsed.Seconds())
+	}
 	tr := obs.TracerFromContext(ctx)
 	if err == nil {
 		g.markSuccess(tr, r)
@@ -564,13 +635,4 @@ func (g *Group) Batch(ctx context.Context, req BatchRequest) (BatchResponse, err
 		replaySpan(tr, winner, resp.Span, resp.SpanDropped)
 	}
 	return resp, nil
-}
-
-// Health probes one replica chosen round-robin (the router's own
-// liveness view; per-replica probing is ProbeAll's job).
-func (g *Group) Health(ctx context.Context) (HealthResponse, error) {
-	resp, _, err := callGroup(g, ctx, func(ctx context.Context, c *Client) (HealthResponse, error) {
-		return c.Health(ctx)
-	})
-	return resp, err
 }

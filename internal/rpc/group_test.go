@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -24,6 +25,7 @@ type fakeReplica struct {
 	gate     chan struct{} // when non-nil, handlers block until it closes
 	searches atomic.Int64
 	probes   atomic.Int64
+	identity atomic.Pointer[HealthResponse] // nil answers the zero identity
 }
 
 func newFakeReplica(t *testing.T, results []core.Result) *fakeReplica {
@@ -53,7 +55,11 @@ func newFakeReplica(t *testing.T, results []core.Result) *fakeReplica {
 		if f.broken.Load() {
 			panic(http.ErrAbortHandler)
 		}
-		writeGob(w, &HealthResponse{Status: "ok"})
+		h := HealthResponse{Status: "ok"}
+		if id := f.identity.Load(); id != nil {
+			h = *id
+		}
+		writeGob(w, &h)
 	})
 	f.Server = httptest.NewServer(mux)
 	t.Cleanup(f.Server.Close)
@@ -173,6 +179,56 @@ func TestGroupProbeFailuresEject(t *testing.T) {
 	}
 	if got := counterValue(t, reg, "uots_rpc_probe_failures_total", bad.URL); got != 2 {
 		t.Errorf("probe_failures_total{bad} = %d, want 2", got)
+	}
+}
+
+// TestGroupProbeRefusesWrongPartition: a bound group treats a health
+// answer naming another partition as a failed probe and sends that
+// replica nothing — it would answer, with another partition's
+// trajectories — until a probe sees the right identity.
+func TestGroupProbeRefusesWrongPartition(t *testing.T) {
+	reg := obs.NewRegistry()
+	wrong := newFakeReplica(t, resultsOf(1))
+	wrong.identity.Store(&HealthResponse{Status: "ok", Shard: 1, Shards: 2})
+	right := newFakeReplica(t, resultsOf(2))
+	right.identity.Store(&HealthResponse{Status: "ok", Shard: 0, Shards: 2})
+	g := mustGroup(t, []string{wrong.URL, right.URL}, fastCfg(), NewMetrics(reg))
+	g.Bind(0, 2)
+
+	err := g.ProbeAll()
+	if !errors.Is(err, ErrWrongPartition) || !strings.Contains(err.Error(), wrong.URL) ||
+		strings.Contains(err.Error(), right.URL) {
+		t.Fatalf("ProbeAll = %v, want ErrWrongPartition naming only %s", err, wrong.URL)
+	}
+	if got := counterValue(t, reg, "uots_rpc_probe_failures_total", wrong.URL); got != 1 {
+		t.Errorf("probe_failures_total{wrong} = %d, want 1", got)
+	}
+	for i := 0; i < 4; i++ {
+		resp, err := g.Search(context.Background(), SearchRequest{}, nil)
+		if err != nil || len(resp.Results) != 1 || resp.Results[0].Traj != 2 {
+			t.Fatalf("Search %d = (%+v, %v), want the right replica's answer", i, resp.Results, err)
+		}
+	}
+
+	// Left alone, the mis-wired replica exhausts the group into a store
+	// fault rather than answer.
+	right.broken.Store(true)
+	if _, err := g.Search(context.Background(), SearchRequest{}, nil); !errors.Is(err, core.ErrStoreFault) {
+		t.Fatalf("Search with only the mis-wired replica up: err = %v, want a store fault", err)
+	}
+	if n := wrong.searches.Load(); n != 0 {
+		t.Fatalf("mis-wired replica was sent %d searches, want 0", n)
+	}
+
+	// Restarted as the right partition, it is re-admitted by the next
+	// probe (the unreachable sibling is not an identity error).
+	wrong.identity.Store(&HealthResponse{Status: "ok", Shard: 0, Shards: 2})
+	if err := g.ProbeAll(); err != nil {
+		t.Fatalf("ProbeAll after the fix: %v", err)
+	}
+	resp, err := g.Search(context.Background(), SearchRequest{}, nil)
+	if err != nil || len(resp.Results) != 1 || resp.Results[0].Traj != 1 {
+		t.Fatalf("Search after the fix = (%+v, %v), want the re-admitted replica's answer", resp.Results, err)
 	}
 }
 

@@ -80,50 +80,47 @@ func BenchmarkMonolithicSearch(b *testing.B) {
 }
 
 // BenchmarkShardedSearch measures scatter-gather wall-clock per query
-// across shard counts. Run with -cpu 4 (or more) on a machine with that
-// many physical cores to see the speedup over BenchmarkMonolithicSearch:
-// the critical path drops to the slowest shard (~0.55× the monolithic
-// latency at N=4 on this fixture) plus the merge. On a single-core
-// machine the same benchmark shows a slowdown by construction — each
-// shard re-expands its own Dijkstra frontier, so sharding trades total
-// work for parallel latency (see the F10 experiment for the work
-// decomposition).
+// across partitioners and shard counts, with the work behind it:
+// settles/op is the Dijkstra work summed over the shards (every shard
+// re-expands its own frontier, so it grows with N) and xprunes/op the
+// candidates the cross-shard bound exchange killed. Compare with
+// BenchmarkMonolithicSearch on the same fixture; the numbers recorded in
+// EXPERIMENTS.md ("Audit verdicts") name the host's core count.
 func BenchmarkShardedSearch(b *testing.B) {
-	w := benchFixture(b)
-	for _, n := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {
-			ex, err := NewExecutor(w.db, core.Options{}, Config{Shards: n})
-			if err != nil {
-				b.Fatalf("NewExecutor: %v", err)
-			}
-			defer ex.Close()
-			ctx := context.Background()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				q := w.queries[i%len(w.queries)]
-				if _, _, err := ex.SearchCtx(ctx, q); err != nil {
-					b.Fatalf("SearchCtx: %v", err)
-				}
-			}
-		})
+	for _, part := range []Partitioner{HashPartitioner{}, RegionPartitioner{}} {
+		for _, n := range []int{2, 4, 8} {
+			b.Run(fmt.Sprintf("%s/shards=%d", part, n), func(b *testing.B) {
+				benchExecutor(b, Config{Shards: n, Partitioner: part})
+			})
+		}
 	}
 }
 
 // BenchmarkShardedSearchNoBound isolates what the cross-shard bound
-// exchange buys: same fixture and shard count with the exchange off.
+// exchange buys: BenchmarkShardedSearch's hash/shards=4 cell with the
+// exchange off.
 func BenchmarkShardedSearchNoBound(b *testing.B) {
+	benchExecutor(b, Config{Shards: 4, disableSharedBound: true})
+}
+
+func benchExecutor(b *testing.B, cfg Config) {
 	w := benchFixture(b)
-	ex, err := NewExecutor(w.db, core.Options{}, Config{Shards: 4, DisableSharedBound: true})
+	ex, err := NewExecutor(w.db, core.Options{}, cfg)
 	if err != nil {
 		b.Fatalf("NewExecutor: %v", err)
 	}
 	defer ex.Close()
 	ctx := context.Background()
+	var work core.SearchStats
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := w.queries[i%len(w.queries)]
-		if _, _, err := ex.SearchCtx(ctx, q); err != nil {
+		_, st, err := ex.SearchCtx(ctx, q)
+		if err != nil {
 			b.Fatalf("SearchCtx: %v", err)
 		}
+		work.Add(st)
 	}
+	b.ReportMetric(float64(work.SettledVertices)/float64(b.N), "settles/op")
+	b.ReportMetric(float64(work.SharedBoundPrunes)/float64(b.N), "xprunes/op")
 }

@@ -96,7 +96,7 @@ func TestShardedDisabledBoundMatches(t *testing.T) {
 		t.Fatalf("NewExecutor: %v", err)
 	}
 	defer on.Close()
-	off, err := NewExecutor(f.db, core.Options{}, Config{Shards: 4, DisableSharedBound: true})
+	off, err := NewExecutor(f.db, core.Options{}, Config{Shards: 4, disableSharedBound: true})
 	if err != nil {
 		t.Fatalf("NewExecutor: %v", err)
 	}

@@ -105,7 +105,7 @@ func NewExecutor(db core.TrajStore, opts core.Options, cfg Config) (ex *Executor
 		fleet:    ex,
 		counters: counters,
 		partial:  cfg.Partial,
-		noBound:  cfg.DisableSharedBound,
+		noBound:  cfg.disableSharedBound,
 		global:   global,
 		metrics:  m,
 	}

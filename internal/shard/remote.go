@@ -35,9 +35,10 @@ type RemoteConfig struct {
 	// as a shard store fault, so PartialFail fails the query and
 	// PartialDegrade serves the healthy partitions.
 	Partial PartialPolicy
-	// DisableSharedBound turns off the cross-shard k-th-bound piggyback
+	// disableSharedBound turns off the cross-shard k-th-bound piggyback
 	// exchange (results are identical either way; see core.SharedBound).
-	DisableSharedBound bool
+	// Unexported like Config's: only in-package tests set it.
+	disableSharedBound bool
 	// Metrics receives the executor's uots_shard_* instruments (the
 	// rpc groups carry their own uots_rpc_* metrics). nil disables.
 	Metrics *obs.Registry
@@ -70,8 +71,10 @@ type RemoteExecutor struct {
 
 // NewRemoteExecutor builds a remote executor over one replica group per
 // partition, in partition order (groups[i] serves partition i of
-// len(groups)). The executor takes ownership of the groups: its Close
-// closes them.
+// len(groups)), and binds each group to that identity: from the next
+// health probe on, a replica reporting another partition is refused
+// instead of merged. The executor takes ownership of the groups: its
+// Close closes them.
 //
 //uots:allow ctxflow -- the close context is the executor's lifetime, minted at construction; queries thread their own caller contexts.
 func NewRemoteExecutor(groups []*rpc.Group, cfg RemoteConfig) (*RemoteExecutor, error) {
@@ -84,12 +87,15 @@ func NewRemoteExecutor(groups []*rpc.Group, cfg RemoteConfig) (*RemoteExecutor, 
 		fleet:    re,
 		counters: make([]shardCounters, len(groups)),
 		partial:  cfg.Partial,
-		noBound:  cfg.DisableSharedBound,
+		noBound:  cfg.disableSharedBound,
 		global:   cfg.Global,
 		metrics:  m,
 	}
-	for i := range groups {
+	for i, g := range groups {
 		re.counters[i] = m.forShard(i)
+		// The layout is fixed here, so this is where each group learns
+		// which partition its replicas must report (see rpc.Group.Bind).
+		g.Bind(i, len(groups))
 	}
 	re.closeCtx, re.closeCancel = context.WithCancel(context.Background())
 	return re, nil

@@ -103,6 +103,79 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// TestRemoteRejectsMiswiredTopology: a router whose groups do not match
+// what the shard servers serve — one server behind both groups, servers
+// of a different partition count — used to merge the wrong partitions
+// into a 200 with duplicated and missing trajectories (swapped order
+// only mislabels every per-partition metric and trace: IDs cross the
+// wire already global). Once a health probe has seen the identities, the
+// mis-wired partitions fail like dead ones instead.
+func TestRemoteRejectsMiswiredTopology(t *testing.T) {
+	f := testFixture(t)
+	serve := func(p, n int) string {
+		eng, globals, err := BuildShardEngine(f.db, core.Options{}, nil, n, p)
+		if err != nil {
+			t.Fatalf("BuildShardEngine(%d/%d): %v", p, n, err)
+		}
+		ss, err := rpc.NewShardServer(eng, globals, p, n)
+		if err != nil {
+			t.Fatalf("NewShardServer(%d/%d): %v", p, n, err)
+		}
+		hs := httptest.NewServer(ss.Handler())
+		t.Cleanup(hs.Close)
+		return hs.URL
+	}
+	a, b := serve(0, 2), serve(1, 2)
+	q := f.randomQuery(rand.New(rand.NewPCG(71, 0)), 3, 3, 0.5, 8)
+
+	for _, tc := range []struct {
+		name   string
+		wiring []string // groups[i] = one replica at wiring[i]
+		ok     bool
+	}{
+		{"as served", []string{a, b}, true},
+		{"one server twice", []string{a, a}, false},
+		{"swapped order", []string{b, a}, false},
+		{"wrong count", []string{serve(0, 3), serve(1, 3)}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			groups := make([]*rpc.Group, len(tc.wiring))
+			for i, base := range tc.wiring {
+				g, err := rpc.NewGroup([]string{base}, fastGroup(2)(i), nil)
+				if err != nil {
+					t.Fatalf("NewGroup: %v", err)
+				}
+				groups[i] = g
+			}
+			re, err := NewRemoteExecutor(groups, RemoteConfig{Partial: PartialFail})
+			if err != nil {
+				t.Fatalf("NewRemoteExecutor: %v", err)
+			}
+			defer re.Close()
+			for _, g := range groups {
+				g.ProbeAll() // what the background prober and uotsserve's boot do
+			}
+			got, _, err := re.SearchCtx(context.Background(), q)
+			if tc.ok {
+				if err != nil || len(got) != q.K {
+					t.Fatalf("correctly wired search = (%d results, %v)", len(got), err)
+				}
+				return
+			}
+			seen := map[trajdb.TrajID]bool{}
+			for _, r := range got {
+				if seen[r.Traj] {
+					t.Errorf("trajectory %d answered twice", r.Traj)
+				}
+				seen[r.Traj] = true
+			}
+			if !errors.Is(err, core.ErrStoreFault) {
+				t.Fatalf("mis-wired search = (%d results, %v), want an error wrapping core.ErrStoreFault", len(got), err)
+			}
+		})
+	}
+}
+
 // TestRemoteMatchesMonolithic is the distributed ground truth: every
 // search variant plus the batch path, scattered over N partitions × R
 // replicas of real shard servers, answers exactly like the monolithic

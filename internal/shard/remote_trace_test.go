@@ -134,7 +134,7 @@ func TestRemoteTraceDeterministicMerge(t *testing.T) {
 		for _, r := range []int{1, 2} {
 			t.Run(fmt.Sprintf("n=%d_r=%d", n, r), func(t *testing.T) {
 				cl := startCluster(t, f, n, r,
-					RemoteConfig{DisableSharedBound: true}, tracedGroup(), nil, nil)
+					RemoteConfig{disableSharedBound: true}, tracedGroup(), nil, nil)
 				run := func(pass int) string {
 					rec := obs.NewTraceRecorder(0)
 					ctx := obs.ContextWithTracer(ctxBase, rec)

@@ -101,9 +101,11 @@ type Config struct {
 	Partitioner Partitioner
 	// Partial is the partial-results policy (default PartialFail).
 	Partial PartialPolicy
-	// DisableSharedBound turns off the cross-shard k-th-bound exchange
-	// (ablation; results are identical either way, only pruning differs).
-	DisableSharedBound bool
+	// disableSharedBound turns off the cross-shard k-th-bound exchange
+	// (results are identical either way, only pruning differs).
+	// Unexported: the exchange is proven (EXPERIMENTS.md, Audit verdicts)
+	// and only the in-package tests and benchmark switch it off.
+	disableSharedBound bool
 	// Metrics receives the executor's uots_shard_* instruments
 	// (nil disables metrics).
 	Metrics *obs.Registry

@@ -34,9 +34,8 @@ type DynamicStore struct {
 	nextID ExternalID
 	gen    uint64 // bumped on every mutation; keys snapshot-scoped caches
 
-	snap     *Store
-	snapIDs  []ExternalID // dense TrajID → external handle for snap
-	snapKeep map[ExternalID]TrajID
+	snap    *Store
+	snapIDs []ExternalID // dense TrajID → external handle for snap
 
 	// Incremental-maintenance state: the most recently built snapshot
 	// stays around as the extension base, with the handles added since it
@@ -84,10 +83,6 @@ func NewDynamicFromStore(s *Store) *DynamicStore {
 	// extend it incrementally.
 	d.snap, d.snapIDs = s, ids
 	d.base, d.baseIDs = s, ids
-	d.snapKeep = make(map[ExternalID]TrajID, len(ids))
-	for dense, ext := range ids {
-		d.snapKeep[ext] = TrajID(dense)
-	}
 	return d
 }
 
@@ -155,15 +150,15 @@ func (d *DynamicStore) Get(id ExternalID) (*Trajectory, bool) {
 }
 
 // noteAdd records an addition: the cached snapshot is dropped (the next
-// read rebuilds lazily, and DenseID must answer false until it does) but
-// kept as the extension base so that read can extend it with just the
-// pending tail instead of rebuilding from scratch. Callers hold d.mu.
+// read rebuilds lazily) but kept as the extension base so that read can
+// extend it with just the pending tail instead of rebuilding from
+// scratch. Callers hold d.mu.
 func (d *DynamicStore) noteAdd(id ExternalID) {
 	d.gen++
 	if d.snap != nil {
 		d.base, d.baseIDs = d.snap, d.snapIDs
 	}
-	d.snap, d.snapIDs, d.snapKeep = nil, nil, nil
+	d.snap, d.snapIDs = nil, nil
 	if d.base != nil {
 		d.pending = append(d.pending, id)
 	}
@@ -176,7 +171,6 @@ func (d *DynamicStore) invalidate() {
 	d.gen++
 	d.snap = nil
 	d.snapIDs = nil
-	d.snapKeep = nil
 	d.base = nil
 	d.baseIDs = nil
 	d.pending = nil
@@ -249,10 +243,6 @@ func (d *DynamicStore) SnapshotGen() (*Store, []ExternalID, uint64) {
 		d.rebuilds++
 	}
 	d.base, d.baseIDs, d.pending = d.snap, d.snapIDs, nil
-	d.snapKeep = make(map[ExternalID]TrajID, len(d.snapIDs))
-	for dense, ext := range d.snapIDs {
-		d.snapKeep[ext] = TrajID(dense)
-	}
 	return d.snap, d.snapIDs, d.gen
 }
 
@@ -263,17 +253,4 @@ func (d *DynamicStore) SnapshotStats() (rebuilds, extensions uint64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.rebuilds, d.extensions
-}
-
-// DenseID translates a handle into the dense TrajID of the most recent
-// snapshot. ok is false when the handle is not live or no snapshot has
-// been taken since the last mutation.
-func (d *DynamicStore) DenseID(id ExternalID) (TrajID, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.snapKeep == nil {
-		return -1, false
-	}
-	dense, ok := d.snapKeep[id]
-	return dense, ok
 }
