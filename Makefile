@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build vet lint wire-schema test race bench bench-quick check
+.PHONY: build vet lint wire-schema test race fuzz-smoke bench bench-quick check
 
 build:
 	$(GO) build ./...
@@ -35,6 +35,14 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# fuzz-smoke fuzzes each file-decoder target for ten seconds: the store
+# file (trajdb.ReadStore against diskstore.Open) and the index sidecar.
+# -fuzzminimizetime keeps the engine's input minimisation from eating
+# the ten seconds.
+fuzz-smoke:
+	$(GO) test ./internal/trajdb -run '^$$' -fuzz '^FuzzReadStore$$' -fuzztime 10s -fuzzminimizetime 10x
+	$(GO) test ./internal/trajdb -run '^$$' -fuzz '^FuzzReadSidecar$$' -fuzztime 10s -fuzzminimizetime 10x
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -1,8 +1,10 @@
 // Command uotsdgen generates a synthetic dataset — a city road network
 // shaped like one of the paper's evaluation cities plus a keyword-annotated
 // trajectory corpus — and writes it to disk in the library's binary
-// formats (<out>.graph and <out>.trajs, readable with uots.ReadGraph and
-// uots.ReadStore).
+// formats: <out>.graph (uots.ReadGraph) and the store file <out>.trajs,
+// which uots.ReadStore loads into memory and uots.OpenDiskStore
+// (uotsserve -disk <out>.trajs) serves from disk, warm-started from the
+// index sidecar <out>.trajs.idx written beside it.
 //
 // Usage:
 //
@@ -57,7 +59,7 @@ func main() {
 	if err := writeFile(*out+".graph", func(f *os.File) error { return uots.WriteGraph(f, g) }); err != nil {
 		fatal(err)
 	}
-	if err := writeFile(*out+".trajs", func(f *os.File) error { return uots.WriteStore(f, db) }); err != nil {
+	if err := uots.CreateDiskStore(*out+".trajs", db); err != nil {
 		fatal(err)
 	}
 	st := db.Stats()

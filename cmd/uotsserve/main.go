@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	uotsserve -data dataset -addr :8080 [-cache 67108864 -disk dataset.dsk]
+//	uotsserve -data dataset -addr :8080 [-disk dataset.trajs -cache 67108864]
 //	          [-timeout 10s -max-inflight 64 -max-body 8388608 -drain 10s]
 //	          [-debug-addr 127.0.0.1:6060 -trace-depth 64 -log-requests]
 //	          [-slow-query-ms 250 -slow-query-depth 32]
@@ -30,6 +30,14 @@
 // -max-body are rejected with 413. On SIGINT/SIGTERM the server stops
 // accepting connections, gives in-flight requests up to -drain to finish,
 // then exits 0.
+//
+// -disk FILE serves trajectory records from FILE through a -cache byte
+// LRU buffer instead of loading them: FILE is any store file, including
+// <data>.trajs itself (uotsdgen, uots.WriteStore and uots.CreateDiskStore
+// all write that one format). With the index sidecar FILE.idx that
+// uotsdgen and CreateDiskStore leave beside it the boot is a warm start;
+// without one, or with one written for other records, the records are
+// scanned once. The boot log says which.
 //
 // -debug-addr starts a second listener (keep it private) carrying
 // net/http/pprof under /debug/pprof/ and a /metrics mirror, so profiling
@@ -168,7 +176,11 @@ func main() {
 		}
 		defer ds.Close()
 		store, vocab = ds, ds.Vocab()
-		log.Printf("serving disk-resident store %s (buffer %d bytes)", *disk, ds.CacheBytes())
+		start := "cold start: no usable index sidecar, records scanned"
+		if ds.WarmStart() {
+			start = "warm start from the index sidecar"
+		}
+		log.Printf("serving disk-resident store %s (buffer %d bytes, %s)", *disk, ds.CacheBytes(), start)
 	} else {
 		tf, err := os.Open(*data + ".trajs")
 		if err != nil {

@@ -8,6 +8,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -206,5 +207,101 @@ poll:
 	// The listener must actually be gone.
 	if _, err := http.Get("http://127.0.0.1:18931/healthz"); err == nil {
 		t.Fatal("server still answering after shutdown")
+	}
+}
+
+// TestServeFromDisk: uotsdgen's <data>.trajs is the disk store's record
+// file. uotsserve -data d -disk d.trajs, through a buffer smaller than
+// the records, must answer /search exactly as uotsserve -data d does —
+// plain, windowed and through the exhaustive baseline — and boot warm
+// from the sidecar uotsdgen wrote, cold when it is absent.
+func TestServeFromDisk(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI end-to-end skipped in -short mode")
+	}
+	dir := t.TempDir()
+	bin := func(name string) string { return filepath.Join(dir, name) }
+	for _, name := range []string{"uotsdgen", "uotsserve"} {
+		out, err := exec.Command("go", "build", "-o", bin(name), "./cmd/"+name).CombinedOutput()
+		if err != nil {
+			t.Fatalf("building %s: %v\n%s", name, err, out)
+		}
+	}
+	data := filepath.Join(dir, "world")
+	if out, err := exec.Command(bin("uotsdgen"),
+		"-city", "brn", "-scale", "0.1", "-trajs", "500", "-mean", "15", "-out", data).CombinedOutput(); err != nil {
+		t.Fatalf("uotsdgen: %v\n%s", err, out)
+	}
+	records, sidecar := data+".trajs", data+".trajs.idx"
+	fi, err := os.Stat(records)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := fi.Size() / 8
+
+	const addr = "127.0.0.1:18941"
+	// serve boots uotsserve, returns every /search answer with the timing
+	// field dropped, shuts the server down and returns its log.
+	bodies := []string{
+		`{"points":[[1.0,1.0],[1.5,1.2]],"keywords":"t0_kw0 t1_kw1","k":5}`,
+		`{"points":[[1.0,1.0],[1.5,1.2]],"keywords":"t0_kw0 t1_kw1","k":5,"window":"06:00-12:00"}`,
+		`{"points":[[1.0,1.0],[1.5,1.2]],"keywords":"t0_kw0 t1_kw1","k":5,"algorithm":"exhaustive"}`,
+	}
+	serve := func(args ...string) (answers []string, log string) {
+		t.Helper()
+		srv := exec.Command(bin("uotsserve"), append([]string{"-data", data, "-addr", addr, "-drain", "5s"}, args...)...)
+		var stderr syncBuffer
+		srv.Stderr = &stderr
+		if err := srv.Start(); err != nil {
+			t.Fatalf("uotsserve start: %v", err)
+		}
+		defer func() {
+			srv.Process.Signal(syscall.SIGTERM)
+			if err := srv.Wait(); err != nil {
+				t.Errorf("uotsserve %v exited uncleanly: %v\n%s", args, err, stderr.String())
+			}
+		}()
+		waitHealthy(t, "http://"+addr)
+		for _, body := range bodies {
+			resp, err := http.Post("http://"+addr+"/search", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatalf("search %s: %v", body, err)
+			}
+			var sr struct {
+				Results json.RawMessage `json:"results"`
+				Stats   map[string]any  `json:"stats"`
+			}
+			err = json.NewDecoder(resp.Body).Decode(&sr)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK || len(sr.Results) < len(`[{}]`) {
+				t.Fatalf("search %s: status %d, %v, results %s", body, resp.StatusCode, err, sr.Results)
+			}
+			delete(sr.Stats, "elapsedMs")
+			stats, _ := json.Marshal(sr.Stats)
+			answers = append(answers, string(sr.Results)+string(stats))
+		}
+		return answers, stderr.String()
+	}
+
+	want, _ := serve()
+	disk := []string{"-disk", records, "-cache", strconv.FormatInt(cache, 10)}
+	if err := os.Rename(sidecar, sidecar+".aside"); err != nil {
+		t.Fatalf("uotsdgen left no index sidecar: %v", err)
+	}
+	cold, coldLog := serve(disk...)
+	if err := os.Rename(sidecar+".aside", sidecar); err != nil {
+		t.Fatal(err)
+	}
+	warm, warmLog := serve(disk...)
+	for i, body := range bodies {
+		if cold[i] != want[i] || warm[i] != want[i] {
+			t.Errorf("%s\nin memory: %s\ndisk, cold: %s\ndisk, warm: %s", body, want[i], cold[i], warm[i])
+		}
+	}
+	if !strings.Contains(coldLog, "cold start") || strings.Contains(coldLog, "warm start") {
+		t.Errorf("boot without a sidecar should log a cold start:\n%s", coldLog)
+	}
+	if !strings.Contains(warmLog, "warm start") {
+		t.Errorf("boot beside uotsdgen's sidecar should log a warm start:\n%s", warmLog)
 	}
 }

@@ -1,189 +1,48 @@
 // Package diskstore implements the disk-resident trajectory store of the
 // evaluation's storage experiment: when the trajectory data does not fit
 // in main memory, the index structures (vertex→trajectory inverted lists,
-// keyword inverted index, bounding boxes, record offsets) stay resident
-// while trajectory payloads live in a record file and are faulted in
-// through a byte-budgeted LRU buffer.
+// keyword inverted index, term sets, bounding boxes, record offsets —
+// a trajdb.File) stay resident while trajectory payloads stay in the
+// store file and are faulted in through a byte-budgeted LRU buffer.
 //
 // The store implements the engine's core.TrajStore interface, so the
 // expansion search and both baselines run unchanged over it; the only
 // difference is I/O on the trajectory-payload access paths
-// (Traj, ContainsVertex, UniqueVertices, Keywords).
+// (Traj, ContainsVertex, UniqueVertices).
 package diskstore
 
 import (
-	"bufio"
-	"bytes"
 	"container/list"
-	"encoding/binary"
 	"fmt"
-	"io"
-	"math"
-	"os"
 	"sort"
 	"sync"
 
-	"uots/internal/geo"
-	"uots/internal/index"
 	"uots/internal/roadnet"
-	"uots/internal/textual"
 	"uots/internal/trajdb"
 )
-
-// storeMagic identifies the disk-store record-file format, version 1.
-const storeMagic = "UOTSDSK1"
 
 // DefaultCacheBytes is the LRU buffer budget used when Open is given a
 // non-positive budget (64 MiB, mirroring the evaluation's buffer setup).
 const DefaultCacheBytes = 64 << 20
 
-// Create converts an in-memory store into a disk-store file at path plus
-// a persistent-index sidecar at path+".idx". The record file carries the
-// vocabulary, per-record offsets, and one record per trajectory; the
-// sidecar carries the memory-resident index structures so Open can skip
-// the sequential rebuild scan (warm start). The sidecar is an
-// optimization, never a requirement: Open falls back to the scan when it
-// is missing or does not match the record file.
+// Create writes src as a store file at path — the file uotsdgen and
+// trajdb.WriteStore write, readable by trajdb.ReadStore — plus the index
+// sidecar at path+".idx" that lets Open skip its record scan. The sidecar
+// is an optimization, never a requirement: Open falls back to the scan
+// when it is missing or was not written for these records.
 func Create(path string, src *trajdb.Store) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f, src); err != nil {
-		f.Close()
+	if err := trajdb.CreateFile(path, src); err != nil {
 		return fmt.Errorf("diskstore: writing %s: %w", path, err)
 	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := index.WriteSidecar(index.SidecarPath(path), sidecarFrom(src)); err != nil {
-		return fmt.Errorf("diskstore: writing index sidecar for %s: %w", path, err)
-	}
 	return nil
 }
 
-// sidecarFrom assembles the persistent-index payload of src. All slices
-// are referenced, not copied — WriteSidecar only reads them.
-func sidecarFrom(src *trajdb.Store) *index.Sidecar {
-	n := src.NumTrajectories()
-	g := src.Graph()
-	vocabSize := 0
-	if src.Vocab() != nil {
-		vocabSize = src.Vocab().Size()
-	}
-	sc := &index.Sidecar{
-		NumVertices: g.NumVertices(),
-		VocabSize:   vocabSize,
-		Starts:      make([]float64, n),
-		BBoxes:      make([]geo.Rect, n),
-		VertexIx:    make([][]trajdb.TrajID, g.NumVertices()),
-		DocTerms:    make([]textual.TermSet, n),
-	}
-	for id := 0; id < n; id++ {
-		t := src.Traj(trajdb.TrajID(id))
-		sc.Starts[id] = t.Samples[0].T
-		sc.BBoxes[id] = src.BBox(trajdb.TrajID(id))
-		sc.DocTerms[id] = t.Keywords
-		sc.RecordBytes += uint64(recordSize(t))
-	}
-	for v := 0; v < g.NumVertices(); v++ {
-		sc.VertexIx[v] = src.TrajsAtVertex(roadnet.VertexID(v))
-	}
-	return sc
-}
-
-func write(f *os.File, src *trajdb.Store) error {
-	w := bufio.NewWriter(f)
-	if _, err := w.WriteString(storeMagic); err != nil {
-		return err
-	}
-	n := src.NumTrajectories()
-	if err := putU32(w, uint32(n)); err != nil {
-		return err
-	}
-	// Vocabulary.
-	vocabSize := 0
-	if src.Vocab() != nil {
-		vocabSize = src.Vocab().Size()
-	}
-	if err := putU32(w, uint32(vocabSize)); err != nil {
-		return err
-	}
-	for id := 0; id < vocabSize; id++ {
-		term, ok := src.Vocab().Term(textual.TermID(id))
-		if !ok {
-			return fmt.Errorf("vocabulary hole at term %d", id)
-		}
-		if err := putU32(w, uint32(len(term))); err != nil {
-			return err
-		}
-		if _, err := w.WriteString(term); err != nil {
-			return err
-		}
-	}
-	// Record sizes (the offset table is derived at Open), then records.
-	sizes := make([]uint32, n)
-	for id := 0; id < n; id++ {
-		t := src.Traj(trajdb.TrajID(id))
-		sizes[id] = uint32(recordSize(t))
-		if err := putU32(w, sizes[id]); err != nil {
-			return err
-		}
-	}
-	for id := 0; id < n; id++ {
-		if err := writeRecord(w, src.Traj(trajdb.TrajID(id))); err != nil {
-			return fmt.Errorf("record %d: %w", id, err)
-		}
-	}
-	return w.Flush()
-}
-
-func recordSize(t *trajdb.Trajectory) int {
-	return 4 + len(t.Samples)*12 + 4 + len(t.Keywords)*4
-}
-
-func writeRecord(w io.Writer, t *trajdb.Trajectory) error {
-	if err := putU32(w, uint32(len(t.Samples))); err != nil {
-		return err
-	}
-	for _, s := range t.Samples {
-		if err := putU32(w, uint32(s.V)); err != nil {
-			return err
-		}
-		if err := putU64(w, math.Float64bits(s.T)); err != nil {
-			return err
-		}
-	}
-	if err := putU32(w, uint32(len(t.Keywords))); err != nil {
-		return err
-	}
-	for _, k := range t.Keywords {
-		if err := putU32(w, uint32(k)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Store is a disk-resident trajectory store. Indexes are memory resident;
-// trajectory records are read from the file through a byte-budgeted LRU
-// buffer. Safe for concurrent use.
+// Store is a disk-resident trajectory store. Everything a trajdb.File
+// keeps resident is answered from memory; trajectory records are read
+// from the file through a byte-budgeted LRU buffer. Safe for concurrent
+// use.
 type Store struct {
-	g     *roadnet.Graph
-	f     *os.File
-	vocab *textual.Vocab
-
-	offsets []int64
-	sizes   []uint32
-
-	// Index-resident structures (built once at Open).
-	vertexIx [][]trajdb.TrajID
-	textIx   *textual.Index
-	docTerms []textual.TermSet // by TrajID; the I/O-free Keywords path
-	bboxes   []geo.Rect
-	starts   []float64 // departure time per trajectory (time-window filter)
-
-	warm bool // indexes came from the sidecar; no rebuild scan ran
+	*trajdb.File
 
 	mu    sync.Mutex
 	cache map[trajdb.TrajID]*list.Element
@@ -194,10 +53,10 @@ type Store struct {
 }
 
 type entry struct {
-	id   trajdb.TrajID
-	traj *trajdb.Trajectory
-	uniq []roadnet.VertexID
-	cost int
+	id    trajdb.TrajID
+	traj  *trajdb.Trajectory
+	verts []int32 // ascending unique vertices
+	cost  int
 }
 
 // CacheStats counts buffer activity since Open.
@@ -209,141 +68,25 @@ type CacheStats struct {
 	BytesRead int64
 }
 
-// Open maps a disk-store file over g, loads the memory-resident indexes
-// — from the persistent sidecar at path+".idx" when it matches the
-// record file (warm start, no record scan), otherwise by one sequential
-// rebuild scan — and installs an LRU record buffer with the given byte
-// budget (≤0 selects DefaultCacheBytes).
+// Open opens the store file at path over g (see trajdb.OpenFile for the
+// warm start from the sidecar at path+".idx" and the scan it falls back
+// to) and installs an LRU record buffer with the given byte budget (≤0
+// selects DefaultCacheBytes).
 func Open(path string, g *roadnet.Graph, cacheBytes int) (*Store, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	s, err := open(f, g, cacheBytes, index.SidecarPath(path))
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("diskstore: opening %s: %w", path, err)
-	}
-	return s, nil
-}
-
-func open(f *os.File, g *roadnet.Graph, cacheBytes int, sidecarPath string) (*Store, error) {
 	if cacheBytes <= 0 {
 		cacheBytes = DefaultCacheBytes
 	}
-	r := bufio.NewReader(f)
-	magic := make([]byte, len(storeMagic))
-	if _, err := io.ReadFull(r, magic); err != nil {
-		return nil, fmt.Errorf("reading magic: %w", err)
-	}
-	if string(magic) != storeMagic {
-		return nil, fmt.Errorf("bad magic %q", magic)
-	}
-	n64, err := getU32(r)
+	f, err := trajdb.OpenFile(path, g)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("diskstore: %w", err)
 	}
-	n := int(n64)
-	vocabSize, err := getU32(r)
-	if err != nil {
-		return nil, err
-	}
-	const maxReasonable = 1 << 30
-	if n64 > maxReasonable || vocabSize > maxReasonable {
-		return nil, fmt.Errorf("implausible header (%d records, %d terms)", n64, vocabSize)
-	}
-	vocab := textual.NewVocab()
-	bytesSoFar := int64(len(storeMagic)) + 8
-	for i := uint32(0); i < vocabSize; i++ {
-		tlen, err := getU32(r)
-		if err != nil {
-			return nil, err
-		}
-		if tlen > 1<<20 {
-			return nil, fmt.Errorf("implausible term length %d", tlen)
-		}
-		buf := make([]byte, tlen)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, err
-		}
-		if id, ok := vocab.Intern(string(buf)); !ok || id != textual.TermID(i) {
-			return nil, fmt.Errorf("term %d (%q) does not re-intern to its ID", i, buf)
-		}
-		bytesSoFar += 4 + int64(tlen)
-	}
-	s := &Store{
-		g:        g,
-		f:        f,
-		vocab:    vocab,
-		offsets:  make([]int64, n),
-		sizes:    make([]uint32, n),
-		vertexIx: make([][]trajdb.TrajID, g.NumVertices()),
-		textIx:   textual.NewIndex(),
-		docTerms: make([]textual.TermSet, n),
-		bboxes:   make([]geo.Rect, n),
-		starts:   make([]float64, n),
-		cache:    make(map[trajdb.TrajID]*list.Element),
-		lru:      list.New(),
-		limit:    cacheBytes,
-	}
-	for i := 0; i < n; i++ {
-		sz, err := getU32(r)
-		if err != nil {
-			return nil, err
-		}
-		s.sizes[i] = sz
-		bytesSoFar += 4
-	}
-	off := bytesSoFar
-	var recordBytes uint64
-	for i := 0; i < n; i++ {
-		s.offsets[i] = off
-		off += int64(s.sizes[i])
-		recordBytes += uint64(s.sizes[i])
-	}
-	// Warm start: adopt the sidecar's indexes when its fingerprint
-	// matches this record file, skipping the rebuild scan entirely. A
-	// missing, stale, or malformed sidecar silently falls through to the
-	// scan — the sidecar can cost time, never correctness.
-	if sidecarPath != "" {
-		if sc, err := index.ReadSidecar(sidecarPath); err == nil &&
-			sc.Matches(n, g.NumVertices(), int(vocabSize), recordBytes) &&
-			sc.SortedVertexCheck() == nil {
-			s.vertexIx = sc.VertexIx
-			s.bboxes = sc.BBoxes
-			s.starts = sc.Starts
-			s.docTerms = sc.DocTerms
-			s.textIx = sc.RebuildTextIndex()
-			s.warm = true
-			return s, nil
-		}
-	}
-	// One sequential scan to build the memory-resident indexes.
-	for i := 0; i < n; i++ {
-		t, uniq, err := decodeRecord(r, trajdb.TrajID(i), g.NumVertices())
-		if err != nil {
-			return nil, fmt.Errorf("record %d: %w", i, err)
-		}
-		box := geo.EmptyRect()
-		for _, v := range uniq {
-			s.vertexIx[v] = append(s.vertexIx[v], trajdb.TrajID(i))
-			box = box.ExtendPoint(g.Point(v))
-		}
-		s.bboxes[i] = box
-		s.starts[i] = t.Samples[0].T
-		s.docTerms[i] = t.Keywords
-		s.textIx.Add(textual.DocID(i), t.Keywords)
-	}
-	s.textIx.Freeze()
-	return s, nil
+	return &Store{
+		File:  f,
+		cache: make(map[trajdb.TrajID]*list.Element),
+		lru:   list.New(),
+		limit: cacheBytes,
+	}, nil
 }
-
-// WarmStart reports whether Open adopted the persistent sidecar indexes
-// instead of rebuilding them with a record scan.
-func (s *Store) WarmStart() bool { return s.warm }
-
-// Close releases the underlying file. The store must not be used after.
-func (s *Store) Close() error { return s.f.Close() }
 
 // Stats returns a snapshot of the buffer counters.
 func (s *Store) Stats() CacheStats {
@@ -355,53 +98,24 @@ func (s *Store) Stats() CacheStats {
 // CacheBytes returns the buffer budget.
 func (s *Store) CacheBytes() int { return s.limit }
 
-// Vocab returns the keyword vocabulary carried by the file.
-func (s *Store) Vocab() *textual.Vocab { return s.vocab }
-
-// Graph implements core.TrajStore.
-func (s *Store) Graph() *roadnet.Graph { return s.g }
-
-// NumTrajectories implements core.TrajStore.
-func (s *Store) NumTrajectories() int { return len(s.offsets) }
-
-// TrajsAtVertex implements core.TrajStore (index resident; no I/O).
-func (s *Store) TrajsAtVertex(v roadnet.VertexID) []trajdb.TrajID { return s.vertexIx[v] }
-
-// TextIndex implements core.TrajStore (index resident; no I/O).
-func (s *Store) TextIndex() *textual.Index { return s.textIx }
-
-// BBox implements core.TrajStore (index resident; no I/O).
-func (s *Store) BBox(id trajdb.TrajID) geo.Rect { return s.bboxes[id] }
-
-// StartTime returns trajectory id's departure time without touching disk.
-func (s *Store) StartTime(id trajdb.TrajID) float64 { return s.starts[id] }
-
-// Keywords implements core.TrajStore: the term sets are memory-resident,
-// so this is I/O free. The store keeps its own per-trajectory slice
-// rather than going through textual.Index.DocTerms — that accessor
-// returns a defensive copy, and this sits in the engines' per-candidate
-// scoring loop. The result follows the TrajStore contract: treat it as
-// immutable.
-func (s *Store) Keywords(id trajdb.TrajID) textual.TermSet {
-	return s.docTerms[id]
-}
-
 // Traj implements core.TrajStore, faulting the record through the buffer.
-func (s *Store) Traj(id trajdb.TrajID) *trajdb.Trajectory {
-	e := s.load(id)
-	return e.traj
-}
+func (s *Store) Traj(id trajdb.TrajID) *trajdb.Trajectory { return s.load(id).traj }
 
 // UniqueVertices implements core.TrajStore (record payload; may fault).
 func (s *Store) UniqueVertices(id trajdb.TrajID) []roadnet.VertexID {
-	return s.load(id).uniq
+	vs := s.load(id).verts
+	out := make([]roadnet.VertexID, len(vs))
+	for i, v := range vs {
+		out[i] = roadnet.VertexID(v)
+	}
+	return out
 }
 
 // ContainsVertex implements core.TrajStore (record payload; may fault).
 func (s *Store) ContainsVertex(id trajdb.TrajID, v roadnet.VertexID) bool {
-	uniq := s.load(id).uniq
-	i := sort.Search(len(uniq), func(i int) bool { return uniq[i] >= v })
-	return i < len(uniq) && uniq[i] == v
+	vs := s.load(id).verts
+	i := sort.Search(len(vs), func(i int) bool { return vs[i] >= int32(v) })
+	return i < len(vs) && vs[i] == int32(v)
 }
 
 // load returns the cached record, reading and decoding it on a miss.
@@ -416,27 +130,16 @@ func (s *Store) load(id trajdb.TrajID) *entry {
 		return e
 	}
 	s.stats.Misses++
-	s.stats.BytesRead += int64(s.sizes[id])
 	s.mu.Unlock()
 
 	// Read outside the lock: concurrent misses may read the same record
 	// twice, which is harmless and keeps the file read off the hot lock.
-	buf := make([]byte, s.sizes[id])
-	if _, err := s.f.ReadAt(buf, s.offsets[id]); err != nil {
-		// The file was validated at Open; a read failure here means the
-		// environment broke underneath us (file truncated, device gone).
-		// The typed panic is the core.TrajStore fault convention: the
-		// engine recovers it and surfaces the failure as a query error.
-		panic(&trajdb.StoreError{Op: "read", ID: id, Err: err})
-	}
-	t, uniq, err := decodeRecordBytes(buf, id, s.g.NumVertices())
-	if err != nil {
-		panic(&trajdb.StoreError{Op: "decode", ID: id, Err: err})
-	}
-	e := &entry{id: id, traj: t, uniq: uniq, cost: len(buf) + 64}
+	t, verts, size := s.Load(id)
+	e := &entry{id: id, traj: t, verts: verts, cost: size + 64}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.stats.BytesRead += int64(size)
 	if el, ok := s.cache[id]; ok { // lost a race: keep the incumbent
 		s.lru.MoveToFront(el)
 		return el.Value.(*entry)
@@ -452,95 +155,4 @@ func (s *Store) load(id trajdb.TrajID) *entry {
 		s.stats.Evictions++
 	}
 	return e
-}
-
-func decodeRecord(r io.Reader, id trajdb.TrajID, numVertices int) (*trajdb.Trajectory, []roadnet.VertexID, error) {
-	ns, err := getU32(r)
-	if err != nil {
-		return nil, nil, err
-	}
-	if ns == 0 || ns > 1<<26 {
-		return nil, nil, fmt.Errorf("implausible sample count %d", ns)
-	}
-	samples := make([]trajdb.Sample, ns)
-	for i := range samples {
-		v, err := getU32(r)
-		if err != nil {
-			return nil, nil, err
-		}
-		if int(v) >= numVertices {
-			return nil, nil, fmt.Errorf("vertex %d outside graph", v)
-		}
-		bits, err := getU64(r)
-		if err != nil {
-			return nil, nil, err
-		}
-		samples[i] = trajdb.Sample{V: roadnet.VertexID(v), T: math.Float64frombits(bits)}
-	}
-	nk, err := getU32(r)
-	if err != nil {
-		return nil, nil, err
-	}
-	if nk > 1<<20 {
-		return nil, nil, fmt.Errorf("implausible keyword count %d", nk)
-	}
-	kws := make([]textual.TermID, nk)
-	for i := range kws {
-		k, err := getU32(r)
-		if err != nil {
-			return nil, nil, err
-		}
-		kws[i] = textual.TermID(k)
-	}
-	t := &trajdb.Trajectory{ID: id, Samples: samples, Keywords: textual.NewTermSet(kws)}
-	return t, uniqueVertices(samples), nil
-}
-
-func decodeRecordBytes(buf []byte, id trajdb.TrajID, numVertices int) (*trajdb.Trajectory, []roadnet.VertexID, error) {
-	return decodeRecord(bytes.NewReader(buf), id, numVertices)
-}
-
-func uniqueVertices(samples []trajdb.Sample) []roadnet.VertexID {
-	vs := make([]roadnet.VertexID, len(samples))
-	for i, s := range samples {
-		vs[i] = s.V
-	}
-	sort.Slice(vs, func(a, b int) bool { return vs[a] < vs[b] })
-	uniq := vs[:1]
-	for _, v := range vs[1:] {
-		if v != uniq[len(uniq)-1] {
-			uniq = append(uniq, v)
-		}
-	}
-	return uniq
-}
-
-func putU32(w io.Writer, v uint32) error {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	_, err := w.Write(b[:])
-	return err
-}
-
-func putU64(w io.Writer, v uint64) error {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	_, err := w.Write(b[:])
-	return err
-}
-
-func getU32(r io.Reader) (uint32, error) {
-	var b [4]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b[:]), nil
-}
-
-func getU64(r io.Reader) (uint64, error) {
-	var b [8]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b[:]), nil
 }

@@ -1,8 +1,6 @@
-// Package index holds the precomputed pruning structures layered on top
+// Package index holds the precomputed pruning structure layered on top
 // of the trajectory store: ALT-landmark network-distance lower bounds
-// aggregated per trajectory (TrajBounds) and the persistent sidecar
-// format that lets the disk store's memory-resident indexes skip their
-// build scan on warm starts (sidecar.go).
+// aggregated per trajectory (TrajBounds).
 //
 // TrajBounds gives the engine its per-candidate spatial upper bound as
 // an O(K) lookup over precomputed per-landmark intervals, where the

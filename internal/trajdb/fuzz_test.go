@@ -2,6 +2,8 @@ package trajdb
 
 import (
 	"bytes"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -20,12 +22,11 @@ func fuzzGraph(f *testing.F) *roadnet.Graph {
 	return g
 }
 
-// FuzzReadStore asserts the binary store reader never panics: arbitrary
-// bytes either parse into a valid store or error out.
-func FuzzReadStore(f *testing.F) {
-	g := fuzzGraph(f)
-	vocab := textual.GenerateVocab(2, 6, 1, 1)
-	db, err := Generate(g, GenOptions{Count: 8, MeanSamples: 5, Vocab: vocab, Seed: 3})
+// fuzzStoreFile generates a small store and returns it with its file
+// bytes.
+func fuzzStoreFile(f *testing.F, g *roadnet.Graph, seed uint64) (*Store, []byte) {
+	f.Helper()
+	db, err := Generate(g, GenOptions{Count: 8, MeanSamples: 5, Vocab: textual.GenerateVocab(2, 6, 1, 1), Seed: seed})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -33,36 +34,53 @@ func FuzzReadStore(f *testing.F) {
 	if err := WriteStore(&buf, db); err != nil {
 		f.Fatal(err)
 	}
-	valid := buf.Bytes()
+	return db, buf.Bytes()
+}
+
+// FuzzReadSidecar asserts the sidecar decoder's contract: on arbitrary
+// bytes it fails or returns exactly the Index and term sets a scan of the
+// store file builds — never a panic, never a different index. Seeds: the
+// valid sidecar and its truncations, a stale one (a valid sidecar of
+// other records — with the valid one, the pair a crashed rewrite leaves),
+// and counts of 1<<30 in today's layout and in the previous one, whose
+// decoder sized slices from them.
+func FuzzReadSidecar(f *testing.F) {
+	g := fuzzGraph(f)
+	db, file := fuzzStoreFile(f, g, 3)
+	h, err := readHeader(bytes.NewReader(file))
+	if err != nil {
+		f.Fatal(err)
+	}
+	want, wantTerms, err := h.scanIndex(bytes.NewReader(file[h.recordsAt:]), g)
+	if err != nil {
+		f.Fatal(err)
+	}
+
+	valid := encodeSidecar(db, h.sum)
+	if _, _, err := decodeSidecar(valid, h, g); err != nil {
+		f.Fatalf("the valid sidecar does not decode: %v", err)
+	}
+	other, otherFile := fuzzStoreFile(f, g, 4)
+	otherHeader, err := readHeader(bytes.NewReader(otherFile))
+	if err != nil {
+		f.Fatal(err)
+	}
+	huge := []byte{0, 0, 0, 0x40}
 	f.Add(valid)
-	f.Add(valid[:len(valid)*2/3])
-	f.Add([]byte(trajMagic))
+	f.Add(valid[:len(valid)/2])
+	f.Add(valid[:len(sidecarMagic)+8])
+	f.Add(encodeSidecar(other, otherHeader.sum))
+	f.Add(slices.Concat(valid[:len(sidecarMagic)+8], huge, huge, huge, make([]byte, 8)))
+	f.Add(slices.Concat([]byte(sidecarMagic), huge, huge, huge, make([]byte, 8)))
 	f.Add([]byte{})
-	mutated := append([]byte(nil), valid...)
-	mutated[len(mutated)-3] ^= 0x7F
-	f.Add(mutated)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := ReadStore(bytes.NewReader(data), g)
+		got, gotTerms, err := decodeSidecar(data, h, g)
 		if err != nil {
 			return
 		}
-		// A parsed store must satisfy its invariants.
-		for id := 0; id < got.NumTrajectories(); id++ {
-			tr := got.Traj(TrajID(id))
-			if tr.Len() == 0 {
-				t.Fatal("parsed trajectory has no samples")
-			}
-			prev := -1.0
-			for _, s := range tr.Samples {
-				if int(s.V) >= g.NumVertices() || s.V < 0 {
-					t.Fatalf("sample vertex %d out of range", s.V)
-				}
-				if s.T < prev {
-					t.Fatal("sample times not monotone")
-				}
-				prev = s.T
-			}
+		if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotTerms, wantTerms) {
+			t.Fatal("a sidecar decoded into an index the record scan does not build")
 		}
 	})
 }

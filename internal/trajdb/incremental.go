@@ -22,12 +22,14 @@ import (
 func (s *Store) extendWith(trajs []*Trajectory) *Store {
 	n := len(s.trajs)
 	next := &Store{
-		g:            s.g,
-		vocab:        s.vocab,
+		Index: Index{
+			g:        s.g,
+			vocab:    s.vocab,
+			vertexIx: make([][]TrajID, len(s.vertexIx)),
+			bboxes:   make([]geo.Rect, n, n+len(trajs)),
+		},
 		trajs:        make([]Trajectory, n, n+len(trajs)),
-		vertexIx:     make([][]TrajID, len(s.vertexIx)),
 		vertsOf:      make([][]int32, n, n+len(trajs)),
-		bboxes:       make([]geo.Rect, n, n+len(trajs)),
 		totalSamples: s.totalSamples,
 	}
 	copy(next.trajs, s.trajs)

@@ -148,33 +148,22 @@ func (b *Builder) AddWithKeywords(samples []Sample, keywords []string) (TrajID, 
 func (b *Builder) Freeze() *Store {
 	b.frozen = true
 	s := &Store{
-		g:        b.g,
-		vocab:    b.vocab,
-		trajs:    b.trajs,
-		vertexIx: make([][]TrajID, b.g.NumVertices()),
-		vertsOf:  make([][]int32, len(b.trajs)),
-		textIx:   textual.NewIndex(),
+		Index:   newIndex(b.g, b.vocab),
+		trajs:   b.trajs,
+		vertsOf: make([][]int32, len(b.trajs)),
 	}
 	for i := range s.trajs {
 		t := &s.trajs[i]
-		uniq, box := trajIndexEntry(b.g, t.Samples)
-		s.vertsOf[i] = uniq
-		for _, v := range uniq {
-			s.vertexIx[v] = append(s.vertexIx[v], TrajID(i))
-		}
-		s.bboxes = append(s.bboxes, box)
-		s.textIx.Add(textual.DocID(i), t.Keywords)
+		s.vertsOf[i] = s.add(t.Samples, t.Keywords)
 		s.totalSamples += len(t.Samples)
 	}
 	s.textIx.Freeze()
 	return s
 }
 
-// trajIndexEntry derives one trajectory's per-store index data: the
-// sorted unique vertex list (membership tests) and the planar bounding
-// box of its samples. Freeze and the incremental snapshot extension
-// must derive these identically, so the logic lives in one place.
-func trajIndexEntry(g *roadnet.Graph, samples []Sample) ([]int32, geo.Rect) {
+// uniqueVertices returns the ascending unique vertices of samples — the
+// membership list behind ContainsVertex and UniqueVertices.
+func uniqueVertices(samples []Sample) []int32 {
 	vs := make([]int32, len(samples))
 	for j, smp := range samples {
 		vs[j] = int32(smp.V)
@@ -186,6 +175,15 @@ func trajIndexEntry(g *roadnet.Graph, samples []Sample) ([]int32, geo.Rect) {
 			uniq = append(uniq, v)
 		}
 	}
+	return uniq
+}
+
+// trajIndexEntry derives one trajectory's per-store index data: the
+// sorted unique vertex list (membership tests) and the planar bounding
+// box of its samples. Index.add and the incremental snapshot extension
+// must derive these identically, so the logic lives in one place.
+func trajIndexEntry(g *roadnet.Graph, samples []Sample) ([]int32, geo.Rect) {
+	uniq := uniqueVertices(samples)
 	box := geo.EmptyRect()
 	for _, v := range uniq {
 		box = box.ExtendPoint(g.Point(roadnet.VertexID(v)))
@@ -193,32 +191,80 @@ func trajIndexEntry(g *roadnet.Graph, samples []Sample) ([]int32, geo.Rect) {
 	return uniq, box
 }
 
-// Store is an immutable trajectory database over one road network.
-// It is safe for concurrent use.
-type Store struct {
-	g            *roadnet.Graph
-	vocab        *textual.Vocab
-	trajs        []Trajectory
-	vertexIx     [][]TrajID // ascending trajectory IDs per vertex
-	vertsOf      [][]int32  // ascending unique vertices per trajectory
-	bboxes       []geo.Rect // bounding box of each trajectory's samples
-	textIx       *textual.Index
-	totalSamples int
+// Index is the memory-resident half of a trajectory store: the two access
+// paths the engine searches through — vertex→trajectory postings for
+// network expansion, the keyword inverted index for textual scoring —
+// plus each trajectory's bounding box. Store holds one beside its
+// resident records and File beside its record offsets; the sidecar
+// (io.go) is its serialisation. Immutable once built and safe for
+// concurrent use.
+type Index struct {
+	g        *roadnet.Graph
+	vocab    *textual.Vocab
+	vertexIx [][]TrajID // ascending trajectory IDs per vertex
+	bboxes   []geo.Rect // bounding box of each trajectory's samples
+	textIx   *textual.Index
 }
 
-// BBox returns the planar bounding rectangle of trajectory id's samples —
-// the goal summary used by targeted (A*) distance queries.
-func (s *Store) BBox(id TrajID) geo.Rect { return s.bboxes[id] }
+func newIndex(g *roadnet.Graph, vocab *textual.Vocab) Index {
+	return Index{
+		g:        g,
+		vocab:    vocab,
+		vertexIx: make([][]TrajID, g.NumVertices()),
+		textIx:   textual.NewIndex(),
+	}
+}
+
+// add indexes the next trajectory (IDs are dense, so its ID is the
+// current count) and returns its ascending unique vertices. The caller
+// freezes textIx after the last add.
+func (ix *Index) add(samples []Sample, keywords textual.TermSet) []int32 {
+	id := TrajID(len(ix.bboxes))
+	uniq, box := trajIndexEntry(ix.g, samples)
+	for _, v := range uniq {
+		ix.vertexIx[v] = append(ix.vertexIx[v], id)
+	}
+	ix.bboxes = append(ix.bboxes, box)
+	ix.textIx.Add(textual.DocID(id), keywords)
+	return uniq
+}
 
 // Graph returns the road network the trajectories live on.
-func (s *Store) Graph() *roadnet.Graph { return s.g }
+func (ix *Index) Graph() *roadnet.Graph { return ix.g }
 
 // Vocab returns the keyword vocabulary (nil if the store was built without
 // one).
-func (s *Store) Vocab() *textual.Vocab { return s.vocab }
+func (ix *Index) Vocab() *textual.Vocab { return ix.vocab }
 
 // NumTrajectories returns the number of trajectories.
-func (s *Store) NumTrajectories() int { return len(s.trajs) }
+func (ix *Index) NumTrajectories() int { return len(ix.bboxes) }
+
+// TrajsAtVertex returns the ascending list of trajectories that contain
+// vertex v as a sample point — the inverted list scanned during network
+// expansion. The result aliases the internal posting list, which an MVCC
+// snapshot extension may share with every other generation of the
+// store: it sits on the expansion hot path and is returned without a
+// copy, so the caller must not modify it (an in-place sort or append
+// would corrupt all generations at once). Callers that need to retain or
+// reorder it must copy first; TestAliasedSliceContracts pins the
+// aliasing so a silent contract change fails loudly.
+func (ix *Index) TrajsAtVertex(v roadnet.VertexID) []TrajID { return ix.vertexIx[v] }
+
+// TextIndex returns the keyword inverted index (DocID == TrajID).
+func (ix *Index) TextIndex() *textual.Index { return ix.textIx }
+
+// BBox returns the planar bounding rectangle of trajectory id's samples —
+// the goal summary used by targeted (A*) distance queries.
+func (ix *Index) BBox(id TrajID) geo.Rect { return ix.bboxes[id] }
+
+// Store is an immutable trajectory database over one road network: the
+// Index plus every record resident. It is safe for concurrent use.
+type Store struct {
+	Index
+	trajs        []Trajectory
+	vertsOf      [][]int32 // ascending unique vertices per trajectory
+	totalSamples int
+}
 
 // TotalSamples returns the total sample count across all trajectories.
 func (s *Store) TotalSamples() int { return s.totalSamples }
@@ -234,17 +280,6 @@ func (s *Store) AvgSamples() float64 {
 // Traj returns the trajectory with the given ID. The result must not be
 // modified.
 func (s *Store) Traj(id TrajID) *Trajectory { return &s.trajs[id] }
-
-// TrajsAtVertex returns the ascending list of trajectories that contain
-// vertex v as a sample point — the inverted list scanned during network
-// expansion. The result aliases the store's internal posting list, which
-// an MVCC snapshot extension may share with every other generation of
-// the store: it sits on the expansion hot path and is returned without a
-// copy, so the caller must not modify it (an in-place sort or append
-// would corrupt all generations at once). Callers that need to retain or
-// reorder it must copy first; TestAliasedSliceContracts pins the
-// aliasing so a silent contract change fails loudly.
-func (s *Store) TrajsAtVertex(v roadnet.VertexID) []TrajID { return s.vertexIx[v] }
 
 // ContainsVertex reports whether trajectory id has v among its samples.
 func (s *Store) ContainsVertex(id TrajID, v roadnet.VertexID) bool {
@@ -263,9 +298,6 @@ func (s *Store) UniqueVertices(id TrajID) []roadnet.VertexID {
 	}
 	return out
 }
-
-// TextIndex returns the keyword inverted index (DocID == TrajID).
-func (s *Store) TextIndex() *textual.Index { return s.textIx }
 
 // Keywords returns the keyword set of trajectory id. Like TrajsAtVertex
 // it returns the internal slice without a copy (per-candidate scoring

@@ -258,7 +258,7 @@ func TestReadStoreRejectsGarbage(t *testing.T) {
 	if _, err := ReadStore(bytes.NewReader([]byte("nope")), g); err == nil {
 		t.Error("garbage should fail")
 	}
-	if _, err := ReadStore(bytes.NewReader([]byte(trajMagic)), g); err == nil {
+	if _, err := ReadStore(bytes.NewReader([]byte(storeMagic)), g); err == nil {
 		t.Error("truncated store should fail")
 	}
 }

@@ -166,7 +166,9 @@ func NewEngine(db TrajStore, opts Options) (*Engine, error) { return core.NewEng
 // policy for robustness testing.
 func NewFaultStore(db TrajStore, cfg FaultConfig) *FaultStore { return core.NewFaultStore(db, cfg) }
 
-// CreateDiskStore converts an in-memory store into a disk-store file.
+// CreateDiskStore writes src as a store file at path — the format
+// WriteStore writes and ReadStore reads — plus the index sidecar
+// path+".idx" that lets OpenDiskStore start without scanning the records.
 func CreateDiskStore(path string, src *Store) error { return diskstore.Create(path, src) }
 
 // OpenDiskStore opens a disk-store file over g with the given LRU buffer
@@ -260,7 +262,9 @@ func WriteGraph(w io.Writer, g *Graph) error { return roadnet.WriteGraph(w, g) }
 // ReadGraph deserializes a graph written by WriteGraph.
 func ReadGraph(r io.Reader) (*Graph, error) { return roadnet.ReadGraph(r) }
 
-// WriteStore serializes a trajectory store (without its graph).
+// WriteStore serializes a trajectory store (without its graph) as a
+// store file: ReadStore loads it into memory, OpenDiskStore serves it
+// from disk.
 func WriteStore(w io.Writer, s *Store) error { return trajdb.WriteStore(w, s) }
 
 // ReadStore deserializes a trajectory store over g.
