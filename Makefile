@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build vet lint wire-schema test race fuzz-smoke bench bench-quick check
+.PHONY: build vet lint wire-schema options test race fuzz-smoke bench bench-quick check
 
 build:
 	$(GO) build ./...
@@ -29,6 +29,14 @@ lint:
 # checker, fails until you do).
 wire-schema:
 	cd internal/rpc && $(GO) test -run TestWireSchemaGolden -args -update-wire-schema
+
+# options regenerates testdata/options.golden, the census of settable
+# values (every flag of cmd/*/main.go, every exported config-struct
+# field). Run it for a deliberate new or removed knob, and commit the
+# golden diff (TestOptionsGolden, its one generator and checker, fails
+# until you do).
+options:
+	$(GO) test . -run TestOptionsGolden -args -update-options
 
 test:
 	$(GO) test ./...

@@ -7,7 +7,7 @@
 //	          [-timeout 10s -max-inflight 64 -max-body 8388608 -drain 10s]
 //	          [-debug-addr 127.0.0.1:6060 -trace-depth 64 -log-requests]
 //	          [-slow-query-ms 250 -slow-query-depth 32]
-//	          [-shards 4 -partition hash]
+//	          [-shards 4]
 //	          [-remote-shards 'h1:p,h2:p;h3:p,h4:p' -rpc-timeout 2s -rpc-retries 3
 //	           -hedge-delay 5ms -probe-interval 5s -rpc-partial degrade]
 //	          [-ingest -wal-dir walblocks -fsync always]
@@ -55,7 +55,7 @@
 //
 // -shards N > 1 serves the default search algorithm from a sharded
 // scatter-gather engine (internal/shard): the store is partitioned N
-// ways (-partition hash|region) and every query fans out over the
+// ways (by a hash of the trajectory ID) and every query fans out over the
 // shards, with per-shard work visible as uots_shard_* series on
 // /metrics. The exhaustive/textfirst baselines keep running on the
 // monolithic engine.
@@ -65,12 +65,13 @@
 // replica group per partition (';' separates partitions in partition
 // order, ',' separates that partition's interchangeable replicas; a
 // bare host:port gets http://). Every node must serve the same dataset
-// partitioned the same way (-partition, partition count = group count).
+// (partition count = group count; the layout is a function of the
+// trajectory ID and that count alone, so nodes cannot disagree on it).
 // Before it listens the router probes every replica once and exits 1 if
 // a reachable one reports another partition index or count than its
 // place in the list; the health prober keeps checking, and a replica
-// that changes identity is refused, not merged. (A shard started with
-// another -partition reports the same identity and is not detected.)
+// that changes identity is refused, not merged. (A shard serving another
+// dataset reports the same identity and is not detected.)
 // Per-attempt deadlines (-rpc-timeout), bounded retries (-rpc-retries),
 // hedged requests (-hedge-delay; 0 disables), and health probes
 // (-probe-interval) guard the wire; -rpc-partial picks whether a dead
@@ -134,7 +135,6 @@ func main() {
 	slowQueryDepth := flag.Int("slow-query-depth", 0, "slow queries retained by the flight recorder (0 = default)")
 	logRequests := flag.Bool("log-requests", false, "log one line per request, tagged with its request ID")
 	shards := flag.Int("shards", 1, "serve the default search from this many store shards (1 = monolithic)")
-	partition := flag.String("partition", "hash", "shard partitioner: hash or region")
 	remoteShards := flag.String("remote-shards", "", "route the default search to remote uotsshard replica groups: 'a,b;c,d' (';' partitions, ',' replicas)")
 	rpcTimeout := flag.Duration("rpc-timeout", 2*time.Second, "per-attempt deadline for remote shard calls (0 = caller deadline only)")
 	rpcRetries := flag.Int("rpc-retries", 3, "total attempts per remote shard call before the partition counts as faulted")
@@ -309,21 +309,13 @@ func main() {
 			len(groups), partial, *rpcRetries, *rpcTimeout, *hedgeDelay, *probeInterval)
 	}
 	if *shards > 1 {
-		part, ok := shard.PartitionerByName(*partition)
-		if !ok {
-			fatal(fmt.Errorf("unknown partitioner %q (want hash or region)", *partition))
-		}
-		sharded, err := shard.NewExecutor(store, engineOpts, shard.Config{
-			Shards:      *shards,
-			Partitioner: part,
-			Metrics:     reg,
-		})
+		sharded, err := shard.NewExecutor(store, engineOpts, shard.Config{Shards: *shards, Metrics: reg})
 		if err != nil {
 			fatal(err)
 		}
 		defer sharded.Close()
 		cfg.Searcher = sharded
-		log.Printf("uotsserve: sharded search over %d shards (%s partitioning)", sharded.NumShards(), part)
+		log.Printf("uotsserve: sharded search over %d shards", sharded.NumShards())
 	}
 	var live *ingest.Service
 	if *ingestMode {

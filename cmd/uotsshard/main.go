@@ -5,12 +5,13 @@
 // Usage:
 //
 //	uotsshard -data dataset -addr 127.0.0.1:0 -shard 0 -shards 2
-//	          [-partition hash -drain 10s]
+//	          [-drain 10s]
 //
 // The process loads the full dataset, derives partition -shard of
-// -shards with the named partitioner — the same derivation the router
-// uses, which is the topology contract that makes shard-local answers
-// mergeable — and serves that piece's engine over HTTP:
+// -shards — a function of the trajectory ID and the shard count, the
+// same derivation the router uses, which is the topology contract that
+// makes shard-local answers mergeable — and serves that piece's engine
+// over HTTP:
 //
 //	POST /rpc/v1/search      one search, any variant (gob)
 //	POST /rpc/v1/batch       a whole query batch (gob)
@@ -53,7 +54,6 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:0", "listen address (port 0 = kernel-assigned, printed on stdout)")
 	shardIdx := flag.Int("shard", 0, "partition index served by this process")
 	shards := flag.Int("shards", 1, "total partition count of the topology")
-	partition := flag.String("partition", "hash", "shard partitioner: hash or region (must match the router)")
 	drain := flag.Duration("drain", 10*time.Second, "grace period for in-flight requests on shutdown")
 	flag.Parse()
 
@@ -76,11 +76,7 @@ func main() {
 		fatal(err)
 	}
 
-	part, ok := shard.PartitionerByName(*partition)
-	if !ok {
-		fatal(fmt.Errorf("unknown partitioner %q (want hash or region)", *partition))
-	}
-	engine, globals, err := shard.BuildShardEngine(db, core.Options{}, part, *shards, *shardIdx)
+	engine, globals, err := shard.BuildShardEngine(db, core.Options{}, shard.HashPartitioner{}, *shards, *shardIdx)
 	if err != nil {
 		fatal(err)
 	}
@@ -115,8 +111,8 @@ func main() {
 	}
 	// Stdout, not the log: scripts parse this line for the actual port.
 	fmt.Printf("uotsshard: listening on %s\n", ln.Addr())
-	log.Printf("uotsshard: shard %d/%d (%s partitioning, %d of %d trajectories) on %s",
-		*shardIdx, *shards, part, len(globals), db.NumTrajectories(), ln.Addr())
+	log.Printf("uotsshard: shard %d/%d (%d of %d trajectories) on %s",
+		*shardIdx, *shards, len(globals), db.NumTrajectories(), ln.Addr())
 
 	srv := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

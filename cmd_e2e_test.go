@@ -23,7 +23,7 @@ func TestCommandLineTools(t *testing.T) {
 	}
 	dir := t.TempDir()
 	bin := func(name string) string { return filepath.Join(dir, name) }
-	for _, name := range []string{"uotsdgen", "uotsquery", "uotsserve"} {
+	for _, name := range []string{"uotsdgen", "uotsquery", "uotsserve", "uotsshard"} {
 		out, err := exec.Command("go", "build", "-o", bin(name), "./cmd/"+name).CombinedOutput()
 		if err != nil {
 			t.Fatalf("building %s: %v\n%s", name, err, out)
@@ -66,6 +66,15 @@ func TestCommandLineTools(t *testing.T) {
 	}
 	if err := json.Unmarshal(raw, &fc); err != nil || len(fc.Features) == 0 {
 		t.Fatalf("geojson parse: %v (%d features)", err, len(fc.Features))
+	}
+
+	// There is one partition function and no flag to pick another: an old
+	// command line naming one fails flag parsing instead of being ignored.
+	for _, cmd := range [][]string{{"uotsserve", "-partition", "region"}, {"uotsshard", "-partition", "hash"}} {
+		out, err := exec.Command(bin(cmd[0]), append(cmd[1:], "-data", data)...).CombinedOutput()
+		if err == nil || !strings.Contains(string(out), "flag provided but not defined: -partition") {
+			t.Errorf("%v: err = %v, want a non-zero exit naming the unknown flag\n%s", cmd, err, out)
+		}
 	}
 
 	// Serve it and hit the API.

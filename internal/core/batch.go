@@ -10,8 +10,8 @@ import (
 	"uots/internal/obs"
 )
 
-// Algorithm names a query-processing strategy for batch runs and
-// experiment harnesses.
+// Algorithm names a query-processing strategy: the paper's search or one
+// of the two baselines it is measured against.
 type Algorithm int
 
 const (
@@ -37,13 +37,12 @@ func (a Algorithm) String() string {
 	}
 }
 
-// BatchOptions configures a parallel batch run.
+// BatchOptions configures a parallel batch run. Every query of a batch
+// runs the expansion search.
 type BatchOptions struct {
 	// Workers is the number of concurrent query goroutines
 	// (default runtime.GOMAXPROCS(0)).
 	Workers int
-	// Algorithm selects the per-query strategy (default AlgoExpansion).
-	Algorithm Algorithm
 	// SharedExpansion enables the batch planner: queries referencing the
 	// same source vertex share one expansion frontier and its memoized
 	// vertex→trajectory scans (see batchplan.go), doing each network
@@ -51,8 +50,7 @@ type BatchOptions struct {
 	// Per-query admission, pruning bounds, and scheduling stay
 	// independent, so results and per-query stats are byte-identical to
 	// independent runs; only the batch-level planner counters and
-	// wall-clock change. Effective for AlgoExpansion only — the
-	// baselines do not expand frontiers incrementally.
+	// wall-clock change.
 	SharedExpansion bool
 }
 
@@ -72,7 +70,7 @@ type BatchStats struct {
 	WallClock time.Duration // end-to-end elapsed time of the batch
 
 	// Shared-expansion planner counters (all zero when SharedExpansion
-	// is off or the algorithm is not AlgoExpansion).
+	// is off).
 	DistinctSources int    // distinct source vertices with a shared frontier
 	SourceRefs      int    // per-query source references planned onto frontiers
 	FrontierSettles uint64 // Dijkstra settles the shared frontiers performed
@@ -85,9 +83,9 @@ type BatchStats struct {
 // per-query span events interleave into one stream, which the
 // obs.TraceRecorder accepts concurrently.
 //
-// With opts.SharedExpansion, AlgoExpansion queries referencing the same
-// source vertex share expansion frontiers (see batchplan.go); per-query
-// results and stats are byte-identical to independent runs either way.
+// With opts.SharedExpansion, queries referencing the same source vertex
+// share expansion frontiers (see batchplan.go); per-query results and
+// stats are byte-identical to independent runs either way.
 //
 // The context cancels the whole batch: queries the scheduler never
 // handed to a worker are marked with ctx.Err(), and queries already
@@ -108,14 +106,9 @@ func (e *Engine) SearchBatch(ctx context.Context, queries []Query, opts BatchOpt
 	// A worker per query is the most that can ever run; the count comes
 	// from the client and must not size the pool unchecked.
 	opts.Workers = min(opts.Workers, len(queries))
-	switch opts.Algorithm {
-	case AlgoExpansion, AlgoExhaustive, AlgoTextFirst:
-	default:
-		return nil, BatchStats{}, fmt.Errorf("core: unknown batch algorithm %d", int(opts.Algorithm))
-	}
 	elapsed := stopwatch()
 	var share *batchShare
-	if opts.SharedExpansion && opts.Algorithm == AlgoExpansion {
+	if opts.SharedExpansion {
 		share = newBatchShare(e)
 		ctx = contextWithBatchShare(ctx, share)
 	}
@@ -138,7 +131,7 @@ func (e *Engine) SearchBatch(ctx context.Context, queries []Query, opts BatchOpt
 					out[idx] = BatchResult{Index: idx, Err: err}
 					continue
 				}
-				res, stats, err := e.run(ctx, Request{Query: queries[idx]}, opts.Algorithm)
+				res, stats, err := e.run(ctx, Request{Query: queries[idx]}, AlgoExpansion)
 				out[idx] = BatchResult{Index: idx, Results: res, Stats: stats, Err: err}
 			}
 		}()

@@ -113,34 +113,6 @@ func TestBatchSharedExpansionCrossValidation(t *testing.T) {
 	}
 }
 
-// TestBatchSharedExpansionOtherAlgorithms verifies SharedExpansion is a
-// no-op for the baselines: the flag must neither perturb their results
-// nor report planner counters (they do not expand frontiers).
-func TestBatchSharedExpansionOtherAlgorithms(t *testing.T) {
-	e, f := newTestEngine(t, Options{})
-	ctx := context.Background()
-	rng := rand.New(rand.NewPCG(92, 0))
-	queries := hotspotQueries(f, rng, 8, 3, 0.5, 5)
-	for _, algo := range []Algorithm{AlgoExhaustive, AlgoTextFirst} {
-		shared, sstats, err := e.SearchBatch(ctx, queries, BatchOptions{Algorithm: algo, SharedExpansion: true})
-		if err != nil {
-			t.Fatalf("%v shared batch: %v", algo, err)
-		}
-		indep, _, err := e.SearchBatch(ctx, queries, BatchOptions{Algorithm: algo})
-		if err != nil {
-			t.Fatalf("%v independent batch: %v", algo, err)
-		}
-		for i := range queries {
-			if !reflect.DeepEqual(shared[i].Results, indep[i].Results) {
-				t.Errorf("%v entry %d: SharedExpansion changed baseline results", algo, i)
-			}
-		}
-		if sstats.DistinctSources != 0 || sstats.FrontierSettles != 0 || sstats.ServedSettles != 0 {
-			t.Errorf("%v: baseline batch reported planner counters: %+v", algo, sstats)
-		}
-	}
-}
-
 // TestBatchSharedStaleShareFallsBack verifies the snapshot keying: a
 // share built for one engine is refused by an engine over a different
 // store (matches fails), falling back to private expanders with

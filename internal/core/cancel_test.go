@@ -142,10 +142,12 @@ func TestBatchCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
+	// City-wide queries (four scattered places, spatial-only, a deep k)
+	// keep every expansion running long past the 3 ms cancel.
 	rng := rand.New(rand.NewPCG(75, 0))
 	queries := make([]Query, 64)
 	for i := range queries {
-		queries[i] = f.randomQuery(rng, 2, 3, 0.5, 5)
+		queries[i] = f.randomQuery(rng, 4, 3, 1, 50)
 	}
 
 	before := runtime.NumGoroutine()
@@ -155,7 +157,7 @@ func TestBatchCancellation(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	out, _, err := e.SearchBatch(ctx, queries, BatchOptions{Workers: 4, Algorithm: AlgoExhaustive})
+	out, _, err := e.SearchBatch(ctx, queries, BatchOptions{Workers: 4})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("batch err = %v, want context.Canceled", err)
 	}

@@ -33,7 +33,7 @@ func disconnectedWorld(t *testing.T) (*trajdb.Store, *textual.Vocab) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.IsConnected() {
+	if _, comps := g.ConnectedComponents(); comps < 2 {
 		t.Fatal("test graph should be disconnected")
 	}
 	vocab := textual.NewVocab()

@@ -13,8 +13,9 @@ import (
 // Diversified search (an extension beyond the paper): trip recommendation
 // suffers when the top-k are k near-copies of the same route, which is
 // common in commuter corpora. DiversifiedSearch retrieves an enlarged
-// unordered candidate pool with the expansion search and then greedily
-// selects k trajectories by maximal marginal relevance:
+// candidate pool (max(16, 4·k), see Request.Pool) with the expansion
+// search and then greedily selects k trajectories by maximal marginal
+// relevance:
 //
 //	MMR(τ) = (1−μ)·SimST(q, τ) − μ·max_{σ already picked} overlap(τ, σ)
 //
@@ -29,9 +30,6 @@ var ErrBadDiversity = errors.New("core: diversity weight must be in [0, 1)")
 type DiversifyOptions struct {
 	// Mu is the diversity weight μ ∈ [0, 1) (default 0.3).
 	Mu float64
-	// PoolFactor sizes the candidate pool as PoolFactor·k (default 4,
-	// minimum pool 16).
-	PoolFactor int
 }
 
 // normalize validates opts and fills defaults, returning the effective
@@ -42,9 +40,6 @@ func (o DiversifyOptions) normalize() (DiversifyOptions, error) {
 	}
 	if o.Mu < 0 || o.Mu >= 1 || math.IsNaN(o.Mu) {
 		return o, fmt.Errorf("%w: got %g", ErrBadDiversity, o.Mu)
-	}
-	if o.PoolFactor <= 0 {
-		o.PoolFactor = 4
 	}
 	return o, nil
 }

@@ -58,15 +58,10 @@ func (e *Engine) kernel(d float64) float64 {
 	return math.Exp(-d / e.opts.DistScale)
 }
 
-// textScore computes the configured textual similarity between the query
+// textScore computes SimT, the Jaccard similarity between the query
 // keyword set and trajectory id's keywords.
 func (e *Engine) textScore(query textual.TermSet, id trajdb.TrajID) float64 {
-	switch e.opts.TextSim {
-	case TextCosineIDF:
-		return e.db.TextIndex().CosineIDF(query, textual.DocID(id))
-	default:
-		return textual.Jaccard(query, e.db.Keywords(id))
-	}
+	return textual.Jaccard(query, e.db.Keywords(id))
 }
 
 // spatialFromDists folds per-location distances into the spatial

@@ -25,7 +25,6 @@ func TestNewEngineValidation(t *testing.T) {
 		{DistScale: -1},
 		{DistScale: math.NaN()},
 		{Scheduling: Scheduling(99)},
-		{TextSim: TextSim(99)},
 	}
 	for i, opts := range bad {
 		if _, err := NewEngine(f.db, opts); err == nil {
@@ -234,27 +233,6 @@ func TestKLargerThanStore(t *testing.T) {
 	sameScores(t, "k>|T|", got, want)
 }
 
-func TestCosineTextSim(t *testing.T) {
-	f := testFixture(t)
-	e, err := NewEngine(f.db, Options{TextSim: TextCosineIDF})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewPCG(61, 62))
-	for trial := 0; trial < 6; trial++ {
-		q := f.randomQuery(rng, 2, 3, 0.4, 5)
-		want, _, err := e.ExhaustiveSearch(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := e.Search(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameScores(t, "cosine", got, want)
-	}
-}
-
 func TestLandmarkAssistedSearchExact(t *testing.T) {
 	tb, _ := testBounds(t)
 	e, f := newTestEngine(t, Options{Index: tb})
@@ -349,40 +327,6 @@ func TestSearchBatchCancellation(t *testing.T) {
 	}
 }
 
-func TestSearchBatchBadAlgorithm(t *testing.T) {
-	e, f := testEngineDefault(t)
-	rng := rand.New(rand.NewPCG(93, 94))
-	queries := []Query{f.randomQuery(rng, 2, 2, 0.5, 3)}
-	if _, _, err := e.SearchBatch(context.Background(), queries, BatchOptions{Algorithm: Algorithm(42)}); err == nil {
-		t.Error("unknown algorithm accepted")
-	}
-}
-
-func TestBatchAlgorithmsAgree(t *testing.T) {
-	e, f := testEngineDefault(t)
-	rng := rand.New(rand.NewPCG(95, 96))
-	queries := make([]Query, 4)
-	for i := range queries {
-		queries[i] = f.randomQuery(rng, 2, 2, 0.5, 3)
-	}
-	expOut, _, err := e.SearchBatch(context.Background(), queries, BatchOptions{Algorithm: AlgoExpansion})
-	if err != nil {
-		t.Fatal(err)
-	}
-	exhOut, _, err := e.SearchBatch(context.Background(), queries, BatchOptions{Algorithm: AlgoExhaustive})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tfOut, _, err := e.SearchBatch(context.Background(), queries, BatchOptions{Algorithm: AlgoTextFirst})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range queries {
-		sameScores(t, "batch exp vs exh", expOut[i].Results, exhOut[i].Results)
-		sameScores(t, "batch tf vs exh", tfOut[i].Results, exhOut[i].Results)
-	}
-}
-
 func TestStringers(t *testing.T) {
 	if ScheduleHeuristic.String() != "heuristic" ||
 		ScheduleRoundRobin.String() != "roundrobin" {
@@ -391,15 +335,12 @@ func TestStringers(t *testing.T) {
 	if Scheduling(9).String() == "" {
 		t.Error("unknown Scheduling should still print")
 	}
-	if TextJaccard.String() != "jaccard" || TextCosineIDF.String() != "cosine-idf" {
-		t.Error("TextSim strings wrong")
-	}
 	if AlgoExpansion.String() != "expansion" || AlgoExhaustive.String() != "exhaustive" ||
 		AlgoTextFirst.String() != "textfirst" {
 		t.Error("Algorithm strings wrong")
 	}
-	if Algorithm(9).String() == "" || TextSim(9).String() == "" {
-		t.Error("unknown enums should still print")
+	if Algorithm(9).String() == "" {
+		t.Error("unknown Algorithm should still print")
 	}
 }
 

@@ -128,15 +128,15 @@ func TestFaultStoreLatency(t *testing.T) {
 // TestBatchSurvivesStoreFaults verifies a batch with per-query store
 // faults reports them per entry without failing the whole batch.
 func TestBatchSurvivesStoreFaults(t *testing.T) {
-	// Each exhaustive query scores all ~400 fixture trajectories, so a
-	// period of 1500 faults a few queries out of twelve, not all of them.
-	e, _, f := faultEngine(t, FaultConfig{FailEveryKeywords: 1500})
+	// The twelve expansion queries text-score ~480 candidates between
+	// them (16–97 each), so a period of 150 faults a few, not all of them.
+	e, _, f := faultEngine(t, FaultConfig{FailEveryKeywords: 150})
 	rng := rand.New(rand.NewPCG(84, 0))
 	queries := make([]Query, 12)
 	for i := range queries {
 		queries[i] = f.randomQuery(rng, 2, 3, 0.5, 5)
 	}
-	out, stats, err := e.SearchBatch(context.Background(), queries, BatchOptions{Workers: 3, Algorithm: AlgoExhaustive})
+	out, stats, err := e.SearchBatch(context.Background(), queries, BatchOptions{Workers: 3})
 	if err != nil {
 		t.Fatalf("SearchBatch: %v", err)
 	}
@@ -150,7 +150,7 @@ func TestBatchSurvivesStoreFaults(t *testing.T) {
 		}
 	}
 	if failed == 0 {
-		t.Fatal("no batch entry faulted; FailEveryKeywords=100 should trip during 12 exhaustive queries")
+		t.Fatal("no batch entry faulted; FailEveryKeywords=150 should trip during 12 expansion queries")
 	}
 	if failed == len(out) {
 		t.Fatal("every entry faulted; expected some queries to complete")

@@ -68,7 +68,6 @@ var (
 	ErrBadDistScale      = errors.New("core: DistScale must be positive")
 	ErrUnknownScheduling = errors.New("core: unknown scheduling strategy")
 	ErrIndexMismatch     = errors.New("core: Options.Index does not cover the engine's store")
-	ErrUnknownTextSim    = errors.New("core: unknown text similarity")
 	ErrTrajRange         = errors.New("core: trajectory id outside store")
 )
 
@@ -136,36 +135,12 @@ func (s Scheduling) String() string {
 	}
 }
 
-// TextSim selects the textual similarity function.
-type TextSim int
-
-const (
-	// TextJaccard scores |ψ∩τ.ψ| / |ψ∪τ.ψ| (the default).
-	TextJaccard TextSim = iota
-	// TextCosineIDF scores the IDF-weighted cosine of the two keyword
-	// sets, rewarding matches on rare terms.
-	TextCosineIDF
-)
-
-// String implements fmt.Stringer.
-func (t TextSim) String() string {
-	switch t {
-	case TextJaccard:
-		return "jaccard"
-	case TextCosineIDF:
-		return "cosine-idf"
-	default:
-		return fmt.Sprintf("TextSim(%d)", int(t))
-	}
-}
-
 // Options configures an Engine. The zero value selects the paper
-// configuration: heuristic scheduling, Jaccard text similarity, γ = 1 km.
+// configuration: heuristic scheduling, γ = 1 km. (SimT is Jaccard, the
+// paper's choice; it is not an option.)
 type Options struct {
 	// Scheduling is the query-source scheduling strategy.
 	Scheduling Scheduling
-	// TextSim is the textual similarity function.
-	TextSim TextSim
 	// DistScale is γ, the kilometres-to-similarity scale of the spatial
 	// kernel e^{−d/γ}. Default 1.
 	DistScale float64
@@ -173,8 +148,7 @@ type Options struct {
 	// bound/label refreshes and termination checks; 64. Unexported, like
 	// probeRadiusFactor: one value is in use, and only the in-package
 	// stress tests vary them to shake out cadence- and policy-dependent
-	// bugs. Both sit where the exported fields did, so Options (and the
-	// Engine holding it) keeps its layout.
+	// bugs.
 	relabelEvery int
 	// DisableTextProbe turns off adaptive candidate generation (directly
 	// computing the spatial distances of a termination-blocking,
@@ -216,11 +190,6 @@ func (o Options) normalize() (Options, error) {
 	case ScheduleHeuristic, ScheduleRoundRobin:
 	default:
 		return o, fmt.Errorf("%w: %d", ErrUnknownScheduling, int(o.Scheduling))
-	}
-	switch o.TextSim {
-	case TextJaccard, TextCosineIDF:
-	default:
-		return o, fmt.Errorf("%w: %d", ErrUnknownTextSim, int(o.TextSim))
 	}
 	return o, nil
 }

@@ -135,7 +135,7 @@ func (r Request) Pool() (pool Request, k int, opts DiversifyOptions) {
 		k = 1 // the engine's default
 	}
 	if k > 0 {
-		pool.Query.K = max(16, k*opts.PoolFactor)
+		pool.Query.K = max(16, 4*k)
 	}
 	return pool, k, opts
 }

@@ -47,7 +47,6 @@ func TestSoakWideRandomWorlds(t *testing.T) {
 		}
 		e, err := NewEngine(db, Options{
 			Scheduling:        Scheduling(rng.IntN(2)),
-			TextSim:           TextSim(rng.IntN(2)),
 			relabelEvery:      1 + rng.IntN(200),
 			DisableTextProbe:  rng.IntN(3) == 0,
 			probeRadiusFactor: 0.5 + rng.Float64()*6,

@@ -52,8 +52,8 @@ type Rect struct {
 	Min, Max Point
 }
 
-// EmptyRect returns the identity element for Rect.Union: a rectangle that
-// contains nothing and leaves any rectangle unchanged when united with it.
+// EmptyRect returns a rectangle that contains nothing: the starting value
+// for growing a bounding box with ExtendPoint.
 func EmptyRect() Rect {
 	return Rect{
 		Min: Point{math.Inf(1), math.Inf(1)},
@@ -103,47 +103,6 @@ func (r Rect) ExtendPoint(p Point) Rect {
 	}
 }
 
-// Union returns the smallest rectangle containing both r and s.
-func (r Rect) Union(s Rect) Rect {
-	if r.IsEmpty() {
-		return s
-	}
-	if s.IsEmpty() {
-		return r
-	}
-	return Rect{
-		Min: Point{math.Min(r.Min.X, s.Min.X), math.Min(r.Min.Y, s.Min.Y)},
-		Max: Point{math.Max(r.Max.X, s.Max.X), math.Max(r.Max.Y, s.Max.Y)},
-	}
-}
-
-// Intersects reports whether r and s share at least one point.
-func (r Rect) Intersects(s Rect) bool {
-	if r.IsEmpty() || s.IsEmpty() {
-		return false
-	}
-	return r.Min.X <= s.Max.X && s.Min.X <= r.Max.X &&
-		r.Min.Y <= s.Max.Y && s.Min.Y <= r.Max.Y
-}
-
-// Center returns the midpoint of r. Center of an empty rectangle is
-// undefined; callers must check IsEmpty first.
-func (r Rect) Center() Point {
-	return Point{(r.Min.X + r.Max.X) / 2, (r.Min.Y + r.Max.Y) / 2}
-}
-
-// Expand returns r grown by margin on every side. A negative margin shrinks
-// the rectangle and may make it empty.
-func (r Rect) Expand(margin float64) Rect {
-	if r.IsEmpty() {
-		return r
-	}
-	return Rect{
-		Min: Point{r.Min.X - margin, r.Min.Y - margin},
-		Max: Point{r.Max.X + margin, r.Max.Y + margin},
-	}
-}
-
 // DistToPoint returns the distance from p to the rectangle (0 if inside).
 func (r Rect) DistToPoint(p Point) float64 {
 	if r.IsEmpty() {
@@ -152,31 +111,4 @@ func (r Rect) DistToPoint(p Point) float64 {
 	dx := math.Max(0, math.Max(r.Min.X-p.X, p.X-r.Max.X))
 	dy := math.Max(0, math.Max(r.Min.Y-p.Y, p.Y-r.Max.Y))
 	return math.Hypot(dx, dy)
-}
-
-// SegmentDist returns the distance from point p to segment a→b, and the
-// parameter t ∈ [0,1] of the closest point on the segment.
-func SegmentDist(p, a, b Point) (dist, t float64) {
-	ab := b.Sub(a)
-	den := ab.X*ab.X + ab.Y*ab.Y
-	if den == 0 {
-		return p.Dist(a), 0
-	}
-	ap := p.Sub(a)
-	t = (ap.X*ab.X + ap.Y*ab.Y) / den
-	if t < 0 {
-		t = 0
-	} else if t > 1 {
-		t = 1
-	}
-	return p.Dist(a.Lerp(b, t)), t
-}
-
-// PolylineLength returns the total length of the polyline through pts.
-func PolylineLength(pts []Point) float64 {
-	var total float64
-	for i := 1; i < len(pts); i++ {
-		total += pts[i-1].Dist(pts[i])
-	}
-	return total
 }

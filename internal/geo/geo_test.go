@@ -87,12 +87,9 @@ func TestEmptyRect(t *testing.T) {
 	if !math.IsInf(r.DistToPoint(Point{0, 0}), 1) {
 		t.Error("distance to empty rect should be +Inf")
 	}
-	one := RectOf(Point{1, 1})
-	if got := r.Union(one); got != one {
-		t.Errorf("empty ∪ r = %v, want %v", got, one)
-	}
-	if got := one.Union(r); got != one {
-		t.Errorf("r ∪ empty = %v, want %v", got, one)
+	one := Point{1, 1}
+	if got := r.ExtendPoint(one); got != (Rect{one, one}) {
+		t.Errorf("empty extended by %v = %v", one, got)
 	}
 }
 
@@ -110,51 +107,6 @@ func TestRectOfAndContains(t *testing.T) {
 		if r.Contains(p) {
 			t.Errorf("rect should not contain %v", p)
 		}
-	}
-}
-
-func TestRectUnionContainsBothProperty(t *testing.T) {
-	f := func(ax, ay, bx, by, cx, cy, dx, dy float64) bool {
-		r := RectOf(Point{ax, ay}, Point{bx, by})
-		s := RectOf(Point{cx, cy}, Point{dx, dy})
-		u := r.Union(s)
-		return u.Contains(r.Min) && u.Contains(r.Max) && u.Contains(s.Min) && u.Contains(s.Max)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestRectIntersects(t *testing.T) {
-	a := RectOf(Point{0, 0}, Point{2, 2})
-	b := RectOf(Point{1, 1}, Point{3, 3})
-	c := RectOf(Point{2.5, 2.5}, Point{4, 4})
-	if !a.Intersects(b) || !b.Intersects(a) {
-		t.Error("a and b should intersect")
-	}
-	if a.Intersects(c) {
-		t.Error("a and c should not intersect")
-	}
-	if !b.Intersects(c) {
-		t.Error("b and c should intersect")
-	}
-	if a.Intersects(EmptyRect()) || EmptyRect().Intersects(a) {
-		t.Error("nothing intersects the empty rect")
-	}
-	// Touching edges count as intersecting.
-	d := RectOf(Point{2, 0}, Point{3, 2})
-	if !a.Intersects(d) {
-		t.Error("edge-touching rects should intersect")
-	}
-}
-
-func TestRectExpand(t *testing.T) {
-	r := RectOf(Point{1, 1}, Point{2, 2}).Expand(0.5)
-	if r.Min != (Point{0.5, 0.5}) || r.Max != (Point{2.5, 2.5}) {
-		t.Errorf("Expand = %v..%v", r.Min, r.Max)
-	}
-	if !EmptyRect().Expand(1).IsEmpty() {
-		t.Error("expanding the empty rect should stay empty")
 	}
 }
 
@@ -194,51 +146,5 @@ func TestRectDistLowerBoundsMemberDistProperty(t *testing.T) {
 				t.Fatalf("rect distance %g exceeds member distance %g", lb, p.Dist(m))
 			}
 		}
-	}
-}
-
-func TestSegmentDist(t *testing.T) {
-	a, b := Point{0, 0}, Point{4, 0}
-	cases := []struct {
-		p     Point
-		wantD float64
-		wantT float64
-	}{
-		{Point{2, 3}, 3, 0.5},
-		{Point{-3, 4}, 5, 0},
-		{Point{7, 4}, 5, 1},
-		{Point{0, 0}, 0, 0},
-		{Point{4, 0}, 0, 1},
-	}
-	for _, c := range cases {
-		d, tt := SegmentDist(c.p, a, b)
-		if !almostEq(d, c.wantD) || !almostEq(tt, c.wantT) {
-			t.Errorf("SegmentDist(%v) = (%g, %g), want (%g, %g)", c.p, d, tt, c.wantD, c.wantT)
-		}
-	}
-	// Degenerate segment.
-	d, tt := SegmentDist(Point{3, 4}, Point{0, 0}, Point{0, 0})
-	if !almostEq(d, 5) || tt != 0 {
-		t.Errorf("degenerate SegmentDist = (%g, %g)", d, tt)
-	}
-}
-
-func TestPolylineLength(t *testing.T) {
-	if got := PolylineLength(nil); got != 0 {
-		t.Errorf("empty polyline length %g", got)
-	}
-	if got := PolylineLength([]Point{{1, 1}}); got != 0 {
-		t.Errorf("single-point polyline length %g", got)
-	}
-	pts := []Point{{0, 0}, {3, 4}, {3, 8}}
-	if got := PolylineLength(pts); !almostEq(got, 9) {
-		t.Errorf("polyline length %g, want 9", got)
-	}
-}
-
-func TestCenter(t *testing.T) {
-	r := RectOf(Point{0, 0}, Point{4, 2})
-	if got := r.Center(); got != (Point{2, 1}) {
-		t.Errorf("Center = %v", got)
 	}
 }

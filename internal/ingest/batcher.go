@@ -160,8 +160,9 @@ func (b *batcher) drain() {
 }
 
 // commit performs one group commit: WAL first (durability), then the
-// store apply, then the acks. A WAL failure fails every waiter in the
-// group and applies nothing — the store never runs ahead of the log.
+// store apply — one mutation, one generation — then the acks. A WAL
+// failure fails every waiter in the group and applies nothing — the
+// store never runs ahead of the log.
 func (b *batcher) commit(batch []addReq) {
 	start := time.Now()
 	var rec Record
@@ -169,45 +170,42 @@ func (b *batcher) commit(batch []addReq) {
 		rec.Trajs = append(rec.Trajs, r.trajs...)
 	}
 	n, synced, err := b.wal.Append(rec)
+	var ids []trajdb.ExternalID
+	if err == nil {
+		// Ingest validated these trajectories before queueing, so a
+		// refusal here is an internal invariant breach; like a WAL
+		// failure, it fails the whole group.
+		ids, err = applyRecord(b.store, rec)
+	}
 	if err != nil {
 		for _, r := range batch {
 			r.done <- addResult{err: err}
 		}
 		return
 	}
-	applied := 0
-	results := make([]addResult, len(batch))
-	for i, r := range batch {
-		ids := make([]trajdb.ExternalID, 0, len(r.trajs))
-		var aerr error
-		for _, t := range r.trajs {
-			id, addErr := b.store.AddWithKeywords(t.Samples, t.Keywords)
-			if addErr != nil {
-				// Ingest validated these trajectories before queueing, so
-				// this is an internal invariant breach; fail this waiter
-				// but keep the rest of the group.
-				aerr = addErr
-				break
-			}
-			ids = append(ids, id)
-		}
-		applied += len(ids)
-		results[i] = addResult{ids: ids, err: aerr}
-	}
 	gen := b.store.Generation()
-	b.committed.Add(uint64(applied))
+	b.committed.Add(uint64(len(ids)))
 	b.batches.Add(1)
 	b.walBytes.Add(uint64(n))
 	if synced {
 		b.walFsyncs.Add(1)
 	}
-	b.metrics.RecordCommit(applied, n, synced, gen, time.Since(start).Seconds())
+	b.metrics.RecordCommit(len(ids), n, synced, gen, time.Since(start).Seconds())
 	b.metrics.SetQueueDepth(len(b.queue))
 	b.metrics.SetSnapshotWork(b.store.SnapshotStats())
-	for i, r := range batch {
-		results[i].gen = gen
-		r.done <- results[i]
+	for _, r := range batch {
+		r.done <- addResult{ids: ids[:len(r.trajs):len(r.trajs)], gen: gen}
+		ids = ids[len(r.trajs):]
 	}
+}
+
+// applyRecord adds the trajectories of one WAL record — a group being
+// committed, or one replayed at boot — to store as a single mutation:
+// one generation per record, never a snapshot holding part of one.
+func applyRecord(store *trajdb.DynamicStore, rec Record) ([]trajdb.ExternalID, error) {
+	return store.AddGroup(len(rec.Trajs), func(i int) ([]trajdb.Sample, []string) {
+		return rec.Trajs[i].Samples, rec.Trajs[i].Keywords
+	})
 }
 
 // close stops admission, commits the backlog and joins the committer.

@@ -93,12 +93,8 @@ func Open(store *trajdb.DynamicStore, cfg Config) (*Service, error) {
 	s := &Service{store: store, cfg: cfg}
 	wopts := WALOptions{Fsync: cfg.Fsync, SyncInterval: cfg.SyncInterval, Hooks: cfg.Hooks}
 	wal, info, err := OpenWAL(cfg.WALPath, wopts, func(rec Record) error {
-		for i, t := range rec.Trajs {
-			if _, err := store.AddWithKeywords(t.Samples, t.Keywords); err != nil {
-				return fmt.Errorf("trajectory %d: %w", i, err)
-			}
-		}
-		return nil
+		_, err := applyRecord(store, rec)
+		return err
 	})
 	if err != nil {
 		return nil, err

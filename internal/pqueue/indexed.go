@@ -34,10 +34,6 @@ func (h *Indexed) Len() int { return len(h.keys) }
 // Contains reports whether key is currently queued.
 func (h *Indexed) Contains(key int32) bool { return h.pos[key] != posAbsent }
 
-// Priority returns the current priority of a queued key. The result is
-// undefined for keys that are not queued.
-func (h *Indexed) Priority(key int32) float64 { return h.prio[key] }
-
 // Push inserts key with the given priority. If the key is already queued,
 // Push behaves as DecreaseKey when prio is lower than the current priority
 // and does nothing otherwise, so Dijkstra can use a single "relax" call.

@@ -103,25 +103,19 @@ func TestIndexedAsDijkstraHeap(t *testing.T) {
 	if !h.Contains(3) || h.Contains(0) {
 		t.Fatal("Contains is wrong")
 	}
-	if h.Priority(7) != 2.0 {
-		t.Fatalf("Priority(7) = %g", h.Priority(7))
-	}
-	// Push with higher priority is a no-op.
+	// Push with higher priority is a no-op; with lower priority it
+	// decreases the key. The pop order shows both.
 	h.Push(7, 4.0)
-	if h.Priority(7) != 2.0 {
-		t.Fatal("push with higher priority should not update")
-	}
-	// Push with lower priority decreases the key.
 	h.Push(1, 1.0)
-	if h.Priority(1) != 1.0 {
-		t.Fatal("decrease-key failed")
-	}
 	k, p, ok := h.Pop()
 	if !ok || k != 1 || p != 1.0 {
-		t.Fatalf("Pop = (%d, %g)", k, p)
+		t.Fatalf("Pop = (%d, %g): decrease-key failed", k, p)
 	}
 	if h.Contains(1) {
 		t.Fatal("popped key still contained")
+	}
+	if k, p, ok = h.Pop(); !ok || k != 7 || p != 2.0 {
+		t.Fatalf("Pop = (%d, %g): push with higher priority should not update", k, p)
 	}
 }
 
@@ -137,7 +131,7 @@ func TestIndexedPopOrderRandom(t *testing.T) {
 	// Randomly decrease half the keys.
 	for i := 0; i < n/2; i++ {
 		k := int32(rng.IntN(n))
-		np := h.Priority(k) * rng.Float64()
+		np := want[k] * rng.Float64()
 		h.Push(k, np)
 		want[k] = np
 	}

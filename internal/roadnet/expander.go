@@ -18,7 +18,6 @@ type Expander struct {
 	touched []int32
 	heap    *pqueue.Indexed
 	radius  float64
-	count   int // vertices settled so far
 	done    bool
 }
 
@@ -47,7 +46,6 @@ func (e *Expander) Reset(src VertexID) {
 	e.touched = e.touched[:0]
 	e.heap.Reset()
 	e.radius = 0
-	e.count = 0
 	e.done = false
 	e.start(src)
 }
@@ -71,7 +69,6 @@ func (e *Expander) Next() (v VertexID, d float64, ok bool) {
 	}
 	e.settled[iv] = true
 	e.radius = d
-	e.count++
 	to, w := e.g.Neighbors(VertexID(iv))
 	for i, t := range to {
 		if e.settled[t] {
@@ -96,16 +93,3 @@ func (e *Expander) Radius() float64 { return e.radius }
 
 // Done reports whether the reachable component has been fully settled.
 func (e *Expander) Done() bool { return e.done }
-
-// SettledCount returns the number of vertices settled so far.
-func (e *Expander) SettledCount() int { return e.count }
-
-// DistanceTo returns the exact distance to v if v has been settled.
-// For unsettled vertices ok is false and the caller should use Radius as
-// a lower bound.
-func (e *Expander) DistanceTo(v VertexID) (d float64, ok bool) {
-	if e.settled[v] {
-		return e.dist[v], true
-	}
-	return 0, false
-}

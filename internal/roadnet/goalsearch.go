@@ -3,16 +3,13 @@ package roadnet
 import (
 	"math"
 
-	"uots/internal/geo"
 	"uots/internal/pqueue"
 )
 
-// GoalSearch is a reusable A* workspace for "distance to the nearest
-// member of a vertex set" queries where the set is spatially summarized by
-// a bounding rectangle: the heuristic is the scaled planar distance to the
-// rectangle, which lower-bounds the network distance to every member. It
-// explores a corridor toward the set instead of a full Dijkstra circle —
-// the access path behind the search engine's text-probe random accesses.
+// GoalSearch is a reusable A* workspace for "distance from a vertex set
+// to each of a few targets" queries (FromSet). It explores a corridor
+// toward the targets instead of a full Dijkstra circle — the access path
+// behind the search engine's text-probe random accesses.
 //
 // A GoalSearch is not safe for concurrent use.
 type GoalSearch struct {
@@ -119,61 +116,4 @@ func (gs *GoalSearch) FromSet(sources []VertexID, targets []VertexID, onSettle f
 		}
 	}
 	return out
-}
-
-// DistToSet searches from src toward the nearest vertex satisfying
-// isTarget, guided by goal, the bounding rectangle of the target set
-// (every target's coordinates must lie inside goal, or the result may be
-// wrong). The search gives up once it can certify that every target is
-// farther than cap (use math.Inf(1) for an uncapped search). onSettle, if
-// non-nil, is invoked once per settled vertex (work accounting).
-//
-// If a target is found within the cap, found is its vertex and d its exact
-// network distance. Otherwise found is -1 and d is a certified lower
-// bound on the distance from src to every target (at least cap when the
-// search was cut off; Unreachable when the component was exhausted).
-func (gs *GoalSearch) DistToSet(src VertexID, goal geo.Rect, cap float64, isTarget func(VertexID) bool, onSettle func()) (found VertexID, d float64) {
-	gs.reset()
-	scale := gs.g.HeuristicScale()
-	h := func(v int32) float64 { return goal.DistToPoint(gs.g.pts[v]) * scale }
-
-	gs.dist[src] = 0
-	gs.touched = append(gs.touched, int32(src))
-	gs.heap.Push(int32(src), h(int32(src)))
-	//uots:allow looppoll -- early-terminating goal A*: bounded by the goal corridor, callers poll between probes
-	for {
-		v, f, ok := gs.heap.Pop()
-		if !ok {
-			return -1, Unreachable
-		}
-		// Every undiscovered target t has d(t) ≥ f(t) = d(t)+h(t) with
-		// h(t)=0 (targets lie inside goal), and the frontier minimum f
-		// lower-bounds every remaining f — so f certifies a distance
-		// lower bound for all targets.
-		if f > cap {
-			return -1, f
-		}
-		gs.settled[v] = true
-		if onSettle != nil {
-			onSettle()
-		}
-		if isTarget(VertexID(v)) {
-			return VertexID(v), gs.dist[v]
-		}
-		d := gs.dist[v]
-		to, w := gs.g.Neighbors(VertexID(v))
-		for i, t := range to {
-			if gs.settled[t] {
-				continue
-			}
-			nd := d + w[i]
-			if nd < gs.dist[t] {
-				if gs.dist[t] == Unreachable {
-					gs.touched = append(gs.touched, t)
-				}
-				gs.dist[t] = nd
-				gs.heap.Push(t, nd+h(t))
-			}
-		}
-	}
 }

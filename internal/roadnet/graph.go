@@ -48,11 +48,6 @@ func (g *Graph) Point(v VertexID) geo.Point { return g.pts[v] }
 // Bounds returns the bounding rectangle of all vertex coordinates.
 func (g *Graph) Bounds() geo.Rect { return g.bounds }
 
-// Degree returns the number of edges incident to v.
-func (g *Graph) Degree(v VertexID) int {
-	return int(g.adjStart[v+1] - g.adjStart[v])
-}
-
 // Neighbors returns the adjacency of v as parallel slices of neighbour IDs
 // and edge weights. The returned slices alias the graph's internal storage
 // and must not be modified.
@@ -217,35 +212,6 @@ func (g *Graph) ConnectedComponents() (labels []int32, count int) {
 		count++
 	}
 	return labels, count
-}
-
-// IsConnected reports whether the graph is a single connected component.
-func (g *Graph) IsConnected() bool {
-	_, count := g.ConnectedComponents()
-	return count == 1
-}
-
-// LargestComponent returns the vertex IDs of the largest connected
-// component, in increasing order.
-func (g *Graph) LargestComponent() []VertexID {
-	labels, count := g.ConnectedComponents()
-	sizes := make([]int, count)
-	for _, l := range labels {
-		sizes[l]++
-	}
-	best := 0
-	for c := 1; c < count; c++ {
-		if sizes[c] > sizes[best] {
-			best = c
-		}
-	}
-	out := make([]VertexID, 0, sizes[best])
-	for v, l := range labels {
-		if int(l) == best {
-			out = append(out, VertexID(v))
-		}
-	}
-	return out
 }
 
 // InducedSubgraph returns the subgraph induced by keep (which must contain

@@ -51,9 +51,6 @@ func NewVertexIndex(g *Graph, cellSize float64) *VertexIndex {
 	return idx
 }
 
-// CellSize returns the grid pitch in kilometres.
-func (idx *VertexIndex) CellSize() float64 { return idx.cellSize }
-
 func (idx *VertexIndex) cellOf(p geo.Point) int {
 	cx := int((p.X - idx.origin.X) / idx.cellSize)
 	cy := int((p.Y - idx.origin.Y) / idx.cellSize)

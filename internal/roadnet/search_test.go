@@ -161,9 +161,6 @@ func TestExpanderSettlesInDistanceOrder(t *testing.T) {
 		if e.Radius() != d {
 			t.Fatalf("Radius %g != last settled %g", e.Radius(), d)
 		}
-		if got, ok := e.DistanceTo(v); !ok || got != d {
-			t.Fatalf("DistanceTo settled vertex = (%g, %v)", got, ok)
-		}
 		prev = d
 	}
 	if count != g.NumVertices() {
@@ -172,9 +169,6 @@ func TestExpanderSettlesInDistanceOrder(t *testing.T) {
 	if !e.Done() || !math.IsInf(e.Radius(), 1) {
 		t.Error("exhausted expander should be Done with infinite radius")
 	}
-	if e.SettledCount() != count {
-		t.Errorf("SettledCount = %d, want %d", e.SettledCount(), count)
-	}
 }
 
 func TestExpanderRadiusLowerBoundsUnsettled(t *testing.T) {
@@ -182,12 +176,14 @@ func TestExpanderRadiusLowerBoundsUnsettled(t *testing.T) {
 	s := NewSSSP(g)
 	s.Run(5)
 	e := NewExpander(g, 5)
+	settled := make(map[VertexID]bool)
 	for i := 0; i < 20; i++ {
-		e.Next()
+		v, _, _ := e.Next()
+		settled[v] = true
 	}
 	r := e.Radius()
 	for v := 0; v < g.NumVertices(); v++ {
-		if _, settled := e.DistanceTo(VertexID(v)); !settled {
+		if !settled[VertexID(v)] {
 			if s.Dist(VertexID(v)) < r-1e-9 {
 				t.Fatalf("unsettled vertex %d closer (%g) than radius %g", v, s.Dist(VertexID(v)), r)
 			}
@@ -389,52 +385,6 @@ func TestVertexIndexWithin(t *testing.T) {
 	}
 	if got := idx.Within(geo.Point{}, -1); len(got) != 0 {
 		t.Errorf("negative radius returned %d vertices", len(got))
-	}
-}
-
-func TestGoalSearchDistToSet(t *testing.T) {
-	g := randomConnected(80, 60, 97)
-	gs := NewGoalSearch(g)
-	s := NewSSSP(g)
-	rng := rand.New(rand.NewPCG(101, 103))
-	for trial := 0; trial < 40; trial++ {
-		src := VertexID(rng.IntN(g.NumVertices()))
-		targetSet := map[VertexID]bool{}
-		box := geo.EmptyRect()
-		for i := 0; i < 3; i++ {
-			v := VertexID(rng.IntN(g.NumVertices()))
-			targetSet[v] = true
-			box = box.ExtendPoint(g.Point(v))
-		}
-		wantV, wantD := s.DistToSet(src, func(v VertexID) bool { return targetSet[v] })
-		_ = wantV
-		settles := 0
-		gotV, gotD := gs.DistToSet(src, box, math.Inf(1), func(v VertexID) bool { return targetSet[v] }, func() { settles++ })
-		if gotV < 0 || math.Abs(gotD-wantD) > 1e-9 {
-			t.Fatalf("goal DistToSet = (%d, %g), want %g", gotV, gotD, wantD)
-		}
-		if settles == 0 {
-			t.Fatal("onSettle never invoked")
-		}
-	}
-}
-
-func TestGoalSearchCapCertifiesLowerBound(t *testing.T) {
-	g := line(t, 30) // distances are trivially i - j
-	gs := NewGoalSearch(g)
-	target := VertexID(25)
-	box := geo.RectOf(g.Point(target))
-	v, d := gs.DistToSet(0, box, 5.0, func(x VertexID) bool { return x == target }, nil)
-	if v != -1 {
-		t.Fatalf("capped search found %d", v)
-	}
-	if d < 5 || d > 25 {
-		t.Fatalf("certified lower bound %g outside (5, 25]", d)
-	}
-	// Uncapped finds it exactly.
-	v, d = gs.DistToSet(0, box, math.Inf(1), func(x VertexID) bool { return x == target }, nil)
-	if v != target || d != 25 {
-		t.Fatalf("uncapped = (%d, %g), want (25, 25)", v, d)
 	}
 }
 

@@ -18,7 +18,8 @@ import (
 // immutable after construction and safe for concurrent use.
 //
 // The topology contract: every shard server and every router loads the
-// same dataset with the same engine options and the same partitioner, so
+// same dataset with the same engine options and the same shard count
+// (the partition is a function of trajectory ID and count alone), so
 // keyword term IDs, trajectory IDs, and scores agree across the fleet.
 // Results leave the server already remapped to global trajectory IDs.
 type ShardServer struct {

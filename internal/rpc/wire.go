@@ -69,9 +69,7 @@ type SearchResponse struct {
 	SpanDropped int
 }
 
-// BatchOptions is the wire-safe subset of core.BatchOptions. Remote
-// batches are expansion-only: the algorithm does not cross the wire, and
-// the RemoteExecutor rejects the baselines before scattering.
+// BatchOptions is the wire form of core.BatchOptions.
 type BatchOptions struct {
 	Workers         int
 	SharedExpansion bool
@@ -81,7 +79,6 @@ type BatchOptions struct {
 func (o BatchOptions) Core() core.BatchOptions {
 	return core.BatchOptions{
 		Workers:         o.Workers,
-		Algorithm:       core.AlgoExpansion,
 		SharedExpansion: o.SharedExpansion,
 	}
 }

@@ -21,7 +21,7 @@ import (
 // TestUnboundedK: a client k far beyond the store is an ordinary query
 // whose answer is the whole store, ranked — on every backend and every
 // path that sizes a buffer by k (top-k collectors, the diversified pool
-// k·PoolFactor, the scatter merge). Unclamped, k = 1<<33 killed the
+// 4·k, the scatter merge). Unclamped, k = 1<<33 killed the
 // process with an out-of-memory fatal error no recover can intercept.
 func TestUnboundedK(t *testing.T) {
 	// A small world: answers of |T| results keep the cubic MMR
@@ -44,7 +44,7 @@ func TestUnboundedK(t *testing.T) {
 	const partitions = 2
 	groups := make([]*rpc.Group, partitions)
 	for p := range groups {
-		eng, globals, err := shard.BuildShardEngine(db, core.Options{}, nil, partitions, p)
+		eng, globals, err := shard.BuildShardEngine(db, core.Options{}, shard.HashPartitioner{}, partitions, p)
 		if err != nil {
 			t.Fatal(err)
 		}

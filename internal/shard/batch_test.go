@@ -208,20 +208,3 @@ func TestShardBatchCancellation(t *testing.T) {
 		t.Errorf("stats.Failed = %d, want ≥ %d", stats.Failed, cancelled)
 	}
 }
-
-// TestShardBatchBadAlgorithm verifies the validation path rejects
-// unknown algorithms before any scatter.
-func TestShardBatchBadAlgorithm(t *testing.T) {
-	f := testFixture(t)
-	ex, err := NewExecutor(f.db, core.Options{}, Config{Shards: 2})
-	if err != nil {
-		t.Fatalf("NewExecutor: %v", err)
-	}
-	defer ex.Close()
-	rng := rand.New(rand.NewPCG(106, 0))
-	queries := []core.Query{f.randomQuery(rng, 2, 2, 0.5, 5)}
-	if _, _, err := ex.SearchBatch(context.Background(), queries,
-		core.BatchOptions{Algorithm: core.Algorithm(42)}); err == nil {
-		t.Fatal("unknown algorithm accepted by Executor.SearchBatch")
-	}
-}

@@ -80,24 +80,22 @@ func BenchmarkMonolithicSearch(b *testing.B) {
 }
 
 // BenchmarkShardedSearch measures scatter-gather wall-clock per query
-// across partitioners and shard counts, with the work behind it:
+// across shard counts, with the work behind it:
 // settles/op is the Dijkstra work summed over the shards (every shard
 // re-expands its own frontier, so it grows with N) and xprunes/op the
 // candidates the cross-shard bound exchange killed. Compare with
 // BenchmarkMonolithicSearch on the same fixture; the numbers recorded in
 // EXPERIMENTS.md ("Audit verdicts") name the host's core count.
 func BenchmarkShardedSearch(b *testing.B) {
-	for _, part := range []Partitioner{HashPartitioner{}, RegionPartitioner{}} {
-		for _, n := range []int{2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/shards=%d", part, n), func(b *testing.B) {
-				benchExecutor(b, Config{Shards: n, Partitioner: part})
-			})
-		}
+	for _, n := range []int{2, 4, 8} {
+		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {
+			benchExecutor(b, Config{Shards: n})
+		})
 	}
 }
 
 // BenchmarkShardedSearchNoBound isolates what the cross-shard bound
-// exchange buys: BenchmarkShardedSearch's hash/shards=4 cell with the
+// exchange buys: BenchmarkShardedSearch's shards=4 cell with the
 // exchange off.
 func BenchmarkShardedSearchNoBound(b *testing.B) {
 	benchExecutor(b, Config{Shards: 4, disableSharedBound: true})

@@ -39,47 +39,52 @@ func subOptions(opts core.Options, sub core.TrajStore) core.Options {
 	return opts
 }
 
-// BuildShardEngine partitions db with part into shards pieces and builds
-// the core.Engine serving piece index, plus the shard-local → global
-// trajectory ID mapping its results need. This is the shard-server
-// half of the distributed topology contract: a shard server and the
-// router both derive the partition from the same (dataset, partitioner,
-// shard count) inputs, so piece index here holds exactly the
-// trajectories the router's scatter expects of partition index. A nil
-// partitioner means HashPartitioner, matching Config.Partitioner.
+// buildShard builds shard i of an n-way split of db: the shard-local →
+// global trajectory ID mapping (ascending) and the core.Engine over those
+// trajectories, both nil when the shard holds none. It is the one place a
+// shard engine is made — the in-process Executor and a shard server both
+// call it, so partition i here holds exactly the trajectories a router's
+// scatter expects of partition i. assign and wrap are the test seams of
+// Config (nil = shardOf, no wrapper).
+func buildShard(db core.TrajStore, opts core.Options, n, i int, assign func(trajdb.TrajID, int) int, wrap func(int, core.TrajStore) core.TrajStore) (*core.Engine, []trajdb.TrajID, error) {
+	ids := shardIDs(db.NumTrajectories(), n, i, assign)
+	if len(ids) == 0 {
+		return nil, nil, nil
+	}
+	sub, err := buildSubStore(db, ids, i)
+	if err != nil {
+		return nil, nil, err
+	}
+	// Derive the shard-local options (per-shard TrajBounds rebuild) from
+	// the clean sub-store before any fault-injection wrapper: the index
+	// build is part of construction, not of the query paths the wrapper
+	// is meant to perturb.
+	opts = subOptions(opts, sub)
+	if wrap != nil {
+		sub = wrap(i, sub)
+	}
+	eng, err := core.NewEngine(sub, opts)
+	if err != nil {
+		return nil, nil, fmt.Errorf("shard: engine for shard %d: %w", i, err)
+	}
+	return eng, ids, nil
+}
+
+// BuildShardEngine builds the core.Engine serving piece index of a
+// shards-way split of db, plus the shard-local → global trajectory ID
+// mapping its results need. This is the shard-server half of the
+// distributed topology contract: a shard server and the router both
+// derive the partition from the same (dataset, shard count) inputs, so
+// piece index here holds exactly the trajectories the router's scatter
+// expects of partition index. The third parameter carries nothing (see
+// HashPartitioner).
 //
 // An empty partition returns (nil, nil, nil): serve it with a nil-engine
 // rpc.ShardServer, which answers every search with zero results.
-// Corpus-dependent text similarities are rejected with ErrShardedTextSim
-// for the same reason NewExecutor rejects them: shard-local IDF differs
-// from global IDF, so shard-local scores would not be the monolithic
-// scores.
-func BuildShardEngine(db core.TrajStore, opts core.Options, part Partitioner, shards, index int) (eng *core.Engine, globals []trajdb.TrajID, err error) {
+func BuildShardEngine(db core.TrajStore, opts core.Options, _ HashPartitioner, shards, index int) (eng *core.Engine, globals []trajdb.TrajID, err error) {
 	defer recoverBuildFault(&err)
 	if shards <= 0 || index < 0 || index >= shards {
 		return nil, nil, fmt.Errorf("%w: shard %d of %d", ErrBadShards, index, shards)
 	}
-	if opts.TextSim != core.TextJaccard {
-		return nil, nil, fmt.Errorf("%w: got %v", ErrShardedTextSim, opts.TextSim)
-	}
-	if part == nil {
-		part = HashPartitioner{}
-	}
-	assignment := part.Partition(db, shards)
-	if len(assignment) != shards {
-		return nil, nil, fmt.Errorf("shard: partitioner %q returned %d shards, want %d", part, len(assignment), shards)
-	}
-	ids := assignment[index]
-	if len(ids) == 0 {
-		return nil, nil, nil
-	}
-	sub, err := buildSubStore(db, ids, index)
-	if err != nil {
-		return nil, nil, err
-	}
-	eng, err = core.NewEngine(sub, subOptions(opts, sub))
-	if err != nil {
-		return nil, nil, fmt.Errorf("shard: engine for shard %d: %w", index, err)
-	}
-	return eng, append([]trajdb.TrajID(nil), ids...), nil
+	return buildShard(db, opts, shards, index, nil, nil)
 }

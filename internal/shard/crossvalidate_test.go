@@ -16,8 +16,10 @@ import (
 )
 
 // TestShardedMatchesMonolithic is the subsystem's ground truth: every
-// search variant, over every shard count and both partitioners, returns
-// results byte-identical to the monolithic engine on the same store.
+// search variant, over every shard count, returns results byte-identical
+// to the monolithic engine on the same store — under the hash and under
+// three skewed layouts no hash produces (skewedAssignments): every answer
+// of every request on one shard, an empty shard, one trajectory per shard.
 func TestShardedMatchesMonolithic(t *testing.T) {
 	f := testFixture(t)
 	mono, err := core.NewEngine(f.db, core.Options{})
@@ -35,38 +37,56 @@ func TestShardedMatchesMonolithic(t *testing.T) {
 		f.randomQuery(rng, 4, 2, 0.7, 25), // k wider than any one shard's share
 	)
 	window := core.TimeWindow{From: 6 * 3600, To: 18 * 3600}
-	const theta = 0.35
+	theta := 0.35
 	divOpts := core.DiversifyOptions{Mu: 0.4}
 
+	// The monolithic answers, once; every trajectory in any of them is
+	// hot, so "hot-shard" leaves the other shards nothing but losers.
 	ctx := context.Background()
-	for _, part := range []Partitioner{HashPartitioner{}, RegionPartitioner{}} {
-		for _, n := range []int{1, 2, 4, 7} {
-			ex, err := NewExecutor(f.db, core.Options{}, Config{Shards: n, Partitioner: part})
-			if err != nil {
-				t.Fatalf("NewExecutor(%v, %d): %v", part, n, err)
+	type want struct {
+		tag string
+		req core.Request
+		res []core.Result
+		err error
+	}
+	var wants []want
+	hot := make(map[trajdb.TrajID]bool)
+	for qi, q := range queries {
+		for _, req := range []core.Request{
+			{Query: q},
+			{Query: q, Theta: &theta},
+			{Query: q, Window: &window},
+			{Query: q, OrderAware: true},
+			{Query: q, Diversify: &divOpts},
+		} {
+			res, _, err := req.Run(ctx, mono)
+			wants = append(wants, want{fmt.Sprintf("q=%d/%s", qi, req.Variant()), req, res, err})
+			for _, r := range res {
+				hot[r.Traj] = true
 			}
-			for qi, q := range queries {
-				tag := fmt.Sprintf("%v/n=%d/q=%d", part, n, qi)
+		}
+	}
 
-				wantR, _, wantErr := mono.SearchCtx(ctx, q)
-				gotR, _, gotErr := ex.SearchCtx(ctx, q)
-				checkSame(t, tag+"/search", gotR, gotErr, wantR, wantErr)
-
-				wantR, _, wantErr = mono.SearchThresholdCtx(ctx, q, theta)
-				gotR, _, gotErr = ex.SearchThresholdCtx(ctx, q, theta)
-				checkSame(t, tag+"/threshold", gotR, gotErr, wantR, wantErr)
-
-				wantR, _, wantErr = mono.SearchWindowedCtx(ctx, q, window)
-				gotR, _, gotErr = ex.SearchWindowedCtx(ctx, q, window)
-				checkSame(t, tag+"/windowed", gotR, gotErr, wantR, wantErr)
-
-				wantR, _, wantErr = mono.OrderAwareSearchCtx(ctx, q)
-				gotR, _, gotErr = ex.OrderAwareSearchCtx(ctx, q)
-				checkSame(t, tag+"/orderaware", gotR, gotErr, wantR, wantErr)
-
-				wantR, _, wantErr = mono.DiversifiedSearchCtx(ctx, q, divOpts)
-				gotR, _, gotErr = ex.DiversifiedSearchCtx(ctx, q, divOpts)
-				checkSame(t, tag+"/diversified", gotR, gotErr, wantR, wantErr)
+	total := f.db.NumTrajectories()
+	assigns := skewedAssignments(hot)
+	assigns["hash"] = nil
+	for name, assign := range assigns {
+		shards := []int{1, 2, 4, 7}
+		if name == "round-robin" {
+			shards = []int{3, total} // the latter: one trajectory per shard
+		}
+		for _, n := range shards {
+			ex, err := NewExecutor(f.db, core.Options{}, Config{Shards: n, assign: assign})
+			if err != nil {
+				t.Fatalf("NewExecutor(%s, %d): %v", name, n, err)
+			}
+			wants := wants
+			if n == total {
+				wants = wants[:15] // 400 engines a request: three queries' variants will do
+			}
+			for _, w := range wants {
+				got, _, gotErr := w.req.Run(ctx, ex)
+				checkSame(t, fmt.Sprintf("%s/n=%d/%s", name, n, w.tag), got, gotErr, w.res, w.err)
 			}
 			ex.Close()
 		}
@@ -266,9 +286,8 @@ func TestShardedStoreFaultDegrades(t *testing.T) {
 	if err != nil {
 		t.Fatalf("monolithic full ranking: %v", err)
 	}
-	assignment := ex.Partitioner().Partition(f.db, ex.NumShards())
-	faulted := make(map[trajdb.TrajID]bool, len(assignment[faultShard]))
-	for _, id := range assignment[faultShard] {
+	faulted := make(map[trajdb.TrajID]bool)
+	for _, id := range ex.shards[faultShard].globals {
 		faulted[id] = true
 	}
 	var want []core.Result

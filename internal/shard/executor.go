@@ -9,8 +9,8 @@ import (
 )
 
 // shardHandle is one partition: an engine over the shard-local store and
-// the shard-local → global trajectory ID mapping (ascending, see the
-// Partitioner contract). engine is nil for empty shards.
+// the shard-local → global trajectory ID mapping (ascending, see
+// shardIDs). engine is nil for empty shards.
 type shardHandle struct {
 	engine  *core.Engine
 	globals []trajdb.TrajID
@@ -32,14 +32,12 @@ type Executor struct {
 	gatherer
 	shards []shardHandle
 	pool   *workerPool
-	part   Partitioner
 }
 
 // NewExecutor partitions db into cfg.Shards shards and builds the
 // per-shard engines. The shard count is clamped to the store's
 // trajectory count. opts configures every engine (global and per-shard)
-// identically; corpus-dependent text similarities are rejected with
-// ErrShardedTextSim. db must not be mutated afterwards.
+// identically. db must not be mutated afterwards.
 func NewExecutor(db core.TrajStore, opts core.Options, cfg Config) (ex *Executor, err error) {
 	defer recoverBuildFault(&err)
 	if cfg.Shards <= 0 {
@@ -52,55 +50,24 @@ func NewExecutor(db core.TrajStore, opts core.Options, cfg Config) (ex *Executor
 	if err != nil {
 		return nil, err
 	}
-	if global.Options().TextSim != core.TextJaccard {
-		return nil, fmt.Errorf("%w: got %v", ErrShardedTextSim, global.Options().TextSim)
-	}
 
 	n := cfg.Shards
 	if t := db.NumTrajectories(); n > t {
 		n = t
 	}
-	part := cfg.Partitioner
-	if part == nil {
-		part = HashPartitioner{}
-	}
-	assignment := part.Partition(db, n)
-	if len(assignment) != n {
-		return nil, fmt.Errorf("shard: partitioner %q returned %d shards, want %d", part, len(assignment), n)
-	}
-
 	m := newMetrics(cfg.Metrics)
 	shards := make([]shardHandle, n)
 	counters := make([]shardCounters, n)
-	for s, ids := range assignment {
-		h := &shards[s]
-		h.globals = append([]trajdb.TrajID(nil), ids...)
+	for s := range shards {
 		counters[s] = m.forShard(s)
-		if len(ids) == 0 {
-			continue // empty shard: skipped at query time
-		}
-		// Shards are plain frozen stores over the partition's
-		// trajectories (see buildSubStore).
-		sub, err := buildSubStore(db, ids, s)
-		if err != nil {
+		// An empty shard keeps a nil engine and is skipped at query time.
+		h := &shards[s]
+		if h.engine, h.globals, err = buildShard(db, opts, n, s, cfg.assign, cfg.WrapStore); err != nil {
 			return nil, err
 		}
-		// Derive the shard-local options (per-shard TrajBounds rebuild)
-		// from the clean sub-store before any fault-injection wrapper: the
-		// index build is part of construction, not of the query paths the
-		// wrapper is meant to perturb.
-		subOpts := subOptions(opts, sub)
-		if cfg.WrapStore != nil {
-			sub = cfg.WrapStore(s, sub)
-		}
-		engine, err := core.NewEngine(sub, subOpts)
-		if err != nil {
-			return nil, fmt.Errorf("shard: engine for shard %d: %w", s, err)
-		}
-		h.engine = engine
 	}
 	// The pool starts last, so no failed build has workers to stop.
-	ex = &Executor{shards: shards, pool: newWorkerPool(cfg.Workers), part: part}
+	ex = &Executor{shards: shards, pool: newWorkerPool(cfg.Workers)}
 	ex.gatherer = gatherer{
 		fleet:    ex,
 		counters: counters,
@@ -113,9 +80,9 @@ func NewExecutor(db core.TrajStore, opts core.Options, cfg Config) (ex *Executor
 }
 
 // recoverBuildFault converts a *trajdb.StoreError panic escaping
-// executor construction (the partitioner and shard rebuild read the
-// source store) into an error wrapping core.ErrStoreFault, mirroring the
-// engine entry points' guard.
+// executor construction (the shard rebuild reads the source store) into
+// an error wrapping core.ErrStoreFault, mirroring the engine entry
+// points' guard.
 func recoverBuildFault(err *error) {
 	r := recover()
 	if r == nil {
@@ -127,9 +94,6 @@ func recoverBuildFault(err *error) {
 	}
 	*err = fmt.Errorf("%w: %w", core.ErrStoreFault, se)
 }
-
-// Partitioner returns the partition strategy in use.
-func (ex *Executor) Partitioner() Partitioner { return ex.part }
 
 // Close stops the executor's workers after in-flight shard searches
 // finish. It is idempotent — repeated and concurrent Close calls are

@@ -20,9 +20,6 @@ func TestNewExecutorRejectsBadConfigs(t *testing.T) {
 	if _, err := NewExecutor(f.db, core.Options{}, Config{Shards: -3}); !errors.Is(err, ErrBadShards) {
 		t.Errorf("Shards=-3: err = %v, want ErrBadShards", err)
 	}
-	if _, err := NewExecutor(f.db, core.Options{TextSim: core.TextCosineIDF}, Config{Shards: 2}); !errors.Is(err, ErrShardedTextSim) {
-		t.Errorf("TextCosineIDF: err = %v, want ErrShardedTextSim", err)
-	}
 	if _, err := NewExecutor(nil, core.Options{}, Config{Shards: 2}); !errors.Is(err, core.ErrNilStore) {
 		t.Errorf("nil store: err = %v, want core.ErrNilStore", err)
 	}

@@ -326,11 +326,6 @@ type batchOut struct {
 // per-query store fault is a per-query outcome.
 func (g *gatherer) SearchBatch(ctx context.Context, queries []core.Query, opts core.BatchOptions) ([]core.BatchResult, core.BatchStats, error) {
 	elapsed := obs.Stopwatch()
-	switch opts.Algorithm {
-	case core.AlgoExpansion, core.AlgoExhaustive, core.AlgoTextFirst:
-	default:
-		return nil, core.BatchStats{}, fmt.Errorf("core: unknown batch algorithm %d", int(opts.Algorithm))
-	}
 	leave, err := g.fleet.enter()
 	if err != nil {
 		return nil, core.BatchStats{}, err

@@ -1,55 +1,19 @@
 package shard
 
-import (
-	"math"
-	"sort"
+import "uots/internal/trajdb"
 
-	"uots/internal/core"
-	"uots/internal/trajdb"
-)
-
-// Partitioner assigns every trajectory of a store to one of n shards.
-//
-// The contract every implementation must honour: the returned slice has
-// exactly n entries, every trajectory ID in [0, NumTrajectories) appears
-// in exactly one entry, each entry is sorted ascending, and the
-// assignment is a pure function of the store contents (no randomness, no
-// clock) — determinism of the whole sharded engine starts here. Entries
-// may be empty.
-//
-// Ascending order inside each shard matters for correctness, not just
-// tidiness: shard-local dense IDs are assigned in slice order, so an
-// ascending slice makes local ID order agree with global ID order and
-// the per-shard engines' smaller-ID-wins tie-breaks translate directly
-// to the global merge.
-type Partitioner interface {
-	Partition(db core.TrajStore, n int) [][]trajdb.TrajID
-	// String names the strategy for flags and metrics.
-	String() string
+// shardOf is the whole partitioning contract: trajectory id of an n-way
+// split lives on shard splitmix64(id) % n. It is a pure function of the
+// ID and the shard count — no store, no flag, no name — so the router's
+// in-process executor and every shard server of a fleet derive the same
+// layout from (dataset, shard count) alone and cannot be configured
+// apart. Hashing spreads neighbouring trajectories over different
+// shards, which gives near-uniform shard sizes and near-uniform
+// per-shard work for spatially clustered queries. No other file knows
+// this function.
+func shardOf(id trajdb.TrajID, n int) int {
+	return int(splitmix64(uint64(id)) % uint64(n))
 }
-
-// HashPartitioner scatters trajectories by a deterministic integer hash
-// of their ID — near-uniform shard sizes and, because neighbouring
-// trajectories land on different shards, near-uniform per-shard work for
-// spatially clustered queries. The default.
-type HashPartitioner struct{}
-
-// Partition implements Partitioner.
-func (HashPartitioner) Partition(db core.TrajStore, n int) [][]trajdb.TrajID {
-	out := make([][]trajdb.TrajID, n)
-	total := db.NumTrajectories()
-	for s := range out {
-		out[s] = make([]trajdb.TrajID, 0, total/n+1)
-	}
-	for id := 0; id < total; id++ {
-		s := int(splitmix64(uint64(id)) % uint64(n))
-		out[s] = append(out[s], trajdb.TrajID(id))
-	}
-	return out
-}
-
-// String implements Partitioner.
-func (HashPartitioner) String() string { return "hash" }
 
 // splitmix64 is the SplitMix64 finalizer: a cheap, well-mixed integer
 // hash (Steele et al.), so consecutive IDs spread evenly across shards.
@@ -60,100 +24,28 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// RegionPartitioner groups spatially coherent trajectories: it orders
-// trajectories by (connected component of their first sample, spatial
-// grid cell of their bounding-box centre) and cuts the order into n
-// equal-size contiguous runs. Trajectories of the same region land on
-// the same shard, so a local query concentrates its scans on few shards
-// — the partition-local index layout of spatial-keyword systems — at the
-// price of more skew than hashing under uniform load.
-type RegionPartitioner struct {
-	// GridCells is the number of cells per axis of the ordering grid
-	// (default 32).
-	GridCells int
-}
-
-// Partition implements Partitioner.
-func (p RegionPartitioner) Partition(db core.TrajStore, n int) [][]trajdb.TrajID {
-	cells := p.GridCells
-	if cells <= 0 {
-		cells = 32
+// shardIDs lists, ascending, the global IDs of the trajectories among
+// [0, total) that assign (nil = shardOf) places on shard i of n. It
+// derives that one shard's list without materialising the others.
+//
+// Ascending order matters for correctness, not just tidiness:
+// shard-local dense IDs are assigned in list order, so local ID order
+// agrees with global ID order and the per-shard engines'
+// smaller-ID-wins tie-breaks translate directly to the global merge.
+func shardIDs(total, n, i int, assign func(id trajdb.TrajID, n int) int) []trajdb.TrajID {
+	if assign == nil {
+		assign = shardOf
 	}
-	g := db.Graph()
-	labels, _ := g.ConnectedComponents()
-	bounds := g.Bounds()
-	spanX := bounds.Max.X - bounds.Min.X
-	spanY := bounds.Max.Y - bounds.Min.Y
-
-	total := db.NumTrajectories()
-	keys := make([]uint64, total)
-	order := make([]trajdb.TrajID, total)
-	for id := 0; id < total; id++ {
-		tid := trajdb.TrajID(id)
-		comp := uint64(labels[db.Traj(tid).Samples[0].V])
-		bb := db.BBox(tid)
-		cx := gridCell((bb.Min.X+bb.Max.X)/2-bounds.Min.X, spanX, cells)
-		cy := gridCell((bb.Min.Y+bb.Max.Y)/2-bounds.Min.Y, spanY, cells)
-		// Row-major cell order within a component keeps cell neighbours
-		// adjacent in the cut order; the trailing ID keeps the sort
-		// deterministic under equal keys.
-		keys[id] = comp<<32 | uint64(cy*cells+cx)
-		order[id] = tid
-	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := order[i], order[j]
-		if keys[a] != keys[b] {
-			return keys[a] < keys[b]
+	ids := make([]trajdb.TrajID, 0, total/n+1)
+	for id := trajdb.TrajID(0); int(id) < total; id++ {
+		if assign(id, n) == i {
+			ids = append(ids, id)
 		}
-		return a < b
-	})
-
-	out := make([][]trajdb.TrajID, n)
-	per := int(math.Ceil(float64(total) / float64(n)))
-	for s := range out {
-		lo := s * per
-		hi := lo + per
-		if lo > total {
-			lo = total
-		}
-		if hi > total {
-			hi = total
-		}
-		run := append([]trajdb.TrajID(nil), order[lo:hi]...)
-		// Restore ascending global order inside the shard (see the
-		// Partitioner contract).
-		sort.Slice(run, func(i, j int) bool { return run[i] < run[j] })
-		out[s] = run
 	}
-	return out
+	return ids
 }
 
-// String implements Partitioner.
-func (RegionPartitioner) String() string { return "region" }
-
-// gridCell buckets an offset within [0, span] into [0, cells).
-func gridCell(off, span float64, cells int) int {
-	if span <= 0 {
-		return 0
-	}
-	c := int(off / span * float64(cells))
-	if c < 0 {
-		c = 0
-	}
-	if c >= cells {
-		c = cells - 1
-	}
-	return c
-}
-
-// PartitionerByName resolves a -partition flag value.
-func PartitionerByName(name string) (Partitioner, bool) {
-	switch name {
-	case "", "hash":
-		return HashPartitioner{}, true
-	case "region":
-		return RegionPartitioner{}, true
-	default:
-		return nil, false
-	}
-}
+// HashPartitioner is the zero-size third argument of BuildShardEngine.
+// It selects nothing — shardOf is the only assignment — and exists only
+// because benchmark/layers/stack.go:245 spells the call with it.
+type HashPartitioner struct{}

@@ -18,11 +18,6 @@ import (
 // full store, which only the router's own engine can compute.
 var ErrRemoteDiversify = errors.New("shard: remote diversified search needs a local global engine (RemoteConfig.Global)")
 
-// ErrRemoteBatchAlgo rejects remote batches with a non-expansion
-// algorithm: the baselines carry in-process tuning (landmark indexes)
-// that cannot cross the wire.
-var ErrRemoteBatchAlgo = errors.New("shard: remote batches support AlgoExpansion only")
-
 // RemoteConfig tunes a RemoteExecutor.
 type RemoteConfig struct {
 	// Global is the router's own monolithic engine over the full
@@ -251,12 +246,4 @@ func (re *RemoteExecutor) batch(ctx context.Context, i int, queries []core.Query
 		out[j] = core.BatchResult{Index: e.Index, Results: e.Results, Stats: e.Stats, Err: e.Err()}
 	}
 	return out, resp.Stats, nil
-}
-
-// SearchBatch is the gatherer's, restricted to what crosses the wire.
-func (re *RemoteExecutor) SearchBatch(ctx context.Context, queries []core.Query, opts core.BatchOptions) ([]core.BatchResult, core.BatchStats, error) {
-	if opts.Algorithm != core.AlgoExpansion {
-		return nil, core.BatchStats{}, ErrRemoteBatchAlgo
-	}
-	return re.gatherer.SearchBatch(ctx, queries, opts)
 }

@@ -39,7 +39,7 @@ func startCluster(t *testing.T, f fixture, shards, replicas int, cfg RemoteConfi
 	groups := make([]*rpc.Group, shards)
 	servers := make([][]*httptest.Server, shards)
 	for p := 0; p < shards; p++ {
-		eng, globals, err := BuildShardEngine(f.db, core.Options{}, nil, shards, p)
+		eng, globals, err := BuildShardEngine(f.db, core.Options{}, HashPartitioner{}, shards, p)
 		if err != nil {
 			t.Fatalf("BuildShardEngine(%d/%d): %v", p, shards, err)
 		}
@@ -113,7 +113,7 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 func TestRemoteRejectsMiswiredTopology(t *testing.T) {
 	f := testFixture(t)
 	serve := func(p, n int) string {
-		eng, globals, err := BuildShardEngine(f.db, core.Options{}, nil, n, p)
+		eng, globals, err := BuildShardEngine(f.db, core.Options{}, HashPartitioner{}, n, p)
 		if err != nil {
 			t.Fatalf("BuildShardEngine(%d/%d): %v", p, n, err)
 		}
@@ -405,9 +405,8 @@ func TestRemotePartitionDownDegrades(t *testing.T) {
 	if err != nil {
 		t.Fatalf("monolithic full ranking: %v", err)
 	}
-	assignment := HashPartitioner{}.Partition(f.db, shards)
-	faulted := make(map[trajdb.TrajID]bool, len(assignment[faultShard]))
-	for _, id := range assignment[faultShard] {
+	faulted := make(map[trajdb.TrajID]bool)
+	for _, id := range shardIDs(f.db.NumTrajectories(), shards, faultShard, nil) {
 		faulted[id] = true
 	}
 	var want []core.Result
@@ -534,9 +533,6 @@ func TestRemoteRejections(t *testing.T) {
 
 	if _, _, err := cl.re.DiversifiedSearchCtx(context.Background(), q, core.DiversifyOptions{}); !errors.Is(err, ErrRemoteDiversify) {
 		t.Fatalf("diversified without Global: err = %v, want ErrRemoteDiversify", err)
-	}
-	if _, _, err := cl.re.SearchBatch(context.Background(), []core.Query{q}, core.BatchOptions{Algorithm: core.AlgoExhaustive}); !errors.Is(err, ErrRemoteBatchAlgo) {
-		t.Fatalf("remote exhaustive batch: err = %v, want ErrRemoteBatchAlgo", err)
 	}
 	if _, err := NewRemoteExecutor(nil, RemoteConfig{}); !errors.Is(err, ErrBadShards) {
 		t.Fatalf("NewRemoteExecutor with no groups: err = %v, want ErrBadShards", err)

@@ -40,18 +40,13 @@ import (
 
 	"uots/internal/core"
 	"uots/internal/obs"
+	"uots/internal/trajdb"
 )
 
 // Errors returned by executor construction and queries.
 var (
 	// ErrBadShards rejects non-positive shard counts.
 	ErrBadShards = errors.New("shard: shard count must be positive")
-	// ErrShardedTextSim rejects text similarities that depend on
-	// corpus-global statistics: TextCosineIDF weights terms by document
-	// frequency over the whole store, so a shard-local index would score
-	// differently than the monolithic engine. Only corpus-independent
-	// similarities (TextJaccard) shard safely.
-	ErrShardedTextSim = errors.New("shard: sharded execution requires a corpus-independent text similarity (TextJaccard)")
 	// ErrClosed is returned for queries submitted after Close.
 	ErrClosed = errors.New("shard: executor is closed")
 	// ErrAllShardsFailed is wrapped around the first shard error when
@@ -90,15 +85,12 @@ func (p PartialPolicy) String() string {
 // Shards must be positive.
 type Config struct {
 	// Shards is the number of partitions N. Clamped to the store's
-	// trajectory count; shards left empty by the partitioner are skipped
-	// at query time.
+	// trajectory count; shards the hash leaves empty are skipped at query
+	// time.
 	Shards int
 	// Workers bounds concurrent per-shard searches across all in-flight
 	// queries (default runtime.GOMAXPROCS(0)).
 	Workers int
-	// Partitioner assigns trajectories to shards (default
-	// HashPartitioner{}).
-	Partitioner Partitioner
 	// Partial is the partial-results policy (default PartialFail).
 	Partial PartialPolicy
 	// disableSharedBound turns off the cross-shard k-th-bound exchange
@@ -106,6 +98,11 @@ type Config struct {
 	// Unexported: the exchange is proven (EXPERIMENTS.md, Audit verdicts)
 	// and only the in-package tests and benchmark switch it off.
 	disableSharedBound bool
+	// assign replaces the partition function (nil = shardOf). Unexported,
+	// same standing as disableSharedBound: production has one assignment,
+	// and only the in-package cross-validation swaps in hand-built skews
+	// (every answer on one shard, an empty shard, one trajectory each).
+	assign func(id trajdb.TrajID, n int) int
 	// Metrics receives the executor's uots_shard_* instruments
 	// (nil disables metrics).
 	Metrics *obs.Registry

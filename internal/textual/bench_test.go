@@ -46,11 +46,3 @@ func BenchmarkJaccardPair(b *testing.B) {
 		Jaccard(s, t)
 	}
 }
-
-func BenchmarkCosineIDF(b *testing.B) {
-	ix, queries := benchCorpus(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ix.CosineIDF(queries[i%len(queries)], DocID(i%ix.NumDocs()))
-	}
-}

@@ -1,7 +1,6 @@
 package textual
 
 import (
-	"math"
 	"sort"
 )
 
@@ -102,7 +101,7 @@ func (ix *Index) NumDocs() int { return ix.numDocs }
 
 // DocTerms returns a copy of the term set of doc. Returning a copy costs
 // one allocation on a path no search loop touches (the engines score
-// through ScoreAll/CosineIDF, which read the internal sets directly) and
+// through ScoreAll, which reads the internal sets directly) and
 // removes a whole bug class: a caller that sorts or edits the result in
 // place can no longer corrupt this index — or, worse, every MVCC
 // generation sharing the set through Extend.
@@ -125,7 +124,7 @@ func (ix *Index) DocFreq(term TermID) int { return len(ix.postings[term]) }
 
 // DocsWithAny returns the ascending, deduplicated list of documents
 // containing at least one of the query terms. Every document outside this
-// list has Jaccard/Dice/cosine similarity exactly 0 with the query — the
+// list has Jaccard similarity exactly 0 with the query — the
 // textual pruning fact the engine's unseen-trajectory bound relies on.
 func (ix *Index) DocsWithAny(query TermSet) []DocID {
 	switch len(query) {
@@ -185,42 +184,4 @@ func (ix *Index) ScoreAll(query TermSet, sim func(a, b TermSet) float64) (docs [
 		scores[i] = sim(query, ix.docTerms[d])
 	}
 	return docs, scores
-}
-
-// IDF returns the smoothed inverse document frequency of term:
-// ln(1 + N / (1 + df)). Terms seen nowhere get the maximum IDF.
-func (ix *Index) IDF(term TermID) float64 {
-	return math.Log(1 + float64(ix.numDocs)/float64(1+ix.DocFreq(term)))
-}
-
-// CosineIDF returns the IDF-weighted cosine similarity between the query
-// term set and a document's term set: both sides are 0/1 vectors weighted
-// by IDF. It rewards matches on rare terms more than Jaccard does.
-func (ix *Index) CosineIDF(query TermSet, doc DocID) float64 {
-	dterms := ix.docTerms[doc]
-	var dot, qn, dn float64
-	i, j := 0, 0
-	for i < len(query) || j < len(dterms) {
-		switch {
-		case j >= len(dterms) || (i < len(query) && query[i] < dterms[j]):
-			w := ix.IDF(query[i])
-			qn += w * w
-			i++
-		case i >= len(query) || query[i] > dterms[j]:
-			w := ix.IDF(dterms[j])
-			dn += w * w
-			j++
-		default:
-			w := ix.IDF(query[i])
-			dot += w * w
-			qn += w * w
-			dn += w * w
-			i++
-			j++
-		}
-	}
-	if qn == 0 || dn == 0 {
-		return 0
-	}
-	return dot / (math.Sqrt(qn) * math.Sqrt(dn))
 }

@@ -1,7 +1,7 @@
 // Package textual implements the textual-domain substrate of the UOTS
-// system: a vocabulary mapping keyword strings to dense term IDs, set-based
-// and TF-IDF similarity functions over keyword sets, a keyword inverted
-// index, and a Zipf-skewed vocabulary generator for synthetic workloads.
+// system: a vocabulary mapping keyword strings to dense term IDs, the
+// Jaccard similarity over keyword sets, a keyword inverted index, and a
+// Zipf-skewed vocabulary generator for synthetic workloads.
 //
 // Trajectories carry textual attributes (activity keywords, POI
 // categories, traveler notes); a UOTS query carries keywords describing
@@ -209,26 +209,4 @@ func Jaccard(s, t TermSet) float64 {
 		return 0
 	}
 	return float64(inter) / float64(union)
-}
-
-// Dice returns 2|s ∩ t| / (|s| + |t|) ∈ [0, 1].
-func Dice(s, t TermSet) float64 {
-	inter := s.IntersectionSize(t)
-	den := len(s) + len(t)
-	if den == 0 {
-		return 0
-	}
-	return 2 * float64(inter) / float64(den)
-}
-
-// Overlap returns |s ∩ t| / min(|s|, |t|) ∈ [0, 1].
-func Overlap(s, t TermSet) float64 {
-	if len(s) == 0 || len(t) == 0 {
-		return 0
-	}
-	m := len(s)
-	if len(t) < m {
-		m = len(t)
-	}
-	return float64(s.IntersectionSize(t)) / float64(m)
 }

@@ -108,16 +108,10 @@ func TestSetSimilarities(t *testing.T) {
 	if got := Jaccard(a, b); math.Abs(got-2.0/5.0) > 1e-12 {
 		t.Errorf("Jaccard = %g", got)
 	}
-	if got := Dice(a, b); math.Abs(got-4.0/7.0) > 1e-12 {
-		t.Errorf("Dice = %g", got)
-	}
-	if got := Overlap(a, b); math.Abs(got-2.0/3.0) > 1e-12 {
-		t.Errorf("Overlap = %g", got)
-	}
-	if Jaccard(nil, nil) != 0 || Dice(nil, nil) != 0 || Overlap(nil, a) != 0 {
+	if Jaccard(nil, nil) != 0 || Jaccard(nil, a) != 0 {
 		t.Error("empty-set similarities should be 0")
 	}
-	if Jaccard(a, a) != 1 || Dice(a, a) != 1 || Overlap(a, a) != 1 {
+	if Jaccard(a, a) != 1 {
 		t.Error("self similarity should be 1")
 	}
 }
@@ -133,10 +127,8 @@ func TestSimilarityPropertiesQuick(t *testing.T) {
 	f := func(ra, rb []uint8) bool {
 		a, b := mk(ra), mk(rb)
 		j1, j2 := Jaccard(a, b), Jaccard(b, a)
-		d1, d2 := Dice(a, b), Dice(b, a)
-		return j1 == j2 && d1 == d2 && // symmetry
-			j1 >= 0 && j1 <= 1 && d1 >= 0 && d1 <= 1 && // range
-			j1 <= d1+1e-12 // Jaccard ≤ Dice always
+		return j1 == j2 && // symmetry
+			j1 >= 0 && j1 <= 1 // range
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -256,38 +248,6 @@ func TestScoreAll(t *testing.T) {
 	}
 	if scores[0] != 1 || math.Abs(scores[1]-2.0/3.0) > 1e-12 {
 		t.Fatalf("ScoreAll scores = %v", scores)
-	}
-}
-
-func TestCosineIDF(t *testing.T) {
-	docs := []TermSet{
-		NewTermSet([]TermID{1, 2}),
-		NewTermSet([]TermID{1}),
-		NewTermSet([]TermID{1}),
-		NewTermSet([]TermID{1}),
-		NewTermSet([]TermID{2, 3}),
-	}
-	ix := buildIndex(t, docs)
-	// Identical sets have cosine 1 regardless of IDF.
-	if got := ix.CosineIDF(NewTermSet([]TermID{1, 2}), 0); math.Abs(got-1) > 1e-12 {
-		t.Errorf("cosine of identical sets = %g", got)
-	}
-	// No shared terms → 0.
-	if got := ix.CosineIDF(NewTermSet([]TermID{3}), 1); got != 0 {
-		t.Errorf("cosine with no overlap = %g", got)
-	}
-	// Term 2 is rarer than term 1, so matching on 2 scores higher than
-	// matching on 1 against the same two-term doc.
-	m1 := ix.CosineIDF(NewTermSet([]TermID{1}), 0)
-	m2 := ix.CosineIDF(NewTermSet([]TermID{2}), 0)
-	if m2 <= m1 {
-		t.Errorf("rare-term match %g should beat common-term match %g", m2, m1)
-	}
-	if got := ix.CosineIDF(nil, 0); got != 0 {
-		t.Errorf("empty query cosine = %g", got)
-	}
-	if ix.IDF(1) >= ix.IDF(3) {
-		t.Error("IDF of common term should be below rare term")
 	}
 }
 

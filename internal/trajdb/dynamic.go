@@ -2,6 +2,7 @@ package trajdb
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 
 	"uots/internal/roadnet"
@@ -70,11 +71,7 @@ func NewDynamicFromStore(s *Store) *DynamicStore {
 	ids := make([]ExternalID, len(s.trajs))
 	for i := range s.trajs {
 		t := &s.trajs[i]
-		id := d.nextID
-		d.nextID++
-		d.live[id] = &Trajectory{Samples: t.Samples, Keywords: t.Keywords}
-		d.order = append(d.order, id)
-		ids[i] = id
+		ids[i] = d.insert(&Trajectory{Samples: t.Samples, Keywords: t.Keywords})
 	}
 	d.gen++ // the seed is a mutation: generation 0 stays "fresh empty store"
 	// s already is the dense snapshot of this live set (handles were
@@ -102,20 +99,13 @@ func (d *DynamicStore) Len() int {
 
 // Add validates and inserts a trajectory, returning its stable handle.
 func (d *DynamicStore) Add(samples []Sample, keywords textual.TermSet) (ExternalID, error) {
-	// Validate through a throwaway builder so the rules stay in one place.
-	b := NewBuilder(d.g, d.vocab)
-	if _, err := b.Add(samples, keywords); err != nil {
+	if err := ValidateSamples(d.g, samples); err != nil {
 		return -1, err
 	}
+	t := &Trajectory{Samples: append([]Sample(nil), samples...), Keywords: keywords}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	id := d.nextID
-	d.nextID++
-	d.live[id] = &Trajectory{
-		Samples:  append([]Sample(nil), samples...),
-		Keywords: keywords,
-	}
-	d.order = append(d.order, id)
+	id := d.insert(t)
 	d.noteAdd(id)
 	return id, nil
 }
@@ -126,6 +116,49 @@ func (d *DynamicStore) AddWithKeywords(samples []Sample, keywords []string) (Ext
 		return -1, errors.New("trajdb: AddWithKeywords requires a vocabulary")
 	}
 	return d.Add(samples, d.vocab.InternAll(keywords))
+}
+
+// AddGroup validates and inserts n trajectories as one mutation; at(i)
+// returns the i-th one's samples and its keywords, interned through the
+// store's vocabulary. One lock acquisition and one generation cover the
+// group, so no reader can pin a snapshot that holds part of it, nor pay a
+// snapshot extension for a generation the group's next trajectory makes
+// obsolete. It is all or nothing: the first trajectory that fails
+// validation fails the group and nothing is inserted. at runs before the
+// lock is taken; an empty group is not a mutation.
+func (d *DynamicStore) AddGroup(n int, at func(i int) ([]Sample, []string)) ([]ExternalID, error) {
+	if d.vocab == nil {
+		return nil, errors.New("trajdb: AddGroup requires a vocabulary")
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	trajs := make([]*Trajectory, n)
+	for i := range trajs {
+		samples, keywords := at(i)
+		if err := ValidateSamples(d.g, samples); err != nil {
+			return nil, fmt.Errorf("trajectory %d: %w", i, err)
+		}
+		trajs[i] = &Trajectory{Samples: append([]Sample(nil), samples...), Keywords: d.vocab.InternAll(keywords)}
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	ids := make([]ExternalID, n)
+	for i, t := range trajs {
+		ids[i] = d.insert(t)
+	}
+	d.noteAdd(ids...)
+	return ids, nil
+}
+
+// insert files t under the next handle. Callers hold d.mu (or own d
+// outright, as its constructor does) and follow up with noteAdd.
+func (d *DynamicStore) insert(t *Trajectory) ExternalID {
+	id := d.nextID
+	d.nextID++
+	d.live[id] = t
+	d.order = append(d.order, id)
+	return id
 }
 
 // Remove deletes a trajectory by handle, reporting whether it existed.
@@ -149,18 +182,18 @@ func (d *DynamicStore) Get(id ExternalID) (*Trajectory, bool) {
 	return t, ok
 }
 
-// noteAdd records an addition: the cached snapshot is dropped (the next
-// read rebuilds lazily) but kept as the extension base so that read can
-// extend it with just the pending tail instead of rebuilding from
-// scratch. Callers hold d.mu.
-func (d *DynamicStore) noteAdd(id ExternalID) {
+// noteAdd records one mutation that added ids: the cached snapshot is
+// dropped (the next read rebuilds lazily) but kept as the extension base
+// so that read can extend it with just the pending tail instead of
+// rebuilding from scratch. Callers hold d.mu.
+func (d *DynamicStore) noteAdd(ids ...ExternalID) {
 	d.gen++
 	if d.snap != nil {
 		d.base, d.baseIDs = d.snap, d.snapIDs
 	}
 	d.snap, d.snapIDs = nil, nil
 	if d.base != nil {
-		d.pending = append(d.pending, id)
+		d.pending = append(d.pending, ids...)
 	}
 }
 
@@ -176,11 +209,12 @@ func (d *DynamicStore) invalidate() {
 	d.pending = nil
 }
 
-// Generation returns a counter that advances on every mutation (Add or
-// Remove). Two equal generations bracket an unchanged live set, so any
-// value derived from a snapshot — search results, partition layouts —
-// may be cached under the generation it was computed at and dropped the
-// moment the generation moves on. A fresh store is at generation 0.
+// Generation returns a counter that advances on every mutation (Add,
+// AddGroup or Remove). Two equal generations bracket an unchanged live
+// set, so any value derived from a snapshot — search results, partition
+// layouts — may be cached under the generation it was computed at and
+// dropped the moment the generation moves on. A fresh store is at
+// generation 0.
 func (d *DynamicStore) Generation() uint64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -1,6 +1,7 @@
 package trajdb
 
 import (
+	"errors"
 	"sync"
 	"testing"
 
@@ -81,6 +82,21 @@ func TestDynamicValidation(t *testing.T) {
 	}
 	if _, err := d.AddWithKeywords([]Sample{{V: 0, T: 0}}, []string{"x"}); err == nil {
 		t.Error("AddWithKeywords without vocab accepted")
+	}
+	// A group is all or nothing: one bad member and nothing enters the
+	// store, nor does the generation move.
+	d = NewDynamic(g, textual.NewVocab())
+	group := [][]Sample{{{V: 0, T: 0}}, {{V: 99999, T: 0}}, {{V: 1, T: 5}}}
+	at := func(i int) ([]Sample, []string) { return group[i], []string{"x"} }
+	if _, err := d.AddGroup(len(group), at); !errors.Is(err, ErrVertexRange) {
+		t.Errorf("group with a bad vertex: err = %v, want ErrVertexRange", err)
+	}
+	if d.Len() != 0 || d.Generation() != 0 {
+		t.Errorf("refused group left %d live at generation %d", d.Len(), d.Generation())
+	}
+	group[1] = []Sample{{V: 2, T: 1}}
+	if ids, err := d.AddGroup(len(group), at); err != nil || len(ids) != 3 || d.Generation() != 1 {
+		t.Errorf("AddGroup = %v, %v at generation %d; want 3 handles, generation 1", ids, err, d.Generation())
 	}
 }
 

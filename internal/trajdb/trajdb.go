@@ -53,15 +53,6 @@ func (t *Trajectory) End() float64 { return t.Samples[len(t.Samples)-1].T }
 // Duration returns End − Start in seconds.
 func (t *Trajectory) Duration() float64 { return t.End() - t.Start() }
 
-// Vertices returns the sample vertices in visit order (a fresh slice).
-func (t *Trajectory) Vertices() []roadnet.VertexID {
-	out := make([]roadnet.VertexID, len(t.Samples))
-	for i, s := range t.Samples {
-		out[i] = s.V
-	}
-	return out
-}
-
 // Errors reported by Builder.Add.
 var (
 	ErrNoSamples     = errors.New("trajdb: trajectory needs at least one sample")

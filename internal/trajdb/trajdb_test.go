@@ -95,9 +95,6 @@ func TestStoreIndexes(t *testing.T) {
 	if tr.Len() != 3 || tr.Start() != 100 || tr.End() != 300 || tr.Duration() != 200 {
 		t.Error("trajectory accessors wrong")
 	}
-	if vs := tr.Vertices(); len(vs) != 3 || vs[0] != 3 || vs[2] != 3 {
-		t.Errorf("Vertices = %v", vs)
-	}
 	// Text index.
 	food, _ := vocab.Lookup("food")
 	if got := db.TextIndex().Postings(food); len(got) != 1 || got[0] != textual.DocID(id0) {

@@ -98,8 +98,6 @@ type (
 	SearchStats = core.SearchStats
 	// Scheduling selects the query-source scheduling strategy.
 	Scheduling = core.Scheduling
-	// TextSim selects the textual similarity function.
-	TextSim = core.TextSim
 	// TimeWindow is the optional departure-time filter extension.
 	TimeWindow = core.TimeWindow
 	// DiversifyOptions tunes route-diversity re-ranking.
@@ -110,8 +108,6 @@ type (
 	BatchResult = core.BatchResult
 	// BatchStats aggregates a batch run.
 	BatchStats = core.BatchStats
-	// Algorithm names a query-processing strategy for batch runs.
-	Algorithm = core.Algorithm
 	// FaultStore wraps a TrajStore with deterministic fault and latency
 	// injection for robustness testing.
 	FaultStore = core.FaultStore
@@ -146,11 +142,6 @@ const (
 const (
 	ScheduleHeuristic  = core.ScheduleHeuristic
 	ScheduleRoundRobin = core.ScheduleRoundRobin
-	TextJaccard        = core.TextJaccard
-	TextCosineIDF      = core.TextCosineIDF
-	AlgoExpansion      = core.AlgoExpansion
-	AlgoExhaustive     = core.AlgoExhaustive
-	AlgoTextFirst      = core.AlgoTextFirst
 	// MaxQueryLocations bounds len(Query.Locations).
 	MaxQueryLocations = core.MaxQueryLocations
 	// SecondsPerDay is the temporal domain length for Sample timestamps.

@@ -13,7 +13,7 @@ import (
 // binary formats, and query again.
 func TestPublicAPIEndToEnd(t *testing.T) {
 	g := uots.BRNLike(0.1, 42)
-	if g.NumVertices() == 0 || !g.IsConnected() {
+	if _, comps := g.ConnectedComponents(); g.NumVertices() == 0 || comps != 1 {
 		t.Fatal("generated city is unusable")
 	}
 	vocab := uots.GenerateVocab(6, 30, 1.0, 7)
