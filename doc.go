@@ -7,9 +7,9 @@
 //
 // The package is a facade over the implementation packages:
 //
-//   - a road-network substrate (graphs, Dijkstra/A*/bidirectional search,
-//     incremental network expansion, landmarks, nearest-vertex indexing,
-//     synthetic city generation),
+//   - a road-network substrate (graphs, Dijkstra, bidirectional and
+//     goal-directed search, incremental network expansion, landmarks,
+//     nearest-vertex indexing, synthetic city generation),
 //   - a trajectory store with vertex and keyword inverted indexes and a
 //     synthetic trip generator,
 //   - a textual substrate (vocabulary, keyword similarity, inverted index),

@@ -30,13 +30,9 @@ func TestSoakWideRandomWorlds(t *testing.T) {
 			t.Fatal(err)
 		}
 		vocab := textual.GenerateVocab(1+rng.IntN(6), 4+rng.IntN(40), 1.0, seed)
-		mode := trajdb.ModeBiasedWalk
-		if trial%3 == 0 {
-			mode = trajdb.ModeShortestPath
-		}
 		db, err := trajdb.Generate(g, trajdb.GenOptions{
 			Count: 1 + rng.IntN(300), MeanSamples: 2 + rng.IntN(30),
-			Mode: mode, Vocab: vocab, Seed: seed ^ 7,
+			Vocab: vocab, Seed: seed ^ 7,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -1,7 +1,7 @@
 // Package pqueue provides the priority-queue building blocks used across
-// the road-network and search engines: an indexed min-heap with
-// decrease-key (Dijkstra), a plain generic binary heap, and a bounded
-// top-k heap.
+// the search engines: a plain generic binary heap and a bounded top-k
+// heap. (The road network's Dijkstra heap, with decrease-key, lives in
+// the vertex state of package roadnet.)
 //
 // All queues in this package are hand-rolled binary heaps rather than
 // wrappers over container/heap: the hot loops of the search engine pop and

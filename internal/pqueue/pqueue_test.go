@@ -95,87 +95,6 @@ func TestMaxBasic(t *testing.T) {
 	}
 }
 
-func TestIndexedAsDijkstraHeap(t *testing.T) {
-	h := NewIndexed(10)
-	h.Push(3, 5.0)
-	h.Push(7, 2.0)
-	h.Push(1, 9.0)
-	if !h.Contains(3) || h.Contains(0) {
-		t.Fatal("Contains is wrong")
-	}
-	// Push with higher priority is a no-op; with lower priority it
-	// decreases the key. The pop order shows both.
-	h.Push(7, 4.0)
-	h.Push(1, 1.0)
-	k, p, ok := h.Pop()
-	if !ok || k != 1 || p != 1.0 {
-		t.Fatalf("Pop = (%d, %g): decrease-key failed", k, p)
-	}
-	if h.Contains(1) {
-		t.Fatal("popped key still contained")
-	}
-	if k, p, ok = h.Pop(); !ok || k != 7 || p != 2.0 {
-		t.Fatalf("Pop = (%d, %g): push with higher priority should not update", k, p)
-	}
-}
-
-func TestIndexedPopOrderRandom(t *testing.T) {
-	rng := rand.New(rand.NewPCG(5, 6))
-	const n = 500
-	h := NewIndexed(n)
-	want := make([]float64, n)
-	for i := range want {
-		want[i] = rng.Float64()
-		h.Push(int32(i), want[i])
-	}
-	// Randomly decrease half the keys.
-	for i := 0; i < n/2; i++ {
-		k := int32(rng.IntN(n))
-		np := want[k] * rng.Float64()
-		h.Push(k, np)
-		want[k] = np
-	}
-	prev := -1.0
-	count := 0
-	for {
-		k, p, ok := h.Pop()
-		if !ok {
-			break
-		}
-		count++
-		if p < prev {
-			t.Fatalf("pop order violated: %g after %g", p, prev)
-		}
-		if p != want[k] {
-			t.Fatalf("key %d popped with %g, want %g", k, p, want[k])
-		}
-		prev = p
-	}
-	if count != n {
-		t.Fatalf("popped %d of %d", count, n)
-	}
-}
-
-func TestIndexedReset(t *testing.T) {
-	h := NewIndexed(8)
-	for i := int32(0); i < 8; i++ {
-		h.Push(i, float64(8-i))
-	}
-	h.Reset()
-	if h.Len() != 0 {
-		t.Fatalf("Len after Reset = %d", h.Len())
-	}
-	for i := int32(0); i < 8; i++ {
-		if h.Contains(i) {
-			t.Fatalf("key %d still contained after Reset", i)
-		}
-	}
-	h.Push(4, 1)
-	if k, _, _ := h.Pop(); k != 4 {
-		t.Fatal("heap unusable after Reset")
-	}
-}
-
 func TestTopKKeepsBest(t *testing.T) {
 	tk := NewTopK[int](3)
 	if tk.K() != 3 {

@@ -173,49 +173,3 @@ func TestTopKInterleavedOffersAndResults(t *testing.T) {
 		}
 	}
 }
-
-// TestIndexedInterleavedMatchesReference mixes pushes, decrease-keys and
-// pops on the Dijkstra heap against a map-based reference.
-func TestIndexedInterleavedMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewPCG(204, 4))
-	const n = 64
-	for trial := 0; trial < 30; trial++ {
-		h := NewIndexed(n)
-		ref := make(map[int32]float64)
-		for op := 0; op < 500; op++ {
-			switch {
-			case rng.IntN(3) != 0: // push or decrease-key
-				k := int32(rng.IntN(n))
-				p := rng.Float64() * 10
-				h.Push(k, p)
-				old, ok := ref[k]
-				if !ok || p < old {
-					ref[k] = p
-				}
-			case len(ref) > 0: // pop must return the reference minimum
-				k, p, ok := h.Pop()
-				if !ok {
-					t.Fatalf("trial %d op %d: Pop failed with %d keys in reference", trial, op, len(ref))
-				}
-				want, inRef := ref[k]
-				if !inRef || p != want {
-					t.Fatalf("trial %d op %d: popped (%d,%g), reference has (%v,%g)", trial, op, k, p, inRef, want)
-				}
-				for _, rp := range ref {
-					if rp < p {
-						t.Fatalf("trial %d op %d: popped %g but reference holds smaller %g", trial, op, p, rp)
-					}
-				}
-				delete(ref, k)
-			}
-			if h.Len() != len(ref) {
-				t.Fatalf("trial %d op %d: Len=%d, reference %d", trial, op, h.Len(), len(ref))
-			}
-			for k := range ref {
-				if !h.Contains(k) {
-					t.Fatalf("trial %d op %d: key %d missing", trial, op, k)
-				}
-			}
-		}
-	}
-}

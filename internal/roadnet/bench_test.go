@@ -33,18 +33,6 @@ func BenchmarkBidirectionalDist(b *testing.B) {
 	}
 }
 
-func BenchmarkAStarDist(b *testing.B) {
-	g := benchCity(b)
-	a := NewAStar(g)
-	rng := rand.New(rand.NewPCG(3, 4))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		u := VertexID(rng.IntN(g.NumVertices()))
-		v := VertexID(rng.IntN(g.NumVertices()))
-		a.Dist(u, v)
-	}
-}
-
 func BenchmarkExpanderDrain(b *testing.B) {
 	g := benchCity(b)
 	e := NewExpander(g, 0)

@@ -1,67 +1,24 @@
 package roadnet
 
-import "uots/internal/pqueue"
-
 // Bidirectional is a reusable bidirectional-Dijkstra workspace for
 // point-to-point shortest-path queries. On road-like graphs it settles
 // roughly half the vertices a unidirectional search would, which matters
-// for the trajectory generator (millions of routing calls) and the
-// TextFirst baseline.
+// for route reconstruction and densification (one query per gap between
+// consecutive samples).
 //
 // A Bidirectional is not safe for concurrent use.
 type Bidirectional struct {
-	g *Graph
-	f side // forward, from the source
-	b side // backward, from the target (graph is undirected)
-}
-
-type side struct {
-	dist    []float64
-	parent  []int32
-	settled []bool
-	touched []int32
-	heap    *pqueue.Indexed
-}
-
-func newSide(n int) side {
-	s := side{
-		dist:    make([]float64, n),
-		parent:  make([]int32, n),
-		settled: make([]bool, n),
-		heap:    pqueue.NewIndexed(n),
-	}
-	for i := range s.dist {
-		s.dist[i] = Unreachable
-		s.parent[i] = -1
-	}
-	return s
-}
-
-func (s *side) reset() {
-	for _, v := range s.touched {
-		s.dist[v] = Unreachable
-		s.parent[v] = -1
-		s.settled[v] = false
-	}
-	s.touched = s.touched[:0]
-	s.heap.Reset()
-}
-
-func (s *side) relax(v int32, d float64, parent int32) {
-	if d < s.dist[v] {
-		if s.dist[v] == Unreachable {
-			s.touched = append(s.touched, v)
-		}
-		s.dist[v] = d
-		s.parent[v] = parent
-		s.heap.Push(v, d)
-	}
+	side   [2]search  // 0 searches forward from the source, 1 backward from the target (the graph is undirected)
+	parent [2][]int32 // parent[i][v]: v's predecessor on side i, valid for the vertices its current run touched
 }
 
 // NewBidirectional returns a workspace for point-to-point queries on g.
 func NewBidirectional(g *Graph) *Bidirectional {
 	n := g.NumVertices()
-	return &Bidirectional{g: g, f: newSide(n), b: newSide(n)}
+	return &Bidirectional{
+		side:   [2]search{newSearch(g), newSearch(g)},
+		parent: [2][]int32{make([]int32, n), make([]int32, n)},
+	}
 }
 
 // Dist returns the shortest-path distance from u to v. ok is false when v
@@ -80,14 +37,14 @@ func (b *Bidirectional) Path(u, v VertexID) (path []VertexID, dist float64, ok b
 	}
 	// Forward half: meet back to u, reversed into u..meet order.
 	var fwd []VertexID
-	for x := meet; x != -1; x = b.f.parent[x] {
+	for x := meet; x != -1; x = b.parent[0][x] {
 		fwd = append(fwd, VertexID(x))
 	}
 	for i, j := 0, len(fwd)-1; i < j; i, j = i+1, j-1 {
 		fwd[i], fwd[j] = fwd[j], fwd[i]
 	}
 	// Backward half: the vertex after meet toward v.
-	for x := b.b.parent[meet]; x != -1; x = b.b.parent[x] {
+	for x := b.parent[1][meet]; x != -1; x = b.parent[1][x] {
 		fwd = append(fwd, VertexID(x))
 	}
 	return fwd, dist, true
@@ -96,45 +53,41 @@ func (b *Bidirectional) Path(u, v VertexID) (path []VertexID, dist float64, ok b
 // run executes the bidirectional search and returns the best distance and
 // the vertex where the two search frontiers met (-1 if unreachable).
 func (b *Bidirectional) run(u, v VertexID) (float64, int32) {
-	b.f.reset()
-	b.b.reset()
+	for i, src := range [2]VertexID{u, v} {
+		b.side[i].reset()
+		b.side[i].push(int32(src), 0, 0)
+		b.parent[i][src] = -1
+	}
 	if u == v {
-		b.f.relax(int32(u), 0, -1)
-		b.b.relax(int32(v), 0, -1)
 		return 0, int32(u)
 	}
-	b.f.relax(int32(u), 0, -1)
-	b.b.relax(int32(v), 0, -1)
 	best := Unreachable
 	meet := int32(-1)
 	//uots:allow looppoll -- single point-to-point bidirectional query: bounded by one component's vertices, callers poll between calls
-	for b.f.heap.Len() > 0 || b.b.heap.Len() > 0 {
+	for {
 		// Termination: once the sum of the two frontier minima reaches the
-		// best connecting distance found, no better connection exists.
-		fTop, bTop := Unreachable, Unreachable
-		if _, p, ok := b.f.heap.Peek(); ok {
-			fTop = p
-		}
-		if _, p, ok := b.b.heap.Peek(); ok {
-			bTop = p
-		}
+		// best connecting distance found, no better connection exists. An
+		// empty frontier reads Unreachable, so the sum stops the loop too.
+		fTop, bTop := b.side[0].minKey(), b.side[1].minKey()
 		if fTop+bTop >= best {
-			break
+			return best, meet
 		}
 		// Expand the side with the smaller frontier minimum.
-		this, other := &b.f, &b.b
+		i := 0
 		if bTop < fTop {
-			this, other = &b.b, &b.f
+			i = 1
 		}
-		x, d, _ := this.heap.Pop()
-		this.settled[x] = true
-		to, w := b.g.Neighbors(VertexID(x))
-		for i, t := range to {
+		this, other, parent := &b.side[i], &b.side[1-i], b.parent[i]
+		x, d, _ := this.Pop()
+		to, w := this.g.Neighbors(VertexID(x))
+		for j, t := range to {
 			if this.settled[t] {
 				continue
 			}
-			nd := d + w[i]
-			this.relax(t, nd, x)
+			nd := d + w[j]
+			if this.push(t, nd, nd) {
+				parent[t] = x
+			}
 			if od := other.dist[t]; od != Unreachable {
 				if cand := nd + od; cand < best {
 					best = cand
@@ -143,5 +96,4 @@ func (b *Bidirectional) run(u, v VertexID) (float64, int32) {
 			}
 		}
 	}
-	return best, meet
 }

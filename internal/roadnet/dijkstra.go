@@ -1,73 +1,21 @@
 package roadnet
 
-import (
-	"math"
-
-	"uots/internal/pqueue"
-)
-
-// Unreachable is the distance reported for vertices that cannot be reached
-// from the source.
-var Unreachable = math.Inf(1)
-
 // SSSP is a reusable single-source shortest-path workspace for one graph.
-// It amortizes the O(n) allocations across runs: Reset between runs costs
-// time proportional to the vertices touched by the previous run, not to
-// the graph size.
+// It amortizes the O(n) allocations across runs: each run resets only the
+// vertices touched by the previous one, not the whole graph.
 //
 // An SSSP is not safe for concurrent use; allocate one per goroutine.
 type SSSP struct {
-	g       *Graph
-	dist    []float64
-	parent  []int32
-	settled []bool
-	touched []int32
-	heap    *pqueue.Indexed
+	search search
 }
 
 // NewSSSP returns a workspace for shortest-path runs on g.
 func NewSSSP(g *Graph) *SSSP {
-	n := g.NumVertices()
-	s := &SSSP{
-		g:       g,
-		dist:    make([]float64, n),
-		parent:  make([]int32, n),
-		settled: make([]bool, n),
-		heap:    pqueue.NewIndexed(n),
-	}
-	for i := range s.dist {
-		s.dist[i] = Unreachable
-		s.parent[i] = -1
-	}
-	return s
-}
-
-// Graph returns the graph this workspace operates on.
-func (s *SSSP) Graph() *Graph { return s.g }
-
-func (s *SSSP) reset() {
-	for _, v := range s.touched {
-		s.dist[v] = Unreachable
-		s.parent[v] = -1
-		s.settled[v] = false
-	}
-	s.touched = s.touched[:0]
-	s.heap.Reset()
-}
-
-func (s *SSSP) relax(v int32, d float64, parent int32) {
-	if d < s.dist[v] {
-		if s.dist[v] == Unreachable {
-			s.touched = append(s.touched, v)
-		}
-		s.dist[v] = d
-		s.parent[v] = parent
-		s.heap.Push(v, d)
-	}
+	return &SSSP{search: newSearch(g)}
 }
 
 // Run computes shortest-path distances from src to every reachable vertex.
-// Afterwards Dist and PathTo report the results until the next Run.
+// Afterwards Dist and Settled report the results until the next Run.
 func (s *SSSP) Run(src VertexID) {
 	s.RunUntil(src, nil)
 }
@@ -78,23 +26,13 @@ func (s *SSSP) Run(src VertexID) {
 // vertex reports a distance of at least the last settled distance.
 // A nil visit runs to completion.
 func (s *SSSP) RunUntil(src VertexID, visit func(v VertexID, d float64) bool) {
-	s.reset()
-	s.relax(int32(src), 0, -1)
+	s.search.reset()
+	s.search.push(int32(src), 0, 0)
 	//uots:allow looppoll -- the visit callback is the cancellation point; core's search loops poll their canceller inside it
 	for {
-		v, d, ok := s.heap.Pop()
-		if !ok {
+		v, d, ok := s.search.Next()
+		if !ok || visit != nil && !visit(VertexID(v), d) {
 			return
-		}
-		s.settled[v] = true
-		if visit != nil && !visit(VertexID(v), d) {
-			return
-		}
-		to, w := s.g.Neighbors(VertexID(v))
-		for i, t := range to {
-			if !s.settled[t] {
-				s.relax(t, d+w[i], v)
-			}
 		}
 	}
 }
@@ -102,26 +40,10 @@ func (s *SSSP) RunUntil(src VertexID, visit func(v VertexID, d float64) bool) {
 // Dist returns the distance to v computed by the last run
 // (Unreachable if v was not reached or the run stopped before settling v
 // without relaxing it).
-func (s *SSSP) Dist(v VertexID) float64 { return s.dist[v] }
+func (s *SSSP) Dist(v VertexID) float64 { return s.search.dist[v] }
 
 // Settled reports whether v's distance was finalized by the last run.
-func (s *SSSP) Settled(v VertexID) bool { return s.settled[v] }
-
-// PathTo reconstructs the shortest path from the last run's source to v as
-// a vertex sequence (source first). It returns nil if v was not settled.
-func (s *SSSP) PathTo(v VertexID) []VertexID {
-	if !s.settled[v] {
-		return nil
-	}
-	var rev []VertexID
-	for u := int32(v); u != -1; u = s.parent[u] {
-		rev = append(rev, VertexID(u))
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
-}
+func (s *SSSP) Settled(v VertexID) bool { return s.search.settled[v] }
 
 // DistToSet runs Dijkstra from src until the first vertex of targets is
 // settled and returns that vertex and its distance. Membership is tested

@@ -1,10 +1,6 @@
 package roadnet
 
-import (
-	"math"
-
-	"uots/internal/pqueue"
-)
+import "math"
 
 // GoalSearch is a reusable A* workspace for "distance from a vertex set
 // to each of a few targets" queries (FromSet). It explores a corridor
@@ -13,35 +9,12 @@ import (
 //
 // A GoalSearch is not safe for concurrent use.
 type GoalSearch struct {
-	g       *Graph
-	dist    []float64
-	settled []bool
-	touched []int32
-	heap    *pqueue.Indexed
+	search search
 }
 
 // NewGoalSearch returns a workspace for goal-directed queries on g.
 func NewGoalSearch(g *Graph) *GoalSearch {
-	n := g.NumVertices()
-	gs := &GoalSearch{
-		g:       g,
-		dist:    make([]float64, n),
-		settled: make([]bool, n),
-		heap:    pqueue.NewIndexed(n),
-	}
-	for i := range gs.dist {
-		gs.dist[i] = Unreachable
-	}
-	return gs
-}
-
-func (gs *GoalSearch) reset() {
-	for _, v := range gs.touched {
-		gs.dist[v] = Unreachable
-		gs.settled[v] = false
-	}
-	gs.touched = gs.touched[:0]
-	gs.heap.Reset()
+	return &GoalSearch{search: newSearch(g)}
 }
 
 // FromSet runs one multi-source A* from the given source set (all at
@@ -53,13 +26,14 @@ func (gs *GoalSearch) reset() {
 // The heuristic is the scaled planar distance to the nearest target,
 // which is consistent, so settled distances are exact.
 func (gs *GoalSearch) FromSet(sources []VertexID, targets []VertexID, onSettle func()) []float64 {
-	gs.reset()
-	scale := gs.g.HeuristicScale()
+	s := &gs.search
+	s.reset()
+	scale := s.g.HeuristicScale()
 	h := func(v int32) float64 {
 		best := math.Inf(1)
-		p := gs.g.pts[v]
+		p := s.g.pts[v]
 		for _, t := range targets {
-			if d := p.Dist(gs.g.pts[t]); d < best {
+			if d := p.Dist(s.g.pts[t]); d < best {
 				best = d
 			}
 		}
@@ -71,25 +45,20 @@ func (gs *GoalSearch) FromSet(sources []VertexID, targets []VertexID, onSettle f
 		out[i] = Unreachable
 		pending[t] = append(pending[t], i)
 	}
-	for _, s := range sources {
-		if gs.dist[s] != 0 { // skip duplicate source entries
-			gs.dist[s] = 0
-			gs.touched = append(gs.touched, int32(s))
-			gs.heap.Push(int32(s), h(int32(s)))
-		}
+	for _, src := range sources {
+		s.push(int32(src), 0, h(int32(src))) // a duplicate source does not improve on 0
 	}
 	remaining := len(pending)
 	//uots:allow looppoll -- early-terminating corridor search: bounded by the goal corridor, core polls between probes
 	for remaining > 0 {
-		v, _, ok := gs.heap.Pop()
+		v, _, ok := s.Pop()
 		if !ok {
 			return out
 		}
-		gs.settled[v] = true
 		if onSettle != nil {
 			onSettle()
 		}
-		d := gs.dist[v]
+		d := s.dist[v]
 		if idxs, hit := pending[VertexID(v)]; hit {
 			for _, i := range idxs {
 				out[i] = d
@@ -100,18 +69,11 @@ func (gs *GoalSearch) FromSet(sources []VertexID, targets []VertexID, onSettle f
 				return out
 			}
 		}
-		to, w := gs.g.Neighbors(VertexID(v))
+		to, w := s.g.Neighbors(VertexID(v))
 		for i, t := range to {
-			if gs.settled[t] {
-				continue
-			}
-			nd := d + w[i]
-			if nd < gs.dist[t] {
-				if gs.dist[t] == Unreachable {
-					gs.touched = append(gs.touched, t)
-				}
-				gs.dist[t] = nd
-				gs.heap.Push(t, nd+h(t))
+			// Test the improvement here so h runs only for vertices push takes.
+			if nd := d + w[i]; !s.settled[t] && nd < s.dist[t] {
+				s.push(t, nd, nd+h(t))
 			}
 		}
 	}

@@ -2,8 +2,10 @@
 // undirected, weighted graph modelling a road network, together with the
 // shortest-path machinery the trajectory search engine is built on —
 // single-source Dijkstra, early-terminating multi-target search,
-// bidirectional point-to-point queries, A*, ALT landmark lower bounds, and
-// the incremental network Expander that drives the UOTS expansion search.
+// bidirectional point-to-point queries, goal-directed multi-source search,
+// ALT landmark lower bounds, and the incremental network Expander that
+// drives the UOTS expansion search. All of them run on one vertex-state
+// type (search.go).
 //
 // Vertices model road intersections (or ends of roads) and carry planar
 // coordinates in kilometres; edge weights are road-segment lengths in
@@ -212,39 +214,4 @@ func (g *Graph) ConnectedComponents() (labels []int32, count int) {
 		count++
 	}
 	return labels, count
-}
-
-// InducedSubgraph returns the subgraph induced by keep (which must contain
-// valid, distinct vertex IDs) plus the mapping from new IDs to old IDs.
-// Vertex i of the result corresponds to keep[i].
-func (g *Graph) InducedSubgraph(keep []VertexID) (*Graph, []VertexID, error) {
-	newID := make(map[VertexID]VertexID, len(keep))
-	var b Builder
-	for i, v := range keep {
-		if v < 0 || int(v) >= g.NumVertices() {
-			return nil, nil, fmt.Errorf("%w: %d", ErrBadVertex, v)
-		}
-		if _, dup := newID[v]; dup {
-			return nil, nil, fmt.Errorf("roadnet: duplicate vertex %d in InducedSubgraph", v)
-		}
-		newID[v] = VertexID(i)
-		b.AddVertex(g.Point(v))
-	}
-	for _, v := range keep {
-		to, w := g.Neighbors(v)
-		for i, t := range to {
-			u, ok := newID[VertexID(t)]
-			if !ok || newID[v] > u { // add each undirected edge once
-				continue
-			}
-			if err := b.AddEdge(newID[v], u, w[i]); err != nil {
-				return nil, nil, err
-			}
-		}
-	}
-	sub, err := b.Build()
-	if err != nil {
-		return nil, nil, err
-	}
-	return sub, append([]VertexID(nil), keep...), nil
 }

@@ -66,6 +66,38 @@ func randomConnected(n, extra int, seed uint64) *Graph {
 	return g
 }
 
+// twoComponents builds two random connected halves with no edge between
+// them. The second half's weights are 0.3 × those randomConnected draws,
+// below the Euclidean length, so the graph's HeuristicScale is below 1.
+func twoComponents(seed uint64) *Graph {
+	var b Builder
+	for half, g := range []*Graph{randomConnected(20, 15, seed), randomConnected(20, 15, seed+1)} {
+		base := VertexID(b.NumVertices())
+		scale := 1.0
+		if half == 1 {
+			scale = 0.3
+		}
+		for v := 0; v < g.NumVertices(); v++ {
+			b.AddVertex(g.Point(VertexID(v)))
+		}
+		for v := 0; v < g.NumVertices(); v++ {
+			to, w := g.Neighbors(VertexID(v))
+			for i, u := range to {
+				if int(u) > v {
+					if err := b.AddEdge(base+VertexID(v), base+VertexID(u), w[i]*scale); err != nil {
+						panic(err)
+					}
+				}
+			}
+		}
+	}
+	g, err := b.Build()
+	if err != nil {
+		panic(err)
+	}
+	return g
+}
+
 func TestBuilderValidation(t *testing.T) {
 	var b Builder
 	a := b.AddVertex(geo.Point{})
@@ -148,37 +180,6 @@ func TestConnectedComponents(t *testing.T) {
 	}
 	if labels[5] == labels[0] || labels[5] == labels[3] {
 		t.Error("5 should be isolated")
-	}
-}
-
-func TestInducedSubgraph(t *testing.T) {
-	g := randomConnected(30, 20, 1)
-	keep := make([]VertexID, 10)
-	for i := range keep {
-		keep[i] = VertexID(i)
-	}
-	sub, mapping, err := g.InducedSubgraph(keep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.NumVertices() != 10 || len(mapping) != 10 {
-		t.Fatalf("subgraph has %d vertices", sub.NumVertices())
-	}
-	// Every subgraph edge must exist in the original with the same weight.
-	for v := 0; v < sub.NumVertices(); v++ {
-		to, w := sub.Neighbors(VertexID(v))
-		for i, tt := range to {
-			ow, ok := g.EdgeWeight(mapping[v], mapping[tt])
-			if !ok || ow != w[i] {
-				t.Fatalf("subgraph edge {%d,%d} missing or wrong weight", v, tt)
-			}
-		}
-	}
-	if _, _, err := g.InducedSubgraph([]VertexID{0, 0}); err == nil {
-		t.Error("duplicate vertices should error")
-	}
-	if _, _, err := g.InducedSubgraph([]VertexID{-1}); err == nil {
-		t.Error("negative vertex should error")
 	}
 }
 

@@ -10,25 +10,10 @@ import (
 	"uots/internal/textual"
 )
 
-// PathMode selects how the generator routes each synthetic trip.
-type PathMode int
-
-const (
-	// ModeBiasedWalk routes trips with a destination-directed random walk:
-	// O(length) per trip, realistic-looking paths, the default for large
-	// corpora.
-	ModeBiasedWalk PathMode = iota
-	// ModeShortestPath routes trips along exact shortest paths (A*).
-	// Slower but gives perfectly rational trips; use for small corpora and
-	// tests.
-	ModeShortestPath
-)
-
 // GenOptions parameterizes Generate.
 type GenOptions struct {
 	Count       int                     // number of trajectories
 	MeanSamples int                     // target mean samples per trajectory (default 72, the BRN figure)
-	Mode        PathMode                // routing strategy
 	Vocab       *textual.SyntheticVocab // keyword universe; nil disables keywords
 	KeywordsMin int                     // keywords per trip, uniform in [Min, Max] (defaults 3..8)
 	KeywordsMax int
@@ -59,12 +44,12 @@ func (o *GenOptions) applyDefaults() {
 	}
 }
 
-// Generate synthesizes a trajectory corpus on g. Trips start at random
-// vertices, head toward region-biased destinations, and carry keywords
-// drawn mostly from the destination region's topic, giving the corpus the
-// spatial–textual correlation that makes the preference parameter λ
-// meaningful. Timestamps follow per-trip speeds over true edge lengths,
-// with departure times spread over the day.
+// Generate synthesizes a trajectory corpus on g. Trips start at uniformly
+// random vertices, walk toward a random destination point (biasedWalk),
+// and carry keywords drawn mostly from the topic of the region where they
+// end, giving the corpus the spatial–textual correlation that makes the
+// preference parameter λ meaningful. Timestamps follow per-trip speeds
+// over true edge lengths, with departure times spread over the day.
 func Generate(g *roadnet.Graph, opts GenOptions) (*Store, error) {
 	if opts.Count < 0 {
 		return nil, fmt.Errorf("trajdb: negative trajectory count %d", opts.Count)
@@ -78,10 +63,6 @@ func Generate(g *roadnet.Graph, opts GenOptions) (*Store, error) {
 	}
 	b := NewBuilder(g, vocab)
 
-	var astar *roadnet.AStar
-	if opts.Mode == ModeShortestPath {
-		astar = roadnet.NewAStar(g)
-	}
 	topics := 1
 	if opts.Vocab != nil {
 		topics = opts.Vocab.NumTopics()
@@ -92,16 +73,7 @@ func Generate(g *roadnet.Graph, opts GenOptions) (*Store, error) {
 	for i := 0; i < opts.Count; i++ {
 		start := roadnet.VertexID(rng.IntN(n))
 		length := sampleLength(opts.MeanSamples, rng)
-		var path []roadnet.VertexID
-		switch opts.Mode {
-		case ModeShortestPath:
-			path = shortestTrip(g, astar, start, length, rng)
-		default:
-			path = biasedWalk(g, start, length, rng)
-		}
-		if len(path) == 0 {
-			path = []roadnet.VertexID{start}
-		}
+		path := biasedWalk(g, start, length, rng)
 		samples := timestampPath(g, path, opts, rng)
 		var kws textual.TermSet
 		if opts.Vocab != nil {
@@ -185,57 +157,8 @@ func biasedWalk(g *roadnet.Graph, start roadnet.VertexID, steps int, rng *rand.R
 	return path
 }
 
-// shortestTrip picks a destination roughly `length` hops away (by planar
-// distance heuristic) and routes via A*, subsampling the path down to the
-// requested sample count if needed.
-func shortestTrip(g *roadnet.Graph, astar *roadnet.AStar, start roadnet.VertexID, length int, rng *rand.Rand) []roadnet.VertexID {
-	n := g.NumVertices()
-	var best roadnet.VertexID = -1
-	// Aim for a destination whose straight-line distance corresponds to
-	// about `length` edges of mean length. Sample a handful of candidates
-	// and keep the best fit.
-	meanEdge := g.TotalEdgeLength() / math.Max(float64(g.NumEdges()), 1)
-	target := float64(length) * meanEdge * 0.8
-	bestGap := math.Inf(1)
-	for c := 0; c < 8; c++ {
-		cand := roadnet.VertexID(rng.IntN(n))
-		if cand == start {
-			continue
-		}
-		gap := math.Abs(g.Point(start).Dist(g.Point(cand)) - target)
-		if gap < bestGap {
-			bestGap = gap
-			best = cand
-		}
-	}
-	if best < 0 {
-		return []roadnet.VertexID{start}
-	}
-	path, _, ok := astar.Path(start, best)
-	if !ok {
-		return []roadnet.VertexID{start}
-	}
-	return subsample(path, length)
-}
-
-// subsample thins path to at most maxLen vertices, always keeping both
-// endpoints.
-func subsample(path []roadnet.VertexID, maxLen int) []roadnet.VertexID {
-	if len(path) <= maxLen || maxLen < 2 {
-		return path
-	}
-	out := make([]roadnet.VertexID, 0, maxLen)
-	step := float64(len(path)-1) / float64(maxLen-1)
-	for i := 0; i < maxLen; i++ {
-		out = append(out, path[int(math.Round(float64(i)*step))])
-	}
-	out[len(out)-1] = path[len(path)-1]
-	return out
-}
-
 // timestampPath assigns a departure time and per-sample timestamps using
-// true edge lengths and a per-trip speed. Consecutive identical vertices
-// (possible after subsampling degenerate paths) get a small fixed dwell.
+// true edge lengths and a per-trip speed.
 func timestampPath(g *roadnet.Graph, path []roadnet.VertexID, opts GenOptions, rng *rand.Rand) []Sample {
 	speed := opts.MinSpeedKmh + rng.Float64()*(opts.MaxSpeedKmh-opts.MinSpeedKmh)
 	kmPerSec := speed / 3600.0
@@ -245,14 +168,7 @@ func timestampPath(g *roadnet.Graph, path []roadnet.VertexID, opts GenOptions, r
 	t := start
 	samples[0] = Sample{V: path[0], T: t}
 	for i := 1; i < len(path); i++ {
-		w, ok := g.EdgeWeight(path[i-1], path[i])
-		if !ok {
-			// Subsampled gap: approximate with planar distance.
-			w = g.Point(path[i-1]).Dist(g.Point(path[i]))
-			if w == 0 {
-				w = 0.01
-			}
-		}
+		w, _ := g.EdgeWeight(path[i-1], path[i]) // consecutive walk vertices are adjacent
 		t += w / kmPerSec
 		if t >= SecondsPerDay {
 			t = SecondsPerDay - 1e-3 // clamp: trips must stay within the day

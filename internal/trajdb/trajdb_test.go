@@ -2,6 +2,8 @@ package trajdb
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"math"
 	"math/rand/v2"
@@ -152,28 +154,6 @@ func TestGenerateCorpus(t *testing.T) {
 	}
 }
 
-func TestGenerateShortestPathMode(t *testing.T) {
-	g := testGraph(t)
-	db, err := Generate(g, GenOptions{Count: 50, MeanSamples: 15, Mode: ModeShortestPath, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if db.NumTrajectories() != 50 {
-		t.Fatalf("count = %d", db.NumTrajectories())
-	}
-	// Shortest-path trips may be subsampled, so adjacency is not
-	// guaranteed, but timestamps must still be valid and lengths sane.
-	for id := 0; id < 50; id++ {
-		tr := db.Traj(TrajID(id))
-		if tr.Len() < 1 {
-			t.Fatalf("traj %d empty", id)
-		}
-		if tr.Duration() < 0 {
-			t.Fatalf("traj %d negative duration", id)
-		}
-	}
-}
-
 func TestGenerateDeterministic(t *testing.T) {
 	g := testGraph(t)
 	vocab := textual.GenerateVocab(4, 20, 1, 3)
@@ -196,6 +176,27 @@ func TestGenerateDeterministic(t *testing.T) {
 				t.Fatalf("traj %d sample %d differs", id, i)
 			}
 		}
+	}
+}
+
+// TestGenerateGolden pins the bytes of a small seeded corpus. The gate's
+// datasets, uotsdgen's output and the recorded experiments all assume
+// Generate draws the same corpus from the same seed on every commit; a
+// change that moves this hash changes every one of them.
+func TestGenerateGolden(t *testing.T) {
+	const want = "a2a79263f372351375d46d9bae2f73d10cb480d02c94af0a9f35cbe1fd3e41e9"
+	g := testGraph(t)
+	vocab := textual.GenerateVocab(4, 20, 1, 3)
+	db, err := Generate(g, GenOptions{Count: 40, MeanSamples: 20, Vocab: vocab, Seed: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	if err := WriteStore(h, db); err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("WriteStore of the seeded corpus hashes to %s, want %s", got, want)
 	}
 }
 
@@ -292,29 +293,6 @@ func TestRegionTopics(t *testing.T) {
 	}
 }
 
-func TestSubsample(t *testing.T) {
-	path := make([]roadnet.VertexID, 100)
-	for i := range path {
-		path[i] = roadnet.VertexID(i)
-	}
-	out := subsample(path, 10)
-	if len(out) != 10 {
-		t.Fatalf("subsample len = %d", len(out))
-	}
-	if out[0] != 0 || out[9] != 99 {
-		t.Errorf("endpoints = %d, %d", out[0], out[9])
-	}
-	for i := 1; i < len(out); i++ {
-		if out[i] <= out[i-1] {
-			t.Fatalf("subsample not increasing: %v", out)
-		}
-	}
-	short := []roadnet.VertexID{1, 2, 3}
-	if got := subsample(short, 10); len(got) != 3 {
-		t.Errorf("short path should be unchanged, got %v", got)
-	}
-}
-
 func TestTimestampMonotone(t *testing.T) {
 	g := testGraph(t)
 	rng := rand.New(rand.NewPCG(6, 7))
@@ -332,12 +310,41 @@ func TestTimestampMonotone(t *testing.T) {
 	}
 }
 
-func TestReconstructRoute(t *testing.T) {
-	g := testGraph(t)
-	db, err := Generate(g, GenOptions{Count: 20, MeanSamples: 10, Mode: ModeShortestPath, Seed: 31})
+// gappedCorpus generates a walk corpus and keeps every third sample of
+// each trip, so consecutive samples are mostly not adjacent: the input
+// route reconstruction and densification exist for.
+func gappedCorpus(t *testing.T, g *roadnet.Graph, opts GenOptions) *Store {
+	t.Helper()
+	walks, err := Generate(g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	b := NewBuilder(g, walks.Vocab())
+	gaps := 0
+	for id := 0; id < walks.NumTrajectories(); id++ {
+		tr := walks.Traj(TrajID(id))
+		var kept []Sample
+		for i := 0; i < tr.Len(); i += 3 {
+			if n := len(kept); n > 0 {
+				if _, adjacent := g.EdgeWeight(kept[n-1].V, tr.Samples[i].V); !adjacent {
+					gaps++
+				}
+			}
+			kept = append(kept, tr.Samples[i])
+		}
+		if _, err := b.Add(kept, tr.Keywords); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if gaps == 0 {
+		t.Fatal("gapped corpus has no gap between consecutive samples")
+	}
+	return b.Freeze()
+}
+
+func TestReconstructRoute(t *testing.T) {
+	g := testGraph(t)
+	db := gappedCorpus(t, g, GenOptions{Count: 20, MeanSamples: 30, Seed: 31})
 	bidir := roadnet.NewBidirectional(g)
 	for id := 0; id < db.NumTrajectories(); id++ {
 		tr := db.Traj(TrajID(id))
@@ -391,10 +398,7 @@ func TestReconstructRoute(t *testing.T) {
 func TestDensify(t *testing.T) {
 	g := testGraph(t)
 	vocab := textual.GenerateVocab(2, 8, 1, 9)
-	db, err := Generate(g, GenOptions{Count: 30, MeanSamples: 8, Mode: ModeShortestPath, Vocab: vocab, Seed: 41})
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := gappedCorpus(t, g, GenOptions{Count: 30, MeanSamples: 24, Vocab: vocab, Seed: 41})
 	dense, err := Densify(db)
 	if err != nil {
 		t.Fatal(err)
