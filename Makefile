@@ -45,14 +45,17 @@ race:
 	$(GO) test -race ./...
 
 # fuzz-smoke fuzzes each target for ten seconds: the store file
-# (trajdb.ReadStore against diskstore.Open), the index sidecar, and the
+# (trajdb.ReadStore against diskstore.Open), the index sidecar, the
 # road-network search faces (every face against Floyd-Warshall, a reused
-# workspace against a fresh one). -fuzzminimizetime keeps the engine's
-# input minimisation from eating the ten seconds.
+# workspace against a fresh one), and the shard server's request
+# boundary (a coded 400 or the engine's own answer, never a 500).
+# -fuzzminimizetime keeps the engine's input minimisation from eating the
+# ten seconds.
 fuzz-smoke:
 	$(GO) test ./internal/trajdb -run '^$$' -fuzz '^FuzzReadStore$$' -fuzztime 10s -fuzzminimizetime 10x
 	$(GO) test ./internal/trajdb -run '^$$' -fuzz '^FuzzReadSidecar$$' -fuzztime 10s -fuzzminimizetime 10x
 	$(GO) test ./internal/roadnet -run '^$$' -fuzz '^FuzzSearchFaces$$' -fuzztime 10s -fuzzminimizetime 10x
+	$(GO) test ./internal/rpc -run '^$$' -fuzz '^FuzzShardServer$$' -fuzztime 10s -fuzzminimizetime 10x
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -9,7 +9,7 @@
 //	          [-slow-query-ms 250 -slow-query-depth 32]
 //	          [-shards 4]
 //	          [-remote-shards 'h1:p,h2:p;h3:p,h4:p' -rpc-timeout 2s -rpc-retries 3
-//	           -hedge-delay 5ms -probe-interval 5s -rpc-partial degrade]
+//	           -probe-interval 5s -rpc-partial degrade]
 //	          [-ingest -wal-dir walblocks -fsync always]
 //
 // Endpoints:
@@ -44,7 +44,7 @@
 // traffic never competes with the serving listener. Sending "X-Trace: 1"
 // with a search records its expansion events for /debug/trace/{id}; on
 // the remote-shards topology the replay is a cross-node tree — every
-// RPC attempt, retry, and hedge plus each shard server's own span,
+// RPC attempt and retry plus each shard server's own span,
 // grouped per partition with wall-clock attribution.
 //
 // -slow-query-ms N > 0 turns on the always-on slow-query flight
@@ -72,8 +72,8 @@
 // place in the list; the health prober keeps checking, and a replica
 // that changes identity is refused, not merged. (A shard serving another
 // dataset reports the same identity and is not detected.)
-// Per-attempt deadlines (-rpc-timeout), bounded retries (-rpc-retries),
-// hedged requests (-hedge-delay; 0 disables), and health probes
+// Per-attempt deadlines (-rpc-timeout), bounded retries (-rpc-retries)
+// with failover to a sibling replica, and health probes
 // (-probe-interval) guard the wire; -rpc-partial picks whether a dead
 // partition fails queries ("fail") or serves degraded answers from the
 // survivors ("degrade"), flagged in traces and uots_shard_* metrics.
@@ -138,7 +138,6 @@ func main() {
 	remoteShards := flag.String("remote-shards", "", "route the default search to remote uotsshard replica groups: 'a,b;c,d' (';' partitions, ',' replicas)")
 	rpcTimeout := flag.Duration("rpc-timeout", 2*time.Second, "per-attempt deadline for remote shard calls (0 = caller deadline only)")
 	rpcRetries := flag.Int("rpc-retries", 3, "total attempts per remote shard call before the partition counts as faulted")
-	hedgeDelay := flag.Duration("hedge-delay", 0, "duplicate a remote call on a second replica after this tail-latency delay (0 disables)")
 	probeInterval := flag.Duration("probe-interval", 5*time.Second, "background health-probe period for remote replicas (0 disables)")
 	rpcPartial := flag.String("rpc-partial", "fail", "dead remote partition policy: fail (query errors) or degrade (serve survivors)")
 	ingestMode := flag.Bool("ingest", false, "enable the live write path (POST /trajectories) backed by a write-ahead log")
@@ -147,6 +146,16 @@ func main() {
 	landmarksK := flag.Int("landmarks", 0, "build this many ALT landmarks plus a per-trajectory pruning index for every engine in this process; with -remote-shards that is only the router's baseline engine, uotsshard builds no index (0 disables)")
 	flag.Parse()
 
+	// Out-of-range RPC values are refused, not reinterpreted.
+	if *rpcRetries < 1 {
+		fatal(fmt.Errorf("-rpc-retries %d: need at least 1 attempt", *rpcRetries))
+	}
+	if *rpcTimeout < 0 {
+		fatal(fmt.Errorf("-rpc-timeout %s: must not be negative", *rpcTimeout))
+	}
+	if *probeInterval < 0 {
+		fatal(fmt.Errorf("-probe-interval %s: must not be negative", *probeInterval))
+	}
 	if *ingestMode {
 		if *disk != "" || *shards > 1 || *remoteShards != "" {
 			fatal(errors.New("-ingest is mutually exclusive with -disk, -shards, and -remote-shards"))
@@ -262,7 +271,6 @@ func main() {
 		gcfg := rpc.GroupConfig{
 			CallTimeout:   *rpcTimeout,
 			MaxAttempts:   *rpcRetries,
-			HedgeDelay:    *hedgeDelay,
 			ProbeInterval: *probeInterval,
 		}
 		var groups []*rpc.Group
@@ -305,8 +313,8 @@ func main() {
 			}
 		}
 		cfg.Searcher = remote
-		log.Printf("uotsserve: remote search over %d partitions (%s; retries=%d timeout=%s hedge=%s probe=%s)",
-			len(groups), partial, *rpcRetries, *rpcTimeout, *hedgeDelay, *probeInterval)
+		log.Printf("uotsserve: remote search over %d partitions (%s; retries=%d timeout=%s probe=%s)",
+			len(groups), partial, *rpcRetries, *rpcTimeout, *probeInterval)
 	}
 	if *shards > 1 {
 		sharded, err := shard.NewExecutor(store, engineOpts, shard.Config{Shards: *shards, Metrics: reg})

@@ -2,6 +2,7 @@ package uots_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -74,6 +75,18 @@ func TestCommandLineTools(t *testing.T) {
 		out, err := exec.Command(bin(cmd[0]), append(cmd[1:], "-data", data)...).CombinedOutput()
 		if err == nil || !strings.Contains(string(out), "flag provided but not defined: -partition") {
 			t.Errorf("%v: err = %v, want a non-zero exit naming the unknown flag\n%s", cmd, err, out)
+		}
+	}
+
+	// Out-of-range RPC values are refused, not reinterpreted as a default
+	// or as "off". The deadline only bounds a server that would come up.
+	for _, args := range [][]string{{"-rpc-retries", "0"}, {"-rpc-timeout", "-1s"}, {"-probe-interval", "-1s"}} {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		out, err := exec.CommandContext(ctx, bin("uotsserve"), append(args, "-data", data, "-addr", "127.0.0.1:0")...).CombinedOutput()
+		timedOut := ctx.Err() != nil
+		cancel()
+		if err == nil || timedOut || !strings.Contains(string(out), args[0]+" "+args[1]+":") {
+			t.Errorf("uotsserve %v: err = %v, want a non-zero exit naming the flag\n%s", args, err, out)
 		}
 	}
 

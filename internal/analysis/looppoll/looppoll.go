@@ -13,7 +13,7 @@ const name = "looppoll"
 // scopePkgs hold the heap/queue expansion loops: the engine core, the
 // road-network search kernels, the sharded scatter-gather layer (whose
 // worker drain loops must stay cancellable so one stuck shard cannot
-// pin a pool slot forever), and the RPC transport (whose retry/hedge/
+// pin a pool slot forever), and the RPC transport (whose retry and
 // probe loops must keep honouring caller cancellation between network
 // attempts), and the ingest pipeline (whose queue-drain loops must stay
 // scoped to the committer's quit channel).

@@ -13,7 +13,7 @@ import (
 const name = "spawnjoin"
 
 // scopePkgs hold the request-scoped concurrency: the engine's batch
-// workers, the scatter-gather executor, the RPC transport's hedges and
+// workers, the scatter-gather executor, the RPC transport's health
 // probers, the serving layer, and the ingest pipeline's group
 // committer. A goroutine leaked there outlives its request, pins
 // memory and pool slots, and races teardown.

@@ -32,7 +32,6 @@ func All() []Experiment {
 		{"F7", "threshold", "effect of similarity threshold θ", Threshold},
 		{"F8", "disk", "disk-resident store vs memory (LRU buffer budgets)", DiskResident},
 		{"F9", "locality", "effect of query-location spread (clustered → city-wide)", Locality},
-		{"F12", "hedging", "hedged requests vs tail latency (distributed path, injected slow replica)", Hedging},
 	}
 }
 

@@ -260,7 +260,7 @@ func TestFormatHelpers(t *testing.T) {
 
 func TestExperimentsRegistry(t *testing.T) {
 	all := All()
-	if len(all) != 13 {
+	if len(all) != 12 {
 		t.Fatalf("registry has %d experiments", len(all))
 	}
 	seen := map[string]bool{}

@@ -30,10 +30,7 @@ func TestPrometheusEncodingRPCFamily(t *testing.T) {
 	outcomes.With(replica, "transport").Inc()
 	outcomes.With(replica, "engine").Add(2)
 	outcomes.With(replica, "canceled").Add(3)
-	reg.CounterVec("uots_rpc_transport_errors_total", "", "replica").With(replica).Inc()
 	reg.Counter("uots_rpc_retries_total", "").Inc()
-	reg.Counter("uots_rpc_hedges_total", "").Add(2)
-	reg.Counter("uots_rpc_hedge_wins_total", "").Inc()
 	reg.CounterVec("uots_rpc_replica_ejections_total", "", "replica").With(replica).Inc()
 	reg.CounterVec("uots_rpc_replica_readmissions_total", "", "replica").With(replica).Inc()
 	reg.CounterVec("uots_rpc_probe_failures_total", "", "replica").With(replica).Add(3)
@@ -54,12 +51,6 @@ uots_rpc_attempt_outcomes_total{replica="http://replica-a:9001",outcome="transpo
 # HELP uots_rpc_group_exhausted_total Calls that failed every retry and failover attempt across a whole replica group.
 # TYPE uots_rpc_group_exhausted_total counter
 uots_rpc_group_exhausted_total 1
-# HELP uots_rpc_hedge_wins_total Hedged attempts that answered before the primary.
-# TYPE uots_rpc_hedge_wins_total counter
-uots_rpc_hedge_wins_total 1
-# HELP uots_rpc_hedges_total Hedged (duplicate) RPC attempts fired after the tail-latency delay.
-# TYPE uots_rpc_hedges_total counter
-uots_rpc_hedges_total 2
 # HELP uots_rpc_probe_failures_total Failed health probes, by replica.
 # TYPE uots_rpc_probe_failures_total counter
 uots_rpc_probe_failures_total{replica="http://replica-a:9001"} 3
@@ -88,15 +79,12 @@ uots_rpc_request_seconds_bucket{replica="http://replica-a:9001",le="10"} 1
 uots_rpc_request_seconds_bucket{replica="http://replica-a:9001",le="+Inf"} 1
 uots_rpc_request_seconds_sum{replica="http://replica-a:9001"} 0.003
 uots_rpc_request_seconds_count{replica="http://replica-a:9001"} 1
-# HELP uots_rpc_requests_total RPC attempts sent, by replica (includes retries and hedges).
+# HELP uots_rpc_requests_total RPC attempts sent, by replica (includes retries).
 # TYPE uots_rpc_requests_total counter
 uots_rpc_requests_total{replica="http://replica-a:9001"} 5
 # HELP uots_rpc_retries_total RPC calls re-sent after a transient failure.
 # TYPE uots_rpc_retries_total counter
 uots_rpc_retries_total 1
-# HELP uots_rpc_transport_errors_total RPC attempts that failed in the transport (dial, connection, decode, attempt timeout), by replica.
-# TYPE uots_rpc_transport_errors_total counter
-uots_rpc_transport_errors_total{replica="http://replica-a:9001"} 1
 `
 	if got != want {
 		t.Errorf("uots_rpc_* encoding mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)

@@ -5,11 +5,11 @@ import (
 	"time"
 )
 
-// BackoffConfig is a capped-exponential retry schedule with proportional
+// backoffConfig is a capped-exponential retry schedule with proportional
 // jitter. The schedule is a pure function of (attempt, rng) — no wall
 // clock, no hidden state — so tests drive it with a seeded rng and
 // assert exact delays.
-type BackoffConfig struct {
+type backoffConfig struct {
 	// Base is the delay before the first retry (attempt 1). Zero or
 	// negative disables waiting entirely.
 	Base time.Duration
@@ -22,15 +22,15 @@ type BackoffConfig struct {
 	JitterFrac float64
 }
 
-// DefaultBackoff is the schedule used when a GroupConfig leaves Backoff
-// zero: 10ms doubling to 250ms, ±50% jitter.
-var DefaultBackoff = BackoffConfig{Base: 10 * time.Millisecond, Cap: 250 * time.Millisecond, JitterFrac: 0.5}
+// defaultBackoff is every group's retry schedule: 10ms doubling to
+// 250ms, ±50% jitter.
+var defaultBackoff = backoffConfig{Base: 10 * time.Millisecond, Cap: 250 * time.Millisecond, JitterFrac: 0.5}
 
 // Delay returns the pause before retry number attempt (1-based; attempt
 // 0 — the initial call — always returns 0). rng supplies the jitter
 // draw; nil rng means no jitter. Delay never returns a negative
 // duration.
-func (b BackoffConfig) Delay(attempt int, rng *rand.Rand) time.Duration {
+func (b backoffConfig) Delay(attempt int, rng *rand.Rand) time.Duration {
 	if attempt <= 0 || b.Base <= 0 {
 		return 0
 	}

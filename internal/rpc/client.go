@@ -14,8 +14,8 @@ import (
 const maxErrorBody = 1 << 16
 
 // Client speaks the shard wire protocol to one replica. It is a thin,
-// stateless codec around an *http.Client — retries, hedging, and health
-// tracking live in Group, one level up. Safe for concurrent use.
+// stateless codec around an *http.Client — retries, failover, and
+// health tracking live in Group, one level up. Safe for concurrent use.
 type Client struct {
 	base string // "http://host:port", no trailing slash
 	hc   *http.Client
@@ -25,7 +25,7 @@ type Client struct {
 // hc is the HTTP client to use; nil uses a private client with default
 // transport settings (connection pooling, keep-alives). Per-call
 // deadlines come from the caller's context, not from hc.Timeout — Group
-// manages attempt timeouts explicitly so hedged calls share one clock.
+// derives each attempt's deadline from its caller's context.
 func NewClient(base string, hc *http.Client) *Client {
 	for len(base) > 0 && base[len(base)-1] == '/' {
 		base = base[:len(base)-1]

@@ -14,53 +14,36 @@ import (
 	"uots/internal/obs"
 )
 
-// TimerFunc abstracts the one timer the robustness machinery arms — the
-// hedge delay and retry backoff waits. It returns a channel that fires
-// once after d and a stop function (time.Timer semantics). Tests inject
-// a gated implementation so hedging decisions are driven by the test,
-// not the wall clock.
-type TimerFunc func(d time.Duration) (<-chan time.Time, func() bool)
-
-func stdTimer(d time.Duration) (<-chan time.Time, func() bool) {
-	t := time.NewTimer(d)
-	return t.C, t.Stop
-}
-
 // GroupConfig tunes one partition's replica group.
 type GroupConfig struct {
 	// CallTimeout bounds each individual attempt (not the whole call —
-	// retries and hedges each get a fresh one). Zero means attempts run
-	// on the caller's deadline alone.
+	// every retry gets a fresh one). Zero means attempts run on the
+	// caller's deadline alone.
 	CallTimeout time.Duration
 	// MaxAttempts is the total number of tries (initial + retries)
 	// across the group before it reports exhaustion. Zero means 3.
 	MaxAttempts int
-	// Backoff is the retry schedule. The zero value means DefaultBackoff.
-	Backoff BackoffConfig
-	// HedgeDelay arms a duplicate request on a second replica when the
-	// first has not answered within the delay; first response wins and
-	// the loser is cancelled. Zero disables hedging. Hedging needs at
-	// least two replicas.
-	HedgeDelay time.Duration
-	// FailureThreshold is the consecutive-transport-failure budget after
-	// which a replica is ejected from rotation. Zero means 3.
-	FailureThreshold int
 	// ProbeInterval runs a background health prober at this period,
 	// re-admitting ejected replicas that answer the probe. Zero disables
 	// the prober (call ProbeAll directly, as the tests do).
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one health probe. Zero means 1s.
-	ProbeTimeout time.Duration
-	// Seed seeds the backoff jitter rng, making retry schedules
-	// reproducible. Zero picks a fixed default.
-	Seed uint64
-	// Timer overrides the timer used for hedge delays and backoff waits.
-	// Nil means the real clock.
-	Timer TimerFunc
-	// HTTPClient carries the transport shared by the group's replicas.
-	// Nil means a private client with default pooling.
-	HTTPClient *http.Client
+
+	// backoff replaces defaultBackoff as the retry schedule (zero value =
+	// defaultBackoff). Unexported: production has one schedule, and only
+	// the in-package tests shrink it so their retries do not wait.
+	backoff backoffConfig
 }
+
+const (
+	// failureThreshold is the consecutive-transport-failure budget after
+	// which a replica is ejected from rotation.
+	failureThreshold = 3
+	// probeTimeout bounds one health probe.
+	probeTimeout = time.Second
+	// jitterSeed seeds every group's backoff jitter rng, so a group's
+	// retry schedule is reproducible.
+	jitterSeed = 1
+)
 
 // Sentinel errors of the group layer.
 var (
@@ -106,11 +89,11 @@ func (r *replica) isEjected() bool {
 
 // noteFailure charges one transport-class failure against the error
 // budget, reporting whether this failure tripped the ejection.
-func (r *replica) noteFailure(threshold int) (ejected bool) {
+func (r *replica) noteFailure() (ejected bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.consecFails++
-	if !r.ejected && r.consecFails >= threshold {
+	if !r.ejected && r.consecFails >= failureThreshold {
 		r.ejected = true
 		return true
 	}
@@ -130,23 +113,15 @@ func (r *replica) noteSuccess() (readmitted bool) {
 	return false
 }
 
-// ReplicaStatus is one replica's health snapshot (see Group.Status).
-type ReplicaStatus struct {
-	Base                string
-	Ejected             bool
-	ConsecutiveFailures int
-}
-
 // partition is a shard server's identity: index shard of shards.
 type partition struct{ shard, shards int }
 
-// Group fans calls over one partition's replicas with retries, hedging,
-// and health-checked failover. Safe for concurrent use.
+// Group fans calls over one partition's replicas with retries and
+// health-checked failover. Safe for concurrent use.
 type Group struct {
 	cfg      GroupConfig
 	replicas []*replica
 	metrics  *Metrics
-	timerFn  TimerFunc
 	hc       *http.Client
 
 	// bound is the identity Bind declared, nil while unbound. Atomic
@@ -176,37 +151,18 @@ func NewGroup(bases []string, cfg GroupConfig, m *Metrics) (*Group, error) {
 	if cfg.MaxAttempts <= 0 {
 		cfg.MaxAttempts = 3
 	}
-	if cfg.FailureThreshold <= 0 {
-		cfg.FailureThreshold = 3
-	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = time.Second
-	}
-	if (cfg.Backoff == BackoffConfig{}) {
-		cfg.Backoff = DefaultBackoff
-	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	hc := cfg.HTTPClient
-	if hc == nil {
-		hc = &http.Client{}
-	}
-	timer := cfg.Timer
-	if timer == nil {
-		timer = stdTimer
+	if (cfg.backoff == backoffConfig{}) {
+		cfg.backoff = defaultBackoff
 	}
 	g := &Group{
 		cfg:     cfg,
 		metrics: m,
-		timerFn: timer,
-		hc:      hc,
-		rng:     rand.New(rand.NewPCG(seed, seed)),
+		hc:      &http.Client{},
+		rng:     rand.New(rand.NewPCG(jitterSeed, jitterSeed)),
 		stop:    make(chan struct{}),
 	}
 	for _, base := range bases {
-		c := NewClient(base, hc)
+		c := NewClient(base, g.hc)
 		g.replicas = append(g.replicas, &replica{client: c, counters: m.forReplica(c.Base())})
 	}
 	if cfg.ProbeInterval > 0 {
@@ -251,17 +207,6 @@ func (g *Group) Close() {
 	})
 }
 
-// Status snapshots every replica's health, in construction order.
-func (g *Group) Status() []ReplicaStatus {
-	out := make([]ReplicaStatus, len(g.replicas))
-	for i, r := range g.replicas {
-		r.mu.Lock()
-		out[i] = ReplicaStatus{Base: r.client.Base(), Ejected: r.ejected, ConsecutiveFailures: r.consecFails}
-		r.mu.Unlock()
-	}
-	return out
-}
-
 // prober periodically probes every replica, restoring ejected ones that
 // recover. The loop polls g.stop so Close drains it promptly.
 func (g *Group) prober() {
@@ -292,7 +237,7 @@ func (g *Group) prober() {
 func (g *Group) ProbeAll() error {
 	var miswired []error
 	for _, r := range g.replicas {
-		ctx, cancel := context.WithTimeout(context.Background(), g.cfg.ProbeTimeout)
+		ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 		h, err := r.client.Health(ctx)
 		cancel()
 		if err == nil {
@@ -316,7 +261,7 @@ func (g *Group) ProbeAll() error {
 // tr, the active request's trace (nil for probes, which run outside any
 // request and show up in the uots_rpc_* counters only).
 func (g *Group) markFailure(tr obs.Tracer, r *replica) {
-	if r.noteFailure(g.cfg.FailureThreshold) {
+	if r.noteFailure() {
 		r.counters.ejection()
 		emitRPC(tr, TraceEject, r.client.Base(), 0, 0)
 	}
@@ -330,9 +275,9 @@ func (g *Group) markSuccess(tr obs.Tracer, r *replica) {
 }
 
 // pick chooses the next replica round-robin, preferring healthy ones
-// and skipping exclude (the hedge's primary). With every replica
-// ejected it still returns one — a last-resort attempt beats refusing
-// to try — and returns nil only when exclusion leaves nothing.
+// and skipping exclude (the replica that just failed). With every
+// replica ejected it still returns one — a last-resort attempt beats
+// refusing to try — and returns nil only when exclusion leaves nothing.
 func (g *Group) pick(exclude *replica) *replica {
 	n := len(g.replicas)
 	start := int(g.next.Add(1)-1) % n
@@ -356,15 +301,16 @@ func (g *Group) pick(exclude *replica) *replica {
 func (g *Group) delay(attempt int) time.Duration {
 	g.rngMu.Lock()
 	defer g.rngMu.Unlock()
-	return g.cfg.Backoff.Delay(attempt, g.rng)
+	return g.cfg.backoff.Delay(attempt, g.rng)
 }
 
 // callOnce runs one attempt against one replica: per-attempt deadline,
 // latency accounting, and failure classification. The caller's own
-// context outcome (cancellation, deadline, a lost hedge) never counts
-// against the replica's health; an attempt-level timeout or transport
-// failure does. The returned duration is the attempt's wall-clock
-// latency, for the per-hop attribution in attempt trace events.
+// context outcome (cancellation, deadline) never counts against the
+// replica's health; an attempt-level timeout or transport failure does.
+// Each attempt is counted once, under the Outcome* label of the branch
+// it took. The returned duration is the attempt's wall-clock latency,
+// for the per-hop attribution in attempt trace events.
 func callOnce[T any](g *Group, ctx context.Context, r *replica, do func(context.Context, *Client) (T, error)) (T, time.Duration, error) {
 	actx := ctx
 	cancel := func() {}
@@ -394,8 +340,8 @@ func callOnce[T any](g *Group, ctx context.Context, r *replica, do func(context.
 	}
 	var zero T
 	if cerr := ctx.Err(); cerr != nil {
-		// The caller went away (or a hedge sibling won): the attempt's
-		// fate is the caller's outcome, not the replica's fault.
+		// The caller went away: the attempt's fate is the caller's
+		// outcome, not the replica's fault.
 		r.counters.attempt(OutcomeCanceled)
 		return zero, elapsed, cerr
 	}
@@ -404,132 +350,23 @@ func callOnce[T any](g *Group, ctx context.Context, r *replica, do func(context.
 		// alive: a tail-latency event, charged like any transport fault.
 		err = &TransportError{Replica: r.client.Base(), Err: fmt.Errorf("attempt aborted: %w", err)}
 	}
-	if IsTransient(err) {
-		r.counters.transportError()
+	outcome := classifyOutcome(err)
+	if outcome == OutcomeTransport {
 		g.markFailure(tr, r)
 	}
-	r.counters.attempt(classifyOutcome(err))
+	r.counters.attempt(outcome)
 	return zero, elapsed, err
 }
 
-// emitOutcome records one finished attempt into the trace: success with
-// its latency, or failure with its outcome classification. Emitted only
-// from single-threaded coordination code so event order stays
-// deterministic (see the Trace* kind docs).
-func emitOutcome(tr obs.Tracer, base string, elapsed time.Duration, err error) {
-	ms := float64(elapsed) / float64(time.Millisecond)
-	if err == nil {
-		emitRPC(tr, TraceAttemptOK, base, 0, ms)
-		return
-	}
-	emitRPC(tr, TraceAttemptErr, base+": "+classifyOutcome(err), 0, ms)
-}
-
-// seqCall runs one un-hedged attempt with its trace bracket: issue
-// event, the call, outcome event.
-func seqCall[T any](g *Group, ctx context.Context, r *replica, attempt int, do func(context.Context, *Client) (T, error)) (T, error) {
-	tr := obs.TracerFromContext(ctx)
-	base := r.client.Base()
-	emitRPC(tr, TraceAttempt, base, float64(attempt), 0)
-	out, elapsed, err := callOnce(g, ctx, r, do)
-	emitOutcome(tr, base, elapsed, err)
-	return out, err
-}
-
-// hedged runs one logical attempt with tail-latency hedging: if the
-// primary has not answered within HedgeDelay, a duplicate fires on a
-// second replica; the first success wins and the loser is cancelled
-// via the shared hedge context. attempt is the retry ordinal, carried
-// into trace events. The returned string is the base URL of the replica
-// whose answer won (meaningful only on success) — the identity the
-// remote span gets attributed to.
-//
-// All trace emission happens in this function's select loop, never in
-// the attempt goroutines, so the event sequence is a deterministic
-// function of which outcomes arrive in which order — under injected
-// timers and a parked replica, a test replays the exact sequence.
-func hedged[T any](g *Group, ctx context.Context, primary *replica, attempt int, do func(context.Context, *Client) (T, error)) (T, string, error) {
-	var zero T
-	primaryBase := primary.client.Base()
-	if g.cfg.HedgeDelay <= 0 {
-		out, err := seqCall(g, ctx, primary, attempt, do)
-		return out, primaryBase, err
-	}
-	secondary := g.pick(primary)
-	if secondary == nil {
-		out, err := seqCall(g, ctx, primary, attempt, do)
-		return out, primaryBase, err
-	}
-	secondaryBase := secondary.client.Base()
-	tr := obs.TracerFromContext(ctx)
-	hctx, cancel := context.WithCancel(ctx)
-	defer cancel() // cancels the loser once a winner returns
-
-	type outcome struct {
-		out     T
-		err     error
-		hedge   bool
-		replica string
-		elapsed time.Duration
-	}
-	results := make(chan outcome, 2) // buffered: losers never block
-	launch := func(r *replica, isHedge bool) {
-		go func() {
-			out, elapsed, err := callOnce(g, hctx, r, do)
-			results <- outcome{out: out, err: err, hedge: isHedge, replica: r.client.Base(), elapsed: elapsed}
-		}()
-	}
-	emitRPC(tr, TraceAttempt, primaryBase, float64(attempt), 0)
-	launch(primary, false)
-	timerC, stopTimer := g.timerFn(g.cfg.HedgeDelay)
-	defer stopTimer()
-
-	inFlight := 1
-	for {
-		select {
-		case o := <-results:
-			inFlight--
-			emitOutcome(tr, o.replica, o.elapsed, o.err)
-			if o.err == nil {
-				if o.hedge {
-					g.metrics.recordHedgeWin()
-					emitRPC(tr, TraceHedgeWin, o.replica, 0, 0)
-				}
-				if inFlight > 0 {
-					loser := primaryBase
-					if !o.hedge {
-						loser = secondaryBase
-					}
-					emitRPC(tr, TraceHedgeCancel, loser, 0, 0)
-				}
-				return o.out, o.replica, nil
-			}
-			if cerr := ctx.Err(); cerr != nil {
-				return zero, "", cerr
-			}
-			if inFlight == 0 {
-				return zero, "", o.err
-			}
-			// The other attempt is still running; its answer may yet
-			// succeed, so keep waiting.
-		case <-timerC:
-			g.metrics.recordHedge()
-			emitRPC(tr, TraceHedge, secondaryBase, float64(attempt), 0)
-			emitRPC(tr, TraceAttempt, secondaryBase, float64(attempt), 1)
-			launch(secondary, true)
-			inFlight++
-			timerC = nil // fires once
-		case <-ctx.Done():
-			return zero, "", ctx.Err()
-		}
-	}
-}
-
 // callGroup is the full robustness ladder: bounded retries with backoff
-// across the group, each attempt hedged. Transient failures rotate to
-// the next replica; definitive answers (engine errors, the caller's own
-// context) return immediately. Exhaustion surfaces as a store fault so
-// the scatter-gather policy layer treats the partition as faulted.
+// across the group. Each attempt is bracketed in the caller's trace by
+// an issue event and an outcome event, both emitted from this one
+// goroutine so the event order is deterministic. Transient failures
+// rotate to the next replica; definitive answers (engine errors, the
+// caller's own context) return immediately. Exhaustion surfaces as a
+// store fault so the scatter-gather policy layer treats the partition as
+// faulted. The returned string is the base URL of the replica that
+// answered — the identity the remote span gets attributed to.
 func callGroup[T any](g *Group, ctx context.Context, do func(context.Context, *Client) (T, error)) (T, string, error) {
 	var zero T
 	if g.closed.Load() {
@@ -547,26 +384,31 @@ func callGroup[T any](g *Group, ctx context.Context, do func(context.Context, *C
 			d := g.delay(attempt)
 			emitRPC(tr, TraceRetry, "", float64(attempt), float64(d)/float64(time.Millisecond))
 			if d > 0 {
-				timerC, stopTimer := g.timerFn(d)
+				t := time.NewTimer(d)
 				select {
-				case <-timerC:
+				case <-t.C:
 				case <-ctx.Done():
-					stopTimer()
+					t.Stop()
 					return zero, "", ctx.Err()
 				}
 			}
 		}
 		// Retries fail over: prefer any replica but the one that just
 		// failed (a single-replica group has no choice but to re-try it).
-		primary := g.pick(lastTried)
-		if primary == nil {
-			primary = lastTried
+		r := g.pick(lastTried)
+		if r == nil {
+			r = lastTried
 		}
-		lastTried = primary
-		out, winner, err := hedged(g, ctx, primary, attempt, do)
+		lastTried = r
+		base := r.client.Base()
+		emitRPC(tr, TraceAttempt, base, float64(attempt), 0)
+		out, elapsed, err := callOnce(g, ctx, r, do)
+		ms := float64(elapsed) / float64(time.Millisecond)
 		if err == nil {
-			return out, winner, nil
+			emitRPC(tr, TraceAttemptOK, base, 0, ms)
+			return out, base, nil
 		}
+		emitRPC(tr, TraceAttemptErr, base+": "+classifyOutcome(err), 0, ms)
 		if cerr := ctx.Err(); cerr != nil {
 			return zero, "", cerr
 		}
@@ -580,11 +422,11 @@ func callGroup[T any](g *Group, ctx context.Context, do func(context.Context, *C
 	return zero, "", fmt.Errorf("%w (%w): %w", ErrGroupExhausted, core.ErrStoreFault, lastErr)
 }
 
-// Search runs one search against the group with the full retry/hedge/
-// failover ladder. When bound is non-nil the request carries the
-// scatter's current global k-th bound as a pruning hint (re-read before
-// every attempt, so retries and hedges start from the level the rest of
-// the scatter has already reached) and the response's piggybacked shard
+// Search runs one search against the group with the full retry/failover
+// ladder. When bound is non-nil the request carries the scatter's
+// current global k-th bound as a pruning hint (re-read before every
+// attempt, so retries start from the level the rest of the scatter has
+// already reached) and the response's piggybacked shard
 // threshold is folded back in.
 //
 // When the caller's context carries a tracer, the request asks the

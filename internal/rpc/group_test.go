@@ -70,15 +70,10 @@ func resultsOf(id trajdb.TrajID) []core.Result {
 	return []core.Result{{Traj: id, Score: 0.5}}
 }
 
-// fastCfg is a test config with no real waiting: zero-jitter nanosecond
-// backoff and no hedging unless a test overrides it.
+// fastCfg is a test config with no real waiting: zero-jitter
+// nanosecond backoff.
 func fastCfg() GroupConfig {
-	return GroupConfig{
-		MaxAttempts:      3,
-		Backoff:          BackoffConfig{Base: time.Nanosecond},
-		FailureThreshold: 2,
-		Seed:             1,
-	}
+	return GroupConfig{MaxAttempts: 3, backoff: backoffConfig{Base: time.Nanosecond}}
 }
 
 func mustGroup(t *testing.T, bases []string, cfg GroupConfig, m *Metrics) *Group {
@@ -99,6 +94,19 @@ func counterValue(t *testing.T, reg *obs.Registry, name string, labels ...string
 	return reg.Counter(name, "").Value()
 }
 
+// outcomeValue reads one series of uots_rpc_attempt_outcomes_total.
+func outcomeValue(reg *obs.Registry, replica, outcome string) uint64 {
+	return reg.CounterVec("uots_rpc_attempt_outcomes_total", "", "replica", "outcome").With(replica, outcome).Value()
+}
+
+// health reads replica i's error-budget state.
+func health(g *Group, i int) (ejected bool, consecFails int) {
+	r := g.replicas[i]
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.ejected, r.consecFails
+}
+
 func TestGroupFailoverToHealthyReplica(t *testing.T) {
 	reg := obs.NewRegistry()
 	bad := newFakeReplica(t, resultsOf(1))
@@ -116,8 +124,8 @@ func TestGroupFailoverToHealthyReplica(t *testing.T) {
 	if got := counterValue(t, reg, "uots_rpc_retries_total"); got != 1 {
 		t.Errorf("retries_total = %d, want 1", got)
 	}
-	if got := counterValue(t, reg, "uots_rpc_transport_errors_total", bad.URL); got != 1 {
-		t.Errorf("transport_errors_total{%s} = %d, want 1", bad.URL, got)
+	if got := outcomeValue(reg, bad.URL, OutcomeTransport); got != 1 {
+		t.Errorf("attempt_outcomes_total{%s,transport} = %d, want 1", bad.URL, got)
 	}
 }
 
@@ -128,15 +136,14 @@ func TestGroupEjectionAndReadmission(t *testing.T) {
 	good := newFakeReplica(t, resultsOf(2))
 	g := mustGroup(t, []string{bad.URL, good.URL}, fastCfg(), NewMetrics(reg))
 
-	// Each call that lands on bad charges one failure; threshold 2.
+	// Each call that lands on bad charges one failure; threshold 3.
 	for i := 0; i < 6; i++ {
 		if _, err := g.Search(context.Background(), SearchRequest{}, nil); err != nil {
 			t.Fatalf("Search %d: %v", i, err)
 		}
 	}
-	st := g.Status()
-	if !st[0].Ejected {
-		t.Fatalf("bad replica not ejected after repeated failures: %+v", st)
+	if ejected, fails := health(g, 0); !ejected {
+		t.Fatalf("bad replica not ejected after %d failures", fails)
 	}
 	if got := counterValue(t, reg, "uots_rpc_replica_ejections_total", bad.URL); got != 1 {
 		t.Errorf("ejections_total{bad} = %d, want 1", got)
@@ -156,9 +163,8 @@ func TestGroupEjectionAndReadmission(t *testing.T) {
 	// Recovery: probes re-admit it.
 	bad.broken.Store(false)
 	g.ProbeAll()
-	st = g.Status()
-	if st[0].Ejected {
-		t.Fatalf("recovered replica still ejected after successful probe: %+v", st)
+	if ejected, _ := health(g, 0); ejected {
+		t.Fatal("recovered replica still ejected after successful probe")
 	}
 	if got := counterValue(t, reg, "uots_rpc_replica_readmissions_total", bad.URL); got != 1 {
 		t.Errorf("readmissions_total{bad} = %d, want 1", got)
@@ -172,13 +178,14 @@ func TestGroupProbeFailuresEject(t *testing.T) {
 	good := newFakeReplica(t, resultsOf(2))
 	g := mustGroup(t, []string{bad.URL, good.URL}, fastCfg(), NewMetrics(reg))
 
-	g.ProbeAll()
-	g.ProbeAll()
-	if st := g.Status(); !st[0].Ejected {
-		t.Fatalf("replica not ejected after %d failed probes: %+v", 2, st)
+	for i := 0; i < failureThreshold; i++ {
+		g.ProbeAll()
 	}
-	if got := counterValue(t, reg, "uots_rpc_probe_failures_total", bad.URL); got != 2 {
-		t.Errorf("probe_failures_total{bad} = %d, want 2", got)
+	if ejected, _ := health(g, 0); !ejected {
+		t.Fatalf("replica not ejected after %d failed probes", failureThreshold)
+	}
+	if got := counterValue(t, reg, "uots_rpc_probe_failures_total", bad.URL); got != failureThreshold {
+		t.Errorf("probe_failures_total{bad} = %d, want %d", got, failureThreshold)
 	}
 }
 
@@ -275,8 +282,8 @@ func TestGroupDefinitiveErrorNoRetry(t *testing.T) {
 	if got := calls.Load(); got != 1 {
 		t.Errorf("definitive error retried: %d calls, want 1", got)
 	}
-	if st := g.Status(); st[0].ConsecutiveFailures != 0 {
-		t.Errorf("definitive error charged the replica's budget: %+v", st)
+	if _, fails := health(g, 0); fails != 0 {
+		t.Errorf("definitive error charged the replica's budget: %d failures", fails)
 	}
 }
 
@@ -301,106 +308,44 @@ func TestGroupCallerCancellation(t *testing.T) {
 	if err := <-done; !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if st := g.Status(); st[0].ConsecutiveFailures != 0 || st[0].Ejected {
-		t.Errorf("caller cancellation charged the replica: %+v", st)
+	if ejected, fails := health(g, 0); fails != 0 || ejected {
+		t.Errorf("caller cancellation charged the replica: %d failures, ejected %v", fails, ejected)
 	}
 }
 
 // TestGroupAttemptTimeoutIsTransient: a per-attempt deadline with the
-// caller still alive is a tail-latency event — retried, and charged.
+// caller still alive is a tail-latency event — retried, charged, and
+// counted and traced as a transport outcome, not as a cancellation.
 func TestGroupAttemptTimeoutIsTransient(t *testing.T) {
+	reg := obs.NewRegistry()
 	slow := newFakeReplica(t, resultsOf(1))
 	slow.gate = make(chan struct{})
 	defer close(slow.gate)
 	fast := newFakeReplica(t, resultsOf(2))
 	cfg := fastCfg()
 	cfg.CallTimeout = 20 * time.Millisecond
-	g := mustGroup(t, []string{slow.URL, fast.URL}, cfg, nil)
+	g := mustGroup(t, []string{slow.URL, fast.URL}, cfg, NewMetrics(reg))
 
-	resp, err := g.Search(context.Background(), SearchRequest{}, nil)
+	rec := obs.NewTraceRecorder(0)
+	resp, err := g.Search(obs.ContextWithTracer(context.Background(), rec), SearchRequest{}, nil)
 	if err != nil {
 		t.Fatalf("Search: %v", err)
 	}
 	if len(resp.Results) != 1 || resp.Results[0].Traj != 2 {
 		t.Fatalf("Search answered %+v, want failover to the fast replica", resp.Results)
 	}
-	if st := g.Status(); st[0].ConsecutiveFailures == 0 {
-		t.Errorf("attempt timeout did not charge the slow replica: %+v", st)
+	if _, fails := health(g, 0); fails == 0 {
+		t.Error("attempt timeout did not charge the slow replica")
 	}
-}
-
-// TestHedgeBeatsSlowPrimary drives the hedge timer by hand: the primary
-// is gated shut, the injected timer fires, and the hedge's answer wins.
-// No wall clock is involved in the hedging decision.
-func TestHedgeBeatsSlowPrimary(t *testing.T) {
-	reg := obs.NewRegistry()
-	slow := newFakeReplica(t, resultsOf(1))
-	slow.gate = make(chan struct{})
-	defer close(slow.gate)
-	fast := newFakeReplica(t, resultsOf(2))
-
-	fire := make(chan time.Time, 1)
-	cfg := fastCfg()
-	cfg.HedgeDelay = time.Hour // the injected timer decides, not the clock
-	cfg.Timer = func(d time.Duration) (<-chan time.Time, func() bool) {
-		return fire, func() bool { return true }
+	if got := outcomeValue(reg, slow.URL, OutcomeTransport); got != 1 {
+		t.Errorf("attempt_outcomes_total{slow,transport} = %d, want 1", got)
 	}
-	g := mustGroup(t, []string{slow.URL, fast.URL}, cfg, NewMetrics(reg))
-
-	done := make(chan SearchResponse, 1)
-	errs := make(chan error, 1)
-	go func() {
-		resp, err := g.Search(context.Background(), SearchRequest{}, nil)
-		done <- resp
-		errs <- err
-	}()
-	// Primary (replica 0) is parked in its handler; fire the hedge.
-	waitFor(t, func() bool { return slow.searches.Load() > 0 })
-	fire <- time.Time{}
-
-	resp, err := <-done, <-errs
-	if err != nil {
-		t.Fatalf("Search: %v", err)
+	if got := outcomeValue(reg, slow.URL, OutcomeCanceled); got != 0 {
+		t.Errorf("attempt_outcomes_total{slow,canceled} = %d, want 0", got)
 	}
-	if len(resp.Results) != 1 || resp.Results[0].Traj != 2 {
-		t.Fatalf("Search answered %+v, want the hedge replica's results", resp.Results)
-	}
-	if got := counterValue(t, reg, "uots_rpc_hedges_total"); got != 1 {
-		t.Errorf("hedges_total = %d, want 1", got)
-	}
-	if got := counterValue(t, reg, "uots_rpc_hedge_wins_total"); got != 1 {
-		t.Errorf("hedge_wins_total = %d, want 1", got)
-	}
-	if st := g.Status(); st[0].ConsecutiveFailures != 0 {
-		t.Errorf("losing a hedge charged the slow replica's budget: %+v", st)
-	}
-}
-
-// TestHedgePrimaryWins: when the primary answers before the timer
-// fires, no hedge is sent at all.
-func TestHedgePrimaryWins(t *testing.T) {
-	reg := obs.NewRegistry()
-	a := newFakeReplica(t, resultsOf(1))
-	b := newFakeReplica(t, resultsOf(2))
-	cfg := fastCfg()
-	cfg.HedgeDelay = time.Hour
-	cfg.Timer = func(d time.Duration) (<-chan time.Time, func() bool) {
-		return make(chan time.Time), func() bool { return true } // never fires
-	}
-	g := mustGroup(t, []string{a.URL, b.URL}, cfg, NewMetrics(reg))
-
-	resp, err := g.Search(context.Background(), SearchRequest{}, nil)
-	if err != nil {
-		t.Fatalf("Search: %v", err)
-	}
-	if len(resp.Results) != 1 || resp.Results[0].Traj != 1 {
-		t.Fatalf("Search answered %+v, want the primary's results", resp.Results)
-	}
-	if got := counterValue(t, reg, "uots_rpc_hedges_total"); got != 0 {
-		t.Errorf("hedges_total = %d, want 0", got)
-	}
-	if got := b.searches.Load(); got != 0 {
-		t.Errorf("secondary served %d searches, want 0", got)
+	events := rec.Events()
+	if want := slow.URL + ": " + OutcomeTransport; len(events) < 2 || events[1].Kind != TraceAttemptErr || events[1].Note != want {
+		t.Errorf("trace = %v, want %s %q second", events, TraceAttemptErr, want)
 	}
 }
 

@@ -12,11 +12,8 @@ import (
 // text form.
 type Metrics struct {
 	requests        *obs.CounterVec // per replica
-	transportErrors *obs.CounterVec // per replica
 	attemptOutcomes *obs.CounterVec // per replica × outcome
 	retries         *obs.Counter
-	hedges          *obs.Counter
-	hedgeWins       *obs.Counter
 	ejections       *obs.CounterVec // per replica
 	readmissions    *obs.CounterVec // per replica
 	probeFailures   *obs.CounterVec // per replica
@@ -32,17 +29,11 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 	}
 	return &Metrics{
 		requests: reg.CounterVec("uots_rpc_requests_total",
-			"RPC attempts sent, by replica (includes retries and hedges).", "replica"),
-		transportErrors: reg.CounterVec("uots_rpc_transport_errors_total",
-			"RPC attempts that failed in the transport (dial, connection, decode, attempt timeout), by replica.", "replica"),
+			"RPC attempts sent, by replica (includes retries).", "replica"),
 		attemptOutcomes: reg.CounterVec("uots_rpc_attempt_outcomes_total",
 			"RPC attempt outcomes by replica and classification (ok, transport, engine, canceled).", "replica", "outcome"),
 		retries: reg.Counter("uots_rpc_retries_total",
 			"RPC calls re-sent after a transient failure."),
-		hedges: reg.Counter("uots_rpc_hedges_total",
-			"Hedged (duplicate) RPC attempts fired after the tail-latency delay."),
-		hedgeWins: reg.Counter("uots_rpc_hedge_wins_total",
-			"Hedged attempts that answered before the primary."),
 		ejections: reg.CounterVec("uots_rpc_replica_ejections_total",
 			"Replicas ejected from rotation after exhausting their error budget, by replica.", "replica"),
 		readmissions: reg.CounterVec("uots_rpc_replica_readmissions_total",
@@ -60,12 +51,11 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 // at group construction so the per-attempt path does no label
 // resolution.
 type replicaCounters struct {
-	requests        *obs.Counter
-	transportErrors *obs.Counter
-	ejections       *obs.Counter
-	readmissions    *obs.Counter
-	probeFailures   *obs.Counter
-	latency         *obs.Histogram
+	requests      *obs.Counter
+	ejections     *obs.Counter
+	readmissions  *obs.Counter
+	probeFailures *obs.Counter
+	latency       *obs.Histogram
 
 	attemptOK        *obs.Counter
 	attemptTransport *obs.Counter
@@ -78,12 +68,11 @@ func (m *Metrics) forReplica(base string) replicaCounters {
 		return replicaCounters{}
 	}
 	return replicaCounters{
-		requests:        m.requests.With(base),
-		transportErrors: m.transportErrors.With(base),
-		ejections:       m.ejections.With(base),
-		readmissions:    m.readmissions.With(base),
-		probeFailures:   m.probeFailures.With(base),
-		latency:         m.latency.With(base),
+		requests:      m.requests.With(base),
+		ejections:     m.ejections.With(base),
+		readmissions:  m.readmissions.With(base),
+		probeFailures: m.probeFailures.With(base),
+		latency:       m.latency.With(base),
 
 		attemptOK:        m.attemptOutcomes.With(base, OutcomeOK),
 		attemptTransport: m.attemptOutcomes.With(base, OutcomeTransport),
@@ -116,12 +105,6 @@ func (c replicaCounters) request() {
 	}
 }
 
-func (c replicaCounters) transportError() {
-	if c.transportErrors != nil {
-		c.transportErrors.Inc()
-	}
-}
-
 func (c replicaCounters) ejection() {
 	if c.ejections != nil {
 		c.ejections.Inc()
@@ -151,20 +134,6 @@ func (m *Metrics) recordRetry() {
 		return
 	}
 	m.retries.Inc()
-}
-
-func (m *Metrics) recordHedge() {
-	if m == nil {
-		return
-	}
-	m.hedges.Inc()
-}
-
-func (m *Metrics) recordHedgeWin() {
-	if m == nil {
-		return
-	}
-	m.hedgeWins.Inc()
 }
 
 func (m *Metrics) recordGroupExhausted() {

@@ -2,10 +2,10 @@
 // promotes the per-shard core.Engines of internal/shard to remote shard
 // servers behind a dependency-free transport (gob request/response
 // bodies over net/http), and gives the client side the robustness
-// machinery a networked scatter needs — per-call deadlines, capped
+// machinery a networked scatter needs — per-attempt deadlines, capped
 // exponential backoff with seeded jitter, bounded retries on the
-// (idempotent) search reads, hedged requests after a tail-latency
-// delay, and replica groups per partition with health-checked failover.
+// (idempotent) search reads, and replica groups per partition with
+// health-checked failover.
 //
 // The wire contract preserves the repo's determinism bar: gob encodes
 // float64 scores and distances bit-exactly (including the +Inf used for
@@ -16,8 +16,8 @@
 // pruning hint, responses carry the shard's final local threshold back.
 // Because the bound only ever affects *pruning work*, never which
 // results survive (see core.SharedBound), distributed answers stay
-// byte-identical to the monolithic engine regardless of retry, hedge,
-// or failover timing.
+// byte-identical to the monolithic engine regardless of retry or
+// failover timing.
 //
 // Failures map onto the existing shard policy: every wire error carries
 // a machine-readable code (see the Code* constants), the client decodes

@@ -226,7 +226,7 @@ func (s *ShardServer) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ctx, rec := s.beginTrace(r.Context(), req.Trace, req.TraceID)
-	out, bstats, err := s.engine.SearchBatch(ctx, req.Queries, req.Opts.Core())
+	out, bstats, err := s.engine.SearchBatch(ctx, req.Queries, req.Opts)
 	// SearchBatch returns ctx.Err() as the batch-level error while still
 	// filling every slot; a cancelled batch answers with the coded
 	// envelope (the client's own context is authoritative anyway).

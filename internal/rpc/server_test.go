@@ -33,7 +33,7 @@ var (
 	serverFixtureVal  serverFixture
 )
 
-func testServerFixture(t *testing.T) serverFixture {
+func testServerFixture(t testing.TB) serverFixture {
 	t.Helper()
 	serverFixtureOnce.Do(func() {
 		g := roadnet.BRNLike(0.12, 7)
@@ -129,10 +129,10 @@ func TestServerBatchRoundTrip(t *testing.T) {
 	c := startShardServer(t, f.engine, nil, 0, 1)
 	rng := rand.New(rand.NewPCG(23, 0))
 	queries := []core.Query{f.query(rng, 5), f.query(rng, 3), {Locations: nil, K: 5}} // last one invalid
-	opts := BatchOptions{SharedExpansion: true}
+	opts := core.BatchOptions{SharedExpansion: true}
 	ctx := context.Background()
 
-	want, _, err := f.engine.SearchBatch(ctx, queries, opts.Core())
+	want, _, err := f.engine.SearchBatch(ctx, queries, opts)
 	if err != nil {
 		t.Fatalf("engine batch: %v", err)
 	}

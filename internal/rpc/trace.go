@@ -11,13 +11,12 @@ import (
 // caller's trace. Together with the shard-side span replayed between a
 // TraceRemoteSpan / TraceRemoteSpanEnd bracket, they render one
 // cross-node tree in GET /debug/trace/{id}: every attempt, retry,
-// hedge, ejection, and re-admission that served the query, attributed
-// to the replica (Note) it concerned.
+// ejection, and re-admission that served the query, attributed to the
+// replica (Note) it concerned.
 //
-// Determinism: the attempt, retry, hedge, and remote-span kinds are
-// emitted only from single-threaded coordination code (the retry loop
-// and the hedge select loop), so a replayed query with the same
-// topology, seed, and injected timers produces the same event sequence.
+// Determinism: the attempt, retry, and remote-span kinds are emitted
+// only from the retry loop, on the calling goroutine, so a replayed
+// query with the same topology produces the same event sequence.
 // The health-transition kinds (TraceEject / TraceReadmit) ride the
 // attempt that caused them and appear only in failure scenarios. The
 // only run-dependent values are the wall-clock attributions, confined
@@ -25,8 +24,7 @@ import (
 // on those two kinds to compare traces across runs.
 const (
 	// TraceAttempt marks one RPC attempt being issued. Note is the
-	// replica base URL, Value the retry ordinal (0 = first try), Extra 1
-	// when the attempt is a hedge.
+	// replica base URL, Value the retry ordinal (0 = first try).
 	TraceAttempt = "rpc_attempt"
 	// TraceAttemptOK marks an attempt answering successfully. Note is
 	// the replica, Extra its wall-clock latency in milliseconds.
@@ -39,15 +37,6 @@ const (
 	// transient failure. Value is the upcoming retry ordinal, Extra the
 	// seeded backoff delay in milliseconds (deterministic per seed).
 	TraceRetry = "rpc_retry"
-	// TraceHedge marks the tail-latency timer firing a duplicate attempt.
-	// Note is the hedge replica.
-	TraceHedge = "rpc_hedge"
-	// TraceHedgeWin marks the hedge answering before the primary. Note is
-	// the hedge replica.
-	TraceHedgeWin = "rpc_hedge_win"
-	// TraceHedgeCancel marks the losing attempt being cancelled after a
-	// winner returned. Note is the loser replica.
-	TraceHedgeCancel = "rpc_hedge_cancel"
 	// TraceEject marks a replica exhausting its error budget and leaving
 	// rotation. Note is the replica.
 	TraceEject = "rpc_eject"
@@ -82,22 +71,23 @@ const (
 	// (store fault, bad query) — not the replica's fault.
 	OutcomeEngine = "engine"
 	// OutcomeCanceled: the caller's context ended (cancellation,
-	// deadline, a lost hedge) — the attempt's fate says nothing about
-	// the replica.
+	// deadline) — the attempt's fate says nothing about the replica.
 	OutcomeCanceled = "canceled"
 )
 
-// classifyOutcome maps one attempt error onto its Outcome* label.
-// Callers must resolve the caller-context case (OutcomeCanceled) before
-// transport classification, exactly as callOnce orders its checks.
+// classifyOutcome maps one attempt error onto its Outcome* label. A
+// transport error is classified before the context sentinels, because
+// an attempt timeout is a *TransportError wrapping
+// context.DeadlineExceeded (see callOnce) and is the replica's fault,
+// not the caller's.
 func classifyOutcome(err error) string {
 	switch {
 	case err == nil:
 		return OutcomeOK
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		return OutcomeCanceled
 	case IsTransient(err):
 		return OutcomeTransport
+	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		return OutcomeCanceled
 	default:
 		return OutcomeEngine
 	}

@@ -10,7 +10,6 @@ import (
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"uots/internal/core"
 	"uots/internal/obs"
@@ -25,6 +24,8 @@ func TestClassifyOutcome(t *testing.T) {
 		{context.Canceled, OutcomeCanceled},
 		{context.DeadlineExceeded, OutcomeCanceled},
 		{&TransportError{Replica: "r", Err: errors.New("dial")}, OutcomeTransport},
+		// An attempt timeout with the caller still alive (see callOnce).
+		{&TransportError{Replica: "r", Err: fmt.Errorf("attempt aborted: %w", context.DeadlineExceeded)}, OutcomeTransport},
 		{&Error{Code: CodeInternal, Msg: "panic"}, OutcomeTransport},
 		{fmt.Errorf("shard: %w", core.ErrStoreFault), OutcomeEngine},
 		{&Error{Code: CodeBadQuery, Msg: "no locations"}, OutcomeEngine},
@@ -107,7 +108,7 @@ func TestGroupSearchTracedAttempt(t *testing.T) {
 		}
 	}
 	if events[0].Note != srv.URL || events[0].Value != 0 || events[0].Extra != 0 {
-		t.Errorf("attempt event = %+v, want replica %s, ordinal 0, not a hedge", events[0], srv.URL)
+		t.Errorf("attempt event = %+v, want replica %s, ordinal 0", events[0], srv.URL)
 	}
 	open := events[2]
 	if open.Note != srv.URL || open.Value != 2 || open.Extra != 3 {
@@ -172,62 +173,6 @@ func TestGroupRetryTraceSequence(t *testing.T) {
 	}
 }
 
-// TestHedgeTraceSequence drives the injected hedge timer by hand and
-// pins the full hedge story in the trace: primary issued, hedge fired,
-// hedge attempt issued, hedge answered, hedge won, loser cancelled.
-func TestHedgeTraceSequence(t *testing.T) {
-	slow := newFakeReplica(t, resultsOf(1))
-	slow.gate = make(chan struct{})
-	defer close(slow.gate)
-	fast := newFakeReplica(t, resultsOf(2))
-
-	fire := make(chan time.Time, 1)
-	cfg := fastCfg()
-	cfg.HedgeDelay = time.Hour // the injected timer decides, not the clock
-	cfg.Timer = func(d time.Duration) (<-chan time.Time, func() bool) {
-		return fire, func() bool { return true }
-	}
-	g := mustGroup(t, []string{slow.URL, fast.URL}, cfg, nil)
-
-	rec := obs.NewTraceRecorder(0)
-	ctx := obs.ContextWithTracer(context.Background(), rec)
-	done := make(chan error, 1)
-	go func() {
-		_, err := g.Search(ctx, SearchRequest{}, nil)
-		done <- err
-	}()
-	waitFor(t, func() bool { return slow.searches.Load() > 0 })
-	fire <- time.Time{}
-	if err := <-done; err != nil {
-		t.Fatalf("Search: %v", err)
-	}
-
-	events := rec.Events()
-	wantKinds := []string{
-		TraceAttempt,                  // primary issued
-		TraceHedge, TraceAttempt,      // timer fired, hedge issued
-		TraceAttemptOK, TraceHedgeWin, // hedge answered first
-		TraceHedgeCancel, // primary cancelled
-		TraceRemoteSpan, TraceRemoteSpanEnd,
-	}
-	got := kindsOf(events)
-	if fmt.Sprint(got) != fmt.Sprint(wantKinds) {
-		t.Fatalf("event kinds = %v, want %v", got, wantKinds)
-	}
-	if events[0].Note != slow.URL || events[0].Extra != 0 {
-		t.Errorf("primary attempt = %+v", events[0])
-	}
-	if events[2].Note != fast.URL || events[2].Extra != 1 {
-		t.Errorf("hedge attempt = %+v, want replica %s with hedge flag", events[2], fast.URL)
-	}
-	if events[5].Note != slow.URL {
-		t.Errorf("hedge-cancel note = %q, want the losing primary %s", events[5].Note, slow.URL)
-	}
-	if events[6].Note != fast.URL {
-		t.Errorf("remote span attributed to %q, want the winning hedge %s", events[6].Note, fast.URL)
-	}
-}
-
 // TestGroupExhaustedTraced: every attempt failing leaves a terminal
 // exhaustion marker carrying the attempt budget.
 func TestGroupExhaustedTraced(t *testing.T) {
@@ -247,7 +192,7 @@ func TestGroupExhaustedTraced(t *testing.T) {
 		t.Fatalf("terminal event = %+v, want %s with budget %d and outcome %s",
 			last, TraceExhausted, cfg.MaxAttempts, OutcomeTransport)
 	}
-	// The single replica trips its threshold-2 budget on the second
+	// The single replica trips its threshold-3 budget on the third
 	// failure: the ejection rides the attempt that caused it.
 	var sawEject bool
 	for _, ev := range events {
@@ -343,7 +288,7 @@ func TestServerBatchSpanRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewPCG(31, 0))
 	queries := []core.Query{f.query(rng, 3), f.query(rng, 3)}
 	resp, err := c.Batch(context.Background(), BatchRequest{
-		Queries: queries, Opts: BatchOptions{Workers: 1}, Trace: true, TraceID: "batch-1",
+		Queries: queries, Opts: core.BatchOptions{Workers: 1}, Trace: true, TraceID: "batch-1",
 	})
 	if err != nil {
 		t.Fatalf("Batch: %v", err)

@@ -34,7 +34,7 @@ type SearchRequest struct {
 	core.Request
 	// Bound is the client's best known global k-th-score lower bound at
 	// send time (0 = none). The shard seeds its core.SharedBound with it
-	// so a late, retried, or hedged call starts pruning at the level the
+	// so a late or retried call starts pruning at the level the
 	// rest of the scatter already reached. A pruning hint only: results
 	// are identical with or without it.
 	Bound float64
@@ -69,26 +69,12 @@ type SearchResponse struct {
 	SpanDropped int
 }
 
-// BatchOptions is the wire form of core.BatchOptions.
-type BatchOptions struct {
-	Workers         int
-	SharedExpansion bool
-}
-
-// Core expands the wire options back into the engine's batch options.
-func (o BatchOptions) Core() core.BatchOptions {
-	return core.BatchOptions{
-		Workers:         o.Workers,
-		SharedExpansion: o.SharedExpansion,
-	}
-}
-
 // BatchRequest is the wire form of a whole-batch scatter: the shard runs
-// every query (sharing expansion frontiers per BatchOptions) and answers
-// per slot.
+// every query (sharing expansion frontiers per Opts) and answers per
+// slot.
 type BatchRequest struct {
 	Queries []core.Query
-	Opts    BatchOptions
+	Opts    core.BatchOptions
 	// Trace and TraceID mirror SearchRequest: the shard runs the whole
 	// batch under one TraceRecorder (batch workers share it) and returns
 	// the span in the response envelope.

@@ -34,7 +34,6 @@ func wireRoots() []reflect.Type {
 	return []reflect.Type{
 		reflect.TypeOf(SearchRequest{}),
 		reflect.TypeOf(SearchResponse{}),
-		reflect.TypeOf(BatchOptions{}),
 		reflect.TypeOf(BatchRequest{}),
 		reflect.TypeOf(BatchEntry{}),
 		reflect.TypeOf(BatchResponse{}),
@@ -270,6 +269,31 @@ func TestWireGobRoundTrip(t *testing.T) {
 	gobRoundTrip(t, &in, &out)
 	if !reflect.DeepEqual(in, out) {
 		t.Errorf("response changed on the wire:\n sent %+v\n got  %+v", in, out)
+	}
+
+	// Older nodes sent BatchRequest.Opts as a wire-local struct with the
+	// same two fields as core.BatchOptions. Gob matches fields by name,
+	// so old and new nodes decode each other's batch requests.
+	type oldBatchOptions struct {
+		Workers         int
+		SharedExpansion bool
+	}
+	type oldBatchRequest struct {
+		Queries []core.Query
+		Opts    oldBatchOptions
+		Trace   bool
+		TraceID string
+	}
+	old := oldBatchRequest{Queries: []core.Query{q}, Opts: oldBatchOptions{Workers: 2, SharedExpansion: true}, Trace: true, TraceID: "b"}
+	var fromOld BatchRequest
+	gobRoundTrip(t, &old, &fromOld)
+	if want := (BatchRequest{Queries: old.Queries, Opts: core.BatchOptions{Workers: 2, SharedExpansion: true}, Trace: true, TraceID: "b"}); !reflect.DeepEqual(fromOld, want) {
+		t.Errorf("old-shape batch request decoded as %+v, want %+v", fromOld, want)
+	}
+	var toOld oldBatchRequest
+	gobRoundTrip(t, &fromOld, &toOld)
+	if !reflect.DeepEqual(toOld, old) {
+		t.Errorf("batch request decoded by an old node as %+v, want %+v", toOld, old)
 	}
 }
 

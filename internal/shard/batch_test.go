@@ -178,7 +178,7 @@ func TestShardBatchCancellation(t *testing.T) {
 	var once sync.Once
 	ex, err := NewExecutor(f.db, core.Options{}, Config{
 		Shards: 3,
-		WrapStore: func(_ int, s core.TrajStore) core.TrajStore {
+		wrapStore: func(_ int, s core.TrajStore) core.TrajStore {
 			return &cancelStore{TrajStore: s, once: &once, cancel: cancel}
 		},
 	})

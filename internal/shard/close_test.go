@@ -71,7 +71,7 @@ func TestExecutorCloseDuringQuery(t *testing.T) {
 	gs := &gateStore{parked: make(chan struct{}), gate: make(chan struct{})}
 	eng, err := NewExecutor(f.db, core.Options{}, Config{
 		Shards: 2,
-		WrapStore: func(_ int, s core.TrajStore) core.TrajStore {
+		wrapStore: func(_ int, s core.TrajStore) core.TrajStore {
 			if gs.TrajStore == nil {
 				gs.TrajStore = s
 				return gs

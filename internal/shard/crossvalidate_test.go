@@ -157,7 +157,7 @@ func TestShardedMidQueryCancellation(t *testing.T) {
 	var once sync.Once
 	ex, err := NewExecutor(f.db, core.Options{}, Config{
 		Shards: 4,
-		WrapStore: func(_ int, s core.TrajStore) core.TrajStore {
+		wrapStore: func(_ int, s core.TrajStore) core.TrajStore {
 			return &cancelStore{TrajStore: s, once: &once, cancel: cancel}
 		},
 	})
@@ -224,7 +224,7 @@ func buildFaulty(t *testing.T, f fixture, partial PartialPolicy, faultShard int)
 	ex, err := NewExecutor(f.db, core.Options{}, Config{
 		Shards:  4,
 		Partial: partial,
-		WrapStore: func(shard int, s core.TrajStore) core.TrajStore {
+		wrapStore: func(shard int, s core.TrajStore) core.TrajStore {
 			if shard != faultShard {
 				return s
 			}
@@ -313,7 +313,7 @@ func TestShardedAllShardsFaulted(t *testing.T) {
 	ex, err := NewExecutor(f.db, core.Options{}, Config{
 		Shards:  3,
 		Partial: PartialDegrade,
-		WrapStore: func(_ int, s core.TrajStore) core.TrajStore {
+		wrapStore: func(_ int, s core.TrajStore) core.TrajStore {
 			return &armedFaultStore{TrajStore: s, armed: armed, calls: calls}
 		},
 	})

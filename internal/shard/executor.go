@@ -62,7 +62,7 @@ func NewExecutor(db core.TrajStore, opts core.Options, cfg Config) (ex *Executor
 		counters[s] = m.forShard(s)
 		// An empty shard keeps a nil engine and is skipped at query time.
 		h := &shards[s]
-		if h.engine, h.globals, err = buildShard(db, opts, n, s, cfg.assign, cfg.WrapStore); err != nil {
+		if h.engine, h.globals, err = buildShard(db, opts, n, s, cfg.assign, cfg.wrapStore); err != nil {
 			return nil, err
 		}
 	}

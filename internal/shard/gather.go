@@ -30,7 +30,7 @@ const (
 	TraceDegraded = "shard_degraded"
 	// TracePartition opens one partition's remote replay (RemoteExecutor
 	// only): the events until the matching TracePartitionDone — attempts,
-	// retries, hedges, and the shard server's own span — were buffered by
+	// retries, and the shard server's own span — were buffered by
 	// partition Value's replica-group call and are replayed in partition
 	// index order after the scatter joins. Extra = the partition's
 	// wall-clock milliseconds, the per-hop latency attribution

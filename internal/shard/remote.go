@@ -44,7 +44,7 @@ type RemoteConfig struct {
 // is the network twin of Executor — the same gatherer over a different
 // fleet: the same resolve precedence, the same deterministic merge, and
 // byte-identical results to a monolithic core.Engine over the
-// unpartitioned store — retries, hedges, and failover can reorder
+// unpartitioned store — retries and failover can reorder
 // *work*, never *answers*. It satisfies the server.SearchBackend seam,
 // so a router wires it through server.Config.Searcher exactly like a
 // local Executor.
@@ -236,8 +236,7 @@ func (re *RemoteExecutor) search(ctx context.Context, i int, req core.Request, b
 // batch implements fleet, converting wire entries back into
 // core.BatchResults (coded errors become the canonical sentinels again).
 func (re *RemoteExecutor) batch(ctx context.Context, i int, queries []core.Query, opts core.BatchOptions) ([]core.BatchResult, core.BatchStats, error) {
-	wopts := rpc.BatchOptions{Workers: opts.Workers, SharedExpansion: opts.SharedExpansion}
-	resp, err := re.groups[i].Batch(ctx, rpc.BatchRequest{Queries: queries, Opts: wopts})
+	resp, err := re.groups[i].Batch(ctx, rpc.BatchRequest{Queries: queries, Opts: opts})
 	if err != nil {
 		return nil, core.BatchStats{}, err
 	}

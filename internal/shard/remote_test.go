@@ -76,14 +76,11 @@ func startCluster(t *testing.T, f fixture, shards, replicas int, cfg RemoteConfi
 	return &remoteCluster{re: re, servers: servers}
 }
 
-// fastGroup is a group config tuned for fault tests: immediate retries,
-// no real waiting.
+// fastGroup is a group config for fault tests: attempts tries per call,
+// on the production backoff schedule.
 func fastGroup(attempts int) func(int) rpc.GroupConfig {
 	return func(int) rpc.GroupConfig {
-		return rpc.GroupConfig{
-			MaxAttempts: attempts,
-			Backoff:     rpc.BackoffConfig{Base: time.Nanosecond},
-		}
+		return rpc.GroupConfig{MaxAttempts: attempts}
 	}
 }
 
@@ -447,80 +444,6 @@ func TestRemotePartitionDownFails(t *testing.T) {
 	}
 	if res != nil {
 		t.Fatalf("failed query returned %d results, want none", len(res))
-	}
-}
-
-// TestRemoteHedgedSlowReplica pins hedging end to end, deterministically:
-// partition 0's primary replica parks, the injected hedge timer fires, the
-// duplicate lands on the healthy sibling, and the answer is still exactly
-// monolithic. No wall-clock in any decision — the test drives the timer.
-func TestRemoteHedgedSlowReplica(t *testing.T) {
-	f := testFixture(t)
-	mono, err := core.NewEngine(f.db, core.Options{})
-	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
-	}
-	rng := rand.New(rand.NewPCG(89, 0))
-	q := f.randomQuery(rng, 3, 3, 0.5, 5)
-
-	fire := make(chan time.Time, 1)
-	var slowHits atomic.Int64
-	reg := obs.NewRegistry()
-	cl := startCluster(t, f, 2, 2, RemoteConfig{},
-		func(p int) rpc.GroupConfig {
-			if p != 0 {
-				return rpc.GroupConfig{} // partition 1: no hedging
-			}
-			return rpc.GroupConfig{
-				// The injected timer is the only thing that can arm the
-				// hedge; the delay itself is unreachable by wall clock.
-				HedgeDelay: time.Hour,
-				Timer: func(d time.Duration) (<-chan time.Time, func() bool) {
-					return fire, func() bool { return true }
-				},
-			}
-		}, reg,
-		func(p, r int, h http.Handler) http.Handler {
-			if p != 0 || r != 0 {
-				return h
-			}
-			return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-				if req.URL.Path != rpc.PathSearch {
-					h.ServeHTTP(w, req)
-					return
-				}
-				io.Copy(io.Discard, req.Body) // see TestRemoteMidQueryCancellation
-				slowHits.Add(1)
-				<-req.Context().Done() // the slow replica never answers
-			})
-		})
-
-	type out struct {
-		res []core.Result
-		err error
-	}
-	done := make(chan out, 1)
-	go func() {
-		res, _, err := cl.re.SearchCtx(context.Background(), q)
-		done <- out{res, err}
-	}()
-	waitUntil(t, "slow primary to receive the search", func() bool { return slowHits.Load() > 0 })
-	fire <- time.Time{} // arm the hedge
-	o := <-done
-	if o.err != nil {
-		t.Fatalf("hedged SearchCtx: %v", o.err)
-	}
-	want, _, err := mono.SearchCtx(context.Background(), q)
-	if err != nil {
-		t.Fatalf("monolithic SearchCtx: %v", err)
-	}
-	sameResults(t, "hedged search", o.res, want)
-
-	if v := remoteCounter(t, reg, "uots_rpc_hedges_total"); v != 1 {
-		t.Fatalf("uots_rpc_hedges_total = %d, want 1", v)
-	}
-	if v := remoteCounter(t, reg, "uots_rpc_hedge_wins_total"); v != 1 {
-		t.Fatalf("uots_rpc_hedge_wins_total = %d, want 1", v)
 	}
 }
 

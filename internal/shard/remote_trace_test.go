@@ -7,33 +7,18 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"uots/internal/core"
 	"uots/internal/obs"
 	"uots/internal/rpc"
 )
 
-// neverTimer arms hedges without ever firing them: the pick-cursor
-// movement matches a production hedged call exactly, but the event
-// sequence stays free of wall-clock races.
-func neverTimer(time.Duration) (<-chan time.Time, func() bool) {
-	return make(chan time.Time), func() bool { return true }
-}
-
-// tracedGroup is the deterministic-trace config: seeded backoff and an
-// armed (but never firing) hedge timer. With the hedge armed, every
-// call advances the round-robin cursor by a fixed two picks, so
-// replica attribution repeats exactly between identical runs.
+// tracedGroup is the deterministic-trace config. Every call picks one
+// replica round-robin, so replica attribution repeats exactly between
+// identical runs.
 func tracedGroup() func(int) rpc.GroupConfig {
 	return func(int) rpc.GroupConfig {
-		return rpc.GroupConfig{
-			MaxAttempts: 3,
-			Backoff:     rpc.BackoffConfig{Base: time.Nanosecond},
-			Seed:        7,
-			HedgeDelay:  time.Hour,
-			Timer:       neverTimer,
-		}
+		return rpc.GroupConfig{MaxAttempts: 3}
 	}
 }
 
@@ -101,10 +86,10 @@ func checkRemoteTraceShape(t *testing.T, tag string, events []obs.SpanEvent, sha
 		t.Errorf("%s: unclosed partition bracket", tag)
 	}
 	for kind, want := range map[string]int{
-		TraceScatter:       scatters,
-		TraceMerge:         scatters,
-		TracePartition:     shards * scatters,
-		TracePartitionDone: shards * scatters,
+		TraceScatter:        scatters,
+		TraceMerge:          scatters,
+		TracePartition:      shards * scatters,
+		TracePartitionDone:  shards * scatters,
 		rpc.TraceRemoteSpan: shards * scatters,
 	} {
 		if counts[kind] != want {

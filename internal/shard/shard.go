@@ -103,11 +103,12 @@ type Config struct {
 	// and only the in-package cross-validation swaps in hand-built skews
 	// (every answer on one shard, an empty shard, one trajectory each).
 	assign func(id trajdb.TrajID, n int) int
+	// wrapStore, when non-nil, wraps each shard's store after
+	// partitioning — the fault-injection seam of the in-package tests
+	// (e.g. core.NewFaultStore on shard 2 only). Unexported, same
+	// standing as assign.
+	wrapStore func(shard int, s core.TrajStore) core.TrajStore
 	// Metrics receives the executor's uots_shard_* instruments
 	// (nil disables metrics).
 	Metrics *obs.Registry
-	// WrapStore, when non-nil, wraps each shard's store after
-	// partitioning — the fault-injection seam used by tests
-	// (e.g. core.NewFaultStore on shard 2 only).
-	WrapStore func(shard int, s core.TrajStore) core.TrajStore
 }

@@ -37,7 +37,6 @@ func configStructs() []reflect.Type {
 		reflect.TypeOf(shard.Config{}),
 		reflect.TypeOf(shard.RemoteConfig{}),
 		reflect.TypeOf(rpc.GroupConfig{}),
-		reflect.TypeOf(rpc.BackoffConfig{}),
 		reflect.TypeOf(ingest.Config{}),
 		reflect.TypeOf(ingest.WALOptions{}),
 	}
