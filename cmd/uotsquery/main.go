@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -34,6 +35,25 @@ func main() {
 	window := flag.String("window", "", "optional departure window HH:MM-HH:MM")
 	geojson := flag.String("geojson", "", "write the result trajectories as GeoJSON to this file")
 	flag.Parse()
+
+	// Reject flag combinations before the dataset loads: a window only
+	// filters the expansion search, and the baselines have no windowed form.
+	switch *algo {
+	case "expansion", "exhaustive", "textfirst":
+	default:
+		fatal(fmt.Errorf("unknown algorithm %q (want expansion, exhaustive or textfirst)", *algo))
+	}
+	var w *uots.TimeWindow
+	if *window != "" {
+		if *algo != "expansion" {
+			fatal(fmt.Errorf("-window applies to -algo expansion only, not %q", *algo))
+		}
+		parsed, err := parseWindow(*window)
+		if err != nil {
+			fatal(err)
+		}
+		w = &parsed
+	}
 
 	g, db := load(*data)
 	engine, err := uots.NewEngine(db, uots.Options{})
@@ -72,28 +92,18 @@ func main() {
 		q.Keywords = vocab.InternAll(uots.Tokenize(*keywords))
 	}
 
+	ctx := context.Background()
 	var results []uots.Result
 	var stats uots.SearchStats
-	switch *algo {
-	case "expansion":
-		if *window != "" {
-			w, err := parseWindow(*window)
-			if err != nil {
-				fatal(err)
-			}
-			results, stats, err = engine.SearchWindowed(q, w)
-			if err != nil {
-				fatal(err)
-			}
-		} else {
-			results, stats, err = engine.Search(q)
-		}
-	case "exhaustive":
-		results, stats, err = engine.ExhaustiveSearch(q)
-	case "textfirst":
-		results, stats, err = engine.TextFirstSearch(q)
+	switch {
+	case *algo == "exhaustive":
+		results, stats, err = engine.ExhaustiveSearchCtx(ctx, q)
+	case *algo == "textfirst":
+		results, stats, err = engine.TextFirstSearchCtx(ctx, q)
+	case w != nil:
+		results, stats, err = engine.SearchWindowedCtx(ctx, q, *w)
 	default:
-		err = fmt.Errorf("unknown algorithm %q", *algo)
+		results, stats, err = engine.SearchCtx(ctx, q)
 	}
 	if err != nil {
 		fatal(err)

@@ -69,6 +69,24 @@ func TestCommandLineTools(t *testing.T) {
 		t.Fatalf("geojson parse: %v (%d features)", err, len(fc.Features))
 	}
 
+	// uotsquery refuses a window beside a baseline (which has no windowed
+	// form) and an unknown algorithm before it reads the dataset: the
+	// prefix below does not exist, so a late check would name the file.
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-algo", "exhaustive", "-window", "08:00-12:00"}, `-window applies to -algo expansion only, not "exhaustive"`},
+		{[]string{"-algo", "textfirst", "-window", "08:00-12:00"}, `-window applies to -algo expansion only, not "textfirst"`},
+		{[]string{"-algo", "dijkstra"}, `unknown algorithm "dijkstra"`},
+	} {
+		args := append(c.args, "-data", filepath.Join(dir, "missing"), "-loc", "0")
+		out, err := exec.Command(bin("uotsquery"), args...).CombinedOutput()
+		if err == nil || !strings.Contains(string(out), c.want) {
+			t.Errorf("uotsquery %v: err = %v, want a non-zero exit saying %q\n%s", c.args, err, c.want, out)
+		}
+	}
+
 	// There is one partition function and no flag to pick another: an old
 	// command line naming one fails flag parsing instead of being ignored.
 	for _, cmd := range [][]string{{"uotsserve", "-partition", "region"}, {"uotsshard", "-partition", "hash"}} {

@@ -28,7 +28,7 @@
 //		Count: 10000, Vocab: vocab, Seed: 7,
 //	})
 //	engine, _ := uots.NewEngine(db, uots.Options{})
-//	res, _, _ := engine.Search(uots.Query{
+//	res, _, _ := engine.SearchCtx(context.Background(), uots.Query{
 //		Locations: []uots.VertexID{120, 3456},
 //		Keywords:  vocab.Vocab.InternAll([]string{"t0_kw1", "t0_kw2"}),
 //		Lambda:    0.5,

@@ -1,6 +1,7 @@
 package uots_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -54,15 +55,15 @@ func buildExampleWorld() (*uots.Graph, *uots.Store, *uots.Vocab) {
 	return g, sb.Freeze(), vocab
 }
 
-// ExampleEngine_Search shows the core call: intended places plus
+// ExampleEngine_SearchCtx shows the core call: intended places plus
 // intention keywords, linearly combined by λ.
-func ExampleEngine_Search() {
+func ExampleEngine_SearchCtx() {
 	_, db, vocab := buildExampleWorld()
 	engine, err := uots.NewEngine(db, uots.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	results, _, err := engine.Search(uots.Query{
+	results, _, err := engine.SearchCtx(context.Background(), uots.Query{
 		Locations: []uots.VertexID{0, 6}, // bottom-left and top-left corners
 		Keywords:  vocab.InternAll([]string{"market", "gallery"}),
 		Lambda:    0.5,
@@ -80,14 +81,14 @@ func ExampleEngine_Search() {
 	// 2. trajectory 0 score 0.451 (spatial 0.568, textual 0.333)
 }
 
-// ExampleEngine_SearchWindowed shows the departure-time filter extension.
-func ExampleEngine_SearchWindowed() {
+// ExampleEngine_SearchWindowedCtx shows the departure-time filter extension.
+func ExampleEngine_SearchWindowedCtx() {
 	_, db, vocab := buildExampleWorld()
 	engine, err := uots.NewEngine(db, uots.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	results, _, err := engine.SearchWindowed(uots.Query{
+	results, _, err := engine.SearchWindowedCtx(context.Background(), uots.Query{
 		Locations: []uots.VertexID{0},
 		Keywords:  vocab.InternAll([]string{"market"}),
 		Lambda:    0.5,

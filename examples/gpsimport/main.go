@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand/v2"
@@ -14,6 +15,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	g := uots.BRNLike(0.15, 99)
 	idx := uots.NewVertexIndex(g, 0)
 	rng := rand.New(rand.NewPCG(3, 141))
@@ -85,7 +87,7 @@ func main() {
 		log.Fatal(err)
 	}
 	mid := truth[len(truth)/2]
-	results, _, err := engine.Search(uots.Query{
+	results, _, err := engine.SearchCtx(ctx, uots.Query{
 		Locations: []uots.VertexID{from, mid, to},
 		Keywords:  vocab.Vocab.InternAll([]string{"t0_kw0", "t0_kw1"}),
 		Lambda:    0.5,

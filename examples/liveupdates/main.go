@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand/v2"
@@ -13,6 +14,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	g := uots.BRNLike(0.15, 21)
 	vocab := uots.GenerateVocab(6, 40, 1.0, 22)
 
@@ -74,11 +76,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		plain, _, err := engine.Search(query)
+		plain, _, err := engine.SearchCtx(ctx, query)
 		if err != nil {
 			log.Fatal(err)
 		}
-		diverse, _, err := engine.DiversifiedSearch(query, uots.DiversifyOptions{Mu: 0.5})
+		diverse, _, err := engine.DiversifiedSearchCtx(ctx, query, uots.DiversifyOptions{Mu: 0.5})
 		if err != nil {
 			log.Fatal(err)
 		}

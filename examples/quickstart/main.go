@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -11,6 +12,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// A sparse Beijing-like city at 15% scale (~600 vertices).
 	g := uots.BRNLike(0.15, 42)
 
@@ -43,7 +45,7 @@ func main() {
 		K:         3,
 	}
 
-	results, stats, err := engine.Search(query)
+	results, stats, err := engine.SearchCtx(ctx, query)
 	if err != nil {
 		log.Fatal(err)
 	}

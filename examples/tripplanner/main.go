@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand/v2"
@@ -25,6 +26,7 @@ type sharedTrip struct {
 }
 
 func main() {
+	ctx := context.Background()
 	// A dense downtown grid, 3 km × 3 km.
 	g, err := uots.GenerateCity(uots.CityOptions{
 		Rows: 13, Cols: 13, Spacing: 0.25, Style: uots.StyleDense, Seed: 3,
@@ -72,7 +74,7 @@ func main() {
 	fmt.Println("visitor intent: old town + riverside, tags: market food gallery")
 	for _, lambda := range []float64{0.2, 0.5, 0.8} {
 		query.Lambda = lambda
-		results, _, err := engine.Search(query)
+		results, _, err := engine.SearchCtx(ctx, query)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -85,7 +87,7 @@ func main() {
 
 	// The extension: only recommend trips departing in the morning.
 	query.Lambda = 0.5
-	results, _, err := engine.SearchWindowed(query, uots.TimeWindow{From: hm(8, 0), To: hm(12, 0)})
+	results, _, err := engine.SearchWindowedCtx(ctx, query, uots.TimeWindow{From: hm(8, 0), To: hm(12, 0)})
 	if err != nil {
 		log.Fatal(err)
 	}

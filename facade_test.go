@@ -2,6 +2,7 @@ package uots_test
 
 import (
 	"bytes"
+	"context"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -75,7 +76,7 @@ func TestFacadeWrappers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := engine.Search(uots.Query{Locations: []uots.VertexID{3}, Lambda: 1, K: 2})
+	res, _, err := engine.SearchCtx(context.Background(), uots.Query{Locations: []uots.VertexID{3}, Lambda: 1, K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestFacadeWrappers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, _, err := indexed.Search(uots.Query{Locations: []uots.VertexID{3}, Lambda: 1, K: 2}); err != nil || !reflect.DeepEqual(got, res) {
+	if got, _, err := indexed.SearchCtx(context.Background(), uots.Query{Locations: []uots.VertexID{3}, Lambda: 1, K: 2}); err != nil || !reflect.DeepEqual(got, res) {
 		t.Fatalf("indexed search = (%+v, %v), want the plain engine's %+v", got, err, res)
 	}
 
@@ -121,7 +122,7 @@ func TestFacadeWrappers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res, _, err := dynEngine.Search(uots.Query{Locations: []uots.VertexID{0}, Lambda: 1, K: 1}); err != nil || len(res) != 1 {
+	if res, _, err := dynEngine.SearchCtx(context.Background(), uots.Query{Locations: []uots.VertexID{0}, Lambda: 1, K: 1}); err != nil || len(res) != 1 {
 		t.Fatalf("dynamic snapshot search = (%v, %v)", res, err)
 	}
 	route, dist, err := uots.ReconstructRoute(g, snap.Traj(0), uots.NewBidirectional(g))
@@ -132,7 +133,7 @@ func TestFacadeWrappers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	div, _, err := full.DiversifiedSearch(uots.Query{Locations: []uots.VertexID{3, 40}, Lambda: 0.8, K: 3},
+	div, _, err := full.DiversifiedSearchCtx(context.Background(), uots.Query{Locations: []uots.VertexID{3, 40}, Lambda: 0.8, K: 3},
 		uots.DiversifyOptions{Mu: 0.5})
 	if err != nil || len(div) == 0 {
 		t.Fatalf("DiversifiedSearch = (%d results, %v)", len(div), err)

@@ -70,17 +70,9 @@ func NewPass(a *Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Pac
 	return &Pass{Analyzer: a, Fset: fset, Files: files, Pkg: pkg, TypesInfo: info}
 }
 
-// Report records a diagnostic.
-func (p *Pass) Report(d Diagnostic) {
-	if d.Analyzer == "" {
-		d.Analyzer = p.Analyzer.Name
-	}
-	p.diags = append(p.diags, d)
-}
-
 // Reportf records a formatted diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
+	p.diags = append(p.diags, Diagnostic{Pos: pos, Analyzer: p.Analyzer.Name, Message: fmt.Sprintf(format, args...)})
 }
 
 // Diagnostics returns the diagnostics reported so far, in source order.
@@ -106,9 +98,9 @@ type allowSpan struct {
 	line int
 }
 
-// ParseAllowDirective parses one comment line. ok is false when the
+// parseAllowDirective parses one comment line. ok is false when the
 // comment is not an allow directive or is missing the mandatory reason.
-func ParseAllowDirective(text string) (names []string, reason string, ok bool) {
+func parseAllowDirective(text string) (names []string, reason string, ok bool) {
 	if !strings.HasPrefix(text, directivePrefix) {
 		return nil, "", false
 	}
@@ -169,7 +161,7 @@ func (p *Pass) buildAllows() {
 		for _, group := range file.Comments {
 			span, isDoc := docSpans[group]
 			for _, c := range group.List {
-				names, _, ok := ParseAllowDirective(c.Text)
+				names, _, ok := parseAllowDirective(c.Text)
 				if !ok {
 					continue
 				}
@@ -267,7 +259,7 @@ func CollectAllows(files []*ast.File) []AllowDirective {
 	for _, file := range files {
 		for _, group := range file.Comments {
 			for _, c := range group.List {
-				names, reason, ok := ParseAllowDirective(c.Text)
+				names, reason, ok := parseAllowDirective(c.Text)
 				if !ok {
 					continue
 				}
@@ -280,8 +272,8 @@ func CollectAllows(files []*ast.File) []AllowDirective {
 }
 
 // InTestFile reports whether pos lies in a _test.go file. The contract
-// analyzers exempt tests: tests legitimately construct fresh contexts,
-// panic, and measure wall-clock time.
+// analyzers exempt tests: tests legitimately construct fresh contexts
+// and panic.
 func (p *Pass) InTestFile(pos token.Pos) bool {
 	f := p.Fset.File(pos)
 	return f != nil && strings.HasSuffix(f.Name(), "_test.go")

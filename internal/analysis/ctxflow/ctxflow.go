@@ -15,15 +15,17 @@ const name = "ctxflow"
 var Analyzer = &analysis.Analyzer{
 	Name: name,
 	Doc: `ctxflow: report context.Background()/context.TODO() calls and nil
-context arguments outside the designated compat wrappers.
+context arguments outside process roots and documented lifetime sites.
 
 Every engine entry point threads context.Context; constructing a fresh
 background context severs the caller's deadline and cancellation, so the
 serving layer's guarantees (request deadlines, disconnect aborts,
 graceful shutdown) silently stop applying to the work underneath. The
-only legitimate fresh-context sites are process roots (func main / init
-of package main, which are exempt) and explicitly documented compat
-wrappers, which must carry:
+legitimate fresh-context sites are process roots (func main / init of
+package main, which are exempt) and the few places that have no caller
+context by construction: a lifetime context minted when an object is
+built and cancelled by its Close, the shutdown drain (whose caller
+context is already done), and nil-context normalization. Each carries:
 
 	//uots:allow ctxflow -- <why this call has no caller context>
 
@@ -66,7 +68,7 @@ func checkCall(pass *analysis.Pass, call *ast.CallExpr) {
 		(analysis.IsPkgFunc(fn, "context", "Background") || analysis.IsPkgFunc(fn, "context", "TODO")) {
 		if !pass.Allowed(name, call.Pos()) {
 			pass.Reportf(call.Pos(),
-				"context.%s() drops the caller's context; thread the ctx in scope or annotate the compat wrapper with //uots:allow ctxflow -- reason",
+				"context.%s() drops the caller's context; thread the ctx in scope, or annotate a lifetime context or shutdown drain with //uots:allow ctxflow -- reason",
 				fn.Name())
 		}
 		return

@@ -1,5 +1,5 @@
 // Package a exercises the ctxflow analyzer: flagged drops, allowed
-// compat wrappers, and clean threading.
+// lifetime contexts, and clean threading.
 package a
 
 import "context"
@@ -27,16 +27,16 @@ func Threads(ctx context.Context, q int) error {
 	return SearchCtx(ctx, q)
 }
 
-// Search is a designated compat wrapper for callers without a context.
+// Lifetime mints the context an object lives under, at construction.
 //
-//uots:allow ctxflow -- compat wrapper: documented entry point for callers without a context
-func Search(q int) error {
-	return SearchCtx(context.Background(), q)
+//uots:allow ctxflow -- lifetime context: minted at construction, cancelled by the object's Close
+func Lifetime() context.Context {
+	return context.Background()
 }
 
 // InlineAllow demonstrates a statement-level exemption.
 func InlineAllow(q int) error {
-	//uots:allow ctxflow -- detached lifetime: this work outlives the request on purpose
+	//uots:allow ctxflow -- shutdown drain: the caller's ctx is already done
 	return SearchCtx(context.Background(), q)
 }
 
@@ -50,6 +50,6 @@ func BareDirective(q int) error {
 // WrongName shows that a directive for another analyzer does not
 // silence ctxflow.
 func WrongName(q int) error {
-	//uots:allow nodrift -- reason that names the wrong analyzer
+	//uots:allow storefault -- reason that names the wrong analyzer
 	return SearchCtx(context.Background(), q) // want `drops the caller's context`
 }

@@ -145,8 +145,8 @@ func returnsError(pass *analysis.Pass, fd *ast.FuncDecl) bool {
 }
 
 // isThinWrapper reports whether the body is a single return delegating
-// to a method on the same receiver (compat wrappers like
-// Search → SearchCtx inherit the callee's guard).
+// to a method on the same receiver (entry points like SearchCtx → run
+// inherit the callee's guard).
 func isThinWrapper(fd *ast.FuncDecl) bool {
 	if len(fd.Body.List) != 1 || len(fd.Recv.List[0].Names) != 1 {
 		return false

@@ -30,7 +30,7 @@ func (e *Engine) SearchCtx(q string) (err error) {
 	return nil
 }
 
-// Search is a thin compat wrapper; the guard lives in SearchCtx.
+// Search is a thin wrapper; the guard lives in SearchCtx.
 func (e *Engine) Search(q string) error {
 	return e.SearchCtx(q)
 }

@@ -25,6 +25,6 @@ func bareDirective(r any) {
 }
 
 func wrongName(r any) {
-	//uots:allow nodrift -- wrong analyzer name, must not suppress
+	//uots:allow ctxflow -- wrong analyzer name, must not suppress
 	panic(r) // want `must panic with \*trajdb\.StoreError`
 }

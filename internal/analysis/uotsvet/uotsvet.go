@@ -6,11 +6,6 @@ package uotsvet
 import (
 	"uots/internal/analysis"
 	"uots/internal/analysis/ctxflow"
-	"uots/internal/analysis/errcode"
-	"uots/internal/analysis/lockscope"
-	"uots/internal/analysis/looppoll"
-	"uots/internal/analysis/nodrift"
-	"uots/internal/analysis/spawnjoin"
 	"uots/internal/analysis/storefault"
 )
 
@@ -18,11 +13,6 @@ import (
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		ctxflow.Analyzer,
-		errcode.Analyzer,
-		lockscope.Analyzer,
-		looppoll.Analyzer,
-		nodrift.Analyzer,
-		spawnjoin.Analyzer,
 		storefault.Analyzer,
 	}
 }

@@ -20,11 +20,6 @@ func TestRegistry(t *testing.T) {
 		docKeyword string // a phrase the Doc must contain
 	}{
 		{"ctxflow", "context"},
-		{"errcode", "writeError"},
-		{"lockscope", "blocking"},
-		{"looppoll", "cancellation"},
-		{"nodrift", "deterministic"},
-		{"spawnjoin", "join path"},
 		{"storefault", "StoreError"},
 	}
 

@@ -10,33 +10,18 @@ import (
 	"uots/internal/trajdb"
 )
 
-// ExhaustiveSearch answers a top-k UOTS query with the brute-force
+// ExhaustiveSearchCtx answers a top-k UOTS query with the brute-force
 // comparator: one full Dijkstra per query location (exact distance fields
 // over the whole network), then an exact score for every trajectory in the
 // store. It visits every trajectory and serves as the ground truth the
 // expansion algorithm is validated against, and as the "no pruning" end of
-// the experiment spectrum.
-//
-//uots:allow ctxflow -- compat wrapper: the context-free API has no caller context to thread
-func (e *Engine) ExhaustiveSearch(q Query) ([]Result, SearchStats, error) {
-	return e.ExhaustiveSearchCtx(context.Background(), q)
-}
-
-// ExhaustiveSearchCtx is ExhaustiveSearch with cancellation: both the
-// Dijkstra field computation and the scoring scan poll ctx at bounded
-// intervals (see SearchCtx).
+// the experiment spectrum. Both the Dijkstra field computation and the
+// scoring scan poll ctx at bounded intervals (see SearchCtx).
 func (e *Engine) ExhaustiveSearchCtx(ctx context.Context, q Query) ([]Result, SearchStats, error) {
 	return e.run(ctx, Request{Query: q}, AlgoExhaustive)
 }
 
-// ExhaustiveThreshold answers the threshold variant exhaustively.
-//
-//uots:allow ctxflow -- compat wrapper: the context-free API has no caller context to thread
-func (e *Engine) ExhaustiveThreshold(q Query, theta float64) ([]Result, SearchStats, error) {
-	return e.ExhaustiveThresholdCtx(context.Background(), q, theta)
-}
-
-// ExhaustiveThresholdCtx is ExhaustiveThreshold with cancellation.
+// ExhaustiveThresholdCtx answers the threshold variant exhaustively.
 func (e *Engine) ExhaustiveThresholdCtx(ctx context.Context, q Query, theta float64) ([]Result, SearchStats, error) {
 	return e.run(ctx, Request{Query: q, Theta: &theta}, AlgoExhaustive)
 }
@@ -128,26 +113,19 @@ func (e *Engine) exhaustiveScan(ctx context.Context, q Query, sink func(Result))
 	return stats, nil
 }
 
-// TextFirstSearch answers a top-k UOTS query with the one-domain-first
-// baseline: trajectories are visited in descending textual-similarity
-// order; each visit computes the exact spatial similarity with
-// early-terminating Dijkstras; the scan stops once even a spatially
-// perfect trajectory could not beat the current k-th best. Because a
-// trajectory with zero textual score can still win on spatial similarity
-// alone, the baseline must fall back to scanning the zero-text tail
-// whenever the bar allows it — the structural weakness the paper's
+// TextFirstSearchCtx answers a top-k UOTS query with the
+// one-domain-first baseline: trajectories are visited in descending
+// textual-similarity order; each visit computes the exact spatial
+// similarity with early-terminating Dijkstras; the scan stops once even a
+// spatially perfect trajectory could not beat the current k-th best.
+// Because a trajectory with zero textual score can still win on spatial
+// similarity alone, the baseline must fall back to scanning the zero-text
+// tail whenever the bar allows it — the structural weakness the paper's
 // expansion algorithm removes. When the engine carries a pruning aid
 // (Options.Index) the baseline uses it to skip exact spatial evaluations
-// that provably cannot qualify.
-//
-//uots:allow ctxflow -- compat wrapper: the context-free API has no caller context to thread
-func (e *Engine) TextFirstSearch(q Query) ([]Result, SearchStats, error) {
-	return e.TextFirstSearchCtx(context.Background(), q)
-}
-
-// TextFirstSearchCtx is TextFirstSearch with cancellation: the candidate
-// scan polls ctx between per-trajectory evaluations and inside each
-// evaluation's Dijkstras (see SearchCtx).
+// that provably cannot qualify. The candidate scan polls ctx between
+// per-trajectory evaluations and inside each evaluation's Dijkstras (see
+// SearchCtx).
 func (e *Engine) TextFirstSearchCtx(ctx context.Context, q Query) ([]Result, SearchStats, error) {
 	return e.run(ctx, Request{Query: q}, AlgoTextFirst)
 }

@@ -79,26 +79,6 @@ func TestExpiredDeadline(t *testing.T) {
 	}
 }
 
-// TestBackgroundCtxMatchesLegacy verifies the ctx-free wrappers and the
-// ctx variants with context.Background() return identical rankings — the
-// cancellation plumbing must not change results.
-func TestBackgroundCtxMatchesLegacy(t *testing.T) {
-	e, f := newTestEngine(t, Options{})
-	rng := rand.New(rand.NewPCG(73, 0))
-	for i := 0; i < 5; i++ {
-		q := f.randomQuery(rng, 3, 4, 0.5, 8)
-		legacy, _, err := e.Search(q)
-		if err != nil {
-			t.Fatalf("Search: %v", err)
-		}
-		withCtx, _, err := e.SearchCtx(context.Background(), q)
-		if err != nil {
-			t.Fatalf("SearchCtx: %v", err)
-		}
-		sameScores(t, "SearchCtx vs Search", withCtx, legacy)
-	}
-}
-
 // TestMidSearchCancellation cancels a context while a search is running
 // and verifies the search returns promptly with ctx.Err() and partial
 // stats rather than running to completion.
@@ -197,14 +177,23 @@ func TestBatchCancellation(t *testing.T) {
 func TestCancellationBoundsWork(t *testing.T) {
 	e, f := newTestEngine(t, Options{})
 	rng := rand.New(rand.NewPCG(76, 0))
-	q := f.randomQuery(rng, 3, 4, 0.5, 5)
+	textual := f.randomQuery(rng, 3, 4, 0.5, 5)
+	// With no keywords there is no text probe to poll the context, so only
+	// the expansion loop's own poll can stop this search.
+	spatial := textual
+	spatial.Keywords, spatial.Lambda = nil, 1
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, stats, err := e.SearchCtx(ctx, q)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if stats.SettledVertices > cancelPollEvery {
-		t.Errorf("cancelled search settled %d vertices, want ≤ %d", stats.SettledVertices, cancelPollEvery)
+	for _, c := range []struct {
+		name string
+		q    Query
+	}{{"spatio-textual", textual}, {"spatial-only", spatial}} {
+		_, stats, err := e.SearchCtx(ctx, c.q)
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: err = %v, want context.Canceled", c.name, err)
+		}
+		if stats.SettledVertices > cancelPollEvery {
+			t.Errorf("%s: cancelled search settled %d vertices, want ≤ %d", c.name, stats.SettledVertices, cancelPollEvery)
+		}
 	}
 }

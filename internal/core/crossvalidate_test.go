@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand/v2"
 	"testing"
 )
@@ -26,11 +27,11 @@ func TestExpansionMatchesExhaustiveTopK(t *testing.T) {
 			k := 1 + rng.IntN(8)
 			q := f.randomQuery(rng, nLoc, nKw, lambda, k)
 
-			want, _, err := e.ExhaustiveSearch(q)
+			want, _, err := e.ExhaustiveSearchCtx(context.Background(), q)
 			if err != nil {
 				t.Fatalf("config %d trial %d: exhaustive: %v", ci, trial, err)
 			}
-			got, _, err := e.Search(q)
+			got, _, err := e.SearchCtx(context.Background(), q)
 			if err != nil {
 				t.Fatalf("config %d trial %d: expansion: %v", ci, trial, err)
 			}
@@ -46,11 +47,11 @@ func TestTextFirstMatchesExhaustive(t *testing.T) {
 	rng := rand.New(rand.NewPCG(42, 43))
 	for trial := 0; trial < 10; trial++ {
 		q := f.randomQuery(rng, 1+rng.IntN(4), rng.IntN(5), [5]float64{0, 0.2, 0.5, 0.8, 1}[rng.IntN(5)], 1+rng.IntN(5))
-		want, _, err := e.ExhaustiveSearch(q)
+		want, _, err := e.ExhaustiveSearchCtx(context.Background(), q)
 		if err != nil {
 			t.Fatalf("trial %d: exhaustive: %v", trial, err)
 		}
-		got, _, err := e.TextFirstSearch(q)
+		got, _, err := e.TextFirstSearchCtx(context.Background(), q)
 		if err != nil {
 			t.Fatalf("trial %d: textfirst: %v", trial, err)
 		}
@@ -66,11 +67,11 @@ func TestTextFirstWithLandmarksMatchesExhaustive(t *testing.T) {
 	rng := rand.New(rand.NewPCG(52, 53))
 	for trial := 0; trial < 8; trial++ {
 		q := f.randomQuery(rng, 1+rng.IntN(4), rng.IntN(4), [4]float64{0.1, 0.4, 0.7, 1}[rng.IntN(4)], 1+rng.IntN(5))
-		want, _, err := e.ExhaustiveSearch(q)
+		want, _, err := e.ExhaustiveSearchCtx(context.Background(), q)
 		if err != nil {
 			t.Fatalf("trial %d: exhaustive: %v", trial, err)
 		}
-		got, _, err := e.TextFirstSearch(q)
+		got, _, err := e.TextFirstSearchCtx(context.Background(), q)
 		if err != nil {
 			t.Fatalf("trial %d: textfirst+landmarks: %v", trial, err)
 		}
@@ -87,11 +88,11 @@ func TestThresholdMatchesExhaustive(t *testing.T) {
 	for trial := 0; trial < 12; trial++ {
 		q := f.randomQuery(rng, 1+rng.IntN(4), rng.IntN(5), [5]float64{0, 0.2, 0.5, 0.8, 1}[rng.IntN(5)], 1)
 		theta := 0.3 + 0.6*rng.Float64()
-		want, _, err := e.ExhaustiveThreshold(q, theta)
+		want, _, err := e.ExhaustiveThresholdCtx(context.Background(), q, theta)
 		if err != nil {
 			t.Fatalf("trial %d: exhaustive threshold: %v", trial, err)
 		}
-		got, _, err := e.SearchThreshold(q, theta)
+		got, _, err := e.SearchThresholdCtx(context.Background(), q, theta)
 		if err != nil {
 			t.Fatalf("trial %d: expansion threshold: %v", trial, err)
 		}
@@ -120,7 +121,7 @@ func TestEvaluateAgreesWithExhaustive(t *testing.T) {
 	e, f := testEngineDefault(t)
 	rng := rand.New(rand.NewPCG(5, 6))
 	q := f.randomQuery(rng, 3, 3, 0.5, 10)
-	want, _, err := e.ExhaustiveSearch(q)
+	want, _, err := e.ExhaustiveSearchCtx(context.Background(), q)
 	if err != nil {
 		t.Fatalf("exhaustive: %v", err)
 	}

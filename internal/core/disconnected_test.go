@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -65,11 +66,11 @@ func TestDisconnectedComponentsMatchExhaustive(t *testing.T) {
 		{Locations: []roadnet.VertexID{1, 2}, Keywords: vocab.InternAll([]string{"art"}), Lambda: 0.8, K: 2},
 	}
 	for i, q := range queries {
-		want, _, err := e.ExhaustiveSearch(q)
+		want, _, err := e.ExhaustiveSearchCtx(context.Background(), q)
 		if err != nil {
 			t.Fatalf("query %d: exhaustive: %v", i, err)
 		}
-		got, _, err := e.Search(q)
+		got, _, err := e.SearchCtx(context.Background(), q)
 		if err != nil {
 			t.Fatalf("query %d: expansion: %v", i, err)
 		}
@@ -77,7 +78,7 @@ func TestDisconnectedComponentsMatchExhaustive(t *testing.T) {
 	}
 	// A trajectory on the other island from a single query location has
 	// spatial similarity exactly 0 but still competes on text.
-	res, _, err := e.Search(Query{
+	res, _, err := e.SearchCtx(context.Background(), Query{
 		Locations: []roadnet.VertexID{0},
 		Keywords:  vocab.InternAll([]string{"food", "market"}),
 		Lambda:    0.5,
@@ -110,11 +111,11 @@ func TestMaxQueryLocationsBoundary(t *testing.T) {
 		locs[i] = roadnet.VertexID(i % f.g.NumVertices())
 	}
 	q := Query{Locations: locs, Lambda: 0.7, K: 2}
-	want, _, err := e.ExhaustiveSearch(q)
+	want, _, err := e.ExhaustiveSearchCtx(context.Background(), q)
 	if err != nil {
 		t.Fatalf("64-location exhaustive: %v", err)
 	}
-	got, _, err := e.Search(q)
+	got, _, err := e.SearchCtx(context.Background(), q)
 	if err != nil {
 		t.Fatalf("64-location expansion: %v", err)
 	}

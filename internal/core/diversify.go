@@ -12,7 +12,7 @@ import (
 
 // Diversified search (an extension beyond the paper): trip recommendation
 // suffers when the top-k are k near-copies of the same route, which is
-// common in commuter corpora. DiversifiedSearch retrieves an enlarged
+// common in commuter corpora. DiversifiedSearchCtx retrieves an enlarged
 // candidate pool (max(16, 4·k), see Request.Pool) with the expansion
 // search and then greedily selects k trajectories by maximal marginal
 // relevance:
@@ -26,7 +26,7 @@ import (
 // ErrBadDiversity is returned for μ outside [0, 1).
 var ErrBadDiversity = errors.New("core: diversity weight must be in [0, 1)")
 
-// DiversifyOptions tunes DiversifiedSearch.
+// DiversifyOptions tunes DiversifiedSearchCtx.
 type DiversifyOptions struct {
 	// Mu is the diversity weight μ ∈ [0, 1) (default 0.3).
 	Mu float64
@@ -44,16 +44,9 @@ func (o DiversifyOptions) normalize() (DiversifyOptions, error) {
 	return o, nil
 }
 
-// DiversifiedSearch answers a top-k query re-ranked for route diversity.
-//
-//uots:allow ctxflow -- compat wrapper: the context-free API has no caller context to thread
-func (e *Engine) DiversifiedSearch(q Query, opts DiversifyOptions) ([]Result, SearchStats, error) {
-	return e.DiversifiedSearchCtx(context.Background(), q, opts)
-}
-
-// DiversifiedSearchCtx is DiversifiedSearch with cancellation: the pool
-// retrieval polls ctx (see SearchCtx), and the MMR selection polls between
-// greedy picks.
+// DiversifiedSearchCtx answers a top-k query re-ranked for route
+// diversity. The pool retrieval polls ctx (see SearchCtx), and the MMR
+// selection polls between greedy picks.
 func (e *Engine) DiversifiedSearchCtx(ctx context.Context, q Query, opts DiversifyOptions) ([]Result, SearchStats, error) {
 	return e.run(ctx, Request{Query: q, Diversify: &opts}, AlgoExpansion)
 }

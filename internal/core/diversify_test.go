@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math/rand/v2"
 	"testing"
@@ -15,7 +16,7 @@ func TestDiversifiedSearchValidation(t *testing.T) {
 	rng := rand.New(rand.NewPCG(801, 802))
 	q := f.randomQuery(rng, 2, 2, 0.5, 3)
 	for _, mu := range []float64{-0.1, 1.0, 1.5} {
-		if _, _, err := e.DiversifiedSearch(q, DiversifyOptions{Mu: mu}); !errors.Is(err, ErrBadDiversity) {
+		if _, _, err := e.DiversifiedSearchCtx(context.Background(), q, DiversifyOptions{Mu: mu}); !errors.Is(err, ErrBadDiversity) {
 			t.Errorf("mu=%g accepted", mu)
 		}
 	}
@@ -26,11 +27,11 @@ func TestDiversifiedTopPickIsPlainTop(t *testing.T) {
 	rng := rand.New(rand.NewPCG(811, 812))
 	for trial := 0; trial < 5; trial++ {
 		q := f.randomQuery(rng, 2, 3, 0.5, 5)
-		plain, _, err := e.Search(q)
+		plain, _, err := e.SearchCtx(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		div, _, err := e.DiversifiedSearch(q, DiversifyOptions{Mu: 0.4})
+		div, _, err := e.DiversifiedSearchCtx(context.Background(), q, DiversifyOptions{Mu: 0.4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,11 +52,11 @@ func TestDiversifiedReducesOverlap(t *testing.T) {
 	trials := 0
 	for trial := 0; trial < 10; trial++ {
 		q := f.randomQuery(rng, 2, 3, 0.7, 5)
-		plain, _, err := e.Search(q)
+		plain, _, err := e.SearchCtx(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		div, _, err := e.DiversifiedSearch(q, DiversifyOptions{Mu: 0.6})
+		div, _, err := e.DiversifiedSearchCtx(context.Background(), q, DiversifyOptions{Mu: 0.6})
 		if err != nil {
 			t.Fatal(err)
 		}

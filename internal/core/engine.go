@@ -11,7 +11,7 @@ import (
 
 // Engine answers UOTS queries over one trajectory store. It is immutable
 // after construction and safe for concurrent use: every query allocates
-// its own search state, so goroutines may call Search concurrently (the
+// its own search state, so goroutines may call SearchCtx concurrently (the
 // batch engine in batch.go relies on this).
 type Engine struct {
 	g    *roadnet.Graph

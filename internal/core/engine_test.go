@@ -68,21 +68,21 @@ func TestQueryValidation(t *testing.T) {
 		{"negative k", func(q Query) Query { q.K = -2; return q }, ErrBadK},
 	}
 	for _, c := range cases {
-		if _, _, err := e.Search(c.mutate(base)); !errors.Is(err, c.want) {
+		if _, _, err := e.SearchCtx(context.Background(), c.mutate(base)); !errors.Is(err, c.want) {
 			t.Errorf("%s: got %v, want %v", c.name, err, c.want)
 		}
 	}
 	// K=0 defaults to 1.
-	res, _, err := e.Search(base)
+	res, _, err := e.SearchCtx(context.Background(), base)
 	if err != nil || len(res) != 1 {
 		t.Fatalf("K default: %d results, %v", len(res), err)
 	}
 	// Threshold validation.
 	for _, theta := range []float64{0, -0.5, 1.5, math.NaN()} {
-		if _, _, err := e.SearchThreshold(base, theta); !errors.Is(err, ErrBadThreshold) {
+		if _, _, err := e.SearchThresholdCtx(context.Background(), base, theta); !errors.Is(err, ErrBadThreshold) {
 			t.Errorf("theta=%g accepted", theta)
 		}
-		if _, _, err := e.ExhaustiveThreshold(base, theta); !errors.Is(err, ErrBadThreshold) {
+		if _, _, err := e.ExhaustiveThresholdCtx(context.Background(), base, theta); !errors.Is(err, ErrBadThreshold) {
 			t.Errorf("exhaustive theta=%g accepted", theta)
 		}
 	}
@@ -100,7 +100,7 @@ func TestResultsSortedAndScoresDecomposed(t *testing.T) {
 	rng := rand.New(rand.NewPCG(11, 12))
 	for trial := 0; trial < 10; trial++ {
 		q := f.randomQuery(rng, 1+rng.IntN(4), 1+rng.IntN(4), 0.1+0.8*rng.Float64(), 8)
-		res, _, err := e.Search(q)
+		res, _, err := e.SearchCtx(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +136,7 @@ func TestStatsAreSane(t *testing.T) {
 	e, f := testEngineDefault(t)
 	rng := rand.New(rand.NewPCG(21, 22))
 	q := f.randomQuery(rng, 3, 3, 0.5, 5)
-	_, stats, err := e.Search(q)
+	_, stats, err := e.SearchCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestStatsAreSane(t *testing.T) {
 	if stats.Elapsed <= 0 {
 		t.Error("elapsed not recorded")
 	}
-	_, exStats, err := e.ExhaustiveSearch(q)
+	_, exStats, err := e.ExhaustiveSearchCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestLambdaExtremes(t *testing.T) {
 	rng := rand.New(rand.NewPCG(31, 32))
 	// λ=1: pure spatial; textual scores must not affect ranking.
 	q := f.randomQuery(rng, 3, 3, 1.0, 5)
-	res, _, err := e.Search(q)
+	res, _, err := e.SearchCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestLambdaExtremes(t *testing.T) {
 	}
 	// λ=0: pure textual fast path, still returns full decomposition.
 	q.Lambda = 0
-	res, stats, err := e.Search(q)
+	res, stats, err := e.SearchCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,11 +199,11 @@ func TestNoKeywordsQuery(t *testing.T) {
 	rng := rand.New(rand.NewPCG(41, 42))
 	q := f.randomQuery(rng, 3, 0, 0.7, 5)
 	q.Keywords = nil
-	want, _, err := e.ExhaustiveSearch(q)
+	want, _, err := e.ExhaustiveSearchCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := e.Search(q)
+	got, _, err := e.SearchCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,14 +219,14 @@ func TestKLargerThanStore(t *testing.T) {
 	e, f := testEngineDefault(t)
 	rng := rand.New(rand.NewPCG(51, 52))
 	q := f.randomQuery(rng, 2, 2, 0.5, f.db.NumTrajectories()+50)
-	got, _, err := e.Search(q)
+	got, _, err := e.SearchCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != f.db.NumTrajectories() {
 		t.Fatalf("got %d results, want the whole store %d", len(got), f.db.NumTrajectories())
 	}
-	want, _, err := e.ExhaustiveSearch(q)
+	want, _, err := e.ExhaustiveSearchCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,11 +240,11 @@ func TestLandmarkAssistedSearchExact(t *testing.T) {
 	rng := rand.New(rand.NewPCG(71, 72))
 	for trial := 0; trial < 10; trial++ {
 		q := f.randomQuery(rng, 1+rng.IntN(4), 1+rng.IntN(4), 0.1+0.8*rng.Float64(), 5)
-		want, _, err := plain.ExhaustiveSearch(q)
+		want, _, err := plain.ExhaustiveSearchCtx(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := e.Search(q)
+		got, _, err := e.SearchCtx(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -284,7 +284,7 @@ func TestSearchBatch(t *testing.T) {
 				t.Fatalf("result %d has index %d", i, r.Index)
 			}
 			// Batch results must match sequential results exactly.
-			seq, _, err := e.Search(queries[i])
+			seq, _, err := e.SearchCtx(context.Background(), queries[i])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -348,7 +348,7 @@ func TestTextScoredMatchesIndex(t *testing.T) {
 	e, f := testEngineDefault(t)
 	rng := rand.New(rand.NewPCG(97, 98))
 	q := f.randomQuery(rng, 2, 3, 0.5, 5)
-	_, stats, err := e.Search(q)
+	_, stats, err := e.SearchCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ import (
 	"uots/internal/trajdb"
 )
 
-// Search answers a top-k UOTS query with the expansion algorithm:
+// SearchCtx answers a top-k UOTS query with the expansion algorithm:
 // incremental network expansion from every query location, exact textual
 // scoring through the keyword inverted index, spatio-textual upper bounds
 // on partly scanned and unseen trajectories, and early termination once no
@@ -22,29 +22,18 @@ import (
 // the trajectories the search scored exactly; equal-scoring trajectories
 // pruned by the bound may be excluded.
 //
-//uots:allow ctxflow -- compat wrapper: the context-free API has no caller context to thread
-func (e *Engine) Search(q Query) ([]Result, SearchStats, error) {
-	return e.SearchCtx(context.Background(), q)
-}
-
-// SearchCtx is Search with cancellation: the expansion loop polls ctx at
-// bounded intervals (every cancelPollEvery steps) and, once the context is
-// cancelled or its deadline expires, stops within one poll interval and
-// returns nil results, the stats of the work done so far, and ctx.Err().
+// The expansion loop polls ctx at bounded intervals (every
+// cancelPollEvery steps) and, once the context is cancelled or its
+// deadline expires, stops within one poll interval and returns nil
+// results, the stats of the work done so far, and ctx.Err().
 func (e *Engine) SearchCtx(ctx context.Context, q Query) ([]Result, SearchStats, error) {
 	return e.run(ctx, Request{Query: q}, AlgoExpansion)
 }
 
-// SearchThreshold answers the threshold variant of the UOTS query: every
-// trajectory with SimST ≥ theta, best-first. theta must be in (0, 1];
-// thresholds near 1 prune hardest.
-//
-//uots:allow ctxflow -- compat wrapper: the context-free API has no caller context to thread
-func (e *Engine) SearchThreshold(q Query, theta float64) ([]Result, SearchStats, error) {
-	return e.SearchThresholdCtx(context.Background(), q, theta)
-}
-
-// SearchThresholdCtx is SearchThreshold with cancellation (see SearchCtx).
+// SearchThresholdCtx answers the threshold variant of the UOTS query:
+// every trajectory with SimST ≥ theta, best-first. theta must be in
+// (0, 1]; thresholds near 1 prune hardest. Cancellation is as in
+// SearchCtx.
 func (e *Engine) SearchThresholdCtx(ctx context.Context, q Query, theta float64) ([]Result, SearchStats, error) {
 	return e.run(ctx, Request{Query: q, Theta: &theta}, AlgoExpansion)
 }
@@ -395,9 +384,8 @@ func (st *expansionState) sumRad() float64 {
 
 // peekUnseenText returns the largest textual score among trajectories the
 // expansion has not touched yet, discarding heap entries that have since
-// become candidates (lazy deletion).
-//
-//uots:allow looppoll -- lazy-deletion scan: each iteration pops a stale heap entry, so the loop is bounded by entries pushed in initText
+// become candidates (lazy deletion). Each iteration pops a stale entry,
+// so the loop is bounded by the entries initText pushed.
 func (st *expansionState) peekUnseenText() float64 {
 	for {
 		s, tid, ok := st.textHeap.Peek()
@@ -426,7 +414,8 @@ func (st *expansionState) rescan() bool {
 	// trajectory's spatial distances directly instead of waiting for the
 	// expansion to reach it.
 	if haveBar && !st.e.opts.DisableTextProbe {
-		//uots:allow looppoll -- bounded by the text heap: every iteration pops or completes a blocker; run() polls ctx between rescans
+		// Bounded by the text heap: every iteration pops or completes a
+		// blocker. run() polls ctx between rescans.
 		for {
 			textTop := st.peekUnseenText()
 			if textTop == 0 {

@@ -27,7 +27,7 @@ func TestSearchWindowedMatchesFilteredExhaustive(t *testing.T) {
 		lambda := [3]float64{0, 0.4, 1}[trial%3]
 		q := f.randomQuery(rng, 2, 3, lambda, 5)
 
-		got, _, err := e.SearchWindowed(q, w)
+		got, _, err := e.SearchWindowedCtx(context.Background(), q, w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,7 +49,7 @@ func TestSearchWindowedMatchesFilteredExhaustive(t *testing.T) {
 			}
 		}
 	}
-	if _, _, err := e.SearchWindowed(Query{Locations: nil}, TimeWindow{From: -5}); !errors.Is(err, ErrBadWindow) {
+	if _, _, err := e.SearchWindowedCtx(context.Background(), Query{Locations: nil}, TimeWindow{From: -5}); !errors.Is(err, ErrBadWindow) {
 		t.Errorf("invalid window: %v", err)
 	}
 }
@@ -142,7 +142,7 @@ func TestOrderAwareSearchIsExact(t *testing.T) {
 	rng := rand.New(rand.NewPCG(231, 232))
 	for trial := 0; trial < 6; trial++ {
 		q := f.randomQuery(rng, 1+rng.IntN(3), 2, 0.3+0.5*rng.Float64(), 3)
-		got, _, err := e.OrderAwareSearch(q)
+		got, _, err := e.OrderAwareSearchCtx(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}

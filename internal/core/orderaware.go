@@ -119,21 +119,14 @@ func (e *Engine) orderAwareResult(sssp *roadnet.SSSP, q Query, id trajdb.TrajID)
 	}
 }
 
-// OrderAwareSearch answers a top-k query under the order-aware spatial
-// similarity. It retrieves unordered top-K′ candidates with the expansion
-// search, reranks them with the exact order-aware score, and doubles K′
-// until the unordered bound certifies the ordered top-k — an exact
-// algorithm, since the unordered score upper-bounds the ordered one.
-//
-//uots:allow ctxflow -- compat wrapper: the context-free API has no caller context to thread
-func (e *Engine) OrderAwareSearch(q Query) ([]Result, SearchStats, error) {
-	return e.OrderAwareSearchCtx(context.Background(), q)
-}
-
-// OrderAwareSearchCtx is OrderAwareSearch with cancellation: the
-// underlying unordered retrieval polls ctx, and the reranking loop polls
-// between per-trajectory scorings (each one runs |O| Dijkstras, so the
-// poll interval is one trajectory).
+// OrderAwareSearchCtx answers a top-k query under the order-aware
+// spatial similarity. It retrieves unordered top-K′ candidates with the
+// expansion search, reranks them with the exact order-aware score, and
+// doubles K′ until the unordered bound certifies the ordered top-k — an
+// exact algorithm, since the unordered score upper-bounds the ordered one.
+// The unordered retrieval polls ctx, and the reranking loop polls between
+// per-trajectory scorings (each one runs |O| Dijkstras, so the poll
+// interval is one trajectory).
 func (e *Engine) OrderAwareSearchCtx(ctx context.Context, q Query) ([]Result, SearchStats, error) {
 	return e.run(ctx, Request{Query: q, OrderAware: true}, AlgoExpansion)
 }

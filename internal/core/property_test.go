@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -58,11 +59,11 @@ func TestExpansionMatchesExhaustiveOnRandomWorlds(t *testing.T) {
 				Lambda:    float64(rng.IntN(11)) / 10,
 				K:         1 + rng.IntN(12),
 			}
-			want, _, err := e.ExhaustiveSearch(q)
+			want, _, err := e.ExhaustiveSearchCtx(context.Background(), q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, _, err := e.Search(q)
+			got, _, err := e.SearchCtx(context.Background(), q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -84,11 +85,11 @@ func TestExpansionDuplicateLocations(t *testing.T) {
 		Lambda:    0.6,
 		K:         4,
 	}
-	want, _, err := e.ExhaustiveSearch(q)
+	want, _, err := e.ExhaustiveSearchCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := e.Search(q)
+	got, _, err := e.SearchCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestQueryLocationOnTrajectory(t *testing.T) {
 		t.Fatalf("spatial = %g, want 1", res.Spatial)
 	}
 	// And the search must rank it with score 1 at λ=1.
-	got, _, err := e.Search(Query{Locations: []roadnet.VertexID{v}, Lambda: 1, K: 1})
+	got, _, err := e.SearchCtx(context.Background(), Query{Locations: []roadnet.VertexID{v}, Lambda: 1, K: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestSingleTrajectoryStore(t *testing.T) {
 		Lambda:    0.5,
 		K:         3,
 	}
-	res, _, err := e.Search(q)
+	res, _, err := e.SearchCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +160,7 @@ func TestSingleTrajectoryStore(t *testing.T) {
 		t.Errorf("textual = %g, want 1", res[0].Textual)
 	}
 	// The threshold variant agrees.
-	th, _, err := e.SearchThreshold(q, 0.3)
+	th, _, err := e.SearchThresholdCtx(context.Background(), q, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,11 +184,11 @@ func TestRelabelEveryOne(t *testing.T) {
 	rng := rand.New(rand.NewPCG(401, 402))
 	for trial := 0; trial < 5; trial++ {
 		q := f.randomQuery(rng, 3, 3, 0.5, 5)
-		a, _, err := aggressive.Search(q)
+		a, _, err := aggressive.SearchCtx(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, _, err := lazy.Search(q)
+		b, _, err := lazy.SearchCtx(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,7 +202,7 @@ func TestThresholdOneReturnsOnlyPerfectMatches(t *testing.T) {
 	e, f := testEngineDefault(t)
 	rng := rand.New(rand.NewPCG(501, 502))
 	q := f.randomQuery(rng, 2, 2, 0.5, 1)
-	res, _, err := e.SearchThreshold(q, 1.0)
+	res, _, err := e.SearchThresholdCtx(context.Background(), q, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +221,7 @@ func TestMonotoneK(t *testing.T) {
 	var prev []Result
 	for _, k := range []int{1, 3, 7, 15} {
 		q.K = k
-		res, _, err := e.Search(q)
+		res, _, err := e.SearchCtx(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,7 +241,7 @@ func TestThresholdMonotone(t *testing.T) {
 	q := f.randomQuery(rng, 2, 3, 0.4, 1)
 	prevCount := 0
 	for _, theta := range []float64{0.9, 0.7, 0.5, 0.3} {
-		res, _, err := e.SearchThreshold(q, theta)
+		res, _, err := e.SearchThresholdCtx(context.Background(), q, theta)
 		if err != nil {
 			t.Fatal(err)
 		}

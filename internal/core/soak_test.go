@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand/v2"
 	"os"
 	"testing"
@@ -62,21 +63,21 @@ func TestSoakWideRandomWorlds(t *testing.T) {
 				kws = vocab.DrawQueryTerms(rng.IntN(vocab.NumTopics()), 1+rng.IntN(5), 0.6, rng)
 			}
 			q := Query{Locations: locs, Keywords: kws, Lambda: float64(rng.IntN(21)) / 20, K: 1 + rng.IntN(15)}
-			want, _, err := e.ExhaustiveSearch(q)
+			want, _, err := e.ExhaustiveSearchCtx(context.Background(), q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, _, err := e.Search(q)
+			got, _, err := e.SearchCtx(context.Background(), q)
 			if err != nil {
 				t.Fatal(err)
 			}
 			sameScores(t, "soak topk", got, want)
 			theta := 0.2 + 0.75*rng.Float64()
-			wantT, _, err := e.ExhaustiveThreshold(q, theta)
+			wantT, _, err := e.ExhaustiveThresholdCtx(context.Background(), q, theta)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotT, _, err := e.SearchThreshold(q, theta)
+			gotT, _, err := e.SearchThresholdCtx(context.Background(), q, theta)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -37,17 +37,10 @@ func (w TimeWindow) Contains(t float64) bool {
 	return t >= w.From || t <= w.To
 }
 
-// SearchWindowed answers a top-k query restricted to trajectories whose
-// departure time falls inside window. The filter is applied before
+// SearchWindowedCtx answers a top-k query restricted to trajectories
+// whose departure time falls inside window. The filter is applied before
 // scoring, so the k results are the best departures inside the window, not
-// a post-filtered global top-k.
-//
-//uots:allow ctxflow -- compat wrapper: the context-free API has no caller context to thread
-func (e *Engine) SearchWindowed(q Query, window TimeWindow) ([]Result, SearchStats, error) {
-	return e.SearchWindowedCtx(context.Background(), q, window)
-}
-
-// SearchWindowedCtx is SearchWindowed with cancellation (see SearchCtx).
+// a post-filtered global top-k. Cancellation is as in SearchCtx.
 func (e *Engine) SearchWindowedCtx(ctx context.Context, q Query, window TimeWindow) ([]Result, SearchStats, error) {
 	return e.run(ctx, Request{Query: q, Window: &window}, AlgoExpansion)
 }

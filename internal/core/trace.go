@@ -19,7 +19,8 @@ import (
 // TestDisabledTracerAddsZeroAllocs and BenchmarkSearchCtxTracer).
 //
 // Events carry the expansion-step ordinal, never wall-clock time, so a
-// replayed query yields a bit-identical trace (nodrift contract).
+// replayed query yields a bit-identical trace (pinned by
+// testdata/stats.golden and shard's TestRemoteTraceDeterministicMerge).
 
 // Trace event kinds emitted by the engine.
 const (

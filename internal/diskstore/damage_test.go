@@ -1,6 +1,7 @@
 package diskstore
 
 import (
+	"context"
 	"encoding/binary"
 	"os"
 	"path/filepath"
@@ -67,11 +68,11 @@ func TestStaleSidecarIsIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := core.Query{Locations: []roadnet.VertexID{3, 17}, Keywords: b.Keywords(5), Lambda: 0.5, K: 5}
-	want, _, err := memEngine.Search(q)
+	want, _, err := memEngine.SearchCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := diskEngine.Search(q)
+	got, _, err := diskEngine.SearchCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package diskstore
 
 import (
+	"context"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
@@ -117,11 +118,11 @@ func TestDiskEngineMatchesMemoryEngine(t *testing.T) {
 			Lambda:    float64(rng.IntN(11)) / 10,
 			K:         1 + rng.IntN(6),
 		}
-		want, _, err := memEngine.Search(q)
+		want, _, err := memEngine.SearchCtx(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := diskEngine.Search(q)
+		got, _, err := diskEngine.SearchCtx(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package diskstore
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -52,7 +53,7 @@ func TestMidQueryIOFailureSurfacesAsError(t *testing.T) {
 		K:         5,
 	}
 	win := core.TimeWindow{From: 0, To: 24*3600 - 1}
-	if _, _, err := engine.SearchWindowed(q, win); err != nil {
+	if _, _, err := engine.SearchWindowedCtx(context.Background(), q, win); err != nil {
 		t.Fatalf("pre-failure windowed search: %v", err)
 	}
 
@@ -64,7 +65,7 @@ func TestMidQueryIOFailureSurfacesAsError(t *testing.T) {
 
 	// The windowed search loads every candidate's record for its start
 	// time, so it must hit the dead region.
-	res, _, err := engine.SearchWindowed(q, win)
+	res, _, err := engine.SearchWindowedCtx(context.Background(), q, win)
 	if err == nil {
 		t.Fatal("windowed search over a truncated store succeeded")
 	}

@@ -1,6 +1,7 @@
 package diskstore
 
 import (
+	"context"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
@@ -83,11 +84,11 @@ func TestWarmStartMatchesColdScan(t *testing.T) {
 			Lambda:   0.5,
 			K:        5,
 		}
-		want, _, err := memEng.Search(q)
+		want, _, err := memEng.SearchCtx(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := warmEng.Search(q)
+		got, _, err := warmEng.SearchCtx(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -185,15 +185,15 @@ func TestMeasureUsesIndex(t *testing.T) {
 	}
 	prunes := 0
 	for i, q := range GenQueries(ds, DefaultQuerySpec(), 6) {
-		for name, run := range map[string]func(*core.Engine, core.Query) ([]core.Result, core.SearchStats, error){
-			"expansion": (*core.Engine).Search,
-			"textfirst": (*core.Engine).TextFirstSearch,
+		for name, run := range map[string]func(*core.Engine, context.Context, core.Query) ([]core.Result, core.SearchStats, error){
+			"expansion": (*core.Engine).SearchCtx,
+			"textfirst": (*core.Engine).TextFirstSearchCtx,
 		} {
-			want, _, err := run(plain, q)
+			want, _, err := run(plain, context.Background(), q)
 			if err != nil {
 				t.Fatalf("query %d %s unassisted: %v", i, name, err)
 			}
-			got, stats, err := run(measured, q)
+			got, stats, err := run(measured, context.Background(), q)
 			if err != nil {
 				t.Fatalf("query %d %s indexed: %v", i, name, err)
 			}

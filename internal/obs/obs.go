@@ -11,12 +11,13 @@
 //
 // # Determinism contract
 //
-// obs is in scope for the nodrift analyzer: search results must stay a
-// pure function of (graph, store, query, seed), so nothing in this
-// package may feed wall-clock time into values that reach scoring or
-// pruning. Timing flows one way — through Stopwatch into metrics and
-// logs. Trace events carry ordinal step numbers, not timestamps, so a
-// replayed query produces a bit-identical trace.
+// Search results must stay a pure function of (graph, store, query,
+// seed), so nothing in this package may feed wall-clock time into values
+// that reach scoring or pruning. Timing flows one way — through Stopwatch
+// into metrics and logs. Trace events carry ordinal step numbers, not
+// timestamps, so a replayed query produces a bit-identical trace. Core's
+// testdata/stats.golden and shard's TestRemoteTraceDeterministicMerge pin
+// both.
 package obs
 
 import "time"
@@ -25,10 +26,9 @@ import "time"
 // observability twin of core's internal stopwatch helper: call it once
 // at the start of a measured section and invoke the returned function
 // for the elapsed time. Every instrumented layer (request middleware,
-// scatter-gather, RPC) times through this helper so the nodrift
-// analyzer can audit all wall-clock reads in one place.
-//
-//uots:allow nodrift -- designated timing helper: elapsed time feeds metrics and logs only, never scores or pruning
+// scatter-gather, RPC) times through this helper, so all wall-clock
+// reads sit in one place. Its readings feed metrics and logs only, never
+// scores or pruning.
 func Stopwatch() func() time.Duration {
 	start := time.Now()
 	return func() time.Duration { return time.Since(start) }

@@ -63,7 +63,8 @@ func (b *Bidirectional) run(u, v VertexID) (float64, int32) {
 	}
 	best := Unreachable
 	meet := int32(-1)
-	//uots:allow looppoll -- single point-to-point bidirectional query: bounded by one component's vertices, callers poll between calls
+	// One point-to-point query, bounded by one component's vertices;
+	// callers poll for cancellation between calls.
 	for {
 		// Termination: once the sum of the two frontier minima reaches the
 		// best connecting distance found, no better connection exists. An

@@ -28,7 +28,8 @@ func (s *SSSP) Run(src VertexID) {
 func (s *SSSP) RunUntil(src VertexID, visit func(v VertexID, d float64) bool) {
 	s.search.reset()
 	s.search.push(int32(src), 0, 0)
-	//uots:allow looppoll -- the visit callback is the cancellation point; core's search loops poll their canceller inside it
+	// The visit callback is the cancellation point: core's search loops
+	// poll their canceller inside it.
 	for {
 		v, d, ok := s.search.Next()
 		if !ok || visit != nil && !visit(VertexID(v), d) {

@@ -49,7 +49,8 @@ func (gs *GoalSearch) FromSet(sources []VertexID, targets []VertexID, onSettle f
 		s.push(int32(src), 0, h(int32(src))) // a duplicate source does not improve on 0
 	}
 	remaining := len(pending)
-	//uots:allow looppoll -- early-terminating corridor search: bounded by the goal corridor, core polls between probes
+	// Bounded by the goal corridor; core polls for cancellation between
+	// probes.
 	for remaining > 0 {
 		v, _, ok := s.Pop()
 		if !ok {

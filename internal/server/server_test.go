@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -143,7 +144,7 @@ func TestSearchByVertexIDs(t *testing.T) {
 		prev = sc
 	}
 	// The response matches a direct engine call.
-	engineRes, _, err := mustEngine(s).Search(core.Query{
+	engineRes, _, err := mustEngine(s).SearchCtx(context.Background(), core.Query{
 		Locations: []roadnet.VertexID{5, 60},
 		Keywords:  mustVocab(s).InternAll([]string{"t0_kw0", "t0_kw1"}),
 		Lambda:    0.5, K: 3,
@@ -552,7 +553,7 @@ func TestSearchDoesNotGrowVocabulary(t *testing.T) {
 		private.Intern(term)
 	}
 	const words = "t0_kw0 ghost t0_kw1 phantom ghost"
-	want, wantStats, err := mustEngine(s).Search(core.Query{
+	want, wantStats, err := mustEngine(s).SearchCtx(context.Background(), core.Query{
 		Locations: []roadnet.VertexID{5, 60},
 		Keywords:  private.InternAll(textual.Tokenize(words)),
 		Lambda:    0.5, K: 5,

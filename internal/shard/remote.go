@@ -114,9 +114,8 @@ func (re *RemoteExecutor) Close() {
 
 // enter implements fleet: it admits one query, returning its release
 // func. The read lock is held for the query's whole lifetime so Close
-// can drain.
-//
-//uots:allow lockscope -- deliberate lock handoff: the query-lifetime read lock is returned as the release func, and every caller releases it via defer; Close takes the write side as the drain barrier
+// can drain: every caller defers the release, and Close takes the write
+// side as the drain barrier.
 func (re *RemoteExecutor) enter() (func(), error) {
 	if re.closed.Load() {
 		return nil, ErrClosed

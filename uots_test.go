@@ -2,6 +2,7 @@ package uots_test
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 
@@ -36,7 +37,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		Lambda:    0.5,
 		K:         5,
 	}
-	res, stats, err := engine.Search(q)
+	res, stats, err := engine.SearchCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Error("no work recorded")
 	}
 	// The expansion result must agree with the exhaustive baseline.
-	want, _, err := engine.ExhaustiveSearch(q)
+	want, _, err := engine.ExhaustiveSearchCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, _, err := engine2.Search(q)
+	res2, _, err := engine2.SearchCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestPublicAPIMapMatchPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := engine.Search(uots.Query{
+	res, _, err := engine.SearchCtx(context.Background(), uots.Query{
 		Locations: []uots.VertexID{from, to},
 		Keywords:  vocab.InternAll([]string{"commute"}),
 		Lambda:    0.7,
@@ -160,7 +161,7 @@ func TestPublicAPIWindowAndOrderExtensions(t *testing.T) {
 	}
 	q := uots.Query{Locations: []uots.VertexID{10, 40}, Lambda: 0.8, K: 3}
 	win := uots.TimeWindow{From: 6 * 3600, To: 14 * 3600}
-	res, _, err := engine.SearchWindowed(q, win)
+	res, _, err := engine.SearchWindowedCtx(context.Background(), q, win)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +170,7 @@ func TestPublicAPIWindowAndOrderExtensions(t *testing.T) {
 			t.Errorf("windowed result departs at %g", start)
 		}
 	}
-	ores, _, err := engine.OrderAwareSearch(q)
+	ores, _, err := engine.OrderAwareSearchCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
