@@ -47,8 +47,11 @@ race:
 # fuzz-smoke fuzzes each target for ten seconds: the store file
 # (trajdb.ReadStore against diskstore.Open), the index sidecar, the
 # road-network search faces (every face against Floyd-Warshall, a reused
-# workspace against a fresh one), and the shard server's request
-# boundary (a coded 400 or the engine's own answer, never a 500).
+# workspace against a fresh one), the shard server's request boundary
+# (a coded 400 or the engine's own answer, never a 500), the HTTP
+# /search and /batch routes (a coded 4xx, a deadline 503 or the engine's
+# own answer, never a 500), and the differential harness (every backend
+# against the exhaustive oracle, from any seed).
 # -fuzzminimizetime keeps the engine's input minimisation from eating the
 # ten seconds.
 fuzz-smoke:
@@ -56,6 +59,8 @@ fuzz-smoke:
 	$(GO) test ./internal/trajdb -run '^$$' -fuzz '^FuzzReadSidecar$$' -fuzztime 10s -fuzzminimizetime 10x
 	$(GO) test ./internal/roadnet -run '^$$' -fuzz '^FuzzSearchFaces$$' -fuzztime 10s -fuzzminimizetime 10x
 	$(GO) test ./internal/rpc -run '^$$' -fuzz '^FuzzShardServer$$' -fuzztime 10s -fuzzminimizetime 10x
+	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzSearchHandler$$' -fuzztime 10s -fuzzminimizetime 10x
+	$(GO) test ./internal/shard -run '^$$' -fuzz '^FuzzDifferential$$' -fuzztime 10s -fuzzminimizetime 10x
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -31,6 +31,19 @@ func main() {
 	out := flag.String("out", "dataset", "output path prefix")
 	flag.Parse()
 
+	// Refuse what would panic inside the generators or write a dataset
+	// no server loads, before generating anything.
+	switch {
+	case *trajs < 1:
+		fatal(fmt.Errorf("-trajs %d: want at least 1 trajectory", *trajs))
+	case *topics < 1:
+		fatal(fmt.Errorf("-topics %d: want at least 1 topic", *topics))
+	case *terms < 1:
+		fatal(fmt.Errorf("-terms %d: want at least 1 term per topic", *terms))
+	case !(*scale > 0):
+		fatal(fmt.Errorf("-scale %g: want a positive city size", *scale))
+	}
+
 	var g *uots.Graph
 	switch *city {
 	case "brn":

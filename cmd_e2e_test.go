@@ -87,6 +87,19 @@ func TestCommandLineTools(t *testing.T) {
 		}
 	}
 
+	// uotsdgen refuses counts and sizes that would panic in a generator
+	// or write a dataset no server loads, before it writes anything.
+	for _, args := range [][]string{{"-trajs", "0"}, {"-topics", "0"}, {"-terms", "0"}, {"-scale", "0"}, {"-scale", "-1"}} {
+		prefix := filepath.Join(dir, "refused")
+		out, err := exec.Command(bin("uotsdgen"), append(args, "-out", prefix)...).CombinedOutput()
+		if err == nil || !strings.Contains(string(out), args[0]+" "+args[1]+":") || strings.Contains(string(out), "goroutine") {
+			t.Errorf("uotsdgen %v: err = %v, want a one-line non-zero exit naming the flag\n%s", args, err, out)
+		}
+		if _, err := os.Stat(prefix + ".graph"); err == nil {
+			t.Errorf("uotsdgen %v wrote %s.graph", args, prefix)
+		}
+	}
+
 	// There is one partition function and no flag to pick another: an old
 	// command line naming one fails flag parsing instead of being ignored.
 	for _, cmd := range [][]string{{"uotsserve", "-partition", "region"}, {"uotsshard", "-partition", "hash"}} {

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
 	"os/exec"
 	"path/filepath"
@@ -12,6 +11,10 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"uots/internal/core"
+	"uots/internal/difftest"
+	"uots/internal/trajdb"
 )
 
 // shardProc is one running uotsshard process plus the address it
@@ -80,9 +83,21 @@ var searchVariants = []struct {
 
 type searchResp struct {
 	Results []struct {
-		Trajectory int32   `json:"trajectory"`
-		Score      float64 `json:"score"`
+		Trajectory int32     `json:"trajectory"`
+		Score      float64   `json:"score"`
+		Spatial    float64   `json:"spatial"`
+		Textual    float64   `json:"textual"`
+		DistsKm    []float64 `json:"distsKm"`
 	} `json:"results"`
+}
+
+// results converts the reply's results for the result comparator.
+func (sr searchResp) results() []core.Result {
+	out := make([]core.Result, len(sr.Results))
+	for i, r := range sr.Results {
+		out[i] = core.Result{Traj: trajdb.TrajID(r.Trajectory), Score: r.Score, Spatial: r.Spatial, Textual: r.Textual, Dists: r.DistsKm}
+	}
+	return out
 }
 
 func postSearch(t *testing.T, base, body string) searchResp {
@@ -246,19 +261,10 @@ func TestDistributedServing(t *testing.T) {
 		for _, v := range searchVariants {
 			want := postSearch(t, mono, v.body)
 			got := postSearch(t, remote, v.body)
-			if len(got.Results) != len(want.Results) {
-				t.Fatalf("%s/%s: %d results, monolithic returned %d",
-					phase, v.name, len(got.Results), len(want.Results))
-			}
-			for i := range want.Results {
-				if got.Results[i].Trajectory != want.Results[i].Trajectory {
-					t.Fatalf("%s/%s: rank %d is trajectory %d, monolithic ranked %d",
-						phase, v.name, i, got.Results[i].Trajectory, want.Results[i].Trajectory)
-				}
-				if math.Abs(got.Results[i].Score-want.Results[i].Score) > 1e-9 {
-					t.Fatalf("%s/%s: rank %d score %v, monolithic %v",
-						phase, v.name, i, got.Results[i].Score, want.Results[i].Score)
-				}
+			// Unordered: rank by rank, with no tie allowance — the router
+			// must rank exactly as the monolithic server does.
+			if err := difftest.Mismatch(got.results(), want.results(), len(want.Results), false); err != nil {
+				t.Fatalf("%s/%s: router vs monolithic: %v", phase, v.name, err)
 			}
 		}
 	}

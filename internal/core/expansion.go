@@ -689,6 +689,11 @@ func (e *Engine) textOnly(ctx context.Context, q Query, theta float64, keep func
 			Value: float64(len(q.Locations)), Extra: float64(e.db.NumTrajectories()), Note: TermTextOnly})
 		defer trace.Emit(obs.SpanEvent{Kind: TraceTerminate, Source: -1, Traj: -1, Note: TermTextOnly})
 	}
+	// Poll once up front: a threshold query without keywords touches no
+	// trajectory below, and must still fail on a cancelled context.
+	if err := cancel.check(); err != nil {
+		return nil, stats, err
+	}
 	topk := pqueue.NewTopK[Result](q.K)
 	var hits []Result
 	scored := make(map[trajdb.TrajID]bool)

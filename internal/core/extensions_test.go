@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"math"
 	"math/rand/v2"
@@ -13,46 +12,6 @@ import (
 
 // TimeWindow.Contains and Validate boundary tests live in
 // timewindow_test.go.
-
-func TestSearchWindowedMatchesFilteredExhaustive(t *testing.T) {
-	e, f := testEngineDefault(t)
-	rng := rand.New(rand.NewPCG(201, 202))
-	windows := []TimeWindow{
-		{From: 6 * 3600, To: 12 * 3600},
-		{From: 12 * 3600, To: 20 * 3600},
-		{From: 20 * 3600, To: 6 * 3600}, // wraps
-	}
-	for trial := 0; trial < 9; trial++ {
-		w := windows[trial%len(windows)]
-		lambda := [3]float64{0, 0.4, 1}[trial%3]
-		q := f.randomQuery(rng, 2, 3, lambda, 5)
-
-		got, _, err := e.SearchWindowedCtx(context.Background(), q, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Ground truth: exhaustive over the filtered subset.
-		var want []Result
-		e.exhaustiveScan(context.Background(), mustNormalize(t, q, e), func(r Result) {
-			if w.Contains(f.db.Traj(r.Traj).Start()) {
-				want = append(want, r)
-			}
-		})
-		sortResults(want)
-		if len(want) > q.K {
-			want = want[:q.K]
-		}
-		sameScores(t, "windowed", got, want)
-		for _, r := range got {
-			if !w.Contains(f.db.Traj(r.Traj).Start()) {
-				t.Fatalf("result %d departs outside the window", r.Traj)
-			}
-		}
-	}
-	if _, _, err := e.SearchWindowedCtx(context.Background(), Query{Locations: nil}, TimeWindow{From: -5}); !errors.Is(err, ErrBadWindow) {
-		t.Errorf("invalid window: %v", err)
-	}
-}
 
 func mustNormalize(t *testing.T, q Query, e *Engine) Query {
 	t.Helper()
@@ -134,27 +93,6 @@ func TestOrderAwareNeverExceedsUnordered(t *testing.T) {
 		if ordered.Spatial > unordered.Spatial+1e-9 {
 			t.Fatalf("ordered spatial %g exceeds unordered %g", ordered.Spatial, unordered.Spatial)
 		}
-	}
-}
-
-func TestOrderAwareSearchIsExact(t *testing.T) {
-	e, f := testEngineDefault(t)
-	rng := rand.New(rand.NewPCG(231, 232))
-	for trial := 0; trial < 6; trial++ {
-		q := f.randomQuery(rng, 1+rng.IntN(3), 2, 0.3+0.5*rng.Float64(), 3)
-		got, _, err := e.OrderAwareSearchCtx(context.Background(), q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Brute ground truth: order-aware score of every trajectory.
-		want := make([]Result, 0, f.db.NumTrajectories())
-		sssp := roadnet.NewSSSP(e.g)
-		nq := mustNormalize(t, q, e)
-		for id := 0; id < f.db.NumTrajectories(); id++ {
-			want = append(want, e.orderAwareResult(sssp, nq, trajdb.TrajID(id)))
-		}
-		sortResults(want)
-		sameScores(t, "orderaware", got, want[:len(got)])
 	}
 }
 

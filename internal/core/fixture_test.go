@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"uots/internal/roadnet"
+	"uots/internal/testworld"
 	"uots/internal/textual"
 	"uots/internal/trajdb"
 )
@@ -27,17 +28,7 @@ var (
 func testFixture(t testing.TB) fixture {
 	t.Helper()
 	fixtureOnce.Do(func() {
-		g := roadnet.BRNLike(0.12, 7) // ≈ 20x20 grid
-		vocab := textual.GenerateVocab(6, 40, 1.0, 11)
-		db, err := trajdb.Generate(g, trajdb.GenOptions{
-			Count:       400,
-			MeanSamples: 20,
-			Vocab:       vocab,
-			Seed:        13,
-		})
-		if err != nil {
-			panic("fixture: " + err.Error())
-		}
+		g, vocab, db := testworld.BRN()
 		fixtureVal = fixture{g: g, vocab: vocab, db: db}
 	})
 	return fixtureVal
@@ -68,24 +59,14 @@ func newTestEngine(t *testing.T, opts Options) (*Engine, fixture) {
 	return e, f
 }
 
-const scoreTol = 1e-9
-
-// sameScores checks that two best-first result lists agree on scores
-// (IDs may differ only where scores tie).
-func sameScores(t *testing.T, label string, got, want []Result) {
+func testEngineDefault(t *testing.T) (*Engine, fixture) {
 	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: got %d results, want %d", label, len(got), len(want))
-	}
-	for i := range got {
-		if diff := got[i].Score - want[i].Score; diff > scoreTol || diff < -scoreTol {
-			t.Errorf("%s: rank %d score %.12f, want %.12f (got traj %d, want %d)",
-				label, i, got[i].Score, want[i].Score, got[i].Traj, want[i].Traj)
-		}
-		if got[i].Score == want[i].Score && got[i].Traj != want[i].Traj {
-			// Equal scores with different IDs is a legal tie; verify the
-			// tie is real by checking adjacent want entries share the score.
-			continue
-		}
-	}
+	return newTestEngine(t, Options{})
 }
+
+// scoreTol bounds the float error of the score invariants the core tests
+// check on one engine's own answers (range, sort order, the λ
+// extremes). Comparisons against the exhaustive oracle use the one
+// comparator of package difftest (oracle_test.go here, and the shard
+// package's differential harness across backends).
+const scoreTol = 1e-9

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/gob"
 	"errors"
-	"math"
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
@@ -15,6 +14,7 @@ import (
 	"testing"
 
 	"uots/internal/core"
+	"uots/internal/difftest"
 	"uots/internal/roadnet"
 	"uots/internal/textual"
 	"uots/internal/trajdb"
@@ -282,15 +282,10 @@ func TestServerBoundPiggyback(t *testing.T) {
 	}
 	// A tight seed bound can resolve a winner's distances via the probe
 	// path instead of incremental relaxation — same shortest paths, last
-	// ULP may differ — so compare the ranking and scores, not raw bytes.
-	if len(hinted.Results) != len(base.Results) {
-		t.Fatalf("bound hint changed result count: %d, want %d", len(hinted.Results), len(base.Results))
-	}
-	for i := range base.Results {
-		h, b := hinted.Results[i], base.Results[i]
-		if h.Traj != b.Traj || math.Abs(h.Score-b.Score) > 1e-9 {
-			t.Fatalf("bound hint changed rank %d: (%d, %v), want (%d, %v)", i, h.Traj, h.Score, b.Traj, b.Score)
-		}
+	// ULP may differ — so compare through the result comparator, not raw
+	// bytes.
+	if err := difftest.Mismatch(hinted.Results, base.Results, len(base.Results), true); err != nil {
+		t.Fatalf("bound hint changed the answer: %v", err)
 	}
 }
 

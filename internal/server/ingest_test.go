@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -162,12 +163,16 @@ func TestIngestEndpointValidation(t *testing.T) {
 func TestIngestEndpointBackpressure(t *testing.T) {
 	// Wedge the committer inside its first WAL write so the bounded
 	// queue fills, then verify the endpoint sheds with 429/overloaded.
+	// MaxBatch 1 keeps the wedged group to one request: by default the
+	// committer folds every queued request into its group, and the queue
+	// would never fill.
 	blocked := make(chan struct{})
 	release := make(chan struct{})
 	var once bool
 	s, svc := liveServer(t, ingest.Config{
 		Fsync:      ingest.FsyncNone,
 		QueueDepth: 1,
+		MaxBatch:   1,
 		Hooks: ingest.Hooks{BeforeWrite: func() error {
 			if !once {
 				once = true
@@ -177,6 +182,11 @@ func TestIngestEndpointBackpressure(t *testing.T) {
 			return nil
 		}},
 	}, Config{})
+	// Registered after liveServer's svc.Close, so it runs first: a failed
+	// assertion must not leave Close waiting on the wedged committer.
+	var releaseOnce sync.Once
+	unwedge := func() { releaseOnce.Do(func() { close(release) }) }
+	t.Cleanup(unwedge)
 	h := s.Handler()
 
 	type resp struct {
@@ -205,7 +215,7 @@ func TestIngestEndpointBackpressure(t *testing.T) {
 		t.Fatalf("backlogged ingest = %d %v, want 429 %q", rec.Code, body, codeOverloaded)
 	}
 
-	close(release)
+	unwedge()
 	for i := 0; i < 2; i++ {
 		r := <-results
 		if r.code != http.StatusOK {

@@ -25,7 +25,7 @@ var (
 	worldDB   *trajdb.Store
 )
 
-func testServer(t *testing.T) (*Server, *trajdb.Store) {
+func testServer(t testing.TB) (*Server, *trajdb.Store) {
 	t.Helper()
 	worldOnce.Do(func() {
 		g := roadnet.BRNLike(0.1, 4)

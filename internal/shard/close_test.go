@@ -125,7 +125,7 @@ func TestRemoteExecutorCloseIdempotent(t *testing.T) {
 	f := testFixture(t)
 	rng := rand.New(rand.NewPCG(107, 0))
 	q := f.randomQuery(rng, 2, 2, 0.5, 5)
-	cl := startCluster(t, f, 2, 1, RemoteConfig{}, nil, nil, nil)
+	cl := startCluster(t, f.db, 2, 1, RemoteConfig{}, nil, nil, nil)
 
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
@@ -154,7 +154,7 @@ func TestRemoteExecutorCloseDuringQuery(t *testing.T) {
 	q := f.randomQuery(rng, 3, 3, 0.5, 5)
 
 	var started atomic.Int64
-	cl := startCluster(t, f, 2, 1, RemoteConfig{}, nil, nil,
+	cl := startCluster(t, f.db, 2, 1, RemoteConfig{}, nil, nil,
 		func(p, r int, h http.Handler) http.Handler {
 			if p != 0 {
 				return h

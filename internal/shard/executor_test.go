@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"uots/internal/core"
+	"uots/internal/difftest"
 	"uots/internal/obs"
 )
 
@@ -36,21 +37,22 @@ func TestExecutorClampsShardCount(t *testing.T) {
 		t.Fatalf("NumShards = %d, want clamp to %d trajectories", got, f.db.NumTrajectories())
 	}
 	// Even at one trajectory per shard the answers stay exact.
-	rng := rand.New(rand.NewPCG(73, 0))
-	q := f.randomQuery(rng, 2, 2, 0.5, 5)
+	req := core.Request{Query: f.randomQuery(rand.New(rand.NewPCG(73, 0)), 2, 2, 0.5, 5)}
 	mono, err := core.NewEngine(f.db, core.Options{})
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
-	want, _, err := mono.SearchCtx(context.Background(), q)
+	ranking, k, ordered, err := difftest.Expect(context.Background(), mono, f.db, req)
 	if err != nil {
-		t.Fatalf("monolithic SearchCtx: %v", err)
+		t.Fatalf("oracle: %v", err)
 	}
-	got, _, err := ex.SearchCtx(context.Background(), q)
+	got, _, err := ex.SearchCtx(context.Background(), req.Query)
 	if err != nil {
 		t.Fatalf("sharded SearchCtx: %v", err)
 	}
-	sameResults(t, "max shards", got, want)
+	if err := difftest.Mismatch(got, ranking, k, ordered); err != nil {
+		t.Errorf("max shards: %v", err)
+	}
 }
 
 func TestExecutorClosedRejectsQueries(t *testing.T) {
@@ -233,6 +235,8 @@ func TestWorkerPoolConcurrentQueries(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("concurrent SearchCtx %d: %v", i, errs[i])
 		}
-		sameResults(t, "concurrent query", got[i], want[i])
+		if err := difftest.Mismatch(got[i], want[i], len(want[i]), true); err != nil {
+			t.Errorf("concurrent query %d: %v", i, err)
+		}
 	}
 }

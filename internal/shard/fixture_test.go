@@ -1,20 +1,20 @@
 package shard
 
 import (
-	"math"
 	"math/rand/v2"
 	"sync"
 	"testing"
 
 	"uots/internal/core"
 	"uots/internal/roadnet"
+	"uots/internal/testworld"
 	"uots/internal/textual"
 	"uots/internal/trajdb"
 )
 
-// fixture mirrors the core test world: a sparse city, a keyword
-// universe, and a trajectory corpus — big enough that hash partitioning
-// spreads trajectories over every shard count the tests use.
+// fixture is the shared BRN-like test world (testworld.BRN): big enough
+// that hash partitioning spreads trajectories over every shard count the
+// tests use.
 type fixture struct {
 	g     *roadnet.Graph
 	vocab *textual.SyntheticVocab
@@ -29,17 +29,7 @@ var (
 func testFixture(t testing.TB) fixture {
 	t.Helper()
 	fixtureOnce.Do(func() {
-		g := roadnet.BRNLike(0.12, 7)
-		vocab := textual.GenerateVocab(6, 40, 1.0, 11)
-		db, err := trajdb.Generate(g, trajdb.GenOptions{
-			Count:       400,
-			MeanSamples: 20,
-			Vocab:       vocab,
-			Seed:        13,
-		})
-		if err != nil {
-			panic("fixture: " + err.Error())
-		}
+		g, vocab, db := testworld.BRN()
 		fixtureVal = fixture{g: g, vocab: vocab, db: db}
 	})
 	return fixtureVal
@@ -54,58 +44,4 @@ func (f fixture) randomQuery(rng *rand.Rand, nLoc, nKw int, lambda float64, k in
 	topic := regions.TopicOf(f.g.Point(locs[0]))
 	kws := f.vocab.DrawQueryTerms(topic, nKw, 0.8, rng)
 	return core.Query{Locations: locs, Keywords: kws, Lambda: lambda, K: k}
-}
-
-// Tolerances for cross-configuration comparisons. The ranking itself
-// (trajectory identity and order) must be exact. Scores are compared
-// with a tight absolute tolerance, and distances a looser one: the
-// engine resolves a candidate distance either by forward expansion scan
-// or by a reverse goal-directed probe, and the two sum the same shortest
-// path in different association orders — so which shard a trajectory
-// lands on can move a distance by an ULP. (The repo's exhaustive-vs-
-// expansion cross-validation accepts the same wiggle.)
-const (
-	scoreTol = 1e-12
-	distTol  = 1e-9
-)
-
-func closeEnough(a, b, tol float64) bool {
-	if a == b {
-		return true // covers ±Inf and exact matches
-	}
-	diff := math.Abs(a - b)
-	scale := math.Max(math.Abs(a), math.Abs(b))
-	return diff <= tol || diff <= tol*scale
-}
-
-// sameResults asserts got matches want: the same trajectories in the same
-// order, with score decompositions and distances equal up to the
-// tolerances above.
-func sameResults(t *testing.T, label string, got, want []core.Result) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: got %d results, want %d", label, len(got), len(want))
-	}
-	for i := range got {
-		g, w := got[i], want[i]
-		if g.Traj != w.Traj {
-			t.Errorf("%s: rank %d trajectory %d, want %d", label, i, g.Traj, w.Traj)
-			continue
-		}
-		if !closeEnough(g.Score, w.Score, scoreTol) ||
-			!closeEnough(g.Spatial, w.Spatial, scoreTol) ||
-			!closeEnough(g.Textual, w.Textual, scoreTol) {
-			t.Errorf("%s: rank %d (traj %d) score (%v, %v, %v), want (%v, %v, %v)",
-				label, i, g.Traj, g.Score, g.Spatial, g.Textual, w.Score, w.Spatial, w.Textual)
-		}
-		if len(g.Dists) != len(w.Dists) {
-			t.Errorf("%s: rank %d (traj %d) has %d dists, want %d", label, i, g.Traj, len(g.Dists), len(w.Dists))
-			continue
-		}
-		for j := range g.Dists {
-			if !closeEnough(g.Dists[j], w.Dists[j], distTol) {
-				t.Errorf("%s: rank %d (traj %d) dist[%d] = %v, want %v", label, i, g.Traj, j, g.Dists[j], w.Dists[j])
-			}
-		}
-	}
 }

@@ -3,7 +3,6 @@ package shard
 import (
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"math/rand/v2"
 	"net/http"
@@ -13,6 +12,7 @@ import (
 	"time"
 
 	"uots/internal/core"
+	"uots/internal/difftest"
 	"uots/internal/obs"
 	"uots/internal/rpc"
 	"uots/internal/trajdb"
@@ -30,7 +30,7 @@ type remoteCluster struct {
 // partition's group config; wrap (nil = identity) intercepts each
 // replica's handler — the hook the fault-injection tests use to kill or
 // stall individual replicas.
-func startCluster(t *testing.T, f fixture, shards, replicas int, cfg RemoteConfig,
+func startCluster(t testing.TB, db core.TrajStore, shards, replicas int, cfg RemoteConfig,
 	gcfg func(p int) rpc.GroupConfig, reg *obs.Registry,
 	wrap func(p, r int, h http.Handler) http.Handler,
 ) *remoteCluster {
@@ -39,7 +39,7 @@ func startCluster(t *testing.T, f fixture, shards, replicas int, cfg RemoteConfi
 	groups := make([]*rpc.Group, shards)
 	servers := make([][]*httptest.Server, shards)
 	for p := 0; p < shards; p++ {
-		eng, globals, err := BuildShardEngine(f.db, core.Options{}, HashPartitioner{}, shards, p)
+		eng, globals, err := BuildShardEngine(db, core.Options{}, HashPartitioner{}, shards, p)
 		if err != nil {
 			t.Fatalf("BuildShardEngine(%d/%d): %v", p, shards, err)
 		}
@@ -173,81 +173,6 @@ func TestRemoteRejectsMiswiredTopology(t *testing.T) {
 	}
 }
 
-// TestRemoteMatchesMonolithic is the distributed ground truth: every
-// search variant plus the batch path, scattered over N partitions × R
-// replicas of real shard servers, answers exactly like the monolithic
-// engine on the unpartitioned store.
-func TestRemoteMatchesMonolithic(t *testing.T) {
-	f := testFixture(t)
-	mono, err := core.NewEngine(f.db, core.Options{})
-	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
-	}
-	rng := rand.New(rand.NewPCG(67, 0))
-	queries := []core.Query{
-		f.randomQuery(rng, 3, 3, 0.5, 5),
-		f.randomQuery(rng, 2, 2, 0.5, 5),
-		f.randomQuery(rng, 1, 0, 1.0, 8),  // pure spatial
-		f.randomQuery(rng, 2, 4, 0.0, 5),  // pure textual
-		f.randomQuery(rng, 4, 2, 0.7, 25), // k wider than any one shard's share
-	}
-	window := core.TimeWindow{From: 6 * 3600, To: 18 * 3600}
-	const theta = 0.35
-	divOpts := core.DiversifyOptions{Mu: 0.4}
-	ctx := context.Background()
-
-	for _, n := range []int{2, 4} {
-		for _, r := range []int{1, 2} {
-			cl := startCluster(t, f, n, r, RemoteConfig{Global: mono}, nil, nil, nil)
-			for qi, q := range queries {
-				tag := fmt.Sprintf("n=%d/r=%d/q=%d", n, r, qi)
-
-				wantR, _, wantErr := mono.SearchCtx(ctx, q)
-				gotR, _, gotErr := cl.re.SearchCtx(ctx, q)
-				checkSame(t, tag+"/search", gotR, gotErr, wantR, wantErr)
-
-				wantR, _, wantErr = mono.SearchThresholdCtx(ctx, q, theta)
-				gotR, _, gotErr = cl.re.SearchThresholdCtx(ctx, q, theta)
-				checkSame(t, tag+"/threshold", gotR, gotErr, wantR, wantErr)
-
-				wantR, _, wantErr = mono.SearchWindowedCtx(ctx, q, window)
-				gotR, _, gotErr = cl.re.SearchWindowedCtx(ctx, q, window)
-				checkSame(t, tag+"/windowed", gotR, gotErr, wantR, wantErr)
-
-				wantR, _, wantErr = mono.OrderAwareSearchCtx(ctx, q)
-				gotR, _, gotErr = cl.re.OrderAwareSearchCtx(ctx, q)
-				checkSame(t, tag+"/orderaware", gotR, gotErr, wantR, wantErr)
-
-				wantR, _, wantErr = mono.DiversifiedSearchCtx(ctx, q, divOpts)
-				gotR, _, gotErr = cl.re.DiversifiedSearchCtx(ctx, q, divOpts)
-				checkSame(t, tag+"/diversified", gotR, gotErr, wantR, wantErr)
-			}
-
-			// Batch: same queries plus an invalid slot, per-entry parity.
-			bq := append(append([]core.Query(nil), queries[:3]...), core.Query{K: 5})
-			opts := core.BatchOptions{SharedExpansion: true}
-			want, _, wantErr := mono.SearchBatch(ctx, bq, opts)
-			got, _, gotErr := cl.re.SearchBatch(ctx, bq, opts)
-			if (gotErr == nil) != (wantErr == nil) {
-				t.Fatalf("n=%d/r=%d/batch: error %v, want %v", n, r, gotErr, wantErr)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("n=%d/r=%d/batch: %d entries, want %d", n, r, len(got), len(want))
-			}
-			for i := range want {
-				tag := fmt.Sprintf("n=%d/r=%d/batch/q=%d", n, r, i)
-				if (got[i].Err == nil) != (want[i].Err == nil) {
-					t.Fatalf("%s: err %v, want %v", tag, got[i].Err, want[i].Err)
-				}
-				if want[i].Err == nil {
-					sameResults(t, tag, got[i].Results, want[i].Results)
-				}
-			}
-			cl.re.Close()
-		}
-	}
-}
-
 // TestRemoteMidQueryCancellation: the client cancels while a replica is
 // still computing; the scatter drains and reports the caller's own
 // context error, never a partial answer.
@@ -257,7 +182,7 @@ func TestRemoteMidQueryCancellation(t *testing.T) {
 	q := f.randomQuery(rng, 3, 3, 0.5, 5)
 
 	var started atomic.Int64
-	cl := startCluster(t, f, 2, 1, RemoteConfig{}, nil, nil,
+	cl := startCluster(t, f.db, 2, 1, RemoteConfig{}, nil, nil,
 		func(p, r int, h http.Handler) http.Handler {
 			if p != 0 {
 				return h
@@ -322,7 +247,7 @@ func TestRemoteReplicaKilledMidQueryFailsOver(t *testing.T) {
 	rng := rand.New(rand.NewPCG(73, 0))
 	q := f.randomQuery(rng, 3, 3, 0.5, 5)
 	reg := obs.NewRegistry()
-	cl := startCluster(t, f, 2, 2, RemoteConfig{Global: mono}, fastGroup(3), reg,
+	cl := startCluster(t, f.db, 2, 2, RemoteConfig{Global: mono}, fastGroup(3), reg,
 		func(p, r int, h http.Handler) http.Handler {
 			if p == 0 && r == 0 {
 				return abortOnSearch(h)
@@ -331,28 +256,25 @@ func TestRemoteReplicaKilledMidQueryFailsOver(t *testing.T) {
 		})
 
 	ctx := context.Background()
+	theta := 0.35
 	window := core.TimeWindow{From: 6 * 3600, To: 18 * 3600}
 	divOpts := core.DiversifyOptions{Mu: 0.4}
-
-	wantR, _, wantErr := mono.SearchCtx(ctx, q)
-	gotR, _, gotErr := cl.re.SearchCtx(ctx, q)
-	checkSame(t, "killed-replica/search", gotR, gotErr, wantR, wantErr)
-
-	wantR, _, wantErr = mono.SearchThresholdCtx(ctx, q, 0.35)
-	gotR, _, gotErr = cl.re.SearchThresholdCtx(ctx, q, 0.35)
-	checkSame(t, "killed-replica/threshold", gotR, gotErr, wantR, wantErr)
-
-	wantR, _, wantErr = mono.SearchWindowedCtx(ctx, q, window)
-	gotR, _, gotErr = cl.re.SearchWindowedCtx(ctx, q, window)
-	checkSame(t, "killed-replica/windowed", gotR, gotErr, wantR, wantErr)
-
-	wantR, _, wantErr = mono.OrderAwareSearchCtx(ctx, q)
-	gotR, _, gotErr = cl.re.OrderAwareSearchCtx(ctx, q)
-	checkSame(t, "killed-replica/orderaware", gotR, gotErr, wantR, wantErr)
-
-	wantR, _, wantErr = mono.DiversifiedSearchCtx(ctx, q, divOpts)
-	gotR, _, gotErr = cl.re.DiversifiedSearchCtx(ctx, q, divOpts)
-	checkSame(t, "killed-replica/diversified", gotR, gotErr, wantR, wantErr)
+	for _, req := range []core.Request{
+		{Query: q}, {Query: q, Theta: &theta}, {Query: q, Window: &window},
+		{Query: q, OrderAware: true}, {Query: q, Diversify: &divOpts},
+	} {
+		want, _, err := req.Run(ctx, mono)
+		if err != nil {
+			t.Fatalf("monolithic %s: %v", req.Variant(), err)
+		}
+		got, _, err := req.Run(ctx, cl.re)
+		if err != nil {
+			t.Fatalf("killed-replica/%s: %v", req.Variant(), err)
+		}
+		if err := difftest.Mismatch(got, want, len(want), req.Diversify == nil); err != nil {
+			t.Errorf("killed-replica/%s: %v", req.Variant(), err)
+		}
+	}
 
 	if got := remoteCounter(t, reg, "uots_rpc_retries_total"); got == 0 {
 		t.Fatalf("failover path recorded no retries")
@@ -373,7 +295,7 @@ func TestRemotePartitionDownDegrades(t *testing.T) {
 	const shards, faultShard = 4, 2
 
 	reg := obs.NewRegistry()
-	cl := startCluster(t, f, shards, 1, RemoteConfig{Partial: PartialDegrade}, fastGroup(2), reg,
+	cl := startCluster(t, f.db, shards, 1, RemoteConfig{Partial: PartialDegrade}, fastGroup(2), reg,
 		func(p, r int, h http.Handler) http.Handler {
 			if p == faultShard {
 				return abortOnSearch(h)
@@ -392,31 +314,10 @@ func TestRemotePartitionDownDegrades(t *testing.T) {
 		t.Fatalf("dead partition never reported group exhaustion")
 	}
 
-	mono, err := core.NewEngine(f.db, core.Options{})
-	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
+	want := rankingWithout(t, f, q, shardIDs(f.db.NumTrajectories(), shards, faultShard, nil))
+	if err := difftest.Mismatch(got, want, q.K, true); err != nil {
+		t.Errorf("remote degraded top-k: %v", err)
 	}
-	allQ := q
-	allQ.K = f.db.NumTrajectories()
-	ranked, _, err := mono.SearchCtx(context.Background(), allQ)
-	if err != nil {
-		t.Fatalf("monolithic full ranking: %v", err)
-	}
-	faulted := make(map[trajdb.TrajID]bool)
-	for _, id := range shardIDs(f.db.NumTrajectories(), shards, faultShard, nil) {
-		faulted[id] = true
-	}
-	var want []core.Result
-	for _, r := range ranked {
-		if faulted[r.Traj] {
-			continue
-		}
-		want = append(want, r)
-		if len(want) == q.K {
-			break
-		}
-	}
-	sameResults(t, "remote degraded top-k", got, want)
 }
 
 // TestRemotePartitionDownFails: same dead partition under PartialFail —
@@ -427,7 +328,7 @@ func TestRemotePartitionDownFails(t *testing.T) {
 	rng := rand.New(rand.NewPCG(83, 0))
 	q := f.randomQuery(rng, 3, 3, 0.5, 5)
 
-	cl := startCluster(t, f, 2, 1, RemoteConfig{Partial: PartialFail}, fastGroup(2), nil,
+	cl := startCluster(t, f.db, 2, 1, RemoteConfig{Partial: PartialFail}, fastGroup(2), nil,
 		func(p, r int, h http.Handler) http.Handler {
 			if p == 1 {
 				return abortOnSearch(h)
@@ -452,7 +353,7 @@ func TestRemoteRejections(t *testing.T) {
 	f := testFixture(t)
 	rng := rand.New(rand.NewPCG(97, 0))
 	q := f.randomQuery(rng, 2, 2, 0.5, 5)
-	cl := startCluster(t, f, 2, 1, RemoteConfig{}, nil, nil, nil)
+	cl := startCluster(t, f.db, 2, 1, RemoteConfig{}, nil, nil, nil)
 
 	if _, _, err := cl.re.DiversifiedSearchCtx(context.Background(), q, core.DiversifyOptions{}); !errors.Is(err, ErrRemoteDiversify) {
 		t.Fatalf("diversified without Global: err = %v, want ErrRemoteDiversify", err)

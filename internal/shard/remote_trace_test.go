@@ -118,7 +118,7 @@ func TestRemoteTraceDeterministicMerge(t *testing.T) {
 	for _, n := range []int{2, 4} {
 		for _, r := range []int{1, 2} {
 			t.Run(fmt.Sprintf("n=%d_r=%d", n, r), func(t *testing.T) {
-				cl := startCluster(t, f, n, r,
+				cl := startCluster(t, f.db, n, r,
 					RemoteConfig{disableSharedBound: true}, tracedGroup(), nil, nil)
 				run := func(pass int) string {
 					rec := obs.NewTraceRecorder(0)
@@ -152,7 +152,7 @@ func TestRemoteTraceDeterministicMerge(t *testing.T) {
 func TestRemoteTraceConcurrentSampledQueries(t *testing.T) {
 	const shards, workers = 2, 8
 	f := testFixture(t)
-	cl := startCluster(t, f, shards, 2, RemoteConfig{}, tracedGroup(), nil, nil)
+	cl := startCluster(t, f.db, shards, 2, RemoteConfig{}, tracedGroup(), nil, nil)
 	rng := rand.New(rand.NewPCG(17, 0))
 	queries := make([]core.Query, workers)
 	for i := range queries {

@@ -3,10 +3,12 @@ package uots_test
 import (
 	"bytes"
 	"context"
-	"math"
+	"reflect"
 	"testing"
 
 	"uots"
+	"uots/internal/core"
+	"uots/internal/difftest"
 )
 
 // TestPublicAPIEndToEnd drives the whole system through the facade only:
@@ -48,14 +50,12 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Error("no work recorded")
 	}
 	// The expansion result must agree with the exhaustive baseline.
-	want, _, err := engine.ExhaustiveSearchCtx(context.Background(), q)
+	ranking, k, ordered, err := difftest.Expect(context.Background(), engine, db, core.Request{Query: q})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range res {
-		if math.Abs(res[i].Score-want[i].Score) > 1e-9 {
-			t.Fatalf("rank %d: %g vs %g", i, res[i].Score, want[i].Score)
-		}
+	if err := difftest.Mismatch(res, ranking, k, ordered); err != nil {
+		t.Fatal(err)
 	}
 
 	// Serialization round trip through the facade.
@@ -82,10 +82,9 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range res {
-		if res[i].Traj != res2[i].Traj || math.Abs(res[i].Score-res2[i].Score) > 1e-9 {
-			t.Fatalf("round-tripped engine disagrees at rank %d", i)
-		}
+	// The same code over the same bytes: the answers are identical.
+	if !reflect.DeepEqual(res, res2) {
+		t.Fatalf("round-tripped engine answers %v, want %v", res2, res)
 	}
 }
 
