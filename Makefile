@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build vet lint wire-schema options test race fuzz-smoke bench bench-quick check
+.PHONY: build vet lint wire-schema options stats-golden test race fuzz-smoke bench bench-quick check
 
 build:
 	$(GO) build ./...
@@ -37,6 +37,14 @@ wire-schema:
 # until you do).
 options:
 	$(GO) test . -run TestOptionsGolden -args -update-options
+
+# stats-golden regenerates internal/core/testdata/stats.golden, the
+# deterministic work counters (settles, scans, probes, prunes) of a fixed
+# set of searches. Run it only for a change that is meant to move work,
+# and say in the commit which rows moved and why (TestWorkCountersGolden,
+# its one generator and checker, fails until you do).
+stats-golden:
+	cd internal/core && $(GO) test -run TestWorkCountersGolden -args -update-stats
 
 test:
 	$(GO) test ./...

@@ -261,9 +261,8 @@ func TestDistributedServing(t *testing.T) {
 		for _, v := range searchVariants {
 			want := postSearch(t, mono, v.body)
 			got := postSearch(t, remote, v.body)
-			// Unordered: rank by rank, with no tie allowance — the router
-			// must rank exactly as the monolithic server does.
-			if err := difftest.Mismatch(got.results(), want.results(), len(want.Results), false); err != nil {
+			// The router must rank exactly as the monolithic server does.
+			if err := difftest.Mismatch(got.results(), want.results(), len(want.Results)); err != nil {
 				t.Fatalf("%s/%s: router vs monolithic: %v", phase, v.name, err)
 			}
 		}

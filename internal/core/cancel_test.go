@@ -7,6 +7,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"uots/internal/obs"
 )
 
 // ctxVariant names one context-aware engine entry point for table tests.
@@ -195,5 +197,37 @@ func TestCancellationBoundsWork(t *testing.T) {
 		if stats.SettledVertices > cancelPollEvery {
 			t.Errorf("%s: cancelled search settled %d vertices, want ≤ %d", c.name, stats.SettledVertices, cancelPollEvery)
 		}
+	}
+
+	// Cancelled inside a probe: a tracer cancels on the first probe, whose
+	// query-rooted searches may reach the whole graph, so only the probe
+	// loop's own poll stops it in time. Until the first probe every settle
+	// is an expansion step, so the event's Step is the settle count there.
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	probe := &cancelOnProbe{cancel: cancel, at: -1}
+	_, stats, err := e.SearchCtx(obs.ContextWithTracer(ctx, probe), f.randomQuery(rand.New(rand.NewPCG(77, 0)), 4, 4, 0.3, 10))
+	if probe.at < 0 {
+		t.Fatal("in a probe: no probe fired")
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("in a probe: err = %v, want context.Canceled", err)
+	}
+	if after := stats.SettledVertices - probe.at; after > cancelPollEvery {
+		t.Errorf("in a probe: %d vertices settled after the cancel, want ≤ %d", after, cancelPollEvery)
+	}
+}
+
+// cancelOnProbe is a tracer that cancels its search at the first probe
+// and records that event's expansion step.
+type cancelOnProbe struct {
+	cancel context.CancelFunc
+	at     int
+}
+
+func (c *cancelOnProbe) Emit(ev obs.SpanEvent) {
+	if ev.Kind == TraceProbe && c.at < 0 {
+		c.at = ev.Step
+		c.cancel()
 	}
 }

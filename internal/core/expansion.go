@@ -18,9 +18,9 @@ import (
 // unexplored trajectory can beat the current k-th best. Results come back
 // best-first.
 //
-// Ties at the k-th score are resolved toward smaller trajectory IDs among
-// the trajectories the search scored exactly; equal-scoring trajectories
-// pruned by the bound may be excluded.
+// Ties at the k-th score are resolved toward smaller trajectory IDs, as
+// in the exhaustive scan: every prune is strict (a bound below the bar),
+// so a trajectory that ties the k-th score is always scored exactly.
 //
 // The expansion loop polls ctx at bounded intervals (every
 // cancelPollEvery steps) and, once the context is cancelled or its
@@ -94,14 +94,14 @@ type expansionState struct {
 	rr     int
 	steps  int
 
-	goal  *roadnet.GoalSearch // lazy; text-probe random accesses only
+	goal  *roadnet.GoalSearch // lazy; text probes only, rooted at q.Locations
 	stats SearchStats
 
 	trace    obs.Tracer // nil when the request is not traced
 	lastPick int        // last source emitted as a scheduling decision
 
-	cancel  canceller // bounded-interval cancellation polls
-	initErr error     // cancellation observed during initText
+	cancel canceller // bounded-interval cancellation polls
+	err    error     // cancellation seen by a poll: run's (checked first), initText's or a probe's
 
 	slabCands []cand    // arena for cand structs (one allocation per chunk)
 	slabDists []float64 // arena for per-cand distance vectors
@@ -175,11 +175,10 @@ func (st *expansionState) initText() {
 	st.stats.TextScored = len(docs)
 	for i, d := range docs {
 		// Text scoring touches the store's keyword path per document, so
-		// this pre-pass honours cancellation too; run() aborts on initErr
+		// this pre-pass honours cancellation too; run() aborts on err
 		// before expanding.
 		if i%cancelPollEvery == 0 {
-			if err := st.cancel.check(); err != nil {
-				st.initErr = err
+			if st.err = st.cancel.check(); st.err != nil {
 				return
 			}
 		}
@@ -215,17 +214,14 @@ func (st *expansionState) bar() (float64, bool) {
 }
 
 func (st *expansionState) run() error {
-	if st.initErr != nil {
-		st.emit(TraceTerminate, -1, -1, 0, 0, TermCancelled)
-		return st.initErr
-	}
 	relabel := st.e.opts.relabelEvery
 	for st.liveN > 0 {
-		if st.steps%cancelPollEvery == 0 {
-			if err := st.cancel.check(); err != nil {
-				st.emit(TraceTerminate, -1, -1, 0, 0, TermCancelled)
-				return err
-			}
+		if st.err == nil && st.steps%cancelPollEvery == 0 {
+			st.err = st.cancel.check()
+		}
+		if st.err != nil {
+			st.emit(TraceTerminate, -1, -1, 0, 0, TermCancelled)
+			return st.err
 		}
 		i := st.pickSource()
 		if i != st.lastPick {
@@ -298,11 +294,8 @@ func (st *expansionState) candFor(tid trajdb.TrajID) *cand {
 	st.emit(TraceAdmit, -1, int64(tid), c.text, 0, "")
 	// Admission-time landmark prune: with the per-trajectory interval
 	// index the spatial upper bound costs O(K) per location and no store
-	// access, so it is cheap enough to test every admission against the
-	// bar. A strict < prune against the monotonically non-decreasing bar
-	// keeps results byte-identical to the unpruned engine: the pruned
-	// trajectory's exact score can never reach the final k-th score, and
-	// ties at the bar always survive.
+	// access, cheap enough to test every admission against the bar. Like
+	// every prune it is strict, so ties at the bar survive.
 	if !c.complete && st.e.opts.Index != nil {
 		if bar, ok := st.bar(); ok {
 			if ub := combine(st.q.Lambda, st.e.landmarkSpatialUB(st.q.Locations, tid), c.text); ub < bar {
@@ -402,7 +395,7 @@ func (st *expansionState) peekUnseenText() float64 {
 // rescan is the periodic bound refresh: it prunes hopeless candidates,
 // recomputes the global upper bound, runs adaptive text probes, refreshes
 // the heuristic scheduling labels, and reports whether the search can
-// terminate.
+// terminate. A probe that observes cancellation stops it (st.err).
 func (st *expansionState) rescan() bool {
 	bar, haveBar := st.bar()
 	lambda := st.q.Lambda
@@ -413,9 +406,9 @@ func (st *expansionState) rescan() bool {
 	// textual score rather than by expansion radii, resolve the blocking
 	// trajectory's spatial distances directly instead of waiting for the
 	// expansion to reach it.
-	if haveBar && !st.e.opts.DisableTextProbe {
-		// Bounded by the text heap: every iteration pops or completes a
-		// blocker. run() polls ctx between rescans.
+	if haveBar {
+		// Bounded by the text heap: every iteration pops a blocker, and
+		// each probe polls ctx.
 		for {
 			textTop := st.peekUnseenText()
 			if textTop == 0 {
@@ -433,27 +426,12 @@ func (st *expansionState) rescan() bool {
 				!st.radiiPastFloor() {
 				break
 			}
+			// Unseen: probe's candFor admits it (and may landmark-prune it).
 			_, tid, _ := st.textHeap.Pop()
-			if st.e.opts.Index != nil {
-				if ubS := st.e.landmarkSpatialUB(st.q.Locations, tid); combine(lambda, ubS, textTop) < bar {
-					// Provably outside the result: discard with no
-					// Dijkstra work at all. candFor's admission prune may
-					// have reached the same verdict already (it runs the
-					// identical bound), so only count and emit when this
-					// check did the work.
-					if c := st.candFor(tid); !c.complete {
-						c.complete = true
-						st.stats.LandmarkPrunes++
-						st.emit(TracePrune, -1, int64(tid), combine(lambda, ubS, textTop), bar, NoteLandmark)
-					}
-					continue
-				}
+			if st.probe(tid) != nil {
+				return false
 			}
-			st.probe(tid)
-			bar, haveBar = st.bar()
-			if !haveBar {
-				break
-			}
+			bar, _ = st.bar() // a bar, once set, only rises
 		}
 	}
 
@@ -483,24 +461,18 @@ func (st *expansionState) rescan() bool {
 		}
 		ub := lambda*(c.sumExp+rest)/nLoc + (1-lambda)*c.text
 		if haveBar && ub < bar {
-			c.complete = true // pruned: provably outside the result
-			note := ""
-			if st.sharedBarred && (!st.localBarOK || ub >= st.localBar) {
-				// The local threshold alone would not have pruned this
-				// candidate: the cross-partition exchange did the work.
-				st.stats.SharedBoundPrunes++
-				note = NoteCrossShard
-			}
-			st.emit(TracePrune, -1, int64(tid), ub, bar, note)
+			st.prune(tid, c, ub, bar)
 			continue
 		}
 		// Endgame resolution: once every radius this candidate still
 		// waits on has grown past the probe floor, a candidate that
 		// still blocks termination will not clear itself at acceptable
 		// cost — resolve its remaining distances directly.
-		if haveBar && pastFloor && !st.e.opts.DisableTextProbe &&
+		if haveBar && pastFloor &&
 			combine(lambda, (c.sumExp+restFloor)/nLoc, c.text) >= bar {
-			st.probe(tid)
+			if st.probe(tid) != nil {
+				return false
+			}
 			bar, haveBar = st.bar()
 			continue
 		}
@@ -518,56 +490,96 @@ func (st *expansionState) rescan() bool {
 
 	unseenUB := lambda*sumRad/nLoc + (1-lambda)*st.peekUnseenText()
 	ub := math.Max(maxPartial, unseenUB)
-	if st.trace != nil {
-		barVal := -1.0
-		if haveBar {
-			barVal = bar
-		}
-		st.emit(TraceBound, -1, -1, ub, barVal, "")
+	if !haveBar {
+		bar = -1 // TraceBound's "no bar yet"
 	}
-	if haveBar && ub < bar {
-		return true
-	}
-
-	return false
+	st.emit(TraceBound, -1, -1, ub, bar, "")
+	return haveBar && ub < bar
 }
 
-// probe computes the exact spatial distances of one trajectory with
-// early-terminating Dijkstras (random access in the spatial domain) and
-// completes it. Used when a textually top-ranked trajectory blocks
-// termination, and by the λ=0 fast path to fill result distances.
-func (st *expansionState) probe(tid trajdb.TrajID) {
+// prune completes c without a result: its bound ub fell below the bar.
+func (st *expansionState) prune(tid trajdb.TrajID, c *cand, ub, bar float64) {
+	c.complete = true
+	note := ""
+	if st.sharedBarred && (!st.localBarOK || ub >= st.localBar) {
+		// The local threshold alone would not have pruned this candidate:
+		// the cross-partition exchange did the work.
+		st.stats.SharedBoundPrunes++
+		note = NoteCrossShard
+	}
+	st.emit(TracePrune, -1, int64(tid), ub, bar, note)
+}
+
+// probe resolves one trajectory's missing distances and completes it, or
+// prunes it once it provably cannot reach the bar. The distances come
+// from st.goal, one Dijkstra per query location shared by every probe of
+// the query (DESIGN.md, "Adaptive distance probes"). After each settle
+// the score is bounded with the exact score's own expression, each open
+// distance replaced by the larger of its probe search's and its
+// expander's radius, so the bound is at least the exact score in
+// floating point too. It returns (and leaves in st.err) a cancellation.
+func (st *expansionState) probe(tid trajdb.TrajID) error {
 	c := st.candFor(tid)
 	if c.complete {
-		return
+		return nil
 	}
 	if st.goal == nil {
-		st.goal = roadnet.NewGoalSearch(st.e.g)
+		st.goal = roadnet.NewGoalSearch(st.e.g, st.q.Locations)
 	}
 	st.stats.Probes++
 	st.emit(TraceProbe, -1, int64(tid), 0, 0, "")
-	// One multi-source corridor search: from the trajectory's vertices
-	// toward every query location at once. Undirected distances make this
-	// equivalent to |O| separate searches at a fraction of the cost.
-	missing := make([]roadnet.VertexID, 0, len(st.q.Locations))
-	missingIdx := make([]int, 0, len(st.q.Locations))
-	for i, o := range st.q.Locations {
-		if math.IsInf(c.dists[i], 1) {
-			missing = append(missing, o)
-			missingIdx = append(missingIdx, i)
+	gs := st.goal
+	gs.Target(st.e.db.UniqueVertices(tid))
+	kern := make([]float64, len(c.dists)) // e^{−d/γ}, d exact or a lower bound
+	open := make([]bool, len(c.dists))    // the distance is still unknown
+	for i, d := range c.dists {
+		// A scanned location holds its exact distance; an exhausted source
+		// that never scanned tid leaves +Inf.
+		if c.mask&(uint64(1)<<i) == 0 && st.live[i] {
+			var known bool
+			if d, known = gs.Known(i); known {
+				c.dists[i] = d
+			} else {
+				open[i], d = true, max(gs.Radius(i), st.sources[i].radius())
+			}
 		}
+		kern[i] = st.e.kernel(d)
 	}
-	if len(missing) > 0 {
-		dists := st.goal.FromSet(
-			st.e.db.UniqueVertices(tid),
-			missing,
-			func() { st.stats.SettledVertices++ },
-		)
-		for j, i := range missingIdx {
-			c.dists[i] = dists[j]
+	bar, haveBar := st.bar()
+	for {
+		j, sum := -1, 0.0
+		for i, k := range kern {
+			sum += k
+			if open[i] && (j < 0 || gs.Radius(i) < gs.Radius(j)) {
+				j = i
+			}
 		}
+		if j < 0 {
+			break
+		}
+		if ub := combine(st.q.Lambda, sum/float64(len(kern)), c.text); haveBar && ub < bar {
+			st.prune(tid, c, ub, bar)
+			return nil
+		}
+		if st.stats.ProbeSettled%cancelPollEvery == 0 {
+			if st.err = st.cancel.check(); st.err != nil {
+				return st.err
+			}
+		}
+		d, hit, ok := gs.Step(j)
+		if ok {
+			st.stats.ProbeSettled++
+			st.stats.SettledVertices++
+		}
+		if open[j] = ok && !hit; open[j] {
+			d = max(d, st.sources[j].radius())
+		} else {
+			c.dists[j] = d
+		}
+		kern[j] = st.e.kernel(d)
 	}
 	st.complete(tid, c)
+	return nil
 }
 
 // probeFloor is the spatial-kernel value at the radius the probe policy is
@@ -645,11 +657,7 @@ func (st *expansionState) finalizeExhausted() error {
 		if !ok {
 			break
 		}
-		if c := st.cands[tid]; c != nil && c.complete {
-			continue
-		}
-		c := st.candFor(tid)
-		if !c.complete {
+		if c := st.candFor(tid); !c.complete {
 			st.complete(tid, c) // all dists +Inf: spatial 0
 		}
 	}
@@ -664,13 +672,8 @@ func (st *expansionState) finalizeExhausted() error {
 				return err
 			}
 		}
-		tid := trajdb.TrajID(id)
-		if c := st.cands[tid]; c != nil && c.complete {
-			continue
-		}
-		c := st.candFor(tid)
-		if !c.complete {
-			st.complete(tid, c)
+		if c := st.candFor(trajdb.TrajID(id)); !c.complete {
+			st.complete(trajdb.TrajID(id), c)
 		}
 	}
 	return nil

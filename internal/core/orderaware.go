@@ -79,9 +79,6 @@ func (e *Engine) orderAwareResult(sssp *roadnet.SSSP, q Query, id trajdb.TrajID)
 	// location i = best Σ for o₁..oᵢ assigned within samples p₁..p_j.
 	dp := make([]float64, m)
 	next := make([]float64, m)
-	for j := range dp {
-		dp[j] = math.Inf(-1)
-	}
 	run := math.Inf(-1)
 	for j := 0; j < m; j++ {
 		if kernelAt[0][j] > run {

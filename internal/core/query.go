@@ -150,10 +150,6 @@ type Options struct {
 	// stress tests vary them to shake out cadence- and policy-dependent
 	// bugs.
 	relabelEvery int
-	// DisableTextProbe turns off adaptive candidate generation (directly
-	// computing the spatial distances of a termination-blocking,
-	// textually top-ranked trajectory). Exposed for ablation benches.
-	DisableTextProbe bool
 	// probeRadiusFactor sets the probe policy's radius floor, in units of
 	// DistScale: textual blockers that would stop blocking once every
 	// expansion radius reaches probeRadiusFactor·γ are left to the
@@ -208,6 +204,9 @@ type SearchStats struct {
 	// SettledVertices counts Dijkstra-settled vertices across all query
 	// sources and probe searches.
 	SettledVertices int
+	// ProbeSettled counts the settles of the text probes' query-rooted
+	// searches, a part of SettledVertices.
+	ProbeSettled int
 	// Candidates is the number of trajectories whose exact score was
 	// computed.
 	Candidates int
@@ -240,6 +239,7 @@ func (s *SearchStats) Add(other SearchStats) {
 	s.VisitedTrajectories += other.VisitedTrajectories
 	s.ScanEvents += other.ScanEvents
 	s.SettledVertices += other.SettledVertices
+	s.ProbeSettled += other.ProbeSettled
 	s.Candidates += other.Candidates
 	s.TextScored += other.TextScored
 	s.Probes += other.Probes

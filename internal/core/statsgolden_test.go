@@ -9,6 +9,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"uots/internal/roadnet"
+	"uots/internal/textual"
+	"uots/internal/trajdb"
 )
 
 var updateStats = flag.Bool("update-stats", false, "rewrite testdata/stats.golden from the current engine")
@@ -16,9 +20,11 @@ var updateStats = flag.Bool("update-stats", false, "rewrite testdata/stats.golde
 // TestWorkCountersGolden pins the deterministic work counters —
 // SearchStats minus Elapsed — of every search on one seeded corpus: the
 // five variants, both exhaustive baselines and TextFirst, at λ ∈ {0, 0.5,
-// 1}, on a plain engine and on an Options.Index engine. A refactor that
-// claims "same work" commits the golden unchanged; a change that moves a
-// counter regenerates it with -update-stats and says why.
+// 1}, on a plain engine and on an Options.Index engine; and of the plain
+// search on an NRN-like corpus at λ ∈ {0.1, 0.3}, where text probes
+// decide the cost. A refactor that claims "same work" commits the golden
+// unchanged; a change that moves a counter regenerates it with
+// make stats-golden and says why.
 func TestWorkCountersGolden(t *testing.T) {
 	tb, _ := testBounds(t)
 	plain, f := newTestEngine(t, Options{})
@@ -57,6 +63,11 @@ func TestWorkCountersGolden(t *testing.T) {
 	}
 
 	var b strings.Builder
+	row := func(name string, res []Result, s SearchStats) {
+		fmt.Fprintf(&b, "%s results=%d visited=%d scans=%d settled=%d probeSettled=%d candidates=%d textScored=%d probes=%d sharedPrunes=%d landmarkPrunes=%d early=%t\n",
+			name, len(res), s.VisitedTrajectories, s.ScanEvents, s.SettledVertices, s.ProbeSettled, s.Candidates,
+			s.TextScored, s.Probes, s.SharedBoundPrunes, s.LandmarkPrunes, s.EarlyTerminated)
+	}
 	rng := rand.New(rand.NewPCG(1201, 0))
 	for qi := 0; qi < 4; qi++ {
 		q := f.randomQuery(rng, 2+qi%3, 2+qi%3, 0, 3+2*qi)
@@ -68,12 +79,32 @@ func TestWorkCountersGolden(t *testing.T) {
 					if err != nil {
 						t.Fatalf("q%d λ=%g %s/%s: %v", qi, lambda, kind.name, eng.name, err)
 					}
-					fmt.Fprintf(&b, "q%d lambda=%g %s/%s results=%d visited=%d scans=%d settled=%d candidates=%d textScored=%d probes=%d sharedPrunes=%d landmarkPrunes=%d early=%t\n",
-						qi, lambda, kind.name, eng.name, len(res),
-						s.VisitedTrajectories, s.ScanEvents, s.SettledVertices, s.Candidates,
-						s.TextScored, s.Probes, s.SharedBoundPrunes, s.LandmarkPrunes, s.EarlyTerminated)
+					row(fmt.Sprintf("q%d lambda=%g %s/%s", qi, lambda, kind.name, eng.name), res, s)
 				}
 			}
+		}
+	}
+
+	g := roadnet.NRNLike(0.1, 3)
+	vocab := textual.GenerateVocab(6, 40, 1.0, 11)
+	db, err := trajdb.Generate(g, trajdb.GenOptions{Count: 1000, MeanSamples: 20, Vocab: vocab, Seed: 13})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nrn := fixture{g: g, vocab: vocab, db: db}
+	e, err := NewEngine(db, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for qi := 0; qi < 4; qi++ {
+		q := nrn.randomQuery(rng, 4, 3, 0, 10)
+		for _, lambda := range []float64{0.1, 0.3} {
+			q.Lambda = lambda
+			res, s, err := e.SearchCtx(context.Background(), q)
+			if err != nil {
+				t.Fatalf("nrn q%d λ=%g: %v", qi, lambda, err)
+			}
+			row(fmt.Sprintf("nrn q%d lambda=%g search/plain", qi, lambda), res, s)
 		}
 	}
 
@@ -89,7 +120,7 @@ func TestWorkCountersGolden(t *testing.T) {
 	}
 	want, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("%v (generate it with go test ./internal/core -run TestWorkCountersGolden -update-stats)", err)
+		t.Fatalf("%v (generate it with make stats-golden)", err)
 	}
 	gotLines, wantLines := strings.Split(b.String(), "\n"), strings.Split(string(want), "\n")
 	if len(gotLines) != len(wantLines) {

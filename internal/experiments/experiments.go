@@ -22,7 +22,7 @@ func All() []Experiment {
 	return []Experiment{
 		{"T1", "settings", "dataset and parameter settings", Settings},
 		{"T2", "pruning", "pruning effectiveness (candidate/visited ratios)", Pruning},
-		{"T3", "scheduling", "scheduling-strategy and probe ablation", SchedulingAblation},
+		{"T3", "scheduling", "scheduling-strategy ablation", SchedulingAblation},
 		{"F1", "cardinality", "effect of trajectory cardinality |T|", Cardinality},
 		{"F2", "locations", "effect of query location count |O|", Locations},
 		{"F3", "lambda", "effect of preference parameter λ", Lambda},
@@ -265,14 +265,12 @@ func Threshold(ctx context.Context, w io.Writer, p Profile) error {
 		algos, func(v float64) float64 { return v })
 }
 
-// SchedulingAblation reproduces the paper's strategy ablations: the
-// heuristic source scheduler, round-robin (no heuristic), and the
-// heuristic without text probes.
+// SchedulingAblation reproduces the paper's strategy ablation: the
+// heuristic source scheduler against round-robin (no heuristic).
 func SchedulingAblation(ctx context.Context, w io.Writer, p Profile) error {
 	algos := []AlgoConfig{
 		{Name: "heuristic", Kind: core.AlgoExpansion, Opts: core.Options{Scheduling: core.ScheduleHeuristic}},
 		{Name: "roundrobin", Kind: core.AlgoExpansion, Opts: core.Options{Scheduling: core.ScheduleRoundRobin}},
-		{Name: "heuristic-no-probe", Kind: core.AlgoExpansion, Opts: core.Options{Scheduling: core.ScheduleHeuristic, DisableTextProbe: true}},
 	}
 	dss, err := bothDatasets(p)
 	if err != nil {

@@ -55,7 +55,7 @@ func (b *Bidirectional) Path(u, v VertexID) (path []VertexID, dist float64, ok b
 func (b *Bidirectional) run(u, v VertexID) (float64, int32) {
 	for i, src := range [2]VertexID{u, v} {
 		b.side[i].reset()
-		b.side[i].push(int32(src), 0, 0)
+		b.side[i].push(int32(src), 0)
 		b.parent[i][src] = -1
 	}
 	if u == v {
@@ -86,7 +86,7 @@ func (b *Bidirectional) run(u, v VertexID) (float64, int32) {
 				continue
 			}
 			nd := d + w[j]
-			if this.push(t, nd, nd) {
+			if this.push(t, nd) {
 				parent[t] = x
 			}
 			if od := other.dist[t]; od != Unreachable {

@@ -27,7 +27,7 @@ func (s *SSSP) Run(src VertexID) {
 // A nil visit runs to completion.
 func (s *SSSP) RunUntil(src VertexID, visit func(v VertexID, d float64) bool) {
 	s.search.reset()
-	s.search.push(int32(src), 0, 0)
+	s.search.push(int32(src), 0)
 	// The visit callback is the cancellation point: core's search loops
 	// poll their canceller inside it.
 	for {

@@ -17,14 +17,14 @@ type Expander struct {
 // NewExpander returns an expander on g positioned at src with radius 0.
 func NewExpander(g *Graph, src VertexID) *Expander {
 	e := &Expander{search: newSearch(g)}
-	e.search.push(int32(src), 0, 0)
+	e.search.push(int32(src), 0)
 	return e
 }
 
 // Reset repositions the expander at src with radius 0, reusing storage.
 func (e *Expander) Reset(src VertexID) {
 	e.search.reset()
-	e.search.push(int32(src), 0, 0)
+	e.search.push(int32(src), 0)
 	e.radius = 0
 }
 

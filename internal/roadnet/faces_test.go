@@ -16,7 +16,7 @@ type workspaces struct {
 }
 
 func newWorkspaces(g *Graph) workspaces {
-	return workspaces{NewSSSP(g), NewExpander(g, 0), NewGoalSearch(g), NewBidirectional(g)}
+	return workspaces{NewSSSP(g), NewExpander(g, 0), NewGoalSearch(g, nil), NewBidirectional(g)}
 }
 
 // face drives one search face: run draws its inputs from rng, checks every
@@ -93,29 +93,41 @@ var (
 		state: func(w workspaces) []*search { return []*search{&w.sssp.search} },
 	}
 	goalSearchFace = face{
-		name: "GoalSearch FromSet",
+		name: "GoalSearch Reset, then a stream of target sets",
 		run: func(t *testing.T, w workspaces, fw [][]float64, rng *rand.Rand) []float64 {
 			n := len(fw)
-			sources := make([]VertexID, 1+rng.IntN(4))
-			for i := range sources {
-				sources[i] = VertexID(rng.IntN(n))
+			roots := make([]VertexID, 1+rng.IntN(4))
+			for i := range roots {
+				roots[i] = VertexID(rng.IntN(n))
 			}
-			targets := make([]VertexID, 1+rng.IntN(3))
-			for i := range targets {
-				targets[i] = VertexID(rng.IntN(n))
-			}
-			settles := 0
-			got := w.gs.FromSet(sources, targets, func() { settles++ })
-			for i, tgt := range targets {
-				want := Unreachable
-				for _, src := range sources {
-					want = math.Min(want, fw[src][tgt])
+			w.gs.Reset(roots)
+			var obs []float64
+			for sets := 1 + rng.IntN(3); sets > 0; sets-- {
+				targets := make([]VertexID, 1+rng.IntN(3))
+				for i := range targets {
+					targets[i] = VertexID(rng.IntN(n))
 				}
-				checkDist(t, "FromSet distance", got[i], want)
+				got, settles := resolve(t, w.gs, targets)
+				for i, root := range roots {
+					want := Unreachable
+					for _, tgt := range targets {
+						want = math.Min(want, fw[root][tgt])
+					}
+					checkDist(t, "GoalSearch distance", got[i], want)
+				}
+				obs = append(append(obs, got...), float64(settles))
 			}
-			return append(got, float64(settles))
+			return obs
 		},
-		state: func(w workspaces) []*search { return []*search{&w.gs.search} },
+		state: func(w workspaces) []*search {
+			var started []*search
+			for i, ok := range w.gs.started {
+				if ok {
+					started = append(started, &w.gs.runs[i].search)
+				}
+			}
+			return started
+		},
 	}
 	bidirectionalFace = face{
 		name: "Bidirectional Dist and Path",
@@ -156,19 +168,13 @@ var (
 )
 
 // sameState fails unless two vertex states are indistinguishable: the
-// same distances, settled set, queue and touched list, and the same key
-// for every queued vertex.
+// same distances, settled set, queue and touched list.
 func sameState(t *testing.T, what string, got, want *search) {
 	t.Helper()
 	if !slices.Equal(got.dist, want.dist) || !slices.Equal(got.settled, want.settled) ||
 		!slices.Equal(got.pos, want.pos) || !slices.Equal(got.keys, want.keys) ||
 		!slices.Equal(got.touched, want.touched) {
 		t.Fatalf("%s: reused vertex state differs from a fresh one", what)
-	}
-	for _, v := range got.keys {
-		if got.prio[v] != want.prio[v] {
-			t.Fatalf("%s: queued vertex %d has key %g, fresh %g", what, v, got.prio[v], want.prio[v])
-		}
 	}
 }
 
@@ -187,8 +193,11 @@ func checkFaces(t *testing.T, g *Graph, seed uint64, runs int, faces ...face) {
 			if !slices.Equal(got, want) {
 				t.Fatalf("%s, run %d: reused workspace observed %v, fresh %v", f.name, i, got, want)
 			}
-			freshState := f.state(fresh)
-			for j, s := range f.state(reused) {
+			freshState, reusedState := f.state(fresh), f.state(reused)
+			if len(reusedState) != len(freshState) {
+				t.Fatalf("%s, run %d: reused workspace ran %d searches, fresh %d", f.name, i, len(reusedState), len(freshState))
+			}
+			for j, s := range reusedState {
 				sameState(t, f.name, s, freshState[j])
 			}
 		}

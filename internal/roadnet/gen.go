@@ -31,7 +31,7 @@ type CityOptions struct {
 	Style      GridStyle // sparse (maze) or dense (urban grid)
 	DiagProb   float64   // StyleDense: probability of each diagonal edge (default 0.35)
 	ExtraFrac  float64   // StyleSparse: extra edges beyond the spanning tree, as a fraction of vertices (default 0.02)
-	WeightLift float64   // edge weight = euclidean · U(1, 1+WeightLift); keeps A* admissible (default 0.15)
+	WeightLift float64   // edge weight = euclidean · U(1, 1+WeightLift), never below the euclidean length (default 0.15)
 	Seed       uint64    // deterministic generation seed
 }
 

@@ -1,82 +1,98 @@
 package roadnet
 
-import "math"
-
-// GoalSearch is a reusable A* workspace for "distance from a vertex set
-// to each of a few targets" queries (FromSet). It explores a corridor
-// toward the targets instead of a full Dijkstra circle — the access path
-// behind the search engine's text-probe random accesses.
+// GoalSearch answers "how far is this vertex set from each root" for a
+// fixed list of roots and a stream of target sets: the access path of
+// the search engine's text probes, rooted at a query's locations for the
+// life of one query. Each root owns one resumable Dijkstra (an
+// Expander), started the first time Step advances it and kept across
+// target sets, so a set an earlier set's search already reached costs no
+// settle. Every distance it reports has the bits SSSP.Run from the root
+// gives.
 //
 // A GoalSearch is not safe for concurrent use.
 type GoalSearch struct {
-	search search
+	g       *Graph
+	roots   []VertexID
+	runs    []*Expander // runs[i] is root i's search, valid once started[i]
+	started []bool
+	targets []VertexID
+	mark    []uint32 // mark[v] == epoch: v is in the current target set
+	epoch   uint32
 }
 
-// NewGoalSearch returns a workspace for goal-directed queries on g.
-func NewGoalSearch(g *Graph) *GoalSearch {
-	return &GoalSearch{search: newSearch(g)}
+// NewGoalSearch returns a workspace on g rooted at roots.
+func NewGoalSearch(g *Graph, roots []VertexID) *GoalSearch {
+	gs := &GoalSearch{g: g, mark: make([]uint32, g.NumVertices())}
+	gs.Reset(roots)
+	return gs
 }
 
-// FromSet runs one multi-source A* from the given source set (all at
-// distance 0) toward the target vertices, returning the exact network
-// distance from the set to each target (Unreachable for targets in other
-// components). On an undirected graph this equals the distance from each
-// target to the nearest source — resolving "how far is this trajectory
-// from every query location" with a single corridor-shaped search.
-// The heuristic is the scaled planar distance to the nearest target,
-// which is consistent, so settled distances are exact.
-func (gs *GoalSearch) FromSet(sources []VertexID, targets []VertexID, onSettle func()) []float64 {
-	s := &gs.search
-	s.reset()
-	scale := s.g.HeuristicScale()
-	h := func(v int32) float64 {
-		best := math.Inf(1)
-		p := s.g.pts[v]
-		for _, t := range targets {
-			if d := p.Dist(s.g.pts[t]); d < best {
-				best = d
-			}
-		}
-		return best * scale
+// Reset roots the workspace at roots, one run per root, reusing storage.
+// No run settles anything until Step advances it.
+func (gs *GoalSearch) Reset(roots []VertexID) {
+	gs.roots = append(gs.roots[:0], roots...)
+	for len(gs.runs) < len(roots) {
+		gs.runs = append(gs.runs, nil)
 	}
-	out := make([]float64, len(targets))
-	pending := make(map[VertexID][]int, len(targets))
-	for i, t := range targets {
-		out[i] = Unreachable
-		pending[t] = append(pending[t], i)
+	gs.started = append(gs.started[:0], make([]bool, len(roots))...)
+	gs.Target(nil)
+}
+
+// Target makes set the current target set (Reset empties it). set must
+// not change while it is the target.
+func (gs *GoalSearch) Target(set []VertexID) {
+	if gs.epoch++; gs.epoch == 0 { // wrapped: stale marks would match
+		clear(gs.mark)
+		gs.epoch = 1
 	}
-	for _, src := range sources {
-		s.push(int32(src), 0, h(int32(src))) // a duplicate source does not improve on 0
+	for _, v := range set {
+		gs.mark[v] = gs.epoch
 	}
-	remaining := len(pending)
-	// Bounded by the goal corridor; core polls for cancellation between
-	// probes.
-	for remaining > 0 {
-		v, _, ok := s.Pop()
-		if !ok {
-			return out
-		}
-		if onSettle != nil {
-			onSettle()
-		}
-		d := s.dist[v]
-		if idxs, hit := pending[VertexID(v)]; hit {
-			for _, i := range idxs {
-				out[i] = d
-			}
-			delete(pending, VertexID(v))
-			remaining--
-			if remaining == 0 {
-				return out
-			}
-		}
-		to, w := s.g.Neighbors(VertexID(v))
-		for i, t := range to {
-			// Test the improvement here so h runs only for vertices push takes.
-			if nd := d + w[i]; !s.settled[t] && nd < s.dist[t] {
-				s.push(t, nd, nd+h(t))
-			}
+	gs.targets = set
+}
+
+// Known returns the distance from root i to the target set when root i's
+// run has already settled one of its vertices — the smallest settled
+// distance among them, exact because every unsettled vertex is at least
+// the radius away — or has exhausted its component (Unreachable when it
+// never met the set). ok is false otherwise.
+func (gs *GoalSearch) Known(i int) (d float64, ok bool) {
+	if !gs.started[i] {
+		return Unreachable, false
+	}
+	s := &gs.runs[i].search
+	d = Unreachable
+	for _, v := range gs.targets {
+		if s.settled[v] && s.dist[v] < d {
+			d, ok = s.dist[v], true
 		}
 	}
-	return out
+	return d, ok || len(s.keys) == 0
+}
+
+// Step settles the next vertex of root i's run, starting the run on first
+// use, and returns its distance — the run's new radius — and whether it is
+// in the target set. ok is false, with d Unreachable, once the run has
+// settled root i's whole component.
+func (gs *GoalSearch) Step(i int) (d float64, hit, ok bool) {
+	if !gs.started[i] {
+		gs.started[i] = true
+		if gs.runs[i] == nil {
+			gs.runs[i] = NewExpander(gs.g, gs.roots[i])
+		} else {
+			gs.runs[i].Reset(gs.roots[i])
+		}
+	}
+	v, d, ok := gs.runs[i].Next()
+	return d, ok && gs.mark[v] == gs.epoch, ok
+}
+
+// Radius returns the distance of root i's last settle: a lower bound on
+// its distance to every vertex its run has not settled (0 before the run
+// starts, Unreachable once it is exhausted).
+func (gs *GoalSearch) Radius(i int) float64 {
+	if !gs.started[i] {
+		return 0
+	}
+	return gs.runs[i].Radius()
 }

@@ -2,10 +2,11 @@
 // undirected, weighted graph modelling a road network, together with the
 // shortest-path machinery the trajectory search engine is built on —
 // single-source Dijkstra, early-terminating multi-target search,
-// bidirectional point-to-point queries, goal-directed multi-source search,
-// ALT landmark lower bounds, and the incremental network Expander that
-// drives the UOTS expansion search. All of them run on one vertex-state
-// type (search.go).
+// bidirectional point-to-point queries, resumable per-root searches
+// against a stream of target sets (GoalSearch), ALT landmark lower
+// bounds, and the incremental network Expander that drives the UOTS
+// expansion search. All of them run on one vertex-state type
+// (search.go).
 //
 // Vertices model road intersections (or ends of roads) and carry planar
 // coordinates in kilometres; edge weights are road-segment lengths in
@@ -33,8 +34,7 @@ type Graph struct {
 	adjStart []int32 // len = n+1; adjacency of v is adj{To,W}[adjStart[v]:adjStart[v+1]]
 	adjTo    []int32
 	adjW     []float64
-	numEdges int     // undirected edge count (len(adjTo)/2)
-	hScale   float64 // admissible A* heuristic scale: min over edges of W/geoDist, capped at 1
+	numEdges int // undirected edge count (len(adjTo)/2)
 	bounds   geo.Rect
 }
 
@@ -68,11 +68,6 @@ func (g *Graph) EdgeWeight(u, v VertexID) (float64, bool) {
 	}
 	return 0, false
 }
-
-// HeuristicScale returns the factor by which Euclidean distances must be
-// scaled to stay admissible as A* lower bounds on this graph
-// (min over edges of weight/Euclidean-length, capped at 1).
-func (g *Graph) HeuristicScale() float64 { return g.hScale }
 
 // TotalEdgeLength returns the sum of all undirected edge weights.
 func (g *Graph) TotalEdgeLength() float64 {
@@ -163,7 +158,6 @@ func (b *Builder) Build() (*Graph, error) {
 		adjTo:    make([]int32, 0, 2*b.edges),
 		adjW:     make([]float64, 0, 2*b.edges),
 		numEdges: b.edges,
-		hScale:   1,
 	}
 	bounds := geo.EmptyRect()
 	for v := 0; v < n; v++ {
@@ -171,11 +165,6 @@ func (b *Builder) Build() (*Graph, error) {
 		for _, he := range b.adj[v] {
 			g.adjTo = append(g.adjTo, he.to)
 			g.adjW = append(g.adjW, he.w)
-			if d := b.pts[v].Dist(b.pts[he.to]); d > 0 {
-				if r := he.w / d; r < g.hScale {
-					g.hScale = r
-				}
-			}
 		}
 		bounds = bounds.ExtendPoint(b.pts[v])
 	}

@@ -68,7 +68,7 @@ func randomConnected(n, extra int, seed uint64) *Graph {
 
 // twoComponents builds two random connected halves with no edge between
 // them. The second half's weights are 0.3 × those randomConnected draws,
-// below the Euclidean length, so the graph's HeuristicScale is below 1.
+// below the Euclidean length.
 func twoComponents(seed uint64) *Graph {
 	var b Builder
 	for half, g := range []*Graph{randomConnected(20, 15, seed), randomConnected(20, 15, seed+1)} {
@@ -240,11 +240,8 @@ func TestGenerateCityDeterministic(t *testing.T) {
 
 func TestCityWeightsAdmissible(t *testing.T) {
 	g := NRNLike(0.05, 3)
-	// Generated weights are euclidean × lift ≥ euclidean, so the A*
-	// heuristic scale must be 1.
-	if g.HeuristicScale() != 1 {
-		t.Errorf("HeuristicScale = %g, want 1", g.HeuristicScale())
-	}
+	// Generated weights are euclidean × lift, never below the euclidean
+	// length.
 	for v := 0; v < g.NumVertices(); v++ {
 		to, w := g.Neighbors(VertexID(v))
 		for i, tt := range to {

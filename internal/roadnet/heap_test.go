@@ -15,18 +15,18 @@ func heapOnly(n int) search {
 
 func TestHeapPushIsRelaxAndDecreaseKey(t *testing.T) {
 	s := heapOnly(10)
-	s.push(3, 5, 5)
-	s.push(7, 2, 2)
-	s.push(1, 9, 9)
+	s.push(3, 5)
+	s.push(7, 2)
+	s.push(1, 9)
 	if s.pos[3] == posAbsent || s.pos[0] != posAbsent {
 		t.Fatal("queued set is wrong")
 	}
 	// A push that does not improve the distance is a no-op; one that does
-	// lowers the key. The pop order shows both.
-	if s.push(7, 4, 4) {
+	// lowers its key. The pop order shows both.
+	if s.push(7, 4) {
 		t.Fatal("a worse distance reported an improvement")
 	}
-	if !s.push(1, 1, 1) {
+	if !s.push(1, 1) {
 		t.Fatal("a better distance reported no improvement")
 	}
 	v, key, ok := s.Pop()
@@ -48,13 +48,13 @@ func TestHeapPopOrderRandom(t *testing.T) {
 	want := make([]float64, n)
 	for i := range want {
 		want[i] = rng.Float64()
-		s.push(int32(i), want[i], want[i])
+		s.push(int32(i), want[i])
 	}
 	// Randomly decrease half the keys.
 	for i := 0; i < n/2; i++ {
 		v := int32(rng.IntN(n))
 		nd := want[v] * rng.Float64()
-		s.push(v, nd, nd)
+		s.push(v, nd)
 		want[v] = nd
 	}
 	prev := -1.0
@@ -81,7 +81,7 @@ func TestHeapPopOrderRandom(t *testing.T) {
 func TestHeapReset(t *testing.T) {
 	s := heapOnly(8)
 	for i := int32(0); i < 8; i++ {
-		s.push(i, float64(8-i), float64(8-i))
+		s.push(i, float64(8-i))
 	}
 	s.Pop()
 	s.reset()
@@ -93,22 +93,17 @@ func TestHeapReset(t *testing.T) {
 			t.Fatalf("vertex %d keeps state after reset", v)
 		}
 	}
-	s.push(4, 1, 1)
+	s.push(4, 1)
 	if v, _, _ := s.Pop(); v != 4 {
 		t.Fatal("heap unusable after reset")
 	}
 }
 
 // TestHeapInterleavedMatchesReference mixes pushes, decrease-keys, pops
-// and resets against a map-based reference. Keys differ from distances by
-// a fixed per-vertex offset, the way GoalSearch keys by d + h(v).
+// and resets against a map-based reference.
 func TestHeapInterleavedMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(204, 4))
 	const n = 64
-	offset := make([]float64, n)
-	for v := range offset {
-		offset[v] = rng.Float64() * 3
-	}
 	for trial := 0; trial < 30; trial++ {
 		s := heapOnly(n)
 		dist := make(map[int32]float64)   // best distance pushed since the last reset
@@ -124,12 +119,12 @@ func TestHeapInterleavedMatchesReference(t *testing.T) {
 				d := rng.Float64() * 10
 				old, seen := dist[v]
 				want := !seen || d < old
-				if got := s.push(v, d, d+offset[v]); got != want {
+				if got := s.push(v, d); got != want {
 					t.Fatalf("trial %d op %d: push(%d, %g) improved=%v, reference %v", trial, op, v, d, got, want)
 				}
 				if want {
 					dist[v] = d
-					queued[v] = d + offset[v]
+					queued[v] = d
 				}
 			case len(queued) > 0: // pop must return the reference minimum
 				v, key, ok := s.Pop()

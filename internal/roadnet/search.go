@@ -11,20 +11,21 @@ const posAbsent = int32(-1)
 
 // search is the per-vertex state every graph search in this package runs
 // on: tentative distances, the settled set, and an indexed binary min-heap
-// of queued vertices with decrease-key. Every vertex whose distance
-// leaves Unreachable is recorded once in touched, so reset costs time
-// proportional to the vertices the previous run reached, not to the graph
-// size. The faces (SSSP, Expander, GoalSearch, Bidirectional) differ in
-// the heap key they push, in when they stop, and in what else they record
-// (Bidirectional's parents, Expander's radius).
+// of queued vertices, keyed by distance, with decrease-key. Every vertex
+// whose distance leaves Unreachable is recorded once in touched, so reset
+// costs time proportional to the vertices the previous run reached, not
+// to the graph size. The faces differ in their roots, in when they stop,
+// and in what else they record: SSSP runs one root to a stop, Expander
+// steps one root and records its radius, GoalSearch steps one run per
+// root against a marked target set, Bidirectional runs two and records
+// parents.
 type search struct {
 	g       *Graph
 	dist    []float64
 	settled []bool
-	prio    []float64 // prio[v] = heap key of v (valid while queued)
-	pos     []int32   // pos[v] = index of v in keys, or posAbsent
-	keys    []int32   // heap array of vertices, ordered by prio
-	touched []int32   // vertices whose state reset must clear
+	pos     []int32 // pos[v] = index of v in keys, or posAbsent
+	keys    []int32 // heap array of vertices, ordered by dist
+	touched []int32 // vertices whose state reset must clear
 }
 
 func newSearch(g *Graph) search {
@@ -33,7 +34,6 @@ func newSearch(g *Graph) search {
 		g:       g,
 		dist:    make([]float64, n),
 		settled: make([]bool, n),
-		prio:    make([]float64, n),
 		pos:     make([]int32, n),
 	}
 	for i := range s.dist {
@@ -55,10 +55,9 @@ func (s *search) reset() {
 }
 
 // push relaxes v to distance d. When d improves on v's distance, v is
-// queued with heap key key, or has its key lowered to key if it is
-// already queued with a larger one, and push reports true; otherwise
-// nothing changes.
-func (s *search) push(v int32, d, key float64) (improved bool) {
+// queued, or moved up the heap if it is already queued, and push reports
+// true; otherwise nothing changes.
+func (s *search) push(v int32, d float64) (improved bool) {
 	if !(d < s.dist[v]) {
 		return false
 	}
@@ -67,27 +66,23 @@ func (s *search) push(v int32, d, key float64) (improved bool) {
 	}
 	s.dist[v] = d
 	if p := s.pos[v]; p != posAbsent {
-		if key < s.prio[v] {
-			s.prio[v] = key
-			s.up(int(p))
-		}
+		s.up(int(p))
 		return true
 	}
-	s.prio[v] = key
 	s.pos[v] = int32(len(s.keys))
 	s.keys = append(s.keys, v)
 	s.up(len(s.keys) - 1)
 	return true
 }
 
-// Pop removes the queued vertex with the smallest key, marks it settled
-// and returns it with its key. ok is false when the queue is empty.
-func (s *search) Pop() (v int32, key float64, ok bool) {
+// Pop removes the nearest queued vertex, marks it settled and returns it
+// with its distance. ok is false when the queue is empty.
+func (s *search) Pop() (v int32, d float64, ok bool) {
 	if len(s.keys) == 0 {
 		return 0, 0, false
 	}
 	v = s.keys[0]
-	key = s.prio[v]
+	d = s.dist[v]
 	last := len(s.keys) - 1
 	s.keys[0] = s.keys[last]
 	s.pos[s.keys[0]] = 0
@@ -97,21 +92,20 @@ func (s *search) Pop() (v int32, key float64, ok bool) {
 		s.down(0)
 	}
 	s.settled[v] = true
-	return v, key, true
+	return v, d, true
 }
 
-// minKey returns the smallest queued key, or Unreachable when the queue
-// is empty.
+// minKey returns the smallest queued distance, or Unreachable when the
+// queue is empty.
 func (s *search) minKey() float64 {
 	if len(s.keys) == 0 {
 		return Unreachable
 	}
-	return s.prio[s.keys[0]]
+	return s.dist[s.keys[0]]
 }
 
 // Next is one Dijkstra step: it settles the nearest queued vertex and
-// pushes each unsettled neighbour with key = distance. ok is false once
-// the queue is empty.
+// relaxes each unsettled neighbour. ok is false once the queue is empty.
 func (s *search) Next() (v int32, d float64, ok bool) {
 	v, d, ok = s.Pop()
 	if !ok {
@@ -120,8 +114,7 @@ func (s *search) Next() (v int32, d float64, ok bool) {
 	to, w := s.g.Neighbors(VertexID(v))
 	for i, t := range to {
 		if !s.settled[t] {
-			nd := d + w[i]
-			s.push(t, nd, nd)
+			s.push(t, d+w[i])
 		}
 	}
 	return v, d, true
@@ -129,11 +122,11 @@ func (s *search) Next() (v int32, d float64, ok bool) {
 
 func (s *search) up(i int) {
 	key := s.keys[i]
-	p := s.prio[key]
+	p := s.dist[key]
 	for i > 0 {
 		parent := (i - 1) / 2
 		pk := s.keys[parent]
-		if s.prio[pk] <= p {
+		if s.dist[pk] <= p {
 			break
 		}
 		s.keys[i] = pk
@@ -147,7 +140,7 @@ func (s *search) up(i int) {
 func (s *search) down(i int) {
 	n := len(s.keys)
 	key := s.keys[i]
-	p := s.prio[key]
+	p := s.dist[key]
 	for {
 		child := 2*i + 1
 		if child >= n {
@@ -155,11 +148,11 @@ func (s *search) down(i int) {
 		}
 		ck := s.keys[child]
 		if r := child + 1; r < n {
-			if rk := s.keys[r]; s.prio[rk] < s.prio[ck] {
+			if rk := s.keys[r]; s.dist[rk] < s.dist[ck] {
 				child, ck = r, rk
 			}
 		}
-		if p <= s.prio[ck] {
+		if p <= s.dist[ck] {
 			break
 		}
 		s.keys[i] = ck

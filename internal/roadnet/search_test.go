@@ -3,6 +3,7 @@ package roadnet
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"uots/internal/geo"
@@ -293,11 +294,59 @@ func TestVertexIndexWithin(t *testing.T) {
 	}
 }
 
+// resolve answers the distance from every root of gs to targets the way
+// the engine's probe does: a root whose run already met the set answers
+// at once, and the others advance, smallest radius first, until each
+// settles a target or exhausts its component. It returns the distances
+// and the settles spent, and checks that radii never shrink and that an
+// answered root stays answered.
+func resolve(t *testing.T, gs *GoalSearch, targets []VertexID) ([]float64, int) {
+	t.Helper()
+	gs.Target(targets)
+	out := make([]float64, len(gs.roots))
+	var open []int
+	for i := range out {
+		if d, ok := gs.Known(i); ok {
+			out[i] = d
+		} else {
+			open = append(open, i)
+		}
+	}
+	settles := 0
+	for len(open) > 0 {
+		j := 0
+		for k, i := range open {
+			if gs.Radius(i) < gs.Radius(open[j]) {
+				j = k
+			}
+		}
+		i, before := open[j], gs.Radius(open[j])
+		d, hit, ok := gs.Step(i)
+		if ok {
+			settles++
+		}
+		if d < before || gs.Radius(i) != d {
+			t.Fatalf("root %d: radius %g after %g, step returned %g", i, gs.Radius(i), before, d)
+		}
+		if hit || !ok {
+			out[i] = d
+			open = slices.Delete(open, j, j+1)
+		}
+	}
+	for i, d := range out {
+		if known, ok := gs.Known(i); !ok || known != d {
+			t.Fatalf("root %d answered %g, then Known = (%g, %v)", i, d, known, ok)
+		}
+	}
+	return out, settles
+}
+
+// TestGoalSearchFromSet resolves a stream of target sets on one
+// workspace, so later sets resume the runs earlier ones left, and
+// requires every distance to have SSSP's bits: each run is a Dijkstra
+// rooted at its root. Roots and targets repeat; the two-component graph
+// has unreachable pairs.
 func TestGoalSearchFromSet(t *testing.T) {
-	// City weights are never below the Euclidean length (HeuristicScale 1);
-	// the second half of twoComponents undercuts it, so the heuristic runs
-	// on a computed scale below 1, and its pairs across halves are
-	// unreachable.
 	for _, tc := range []struct {
 		name string
 		g    *Graph
@@ -307,72 +356,63 @@ func TestGoalSearchFromSet(t *testing.T) {
 		{"two-component", twoComponents(41)},
 	} {
 		g := tc.g
-		gs := NewGoalSearch(g)
+		gs := NewGoalSearch(g, nil)
 		s := NewSSSP(g)
 		rng := rand.New(rand.NewPCG(109, 113))
-		unreachable := 0
-		for trial := 0; trial < 30; trial++ {
-			sources := make([]VertexID, 1+rng.IntN(5))
-			for i := range sources {
-				sources[i] = VertexID(rng.IntN(g.NumVertices()))
+		unreachable, resumed := 0, 0
+		for query := 0; query < 5; query++ {
+			roots := make([]VertexID, 1+rng.IntN(5))
+			for i := range roots {
+				roots[i] = VertexID(rng.IntN(g.NumVertices()))
 			}
-			targets := make([]VertexID, 1+rng.IntN(4))
-			for i := range targets {
-				targets[i] = VertexID(rng.IntN(g.NumVertices()))
-			}
-			got := gs.FromSet(sources, targets, nil)
-			for i, tgt := range targets {
-				s.Run(tgt)
-				want := math.Inf(1)
-				for _, src := range sources {
-					if d := s.Dist(src); d < want {
-						want = d
-					}
+			roots = append(roots, roots[0])
+			gs.Reset(roots)
+			for trial := 0; trial < 10; trial++ {
+				targets := make([]VertexID, 1+rng.IntN(4))
+				for i := range targets {
+					targets[i] = VertexID(rng.IntN(g.NumVertices()))
 				}
-				if want == Unreachable {
-					unreachable++
-					if got[i] != Unreachable {
-						t.Fatalf("%s: FromSet reached target %d in another component (%g)", tc.name, tgt, got[i])
+				targets = append(targets, targets[0])
+				got, settles := resolve(t, gs, targets)
+				if settles == 0 {
+					resumed++
+				}
+				for i, root := range roots {
+					s.Run(root)
+					want := Unreachable
+					for _, tgt := range targets {
+						want = min(want, s.Dist(tgt))
 					}
-				} else if math.Abs(got[i]-want) > 1e-9 {
-					t.Fatalf("%s: FromSet target %d = %g, want %g", tc.name, tgt, got[i], want)
+					if want == Unreachable {
+						unreachable++
+					}
+					if got[i] != want {
+						t.Fatalf("%s: root %d to %v = %g, SSSP %g", tc.name, root, targets, got[i], want)
+					}
 				}
 			}
 		}
-		if tc.name == "two-component" && (unreachable == 0 || g.HeuristicScale() >= 1) {
-			t.Fatalf("two-component: %d unreachable targets, HeuristicScale %g", unreachable, g.HeuristicScale())
-		}
-		// Duplicate sources and targets must not break anything.
-		got := gs.FromSet([]VertexID{0, 0, 1}, []VertexID{2, 2}, nil)
-		if got[0] != got[1] {
-			t.Errorf("%s: duplicate targets disagree: %v", tc.name, got)
+		if resumed == 0 || tc.name == "two-component" && unreachable == 0 {
+			t.Fatalf("%s: %d sets answered without a settle, %d unreachable pairs", tc.name, resumed, unreachable)
 		}
 	}
 }
 
-// GoalSearch is the graph's A* search; with one source and one target it
-// answers a point-to-point query, which must match SSSP. City weights give
-// the exact heuristic scale 1, the random graph a computed one, and the
-// two-component graph a scale below 1 plus unreachable pairs.
+// TestAStarMatchesSSSP: with one root and one target GoalSearch answers
+// a point-to-point query, which must have SSSP's bits, on a city, a
+// random graph and a graph whose pairs across halves are unreachable.
 func TestAStarMatchesSSSP(t *testing.T) {
 	for _, g := range []*Graph{NRNLike(0.04, 5), randomConnected(60, 45, 41), twoComponents(41)} {
-		gs := NewGoalSearch(g)
+		gs := NewGoalSearch(g, nil)
 		s := NewSSSP(g)
 		rng := rand.New(rand.NewPCG(43, 47))
 		for trial := 0; trial < 40; trial++ {
 			u := VertexID(rng.IntN(g.NumVertices()))
 			v := VertexID(rng.IntN(g.NumVertices()))
 			s.Run(u)
-			want := s.Dist(v)
-			got := gs.FromSet([]VertexID{u}, []VertexID{v}, nil)[0]
-			if want == Unreachable {
-				if got != Unreachable {
-					t.Fatalf("A* found unreachable %d→%d (%g)", u, v, got)
-				}
-				continue
-			}
-			if math.Abs(got-want) > 1e-9 {
-				t.Fatalf("A* d(%d,%d) = %g, want %g", u, v, got, want)
+			gs.Reset([]VertexID{u})
+			if got, _ := resolve(t, gs, []VertexID{v}); got[0] != s.Dist(v) {
+				t.Fatalf("d(%d,%d) = %g, SSSP %g", u, v, got[0], s.Dist(v))
 			}
 		}
 	}

@@ -86,6 +86,7 @@ type serverMetrics struct {
 	searchVisited    *obs.Counter
 	searchScans      *obs.Counter
 	searchSettled    *obs.Counter
+	searchProbeSet   *obs.Counter
 	searchCandidates *obs.Counter
 	searchTextScored *obs.Counter
 	searchProbes     *obs.Counter
@@ -117,6 +118,8 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 			"(source, trajectory) scan events during expansion."),
 		searchSettled: reg.Counter("uots_search_settled_vertices_total",
 			"Dijkstra-settled vertices across all query sources and probes."),
+		searchProbeSet: reg.Counter("uots_search_probe_settled_total",
+			"Vertices settled by the text probes' query-rooted searches (a part of the settled-vertices total)."),
 		searchCandidates: reg.Counter("uots_search_candidates_total",
 			"Trajectories whose exact score was computed."),
 		searchTextScored: reg.Counter("uots_search_text_scored_total",
@@ -136,6 +139,7 @@ func (m *serverMetrics) recordSearch(st core.SearchStats) {
 	m.searchVisited.AddInt(st.VisitedTrajectories)
 	m.searchScans.AddInt(st.ScanEvents)
 	m.searchSettled.AddInt(st.SettledVertices)
+	m.searchProbeSet.AddInt(st.ProbeSettled)
 	m.searchCandidates.AddInt(st.Candidates)
 	m.searchTextScored.AddInt(st.TextScored)
 	m.searchProbes.AddInt(st.Probes)

@@ -108,6 +108,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE uots_search_queries_total counter",
 		"uots_search_visited_trajectories_total",
 		"uots_search_candidates_total",
+		"# TYPE uots_search_probe_settled_total counter",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)
@@ -210,5 +211,9 @@ func TestStatsSearchTotalsGrow(t *testing.T) {
 		if a <= b {
 			t.Errorf("stats search.%s did not grow: before %v, after %v", key, b, a)
 		}
+	}
+	// The probes' settles are a part of all settles.
+	if probe, ok := after["probeSettledTotal"].(float64); !ok || probe > after["settledVerticesTotal"].(float64) {
+		t.Errorf("stats search.probeSettledTotal = %v, settledVerticesTotal %v", after["probeSettledTotal"], after["settledVerticesTotal"])
 	}
 }

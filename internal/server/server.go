@@ -406,6 +406,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"visitedTrajectoriesTotal": m.searchVisited.Value(),
 			"scanEventsTotal":          m.searchScans.Value(),
 			"settledVerticesTotal":     m.searchSettled.Value(),
+			"probeSettledTotal":        m.searchProbeSet.Value(),
 			"candidatesTotal":          m.searchCandidates.Value(),
 			"textScoredTotal":          m.searchTextScored.Value(),
 			"probesTotal":              m.searchProbes.Value(),

@@ -59,7 +59,7 @@ func TestShardBatchPartialDegrade(t *testing.T) {
 		if err != nil {
 			t.Fatalf("degraded single query %d: %v", i, err)
 		}
-		if err := difftest.Mismatch(o.Results, want, len(want), true); err != nil {
+		if err := difftest.Mismatch(o.Results, want, len(want)); err != nil {
 			t.Errorf("degraded q=%d: %v", i, err)
 		}
 	}

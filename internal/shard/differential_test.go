@@ -51,14 +51,21 @@ func tier1Indexes(kind string) uint64 {
 
 // TestDifferential checks every world on every backend, except that on
 // the BRN-like world each backend family is left to the test that owns
-// it (see family).
+// it (see family). The NRN-like world's cycle must hold a request whose
+// oracle ranking ties at rank k, so the tie rule stays under test.
 func TestDifferential(t *testing.T) {
 	h := newHarness(t, func(name string) bool { return family(name) == "" })
 	for kind, name := range worldKinds {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
+			ties := 0
 			for i := range tier1Indexes(name) {
-				h.check(t, i*uint64(len(worldKinds))+uint64(kind))
+				if h.check(t, i*uint64(len(worldKinds))+uint64(kind)) {
+					ties++
+				}
+			}
+			if name == "nrn" && ties == 0 {
+				t.Error("no request's ranking ties at rank k")
 			}
 		})
 	}
@@ -142,8 +149,9 @@ func newHarness(tb testing.TB, keep func(name string) bool) harness {
 	return h
 }
 
-// check draws seed's world and request and checks every backend.
-func (h harness) check(t *testing.T, seed uint64) {
+// check draws seed's world and request and checks every backend. It
+// reports whether the oracle's ranking ties at rank k.
+func (h harness) check(t *testing.T, seed uint64) (tie bool) {
 	t.Helper()
 	kind := worldKinds[seed%uint64(len(worldKinds))]
 	r := h[kind]
@@ -155,10 +163,11 @@ func (h harness) check(t *testing.T, seed uint64) {
 	q := req.Query
 	label := fmt.Sprintf("seed %d (%s, %s λ=%g k=%d |O|=%d |ψ|=%d)",
 		seed, kind, req.Variant(), q.Lambda, q.K, len(q.Locations), len(q.Keywords))
-	r.checkRequest(t, label, req, layouts[i%3])
+	tie = r.checkRequest(t, label, req, layouts[i%3])
 	if seed%4 == 0 {
 		r.checkCancelled(t, label, req)
 	}
+	return tie
 }
 
 // rig is one world — a road network, its trajectories and the distance
@@ -187,7 +196,7 @@ func newWorld(tb testing.TB, kind string, seed uint64) *rig {
 		return &rig{g: f.g, db: f.db, partitions: []int{2, 4}, perTrip: true}
 	case "nrn":
 		g := roadnet.NRNLike(0.05, 3)
-		return &rig{g: g, db: generate(tb, g, textual.GenerateVocab(4, 30, 1.0, 5), 300, 15, 9), partitions: []int{2}}
+		return &rig{g: g, db: testworld.Ties(generate(tb, g, textual.GenerateVocab(4, 30, 1.0, 5), 300, 15, 9), 60, 19), partitions: []int{2}}
 	case "islands":
 		return islands(tb)
 	case "grown":
@@ -369,7 +378,6 @@ func (r *rig) build(tb testing.TB) *rig {
 	for _, b := range []backend{
 		single("engine", r.oracle),
 		single("engine/round-robin", engine(core.Options{Scheduling: core.ScheduleRoundRobin})),
-		single("engine/no-probe", engine(core.Options{DisableTextProbe: true})),
 		single("engine/index", indexed),
 		textFirst("textfirst", r.oracle),
 		textFirst("textfirst/index", indexed),
@@ -484,14 +492,16 @@ func (r *rig) drawRequest(rng *rand.Rand, variant string, lambda float64) core.R
 // checkRequest runs req on every backend but the skewed executors of the
 // other layouts, and compares each answer with the oracle's. The
 // hot-shard layout puts every answer on shard 0 and hashes the rest
-// over the others, so it is built from the oracle's answer.
-func (r *rig) checkRequest(t *testing.T, label string, req core.Request, layout string) {
+// over the others, so it is built from the oracle's answer. It reports
+// whether the oracle's ranking ties at rank k.
+func (r *rig) checkRequest(t *testing.T, label string, req core.Request, layout string) (tie bool) {
 	t.Helper()
-	ranking, k, ordered, err := r.expect(t, label, req)
+	ranking, k, err := r.expect(t, label, req)
 	if err != nil {
 		t.Errorf("%s: oracle: %v", label, err)
-		return
+		return false
 	}
+	tie = 0 < k && k < len(ranking) && ranking[k-1].Score == ranking[k].Score
 	backends := r.backends
 	if layout == "hot-shard" {
 		hot := make(map[trajdb.TrajID]bool, k)
@@ -518,22 +528,23 @@ func (r *rig) checkRequest(t *testing.T, label string, req core.Request, layout 
 			continue
 		}
 		for slot, got := range answers {
-			if err := difftest.Mismatch(got, ranking, k, ordered); err != nil {
+			if err := difftest.Mismatch(got, ranking, k); err != nil {
 				t.Errorf("%s: %s (answer %d): %v", label, b.name, slot, err)
 			}
 		}
 	}
+	return tie
 }
 
 // expect is the oracle (difftest.Expect). On the plain top-k it also
 // checks the oracle's own top k: each entry equals Evaluate, a place on
 // the trip is at distance 0, a place on another island at +Inf, and a
 // query without keywords scores no text.
-func (r *rig) expect(t *testing.T, label string, req core.Request) (ranking []core.Result, k int, ordered bool, err error) {
+func (r *rig) expect(t *testing.T, label string, req core.Request) (ranking []core.Result, k int, err error) {
 	t.Helper()
-	ranking, k, ordered, err = difftest.Expect(context.Background(), r.oracle, r.db, req)
+	ranking, k, err = difftest.Expect(context.Background(), r.oracle, r.db, req)
 	if err != nil || req.Variant() != "search" {
-		return ranking, k, ordered, err
+		return ranking, k, err
 	}
 	q := req.Query
 	comp, _ := r.g.ConnectedComponents()
@@ -553,7 +564,7 @@ func (r *rig) expect(t *testing.T, label string, req core.Request) (ranking []co
 			t.Errorf("%s: oracle rank %d: %v", label, i, e)
 		}
 	}
-	return ranking, k, ordered, nil
+	return ranking, k, nil
 }
 
 // checkCancelled runs req on a context cancelled before the call: every

@@ -42,7 +42,7 @@ func TestExecutorClampsShardCount(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
-	ranking, k, ordered, err := difftest.Expect(context.Background(), mono, f.db, req)
+	ranking, k, err := difftest.Expect(context.Background(), mono, f.db, req)
 	if err != nil {
 		t.Fatalf("oracle: %v", err)
 	}
@@ -50,7 +50,7 @@ func TestExecutorClampsShardCount(t *testing.T) {
 	if err != nil {
 		t.Fatalf("sharded SearchCtx: %v", err)
 	}
-	if err := difftest.Mismatch(got, ranking, k, ordered); err != nil {
+	if err := difftest.Mismatch(got, ranking, k); err != nil {
 		t.Errorf("max shards: %v", err)
 	}
 }
@@ -235,7 +235,7 @@ func TestWorkerPoolConcurrentQueries(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("concurrent SearchCtx %d: %v", i, errs[i])
 		}
-		if err := difftest.Mismatch(got[i], want[i], len(want[i]), true); err != nil {
+		if err := difftest.Mismatch(got[i], want[i], len(want[i])); err != nil {
 			t.Errorf("concurrent query %d: %v", i, err)
 		}
 	}

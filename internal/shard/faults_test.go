@@ -159,7 +159,7 @@ func TestShardedStoreFaultDegrades(t *testing.T) {
 	// The degraded answer must be exactly the top-k over the healthy
 	// shards' trajectories.
 	want := rankingWithout(t, f, q, ex.shards[faultShard].globals)
-	if err := difftest.Mismatch(got, want, q.K, true); err != nil {
+	if err := difftest.Mismatch(got, want, q.K); err != nil {
 		t.Errorf("degraded top-k: %v", err)
 	}
 }

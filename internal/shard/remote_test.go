@@ -271,7 +271,7 @@ func TestRemoteReplicaKilledMidQueryFailsOver(t *testing.T) {
 		if err != nil {
 			t.Fatalf("killed-replica/%s: %v", req.Variant(), err)
 		}
-		if err := difftest.Mismatch(got, want, len(want), req.Diversify == nil); err != nil {
+		if err := difftest.Mismatch(got, want, len(want)); err != nil {
 			t.Errorf("killed-replica/%s: %v", req.Variant(), err)
 		}
 	}
@@ -315,7 +315,7 @@ func TestRemotePartitionDownDegrades(t *testing.T) {
 	}
 
 	want := rankingWithout(t, f, q, shardIDs(f.db.NumTrajectories(), shards, faultShard, nil))
-	if err := difftest.Mismatch(got, want, q.K, true); err != nil {
+	if err := difftest.Mismatch(got, want, q.K); err != nil {
 		t.Errorf("remote degraded top-k: %v", err)
 	}
 }

@@ -2,12 +2,11 @@
 // trajectory store: every search variant runs as a scatter-gather over N
 // per-shard engines on a bounded worker pool, and the per-shard
 // candidates merge into a deterministic global top-k that reproduces the
-// monolithic engine's answer — the same trajectories in the same order
-// with the same scores. (Reported distances may differ from the
-// monolithic run by an ULP: the core engine resolves each distance
-// either by forward expansion scan or by a reverse probe, which sum the
-// same shortest path in different association orders, and sharding moves
-// the scan/probe boundary.)
+// monolithic engine's answer bit for bit: the same trajectories in the
+// same order with the same scores and distances. (Sharding moves which
+// distances the core engine's expansion scans and which its text probes
+// resolve, but both are Dijkstras rooted at the query location, so the
+// bits do not move.)
 //
 // The design exploits the same structure the paper's pruning does. A
 // shard's local k-th score can only under-estimate the global k-th (its

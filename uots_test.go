@@ -50,11 +50,11 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Error("no work recorded")
 	}
 	// The expansion result must agree with the exhaustive baseline.
-	ranking, k, ordered, err := difftest.Expect(context.Background(), engine, db, core.Request{Query: q})
+	ranking, k, err := difftest.Expect(context.Background(), engine, db, core.Request{Query: q})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := difftest.Mismatch(res, ranking, k, ordered); err != nil {
+	if err := difftest.Mismatch(res, ranking, k); err != nil {
 		t.Fatal(err)
 	}
 
