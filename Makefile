@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build vet lint wire-schema options stats-golden test race fuzz-smoke bench bench-quick check
+.PHONY: build vet lint wire-schema options stats-golden test race fuzz-smoke mutants bench bench-quick check
 
 build:
 	$(GO) build ./...
@@ -69,6 +69,13 @@ fuzz-smoke:
 	$(GO) test ./internal/rpc -run '^$$' -fuzz '^FuzzShardServer$$' -fuzztime 10s -fuzzminimizetime 10x
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzSearchHandler$$' -fuzztime 10s -fuzzminimizetime 10x
 	$(GO) test ./internal/shard -run '^$$' -fuzz '^FuzzDifferential$$' -fuzztime 10s -fuzzminimizetime 10x
+
+# mutants checks that the tests kill every mutant in the table of
+# internal/mutants: each mutated file is swapped in with go test -overlay
+# from a temp dir, so the tree is never edited. It fails if a mutant
+# survives, no longer applies, or does not build.
+mutants:
+	$(GO) run ./internal/mutants
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -90,11 +90,13 @@ type expansionState struct {
 	localBar     float64
 	localBarOK   bool
 
-	labels []float64 // heuristic scheduling labels (refreshed each rescan)
-	rr     int
-	steps  int
+	owed  uint64 // bit i: a candidate the last rescan kept, with a positive bound, is unscanned by source i
+	rr    int
+	steps int
 
 	goal  *roadnet.GoalSearch // lazy; text probes only, rooted at q.Locations
+	kern  []float64           // probe scratch: e^{−d/γ} per location, d exact or a lower bound
+	open  []bool              // probe scratch: the location's distance is still unknown
 	stats SearchStats
 
 	trace    obs.Tracer // nil when the request is not traced
@@ -127,7 +129,6 @@ func newExpansionState(ctx context.Context, e *Engine, q Query, theta float64, k
 		liveN:    len(q.Locations),
 		allMask:  maskAll(len(q.Locations)),
 		cands:    make([]*cand, e.db.NumTrajectories()),
-		labels:   make([]float64, len(q.Locations)),
 	}
 	// Inside a shared-expansion batch (SearchBatch with SharedExpansion)
 	// the per-source settle streams come from the batch's shared
@@ -393,9 +394,20 @@ func (st *expansionState) peekUnseenText() float64 {
 }
 
 // rescan is the periodic bound refresh: it prunes hopeless candidates,
-// recomputes the global upper bound, runs adaptive text probes, refreshes
-// the heuristic scheduling labels, and reports whether the search can
-// terminate. A probe that observes cancellation stops it (st.err).
+// recomputes the global upper bound, runs adaptive text probes, records
+// in st.owed which live sources kept candidates still wait on, and
+// reports whether the search can terminate. A probe that observes
+// cancellation stops it (st.err).
+//
+// Exactness: the radius part of a candidate's bound (rest, restFloor,
+// pastFloor) depends only on its scan mask, and no radius or source
+// changes during a rescan, so the sweep computes it once per distinct
+// mask — summed over st.live in source order, exactly as a
+// per-candidate sum would — and looks it up per candidate. The
+// per-candidate bound expression, the order of st.active and the points
+// where probes run are those of a per-candidate sweep, so every prune,
+// probe and termination decision is bit-identical to it;
+// testdata/stats.golden not moving is the check.
 func (st *expansionState) rescan() bool {
 	bar, haveBar := st.bar()
 	lambda := st.q.Lambda
@@ -436,11 +448,13 @@ func (st *expansionState) rescan() bool {
 	}
 
 	// Sweep candidates: prune, probe floor-resistant partial blockers,
-	// find the max partial bound, relabel.
-	for i := range st.labels {
-		st.labels[i] = 0
-	}
+	// find the max partial bound, record which sources are owed scans.
+	// memo holds the radius part of a bound per scan mask, in the slot a
+	// Fibonacci hash of the mask picks; a slot holding another mask is
+	// recomputed and overwritten.
+	var memo [64]maskRest
 	floor := st.probeFloor()
+	st.owed = 0
 	maxPartial := math.Inf(-1)
 	keep := st.active[:0]
 	for _, tid := range st.active {
@@ -448,18 +462,11 @@ func (st *expansionState) rescan() bool {
 		if c.complete {
 			continue
 		}
-		rest, restFloor := 0.0, 0.0
-		pastFloor := true
-		for i, ok := range st.live {
-			if ok && c.mask&(uint64(1)<<i) == 0 {
-				rest += st.radExp[i]
-				restFloor += floor
-				if st.radExp[i] > floor {
-					pastFloor = false
-				}
-			}
+		r := &memo[(c.mask*0x9e3779b97f4a7c15)>>58]
+		if !r.ok || r.mask != c.mask {
+			*r = st.restOf(c.mask, floor)
 		}
-		ub := lambda*(c.sumExp+rest)/nLoc + (1-lambda)*c.text
+		ub := lambda*(c.sumExp+r.rest)/nLoc + (1-lambda)*c.text
 		if haveBar && ub < bar {
 			st.prune(tid, c, ub, bar)
 			continue
@@ -468,8 +475,8 @@ func (st *expansionState) rescan() bool {
 		// waits on has grown past the probe floor, a candidate that
 		// still blocks termination will not clear itself at acceptable
 		// cost — resolve its remaining distances directly.
-		if haveBar && pastFloor &&
-			combine(lambda, (c.sumExp+restFloor)/nLoc, c.text) >= bar {
+		if haveBar && r.pastFloor &&
+			combine(lambda, (c.sumExp+r.restFloor)/nLoc, c.text) >= bar {
 			if st.probe(tid) != nil {
 				return false
 			}
@@ -480,10 +487,8 @@ func (st *expansionState) rescan() bool {
 		if ub > maxPartial {
 			maxPartial = ub
 		}
-		for i, ok := range st.live {
-			if ok && c.mask&(uint64(1)<<i) == 0 {
-				st.labels[i] += ub
-			}
+		if ub > 0 {
+			st.owed |= ^c.mask
 		}
 	}
 	st.active = keep
@@ -495,6 +500,31 @@ func (st *expansionState) rescan() bool {
 	}
 	st.emit(TraceBound, -1, -1, ub, bar, "")
 	return haveBar && ub < bar
+}
+
+// maskRest is the radius part of the bound of every candidate with scan
+// mask mask: over the live sources it has not been scanned by, the sum
+// of their kernels e^{−rᵢ/γ} (rest) and of the probe floor (restFloor),
+// and whether every one of those radii is past the floor (pastFloor).
+// ok marks a filled slot of rescan's table.
+type maskRest struct {
+	mask            uint64
+	rest, restFloor float64
+	pastFloor, ok   bool
+}
+
+func (st *expansionState) restOf(mask uint64, floor float64) maskRest {
+	r := maskRest{mask: mask, pastFloor: true, ok: true}
+	for i, ok := range st.live {
+		if ok && mask&(uint64(1)<<i) == 0 {
+			r.rest += st.radExp[i]
+			r.restFloor += floor
+			if st.radExp[i] > floor {
+				r.pastFloor = false
+			}
+		}
+	}
+	return r
 }
 
 // prune completes c without a result: its bound ub fell below the bar.
@@ -525,13 +555,15 @@ func (st *expansionState) probe(tid trajdb.TrajID) error {
 	}
 	if st.goal == nil {
 		st.goal = roadnet.NewGoalSearch(st.e.g, st.q.Locations)
+		st.kern = make([]float64, len(c.dists))
+		st.open = make([]bool, len(c.dists))
 	}
 	st.stats.Probes++
 	st.emit(TraceProbe, -1, int64(tid), 0, 0, "")
 	gs := st.goal
 	gs.Target(st.e.db.UniqueVertices(tid))
-	kern := make([]float64, len(c.dists)) // e^{−d/γ}, d exact or a lower bound
-	open := make([]bool, len(c.dists))    // the distance is still unknown
+	kern, open := st.kern, st.open
+	clear(open) // every kern[i] is set below
 	for i, d := range c.dists {
 		// A scanned location holds its exact distance; an exhausted source
 		// that never scanned tid leaves +Inf.
@@ -613,14 +645,14 @@ func (st *expansionState) pickSource() int {
 			}
 		}
 	default: // ScheduleHeuristic
-		// Among the sources that still owe scans to live partly scanned
-		// candidates (per the labels of the last rescan), expand the one
+		// Among the sources that still owe scans to kept partly scanned
+		// candidates (per st.owed of the last rescan), expand the one
 		// with the smallest radius: it completes outstanding candidates
-		// at the least settled-area cost. With no outstanding labels the
-		// unseen bound dominates and plain min-radius shrinks it fastest.
+		// at the least settled-area cost. With none owed the unseen
+		// bound dominates and plain min-radius shrinks it fastest.
 		best, bestR := -1, math.Inf(1)
 		for i, ok := range st.live {
-			if ok && st.labels[i] > 0 && st.sources[i].radius() < bestR {
+			if ok && st.owed&(uint64(1)<<i) != 0 && st.sources[i].radius() < bestR {
 				best, bestR = i, st.sources[i].radius()
 			}
 		}

@@ -148,7 +148,10 @@ func TestRelabelEveryOne(t *testing.T) {
 // distances, and duplicated trips tie their originals. With a rescan
 // after every step a partly scanned candidate can meet a bar equal to
 // its exact score; every prune is strict, so it must survive and win its
-// tie by ID. Half the queries repeat a location.
+// tie by ID. Half the queries repeat a location. The first row asks one
+// to four places; the second six to nine, where distinct scan masks
+// share a slot of rescan's per-mask bound table, so a lookup that does
+// not check the slot's mask drops an answer.
 func TestTiesAtTheBar(t *testing.T) {
 	g := testworld.UnitGrid(12)
 	vocab := textual.GenerateVocab(2, 3, 1.0, 5)
@@ -157,14 +160,20 @@ func TestTiesAtTheBar(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := world{g: g, vocab: vocab, db: testworld.Ties(db, 30, 7)}
-	row{w: w, opts: core.WithPolicies(core.Options{}, 1, 0), seed: 907, trials: 300,
-		draw: func(w world, rng *rand.Rand, trial int) core.Request {
-			req := topK([]float64{0.1, 0.3, 0.5, 0.7, 0.9, 1}, 10)(w, rng, trial)
-			if locs := req.Query.Locations; len(locs) > 1 && rng.IntN(2) == 0 {
-				locs[1] = locs[0]
-			}
-			return req
-		}}.check(t)
+	lambdas := []float64{0.1, 0.3, 0.5, 0.7, 0.9, 1}
+	for _, r := range []struct {
+		seed           uint64
+		trials, places int // places: the fewest query locations; up to three more
+	}{{907, 300, 1}, {1018, 155, 6}} {
+		row{w: w, opts: core.WithPolicies(core.Options{}, 1, 0), seed: r.seed, trials: r.trials,
+			draw: func(w world, rng *rand.Rand, _ int) core.Request {
+				q := w.query(rng, r.places+rng.IntN(4), rng.IntN(5), lambdas[rng.IntN(len(lambdas))], 1+rng.IntN(10))
+				if len(q.Locations) > 1 && rng.IntN(2) == 0 {
+					q.Locations[1] = q.Locations[0]
+				}
+				return core.Request{Query: q}
+			}}.check(t)
+	}
 }
 
 // TestTextFirstMatchesExhaustive validates the second baseline against

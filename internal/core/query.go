@@ -111,12 +111,15 @@ type Result struct {
 type Scheduling int
 
 const (
-	// ScheduleHeuristic is the paper's strategy: each source carries a
-	// priority label — the summed spatio-textual upper bound of the
-	// partly scanned trajectories the source has not yet
-	// scanned — and the top-labelled source keeps expanding until a
-	// relabel changes the ranking. It drives partly scanned trajectories
-	// to fully scanned as fast as possible.
+	// ScheduleHeuristic expands, among the sources still owed a scan by
+	// a partly scanned trajectory the last rescan kept (one whose upper
+	// bound is positive), the one with the smallest radius, and when no
+	// source is owed one, the smallest-radius source. The first drives
+	// partly scanned trajectories to fully scanned at the least
+	// settled-area cost; the second shrinks the unseen bound fastest.
+	// It keeps only the support of the paper's priority label (the
+	// summed upper bound of the partly scanned trajectories a source has
+	// not scanned): whether a source is owed a scan, not how much.
 	ScheduleHeuristic Scheduling = iota
 	// ScheduleRoundRobin cycles through sources — the "w/o heuristic"
 	// ablation configuration of the paper's experiments.
