@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"uots/internal/obs"
+	"uots/internal/roadnet"
 )
 
 // ctxVariant names one context-aware engine entry point for table tests.
@@ -215,6 +216,61 @@ func TestCancellationBoundsWork(t *testing.T) {
 	}
 	if after := stats.SettledVertices - probe.at; after > cancelPollEvery {
 		t.Errorf("in a probe: %d vertices settled after the cancel, want ≤ %d", after, cancelPollEvery)
+	}
+
+	// Cancelled inside the order-aware rerank: a tracer cancels as round
+	// 0's retrieval terminates, so only the rerank's own poll can stop the
+	// query-rooted search of the trips it scores. Replaying round 0 — the
+	// top-K′ retrieval, K′ = max(16, 4k), then the rerank on the same
+	// search — gives the settles before the cancel, and shows the rerank
+	// has more than one poll interval of work to do.
+	oq := f.randomQuery(rand.New(rand.NewPCG(84, 0)), 4, 2, 0.5, 4)
+	nq, err := oq.normalize(e.g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	uq := nq
+	uq.K = max(16, 4*nq.K)
+	gs := roadnet.NewGoalSearch(e.g, nq.Locations)
+	unordered, retrieval, err := e.candidates(context.Background(), uq, 0, nil, AlgoExpansion, gs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rerank SearchStats
+	for _, r := range unordered {
+		if _, err := e.orderAwareResult(gs, nq, r.Traj, canceller{}, &rerank); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rerank.SettledVertices <= cancelPollEvery {
+		t.Fatalf("in the rerank: round 0's rerank settles %d vertices, want > %d", rerank.SettledVertices, cancelPollEvery)
+	}
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	term := &cancelOnTerminate{cancel: cancel}
+	_, stats, err = e.OrderAwareSearchCtx(obs.ContextWithTracer(ctx, term), oq)
+	if !term.fired {
+		t.Fatal("in the rerank: the retrieval never terminated")
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("in the rerank: err = %v, want context.Canceled", err)
+	}
+	if after := stats.SettledVertices - retrieval.SettledVertices; after > cancelPollEvery {
+		t.Errorf("in the rerank: %d vertices settled after the cancel, want ≤ %d", after, cancelPollEvery)
+	}
+}
+
+// cancelOnTerminate is a tracer that cancels its search when the first
+// expansion terminates.
+type cancelOnTerminate struct {
+	cancel context.CancelFunc
+	fired  bool
+}
+
+func (c *cancelOnTerminate) Emit(ev obs.SpanEvent) {
+	if ev.Kind == TraceTerminate && !c.fired {
+		c.fired = true
+		c.cancel()
 	}
 }
 

@@ -94,7 +94,7 @@ type expansionState struct {
 	rr    int
 	steps int
 
-	goal  *roadnet.GoalSearch // lazy; text probes only, rooted at q.Locations
+	goal  *roadnet.GoalSearch // text probes' search, rooted at q.Locations; lazy unless adopted
 	kern  []float64           // probe scratch: e^{−d/γ} per location, d exact or a lower bound
 	open  []bool              // probe scratch: the location's distance is still unknown
 	stats SearchStats
@@ -112,8 +112,10 @@ type expansionState struct {
 // newExpansionState prepares one expansion search: top-k when theta is 0,
 // otherwise the threshold variant. A non-nil keep is pushed into every
 // access path: filtered trajectories never enter the textual bound, never
-// trigger probes, and are scanned but never scored.
-func newExpansionState(ctx context.Context, e *Engine, q Query, theta float64, keep func(trajdb.TrajID) bool) *expansionState {
+// trigger probes, and are scanned but never scored. A non-nil goal,
+// rooted at q.Locations, becomes the probes' query-rooted search in
+// place of the lazy one.
+func newExpansionState(ctx context.Context, e *Engine, q Query, theta float64, keep func(trajdb.TrajID) bool, goal *roadnet.GoalSearch) *expansionState {
 	st := &expansionState{
 		e:        e,
 		q:        q,
@@ -123,6 +125,7 @@ func newExpansionState(ctx context.Context, e *Engine, q Query, theta float64, k
 		theta:    theta,
 		useTopK:  theta == 0,
 		keep:     keep,
+		goal:     goal,
 		sources:  make([]expander, len(q.Locations)),
 		live:     make([]bool, len(q.Locations)),
 		radExp:   make([]float64, len(q.Locations)),
@@ -543,7 +546,7 @@ func (st *expansionState) prune(tid trajdb.TrajID, c *cand, ub, bar float64) {
 // probe resolves one trajectory's missing distances and completes it, or
 // prunes it once it provably cannot reach the bar. The distances come
 // from st.goal, one Dijkstra per query location shared by every probe of
-// the query (DESIGN.md, "Adaptive distance probes"). After each settle
+// the request (DESIGN.md, "Adaptive distance probes"). After each settle
 // the score is bounded with the exact score's own expression, each open
 // distance replaced by the larger of its probe search's and its
 // expander's radius, so the bound is at least the exact score in
@@ -555,6 +558,8 @@ func (st *expansionState) probe(tid trajdb.TrajID) error {
 	}
 	if st.goal == nil {
 		st.goal = roadnet.NewGoalSearch(st.e.g, st.q.Locations)
+	}
+	if st.kern == nil {
 		st.kern = make([]float64, len(c.dists))
 		st.open = make([]bool, len(c.dists))
 	}

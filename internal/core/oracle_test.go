@@ -225,10 +225,17 @@ func TestSearchWindowedMatchesFilteredExhaustive(t *testing.T) {
 }
 
 // TestOrderAwareSearchIsExact checks the order-aware search against a
-// ranking of every trajectory by OrderAwareEvaluate.
+// ranking of every trajectory by OrderAwareEvaluate, whose search is
+// fresh per trajectory. The second row is one four-place request whose
+// retrieval ends with a probe of another trip than the one the rerank
+// scores first: a rerank that kept the probe's target set would count
+// the probed trip's vertices as its own and stop short.
 func TestOrderAwareSearchIsExact(t *testing.T) {
 	row{seed: 231, trials: 6, draw: func(w world, rng *rand.Rand, _ int) core.Request {
 		return core.Request{Query: w.query(rng, 1+rng.IntN(3), 2, 0.3+0.5*rng.Float64(), 3), OrderAware: true}
+	}}.check(t)
+	row{seed: 249, draw: func(w world, rng *rand.Rand, _ int) core.Request {
+		return core.Request{Query: w.query(rng, 4, 3, 1, 8), OrderAware: true}
 	}}.check(t)
 }
 

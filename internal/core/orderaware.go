@@ -23,9 +23,10 @@ import (
 // ordered one, the ordered top-k is exact.
 
 // OrderAwareEvaluate computes the exact order-aware Result of one
-// trajectory: per-(location, sample) network distances from |O| Dijkstra
-// runs, then an O(|O|·m) dynamic program for the best order-preserving
-// assignment.
+// trajectory: per-(location, sample) network distances from a fresh
+// query-rooted search (one Dijkstra per location, each run until it has
+// settled every vertex of the trajectory), then an O(|O|·m) dynamic
+// program for the best order-preserving assignment.
 func (e *Engine) OrderAwareEvaluate(q Query, id trajdb.TrajID) (res Result, err error) {
 	defer recoverStoreFault(nil, &err)
 	q, err = q.normalize(e.g)
@@ -35,11 +36,17 @@ func (e *Engine) OrderAwareEvaluate(q Query, id trajdb.TrajID) (res Result, err 
 	if id < 0 || int(id) >= e.db.NumTrajectories() {
 		return Result{}, ErrTrajRange
 	}
-	sssp := roadnet.NewSSSP(e.g)
-	return e.orderAwareResult(sssp, q, id), nil
+	var stats SearchStats
+	return e.orderAwareResult(roadnet.NewGoalSearch(e.g, q.Locations), q, id, canceller{}, &stats)
 }
 
-func (e *Engine) orderAwareResult(sssp *roadnet.SSSP, q Query, id trajdb.TrajID) Result {
+// orderAwareResult scores trajectory id under the order-aware similarity,
+// reading its distances from gs, the request's query-rooted search: each
+// location's run is stepped until it has settled every vertex of the
+// trajectory (or exhausted its component). The run's settles are added
+// to stats, and cancel is polled every cancelPollEvery of them, counted
+// by stats.ProbeSettled as the text probes count theirs.
+func (e *Engine) orderAwareResult(gs *roadnet.GoalSearch, q Query, id trajdb.TrajID, cancel canceller, stats *SearchStats) (Result, error) {
 	traj := e.db.Traj(id)
 	m := traj.Len()
 	n := len(q.Locations)
@@ -48,23 +55,34 @@ func (e *Engine) orderAwareResult(sssp *roadnet.SSSP, q Query, id trajdb.TrajID)
 	kernelAt := make([][]float64, n)
 	dists := make([]float64, n) // unordered minima, reported for context
 	uniq := e.db.UniqueVertices(id)
-	for i, o := range q.Locations {
-		remaining := len(uniq)
-		vertexDist := make(map[roadnet.VertexID]float64, len(uniq))
-		sssp.RunUntil(o, func(v roadnet.VertexID, d float64) bool {
-			if e.db.ContainsVertex(id, v) {
-				vertexDist[v] = d
-				remaining--
-				if remaining == 0 {
-					return false
+	gs.Target(uniq)
+	for i := range q.Locations {
+		remaining := 0
+		for _, v := range uniq {
+			if _, ok := gs.Dist(i, v); !ok {
+				remaining++
+			}
+		}
+		for remaining > 0 {
+			if stats.ProbeSettled%cancelPollEvery == 0 {
+				if err := cancel.check(); err != nil {
+					return Result{}, err
 				}
 			}
-			return true
-		})
+			_, hit, ok := gs.Step(i)
+			if !ok {
+				break
+			}
+			stats.ProbeSettled++
+			stats.SettledVertices++
+			if hit {
+				remaining--
+			}
+		}
 		row := make([]float64, m)
 		best := math.Inf(1)
 		for j, s := range traj.Samples {
-			if d, ok := vertexDist[s.V]; ok {
+			if d, ok := gs.Dist(i, s.V); ok {
 				row[j] = e.kernel(d)
 				if d < best {
 					best = d
@@ -113,7 +131,7 @@ func (e *Engine) orderAwareResult(sssp *roadnet.SSSP, q Query, id trajdb.TrajID)
 		Spatial: spatial,
 		Textual: text,
 		Dists:   dists,
-	}
+	}, nil
 }
 
 // OrderAwareSearchCtx answers a top-k query under the order-aware
@@ -121,9 +139,8 @@ func (e *Engine) orderAwareResult(sssp *roadnet.SSSP, q Query, id trajdb.TrajID)
 // expansion search, reranks them with the exact order-aware score, and
 // doubles K′ until the unordered bound certifies the ordered top-k — an
 // exact algorithm, since the unordered score upper-bounds the ordered one.
-// The unordered retrieval polls ctx, and the reranking loop polls between
-// per-trajectory scorings (each one runs |O| Dijkstras, so the poll
-// interval is one trajectory).
+// The unordered retrieval polls ctx, and the rerank polls it every
+// cancelPollEvery settles of its query-rooted search.
 func (e *Engine) OrderAwareSearchCtx(ctx context.Context, q Query) ([]Result, SearchStats, error) {
 	return e.run(ctx, Request{Query: q, OrderAware: true}, AlgoExpansion)
 }
@@ -131,12 +148,15 @@ func (e *Engine) OrderAwareSearchCtx(ctx context.Context, q Query) ([]Result, Se
 // rerankOrdered is the order-aware post-stage: retrieve the unordered
 // top-K′ candidates of the normalized q, rerank them with the exact
 // order-aware score, and double K′ until the unordered bound certifies
-// the ordered top-k.
+// the ordered top-k. One query-rooted search is the request's only
+// distance source: every round's retrieval probes with it, and every
+// reranked trajectory reads its distances from it, so a vertex any of
+// them settled costs no second settle.
 func (e *Engine) rerankOrdered(ctx context.Context, q Query, algo Algorithm) ([]Result, SearchStats, error) {
 	cancel := newCanceller(ctx)
 	trace := tracerFrom(ctx)
 	var total SearchStats
-	sssp := roadnet.NewSSSP(e.g)
+	gs := roadnet.NewGoalSearch(e.g, q.Locations)
 	kPrime := q.K * 4
 	if kPrime < 16 {
 		kPrime = 16
@@ -144,7 +164,7 @@ func (e *Engine) rerankOrdered(ctx context.Context, q Query, algo Algorithm) ([]
 	for round := 0; ; round++ {
 		uq := q
 		uq.K = kPrime
-		unordered, stats, err := e.candidates(ctx, uq, 0, nil, algo)
+		unordered, stats, err := e.candidates(ctx, uq, 0, nil, algo, gs)
 		total.Add(stats)
 		if err != nil {
 			return nil, total, err
@@ -152,10 +172,9 @@ func (e *Engine) rerankOrdered(ctx context.Context, q Query, algo Algorithm) ([]
 
 		reranked := make([]Result, len(unordered))
 		for i, r := range unordered {
-			if err := cancel.check(); err != nil {
+			if reranked[i], err = e.orderAwareResult(gs, q, r.Traj, cancel, &total); err != nil {
 				return nil, total, err
 			}
-			reranked[i] = e.orderAwareResult(sssp, q, r.Traj)
 			total.Probes++
 		}
 		sortResults(reranked)

@@ -207,8 +207,8 @@ type SearchStats struct {
 	// SettledVertices counts Dijkstra-settled vertices across all query
 	// sources and probe searches.
 	SettledVertices int
-	// ProbeSettled counts the settles of the text probes' query-rooted
-	// searches, a part of SettledVertices.
+	// ProbeSettled counts the settles of the query-rooted search the text
+	// probes and the order-aware rerank share, a part of SettledVertices.
 	ProbeSettled int
 	// Candidates is the number of trajectories whose exact score was
 	// computed.
@@ -216,7 +216,8 @@ type SearchStats struct {
 	// TextScored is the number of trajectories scored by the textual
 	// index.
 	TextScored int
-	// Probes counts adaptive text-probe distance computations.
+	// Probes counts adaptive text-probe distance computations and
+	// order-aware rerank scorings.
 	Probes int
 	// SharedBoundPrunes counts candidates pruned against a cross-partition
 	// SharedBound that the local top-k threshold alone would have kept —

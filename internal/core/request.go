@@ -7,6 +7,7 @@ import (
 	"math"
 	"strings"
 
+	"uots/internal/roadnet"
 	"uots/internal/trajdb"
 )
 
@@ -196,7 +197,7 @@ func (e *Engine) run(ctx context.Context, req Request, algo Algorithm) (results 
 	case req.Diversify != nil:
 		req.Query = q
 		pool, k, opts := req.Pool()
-		results, stats, err = e.candidates(ctx, pool.Query, 0, nil, algo)
+		results, stats, err = e.candidates(ctx, pool.Query, 0, nil, algo, nil)
 		if err == nil {
 			results, err = e.selectDiverse(ctx, results, k, opts)
 		}
@@ -209,7 +210,7 @@ func (e *Engine) run(ctx context.Context, req Request, algo Algorithm) (results 
 		if w := req.Window; w != nil {
 			keep = func(id trajdb.TrajID) bool { return w.Contains(e.db.Traj(id).Start()) }
 		}
-		results, stats, err = e.candidates(ctx, q, theta, keep, algo)
+		results, stats, err = e.candidates(ctx, q, theta, keep, algo, nil)
 	}
 	stats.Elapsed = elapsed()
 	if err != nil {
@@ -222,8 +223,11 @@ func (e *Engine) run(ctx context.Context, req Request, algo Algorithm) (results 
 // q, best first — the top q.K, or with theta > 0 every trajectory scoring
 // at least theta. A non-nil keep restricts the search to the trajectories
 // it accepts. The baselines generate the plain top-k, except that the
-// exhaustive scan also honours theta.
-func (e *Engine) candidates(ctx context.Context, q Query, theta float64, keep func(trajdb.TrajID) bool, algo Algorithm) ([]Result, SearchStats, error) {
+// exhaustive scan also honours theta. A non-nil goal, rooted at
+// q.Locations, is the search the expansion's text probes resolve
+// distances with (the order-aware rerank shares its own across rounds);
+// with nil the expansion makes one at its first probe.
+func (e *Engine) candidates(ctx context.Context, q Query, theta float64, keep func(trajdb.TrajID) bool, algo Algorithm, goal *roadnet.GoalSearch) ([]Result, SearchStats, error) {
 	switch {
 	case algo == AlgoExhaustive:
 		return e.exhaustive(ctx, q, theta)
@@ -232,7 +236,7 @@ func (e *Engine) candidates(ctx context.Context, q Query, theta float64, keep fu
 	case q.Lambda == 0:
 		return e.textOnly(ctx, q, theta, keep)
 	}
-	st := newExpansionState(ctx, e, q, theta, keep)
+	st := newExpansionState(ctx, e, q, theta, keep, goal)
 	if err := st.run(); err != nil {
 		return nil, st.stats, err
 	}

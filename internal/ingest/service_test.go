@@ -364,9 +364,17 @@ func TestMVCCIngestQuerySoak(t *testing.T) {
 	var wg sync.WaitGroup
 	wg.Add(1)
 	writerDone := make(chan struct{})
+	// The writer starts once a reader has pinned a generation: its first
+	// commit then finds a snapshot to extend, and the next Engine call
+	// extends it instead of rebuilding, however the goroutines are
+	// scheduled. A reader that leaves early releases the writer too.
+	pinned := make(chan struct{})
+	var pinOnce sync.Once
+	pin := func() { pinOnce.Do(func() { close(pinned) }) }
 	go func() {
 		defer wg.Done()
 		defer close(writerDone)
+		<-pinned
 		wrng := rand.New(rand.NewPCG(7, 7))
 		for i := 0; i < writerBatches; i++ {
 			batch := make([]TrajRecord, 1+wrng.IntN(3))
@@ -384,6 +392,7 @@ func TestMVCCIngestQuerySoak(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
+			defer pin()
 			qrng := rand.New(rand.NewPCG(uint64(r), 8))
 			words := []string{"museum", "park", "jazz"}
 			for {
@@ -397,6 +406,7 @@ func TestMVCCIngestQuerySoak(t *testing.T) {
 					t.Errorf("reader %d: Engine: %v", r, err)
 					return
 				}
+				pin()
 				n := eng.Store().NumTrajectories()
 				q := core.Query{
 					Locations: []roadnet.VertexID{roadnet.VertexID(qrng.IntN(g.NumVertices()))},

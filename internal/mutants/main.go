@@ -59,6 +59,33 @@ var mutants = []mutant{
 		run:  "^TestTiesAtTheBar$",
 		why:  "rescan's sweep prunes a candidate whose bound equals the bar, dropping a tie it must keep",
 	},
+	{
+		name: "rerank-stale-target",
+		file: "internal/core/orderaware.go",
+		old:  "\tgs.Target(uniq)\n",
+		new:  "",
+		pkgs: []string{"./internal/core"},
+		run:  "^TestOrderAwareSearchIsExact$",
+		why:  "the rerank steps its search against the last probe's target set, so another trip's vertices count as the scored trip's",
+	},
+	{
+		name: "rerank-first-hit",
+		file: "internal/core/orderaware.go",
+		old:  "remaining--",
+		new:  "remaining = 0",
+		pkgs: []string{"./internal/core"},
+		run:  "^(TestOrderAwareEvaluateMatchesBrute|TestOrderAwareSearchIsExact)$",
+		why:  "the rerank stops a location's search at the trip's nearest vertex, leaving its other samples unreached",
+	},
+	{
+		name: "rerank-no-poll",
+		file: "internal/core/orderaware.go",
+		old:  "\t\t\tif stats.ProbeSettled%cancelPollEvery == 0 {\n\t\t\t\tif err := cancel.check(); err != nil {\n\t\t\t\t\treturn Result{}, err\n\t\t\t\t}\n\t\t\t}\n",
+		new:  "",
+		pkgs: []string{"./internal/core"},
+		run:  "^TestCancellationBoundsWork$",
+		why:  "the rerank never polls its context, so a cancelled order-aware search scores every trip of the round",
+	},
 }
 
 func main() {

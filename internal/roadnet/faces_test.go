@@ -112,6 +112,13 @@ var (
 					want := Unreachable
 					for _, tgt := range targets {
 						want = math.Min(want, fw[root][tgt])
+						// Dist reads a settled vertex's own distance; an
+						// unsettled one is at least the radius away.
+						if d, ok := w.gs.Dist(i, tgt); ok {
+							checkDist(t, "GoalSearch Dist", d, fw[root][tgt])
+						} else if fw[root][tgt] < w.gs.Radius(i) {
+							t.Fatalf("Dist(%d, %d) unsettled at %g, inside radius %g", i, tgt, fw[root][tgt], w.gs.Radius(i))
+						}
 					}
 					checkDist(t, "GoalSearch distance", got[i], want)
 				}

@@ -2,12 +2,13 @@ package roadnet
 
 // GoalSearch answers "how far is this vertex set from each root" for a
 // fixed list of roots and a stream of target sets: the access path of
-// the search engine's text probes, rooted at a query's locations for the
-// life of one query. Each root owns one resumable Dijkstra (an
-// Expander), started the first time Step advances it and kept across
-// target sets, so a set an earlier set's search already reached costs no
-// settle. Every distance it reports has the bits SSSP.Run from the root
-// gives.
+// the search engine's text probes and of its order-aware rerank, rooted
+// at a query's locations for the life of one request. Each root owns one
+// resumable Dijkstra (an Expander), started the first time Step advances
+// it and kept across target sets, so a set an earlier set's search
+// already reached costs no settle. Every distance it reports has the
+// bits SSSP.Run from the root gives: Dijkstra's final distances do not
+// depend on where a run was paused or resumed.
 //
 // A GoalSearch is not safe for concurrent use.
 type GoalSearch struct {
@@ -68,6 +69,16 @@ func (gs *GoalSearch) Known(i int) (d float64, ok bool) {
 		}
 	}
 	return d, ok || len(s.keys) == 0
+}
+
+// Dist returns root i's distance to v once root i's run has settled v;
+// ok is false while v is unsettled (and for good once the run is
+// exhausted without reaching v).
+func (gs *GoalSearch) Dist(i int, v VertexID) (d float64, ok bool) {
+	if !gs.started[i] || !gs.runs[i].search.settled[v] {
+		return Unreachable, false
+	}
+	return gs.runs[i].search.dist[v], true
 }
 
 // Step settles the next vertex of root i's run, starting the run on first

@@ -3,9 +3,10 @@
 // shortest-path machinery the trajectory search engine is built on —
 // single-source Dijkstra, early-terminating multi-target search,
 // bidirectional point-to-point queries, resumable per-root searches
-// against a stream of target sets (GoalSearch), ALT landmark lower
-// bounds, and the incremental network Expander that drives the UOTS
-// expansion search. All of them run on one vertex-state type
+// against a stream of target sets (GoalSearch: the engine's text probes
+// and its order-aware rerank read distances from one per request), ALT
+// landmark lower bounds, and the incremental network Expander that drives
+// the UOTS expansion search. All of them run on one vertex-state type
 // (search.go).
 //
 // Vertices model road intersections (or ends of roads) and carry planar
