@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"uots/internal/obs"
-	"uots/internal/roadnet"
 )
 
 // ctxVariant names one context-aware engine entry point for table tests.
@@ -231,8 +230,9 @@ func TestCancellationBoundsWork(t *testing.T) {
 	}
 	uq := nq
 	uq.K = max(16, 4*nq.K)
-	gs := roadnet.NewGoalSearch(e.g, nq.Locations)
-	unordered, retrieval, err := e.candidates(context.Background(), uq, 0, nil, AlgoExpansion, gs)
+	scr := acquireScratch(e.g, e.db.NumTrajectories())
+	gs := scr.rootGoal(nq.Locations)
+	unordered, retrieval, err := e.candidates(context.Background(), uq, 0, nil, AlgoExpansion, scr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,9 +10,11 @@ import (
 )
 
 // Engine answers UOTS queries over one trajectory store. It is immutable
-// after construction and safe for concurrent use: every query allocates
-// its own search state, so goroutines may call SearchCtx concurrently (the
-// batch engine in batch.go relies on this).
+// after construction and safe for concurrent use: every query takes its
+// own search state from the pool of the engine's road network
+// (roadnet.Graph.Scratch, shared with every other engine over the same
+// graph) and puts it back cleared, so goroutines may call SearchCtx
+// concurrently (the batch engine in batch.go relies on this).
 type Engine struct {
 	g    *roadnet.Graph
 	db   TrajStore

@@ -7,7 +7,6 @@ import (
 	"math"
 	"strings"
 
-	"uots/internal/roadnet"
 	"uots/internal/trajdb"
 )
 
@@ -223,11 +222,11 @@ func (e *Engine) run(ctx context.Context, req Request, algo Algorithm) (results 
 // q, best first — the top q.K, or with theta > 0 every trajectory scoring
 // at least theta. A non-nil keep restricts the search to the trajectories
 // it accepts. The baselines generate the plain top-k, except that the
-// exhaustive scan also honours theta. A non-nil goal, rooted at
-// q.Locations, is the search the expansion's text probes resolve
-// distances with (the order-aware rerank shares its own across rounds);
-// with nil the expansion makes one at its first probe.
-func (e *Engine) candidates(ctx context.Context, q Query, theta float64, keep func(trajdb.TrajID) bool, algo Algorithm, goal *roadnet.GoalSearch) ([]Result, SearchStats, error) {
+// exhaustive scan also honours theta. The expansion runs on scr, which
+// stays the caller's (the order-aware rerank shares one, and its goal
+// search, across rounds); with nil it takes one from the graph's pool
+// and puts it back.
+func (e *Engine) candidates(ctx context.Context, q Query, theta float64, keep func(trajdb.TrajID) bool, algo Algorithm, scr *scratch) ([]Result, SearchStats, error) {
 	switch {
 	case algo == AlgoExhaustive:
 		return e.exhaustive(ctx, q, theta)
@@ -236,13 +235,44 @@ func (e *Engine) candidates(ctx context.Context, q Query, theta float64, keep fu
 	case q.Lambda == 0:
 		return e.textOnly(ctx, q, theta, keep)
 	}
-	st := newExpansionState(ctx, e, q, theta, keep, goal)
-	if err := st.run(); err != nil {
-		return nil, st.stats, err
+	own := scr == nil
+	if own {
+		scr = acquireScratch(e.g, e.db.NumTrajectories())
 	}
-	if theta > 0 {
-		sortResults(st.qualified)
-		return st.qualified, st.stats, nil
+	// A store fault panics through here: the scratch is then dropped,
+	// never put back half-written.
+	st := newExpansionState(ctx, e, q, theta, keep, scr)
+	err := st.run()
+	var results []Result
+	if err == nil {
+		if theta > 0 {
+			sortResults(st.qualified)
+			results = st.qualified
+		} else {
+			results = st.topk.Results()
+		}
+		detachDists(results)
 	}
-	return st.topk.Results(), st.stats, nil
+	if own {
+		scr.release()
+	} else {
+		scr.reset()
+	}
+	return results, st.stats, err
+}
+
+// detachDists copies the results' distances out of the scratch arena
+// the search cut them from, into one allocation.
+func detachDists(rs []Result) {
+	n := 0
+	for _, r := range rs {
+		n += len(r.Dists)
+	}
+	buf := make([]float64, n)
+	for i := range rs {
+		d := buf[:len(rs[i].Dists):len(rs[i].Dists)]
+		buf = buf[len(d):]
+		copy(d, rs[i].Dists)
+		rs[i].Dists = d
+	}
 }

@@ -55,7 +55,7 @@ type Store struct {
 type entry struct {
 	id    trajdb.TrajID
 	traj  *trajdb.Trajectory
-	verts []int32 // ascending unique vertices
+	verts []roadnet.VertexID // ascending unique vertices
 	cost  int
 }
 
@@ -102,20 +102,14 @@ func (s *Store) CacheBytes() int { return s.limit }
 func (s *Store) Traj(id trajdb.TrajID) *trajdb.Trajectory { return s.load(id).traj }
 
 // UniqueVertices implements core.TrajStore (record payload; may fault).
-func (s *Store) UniqueVertices(id trajdb.TrajID) []roadnet.VertexID {
-	vs := s.load(id).verts
-	out := make([]roadnet.VertexID, len(vs))
-	for i, v := range vs {
-		out[i] = roadnet.VertexID(v)
-	}
-	return out
-}
+// The result is the cached record's own list: it must not be modified.
+func (s *Store) UniqueVertices(id trajdb.TrajID) []roadnet.VertexID { return s.load(id).verts }
 
 // ContainsVertex implements core.TrajStore (record payload; may fault).
 func (s *Store) ContainsVertex(id trajdb.TrajID, v roadnet.VertexID) bool {
 	vs := s.load(id).verts
-	i := sort.Search(len(vs), func(i int) bool { return vs[i] >= int32(v) })
-	return i < len(vs) && vs[i] == int32(v)
+	i := sort.Search(len(vs), func(i int) bool { return vs[i] >= v })
+	return i < len(vs) && vs[i] == v
 }
 
 // load returns the cached record, reading and decoding it on a miss.

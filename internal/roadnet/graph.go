@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"uots/internal/geo"
 )
@@ -37,7 +38,17 @@ type Graph struct {
 	adjW     []float64
 	numEdges int // undirected edge count (len(adjTo)/2)
 	bounds   geo.Rect
+	scratch  sync.Pool // see Scratch
 }
+
+// Scratch returns the pool of per-query search workspaces for g: every
+// engine searching g, whatever its trajectory store, takes its
+// graph-sized working arrays from it and puts them back after the query,
+// so a process answering many queries over one road network reuses them
+// instead of allocating O(|V|) state per query. The pool lives and dies
+// with g. Its one user is the search engine (package core), which puts
+// only its own workspace type in it.
+func (g *Graph) Scratch() *sync.Pool { return &g.scratch }
 
 // NumVertices returns the number of vertices.
 func (g *Graph) NumVertices() int { return len(g.pts) }

@@ -7,14 +7,15 @@ import (
 )
 
 // TestAliasedSliceContracts pins the documented aliasing contracts of the
-// two hot-path accessors that return internal slices without a copy:
-// TrajsAtVertex (expansion scan) and Keywords (per-candidate scoring).
-// Both are shared across MVCC snapshot extensions, so a caller mutating
-// either would corrupt every generation at once — the accessors' doc
-// comments forbid it, and this test makes the sharing itself observable
-// so a silent change to the contract (either direction: an accidental
-// defensive copy on the hot path, or the extension ceasing to share)
-// fails loudly and gets decided on purpose.
+// three hot-path accessors that return internal slices without a copy:
+// TrajsAtVertex (expansion scan), Keywords (per-candidate scoring) and
+// UniqueVertices (text probes). All three are shared across MVCC
+// snapshot extensions, so a caller mutating any of them would corrupt
+// every generation at once — the accessors' doc comments forbid it, and
+// this test makes the sharing itself observable so a silent change to
+// the contract (either direction: an accidental defensive copy on the
+// hot path, or the extension ceasing to share) fails loudly and gets
+// decided on purpose.
 func TestAliasedSliceContracts(t *testing.T) {
 	g := testGraph(t)
 	vocab := textual.NewVocab()
@@ -34,6 +35,9 @@ func TestAliasedSliceContracts(t *testing.T) {
 	}
 	if got := base.Keywords(0); len(got) == 0 || &got[0] != &base.trajs[0].Keywords[0] {
 		t.Fatal("Keywords no longer aliases the internal term set")
+	}
+	if got := base.UniqueVertices(0); len(got) == 0 || &got[0] != &base.vertsOf[0][0] {
+		t.Fatal("UniqueVertices no longer aliases the internal vertex list")
 	}
 
 	// Extend the live set so the next snapshot takes the add-only path.
@@ -64,5 +68,8 @@ func TestAliasedSliceContracts(t *testing.T) {
 	// copies trajectory headers, not payloads).
 	if bk, ek := base.Keywords(0), ext.Keywords(0); &bk[0] != &ek[0] {
 		t.Error("keyword term set not shared across snapshot extension")
+	}
+	if bv, ev := base.UniqueVertices(0), ext.UniqueVertices(0); &bv[0] != &ev[0] {
+		t.Error("unique vertex list not shared across snapshot extension")
 	}
 }

@@ -122,7 +122,7 @@ func (f *File) Keywords(id TrajID) textual.TermSet { return f.docTerms[id] }
 // a failure means the file changed underneath (truncated, device gone):
 // Load panics with a *StoreError, the core.TrajStore fault convention
 // the engine recovers into a query error.
-func (f *File) Load(id TrajID) (*Trajectory, []int32, int) {
+func (f *File) Load(id TrajID) (*Trajectory, []roadnet.VertexID, int) {
 	buf := make([]byte, f.offsets[id+1]-f.offsets[id])
 	if _, err := f.f.ReadAt(buf, f.offsets[id]); err != nil {
 		panic(&StoreError{Op: "read", ID: id, Err: err})

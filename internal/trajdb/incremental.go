@@ -2,6 +2,7 @@ package trajdb
 
 import (
 	"uots/internal/geo"
+	"uots/internal/roadnet"
 	"uots/internal/textual"
 )
 
@@ -29,7 +30,7 @@ func (s *Store) extendWith(trajs []*Trajectory) *Store {
 			bboxes:   make([]geo.Rect, n, n+len(trajs)),
 		},
 		trajs:        make([]Trajectory, n, n+len(trajs)),
-		vertsOf:      make([][]int32, n, n+len(trajs)),
+		vertsOf:      make([][]roadnet.VertexID, n, n+len(trajs)),
 		totalSamples: s.totalSamples,
 	}
 	copy(next.trajs, s.trajs)
@@ -37,7 +38,7 @@ func (s *Store) extendWith(trajs []*Trajectory) *Store {
 	copy(next.vertsOf, s.vertsOf)
 	copy(next.bboxes, s.bboxes)
 
-	copied := make(map[int32]bool) // vertices whose posting list is already unshared
+	copied := make(map[roadnet.VertexID]bool) // vertices whose posting list is already unshared
 	termSets := make([]textual.TermSet, 0, len(trajs))
 	for _, t := range trajs {
 		id := TrajID(len(next.trajs))

@@ -141,7 +141,7 @@ func (b *Builder) Freeze() *Store {
 	s := &Store{
 		Index:   newIndex(b.g, b.vocab),
 		trajs:   b.trajs,
-		vertsOf: make([][]int32, len(b.trajs)),
+		vertsOf: make([][]roadnet.VertexID, len(b.trajs)),
 	}
 	for i := range s.trajs {
 		t := &s.trajs[i]
@@ -154,10 +154,10 @@ func (b *Builder) Freeze() *Store {
 
 // uniqueVertices returns the ascending unique vertices of samples — the
 // membership list behind ContainsVertex and UniqueVertices.
-func uniqueVertices(samples []Sample) []int32 {
-	vs := make([]int32, len(samples))
+func uniqueVertices(samples []Sample) []roadnet.VertexID {
+	vs := make([]roadnet.VertexID, len(samples))
 	for j, smp := range samples {
-		vs[j] = int32(smp.V)
+		vs[j] = smp.V
 	}
 	sort.Slice(vs, func(a, b int) bool { return vs[a] < vs[b] })
 	uniq := vs[:1]
@@ -173,11 +173,11 @@ func uniqueVertices(samples []Sample) []int32 {
 // sorted unique vertex list (membership tests) and the planar bounding
 // box of its samples. Index.add and the incremental snapshot extension
 // must derive these identically, so the logic lives in one place.
-func trajIndexEntry(g *roadnet.Graph, samples []Sample) ([]int32, geo.Rect) {
+func trajIndexEntry(g *roadnet.Graph, samples []Sample) ([]roadnet.VertexID, geo.Rect) {
 	uniq := uniqueVertices(samples)
 	box := geo.EmptyRect()
 	for _, v := range uniq {
-		box = box.ExtendPoint(g.Point(roadnet.VertexID(v)))
+		box = box.ExtendPoint(g.Point(v))
 	}
 	return uniq, box
 }
@@ -209,7 +209,7 @@ func newIndex(g *roadnet.Graph, vocab *textual.Vocab) Index {
 // add indexes the next trajectory (IDs are dense, so its ID is the
 // current count) and returns its ascending unique vertices. The caller
 // freezes textIx after the last add.
-func (ix *Index) add(samples []Sample, keywords textual.TermSet) []int32 {
+func (ix *Index) add(samples []Sample, keywords textual.TermSet) []roadnet.VertexID {
 	id := TrajID(len(ix.bboxes))
 	uniq, box := trajIndexEntry(ix.g, samples)
 	for _, v := range uniq {
@@ -253,7 +253,7 @@ func (ix *Index) BBox(id TrajID) geo.Rect { return ix.bboxes[id] }
 type Store struct {
 	Index
 	trajs        []Trajectory
-	vertsOf      [][]int32 // ascending unique vertices per trajectory
+	vertsOf      [][]roadnet.VertexID // ascending unique vertices per trajectory
 	totalSamples int
 }
 
@@ -275,20 +275,15 @@ func (s *Store) Traj(id TrajID) *Trajectory { return &s.trajs[id] }
 // ContainsVertex reports whether trajectory id has v among its samples.
 func (s *Store) ContainsVertex(id TrajID, v roadnet.VertexID) bool {
 	vs := s.vertsOf[id]
-	i := sort.Search(len(vs), func(i int) bool { return vs[i] >= int32(v) })
-	return i < len(vs) && vs[i] == int32(v)
+	i := sort.Search(len(vs), func(i int) bool { return vs[i] >= v })
+	return i < len(vs) && vs[i] == v
 }
 
 // UniqueVertices returns the ascending unique vertex IDs of trajectory id.
-// The result must not be modified.
-func (s *Store) UniqueVertices(id TrajID) []roadnet.VertexID {
-	vs := s.vertsOf[id]
-	out := make([]roadnet.VertexID, len(vs))
-	for i, v := range vs {
-		out[i] = roadnet.VertexID(v)
-	}
-	return out
-}
+// Like TrajsAtVertex it returns the internal slice without a copy (every
+// text probe reads one): the result is shared with every MVCC generation
+// of this store and must not be modified.
+func (s *Store) UniqueVertices(id TrajID) []roadnet.VertexID { return s.vertsOf[id] }
 
 // Keywords returns the keyword set of trajectory id. Like TrajsAtVertex
 // it returns the internal slice without a copy (per-candidate scoring
