@@ -37,7 +37,7 @@ func TestNewEngineValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := e.Options()
-	if got.DistScale != 1 || got.relabelEvery != 64 || got.probeRadiusFactor != 2.5 {
+	if got.DistScale != 1 || got.relabelEvery != 64 || got.rescanDivisor != 16 || got.probeRadiusFactor != 2.5 {
 		t.Errorf("defaults not applied: %+v", got)
 	}
 	if e.Store() != f.db {

@@ -147,12 +147,20 @@ type Options struct {
 	// DistScale is γ, the kilometres-to-similarity scale of the spatial
 	// kernel e^{−d/γ}. Default 1.
 	DistScale float64
-	// relabelEvery is the number of expansion steps between periodic
-	// bound/label refreshes and termination checks; 64. Unexported, like
-	// probeRadiusFactor: one value is in use, and only the in-package
-	// stress tests vary them to shake out cadence- and policy-dependent
-	// bugs.
+	// relabelEvery is the least number of expansion steps between
+	// periodic bound/label refreshes and termination checks (rescans);
+	// 64. Unexported, like rescanDivisor and probeRadiusFactor: one value
+	// of each is in use, and only the in-package stress tests vary them
+	// to shake out cadence- and policy-dependent bugs.
 	relabelEvery int
+	// rescanDivisor amortizes a rescan's sweep over the expansion work
+	// between rescans: the next rescan comes max(relabelEvery,
+	// ⌈|active|/rescanDivisor⌉) steps after one that kept |active|
+	// candidates, so each sweep's O(|active|) cost is paid for by at
+	// least |active|/rescanDivisor steps. 16, so the gap widens only past
+	// 16·64 = 1 024 active candidates; negative turns it off (a rescan
+	// every relabelEvery steps).
+	rescanDivisor int
 	// probeRadiusFactor sets the probe policy's radius floor, in units of
 	// DistScale: textual blockers that would stop blocking once every
 	// expansion radius reaches probeRadiusFactor·γ are left to the
@@ -181,6 +189,9 @@ func (o Options) normalize() (Options, error) {
 	}
 	if o.relabelEvery == 0 {
 		o.relabelEvery = 64
+	}
+	if o.rescanDivisor == 0 {
+		o.rescanDivisor = 16
 	}
 	if o.probeRadiusFactor == 0 {
 		o.probeRadiusFactor = 2.5
