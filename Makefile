@@ -83,9 +83,14 @@ bench:
 # bench-quick is the smoke of the benchmark gate (BENCHMARK.json): it
 # vets benchmark/ and runs all four workloads for a twentieth of their
 # length, so a refactor that breaks a symbol the benchmark imports fails
-# here and not at the gate. Never use its numbers.
+# here and not at the gate. Never use its numbers. It then fails if a
+# process started from benchmark/out/bin/ (uotsserve, uotsshard, layers)
+# outlived the run; the bracket keeps pgrep from matching this shell.
 bench-quick:
 	$(GO) vet ./benchmark/...
 	$(GO) run ./benchmark -quick
+	@if pgrep -af '$(CURDIR)/[b]enchmark/out/bin/'; then \
+		echo 'bench-quick: the processes above outlived the benchmark run' >&2; exit 1; \
+	fi
 
 check: vet race

@@ -6,8 +6,6 @@ import (
 	"runtime"
 	"sync"
 	"time"
-
-	"uots/internal/obs"
 )
 
 // Algorithm names a query-processing strategy: the paper's search or one
@@ -38,19 +36,15 @@ func (a Algorithm) String() string {
 }
 
 // BatchOptions configures a parallel batch run. Every query of a batch
-// runs the expansion search.
+// runs the expansion search on its own pooled expanders.
 type BatchOptions struct {
 	// Workers is the number of concurrent query goroutines
 	// (default runtime.GOMAXPROCS(0)).
 	Workers int
-	// SharedExpansion enables the batch planner: queries referencing the
-	// same source vertex share one expansion frontier and its memoized
-	// vertex→trajectory scans (see batchplan.go), doing each network
-	// relaxation once per distinct source instead of once per reference.
-	// Per-query admission, pruning bounds, and scheduling stay
-	// independent, so results and per-query stats are byte-identical to
-	// independent runs; only the batch-level planner counters and
-	// wall-clock change.
+	// SharedExpansion is ignored. It named a batch planner that shared
+	// Dijkstra frontiers between the queries of a batch, since removed
+	// as a measured loss; the field stays so that callers and wire
+	// peers built against it still compile and decode.
 	SharedExpansion bool
 }
 
@@ -69,12 +63,11 @@ type BatchStats struct {
 	PerQuery  SearchStats   // summed per-query counters
 	WallClock time.Duration // end-to-end elapsed time of the batch
 
-	// Shared-expansion planner counters (all zero when SharedExpansion
-	// is off).
-	DistinctSources int    // distinct source vertices with a shared frontier
-	SourceRefs      int    // per-query source references planned onto frontiers
-	FrontierSettles uint64 // Dijkstra settles the shared frontiers performed
-	ServedSettles   uint64 // settles served to queries; minus FrontierSettles = expansions saved
+	// FrontierSettles and ServedSettles are always 0: they counted the
+	// removed batch planner's shared work, and stay for callers built
+	// against them.
+	FrontierSettles uint64
+	ServedSettles   uint64
 }
 
 // SearchBatch processes the queries with a fixed pool of worker
@@ -82,10 +75,6 @@ type BatchStats struct {
 // attached to ctx (obs.ContextWithTracer) is shared by every worker:
 // per-query span events interleave into one stream, which the
 // obs.TraceRecorder accepts concurrently.
-//
-// With opts.SharedExpansion, queries referencing the same source vertex
-// share expansion frontiers (see batchplan.go); per-query results and
-// stats are byte-identical to independent runs either way.
 //
 // The context cancels the whole batch: queries the scheduler never
 // handed to a worker are marked with ctx.Err(), and queries already
@@ -107,11 +96,6 @@ func (e *Engine) SearchBatch(ctx context.Context, queries []Query, opts BatchOpt
 	// from the client and must not size the pool unchecked.
 	opts.Workers = min(opts.Workers, len(queries))
 	elapsed := stopwatch()
-	var share *batchShare
-	if opts.SharedExpansion {
-		share = newBatchShare(e)
-		ctx = contextWithBatchShare(ctx, share)
-	}
 	out = make([]BatchResult, len(queries))
 	// scheduled marks the slots handed to a worker; workers write every
 	// slot they receive (run or drained), so unscheduled slots — and
@@ -150,17 +134,6 @@ feed:
 
 	stats = finalizeBatch(out, scheduled, ctx.Err())
 	stats.WallClock = elapsed()
-	if share != nil {
-		stats.DistinctSources = int(share.distinctSources.Load())
-		stats.SourceRefs = int(share.sourceRefs.Load())
-		stats.FrontierSettles = share.frontierSettles.Load()
-		stats.ServedSettles = share.servedSettles.Load()
-		if trace := tracerFrom(ctx); trace != nil {
-			trace.Emit(obs.SpanEvent{Kind: TraceBatchPlan, Source: -1, Traj: -1,
-				Value: float64(stats.ServedSettles), Extra: float64(stats.FrontierSettles),
-				Note: fmt.Sprintf("sources=%d refs=%d", stats.DistinctSources, stats.SourceRefs)})
-		}
-	}
 	return out, stats, ctx.Err()
 }
 

@@ -238,6 +238,81 @@ func TestSearchBatch(t *testing.T) {
 	}
 }
 
+// TestFinalizeBatchTrustsScheduledSlots is the regression test for the
+// batch sentinel misclassification: a slot that WAS handed to a worker
+// and completed with the zero-value success shape (no results, no
+// error, zero stats) must stay a success even when the batch context
+// has since been cancelled. The previous implementation inferred
+// unscheduled slots from that zero shape and re-marked such a slot with
+// the cancellation error.
+func TestFinalizeBatchTrustsScheduledSlots(t *testing.T) {
+	out := []BatchResult{{Index: 0}}
+	stats := finalizeBatch(out, []bool{true}, context.Canceled)
+	if out[0].Err != nil {
+		t.Fatalf("scheduled empty-success slot reclassified as failed: %v", out[0].Err)
+	}
+	if stats.Failed != 0 {
+		t.Fatalf("stats.Failed = %d, want 0", stats.Failed)
+	}
+	if stats.Queries != 1 {
+		t.Fatalf("stats.Queries = %d, want 1", stats.Queries)
+	}
+}
+
+// TestFinalizeBatchMarksUnscheduledSlots verifies the complementary
+// half of the fix: slots the feeder never handed to a worker are marked
+// with the batch's cancellation error, with their index filled in, and
+// counted as failed — while scheduled slots keep their written outcome.
+func TestFinalizeBatchMarksUnscheduledSlots(t *testing.T) {
+	out := make([]BatchResult, 3)
+	out[0] = BatchResult{Index: 0, Results: []Result{{Traj: 7, Score: 0.5}},
+		Stats: SearchStats{VisitedTrajectories: 3}}
+	stats := finalizeBatch(out, []bool{true, false, false}, context.Canceled)
+	if out[0].Err != nil || len(out[0].Results) != 1 {
+		t.Errorf("scheduled slot was rewritten: %+v", out[0])
+	}
+	for i := 1; i < 3; i++ {
+		if !errors.Is(out[i].Err, context.Canceled) {
+			t.Errorf("unscheduled slot %d: err = %v, want context.Canceled", i, out[i].Err)
+		}
+		if out[i].Index != i {
+			t.Errorf("unscheduled slot %d: index = %d", i, out[i].Index)
+		}
+	}
+	if stats.Failed != 2 {
+		t.Errorf("stats.Failed = %d, want 2", stats.Failed)
+	}
+	if stats.PerQuery.VisitedTrajectories != 3 {
+		t.Errorf("PerQuery folded wrong slots: %+v", stats.PerQuery)
+	}
+}
+
+// TestBatchUnscheduledSlotsEndToEnd drives the unscheduled path through
+// the public API: a pre-cancelled context means no query is ever
+// scheduled, and every slot must carry the cancellation error.
+func TestBatchUnscheduledSlotsEndToEnd(t *testing.T) {
+	e, f := newTestEngine(t, Options{})
+	rng := rand.New(rand.NewPCG(97, 0))
+	queries := make([]Query, 6)
+	for i := range queries {
+		queries[i] = f.randomQuery(rng, 2, 3, 0.5, 5)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	out, stats, err := e.SearchBatch(ctx, queries, BatchOptions{Workers: 2})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("batch err = %v, want context.Canceled", err)
+	}
+	for i, o := range out {
+		if !errors.Is(o.Err, context.Canceled) {
+			t.Errorf("entry %d: err = %v, want context.Canceled", i, o.Err)
+		}
+	}
+	if stats.Failed != len(queries) {
+		t.Errorf("stats.Failed = %d, want %d", stats.Failed, len(queries))
+	}
+}
+
 func TestSearchBatchCancellation(t *testing.T) {
 	e, f := testEngineDefault(t)
 	rng := rand.New(rand.NewPCG(91, 92))

@@ -7,7 +7,6 @@ import (
 
 	"uots/internal/obs"
 	"uots/internal/pqueue"
-	"uots/internal/roadnet"
 	"uots/internal/trajdb"
 )
 
@@ -119,19 +118,8 @@ func newExpansionState(ctx context.Context, e *Engine, q Query, theta float64, k
 		liveN:    len(q.Locations),
 		allMask:  maskAll(len(q.Locations)),
 	}
-	// Inside a shared-expansion batch (SearchBatch with SharedExpansion)
-	// the per-source settle streams come from the batch's shared
-	// frontiers; a share built for a different store snapshot is ignored.
-	share := batchShareFrom(ctx)
-	if share != nil && !share.matches(e) {
-		share = nil
-	}
 	for i, o := range q.Locations {
-		if share != nil {
-			st.sources[i] = share.cursorFor(o)
-		} else {
-			st.sources[i] = st.soloFor(i, o, e.db)
-		}
+		st.rootSource(i, o)
 		st.live[i] = true
 		st.radExp[i] = 1 // e^{−0/γ}
 	}
@@ -215,10 +203,10 @@ func (st *expansionState) run() error {
 		}
 		i := st.pickSource()
 		if i != st.lastPick {
-			st.emit(TraceSourcePick, i, -1, st.sources[i].radius(), 0, "")
+			st.emit(TraceSourcePick, i, -1, st.sources[i].Radius(), 0, "")
 			st.lastPick = i
 		}
-		v, d, ok := st.sources[i].next()
+		v, d, ok := st.sources[i].Next()
 		if !ok {
 			st.markDone(i)
 			continue
@@ -226,7 +214,7 @@ func (st *expansionState) run() error {
 		st.stats.SettledVertices++
 		st.radExp[i] = st.e.kernel(d)
 		bit := uint64(1) << i
-		for _, tid := range st.sources[i].scan(v) {
+		for _, tid := range st.e.db.TrajsAtVertex(v) {
 			c := st.candFor(tid)
 			if c.complete || c.mask&bit != 0 {
 				continue
@@ -335,7 +323,7 @@ func (st *expansionState) markDone(i int) {
 	st.liveN--
 	st.radExp[i] = 0
 	st.doneMask |= uint64(1) << i
-	st.emit(TraceSourceDone, i, -1, st.sources[i].radius(), 0, "")
+	st.emit(TraceSourceDone, i, -1, st.sources[i].Radius(), 0, "")
 	keep := st.active[:0]
 	for _, tid := range st.active {
 		c := st.cands[tid]
@@ -567,7 +555,7 @@ func (st *expansionState) probe(tid trajdb.TrajID) error {
 			if d, known = gs.Known(i); known {
 				c.dists[i] = d
 			} else {
-				open[i], d = true, max(gs.Radius(i), st.sources[i].radius())
+				open[i], d = true, max(gs.Radius(i), st.sources[i].Radius())
 			}
 		}
 		kern[i] = st.e.kernel(d)
@@ -599,7 +587,7 @@ func (st *expansionState) probe(tid trajdb.TrajID) error {
 			st.stats.SettledVertices++
 		}
 		if open[j] = ok && !hit; open[j] {
-			d = max(d, st.sources[j].radius())
+			d = max(d, st.sources[j].Radius())
 		} else {
 			c.dists[j] = d
 		}
@@ -634,7 +622,7 @@ func (st *expansionState) pickSource() int {
 	switch st.e.opts.Scheduling {
 	case ScheduleRoundRobin:
 		for {
-			st.rr = (st.rr + 1) % len(st.sources)
+			st.rr = (st.rr + 1) % len(st.live)
 			if st.live[st.rr] {
 				return st.rr
 			}
@@ -647,8 +635,8 @@ func (st *expansionState) pickSource() int {
 		// bound dominates and plain min-radius shrinks it fastest.
 		best, bestR := -1, math.Inf(1)
 		for i, ok := range st.live {
-			if ok && st.owed&(uint64(1)<<i) != 0 && st.sources[i].radius() < bestR {
-				best, bestR = i, st.sources[i].radius()
+			if ok && st.owed&(uint64(1)<<i) != 0 && st.sources[i].Radius() < bestR {
+				best, bestR = i, st.sources[i].Radius()
 			}
 		}
 		if best >= 0 {
@@ -661,8 +649,8 @@ func (st *expansionState) pickSource() int {
 func (st *expansionState) minRadiusSource() int {
 	best, bestR := -1, math.Inf(1)
 	for i, ok := range st.live {
-		if ok && st.sources[i].radius() < bestR {
-			best, bestR = i, st.sources[i].radius()
+		if ok && st.sources[i].Radius() < bestR {
+			best, bestR = i, st.sources[i].Radius()
 		}
 	}
 	return best
@@ -711,6 +699,18 @@ func (st *expansionState) finalizeExhausted() error {
 // for the returned trajectories so the Result decomposition stays
 // complete. theta and keep are as in candidates.
 func (e *Engine) textOnly(ctx context.Context, q Query, theta float64, keep func(trajdb.TrajID) bool) ([]Result, SearchStats, error) {
+	// A store fault panics through here: the scratch is then dropped,
+	// never put back half-written.
+	scr := acquireScratch(e.g, e.db.NumTrajectories())
+	results, stats, err := e.textRanked(ctx, q, theta, keep, scr)
+	scr.release()
+	return results, stats, err
+}
+
+// textRanked is textOnly on the request's scratch: its dense text table
+// marks the trajectories the ranking scored, and its goal search
+// resolves the returned ones' distances.
+func (e *Engine) textRanked(ctx context.Context, q Query, theta float64, keep func(trajdb.TrajID) bool, scr *scratch) ([]Result, SearchStats, error) {
 	var stats SearchStats
 	cancel := newCanceller(ctx)
 	trace := tracerFrom(ctx)
@@ -726,10 +726,10 @@ func (e *Engine) textOnly(ctx context.Context, q Query, theta float64, keep func
 	}
 	topk := pqueue.NewTopK[Result](q.K)
 	var hits []Result
-	scored := make(map[trajdb.TrajID]bool)
 	if len(q.Keywords) > 0 {
 		docs := e.db.TextIndex().DocsWithAny(q.Keywords)
 		stats.TextScored = len(docs)
+		stats.VisitedTrajectories = len(docs)
 		for i, d := range docs {
 			if i%cancelPollEvery == 0 {
 				if err := cancel.check(); err != nil {
@@ -737,11 +737,14 @@ func (e *Engine) textOnly(ctx context.Context, q Query, theta float64, keep func
 				}
 			}
 			id := trajdb.TrajID(d)
-			scored[id] = true
 			if keep != nil && !keep(id) {
 				continue
 			}
+			// Every document shares a query keyword, so its score is
+			// positive and marks it scored for the fill below.
 			text := e.textScore(q.Keywords, id)
+			scr.text[id] = text
+			scr.textIDs = append(scr.textIDs, id)
 			r := Result{Traj: id, Score: text, Textual: text}
 			if theta == 0 {
 				topk.Offer(text, int64(id), r)
@@ -763,25 +766,38 @@ func (e *Engine) textOnly(ctx context.Context, q Query, theta float64, keep func
 				}
 			}
 			tid := trajdb.TrajID(id)
-			if !scored[tid] && (keep == nil || keep(tid)) {
+			if scr.text[tid] == 0 && (keep == nil || keep(tid)) {
 				topk.Offer(0, int64(id), Result{Traj: tid})
 			}
 		}
 		hits = topk.Results()
 	}
-	stats.VisitedTrajectories = len(scored)
 	stats.Candidates = len(hits)
 	stats.EarlyTerminated = true
 
-	sssp := roadnet.NewSSSP(e.g)
+	// Each returned trajectory's distances come from one query-rooted
+	// Dijkstra per location, resumed from hit to hit. Its settles are
+	// not counted: at λ 0 the stats record the text ranking's work.
+	gs := scr.rootGoal(q.Locations)
+	buf := make([]float64, len(hits)*len(q.Locations))
 	for i := range hits {
-		// One early-terminating Dijkstra per location of each returned
-		// result: poll every iteration, the per-unit work dwarfs the poll.
 		if err := cancel.check(); err != nil {
 			return nil, stats, err
 		}
-		hits[i].Dists = e.exactDists(sssp, q.Locations, hits[i].Traj, nil)
-		hits[i].Spatial = e.spatialFromDists(hits[i].Dists)
+		dists := buf[:len(q.Locations):len(q.Locations)]
+		buf = buf[len(dists):]
+		gs.Target(e.db.UniqueVertices(hits[i].Traj))
+		for j := range dists {
+			d, known := gs.Known(j)
+			for !known {
+				var hit, ok bool
+				d, hit, ok = gs.Step(j)
+				known = hit || !ok
+			}
+			dists[j] = d
+		}
+		hits[i].Dists = dists
+		hits[i].Spatial = e.spatialFromDists(dists)
 	}
 	return hits, stats, nil
 }

@@ -23,8 +23,7 @@ import (
 type scratch struct {
 	g *roadnet.Graph
 
-	solo    []soloExpander // one private Dijkstra per query location
-	sources []expander     // per location: &solo[i], or a batch-shared frontier
+	sources []*roadnet.Expander // one Dijkstra per query location; as long as the most locations seen
 	live    []bool
 	radExp  []float64 // e^{−rᵢ/γ}; 0 once source i is exhausted
 	kern    []float64 // probe scratch: e^{−d/γ} per location, d exact or a lower bound
@@ -78,10 +77,9 @@ func acquireScratch(g *roadnet.Graph, nTraj int) *scratch {
 
 // forLocations sizes the per-location state for n query locations.
 func (s *scratch) forLocations(n int) {
-	for len(s.solo) < n {
-		s.solo = append(s.solo, soloExpander{})
+	for len(s.sources) < n {
+		s.sources = append(s.sources, nil)
 	}
-	s.sources = resize(s.sources, n)
 	s.live = resize(s.live, n)
 	s.radExp = resize(s.radExp, n)
 	s.kern = resize(s.kern, n)
@@ -99,16 +97,13 @@ func resize[T any](xs []T, n int) []T {
 	return xs
 }
 
-// soloFor roots location i's private Dijkstra at src, scanning db.
-func (s *scratch) soloFor(i int, src roadnet.VertexID, db TrajStore) *soloExpander {
-	x := &s.solo[i]
-	if x.exp == nil {
-		x.exp = roadnet.NewExpander(s.g, src)
+// rootSource roots location i's Dijkstra at src.
+func (s *scratch) rootSource(i int, src roadnet.VertexID) {
+	if s.sources[i] == nil {
+		s.sources[i] = roadnet.NewExpander(s.g, src)
 	} else {
-		x.exp.Reset(src)
+		s.sources[i].Reset(src)
 	}
-	x.db = db
-	return x
 }
 
 // rootGoal returns the goal search rooted at locations, rooting it on
@@ -164,12 +159,6 @@ func (s *scratch) reset() {
 	s.textHeap.Reset()
 	s.candFree, s.candNext = nil, 0
 	s.distFree, s.distNext = nil, 0
-	// Drop the references to the request's store and batch frontiers, so
-	// a pooled scratch keeps no old snapshot alive.
-	clear(s.sources)
-	for i := range s.solo {
-		s.solo[i].db = nil
-	}
 }
 
 // release resets s and puts it back in its graph's pool, trimming its

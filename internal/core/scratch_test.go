@@ -26,16 +26,6 @@ func dirt(s *scratch) string {
 			return fmt.Sprintf("text[%d] = %g", id, x)
 		}
 	}
-	for i, src := range s.sources {
-		if src != nil {
-			return fmt.Sprintf("sources[%d] is set", i)
-		}
-	}
-	for i := range s.solo {
-		if s.solo[i].db != nil {
-			return fmt.Sprintf("solo[%d] holds a store", i)
-		}
-	}
 	switch {
 	case len(s.admitted) > 0, len(s.textIDs) > 0, len(s.active) > 0:
 		return fmt.Sprintf("ID lists hold %d admitted, %d text, %d active", len(s.admitted), len(s.textIDs), len(s.active))
@@ -69,7 +59,17 @@ func drainClean(t *testing.T, e *Engine, after string) {
 // allocations: the search's graph- and store-sized state comes from the
 // graph's pool, not from the heap. The race detector drops pooled items
 // at random, so the count is only checked without it.
-func TestDefaultQueryAllocs(t *testing.T) {
+func TestDefaultQueryAllocs(t *testing.T) { checkQueryAllocs(t, 0.5, 50) }
+
+// TestTextOnlyQueryAllocs holds the same queries at λ 0, ranked by text
+// alone with only the returned trips' distances resolved, to at most 25
+// allocations: the distances come from the pooled goal search, and the
+// scored trips are marked in the pooled text table.
+func TestTextOnlyQueryAllocs(t *testing.T) { checkQueryAllocs(t, 0, 25) }
+
+// checkQueryAllocs fails when a four-place, three-keyword, k 10 query at
+// lambda allocates more than bound objects on a warmed engine.
+func checkQueryAllocs(t *testing.T, lambda, bound float64) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
@@ -77,21 +77,21 @@ func TestDefaultQueryAllocs(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1240, 0))
 	ctx := context.Background()
 	for qi := range 3 {
-		req := Request{Query: f.randomQuery(rng, 4, 3, 0.5, 10)}
+		req := Request{Query: f.randomQuery(rng, 4, 3, lambda, 10)}
 		allocs := testing.AllocsPerRun(20, func() {
 			if _, _, err := req.Run(ctx, e); err != nil {
 				t.Fatal(err)
 			}
 		})
 		t.Logf("query %d: %.0f allocations per search", qi, allocs)
-		if allocs > 50 {
-			t.Errorf("query %d: %.0f allocations per search, want at most 50", qi, allocs)
+		if allocs > bound {
+			t.Errorf("query %d: %.0f allocations per search, want at most %.0f", qi, allocs, bound)
 		}
 	}
 }
 
-// TestScratchComesBackClean runs every variant, a cancelled search and
-// a store-faulting search, and checks that each leaves its graph's pool
+// TestScratchComesBackClean runs every variant (at λ 0.5 and at λ 0), a
+// cancelled search and a store-faulting search, and checks that each leaves its graph's pool
 // holding only clean scratch: a finished or cancelled query resets what
 // it touched before putting its scratch back, and a faulted one never
 // puts it back.
@@ -99,12 +99,16 @@ func TestScratchComesBackClean(t *testing.T) {
 	e, f := testEngineDefault(t)
 	rng := rand.New(rand.NewPCG(1241, 0))
 	q := f.randomQuery(rng, 3, 3, 0.5, 5)
+	textOnly := q
+	textOnly.Lambda = 0
 	drainClean(t, e, "other tests")
 	for _, v := range ctxVariants() {
-		if _, _, err := v.run(e, context.Background(), q); err != nil {
-			t.Fatalf("%s: %v", v.name, err)
+		for _, q := range []Query{q, textOnly} {
+			if _, _, err := v.run(e, context.Background(), q); err != nil {
+				t.Fatalf("%s at λ %g: %v", v.name, q.Lambda, err)
+			}
+			drainClean(t, e, fmt.Sprintf("%s at λ %g", v.name, q.Lambda))
 		}
-		drainClean(t, e, v.name)
 	}
 
 	// Cancelled mid-search, at the first rescan of every variant that

@@ -55,12 +55,6 @@ const (
 	TraceSelect = "mmr_pick"
 	// TraceTerminate closes a search; Note carries the cause.
 	TraceTerminate = "terminate"
-	// TraceBatchPlan closes a shared-expansion batch (SearchBatch with
-	// BatchOptions.SharedExpansion): Value = settles served to queries,
-	// Extra = Dijkstra settles the shared frontiers actually performed
-	// (the difference is the expansion work the planner shared); Note
-	// carries the distinct-source and source-reference counts.
-	TraceBatchPlan = "batch_plan"
 )
 
 // NoteCrossShard marks a TracePrune whose binding bar came from the

@@ -113,6 +113,15 @@ var mutants = []mutant{
 		run:  "^(TestWorkCountersGolden|TestRescanGapFollowsActiveSet)$",
 		why:  "the gap between rescans loses its relabelEvery floor: a small active set is swept every few steps, an empty one never again",
 	},
+	{
+		name: "batch-zero-shape",
+		file: "internal/core/batch.go",
+		old:  "if !scheduled[i] {",
+		new:  "if out[i].Results == nil && out[i].Err == nil {",
+		pkgs: []string{"./internal/core"},
+		run:  "^TestFinalizeBatchTrustsScheduledSlots$",
+		why:  "finalizeBatch takes a slot's zero shape for never scheduled, so a query that finished with no results is reported as cancelled",
+	},
 }
 
 func main() {

@@ -41,7 +41,7 @@ func FuzzShardServer(f *testing.F) {
 	} {
 		f.Add(false, encode(&SearchRequest{Request: req, Bound: 0.25, Trace: true}))
 	}
-	f.Add(true, encode(&BatchRequest{Queries: []core.Query{q, {K: 5}}, Opts: core.BatchOptions{Workers: 2, SharedExpansion: true}}))
+	f.Add(true, encode(&BatchRequest{Queries: []core.Query{q, {K: 5}}, Opts: core.BatchOptions{Workers: 2}}))
 	// One byte over the cap: a gob length prefix claiming the rest.
 	over, n := make([]byte, maxRequestBytes+1), maxRequestBytes-3
 	over[0], over[1], over[2], over[3] = 0xFD, byte(n>>16), byte(n>>8), byte(n)

@@ -129,7 +129,7 @@ func TestServerBatchRoundTrip(t *testing.T) {
 	c := startShardServer(t, f.engine, nil, 0, 1)
 	rng := rand.New(rand.NewPCG(23, 0))
 	queries := []core.Query{f.query(rng, 5), f.query(rng, 3), {Locations: nil, K: 5}} // last one invalid
-	opts := core.BatchOptions{SharedExpansion: true}
+	opts := core.BatchOptions{}
 	ctx := context.Background()
 
 	want, _, err := f.engine.SearchBatch(ctx, queries, opts)

@@ -70,8 +70,7 @@ type SearchResponse struct {
 }
 
 // BatchRequest is the wire form of a whole-batch scatter: the shard runs
-// every query (sharing expansion frontiers per Opts) and answers per
-// slot.
+// every query and answers per slot.
 type BatchRequest struct {
 	Queries []core.Query
 	Opts    core.BatchOptions

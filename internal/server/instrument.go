@@ -92,7 +92,7 @@ type serverMetrics struct {
 	searchProbes     *obs.Counter
 	searchEarlyTerm  *obs.Counter
 
-	batch *obs.BatchMetrics // uots_batch_* (the /batch path's planner counters)
+	batch *obs.BatchMetrics // uots_batch_* (the /batch path's run totals)
 }
 
 func newServerMetrics(reg *obs.Registry) *serverMetrics {
@@ -148,11 +148,10 @@ func (m *serverMetrics) recordSearch(st core.SearchStats) {
 	}
 }
 
-// recordBatch accumulates one /batch run's aggregate and planner
-// counters (per-entry search work still goes through recordSearch).
-func (m *serverMetrics) recordBatch(st core.BatchStats, shared bool) {
-	m.batch.RecordBatch(st.Queries, st.Failed, st.DistinctSources, st.SourceRefs,
-		st.FrontierSettles, st.ServedSettles, shared)
+// recordBatch accumulates one /batch run's totals (per-entry search
+// work still goes through recordSearch).
+func (m *serverMetrics) recordBatch(st core.BatchStats) {
+	m.batch.RecordBatch(st.Queries, st.Failed)
 }
 
 // routeLabel maps a request onto a bounded route set so metric label

@@ -67,8 +67,7 @@ const (
 // plus the /batch path. core.Engine satisfies it, as do shard.Executor
 // and shard.RemoteExecutor — wiring one through Config.Searcher scales
 // the default algorithm out without touching the handlers, and batches
-// then scatter whole to every shard so the shared-expansion planner
-// shares frontiers per shard. The explicit exhaustive and textfirst
+// then scatter whole to every shard. The explicit exhaustive and textfirst
 // algorithms always run on the monolithic engine: they are baselines and
 // diagnostics, not the serving path.
 //
@@ -593,11 +592,9 @@ type BatchRequest struct {
 	Queries []SearchRequest `json:"queries"`
 	// Workers sizes the goroutine pool (0 = GOMAXPROCS).
 	Workers int `json:"workers,omitempty"`
-	// Shared toggles the shared-expansion batch planner: queries
-	// referencing the same source vertex share one expansion frontier,
-	// cutting redundant Dijkstra work while keeping every entry's
-	// results byte-identical to an independent search. Default true;
-	// set false to force fully independent execution.
+	// Shared is accepted and ignored: it toggled a batch planner, since
+	// removed, and a body that still carries it is answered as one
+	// without it rather than refused by the strict decoder.
 	Shared *bool `json:"shared,omitempty"`
 }
 
@@ -606,21 +603,6 @@ type BatchRequest struct {
 type BatchResponse struct {
 	Responses   []BatchEntry `json:"responses"`
 	WallClockMs float64      `json:"wallClockMs"`
-	// SharedExpansion reports whether the shared-expansion planner ran;
-	// the planner counters below are zero when it did not (or when no
-	// query validated).
-	SharedExpansion bool `json:"sharedExpansion"`
-	// DistinctSources is the number of distinct source vertices the
-	// planner gave one shared frontier (summed per shard on sharded
-	// backends); SourceRefs is how many per-query source references
-	// those frontiers served.
-	DistinctSources int `json:"distinctSources,omitempty"`
-	SourceRefs      int `json:"sourceRefs,omitempty"`
-	// FrontierSettles is the Dijkstra work actually performed by shared
-	// frontiers; ServedSettles is the work served to queries. The
-	// difference is the expansion work sharing avoided.
-	FrontierSettles uint64 `json:"frontierSettles,omitempty"`
-	ServedSettles   uint64 `json:"servedSettles,omitempty"`
 }
 
 // BatchEntry is one query's outcome within a batch.
@@ -674,26 +656,19 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			live = append(live, queries[i])
 		}
 	}
-	shared := req.Shared == nil || *req.Shared
 	if len(live) > 0 {
 		eng, backend, rerr := s.resolve()
 		if rerr != nil {
 			writeResolveError(w, r, rerr)
 			return
 		}
-		out, stats, err := backend.SearchBatch(r.Context(), live,
-			core.BatchOptions{Workers: req.Workers, SharedExpansion: shared})
+		out, stats, err := backend.SearchBatch(r.Context(), live, core.BatchOptions{Workers: req.Workers})
 		if err != nil {
 			s.writeEngineError(w, r, err)
 			return
 		}
 		pinned := eng.Store()
-		s.metrics.recordBatch(stats, shared)
-		resp.SharedExpansion = shared
-		resp.DistinctSources = stats.DistinctSources
-		resp.SourceRefs = stats.SourceRefs
-		resp.FrontierSettles = stats.FrontierSettles
-		resp.ServedSettles = stats.ServedSettles
+		s.metrics.recordBatch(stats)
 		for j, o := range out {
 			entry := &resp.Responses[idx[j]]
 			if o.Err != nil {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -396,72 +397,43 @@ func TestBatchEndpoint(t *testing.T) {
 	}
 }
 
-// TestBatchSharedExpansionFlag pins the /batch planner contract: the
-// shared-expansion planner is on by default, reports its work in the
-// response's planner fields, and an explicit "shared": false forces
-// fully independent execution with zero planner counters — and the
-// same per-entry answers.
+// TestBatchSharedExpansionFlag pins the bridge left by the removed
+// batch planner: "shared": true, "shared": false and no "shared" are
+// all answered 200 with the same responses, and the reply carries none
+// of the planner's fields. Every batch feeds the uots_batch_* totals.
 func TestBatchSharedExpansionFlag(t *testing.T) {
 	s, _ := testServer(t)
-	// Four queries over the same two source vertices: maximal overlap,
-	// so the planner must record more served than performed settles.
 	queries := make([]SearchRequest, 4)
 	for i := range queries {
 		queries[i] = SearchRequest{VertexIDs: []int32{5, 60}, Keywords: "t0_kw0", K: 3}
 	}
-
-	rec, body := doJSON(t, s.Handler(), "POST", "/batch", BatchRequest{Queries: queries})
-	if rec.Code != http.StatusOK {
-		t.Fatalf("default batch = %d: %v", rec.Code, body)
-	}
-	if body["sharedExpansion"] != true {
-		t.Error("sharedExpansion not reported true by default")
-	}
-	served, _ := body["servedSettles"].(float64)
-	frontier, _ := body["frontierSettles"].(float64)
-	if served <= frontier || served == 0 {
-		t.Errorf("planner fields report no sharing: served=%v frontier=%v", served, frontier)
-	}
-	if ds, _ := body["distinctSources"].(float64); ds != 2 {
-		t.Errorf("distinctSources = %v, want 2", ds)
-	}
-	if refs, _ := body["sourceRefs"].(float64); refs != 8 {
-		t.Errorf("sourceRefs = %v, want 8", refs)
-	}
-
-	off := false
-	recOff, bodyOff := doJSON(t, s.Handler(), "POST", "/batch",
-		BatchRequest{Queries: queries, Shared: &off})
-	if recOff.Code != http.StatusOK {
-		t.Fatalf("shared=false batch = %d: %v", recOff.Code, bodyOff)
-	}
-	if bodyOff["sharedExpansion"] != false {
-		t.Error("sharedExpansion not reported false when disabled")
-	}
-	if v, ok := bodyOff["servedSettles"]; ok && v.(float64) != 0 {
-		t.Errorf("independent batch reported servedSettles = %v", v)
-	}
-
-	// Same answers either way.
-	for i := range queries {
-		sharedTop := body["responses"].([]any)[i].(map[string]any)["results"].([]any)[0].(map[string]any)["trajectory"]
-		offTop := bodyOff["responses"].([]any)[i].(map[string]any)["results"].([]any)[0].(map[string]any)["trajectory"]
-		if sharedTop != offTop {
-			t.Errorf("entry %d: shared top %v != independent top %v", i, sharedTop, offTop)
+	on, off := true, false
+	var want any
+	for _, shared := range []*bool{nil, &on, &off} {
+		rec, body := doJSON(t, s.Handler(), "POST", "/batch", BatchRequest{Queries: queries, Shared: shared})
+		if rec.Code != http.StatusOK {
+			t.Fatalf("shared=%v: batch = %d: %v", shared, rec.Code, body)
+		}
+		for _, key := range []string{"sharedExpansion", "distinctSources", "sourceRefs", "frontierSettles", "servedSettles"} {
+			if _, ok := body[key]; ok {
+				t.Errorf("shared=%v: reply carries the planner field %q", shared, key)
+			}
+		}
+		for _, r := range body["responses"].([]any) {
+			delete(r.(map[string]any)["stats"].(map[string]any), "elapsedMs")
+		}
+		if want == nil {
+			want = body["responses"]
+		} else if !reflect.DeepEqual(body["responses"], want) {
+			t.Errorf("shared=%v: responses differ from the batch without \"shared\"", shared)
 		}
 	}
 
-	// The uots_batch_* series are exposed on /metrics.
 	mreq := httptest.NewRequest("GET", "/metrics", nil)
 	recM := httptest.NewRecorder()
 	s.Handler().ServeHTTP(recM, mreq)
 	text := recM.Body.String()
-	for _, name := range []string{
-		"uots_batch_requests_total",
-		"uots_batch_queries_total",
-		"uots_batch_shared_total",
-		"uots_batch_served_settles_total",
-	} {
+	for _, name := range []string{"uots_batch_requests_total", "uots_batch_queries_total"} {
 		if !strings.Contains(text, name) {
 			t.Errorf("/metrics missing %s", name)
 		}

@@ -149,9 +149,6 @@ func TestShardedBatchEndpoint(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("sharded /batch = %d: %v", rec.Code, body)
 	}
-	if body["sharedExpansion"] != true {
-		t.Error("sharded batch did not report sharedExpansion")
-	}
 	responses := body["responses"].([]any)
 	if len(responses) != 4 {
 		t.Fatalf("got %d responses, want 4", len(responses))

@@ -44,7 +44,7 @@ func TestShardBatchPartialDegrade(t *testing.T) {
 	defer ex.Close()
 	armed.Store(true)
 
-	out, stats, err := ex.SearchBatch(context.Background(), queries, core.BatchOptions{SharedExpansion: true})
+	out, stats, err := ex.SearchBatch(context.Background(), queries, core.BatchOptions{})
 	if err != nil {
 		t.Fatalf("degraded SearchBatch: %v", err)
 	}
@@ -123,7 +123,7 @@ func TestShardBatchCancellation(t *testing.T) {
 	}
 	defer ex.Close()
 
-	out, stats, err := ex.SearchBatch(ctx, queries, core.BatchOptions{SharedExpansion: true})
+	out, stats, err := ex.SearchBatch(ctx, queries, core.BatchOptions{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("batch err = %v, want context.Canceled", err)
 	}

@@ -318,17 +318,14 @@ func single(name string, b core.Backend) backend {
 	}}
 }
 
-// batch runs the request's query twice in one batch, so the shared
-// planner has a frontier to share — it must serve more settles than it
-// performs, and an independent batch must report no planner counters —
+// batch runs the request's query twice in one batch, on two workers,
 // beside a third query without locations, which must fail alone.
 func batch(name string, b interface {
 	SearchBatch(context.Context, []core.Query, core.BatchOptions) ([]core.BatchResult, core.BatchStats, error)
-}, shared bool) backend {
+}) backend {
 	return backend{name: name, topK: true, run: func(ctx context.Context, req core.Request) ([][]core.Result, error) {
-		out, st, err := b.SearchBatch(ctx, []core.Query{req.Query, req.Query, {K: 1}}, core.BatchOptions{Workers: 2, SharedExpansion: shared})
-		if err == nil && (st.Queries != 3 || st.Failed != 1 || shared && st.FrontierSettles > 0 && st.ServedSettles <= st.FrontierSettles ||
-			!shared && st.ServedSettles+uint64(st.DistinctSources) != 0) {
+		out, st, err := b.SearchBatch(ctx, []core.Query{req.Query, req.Query, {K: 1}}, core.BatchOptions{Workers: 2})
+		if err == nil && (st.Queries != 3 || st.Failed != 1) {
 			err = fmt.Errorf("batch stats %+v", st)
 		}
 		var answers [][]core.Result
@@ -381,8 +378,7 @@ func (r *rig) build(tb testing.TB) *rig {
 		single("engine/index", indexed),
 		textFirst("textfirst", r.oracle),
 		textFirst("textfirst/index", indexed),
-		batch("batch", r.oracle, false),
-		batch("batch/shared", r.oracle, true),
+		batch("batch", r.oracle),
 	} {
 		add(b)
 	}
@@ -397,8 +393,7 @@ func (r *rig) build(tb testing.TB) *rig {
 		b.layout = layout
 		add(b)
 		if batches {
-			add(batch(name+"/batch", ex, false))
-			add(batch(name+"/batch/shared", ex, true))
+			add(batch(name+"/batch", ex))
 		}
 	}
 	executor("executor/hash/n=4/no-bound", "", Config{Shards: 4, disableSharedBound: true}, false)
@@ -420,7 +415,7 @@ func (r *rig) build(tb testing.TB) *rig {
 			if name := fmt.Sprintf("remote/%dx%d", parts, replicas); r.kept(name) {
 				re := startCluster(tb, r.db, parts, replicas, RemoteConfig{Global: r.oracle}, nil, nil, nil).re
 				add(single(name, re))
-				add(batch(name+"/batch/shared", re, true))
+				add(batch(name+"/batch", re))
 			}
 		}
 	}

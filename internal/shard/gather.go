@@ -307,15 +307,8 @@ func merge(out []partOut[[]core.Result], use []int, k int, all bool) ([]core.Res
 	return top.Results(), considered
 }
 
-// batchOut is one partition's answer to a whole batch.
-type batchOut struct {
-	results []core.BatchResult
-	stats   core.BatchStats
-}
-
 // SearchBatch mirrors core.Engine.SearchBatch over the partitions: the
-// whole batch scatters to every partition as one call, so a
-// shared-expansion batch shares frontiers per partition, and the gather
+// whole batch scatters to every partition as one call, and the gather
 // resolves and merges per query exactly as a single-query scatter does.
 // Per-query errors surface in the per-slot Err like the monolithic
 // batch; the returned error is ctx.Err(), matching its contract.
@@ -338,21 +331,15 @@ func (g *gatherer) SearchBatch(ctx context.Context, queries []core.Query, opts c
 		return answers, bstats, ctx.Err()
 	}
 	trace := g.begin(ctx, "batch")
-	outs := scatter(ctx, g, false, func(ctx context.Context, i int) (batchOut, core.SearchStats, error) {
+	outs := scatter(ctx, g, false, func(ctx context.Context, i int) ([]core.BatchResult, core.SearchStats, error) {
 		res, stats, err := g.fleet.batch(ctx, i, queries, opts)
-		return batchOut{res, stats}, stats.PerQuery, err
+		return res, stats.PerQuery, err
 	})
-	for i := range outs {
-		o := &outs[i]
-		if !o.ran {
-			continue
-		}
-		bstats.DistinctSources += o.val.stats.DistinctSources
-		bstats.SourceRefs += o.val.stats.SourceRefs
-		bstats.FrontierSettles += o.val.stats.FrontierSettles
-		bstats.ServedSettles += o.val.stats.ServedSettles
-		if trace != nil {
-			trace.Emit(shardDone(i, len(o.val.results), o.err))
+	if trace != nil {
+		for i, o := range outs {
+			if o.ran {
+				trace.Emit(shardDone(i, len(o.val), o.err))
+			}
 		}
 	}
 	considered := 0
@@ -362,7 +349,7 @@ func (g *gatherer) SearchBatch(ctx context.Context, queries []core.Query, opts c
 			o := &outs[i]
 			one[i] = partOut[[]core.Result]{err: o.err, ran: o.ran}
 			if o.ran && o.err == nil {
-				r := o.val.results[j]
+				r := o.val[j]
 				one[i] = partOut[[]core.Result]{val: r.Results, stats: r.Stats, err: r.Err, ran: true}
 			}
 		}
