@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build vet lint wire-schema options stats-golden test race fuzz-smoke mutants bench bench-quick check
+.PHONY: build vet lint wire-schema options stats-golden test race fuzz-smoke mutants lines bench bench-quick check
 
 build:
 	$(GO) build ./...
@@ -76,6 +76,14 @@ fuzz-smoke:
 # survives, no longer applies, or does not build.
 mutants:
 	$(GO) run ./internal/mutants
+
+# lines prints the line counts of the non-test and of the test .go
+# files outside benchmark/, the size figures ROADMAP.md and CHANGES.md
+# quote.
+GOFILES = find . -name '*.go' -not -path './benchmark/*'
+lines:
+	@echo "non-test $$($(GOFILES) ! -name '*_test.go' -exec cat {} + | wc -l)"
+	@echo "test     $$($(GOFILES) -name '*_test.go' -exec cat {} + | wc -l)"
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

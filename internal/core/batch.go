@@ -36,7 +36,7 @@ func (a Algorithm) String() string {
 }
 
 // BatchOptions configures a parallel batch run. Every query of a batch
-// runs the expansion search on its own pooled expanders.
+// runs the expansion search on its own pooled search state.
 type BatchOptions struct {
 	// Workers is the number of concurrent query goroutines
 	// (default runtime.GOMAXPROCS(0)).

@@ -230,15 +230,14 @@ func TestCancellationBoundsWork(t *testing.T) {
 	}
 	uq := nq
 	uq.K = max(16, 4*nq.K)
-	scr := acquireScratch(e.g, e.db.NumTrajectories())
-	gs := scr.rootGoal(nq.Locations)
+	scr := acquireScratch(e.g, e.db.NumTrajectories(), nq.Locations)
 	unordered, retrieval, err := e.candidates(context.Background(), uq, 0, nil, AlgoExpansion, scr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var rerank SearchStats
 	for _, r := range unordered {
-		if _, err := e.orderAwareResult(gs, nq, r.Traj, canceller{}, &rerank); err != nil {
+		if _, err := e.orderAwareResult(scr, nq, r.Traj, make([]float64, len(nq.Locations)), canceller{}, &rerank); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -100,11 +100,12 @@ type expansionState struct {
 // newExpansionState prepares one expansion search on scr: top-k when
 // theta is 0, otherwise the threshold variant. A non-nil keep is pushed
 // into every access path: filtered trajectories never enter the textual
-// bound, never trigger probes, and are scanned but never scored. The
-// probes resolve distances with scr's goal search, rooted at
-// q.Locations on first use unless the caller rooted it already.
+// bound, never trigger probes, and are scanned but never scored. Source
+// i is the cursor of run i of scr's goal search, rooted at q.Locations,
+// rewound: a second search on the same scratch (a later order-aware
+// round) replays the settles of the first before it settles more, and
+// the probes step the same runs.
 func newExpansionState(ctx context.Context, e *Engine, q Query, theta float64, keep func(trajdb.TrajID) bool, scr *scratch) *expansionState {
-	scr.forLocations(len(q.Locations))
 	st := &expansionState{
 		scratch:  scr,
 		e:        e,
@@ -118,8 +119,8 @@ func newExpansionState(ctx context.Context, e *Engine, q Query, theta float64, k
 		liveN:    len(q.Locations),
 		allMask:  maskAll(len(q.Locations)),
 	}
-	for i, o := range q.Locations {
-		st.rootSource(i, o)
+	scr.goal.Rewind()
+	for i := range q.Locations {
 		st.live[i] = true
 		st.radExp[i] = 1 // e^{−0/γ}
 	}
@@ -203,15 +204,17 @@ func (st *expansionState) run() error {
 		}
 		i := st.pickSource()
 		if i != st.lastPick {
-			st.emit(TraceSourcePick, i, -1, st.sources[i].Radius(), 0, "")
+			st.emit(TraceSourcePick, i, -1, st.goal.ScanRadius(i), 0, "")
 			st.lastPick = i
 		}
-		v, d, ok := st.sources[i].Next()
+		v, d, settled, ok := st.goal.Scan(i)
 		if !ok {
 			st.markDone(i)
 			continue
 		}
-		st.stats.SettledVertices++
+		if settled { // a scan a probe or an earlier round ran ahead of is no settle
+			st.stats.SettledVertices++
+		}
 		st.radExp[i] = st.e.kernel(d)
 		bit := uint64(1) << i
 		for _, tid := range st.e.db.TrajsAtVertex(v) {
@@ -323,7 +326,7 @@ func (st *expansionState) markDone(i int) {
 	st.liveN--
 	st.radExp[i] = 0
 	st.doneMask |= uint64(1) << i
-	st.emit(TraceSourceDone, i, -1, st.sources[i].Radius(), 0, "")
+	st.emit(TraceSourceDone, i, -1, st.goal.ScanRadius(i), 0, "")
 	keep := st.active[:0]
 	for _, tid := range st.active {
 		c := st.cands[tid]
@@ -529,12 +532,12 @@ func (st *expansionState) prune(tid trajdb.TrajID, c *cand, ub, bar float64) {
 
 // probe resolves one trajectory's missing distances and completes it, or
 // prunes it once it provably cannot reach the bar. The distances come
-// from the scratch's goal search, one Dijkstra per query location shared
-// by every probe of the request (DESIGN.md, "Adaptive distance probes").
-// After each settle the score is bounded with the exact score's own
-// expression, each open distance replaced by the larger of its probe
-// search's and its expander's radius, so the bound is at least the exact
-// score in floating point too. It returns (and leaves in st.err) a
+// from the scratch's goal search, the request's one Dijkstra per query
+// location, which the probe steps past the expansion's cursors
+// (DESIGN.md, "Adaptive distance probes"). After each settle the score
+// is bounded with the exact score's own expression, each open distance
+// replaced by its run's radius, so the bound is at least the exact score
+// in floating point too. It returns (and leaves in st.err) a
 // cancellation.
 func (st *expansionState) probe(tid trajdb.TrajID) error {
 	c := st.candFor(tid)
@@ -543,7 +546,7 @@ func (st *expansionState) probe(tid trajdb.TrajID) error {
 	}
 	st.stats.Probes++
 	st.emit(TraceProbe, -1, int64(tid), 0, 0, "")
-	gs := st.rootGoal(st.q.Locations)
+	gs := st.goal
 	gs.Target(st.e.db.UniqueVertices(tid))
 	kern, open := st.kern, st.open
 	clear(open) // every kern[i] is set below
@@ -555,7 +558,7 @@ func (st *expansionState) probe(tid trajdb.TrajID) error {
 			if d, known = gs.Known(i); known {
 				c.dists[i] = d
 			} else {
-				open[i], d = true, max(gs.Radius(i), st.sources[i].Radius())
+				open[i], d = true, gs.Radius(i)
 			}
 		}
 		kern[i] = st.e.kernel(d)
@@ -586,9 +589,7 @@ func (st *expansionState) probe(tid trajdb.TrajID) error {
 			st.stats.ProbeSettled++
 			st.stats.SettledVertices++
 		}
-		if open[j] = ok && !hit; open[j] {
-			d = max(d, st.sources[j].Radius())
-		} else {
+		if open[j] = ok && !hit; !open[j] {
 			c.dists[j] = d
 		}
 		kern[j] = st.e.kernel(d)
@@ -635,8 +636,8 @@ func (st *expansionState) pickSource() int {
 		// bound dominates and plain min-radius shrinks it fastest.
 		best, bestR := -1, math.Inf(1)
 		for i, ok := range st.live {
-			if ok && st.owed&(uint64(1)<<i) != 0 && st.sources[i].Radius() < bestR {
-				best, bestR = i, st.sources[i].Radius()
+			if ok && st.owed&(uint64(1)<<i) != 0 && st.goal.ScanRadius(i) < bestR {
+				best, bestR = i, st.goal.ScanRadius(i)
 			}
 		}
 		if best >= 0 {
@@ -649,8 +650,8 @@ func (st *expansionState) pickSource() int {
 func (st *expansionState) minRadiusSource() int {
 	best, bestR := -1, math.Inf(1)
 	for i, ok := range st.live {
-		if ok && st.sources[i].Radius() < bestR {
-			best, bestR = i, st.sources[i].Radius()
+		if ok && st.goal.ScanRadius(i) < bestR {
+			best, bestR = i, st.goal.ScanRadius(i)
 		}
 	}
 	return best
@@ -697,20 +698,10 @@ func (st *expansionState) finalizeExhausted() error {
 // textOnly is the λ=0 candidate generator: the ranking is fully
 // determined by the textual index; spatial distances are resolved only
 // for the returned trajectories so the Result decomposition stays
-// complete. theta and keep are as in candidates.
-func (e *Engine) textOnly(ctx context.Context, q Query, theta float64, keep func(trajdb.TrajID) bool) ([]Result, SearchStats, error) {
-	// A store fault panics through here: the scratch is then dropped,
-	// never put back half-written.
-	scr := acquireScratch(e.g, e.db.NumTrajectories())
-	results, stats, err := e.textRanked(ctx, q, theta, keep, scr)
-	scr.release()
-	return results, stats, err
-}
-
-// textRanked is textOnly on the request's scratch: its dense text table
+// complete. theta and keep are as in candidates. scr's dense text table
 // marks the trajectories the ranking scored, and its goal search
 // resolves the returned ones' distances.
-func (e *Engine) textRanked(ctx context.Context, q Query, theta float64, keep func(trajdb.TrajID) bool, scr *scratch) ([]Result, SearchStats, error) {
+func (e *Engine) textOnly(ctx context.Context, q Query, theta float64, keep func(trajdb.TrajID) bool, scr *scratch) ([]Result, SearchStats, error) {
 	var stats SearchStats
 	cancel := newCanceller(ctx)
 	trace := tracerFrom(ctx)
@@ -775,10 +766,9 @@ func (e *Engine) textRanked(ctx context.Context, q Query, theta float64, keep fu
 	stats.Candidates = len(hits)
 	stats.EarlyTerminated = true
 
-	// Each returned trajectory's distances come from one query-rooted
-	// Dijkstra per location, resumed from hit to hit. Its settles are
-	// not counted: at λ 0 the stats record the text ranking's work.
-	gs := scr.rootGoal(q.Locations)
+	// Each returned trajectory's distances come from the request's goal
+	// search, one Dijkstra per location resumed from hit to hit.
+	gs := scr.goal
 	buf := make([]float64, len(hits)*len(q.Locations))
 	for i := range hits {
 		if err := cancel.check(); err != nil {
@@ -792,7 +782,9 @@ func (e *Engine) textRanked(ctx context.Context, q Query, theta float64, keep fu
 			for !known {
 				var hit, ok bool
 				d, hit, ok = gs.Step(j)
-				known = hit || !ok
+				if known = hit || !ok; ok {
+					stats.SettledVertices++
+				}
 			}
 			dists[j] = d
 		}

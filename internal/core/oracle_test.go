@@ -235,16 +235,21 @@ func TestSearchWindowedMatchesFilteredExhaustive(t *testing.T) {
 // scores first: a rerank that kept the probe's target set would count
 // the probed trip's vertices as its own and stop short. The third row is
 // λ = 0, where the rerank scores only the k trips the text ranking
-// returns.
+// returns. The fourth is a request that reaches a second K′ round, whose
+// expansion replays the first round's settles from the goal search's
+// logs before it settles more.
 func TestOrderAwareSearchIsExact(t *testing.T) {
 	row{seed: 231, trials: 6, draw: func(w world, rng *rand.Rand, _ int) core.Request {
 		return core.Request{Query: w.query(rng, 1+rng.IntN(3), 2, 0.3+0.5*rng.Float64(), 3), OrderAware: true}
 	}}.check(t)
-	row{seed: 249, draw: func(w world, rng *rand.Rand, _ int) core.Request {
+	row{seed: 273, draw: func(w world, rng *rand.Rand, _ int) core.Request {
 		return core.Request{Query: w.query(rng, 4, 3, 1, 8), OrderAware: true}
 	}}.check(t)
 	row{seed: 251, trials: 6, draw: func(w world, rng *rand.Rand, _ int) core.Request {
 		return core.Request{Query: w.query(rng, 1+rng.IntN(4), rng.IntN(4), 0, 1+rng.IntN(8)), OrderAware: true}
+	}}.check(t)
+	row{seed: 626, draw: func(w world, rng *rand.Rand, _ int) core.Request {
+		return core.Request{Query: w.query(rng, 4, 3, 0.5, 5), OrderAware: true}
 	}}.check(t)
 }
 

@@ -37,23 +37,28 @@ func (e *Engine) OrderAwareEvaluate(q Query, id trajdb.TrajID) (res Result, err 
 		return Result{}, ErrTrajRange
 	}
 	var stats SearchStats
-	return e.orderAwareResult(roadnet.NewGoalSearch(e.g, q.Locations), q, id, canceller{}, &stats)
+	scr := &scratch{goal: roadnet.NewGoalSearch(e.g, q.Locations)}
+	return e.orderAwareResult(scr, q, id, make([]float64, len(q.Locations)), canceller{}, &stats)
 }
 
 // orderAwareResult scores trajectory id under the order-aware similarity,
-// reading its distances from gs, the request's query-rooted search: each
-// location's run is stepped until it has settled every vertex of the
-// trajectory (or exhausted its component). The run's settles are added
-// to stats, and cancel is polled every cancelPollEvery of them, counted
-// by stats.ProbeSettled as the text probes count theirs.
-func (e *Engine) orderAwareResult(gs *roadnet.GoalSearch, q Query, id trajdb.TrajID, cancel canceller, stats *SearchStats) (Result, error) {
+// reading its distances from scr's goal search, the request's
+// query-rooted search: each location's run is stepped until it has
+// settled every vertex of the trajectory (or exhausted its component).
+// The run's settles are added to stats, and cancel is polled every
+// cancelPollEvery of them, counted by stats.ProbeSettled as the text
+// probes count theirs. The kernel table and the dynamic program's rows
+// are scr's; the unordered minima, reported for context, are written to
+// dists, which becomes the Result's.
+func (e *Engine) orderAwareResult(scr *scratch, q Query, id trajdb.TrajID, dists []float64, cancel canceller, stats *SearchStats) (Result, error) {
+	gs := scr.goal
 	traj := e.db.Traj(id)
 	m := traj.Len()
 	n := len(q.Locations)
 
-	// kernelAt[i][j] = e^{−sd(oᵢ, p_j)/γ}; unreached samples contribute 0.
-	kernelAt := make([][]float64, n)
-	dists := make([]float64, n) // unordered minima, reported for context
+	// kernelAt[i·m+j] = e^{−sd(oᵢ, p_j)/γ}; unreached samples contribute 0.
+	scr.kernelAt = resize(scr.kernelAt, n*m)
+	kernelAt := scr.kernelAt
 	uniq := e.db.UniqueVertices(id)
 	gs.Target(uniq)
 	for i := range q.Locations {
@@ -79,7 +84,7 @@ func (e *Engine) orderAwareResult(gs *roadnet.GoalSearch, q Query, id trajdb.Tra
 				remaining--
 			}
 		}
-		row := make([]float64, m)
+		row := kernelAt[i*m : (i+1)*m]
 		best := math.Inf(1)
 		for j, s := range traj.Samples {
 			if d, ok := gs.Dist(i, s.V); ok {
@@ -89,18 +94,17 @@ func (e *Engine) orderAwareResult(gs *roadnet.GoalSearch, q Query, id trajdb.Tra
 				}
 			}
 		}
-		kernelAt[i] = row
 		dists[i] = best
 	}
 
 	// DP over (location index, sample index): dp[j] after processing
 	// location i = best Σ for o₁..oᵢ assigned within samples p₁..p_j.
-	dp := make([]float64, m)
-	next := make([]float64, m)
+	scr.dp, scr.next = resize(scr.dp, m), resize(scr.next, m)
+	dp, next := scr.dp, scr.next
 	run := math.Inf(-1)
 	for j := 0; j < m; j++ {
-		if kernelAt[0][j] > run {
-			run = kernelAt[0][j]
+		if kernelAt[j] > run {
+			run = kernelAt[j]
 		}
 		dp[j] = run
 	}
@@ -109,7 +113,7 @@ func (e *Engine) orderAwareResult(gs *roadnet.GoalSearch, q Query, id trajdb.Tra
 		for j := 0; j < m; j++ {
 			// Assign oᵢ to p_j on top of the best prefix ending at or
 			// before j for the previous location (jᵢ₋₁ ≤ jᵢ allowed equal).
-			cand := dp[j] + kernelAt[i][j]
+			cand := dp[j] + kernelAt[i*m+j]
 			if j > 0 && next[j-1] > cand {
 				cand = next[j-1]
 			}
@@ -149,24 +153,16 @@ func (e *Engine) OrderAwareSearchCtx(ctx context.Context, q Query) ([]Result, Se
 // top-K′ candidates of the normalized q, rerank them with the exact
 // order-aware score, and double K′ until the unordered bound certifies
 // the ordered top-k. One query-rooted search is the request's only
-// distance source: every round's retrieval probes with it, and every
-// reranked trajectory reads its distances from it, so a vertex any of
-// them settled costs no second settle.
-func (e *Engine) rerankOrdered(ctx context.Context, q Query, algo Algorithm) ([]Result, SearchStats, error) {
-	// A store fault panics through here: the scratch is then dropped,
-	// never put back half-written.
-	scr := acquireScratch(e.g, e.db.NumTrajectories())
-	results, stats, err := e.rerankRounds(ctx, q, algo, scr)
-	scr.release()
-	return results, stats, err
-}
-
-// rerankRounds is rerankOrdered on the request's scratch.
-func (e *Engine) rerankRounds(ctx context.Context, q Query, algo Algorithm, scr *scratch) ([]Result, SearchStats, error) {
+// distance source: every round's retrieval expands and probes its runs,
+// and every reranked trajectory reads its distances from them, so a
+// vertex any of them settled costs no second settle. The reranked list
+// and its distances are cut from scr, the request's scratch; the
+// returned top k is copied out.
+func (e *Engine) rerankOrdered(ctx context.Context, q Query, algo Algorithm, scr *scratch) ([]Result, SearchStats, error) {
 	cancel := newCanceller(ctx)
 	trace := tracerFrom(ctx)
 	var total SearchStats
-	gs := scr.rootGoal(q.Locations)
+	n := len(q.Locations)
 	kPrime := q.K * 4
 	if kPrime < 16 {
 		kPrime = 16
@@ -186,9 +182,12 @@ func (e *Engine) rerankRounds(ctx context.Context, q Query, algo Algorithm, scr 
 			return nil, total, err
 		}
 
-		reranked := make([]Result, len(unordered))
+		scr.reranked = resize(scr.reranked, len(unordered))
+		scr.rerankDists = resize(scr.rerankDists, len(unordered)*n)
+		reranked := scr.reranked
 		for i, r := range unordered {
-			if reranked[i], err = e.orderAwareResult(gs, q, r.Traj, cancel, &total); err != nil {
+			dists := scr.rerankDists[i*n : (i+1)*n : (i+1)*n]
+			if reranked[i], err = e.orderAwareResult(scr, q, r.Traj, dists, cancel, &total); err != nil {
 				return nil, total, err
 			}
 			total.Probes++
@@ -209,15 +208,14 @@ func (e *Engine) rerankRounds(ctx context.Context, q Query, algo Algorithm, scr 
 		// Certification: every trajectory outside the unordered top-K′ has
 		// unordered score ≤ the K′-th unordered score, and ordered ≤
 		// unordered, so if the k-th ordered beats that bound we are done.
-		if len(unordered) < kPrime {
-			// The store has fewer trajectories than K′: everything was
-			// considered.
-			return reranked, total, nil
-		}
-		bound := unordered[len(unordered)-1].Score
-		if len(reranked) == q.K && reranked[q.K-1].Score >= bound {
-			total.EarlyTerminated = true
-			return reranked, total, nil
+		// With fewer than K′ the store had no more: everything was
+		// considered.
+		total.EarlyTerminated = len(unordered) == kPrime && len(reranked) == q.K &&
+			reranked[q.K-1].Score >= unordered[kPrime-1].Score
+		if total.EarlyTerminated || len(unordered) < kPrime {
+			results := append([]Result(nil), reranked...)
+			detachDists(results)
+			return results, total, nil
 		}
 		kPrime *= 2
 	}

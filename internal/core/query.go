@@ -215,8 +215,10 @@ type SearchStats struct {
 	// ScanEvents counts (query source, trajectory) scan events during
 	// expansion.
 	ScanEvents int
-	// SettledVertices counts Dijkstra-settled vertices across all query
-	// sources and probe searches.
+	// SettledVertices counts Dijkstra-settled vertices: the steps of the
+	// request's one search per query location, whichever of the
+	// expansion, the probes, the λ = 0 distance resolution and the rerank
+	// made them (a baseline counts its own searches').
 	SettledVertices int
 	// ProbeSettled counts the settles of the query-rooted search the text
 	// probes and the order-aware rerank share, a part of SettledVertices.

@@ -190,13 +190,16 @@ func (e *Engine) run(ctx context.Context, req Request, algo Algorithm) (results 
 			ctx = ContextWithSharedBound(ctx, nil)
 		}
 	}
+	// A store fault panics through here: the scratch is then dropped,
+	// never put back half-written.
+	scr := acquireScratch(e.g, e.db.NumTrajectories(), q.Locations)
 	switch {
 	case req.OrderAware:
-		results, stats, err = e.rerankOrdered(ctx, q, algo)
+		results, stats, err = e.rerankOrdered(ctx, q, algo, scr)
 	case req.Diversify != nil:
 		req.Query = q
 		pool, k, opts := req.Pool()
-		results, stats, err = e.candidates(ctx, pool.Query, 0, nil, algo, nil)
+		results, stats, err = e.candidates(ctx, pool.Query, 0, nil, algo, scr)
 		if err == nil {
 			results, err = e.selectDiverse(ctx, results, k, opts)
 		}
@@ -209,8 +212,9 @@ func (e *Engine) run(ctx context.Context, req Request, algo Algorithm) (results 
 		if w := req.Window; w != nil {
 			keep = func(id trajdb.TrajID) bool { return w.Contains(e.db.Traj(id).Start()) }
 		}
-		results, stats, err = e.candidates(ctx, q, theta, keep, algo, nil)
+		results, stats, err = e.candidates(ctx, q, theta, keep, algo, scr)
 	}
+	scr.release()
 	stats.Elapsed = elapsed()
 	if err != nil {
 		return nil, stats, err
@@ -222,25 +226,19 @@ func (e *Engine) run(ctx context.Context, req Request, algo Algorithm) (results 
 // q, best first — the top q.K, or with theta > 0 every trajectory scoring
 // at least theta. A non-nil keep restricts the search to the trajectories
 // it accepts. The baselines generate the plain top-k, except that the
-// exhaustive scan also honours theta. The expansion runs on scr, which
-// stays the caller's (the order-aware rerank shares one, and its goal
-// search, across rounds); with nil it takes one from the graph's pool
-// and puts it back.
+// exhaustive scan also honours theta. The expansion and the text ranking
+// run on scr, the request's scratch, and reset it: the order-aware rerank
+// runs several on one, its goal search rooted throughout.
 func (e *Engine) candidates(ctx context.Context, q Query, theta float64, keep func(trajdb.TrajID) bool, algo Algorithm, scr *scratch) ([]Result, SearchStats, error) {
+	defer scr.reset()
 	switch {
 	case algo == AlgoExhaustive:
 		return e.exhaustive(ctx, q, theta)
 	case algo == AlgoTextFirst:
 		return e.textFirst(ctx, q)
 	case q.Lambda == 0:
-		return e.textOnly(ctx, q, theta, keep)
+		return e.textOnly(ctx, q, theta, keep, scr)
 	}
-	own := scr == nil
-	if own {
-		scr = acquireScratch(e.g, e.db.NumTrajectories())
-	}
-	// A store fault panics through here: the scratch is then dropped,
-	// never put back half-written.
 	st := newExpansionState(ctx, e, q, theta, keep, scr)
 	err := st.run()
 	var results []Result
@@ -252,11 +250,6 @@ func (e *Engine) candidates(ctx context.Context, q Query, theta float64, keep fu
 			results = st.topk.Results()
 		}
 		detachDists(results)
-	}
-	if own {
-		scr.release()
-	} else {
-		scr.reset()
 	}
 	return results, st.stats, err
 }

@@ -16,21 +16,29 @@ import (
 //
 // Everything a search writes is recorded where reset can undo it: the
 // candidate table and the text scores through the lists of the IDs they
-// hold, the expanders and the goal search through their own touched
-// lists when they are next rooted. A request that ends in a panic (a
-// store fault) never puts its scratch back, so a half-written one is
-// never reused.
+// hold, the goal search through its runs' touched lists when the next
+// request roots it. A request that ends in a panic (a store fault) never
+// puts its scratch back, so a half-written one is never reused.
 type scratch struct {
 	g *roadnet.Graph
 
-	sources []*roadnet.Expander // one Dijkstra per query location; as long as the most locations seen
-	live    []bool
-	radExp  []float64 // e^{−rᵢ/γ}; 0 once source i is exhausted
-	kern    []float64 // probe scratch: e^{−d/γ} per location, d exact or a lower bound
-	open    []bool    // probe scratch: the location's distance is still unknown
+	// goal is the request's one Dijkstra per query location, rooted
+	// when the request acquires the scratch: the expansion scans its runs
+	// through their cursors, and the probes, the λ = 0 distance
+	// resolution and the rerank step them.
+	goal *roadnet.GoalSearch
 
-	goal       *roadnet.GoalSearch // probes' and rerank's query-rooted search; nil until first use
-	goalRooted bool                // goal is rooted at the current request's locations
+	live   []bool
+	radExp []float64 // e^{−rᵢ/γ}; 0 once source i is exhausted
+	kern   []float64 // probe scratch: e^{−d/γ} per location, d exact or a lower bound
+	open   []bool    // probe scratch: the location's distance is still unknown
+
+	// The order-aware rerank's buffers: one trip's kernel table (|O| rows
+	// of its samples) and its dynamic program's two rows, and a round's
+	// reranked list with its distances.
+	kernelAt, dp, next []float64
+	reranked           []Result
+	rerankDists        []float64
 
 	cands    []*cand         // dense by TrajID; nil until first touch
 	admitted []trajdb.TrajID // IDs whose cands entry is set
@@ -58,13 +66,18 @@ const slabChunk = 1024
 // city-wide search's tens of thousands are not held between requests.
 const slabKeep = 4
 
-// acquireScratch takes a workspace for a search over g against a store
-// of nTraj trajectories.
-func acquireScratch(g *roadnet.Graph, nTraj int) *scratch {
+// acquireScratch takes a workspace for one request over g against a
+// store of nTraj trajectories, its goal search rooted at locations.
+func acquireScratch(g *roadnet.Graph, nTraj int, locations []roadnet.VertexID) *scratch {
 	s, _ := g.Scratch().Get().(*scratch)
 	if s == nil {
-		s = &scratch{g: g}
+		s = &scratch{g: g, goal: roadnet.NewGoalSearch(g, locations)}
+	} else {
+		s.goal.Reset(locations)
 	}
+	n := len(locations)
+	s.live, s.radExp = resize(s.live, n), resize(s.radExp, n)
+	s.kern, s.open = resize(s.kern, n), resize(s.open, n)
 	if len(s.cands) < nTraj {
 		// Headroom: a growing store's next generations fit without a
 		// new table each.
@@ -73,17 +86,6 @@ func acquireScratch(g *roadnet.Graph, nTraj int) *scratch {
 		s.text = make([]float64, n)
 	}
 	return s
-}
-
-// forLocations sizes the per-location state for n query locations.
-func (s *scratch) forLocations(n int) {
-	for len(s.sources) < n {
-		s.sources = append(s.sources, nil)
-	}
-	s.live = resize(s.live, n)
-	s.radExp = resize(s.radExp, n)
-	s.kern = resize(s.kern, n)
-	s.open = resize(s.open, n)
 }
 
 // resize returns xs with length n and every element zero, reusing its
@@ -95,30 +97,6 @@ func resize[T any](xs []T, n int) []T {
 	xs = xs[:n]
 	clear(xs)
 	return xs
-}
-
-// rootSource roots location i's Dijkstra at src.
-func (s *scratch) rootSource(i int, src roadnet.VertexID) {
-	if s.sources[i] == nil {
-		s.sources[i] = roadnet.NewExpander(s.g, src)
-	} else {
-		s.sources[i].Reset(src)
-	}
-}
-
-// rootGoal returns the goal search rooted at locations, rooting it on
-// the request's first call; later calls of the same request get it as
-// it stands, with every run it has made so far.
-func (s *scratch) rootGoal(locations []roadnet.VertexID) *roadnet.GoalSearch {
-	if !s.goalRooted {
-		if s.goal == nil {
-			s.goal = roadnet.NewGoalSearch(s.g, locations)
-		} else {
-			s.goal.Reset(locations)
-		}
-		s.goalRooted = true
-	}
-	return s.goal
 }
 
 // newCand cuts a zero candidate with nLoc distances out of the arenas.
@@ -144,8 +122,8 @@ func (s *scratch) newCand(nLoc int) *cand {
 	return c
 }
 
-// reset undoes what one expansion search wrote, keeping the goal search
-// rooted: the order-aware rerank runs several searches on one scratch.
+// reset undoes what one expansion search wrote, keeping the goal search's
+// runs: the order-aware rerank runs several searches on one scratch.
 func (s *scratch) reset() {
 	for _, id := range s.admitted {
 		s.cands[id] = nil
@@ -165,7 +143,6 @@ func (s *scratch) reset() {
 // arenas to slabKeep chunks.
 func (s *scratch) release() {
 	s.reset()
-	s.goalRooted = false
 	s.candSlab = trim(s.candSlab, slabKeep)
 	s.distSlab = trim(s.distSlab, slabKeep)
 	s.g.Scratch().Put(s)

@@ -33,8 +33,6 @@ func dirt(s *scratch) string {
 		return "text heap is not empty"
 	case s.candNext > 0 || len(s.candFree) > 0 || s.distNext > 0 || len(s.distFree) > 0:
 		return "arenas are not rewound"
-	case s.goalRooted:
-		return "goal search is still rooted"
 	}
 	return ""
 }
@@ -59,17 +57,28 @@ func drainClean(t *testing.T, e *Engine, after string) {
 // allocations: the search's graph- and store-sized state comes from the
 // graph's pool, not from the heap. The race detector drops pooled items
 // at random, so the count is only checked without it.
-func TestDefaultQueryAllocs(t *testing.T) { checkQueryAllocs(t, 0.5, 50) }
+func TestDefaultQueryAllocs(t *testing.T) {
+	checkQueryAllocs(t, Request{Query: Query{Lambda: 0.5}}, 50)
+}
 
 // TestTextOnlyQueryAllocs holds the same queries at λ 0, ranked by text
 // alone with only the returned trips' distances resolved, to at most 25
 // allocations: the distances come from the pooled goal search, and the
 // scored trips are marked in the pooled text table.
-func TestTextOnlyQueryAllocs(t *testing.T) { checkQueryAllocs(t, 0, 25) }
+func TestTextOnlyQueryAllocs(t *testing.T) { checkQueryAllocs(t, Request{}, 25) }
 
-// checkQueryAllocs fails when a four-place, three-keyword, k 10 query at
-// lambda allocates more than bound objects on a warmed engine.
-func checkQueryAllocs(t *testing.T, lambda, bound float64) {
+// TestOrderAwareQueryAllocs holds the same queries, order-aware at λ 0.5,
+// to at most 40 allocations: every retrieval round runs on the pooled
+// scratch, and so does the rerank's kernel table, dynamic program and
+// reranked list, so a reranked trip allocates nothing.
+func TestOrderAwareQueryAllocs(t *testing.T) {
+	checkQueryAllocs(t, Request{Query: Query{Lambda: 0.5}, OrderAware: true}, 40)
+}
+
+// checkQueryAllocs fails when req, its query drawn as four places, three
+// keywords and k 10 at req's λ, allocates more than bound objects on a
+// warmed engine.
+func checkQueryAllocs(t *testing.T, req Request, bound float64) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
@@ -77,7 +86,7 @@ func checkQueryAllocs(t *testing.T, lambda, bound float64) {
 	rng := rand.New(rand.NewPCG(1240, 0))
 	ctx := context.Background()
 	for qi := range 3 {
-		req := Request{Query: f.randomQuery(rng, 4, 3, lambda, 10)}
+		req.Query = f.randomQuery(rng, 4, 3, req.Query.Lambda, 10)
 		allocs := testing.AllocsPerRun(20, func() {
 			if _, _, err := req.Run(ctx, e); err != nil {
 				t.Fatal(err)
@@ -141,19 +150,17 @@ func TestScratchComesBackClean(t *testing.T) {
 	}
 
 	// A scratch a caller holds across searches comes back reset from
-	// each, the order-aware rerank's goal search still rooted.
-	scr := acquireScratch(e.g, e.db.NumTrajectories())
-	scr.rootGoal(q.Locations)
+	// each, the order-aware rerank's goal search keeping its runs.
+	scr := acquireScratch(e.g, e.db.NumTrajectories(), q.Locations)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	ctx = obs.ContextWithTracer(ctx, &cancelOnBound{cancel: cancel})
 	if _, _, err := e.candidates(ctx, q, 0, nil, AlgoExpansion, scr); !errors.Is(err, context.Canceled) {
 		t.Fatalf("candidates: err = %v, want context.Canceled", err)
 	}
-	if !scr.goalRooted {
-		t.Error("a search on a caller's scratch unrooted its goal search")
+	if scr.goal.Settles(0) == 0 {
+		t.Error("a search on a caller's scratch dropped its goal search's runs")
 	}
-	scr.goalRooted = false
 	if d := dirt(scr); d != "" {
 		t.Errorf("a cancelled search on a caller's scratch left it dirty: %s", d)
 	}
@@ -290,5 +297,75 @@ func TestConcurrentSearchesShareThePool(t *testing.T) {
 	}
 	if reflect.DeepEqual(got1, got2) {
 		t.Error("the grown store answered every request as the first generation did; the test exercises nothing")
+	}
+}
+
+// TestOneRunPerLocation runs search, threshold, windowed, diversified
+// and order-aware requests as Engine.run does, each on a scratch the
+// test holds, and checks that a request's settles are its goal search's
+// runs: SettledVertices equals the sum over locations of the run
+// lengths, so no (location, vertex) pair is settled twice in one request
+// — not by a probe behind the expansion's cursor, not by the rerank, and
+// not by a second K′ round, which replays the first from the runs' logs.
+// The first order-aware request reaches that second round, pinned by its
+// TraceRerank count; the last query is λ 0.
+func TestOneRunPerLocation(t *testing.T) {
+	e, f := testEngineDefault(t)
+	theta := 0.4
+	window := TimeWindow{From: 7 * 3600, To: 11 * 3600}
+	keepWindow := func(id trajdb.TrajID) bool { return window.Contains(e.db.Traj(id).Start()) }
+	for _, seed := range []uint64{10, 11, 12, 13} {
+		lambda := 0.5
+		if seed == 13 {
+			lambda = 0 // the text ranking, its distances from the same runs
+		}
+		q := f.randomQuery(rand.New(rand.NewPCG(seed, 0)), 4, 3, lambda, 5)
+		for _, req := range []Request{
+			{Query: q}, {Query: q, Theta: &theta}, {Query: q, Window: &window},
+			{Query: q, Diversify: &DiversifyOptions{}}, {Query: q, OrderAware: true},
+		} {
+			nq, err := req.Query.normalize(e.g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := obs.NewTraceRecorder(0)
+			ctx := obs.ContextWithTracer(context.Background(), rec)
+			scr := acquireScratch(e.g, e.db.NumTrajectories(), nq.Locations)
+			var stats SearchStats
+			switch {
+			case req.OrderAware:
+				_, stats, err = e.rerankOrdered(ctx, nq, AlgoExpansion, scr)
+			case req.Diversify != nil:
+				req.Query = nq
+				pool, _, _ := req.Pool()
+				_, stats, err = e.candidates(ctx, pool.Query, 0, nil, AlgoExpansion, scr)
+			case req.Theta != nil:
+				_, stats, err = e.candidates(ctx, nq, theta, nil, AlgoExpansion, scr)
+			case req.Window != nil:
+				_, stats, err = e.candidates(ctx, nq, 0, keepWindow, AlgoExpansion, scr)
+			default:
+				_, stats, err = e.candidates(ctx, nq, 0, nil, AlgoExpansion, scr)
+			}
+			if err != nil {
+				t.Fatalf("seed %d %s: %v", seed, req.Variant(), err)
+			}
+			runs := 0
+			for i := range nq.Locations {
+				runs += scr.goal.Settles(i)
+			}
+			if stats.SettledVertices != runs || runs == 0 && req.Theta == nil {
+				t.Errorf("seed %d %s: %d settles counted, the goal search's runs hold %d", seed, req.Variant(), stats.SettledVertices, runs)
+			}
+			rounds := 0
+			for _, ev := range rec.Events() {
+				if ev.Kind == TraceRerank {
+					rounds++
+				}
+			}
+			if req.OrderAware && seed == 10 && rounds != 2 {
+				t.Errorf("seed %d: the order-aware rerank ran %d rounds, want 2", seed, rounds)
+			}
+			scr.release()
+		}
 	}
 }

@@ -114,6 +114,33 @@ var mutants = []mutant{
 		why:  "the gap between rescans loses its relabelEvery floor: a small active set is swept every few steps, an empty one never again",
 	},
 	{
+		name: "scan-steps-past-log",
+		file: "internal/roadnet/goalsearch.go",
+		old:  "if r.cursor == len(r.log) {",
+		new:  "if r.cursor = len(r.log); true {",
+		pkgs: []string{"./internal/core", "./internal/shard"},
+		run:  "^(TestOrderAwareSearchIsExact|TestDifferential)$",
+		why:  "Scan steps the run although its log holds unread entries, so the expansion skips the vertices a probe or an earlier round settled",
+	},
+	{
+		name: "tie-break-flip",
+		file: "internal/core/expansion.go",
+		old:  "st.topk.Offer(score, int64(tid), res)",
+		new:  "st.topk.Offer(score, -int64(tid), res)",
+		pkgs: []string{"./internal/core"},
+		run:  "^TestTiesAtTheBar$",
+		why:  "complete offers the top k a negated ID, so a tie at the k-th score keeps the larger trajectory ID",
+	},
+	{
+		name: "expansion-no-poll",
+		file: "internal/core/expansion.go",
+		old:  "\t\tif st.err == nil && st.steps%cancelPollEvery == 0 {\n\t\t\tst.err = st.cancel.check()\n\t\t}\n",
+		new:  "",
+		pkgs: []string{"./internal/core"},
+		run:  "^TestCancellationBoundsWork$",
+		why:  "the expansion loop never polls its context, so a cancelled spatial-only search (no text probe to poll) expands its whole component",
+	},
+	{
 		name: "batch-zero-shape",
 		file: "internal/core/batch.go",
 		old:  "if !scheduled[i] {",

@@ -33,14 +33,14 @@ func BenchmarkBidirectionalDist(b *testing.B) {
 	}
 }
 
-func BenchmarkExpanderDrain(b *testing.B) {
+func BenchmarkScanDrain(b *testing.B) {
 	g := benchCity(b)
-	e := NewExpander(g, 0)
+	gs := NewGoalSearch(g, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.Reset(VertexID(i % g.NumVertices()))
+		gs.Reset([]VertexID{VertexID(i % g.NumVertices())})
 		for {
-			if _, _, ok := e.Next(); !ok {
+			if _, _, _, ok := gs.Scan(0); !ok {
 				break
 			}
 		}

@@ -10,13 +10,12 @@ import (
 // workspaces holds one instance of every search face on one graph.
 type workspaces struct {
 	sssp *SSSP
-	exp  *Expander
 	gs   *GoalSearch
 	bd   *Bidirectional
 }
 
 func newWorkspaces(g *Graph) workspaces {
-	return workspaces{NewSSSP(g), NewExpander(g, 0), NewGoalSearch(g, nil), NewBidirectional(g)}
+	return workspaces{NewSSSP(g), NewGoalSearch(g, nil), NewBidirectional(g)}
 }
 
 // face drives one search face: run draws its inputs from rng, checks every
@@ -36,36 +35,120 @@ func checkDist(t *testing.T, what string, got, want float64) {
 	}
 }
 
+// runStates returns the vertex state of gs's runs, one per root.
+func runStates(w workspaces) []*search {
+	var states []*search
+	for _, r := range w.gs.runs[:len(w.gs.roots)] {
+		states = append(states, &r.search)
+	}
+	return states
+}
+
+// settleOrder returns the vertices SSSP from src settles, in order: the
+// order every run rooted at src settles them in, since the order depends
+// only on the graph and the root.
+func settleOrder(s *SSSP, src VertexID) []VertexID {
+	var order []VertexID
+	s.RunUntil(src, func(v VertexID, _ float64) bool {
+		order = append(order, v)
+		return true
+	})
+	return order
+}
+
 var (
-	expanderFace = face{
-		name: "Expander drain and Reset",
+	scanFace = face{
+		name: "GoalSearch Scan drain, Rewind and Reset",
 		run: func(t *testing.T, w workspaces, fw [][]float64, rng *rand.Rand) []float64 {
 			n := len(fw)
 			src := VertexID(rng.IntN(n))
 			limit := rng.IntN(2 * n) // below n the drain may stop part-way, leaving a dirty frontier
-			w.exp.Reset(src)
+			w.gs.Reset([]VertexID{src})
 			var obs []float64
-			for settled := 0; settled < limit; settled++ {
-				v, d, ok := w.exp.Next()
-				obs = append(obs, float64(v), d, w.exp.Radius())
-				if !ok {
-					reachable := 0
-					for _, d := range fw[src] {
-						if d != Unreachable {
-							reachable++
+			for pass := 0; pass < 2; pass++ {
+				for scanned := 0; scanned < limit; scanned++ {
+					v, d, settled, ok := w.gs.Scan(0)
+					obs = append(obs, float64(v), d, w.gs.ScanRadius(0))
+					if settled != (pass == 0 && ok) {
+						t.Fatalf("pass %d, scan %d from %d: settled = %v", pass, scanned, src, settled)
+					}
+					if !ok {
+						reachable := 0
+						for _, d := range fw[src] {
+							if d != Unreachable {
+								reachable++
+							}
 						}
+						if scanned != reachable || w.gs.ScanRadius(0) != Unreachable {
+							t.Fatalf("scan from %d drained after %d scans (reachable %d), radius %g",
+								src, scanned, reachable, w.gs.ScanRadius(0))
+						}
+						break
 					}
-					if settled != reachable || w.exp.Radius() != Unreachable {
-						t.Fatalf("expander from %d drained after %d settles (reachable %d), radius %g",
-							src, settled, reachable, w.exp.Radius())
-					}
-					break
+					checkDist(t, "scan distance", d, fw[src][v])
 				}
-				checkDist(t, "expander distance", d, fw[src][v])
+				// The second pass replays the first from the log.
+				settles := w.gs.Settles(0)
+				w.gs.Rewind()
+				if w.gs.ScanRadius(0) != 0 || w.gs.Settles(0) != settles {
+					t.Fatalf("Rewind from %d: scan radius %g, %d settles (was %d)", src, w.gs.ScanRadius(0), w.gs.Settles(0), settles)
+				}
 			}
 			return obs
 		},
-		state: func(w workspaces) []*search { return []*search{&w.exp.search} },
+		state: runStates,
+	}
+	interleaveFace = face{
+		name: "GoalSearch Step and Scan interleaved on one root",
+		run: func(t *testing.T, w workspaces, fw [][]float64, rng *rand.Rand) []float64 {
+			n := len(fw)
+			src := VertexID(rng.IntN(n))
+			order := settleOrder(w.sssp, src)
+			w.gs.Reset([]VertexID{src})
+			var obs []float64
+			scans, stepReach := 0, 0 // how far the scan cursor and the last Step reached
+			for ops := rng.IntN(3 * n); ops > 0; ops-- {
+				before := w.gs.Settles(0)
+				if rng.IntN(2) == 0 {
+					d, _, ok := w.gs.Step(0)
+					if ok {
+						stepReach = before + 1
+						if w.gs.Settles(0) != stepReach || d != w.sssp.Dist(order[before]) {
+							t.Fatalf("Step from %d: %d settles, distance %g, want %d at %g", src, w.gs.Settles(0), d, stepReach, w.sssp.Dist(order[before]))
+						}
+					} else if before != len(order) {
+						t.Fatalf("Step from %d ran out after %d of %d settles", src, before, len(order))
+					}
+					obs = append(obs, d)
+					continue
+				}
+				v, d, settled, ok := w.gs.Scan(0)
+				if !ok {
+					if scans != len(order) || w.gs.ScanRadius(0) != Unreachable {
+						t.Fatalf("Scan from %d ran out after %d of %d, radius %g", src, scans, len(order), w.gs.ScanRadius(0))
+					}
+					obs = append(obs, d)
+					continue
+				}
+				// The scan sequence is the undisturbed run's.
+				if v != order[scans] || d != w.sssp.Dist(v) || w.gs.ScanRadius(0) != d {
+					t.Fatalf("scan %d from %d = (%d, %g, radius %g), undisturbed (%d, %g)",
+						scans, src, v, d, w.gs.ScanRadius(0), order[scans], w.sssp.Dist(order[scans]))
+				}
+				scans++
+				obs = append(obs, float64(v), d, w.gs.ScanRadius(0))
+				// No vertex settles twice: the run is as long as the
+				// furthest reach of either caller.
+				if got, want := w.gs.Settles(0), max(scans, stepReach); got != want || settled != (got > before) {
+					t.Fatalf("scan %d from %d: run settled %d (settled = %v), furthest reach %d", scans, src, got, settled, want)
+				}
+				if w.gs.Radius(0) < w.gs.ScanRadius(0) {
+					t.Fatalf("run radius %g below scan radius %g", w.gs.Radius(0), w.gs.ScanRadius(0))
+				}
+			}
+			return obs
+		},
+		state: runStates,
 	}
 	ssspFace = face{
 		name: "SSSP RunUntil stopped early, then Run",
@@ -126,15 +209,7 @@ var (
 			}
 			return obs
 		},
-		state: func(w workspaces) []*search {
-			var started []*search
-			for i, ok := range w.gs.started {
-				if ok {
-					started = append(started, &w.gs.runs[i].search)
-				}
-			}
-			return started
-		},
+		state: runStates,
 	}
 	bidirectionalFace = face{
 		name: "Bidirectional Dist and Path",
@@ -226,7 +301,9 @@ func checkReuse(t *testing.T, faces ...face) {
 
 func TestSSSPReuseAcrossRuns(t *testing.T) { checkReuse(t, ssspFace) }
 
-func TestExpanderReset(t *testing.T) { checkReuse(t, expanderFace) }
+func TestExpanderReset(t *testing.T) { checkReuse(t, scanFace) }
+
+func TestScanInterleavedWithStep(t *testing.T) { checkReuse(t, interleaveFace) }
 
 func TestWorkspaceReuseMatchesFresh(t *testing.T) {
 	checkReuse(t, goalSearchFace, bidirectionalFace)

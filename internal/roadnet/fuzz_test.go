@@ -82,6 +82,6 @@ func FuzzSearchFaces(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkFaces(t, g, seed, 8, expanderFace, ssspFace, goalSearchFace, bidirectionalFace)
+		checkFaces(t, g, seed, 8, scanFace, interleaveFace, ssspFace, goalSearchFace, bidirectionalFace)
 	})
 }

@@ -2,12 +2,12 @@
 // undirected, weighted graph modelling a road network, together with the
 // shortest-path machinery the trajectory search engine is built on —
 // single-source Dijkstra, early-terminating multi-target search,
-// bidirectional point-to-point queries, resumable per-root searches
-// against a stream of target sets (GoalSearch: the engine's text probes
-// and its order-aware rerank read distances from one per request), ALT
-// landmark lower bounds, and the incremental network Expander that drives
-// the UOTS expansion search. All of them run on one vertex-state type
-// (search.go).
+// bidirectional point-to-point queries, ALT landmark lower bounds, and
+// GoalSearch: one resumable Dijkstra per query location, whose settle
+// order drives the UOTS expansion search (incremental network
+// expansion, read through a cursor) and from which the engine's text
+// probes and order-aware rerank read distances against a stream of
+// target sets. All of them run on one vertex-state type (search.go).
 //
 // Vertices model road intersections (or ends of roads) and carry planar
 // coordinates in kilometres; edge weights are road-segment lengths in

@@ -15,10 +15,10 @@ const posAbsent = int32(-1)
 // whose distance leaves Unreachable is recorded once in touched, so reset
 // costs time proportional to the vertices the previous run reached, not
 // to the graph size. The faces differ in their roots, in when they stop,
-// and in what else they record: SSSP runs one root to a stop, Expander
-// steps one root and records its radius, GoalSearch steps one run per
-// root against a marked target set, Bidirectional runs two and records
-// parents.
+// and in what else they record: SSSP runs one root to a stop,
+// GoalSearch steps one run per root against a marked target set and
+// logs each run's settle order for its scan cursor, Bidirectional runs
+// two and records parents.
 type search struct {
 	g       *Graph
 	dist    []float64

@@ -95,53 +95,69 @@ func TestSSSPDistToSet(t *testing.T) {
 	}
 }
 
+// TestExpanderSettlesInDistanceOrder drains one root's scan cursor: it
+// passes every vertex once, in non-decreasing distance order, at SSSP's
+// distances, with the scan radius at the last distance and then
+// Unreachable.
 func TestExpanderSettlesInDistanceOrder(t *testing.T) {
 	g := randomConnected(80, 60, 17)
-	e := NewExpander(g, 0)
+	gs := NewGoalSearch(g, []VertexID{0})
 	s := NewSSSP(g)
 	s.Run(0)
 	prev := -1.0
-	count := 0
+	seen := make(map[VertexID]bool)
 	for {
-		v, d, ok := e.Next()
+		v, d, _, ok := gs.Scan(0)
 		if !ok {
 			break
 		}
-		count++
+		if seen[v] {
+			t.Fatalf("vertex %d scanned twice", v)
+		}
+		seen[v] = true
 		if d < prev {
 			t.Fatalf("settle order violated: %g after %g", d, prev)
 		}
 		if math.Abs(d-s.Dist(v)) > 1e-9 {
-			t.Fatalf("expander dist %g != sssp %g at %d", d, s.Dist(v), v)
+			t.Fatalf("scan dist %g != sssp %g at %d", d, s.Dist(v), v)
 		}
-		if e.Radius() != d {
-			t.Fatalf("Radius %g != last settled %g", e.Radius(), d)
+		if gs.ScanRadius(0) != d {
+			t.Fatalf("ScanRadius %g != last scanned %g", gs.ScanRadius(0), d)
 		}
 		prev = d
 	}
-	if count != g.NumVertices() {
-		t.Fatalf("settled %d of %d", count, g.NumVertices())
+	if len(seen) != g.NumVertices() || gs.Settles(0) != g.NumVertices() {
+		t.Fatalf("scanned %d of %d, %d settles", len(seen), g.NumVertices(), gs.Settles(0))
 	}
-	if !math.IsInf(e.Radius(), 1) {
-		t.Error("exhausted expander should report an infinite radius")
+	if !math.IsInf(gs.ScanRadius(0), 1) || !math.IsInf(gs.Radius(0), 1) {
+		t.Error("an exhausted run should report an infinite radius")
 	}
 }
 
+// TestExpanderRadiusLowerBoundsUnsettled: after twenty scans, no vertex
+// the cursor has not passed is closer than the scan radius, also when a
+// Step has taken the run further than the cursor.
 func TestExpanderRadiusLowerBoundsUnsettled(t *testing.T) {
 	g := randomConnected(60, 40, 19)
 	s := NewSSSP(g)
 	s.Run(5)
-	e := NewExpander(g, 5)
-	settled := make(map[VertexID]bool)
-	for i := 0; i < 20; i++ {
-		v, _, _ := e.Next()
-		settled[v] = true
+	gs := NewGoalSearch(g, []VertexID{5})
+	for i := 0; i < 30; i++ {
+		gs.Step(0)
 	}
-	r := e.Radius()
+	scanned := make(map[VertexID]bool)
+	for i := 0; i < 20; i++ {
+		v, _, settled, _ := gs.Scan(0)
+		if settled {
+			t.Fatalf("scan %d settled a vertex the run had already settled", i)
+		}
+		scanned[v] = true
+	}
+	r := gs.ScanRadius(0)
 	for v := 0; v < g.NumVertices(); v++ {
-		if !settled[VertexID(v)] {
+		if !scanned[VertexID(v)] {
 			if s.Dist(VertexID(v)) < r-1e-9 {
-				t.Fatalf("unsettled vertex %d closer (%g) than radius %g", v, s.Dist(VertexID(v)), r)
+				t.Fatalf("unscanned vertex %d closer (%g) than radius %g", v, s.Dist(VertexID(v)), r)
 			}
 		}
 	}

@@ -233,7 +233,7 @@ func generate(tb testing.TB, g *roadnet.Graph, vocab *textual.SyntheticVocab, co
 	return db
 }
 
-// islands is two four-vertex lines with trajectories on both: expanders
+// islands is two four-vertex lines with trajectories on both: expansions
 // exhaust their component, distances to the other island are +Inf, and
 // unreachable trajectories compete on text alone.
 func islands(tb testing.TB) *rig {
