@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"uots/internal/obs"
+	"uots/internal/roadnet"
+	"uots/internal/trajdb"
 )
 
 // ctxVariant names one context-aware engine entry point for table tests.
@@ -217,58 +219,62 @@ func TestCancellationBoundsWork(t *testing.T) {
 		t.Errorf("in a probe: %d vertices settled after the cancel, want ≤ %d", after, cancelPollEvery)
 	}
 
-	// Cancelled inside the order-aware rerank: a tracer cancels as round
-	// 0's retrieval terminates, so only the rerank's own poll can stop the
-	// query-rooted search of the trips it scores. Replaying round 0 — the
-	// top-K′ retrieval, K′ = max(16, 4k), then the rerank on the same
-	// search — gives the settles before the cancel, and shows the rerank
+	// Cancelled inside an ordered scoring: a tracer cancels at the
+	// order-aware search's first completion, whose ordered scoring steps
+	// every location's run until it has settled every vertex of the trip,
+	// so only the scoring's own poll can stop it in time. Before the first
+	// probe every settle is an expansion step, and the completion comes in
+	// the scan of step Step, so Step+1 vertices are settled before the
+	// cancel. A fresh search for the same trip settles at least as many
+	// vertices as the runs hold after its scoring, which shows the scoring
 	// has more than one poll interval of work to do.
 	oq := f.randomQuery(rand.New(rand.NewPCG(84, 0)), 4, 2, 0.5, 4)
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	first := &cancelOnComplete{cancel: cancel, at: -1}
+	_, stats, err = e.OrderAwareSearchCtx(obs.ContextWithTracer(ctx, first), oq)
+	if first.at < 0 || first.probed {
+		t.Fatalf("in an ordered scoring: first completion at step %d, after a probe: %v", first.at, first.probed)
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("in an ordered scoring: err = %v, want context.Canceled", err)
+	}
+	before := first.at + 1
+	if after := stats.SettledVertices - before; after > cancelPollEvery {
+		t.Errorf("in an ordered scoring: %d vertices settled after the cancel, want ≤ %d", after, cancelPollEvery)
+	}
 	nq, err := oq.normalize(e.g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	uq := nq
-	uq.K = max(16, 4*nq.K)
-	scr := acquireScratch(e.g, e.db.NumTrajectories(), nq.Locations)
-	unordered, retrieval, err := e.candidates(context.Background(), uq, 0, nil, AlgoExpansion, scr)
-	if err != nil {
+	var fresh SearchStats
+	scr := &scratch{goal: roadnet.NewGoalSearch(e.g, nq.Locations)}
+	if _, err := e.orderAwareResult(scr, nq, first.traj, make([]float64, len(nq.Locations)), canceller{}, &fresh); err != nil {
 		t.Fatal(err)
 	}
-	var rerank SearchStats
-	for _, r := range unordered {
-		if _, err := e.orderAwareResult(scr, nq, r.Traj, make([]float64, len(nq.Locations)), canceller{}, &rerank); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if rerank.SettledVertices <= cancelPollEvery {
-		t.Fatalf("in the rerank: round 0's rerank settles %d vertices, want > %d", rerank.SettledVertices, cancelPollEvery)
-	}
-	ctx, cancel = context.WithCancel(context.Background())
-	defer cancel()
-	term := &cancelOnTerminate{cancel: cancel}
-	_, stats, err = e.OrderAwareSearchCtx(obs.ContextWithTracer(ctx, term), oq)
-	if !term.fired {
-		t.Fatal("in the rerank: the retrieval never terminated")
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Errorf("in the rerank: err = %v, want context.Canceled", err)
-	}
-	if after := stats.SettledVertices - retrieval.SettledVertices; after > cancelPollEvery {
-		t.Errorf("in the rerank: %d vertices settled after the cancel, want ≤ %d", after, cancelPollEvery)
+	if fresh.SettledVertices-before <= cancelPollEvery {
+		t.Fatalf("in an ordered scoring: the scoring of trip %d settles at most %d vertices, want > %d",
+			first.traj, fresh.SettledVertices-before, cancelPollEvery)
 	}
 }
 
-// cancelOnTerminate is a tracer that cancels its search when the first
-// expansion terminates.
-type cancelOnTerminate struct {
+// cancelOnComplete is a tracer that cancels its search at the first
+// completion, recording its expansion step and trip and whether a probe
+// came before it.
+type cancelOnComplete struct {
 	cancel context.CancelFunc
-	fired  bool
+	at     int
+	traj   trajdb.TrajID
+	probed bool
 }
 
-func (c *cancelOnTerminate) Emit(ev obs.SpanEvent) {
-	if ev.Kind == TraceTerminate && !c.fired {
-		c.fired = true
+func (c *cancelOnComplete) Emit(ev obs.SpanEvent) {
+	switch {
+	case c.at >= 0:
+	case ev.Kind == TraceProbe:
+		c.probed = true
+	case ev.Kind == TraceComplete:
+		c.at, c.traj = ev.Step, trajdb.TrajID(ev.Traj)
 		c.cancel()
 	}
 }

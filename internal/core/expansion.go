@@ -64,6 +64,7 @@ type expansionState struct {
 	q       Query
 	theta   float64 // threshold variant bar (0 in top-k mode)
 	useTopK bool
+	ordered bool // the top k holds ordered scores (order-aware sink)
 
 	liveN    int
 	allMask  uint64
@@ -100,12 +101,11 @@ type expansionState struct {
 // newExpansionState prepares one expansion search on scr: top-k when
 // theta is 0, otherwise the threshold variant. A non-nil keep is pushed
 // into every access path: filtered trajectories never enter the textual
-// bound, never trigger probes, and are scanned but never scored. Source
-// i is the cursor of run i of scr's goal search, rooted at q.Locations,
-// rewound: a second search on the same scratch (a later order-aware
-// round) replays the settles of the first before it settles more, and
-// the probes step the same runs.
-func newExpansionState(ctx context.Context, e *Engine, q Query, theta float64, keep func(trajdb.TrajID) bool, scr *scratch) *expansionState {
+// bound, never trigger probes, and are scanned but never scored. ordered
+// selects the order-aware sink (top-k mode only). Source i is the cursor
+// of run i of scr's goal search, rooted at q.Locations; the probes and
+// the ordered scorings step the same runs.
+func newExpansionState(ctx context.Context, e *Engine, q Query, theta float64, keep func(trajdb.TrajID) bool, ordered bool, scr *scratch) *expansionState {
 	st := &expansionState{
 		scratch:  scr,
 		e:        e,
@@ -115,11 +115,11 @@ func newExpansionState(ctx context.Context, e *Engine, q Query, theta float64, k
 		lastPick: -1,
 		theta:    theta,
 		useTopK:  theta == 0,
+		ordered:  ordered,
 		keep:     keep,
 		liveN:    len(q.Locations),
 		allMask:  maskAll(len(q.Locations)),
 	}
-	scr.goal.Rewind()
 	for i := range q.Locations {
 		st.live[i] = true
 		st.radExp[i] = 1 // e^{−0/γ}
@@ -175,7 +175,10 @@ func (st *expansionState) initText() {
 // yet full). In sharded execution the bar is the better of the local
 // top-k threshold and the cross-partition shared bound; candidates at
 // exactly the bar always survive (strict-< prune), so the racy exchange
-// never changes which results come back.
+// never changes which results come back. With the order-aware sink the
+// local threshold is the k-th ordered score, which every unordered upper
+// bound still tests exactly: a trip's ordered score is at most its
+// unordered one.
 func (st *expansionState) bar() (float64, bool) {
 	if !st.useTopK {
 		return st.theta, true
@@ -231,7 +234,7 @@ func (st *expansionState) run() error {
 			}
 		}
 		st.steps++
-		if st.steps < next {
+		if st.steps < next || st.err != nil { // an ordered scoring saw a cancellation
 			continue
 		}
 		if st.rescan() {
@@ -288,7 +291,10 @@ func (st *expansionState) candFor(tid trajdb.TrajID) *cand {
 // sink. Distances that remained +Inf (source exhausted without reaching
 // the trajectory) contribute 0 to the spatial similarity. The result's
 // Dists alias c's slot of the scratch arena; candidates copies them out
-// for the results that survive.
+// for the results that survive. The order-aware sink scores the trip
+// again under the ordered similarity unless its unordered score, an
+// upper bound on the ordered one, already falls below the k-th; a
+// cancellation seen by that scoring is left in st.err.
 func (st *expansionState) complete(tid trajdb.TrajID, c *cand) {
 	c.complete = true
 	st.stats.Candidates++
@@ -303,6 +309,16 @@ func (st *expansionState) complete(tid trajdb.TrajID, c *cand) {
 		Dists:   c.dists,
 	}
 	if st.useTopK {
+		if st.ordered {
+			if thr, full := st.topk.Threshold(); full && score < thr {
+				return
+			}
+			if res, st.err = st.e.orderAwareResult(st.scratch, st.q, tid, c.dists, st.cancel, &st.stats); st.err != nil {
+				return
+			}
+			st.emit(TraceRerank, -1, int64(tid), res.Score, score, "")
+			score = res.Score
+		}
 		st.topk.Offer(score, int64(tid), res)
 		if st.shared != nil {
 			if thr, full := st.topk.Threshold(); full {
@@ -595,7 +611,7 @@ func (st *expansionState) probe(tid trajdb.TrajID) error {
 		kern[j] = st.e.kernel(d)
 	}
 	st.complete(tid, c)
-	return nil
+	return st.err
 }
 
 // probeFloor is the spatial-kernel value at the radius the probe policy is
@@ -662,11 +678,12 @@ func (st *expansionState) minRadiusSource() int {
 // components) still compete on their textual score alone — and when the
 // top-k still has room, even zero-scoring trajectories fill the remaining
 // slots (ascending ID, matching the exhaustive baseline's tie order).
+// It returns the cancellation a poll or a completion saw (st.err).
 func (st *expansionState) finalizeExhausted() error {
-	for drained := 0; ; drained++ {
+	for drained := 0; st.err == nil; drained++ {
 		if drained%cancelPollEvery == 0 {
-			if err := st.cancel.check(); err != nil {
-				return err
+			if st.err = st.cancel.check(); st.err != nil {
+				break
 			}
 		}
 		_, tid, ok := st.textHeap.Pop()
@@ -677,22 +694,19 @@ func (st *expansionState) finalizeExhausted() error {
 			st.complete(tid, c) // all dists +Inf: spatial 0
 		}
 	}
-	if !st.useTopK || st.topk.Full() {
-		return nil
-	}
 	// Every remaining trajectory is unreachable from all sources and
 	// shares no query keyword: its exact score is exactly 0.
-	for id := 0; id < st.e.db.NumTrajectories() && !st.topk.Full(); id++ {
+	for id := 0; st.err == nil && st.useTopK && id < st.e.db.NumTrajectories() && !st.topk.Full(); id++ {
 		if id%4096 == 0 {
-			if err := st.cancel.check(); err != nil {
-				return err
+			if st.err = st.cancel.check(); st.err != nil {
+				break
 			}
 		}
 		if c := st.candFor(trajdb.TrajID(id)); !c.complete {
 			st.complete(trajdb.TrajID(id), c)
 		}
 	}
-	return nil
+	return st.err
 }
 
 // textOnly is the λ=0 candidate generator: the ranking is fully
@@ -700,8 +714,11 @@ func (st *expansionState) finalizeExhausted() error {
 // for the returned trajectories so the Result decomposition stays
 // complete. theta and keep are as in candidates. scr's dense text table
 // marks the trajectories the ranking scored, and its goal search
-// resolves the returned ones' distances.
-func (e *Engine) textOnly(ctx context.Context, q Query, theta float64, keep func(trajdb.TrajID) bool, scr *scratch) ([]Result, SearchStats, error) {
+// resolves the returned ones' distances. With ordered, both scores are
+// the textual one, so the text ranking is the ordered ranking too: each
+// returned trip is scored under the ordered similarity for its spatial
+// part.
+func (e *Engine) textOnly(ctx context.Context, q Query, theta float64, keep func(trajdb.TrajID) bool, ordered bool, scr *scratch) ([]Result, SearchStats, error) {
 	var stats SearchStats
 	cancel := newCanceller(ctx)
 	trace := tracerFrom(ctx)
@@ -776,6 +793,17 @@ func (e *Engine) textOnly(ctx context.Context, q Query, theta float64, keep func
 		}
 		dists := buf[:len(q.Locations):len(q.Locations)]
 		buf = buf[len(dists):]
+		if ordered {
+			r, err := e.orderAwareResult(scr, q, hits[i].Traj, dists, cancel, &stats)
+			if err != nil {
+				return nil, stats, err
+			}
+			if trace != nil {
+				trace.Emit(obs.SpanEvent{Kind: TraceRerank, Source: -1, Traj: int64(r.Traj), Value: r.Score, Extra: hits[i].Score})
+			}
+			hits[i] = r
+			continue
+		}
 		gs.Target(e.db.UniqueVertices(hits[i].Traj))
 		for j := range dists {
 			d, known := gs.Known(j)

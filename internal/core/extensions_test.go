@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand/v2"
+	"reflect"
 	"testing"
 
 	"uots/internal/roadnet"
@@ -73,6 +74,48 @@ func TestOrderAwareEvaluateMatchesBrute(t *testing.T) {
 	}
 	if _, err := e.OrderAwareEvaluate(Query{Locations: f.randomQuery(rng, 1, 0, 0.5, 1).Locations}, -1); !errors.Is(err, ErrTrajRange) {
 		t.Errorf("bad traj id: %v", err)
+	}
+}
+
+// TestOrderedScoringAfterAProbe scores trips on one request's goal
+// search right after a probe-like resolution of another trip (its
+// vertices made the target set, each run stepped to its nearest one), as
+// the order-aware sink does when it completes a trip after a probe. Each
+// scoring must equal OrderAwareEvaluate's, whose search is fresh: a
+// scoring that kept the probe's target set would count the probed
+// trip's vertices as its own and stop its runs short. Through the
+// engine that rarely changes an answer (a stale scoring mostly runs on
+// to the end of the component), so this pins the retargeting directly.
+func TestOrderedScoringAfterAProbe(t *testing.T) {
+	e, f := testEngineDefault(t)
+	rng := rand.New(rand.NewPCG(273, 0))
+	n := e.db.NumTrajectories()
+	for trial := range 8 {
+		q := mustNormalize(t, f.randomQuery(rng, 4, 0, 1, 1), e)
+		scr := acquireScratch(e.g, n, q.Locations)
+		for range 8 {
+			probed, scored := trajdb.TrajID(rng.IntN(n)), trajdb.TrajID(rng.IntN(n))
+			gs := scr.goal
+			gs.Target(e.db.UniqueVertices(probed))
+			for i := range q.Locations {
+				for _, known := gs.Known(i); !known; _, known = gs.Known(i) {
+					gs.Step(i)
+				}
+			}
+			var stats SearchStats
+			got, err := e.orderAwareResult(scr, q, scored, make([]float64, len(q.Locations)), canceller{}, &stats)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := e.OrderAwareEvaluate(q, scored)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("trial %d: trip %d scored after a probe of trip %d: %+v, fresh %+v", trial, scored, probed, got, want)
+			}
+		}
+		scr.release()
 	}
 }
 

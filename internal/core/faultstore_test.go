@@ -28,7 +28,7 @@ func faultEngine(t *testing.T, cfg FaultConfig) (*Engine, *FaultStore, fixture) 
 // *trajdb.StoreError cause preserved and no results returned.
 func TestStoreFaultSurfacesAsError(t *testing.T) {
 	// Keywords faults hit the text pre-scoring of every algorithm; Traj
-	// faults hit the access paths (start times, order-aware reranks) that
+	// faults hit the access paths (start times, order-aware scorings) that
 	// skip Keywords.
 	for _, mode := range []struct {
 		name string

@@ -155,7 +155,9 @@ func TestRelabelEveryOne(t *testing.T) {
 // tie by ID. Half the queries repeat a location. The first row asks one
 // to four places; the second six to nine, where distinct scan masks
 // share a slot of rescan's per-mask bound table, so a lookup that does
-// not check the slot's mask drops an answer.
+// not check the slot's mask drops an answer. The third asks one to four
+// places order-aware, where the bar is the k-th ordered score and a trip
+// whose unordered score equals it must still be scored under the order.
 func TestTiesAtTheBar(t *testing.T) {
 	g := testworld.UnitGrid(12)
 	vocab := textual.GenerateVocab(2, 3, 1.0, 5)
@@ -168,14 +170,15 @@ func TestTiesAtTheBar(t *testing.T) {
 	for _, r := range []struct {
 		seed           uint64
 		trials, places int // places: the fewest query locations; up to three more
-	}{{907, 300, 1}, {1018, 155, 6}} {
+		orderAware     bool
+	}{{907, 300, 1, false}, {1018, 155, 6, false}, {1129, 200, 1, true}} {
 		row{w: w, opts: core.WithPolicies(core.Options{}, 1, -1, 0), seed: r.seed, trials: r.trials,
 			draw: func(w world, rng *rand.Rand, _ int) core.Request {
 				q := w.query(rng, r.places+rng.IntN(4), rng.IntN(5), lambdas[rng.IntN(len(lambdas))], 1+rng.IntN(10))
 				if len(q.Locations) > 1 && rng.IntN(2) == 0 {
 					q.Locations[1] = q.Locations[0]
 				}
-				return core.Request{Query: q}
+				return core.Request{Query: q, OrderAware: r.orderAware}
 			}}.check(t)
 	}
 }
@@ -230,14 +233,12 @@ func TestSearchWindowedMatchesFilteredExhaustive(t *testing.T) {
 
 // TestOrderAwareSearchIsExact checks the order-aware search against a
 // ranking of every trajectory by OrderAwareEvaluate, whose search is
-// fresh per trajectory. The second row is one four-place request whose
-// retrieval ends with a probe of another trip than the one the rerank
-// scores first: a rerank that kept the probe's target set would count
-// the probed trip's vertices as its own and stop short. The third row is
-// λ = 0, where the rerank scores only the k trips the text ranking
-// returns. The fourth is a request that reaches a second K′ round, whose
-// expansion replays the first round's settles from the goal search's
-// logs before it settles more.
+// fresh per trajectory. In the first row the ordered scorings step the
+// runs past the expansion's cursors, and the expansion must read those
+// settles back from the runs' logs. The second and fourth rows are
+// single four-place requests, at λ 1 and at λ 0.5. The third row is
+// λ = 0, where only the k trips the text ranking returns are scored
+// under the order.
 func TestOrderAwareSearchIsExact(t *testing.T) {
 	row{seed: 231, trials: 6, draw: func(w world, rng *rand.Rand, _ int) core.Request {
 		return core.Request{Query: w.query(rng, 1+rng.IntN(3), 2, 0.3+0.5*rng.Float64(), 3), OrderAware: true}

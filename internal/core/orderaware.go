@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 
-	"uots/internal/obs"
 	"uots/internal/roadnet"
 	"uots/internal/trajdb"
 )
@@ -18,9 +17,11 @@ import (
 //
 // the best order-preserving assignment of query locations to trajectory
 // samples. Because every assignment is dominated by the unconstrained
-// minima, SimS↑ ≤ SimS, so the unordered top-K′ retrieval is an admissible
-// filter: once the K′-th unordered combined score cannot beat the k-th
-// ordered one, the ordered top-k is exact.
+// minima, SimS↑ ≤ SimS: the unordered combined score upper-bounds the
+// ordered one. The order-aware search is therefore the expansion search
+// with another result sink. It offers the top k a trip's ordered score,
+// and its bar, the k-th ordered score, holds every unordered upper bound
+// (prunes, probes, termination) to an admissible test.
 
 // OrderAwareEvaluate computes the exact order-aware Result of one
 // trajectory: per-(location, sample) network distances from a fresh
@@ -49,8 +50,9 @@ func (e *Engine) OrderAwareEvaluate(q Query, id trajdb.TrajID) (res Result, err 
 // cancelPollEvery of them, counted by stats.ProbeSettled as the text
 // probes count theirs. The kernel table and the dynamic program's rows
 // are scr's; the unordered minima, reported for context, are written to
-// dists, which becomes the Result's.
+// dists, which becomes the Result's. Each scoring counts as a probe.
 func (e *Engine) orderAwareResult(scr *scratch, q Query, id trajdb.TrajID, dists []float64, cancel canceller, stats *SearchStats) (Result, error) {
+	stats.Probes++
 	gs := scr.goal
 	traj := e.db.Traj(id)
 	m := traj.Len()
@@ -139,84 +141,14 @@ func (e *Engine) orderAwareResult(scr *scratch, q Query, id trajdb.TrajID, dists
 }
 
 // OrderAwareSearchCtx answers a top-k query under the order-aware
-// spatial similarity. It retrieves unordered top-K′ candidates with the
-// expansion search, reranks them with the exact order-aware score, and
-// doubles K′ until the unordered bound certifies the ordered top-k — an
-// exact algorithm, since the unordered score upper-bounds the ordered one.
-// The unordered retrieval polls ctx, and the rerank polls it every
-// cancelPollEvery settles of its query-rooted search.
+// spatial similarity with one expansion search whose result sink holds
+// the ordered top k: a completed trip whose unordered score can still
+// enter is scored under the ordered similarity, and the k-th ordered
+// score is the bar every unordered upper bound is tested against. Since
+// the unordered score upper-bounds the ordered one, every prune and the
+// termination test stay exact. Cancellation is as in SearchCtx; an
+// ordered scoring polls ctx every cancelPollEvery settles of its
+// query-rooted search.
 func (e *Engine) OrderAwareSearchCtx(ctx context.Context, q Query) ([]Result, SearchStats, error) {
 	return e.run(ctx, Request{Query: q, OrderAware: true}, AlgoExpansion)
-}
-
-// rerankOrdered is the order-aware post-stage: retrieve the unordered
-// top-K′ candidates of the normalized q, rerank them with the exact
-// order-aware score, and double K′ until the unordered bound certifies
-// the ordered top-k. One query-rooted search is the request's only
-// distance source: every round's retrieval expands and probes its runs,
-// and every reranked trajectory reads its distances from them, so a
-// vertex any of them settled costs no second settle. The reranked list
-// and its distances are cut from scr, the request's scratch; the
-// returned top k is copied out.
-func (e *Engine) rerankOrdered(ctx context.Context, q Query, algo Algorithm, scr *scratch) ([]Result, SearchStats, error) {
-	cancel := newCanceller(ctx)
-	trace := tracerFrom(ctx)
-	var total SearchStats
-	n := len(q.Locations)
-	kPrime := q.K * 4
-	if kPrime < 16 {
-		kPrime = 16
-	}
-	if q.Lambda == 0 {
-		// Both scores are the textual one, so the unordered top k is the
-		// ordered top k, certified in the first round: retrieve and score
-		// only those.
-		kPrime = q.K
-	}
-	for round := 0; ; round++ {
-		uq := q
-		uq.K = kPrime
-		unordered, stats, err := e.candidates(ctx, uq, 0, nil, algo, scr)
-		total.Add(stats)
-		if err != nil {
-			return nil, total, err
-		}
-
-		scr.reranked = resize(scr.reranked, len(unordered))
-		scr.rerankDists = resize(scr.rerankDists, len(unordered)*n)
-		reranked := scr.reranked
-		for i, r := range unordered {
-			dists := scr.rerankDists[i*n : (i+1)*n : (i+1)*n]
-			if reranked[i], err = e.orderAwareResult(scr, q, r.Traj, dists, cancel, &total); err != nil {
-				return nil, total, err
-			}
-			total.Probes++
-		}
-		sortResults(reranked)
-		if len(reranked) > q.K {
-			reranked = reranked[:q.K]
-		}
-		if trace != nil {
-			bound := 0.0
-			if len(unordered) > 0 {
-				bound = unordered[len(unordered)-1].Score
-			}
-			trace.Emit(obs.SpanEvent{Step: round, Kind: TraceRerank, Source: -1, Traj: -1,
-				Value: float64(kPrime), Extra: bound})
-		}
-
-		// Certification: every trajectory outside the unordered top-K′ has
-		// unordered score ≤ the K′-th unordered score, and ordered ≤
-		// unordered, so if the k-th ordered beats that bound we are done.
-		// With fewer than K′ the store had no more: everything was
-		// considered.
-		total.EarlyTerminated = len(unordered) == kPrime && len(reranked) == q.K &&
-			reranked[q.K-1].Score >= unordered[kPrime-1].Score
-		if total.EarlyTerminated || len(unordered) < kPrime {
-			results := append([]Result(nil), reranked...)
-			detachDists(results)
-			return results, total, nil
-		}
-		kPrime *= 2
-	}
 }

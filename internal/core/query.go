@@ -217,11 +217,11 @@ type SearchStats struct {
 	ScanEvents int
 	// SettledVertices counts Dijkstra-settled vertices: the steps of the
 	// request's one search per query location, whichever of the
-	// expansion, the probes, the λ = 0 distance resolution and the rerank
-	// made them (a baseline counts its own searches').
+	// expansion, the probes, the λ = 0 distance resolution and the
+	// ordered scorings made them (a baseline counts its own searches').
 	SettledVertices int
 	// ProbeSettled counts the settles of the query-rooted search the text
-	// probes and the order-aware rerank share, a part of SettledVertices.
+	// probes and the order-aware scorings share, a part of SettledVertices.
 	ProbeSettled int
 	// Candidates is the number of trajectories whose exact score was
 	// computed.
@@ -230,7 +230,7 @@ type SearchStats struct {
 	// index.
 	TextScored int
 	// Probes counts adaptive text-probe distance computations and
-	// order-aware rerank scorings.
+	// order-aware scorings.
 	Probes int
 	// SharedBoundPrunes counts candidates pruned against a cross-partition
 	// SharedBound that the local top-k threshold alone would have kept —

@@ -114,12 +114,13 @@ func (r Request) Validate() error {
 // SharesBound reports whether the partitions of a scattered r may
 // exchange a SharedBound: they must all run a top-k search with the same
 // K. A threshold search has no k-th score (its bar θ is global already),
-// and order-aware and diversified searches widen K internally, so a
-// small-K threshold could over-prune a large-K participant. (A scatter
-// runs a diversified request as a plain search for the enlarged pool,
-// and that search does share a bound.)
+// and a diversified search widens K internally, so a small-K threshold
+// could over-prune a large-K participant. (A scatter runs a diversified
+// request as a plain search for the enlarged pool, and that search does
+// share a bound.) An order-aware search exchanges its k-th ordered
+// score, which under-estimates the global k-th as a plain one does.
 func (r Request) SharesBound() bool {
-	return r.Theta == nil && !r.OrderAware && r.Diversify == nil
+	return r.Theta == nil && r.Diversify == nil
 }
 
 // Pool splits a diversified r (one Validate accepted) into its two
@@ -164,12 +165,11 @@ func (r Request) Run(ctx context.Context, b Backend) ([]Result, SearchStats, err
 // validates and normalizes once, holds the store-fault guard and the
 // stopwatch, and then runs the plan the request spells out:
 //
-//	candidates → [rerank | select]
+//	candidates → [select]
 //
-// where candidates is the generator algo names (with the θ cut or the
-// window filter pushed into it), rerank is the order-aware
-// certify-and-double loop and select is the MMR pick over the enlarged
-// pool. Both post-stages draw from the same candidates stage.
+// where candidates is the generator algo names (with the θ cut, the
+// window filter or the order-aware sink pushed into it) and select is
+// the MMR pick over the enlarged pool.
 func (e *Engine) run(ctx context.Context, req Request, algo Algorithm) (results []Result, stats SearchStats, err error) {
 	defer recoverStoreFault(&results, &err)
 	elapsed := stopwatch()
@@ -190,29 +190,18 @@ func (e *Engine) run(ctx context.Context, req Request, algo Algorithm) (results 
 			ctx = ContextWithSharedBound(ctx, nil)
 		}
 	}
+	req.Query = q
 	// A store fault panics through here: the scratch is then dropped,
 	// never put back half-written.
 	scr := acquireScratch(e.g, e.db.NumTrajectories(), q.Locations)
-	switch {
-	case req.OrderAware:
-		results, stats, err = e.rerankOrdered(ctx, q, algo, scr)
-	case req.Diversify != nil:
-		req.Query = q
+	if req.Diversify != nil {
 		pool, k, opts := req.Pool()
-		results, stats, err = e.candidates(ctx, pool.Query, 0, nil, algo, scr)
+		results, stats, err = e.candidates(ctx, pool, algo, scr)
 		if err == nil {
 			results, err = e.selectDiverse(ctx, results, k, opts)
 		}
-	default:
-		var theta float64
-		if req.Theta != nil {
-			theta = *req.Theta
-		}
-		var keep func(trajdb.TrajID) bool
-		if w := req.Window; w != nil {
-			keep = func(id trajdb.TrajID) bool { return w.Contains(e.db.Traj(id).Start()) }
-		}
-		results, stats, err = e.candidates(ctx, q, theta, keep, algo, scr)
+	} else {
+		results, stats, err = e.candidates(ctx, req, algo, scr)
 	}
 	scr.release()
 	stats.Elapsed = elapsed()
@@ -222,24 +211,32 @@ func (e *Engine) run(ctx context.Context, req Request, algo Algorithm) (results 
 	return results, stats, nil
 }
 
-// candidates is the generator stage: the exact results of the normalized
-// q, best first — the top q.K, or with theta > 0 every trajectory scoring
-// at least theta. A non-nil keep restricts the search to the trajectories
-// it accepts. The baselines generate the plain top-k, except that the
-// exhaustive scan also honours theta. The expansion and the text ranking
-// run on scr, the request's scratch, and reset it: the order-aware rerank
-// runs several on one, its goal search rooted throughout.
-func (e *Engine) candidates(ctx context.Context, q Query, theta float64, keep func(trajdb.TrajID) bool, algo Algorithm, scr *scratch) ([]Result, SearchStats, error) {
-	defer scr.reset()
+// candidates is the generator stage of req, whose query is normalized:
+// its exact results, best first — the top K, every trajectory scoring at
+// least θ when req sets Theta, only the trips departing inside req's
+// Window, ranked by the ordered similarity when req is OrderAware. The
+// baselines generate the plain top-k, except that the exhaustive scan
+// also honours θ. The expansion and the text ranking run on scr, the
+// request's scratch.
+func (e *Engine) candidates(ctx context.Context, req Request, algo Algorithm, scr *scratch) ([]Result, SearchStats, error) {
+	q := req.Query
+	var theta float64
+	if req.Theta != nil {
+		theta = *req.Theta
+	}
+	var keep func(trajdb.TrajID) bool
+	if w := req.Window; w != nil {
+		keep = func(id trajdb.TrajID) bool { return w.Contains(e.db.Traj(id).Start()) }
+	}
 	switch {
 	case algo == AlgoExhaustive:
 		return e.exhaustive(ctx, q, theta)
 	case algo == AlgoTextFirst:
 		return e.textFirst(ctx, q)
 	case q.Lambda == 0:
-		return e.textOnly(ctx, q, theta, keep, scr)
+		return e.textOnly(ctx, q, theta, keep, req.OrderAware, scr)
 	}
-	st := newExpansionState(ctx, e, q, theta, keep, scr)
+	st := newExpansionState(ctx, e, q, theta, keep, req.OrderAware, scr)
 	err := st.run()
 	var results []Result
 	if err == nil {

@@ -62,7 +62,7 @@ func TestRequest(t *testing.T) {
 	}{
 		{"theta", func(r *Request) { r.Theta = f(0.5) }, "threshold", false, "SearchThresholdCtx", 0.5},
 		{"window", func(r *Request) { r.Window = &window }, "windowed", true, "SearchWindowedCtx", window},
-		{"orderAware", func(r *Request) { r.OrderAware = true }, "orderaware", false, "OrderAwareSearchCtx", nil},
+		{"orderAware", func(r *Request) { r.OrderAware = true }, "orderaware", true, "OrderAwareSearchCtx", nil},
 		{"diversify", func(r *Request) { r.Diversify = &div }, "diversified", false, "DiversifiedSearchCtx", div},
 	}
 

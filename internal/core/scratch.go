@@ -14,7 +14,7 @@ import (
 // engine per commit); the |T|-sized tables grow to the largest store
 // seen.
 //
-// Everything a search writes is recorded where reset can undo it: the
+// Everything a search writes is recorded where release can undo it: the
 // candidate table and the text scores through the lists of the IDs they
 // hold, the goal search through its runs' touched lists when the next
 // request roots it. A request that ends in a panic (a store fault) never
@@ -25,7 +25,7 @@ type scratch struct {
 	// goal is the request's one Dijkstra per query location, rooted
 	// when the request acquires the scratch: the expansion scans its runs
 	// through their cursors, and the probes, the λ = 0 distance
-	// resolution and the rerank step them.
+	// resolution and the ordered scorings step them.
 	goal *roadnet.GoalSearch
 
 	live   []bool
@@ -33,12 +33,9 @@ type scratch struct {
 	kern   []float64 // probe scratch: e^{−d/γ} per location, d exact or a lower bound
 	open   []bool    // probe scratch: the location's distance is still unknown
 
-	// The order-aware rerank's buffers: one trip's kernel table (|O| rows
-	// of its samples) and its dynamic program's two rows, and a round's
-	// reranked list with its distances.
+	// The ordered scoring's buffers: one trip's kernel table (|O| rows
+	// of its samples) and its dynamic program's two rows.
 	kernelAt, dp, next []float64
-	reranked           []Result
-	rerankDists        []float64
 
 	cands    []*cand         // dense by TrajID; nil until first touch
 	admitted []trajdb.TrajID // IDs whose cands entry is set
@@ -48,7 +45,7 @@ type scratch struct {
 	textHeap pqueue.Max[trajdb.TrajID]
 
 	// Arenas the candidates and their distance vectors are cut from, one
-	// chunk at a time; reset rewinds them.
+	// chunk at a time; release rewinds them.
 	candSlab [][]cand
 	candFree []cand
 	candNext int
@@ -122,9 +119,10 @@ func (s *scratch) newCand(nLoc int) *cand {
 	return c
 }
 
-// reset undoes what one expansion search wrote, keeping the goal search's
-// runs: the order-aware rerank runs several searches on one scratch.
-func (s *scratch) reset() {
+// release undoes what the request's search wrote, trims the arenas to
+// slabKeep chunks and puts s back in its graph's pool. The goal search
+// keeps its runs until the next request roots it.
+func (s *scratch) release() {
 	for _, id := range s.admitted {
 		s.cands[id] = nil
 	}
@@ -137,12 +135,6 @@ func (s *scratch) reset() {
 	s.textHeap.Reset()
 	s.candFree, s.candNext = nil, 0
 	s.distFree, s.distNext = nil, 0
-}
-
-// release resets s and puts it back in its graph's pool, trimming its
-// arenas to slabKeep chunks.
-func (s *scratch) release() {
-	s.reset()
 	s.candSlab = trim(s.candSlab, slabKeep)
 	s.distSlab = trim(s.distSlab, slabKeep)
 	s.g.Scratch().Put(s)

@@ -68,9 +68,9 @@ func TestDefaultQueryAllocs(t *testing.T) {
 func TestTextOnlyQueryAllocs(t *testing.T) { checkQueryAllocs(t, Request{}, 25) }
 
 // TestOrderAwareQueryAllocs holds the same queries, order-aware at λ 0.5,
-// to at most 40 allocations: every retrieval round runs on the pooled
-// scratch, and so does the rerank's kernel table, dynamic program and
-// reranked list, so a reranked trip allocates nothing.
+// to at most 40 allocations: the expansion runs on the pooled scratch,
+// and so do the ordered scorings' kernel table and dynamic program, so
+// an ordered scoring allocates nothing.
 func TestOrderAwareQueryAllocs(t *testing.T) {
 	checkQueryAllocs(t, Request{Query: Query{Lambda: 0.5}, OrderAware: true}, 40)
 }
@@ -147,22 +147,6 @@ func TestScratchComesBackClean(t *testing.T) {
 			v.run(fe, context.Background(), q)
 			drainClean(t, e, fmt.Sprintf("a faulting %s (%+v)", v.name, cfg))
 		}
-	}
-
-	// A scratch a caller holds across searches comes back reset from
-	// each, the order-aware rerank's goal search keeping its runs.
-	scr := acquireScratch(e.g, e.db.NumTrajectories(), q.Locations)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	ctx = obs.ContextWithTracer(ctx, &cancelOnBound{cancel: cancel})
-	if _, _, err := e.candidates(ctx, q, 0, nil, AlgoExpansion, scr); !errors.Is(err, context.Canceled) {
-		t.Fatalf("candidates: err = %v, want context.Canceled", err)
-	}
-	if scr.goal.Settles(0) == 0 {
-		t.Error("a search on a caller's scratch dropped its goal search's runs")
-	}
-	if d := dirt(scr); d != "" {
-		t.Errorf("a cancelled search on a caller's scratch left it dirty: %s", d)
 	}
 }
 
@@ -305,15 +289,12 @@ func TestConcurrentSearchesShareThePool(t *testing.T) {
 // test holds, and checks that a request's settles are its goal search's
 // runs: SettledVertices equals the sum over locations of the run
 // lengths, so no (location, vertex) pair is settled twice in one request
-// — not by a probe behind the expansion's cursor, not by the rerank, and
-// not by a second K′ round, which replays the first from the runs' logs.
-// The first order-aware request reaches that second round, pinned by its
-// TraceRerank count; the last query is λ 0.
+// — not by a probe behind the expansion's cursor, and not by an ordered
+// scoring. The last query is λ 0.
 func TestOneRunPerLocation(t *testing.T) {
 	e, f := testEngineDefault(t)
 	theta := 0.4
 	window := TimeWindow{From: 7 * 3600, To: 11 * 3600}
-	keepWindow := func(id trajdb.TrajID) bool { return window.Contains(e.db.Traj(id).Start()) }
 	for _, seed := range []uint64{10, 11, 12, 13} {
 		lambda := 0.5
 		if seed == 13 {
@@ -328,42 +309,22 @@ func TestOneRunPerLocation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rec := obs.NewTraceRecorder(0)
-			ctx := obs.ContextWithTracer(context.Background(), rec)
-			scr := acquireScratch(e.g, e.db.NumTrajectories(), nq.Locations)
-			var stats SearchStats
-			switch {
-			case req.OrderAware:
-				_, stats, err = e.rerankOrdered(ctx, nq, AlgoExpansion, scr)
-			case req.Diversify != nil:
-				req.Query = nq
-				pool, _, _ := req.Pool()
-				_, stats, err = e.candidates(ctx, pool.Query, 0, nil, AlgoExpansion, scr)
-			case req.Theta != nil:
-				_, stats, err = e.candidates(ctx, nq, theta, nil, AlgoExpansion, scr)
-			case req.Window != nil:
-				_, stats, err = e.candidates(ctx, nq, 0, keepWindow, AlgoExpansion, scr)
-			default:
-				_, stats, err = e.candidates(ctx, nq, 0, nil, AlgoExpansion, scr)
+			variant := req.Variant()
+			req.Query = nq
+			if req.Diversify != nil {
+				req, _, _ = req.Pool()
 			}
+			scr := acquireScratch(e.g, e.db.NumTrajectories(), nq.Locations)
+			_, stats, err := e.candidates(context.Background(), req, AlgoExpansion, scr)
 			if err != nil {
-				t.Fatalf("seed %d %s: %v", seed, req.Variant(), err)
+				t.Fatalf("seed %d %s: %v", seed, variant, err)
 			}
 			runs := 0
 			for i := range nq.Locations {
 				runs += scr.goal.Settles(i)
 			}
 			if stats.SettledVertices != runs || runs == 0 && req.Theta == nil {
-				t.Errorf("seed %d %s: %d settles counted, the goal search's runs hold %d", seed, req.Variant(), stats.SettledVertices, runs)
-			}
-			rounds := 0
-			for _, ev := range rec.Events() {
-				if ev.Kind == TraceRerank {
-					rounds++
-				}
-			}
-			if req.OrderAware && seed == 10 && rounds != 2 {
-				t.Errorf("seed %d: the order-aware rerank ran %d rounds, want 2", seed, rounds)
+				t.Errorf("seed %d %s: %d settles counted, the goal search's runs hold %d", seed, variant, stats.SettledVertices, runs)
 			}
 			scr.release()
 		}

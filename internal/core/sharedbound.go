@@ -24,9 +24,10 @@ import (
 // monolithic engine.
 //
 // All participants must run the same query with the same K. Mixing K
-// values (e.g. the order-aware search's doubling K′ rounds) would let a
-// small-K threshold over-prune a large-K participant, so the shard
-// executor only attaches a SharedBound to same-K scatters.
+// values (e.g. a diversified search's enlarged pool beside its k picks)
+// would let a small-K threshold over-prune a large-K participant, so the
+// shard executor only attaches a SharedBound to same-K scatters
+// (Request.SharesBound).
 //
 // The zero value is ready to use and carries no bound.
 type SharedBound struct {

@@ -47,8 +47,9 @@ const (
 	// TraceBound is the periodic bound refresh: Value = the global
 	// upper bound, Extra = the pruning bar (-1 while no bar exists).
 	TraceBound = "bound"
-	// TraceRerank is one order-aware rerank round: Step = the round,
-	// Value = K', Extra = the certification bound.
+	// TraceRerank is one ordered scoring of the order-aware sink: Traj
+	// = the trajectory, Value = its ordered score, Extra = its unordered
+	// score (never below Value).
 	TraceRerank = "rerank"
 	// TraceSelect is one diversified (MMR) pick: Step = the pick
 	// ordinal, Traj = the picked trajectory, Value = its MMR score.

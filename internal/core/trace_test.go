@@ -145,18 +145,32 @@ func TestTraceTextOnlyPath(t *testing.T) {
 	}
 }
 
+// TestTraceOrderAwareRerank pins the one-pass order-aware search: one
+// retrieval (one TraceBegin) per request, at λ 0.5 and at λ 0, and one
+// TraceRerank per ordered scoring, whose ordered score never exceeds the
+// unordered one it was admitted with.
 func TestTraceOrderAwareRerank(t *testing.T) {
 	e, f := newTestEngine(t, Options{})
 	rng := rand.New(rand.NewPCG(35, 0))
-	q := f.randomQuery(rng, 3, 4, 0.5, 3)
-
-	rec := obs.NewTraceRecorder(0)
-	if _, _, err := e.OrderAwareSearchCtx(obs.ContextWithTracer(context.Background(), rec), q); err != nil {
-		t.Fatalf("OrderAwareSearchCtx: %v", err)
-	}
-	kinds := kindSet(rec.Events())
-	if kinds[TraceRerank] == 0 {
-		t.Errorf("no %q events in order-aware trace (kinds: %v)", TraceRerank, kinds)
+	for _, lambda := range []float64{0.5, 0} {
+		q := f.randomQuery(rng, 3, 4, lambda, 3)
+		rec := obs.NewTraceRecorder(0)
+		res, _, err := e.OrderAwareSearchCtx(obs.ContextWithTracer(context.Background(), rec), q)
+		if err != nil {
+			t.Fatalf("λ %g: OrderAwareSearchCtx: %v", lambda, err)
+		}
+		kinds := kindSet(rec.Events())
+		if kinds[TraceBegin] != 1 {
+			t.Errorf("λ %g: %d %q events, want one retrieval", lambda, kinds[TraceBegin], TraceBegin)
+		}
+		if kinds[TraceRerank] < len(res) {
+			t.Errorf("λ %g: %d %q events for %d results (kinds: %v)", lambda, kinds[TraceRerank], TraceRerank, len(res), kinds)
+		}
+		for _, ev := range rec.Events() {
+			if ev.Kind == TraceRerank && !(ev.Value <= ev.Extra) {
+				t.Errorf("λ %g: trip %d: ordered score %g above its unordered score %g", lambda, ev.Traj, ev.Value, ev.Extra)
+			}
+		}
 	}
 }
 

@@ -65,8 +65,8 @@ var mutants = []mutant{
 		old:  "\tgs.Target(uniq)\n",
 		new:  "",
 		pkgs: []string{"./internal/core"},
-		run:  "^TestOrderAwareSearchIsExact$",
-		why:  "the rerank steps its search against the last probe's target set, so another trip's vertices count as the scored trip's",
+		run:  "^(TestOrderedScoringAfterAProbe|TestWorkCountersGolden)$",
+		why:  "an ordered scoring steps its search against the last probe's target set, so another trip's vertices count as the scored trip's",
 	},
 	{
 		name: "rerank-first-hit",
@@ -75,7 +75,7 @@ var mutants = []mutant{
 		new:  "remaining = 0",
 		pkgs: []string{"./internal/core"},
 		run:  "^(TestOrderAwareEvaluateMatchesBrute|TestOrderAwareSearchIsExact)$",
-		why:  "the rerank stops a location's search at the trip's nearest vertex, leaving its other samples unreached",
+		why:  "an ordered scoring stops a location's search at the trip's nearest vertex, leaving its other samples unreached",
 	},
 	{
 		name: "rerank-no-poll",
@@ -84,7 +84,7 @@ var mutants = []mutant{
 		new:  "",
 		pkgs: []string{"./internal/core"},
 		run:  "^TestCancellationBoundsWork$",
-		why:  "the rerank never polls its context, so a cancelled order-aware search scores every trip of the round",
+		why:  "an ordered scoring never polls its context, so a cancelled order-aware search settles a far trip's whole reach",
 	},
 	{
 		name: "pool-stale-cand",
@@ -120,7 +120,25 @@ var mutants = []mutant{
 		new:  "if r.cursor = len(r.log); true {",
 		pkgs: []string{"./internal/core", "./internal/shard"},
 		run:  "^(TestOrderAwareSearchIsExact|TestDifferential)$",
-		why:  "Scan steps the run although its log holds unread entries, so the expansion skips the vertices a probe or an earlier round settled",
+		why:  "Scan steps the run although its log holds unread entries, so the expansion skips the vertices a probe or an ordered scoring settled",
+	},
+	{
+		name: "ordered-skip-at-bar",
+		file: "internal/core/expansion.go",
+		old:  "full && score < thr {",
+		new:  "full && score <= thr {",
+		pkgs: []string{"./internal/core"},
+		run:  "^TestTiesAtTheBar$",
+		why:  "the order-aware sink skips a trip whose unordered score equals the k-th ordered score, dropping a tie it must keep",
+	},
+	{
+		name: "ordered-offers-unordered",
+		file: "internal/core/expansion.go",
+		old:  "\t\t\tscore = res.Score\n",
+		new:  "",
+		pkgs: []string{"./internal/core"},
+		run:  "^(TestOrderAwareSearchIsExact|TestTiesAtTheBar)$",
+		why:  "the order-aware sink ranks its top k by the unordered score, so the bar and the order are the unordered ones",
 	},
 	{
 		name: "tie-break-flip",
@@ -169,11 +187,11 @@ func runAll() error {
 	for _, m := range mutants {
 		killers, err := m.check(tmp)
 		if err != nil {
-			fmt.Printf("%-20s FAIL  %v\n", m.name, err)
+			fmt.Printf("%-24s FAIL  %v\n", m.name, err)
 			bad = append(bad, m.name)
 			continue
 		}
-		fmt.Printf("%-20s killed by %s\n", m.name, strings.Join(killers, ", "))
+		fmt.Printf("%-24s killed by %s\n", m.name, strings.Join(killers, ", "))
 	}
 	if len(bad) > 0 {
 		return fmt.Errorf("%d of %d mutants failed the check: %s", len(bad), len(mutants), strings.Join(bad, ", "))

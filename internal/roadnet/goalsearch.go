@@ -6,11 +6,10 @@ package roadnet
 // from each root" costs only the settles no earlier caller made. Scan
 // reads a run's settle order through a cursor: from the run's log (4 B
 // per settle, as a settled vertex's distance is final) while the run is
-// ahead of the cursor, by stepping the run otherwise; Rewind replays the
-// order. The order depends only on the graph and the root (the same
-// heap, pushes and ties), and every distance has the bits SSSP.Run from
-// the root gives: Dijkstra's final distances do not depend on where a
-// run was paused or resumed.
+// ahead of the cursor, by stepping the run otherwise. The order depends
+// only on the graph and the root (the same heap, pushes and ties), and
+// every distance has the bits SSSP.Run from the root gives: Dijkstra's
+// final distances do not depend on where a run was paused or resumed.
 //
 // A GoalSearch is not safe for concurrent use.
 type GoalSearch struct {
@@ -28,7 +27,7 @@ type run struct {
 	search
 	radius  float64 // distance of the last settle; Unreachable once exhausted
 	log     []int32 // settled vertices, in settle order
-	cursor  int     // entries of log Scan has returned since Rewind
+	cursor  int     // entries of log Scan has returned since Reset
 	scanned float64 // distance of the last Scan; Unreachable once it ran out
 }
 
@@ -40,7 +39,8 @@ func NewGoalSearch(g *Graph, roots []VertexID) *GoalSearch {
 }
 
 // Reset roots the workspace at roots, one run per root, reusing storage.
-// No run has settled anything, and the target set is empty.
+// No run has settled anything, every cursor is at the start, and the
+// target set is empty.
 func (gs *GoalSearch) Reset(roots []VertexID) {
 	gs.roots = append(gs.roots[:0], roots...)
 	for i, root := range roots {
@@ -50,19 +50,9 @@ func (gs *GoalSearch) Reset(roots []VertexID) {
 		r := gs.runs[i]
 		r.reset()
 		r.push(int32(root), 0)
-		r.radius, r.log = 0, r.log[:0]
+		r.radius, r.log, r.cursor, r.scanned = 0, r.log[:0], 0, 0
 	}
-	gs.Rewind()
 	gs.Target(nil)
-}
-
-// Rewind moves every root's cursor back to the start of its settle
-// order, with scan radius 0: the next Scans replay what the runs have
-// settled so far before they step them.
-func (gs *GoalSearch) Rewind() {
-	for _, r := range gs.runs[:len(gs.roots)] {
-		r.cursor, r.scanned = 0, 0
-	}
 }
 
 // Target makes set the current target set (Reset empties it). set must
@@ -149,7 +139,7 @@ func (gs *GoalSearch) Radius(i int) float64 { return gs.runs[i].radius }
 
 // ScanRadius returns the distance of root i's last Scan: a lower bound
 // on its distance to every vertex the cursor has not passed (0 before
-// the first Scan since Rewind, Unreachable once Scan ran out).
+// the first Scan since Reset, Unreachable once Scan ran out).
 func (gs *GoalSearch) ScanRadius(i int) float64 { return gs.runs[i].scanned }
 
 // Settles returns the number of vertices root i's run has settled since

@@ -6,7 +6,7 @@
 // GoalSearch: one resumable Dijkstra per query location, whose settle
 // order drives the UOTS expansion search (incremental network
 // expansion, read through a cursor) and from which the engine's text
-// probes and order-aware rerank read distances against a stream of
+// probes and order-aware scorings read distances against a stream of
 // target sets. All of them run on one vertex-state type (search.go).
 //
 // Vertices model road intersections (or ends of roads) and carry planar

@@ -119,7 +119,7 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 		searchSettled: reg.Counter("uots_search_settled_vertices_total",
 			"Dijkstra-settled vertices across all query sources and probes."),
 		searchProbeSet: reg.Counter("uots_search_probe_settled_total",
-			"Vertices settled by the query-rooted search of the text probes and the order-aware rerank (a part of the settled-vertices total)."),
+			"Vertices settled by the query-rooted search of the text probes and the order-aware scorings (a part of the settled-vertices total)."),
 		searchCandidates: reg.Counter("uots_search_candidates_total",
 			"Trajectories whose exact score was computed."),
 		searchTextScored: reg.Counter("uots_search_text_scored_total",
