@@ -58,8 +58,10 @@ race:
 # workspace against a fresh one), the shard server's request boundary
 # (a coded 400 or the engine's own answer, never a 500), the HTTP
 # /search and /batch routes (a coded 4xx, a deadline 503 or the engine's
-# own answer, never a 500), and the differential harness (every backend
-# against the exhaustive oracle, from any seed).
+# own answer, never a 500), the live-ingest POST /trajectories route (a
+# coded 4xx, a deadline 503 or a 200 whose IDs read back, never a 500),
+# and the differential harness (every backend against the exhaustive
+# oracle, from any seed).
 # -fuzzminimizetime keeps the engine's input minimisation from eating the
 # ten seconds.
 fuzz-smoke:
@@ -68,6 +70,7 @@ fuzz-smoke:
 	$(GO) test ./internal/roadnet -run '^$$' -fuzz '^FuzzSearchFaces$$' -fuzztime 10s -fuzzminimizetime 10x
 	$(GO) test ./internal/rpc -run '^$$' -fuzz '^FuzzShardServer$$' -fuzztime 10s -fuzzminimizetime 10x
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzSearchHandler$$' -fuzztime 10s -fuzzminimizetime 10x
+	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzIngestHandler$$' -fuzztime 10s -fuzzminimizetime 10x
 	$(GO) test ./internal/shard -run '^$$' -fuzz '^FuzzDifferential$$' -fuzztime 10s -fuzzminimizetime 10x
 
 # mutants checks that the tests kill every mutant in the table of

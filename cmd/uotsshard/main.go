@@ -14,7 +14,6 @@
 // over HTTP:
 //
 //	POST /rpc/v1/search      one search, any variant (gob)
-//	POST /rpc/v1/batch       a whole query batch (gob)
 //	GET  /rpc/v1/health      shard identity + liveness (gob)
 //	GET  /debug/trace/{id}   this shard's span of a sampled request (JSON)
 //

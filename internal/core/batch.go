@@ -43,8 +43,8 @@ type BatchOptions struct {
 	Workers int
 	// SharedExpansion is ignored. It named a batch planner that shared
 	// Dijkstra frontiers between the queries of a batch, since removed
-	// as a measured loss; the field stays so that callers and wire
-	// peers built against it still compile and decode.
+	// as a measured loss; the field stays so that callers built
+	// against it still compile.
 	SharedExpansion bool
 }
 
@@ -70,25 +70,36 @@ type BatchStats struct {
 	ServedSettles   uint64
 }
 
-// SearchBatch processes the queries with a fixed pool of worker
-// goroutines. Results arrive indexed by input position. A tracer
-// attached to ctx (obs.ContextWithTracer) is shared by every worker:
-// per-query span events interleave into one stream, which the
-// obs.TraceRecorder accepts concurrently.
-//
-// The context cancels the whole batch: queries the scheduler never
-// handed to a worker are marked with ctx.Err(), and queries already
-// running observe the cancellation inside their search loops and abort
-// within one poll interval. A query that completed before the
-// cancellation keeps its results — scheduling is tracked explicitly per
-// slot, so a legitimately-empty successful result is never reclassified
-// as cancelled. SearchBatch itself always drains its workers before
-// returning, so no goroutines outlive the call; its error is ctx.Err().
+// SearchBatch processes the queries with RunBatch, each on its own
+// pooled search state. A tracer attached to ctx
+// (obs.ContextWithTracer) is shared by every worker: per-query span
+// events interleave into one stream, which the obs.TraceRecorder
+// accepts concurrently.
 func (e *Engine) SearchBatch(ctx context.Context, queries []Query, opts BatchOptions) (out []BatchResult, stats BatchStats, err error) {
 	// Store panics inside worker goroutines are converted to per-query
 	// errors by run, which every worker calls; this guard covers the batch
 	// frame itself.
 	defer recoverStoreFault(nil, &err)
+	return RunBatch(ctx, queries, opts, func(ctx context.Context, q Query) ([]Result, SearchStats, error) {
+		return e.run(ctx, Request{Query: q}, AlgoExpansion)
+	})
+}
+
+// RunBatch answers every query through search on a fixed pool of
+// opts.Workers goroutines. Results arrive indexed by input position; a
+// batch is exactly its queries, each answered as search answers it
+// alone.
+//
+// The context cancels the whole batch: queries the scheduler never
+// handed to a worker are marked with ctx.Err(), and queries already
+// running observe the cancellation inside search and abort within one
+// poll interval. A query that completed before the cancellation keeps
+// its results — scheduling is tracked explicitly per slot, so a
+// legitimately-empty successful result is never reclassified as
+// cancelled. RunBatch always drains its workers before returning, so no
+// goroutines outlive the call; its error is ctx.Err().
+func RunBatch(ctx context.Context, queries []Query, opts BatchOptions,
+	search func(ctx context.Context, q Query) ([]Result, SearchStats, error)) ([]BatchResult, BatchStats, error) {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -96,7 +107,7 @@ func (e *Engine) SearchBatch(ctx context.Context, queries []Query, opts BatchOpt
 	// from the client and must not size the pool unchecked.
 	opts.Workers = min(opts.Workers, len(queries))
 	elapsed := stopwatch()
-	out = make([]BatchResult, len(queries))
+	out := make([]BatchResult, len(queries))
 	// scheduled marks the slots handed to a worker; workers write every
 	// slot they receive (run or drained), so unscheduled slots — and
 	// only those — are filled in afterwards. Written and read by this
@@ -115,7 +126,7 @@ func (e *Engine) SearchBatch(ctx context.Context, queries []Query, opts BatchOpt
 					out[idx] = BatchResult{Index: idx, Err: err}
 					continue
 				}
-				res, stats, err := e.run(ctx, Request{Query: queries[idx]}, AlgoExpansion)
+				res, stats, err := search(ctx, queries[idx])
 				out[idx] = BatchResult{Index: idx, Results: res, Stats: stats, Err: err}
 			}
 		}()
@@ -132,7 +143,7 @@ feed:
 	close(jobs)
 	wg.Wait()
 
-	stats = finalizeBatch(out, scheduled, ctx.Err())
+	stats := finalizeBatch(out, scheduled, ctx.Err())
 	stats.WallClock = elapsed()
 	return out, stats, ctx.Err()
 }

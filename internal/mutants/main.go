@@ -167,6 +167,24 @@ var mutants = []mutant{
 		run:  "^TestFinalizeBatchTrustsScheduledSlots$",
 		why:  "finalizeBatch takes a slot's zero shape for never scheduled, so a query that finished with no results is reported as cancelled",
 	},
+	{
+		name: "remap-off-by-one",
+		file: "internal/shard/executor.go",
+		old:  "results[j].Traj = h.globals[results[j].Traj]",
+		new:  "results[j].Traj = h.globals[(int(results[j].Traj)+1)%len(h.globals)]",
+		pkgs: []string{"./internal/shard"},
+		run:  "^(TestShardedMatchesMonolithic|TestShardBatchMatchesMonolithic)$",
+		why:  "a shard's local trajectory IDs map to their neighbours' global IDs, so the merge reports other trips under the right scores",
+	},
+	{
+		name: "each-no-wait",
+		file: "internal/shard/remote.go",
+		old:  "\twg.Wait()\n",
+		new:  "",
+		pkgs: []string{"./internal/shard"},
+		run:  "^(TestRemoteMatchesMonolithic|TestRemoteExecutorCloseDuringBatch)$",
+		why:  "a remote scatter returns before its partitions answer, so the merge reads partition slots the calls are still writing",
+	},
 }
 
 func main() {

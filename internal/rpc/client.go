@@ -98,15 +98,6 @@ func (c *Client) Search(ctx context.Context, req SearchRequest) (SearchResponse,
 	return resp, nil
 }
 
-// Batch runs one batch request against the replica.
-func (c *Client) Batch(ctx context.Context, req BatchRequest) (BatchResponse, error) {
-	var resp BatchResponse
-	if err := c.do(ctx, PathBatch, &req, &resp); err != nil {
-		return BatchResponse{}, err
-	}
-	return resp, nil
-}
-
 // Health probes the replica, returning its identity on success.
 func (c *Client) Health(ctx context.Context) (HealthResponse, error) {
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+PathHealth, nil)

@@ -311,14 +311,14 @@ func (g *Group) delay(attempt int) time.Duration {
 // Each attempt is counted once, under the Outcome* label of the branch
 // it took. The returned duration is the attempt's wall-clock latency,
 // for the per-hop attribution in attempt trace events.
-func callOnce[T any](g *Group, ctx context.Context, r *replica, do func(context.Context, *Client) (T, error)) (T, time.Duration, error) {
+func callOnce(g *Group, ctx context.Context, r *replica, do func(context.Context, *Client) (SearchResponse, error)) (SearchResponse, time.Duration, error) {
 	actx := ctx
 	cancel := func() {}
 	if g.cfg.CallTimeout > 0 {
 		actx, cancel = context.WithTimeout(ctx, g.cfg.CallTimeout)
 	}
 	defer cancel()
-	var out T
+	var out SearchResponse
 	var elapsed time.Duration
 	// A replica the last probe found serving another partition is not
 	// sent anything: the refusal takes the transport-failure path below,
@@ -338,7 +338,7 @@ func callOnce[T any](g *Group, ctx context.Context, r *replica, do func(context.
 		r.counters.attempt(OutcomeOK)
 		return out, elapsed, nil
 	}
-	var zero T
+	var zero SearchResponse
 	if cerr := ctx.Err(); cerr != nil {
 		// The caller went away: the attempt's fate is the caller's
 		// outcome, not the replica's fault.
@@ -367,8 +367,8 @@ func callOnce[T any](g *Group, ctx context.Context, r *replica, do func(context.
 // store fault so the scatter-gather policy layer treats the partition as
 // faulted. The returned string is the base URL of the replica that
 // answered — the identity the remote span gets attributed to.
-func callGroup[T any](g *Group, ctx context.Context, do func(context.Context, *Client) (T, error)) (T, string, error) {
-	var zero T
+func callGroup(g *Group, ctx context.Context, do func(context.Context, *Client) (SearchResponse, error)) (SearchResponse, string, error) {
+	var zero SearchResponse
 	if g.closed.Load() {
 		return zero, "", ErrGroupClosed
 	}
@@ -452,26 +452,6 @@ func (g *Group) Search(ctx context.Context, req SearchRequest, bound *core.Share
 	}
 	if bound != nil && resp.Bound != 0 {
 		bound.Raise(resp.Bound)
-	}
-	if tr != nil {
-		replaySpan(tr, winner, resp.Span, resp.SpanDropped)
-	}
-	return resp, nil
-}
-
-// Batch runs one batch request against the group with the full ladder,
-// with the same remote-span handling as Search.
-func (g *Group) Batch(ctx context.Context, req BatchRequest) (BatchResponse, error) {
-	tr := obs.TracerFromContext(ctx)
-	if tr != nil {
-		req.Trace = true
-		req.TraceID = obs.TraceIDFromContext(ctx)
-	}
-	resp, winner, err := callGroup(g, ctx, func(ctx context.Context, c *Client) (BatchResponse, error) {
-		return c.Batch(ctx, req)
-	})
-	if err != nil {
-		return BatchResponse{}, err
 	}
 	if tr != nil {
 		replaySpan(tr, winner, resp.Span, resp.SpanDropped)

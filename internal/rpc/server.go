@@ -1,7 +1,6 @@
 package rpc
 
 import (
-	"context"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -13,9 +12,9 @@ import (
 )
 
 // ShardServer serves one partition of the corpus over the wire: searches
-// (any core.Request), the batch path, and a health probe. It is an
-// http.Handler factory — mount Handler on any listener. A ShardServer is
-// immutable after construction and safe for concurrent use.
+// (any core.Request) and a health probe. It is an http.Handler factory —
+// mount Handler on any listener. A ShardServer is immutable after
+// construction and safe for concurrent use.
 //
 // The topology contract: every shard server and every router loads the
 // same dataset with the same engine options and the same shard count
@@ -57,7 +56,6 @@ func NewShardServer(engine *core.Engine, globals []trajdb.TrajID, shardIdx, shar
 		traces:  obs.NewTraceStore(0),
 	}
 	s.mux.HandleFunc("POST "+PathSearch, s.handleSearch)
-	s.mux.HandleFunc("POST "+PathBatch, s.handleBatch)
 	s.mux.HandleFunc("GET "+PathHealth, s.handleHealth)
 	return s, nil
 }
@@ -67,21 +65,6 @@ func NewShardServer(engine *core.Engine, globals []trajdb.TrajID, shardIdx, shar
 // its own GET /debug/trace/{id} over it so a cross-node trace can be
 // inspected hop by hop.
 func (s *ShardServer) Traces() *obs.TraceStore { return s.traces }
-
-// beginTrace attaches a fresh recorder to ctx when the request asked
-// for tracing, retaining it under the request's trace ID (when the
-// client sent one). The returned recorder is nil for unsampled
-// requests.
-func (s *ShardServer) beginTrace(ctx context.Context, trace bool, traceID string) (context.Context, *obs.TraceRecorder) {
-	if !trace {
-		return ctx, nil
-	}
-	rec := obs.NewTraceRecorder(0)
-	if traceID != "" {
-		s.traces.Add(traceID, rec)
-	}
-	return obs.ContextWithTracer(ctx, rec), rec
-}
 
 // Handler returns the server's HTTP handler: the RPC routes wrapped in
 // panic recovery, so a malformed request can never take the shard down.
@@ -162,20 +145,12 @@ func (s *ShardServer) remap(results []core.Result) {
 // client that can reach the port make the shard allocate without limit.
 const maxRequestBytes = 8 << 20
 
-// decodeRequest gob-decodes the capped body into req. On failure — an
-// oversized body included — it answers with the coded bad_query envelope
-// and reports false.
-func decodeRequest(w http.ResponseWriter, r *http.Request, what string, req any) bool {
-	if err := gob.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(req); err != nil {
-		writeWireError(w, http.StatusBadRequest, CodeBadQuery, "undecodable "+what+" request: "+err.Error())
-		return false
-	}
-	return true
-}
-
 func (s *ShardServer) handleSearch(w http.ResponseWriter, r *http.Request) {
+	// An undecodable body, an oversized one included, is the client's
+	// fault: the coded bad_query envelope.
 	var req SearchRequest
-	if !decodeRequest(w, r, "search", &req) {
+	if err := gob.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(&req); err != nil {
+		writeWireError(w, http.StatusBadRequest, CodeBadQuery, "undecodable search request: "+err.Error())
 		return
 	}
 	if s.engine == nil {
@@ -183,9 +158,19 @@ func (s *ShardServer) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// A sampled request runs under a fresh recorder, retained under the
+	// client's trace ID (when it sent one).
+	ctx := r.Context()
+	var rec *obs.TraceRecorder
+	if req.Trace {
+		rec = obs.NewTraceRecorder(0)
+		if req.TraceID != "" {
+			s.traces.Add(req.TraceID, rec)
+		}
+		ctx = obs.ContextWithTracer(ctx, rec)
+	}
 	// Seed the shard-local bound exchange with the client's piggybacked
 	// global bound; read the final local threshold back out afterwards.
-	ctx, rec := s.beginTrace(r.Context(), req.Trace, req.TraceID)
 	var bound *core.SharedBound
 	if req.SharesBound() {
 		bound = &core.SharedBound{}
@@ -203,52 +188,6 @@ func (s *ShardServer) handleSearch(w http.ResponseWriter, r *http.Request) {
 		if v, ok := bound.Load(); ok {
 			resp.Bound = v
 		}
-	}
-	if rec != nil {
-		resp.Span = rec.Events()
-		resp.SpanDropped = rec.Dropped()
-	}
-	writeGob(w, &resp)
-}
-
-func (s *ShardServer) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req BatchRequest
-	if !decodeRequest(w, r, "batch", &req) {
-		return
-	}
-	if s.engine == nil {
-		resp := BatchResponse{Entries: make([]BatchEntry, len(req.Queries))}
-		for i := range resp.Entries {
-			resp.Entries[i].Index = i
-		}
-		resp.Stats.Queries = len(req.Queries)
-		writeGob(w, &resp)
-		return
-	}
-	ctx, rec := s.beginTrace(r.Context(), req.Trace, req.TraceID)
-	out, bstats, err := s.engine.SearchBatch(ctx, req.Queries, req.Opts)
-	// SearchBatch returns ctx.Err() as the batch-level error while still
-	// filling every slot; a cancelled batch answers with the coded
-	// envelope (the client's own context is authoritative anyway).
-	if err != nil && out == nil {
-		writeEngineError(w, err)
-		return
-	}
-	if cerr := r.Context().Err(); cerr != nil {
-		writeEngineError(w, cerr)
-		return
-	}
-	resp := BatchResponse{Entries: make([]BatchEntry, len(out)), Stats: bstats}
-	for i, br := range out {
-		e := BatchEntry{Index: br.Index, Results: br.Results, Stats: br.Stats}
-		if br.Err != nil {
-			e.Results = nil
-			e.ErrCode = errorToCode(br.Err)
-			e.ErrMsg = br.Err.Error()
-		} else {
-			s.remap(e.Results)
-		}
-		resp.Entries[i] = e
 	}
 	if rec != nil {
 		resp.Span = rec.Events()

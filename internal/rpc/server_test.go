@@ -122,48 +122,6 @@ func TestServerSearchRoundTrip(t *testing.T) {
 	}
 }
 
-// TestServerBatchRoundTrip: the batch path answers exactly like the
-// in-process batch, slot for slot.
-func TestServerBatchRoundTrip(t *testing.T) {
-	f := testServerFixture(t)
-	c := startShardServer(t, f.engine, nil, 0, 1)
-	rng := rand.New(rand.NewPCG(23, 0))
-	queries := []core.Query{f.query(rng, 5), f.query(rng, 3), {Locations: nil, K: 5}} // last one invalid
-	opts := core.BatchOptions{}
-	ctx := context.Background()
-
-	want, _, err := f.engine.SearchBatch(ctx, queries, opts)
-	if err != nil {
-		t.Fatalf("engine batch: %v", err)
-	}
-	resp, err := c.Batch(ctx, BatchRequest{Queries: queries, Opts: opts})
-	if err != nil {
-		t.Fatalf("wire batch: %v", err)
-	}
-	if len(resp.Entries) != len(want) {
-		t.Fatalf("wire batch answered %d entries, want %d", len(resp.Entries), len(want))
-	}
-	for i, e := range resp.Entries {
-		w := want[i]
-		if e.Index != w.Index {
-			t.Errorf("entry %d: index %d, want %d", i, e.Index, w.Index)
-		}
-		if (e.Err() == nil) != (w.Err == nil) {
-			t.Errorf("entry %d: err %v, want %v", i, e.Err(), w.Err)
-			continue
-		}
-		if w.Err != nil {
-			continue
-		}
-		if len(e.Results) == 0 && len(w.Results) == 0 {
-			continue
-		}
-		if !reflect.DeepEqual(e.Results, w.Results) {
-			t.Errorf("entry %d: results differ\n got: %+v\nwant: %+v", i, e.Results, w.Results)
-		}
-	}
-}
-
 // TestServerGlobalsRemap: results cross the wire in global IDs.
 func TestServerGlobalsRemap(t *testing.T) {
 	f := testServerFixture(t)
@@ -237,10 +195,6 @@ func TestServerEmptyShard(t *testing.T) {
 	if err != nil || len(resp.Results) != 0 {
 		t.Fatalf("empty shard search: (%d results, %v), want (0, nil)", len(resp.Results), err)
 	}
-	bresp, err := c.Batch(ctx, BatchRequest{Queries: make([]core.Query, 3)})
-	if err != nil || len(bresp.Entries) != 3 {
-		t.Fatalf("empty shard batch: (%d entries, %v), want (3, nil)", len(bresp.Entries), err)
-	}
 	h, err := c.Health(ctx)
 	if err != nil || h.Shard != 1 || h.Shards != 4 || h.Trajs != 0 {
 		t.Fatalf("empty shard health: (%+v, %v), want shard 1/4 with 0 trajs", h, err)
@@ -301,7 +255,7 @@ func TestServerCanceledContext(t *testing.T) {
 	}
 }
 
-// TestServerBodyCap: both decoding handlers refuse a body one byte over
+// TestServerBodyCap: the search handler refuses a body one byte over
 // maxRequestBytes with the coded bad_query envelope instead of buffering
 // it, while a body of exactly the limit is read in full (and then fails
 // as ordinary undecodable gob).
@@ -321,25 +275,23 @@ func TestServerBodyCap(t *testing.T) {
 		b[0], b[1], b[2], b[3] = 0xFD, byte(n>>16), byte(n>>8), byte(n)
 		return b
 	}
-	for _, path := range []string{PathSearch, PathBatch} {
-		for _, tc := range []struct {
-			size     int
-			tooLarge bool
-		}{{maxRequestBytes, false}, {maxRequestBytes + 1, true}} {
-			resp, err := http.Post(hs.URL+path, ContentType, bytes.NewReader(body(tc.size)))
-			if err != nil {
-				t.Fatalf("%s %d bytes: %v", path, tc.size, err)
-			}
-			var we Error
-			derr := gob.NewDecoder(resp.Body).Decode(&we)
-			resp.Body.Close()
-			if derr != nil || resp.StatusCode != http.StatusBadRequest || we.Code != CodeBadQuery {
-				t.Fatalf("%s %d bytes: status %d, envelope %+v (%v), want 400 coded bad_query",
-					path, tc.size, resp.StatusCode, we, derr)
-			}
-			if got := strings.Contains(we.Msg, "request body too large"); got != tc.tooLarge {
-				t.Errorf("%s %d bytes: message %q, want body-too-large = %v", path, tc.size, we.Msg, tc.tooLarge)
-			}
+	for _, tc := range []struct {
+		size     int
+		tooLarge bool
+	}{{maxRequestBytes, false}, {maxRequestBytes + 1, true}} {
+		resp, err := http.Post(hs.URL+PathSearch, ContentType, bytes.NewReader(body(tc.size)))
+		if err != nil {
+			t.Fatalf("%d bytes: %v", tc.size, err)
+		}
+		var we Error
+		derr := gob.NewDecoder(resp.Body).Decode(&we)
+		resp.Body.Close()
+		if derr != nil || resp.StatusCode != http.StatusBadRequest || we.Code != CodeBadQuery {
+			t.Fatalf("%d bytes: status %d, envelope %+v (%v), want 400 coded bad_query",
+				tc.size, resp.StatusCode, we, derr)
+		}
+		if got := strings.Contains(we.Msg, "request body too large"); got != tc.tooLarge {
+			t.Errorf("%d bytes: message %q, want body-too-large = %v", tc.size, we.Msg, tc.tooLarge)
 		}
 	}
 }

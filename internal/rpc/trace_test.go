@@ -272,31 +272,3 @@ func TestServerSearchSpanRoundTrip(t *testing.T) {
 		t.Errorf("trace store IDs = %v, want only trace-xyz", ids)
 	}
 }
-
-// TestServerBatchSpanRoundTrip: the batch path shares one recorder
-// across the whole batch and answers with its span.
-func TestServerBatchSpanRoundTrip(t *testing.T) {
-	f := testServerFixture(t)
-	s, err := NewShardServer(f.engine, nil, 0, 1)
-	if err != nil {
-		t.Fatalf("NewShardServer: %v", err)
-	}
-	hs := httptest.NewServer(s.Handler())
-	t.Cleanup(hs.Close)
-	c := NewClient(hs.URL, nil)
-
-	rng := rand.New(rand.NewPCG(31, 0))
-	queries := []core.Query{f.query(rng, 3), f.query(rng, 3)}
-	resp, err := c.Batch(context.Background(), BatchRequest{
-		Queries: queries, Opts: core.BatchOptions{Workers: 1}, Trace: true, TraceID: "batch-1",
-	})
-	if err != nil {
-		t.Fatalf("Batch: %v", err)
-	}
-	if len(resp.Span) == 0 {
-		t.Fatal("traced batch answered with an empty span")
-	}
-	if _, ok := s.Traces().Get("batch-1"); !ok {
-		t.Error("shard did not retain the batch trace under its ID")
-	}
-}

@@ -16,8 +16,6 @@ const (
 	// PathSearch serves one search (any variant) over the replica's
 	// shard.
 	PathSearch = "/rpc/v1/search"
-	// PathBatch serves a whole query batch over the replica's shard.
-	PathBatch = "/rpc/v1/batch"
 	// PathHealth is the liveness/identity probe.
 	PathHealth = "/rpc/v1/health"
 )
@@ -66,51 +64,6 @@ type SearchResponse struct {
 	// SpanDropped is the number of shard-side span events lost over the
 	// shard recorder's limit (the replay also ends with a synthetic
 	// obs.TraceTruncated marker when non-zero).
-	SpanDropped int
-}
-
-// BatchRequest is the wire form of a whole-batch scatter: the shard runs
-// every query and answers per slot.
-type BatchRequest struct {
-	Queries []core.Query
-	Opts    core.BatchOptions
-	// Trace and TraceID mirror SearchRequest: the shard runs the whole
-	// batch under one TraceRecorder (batch workers share it) and returns
-	// the span in the response envelope.
-	Trace   bool
-	TraceID string
-}
-
-// BatchEntry is one query's outcome within a batch response. Errors
-// cross the wire as (code, message) pairs — core.BatchResult.Err is an
-// interface gob cannot carry — and the client rebuilds canonical errors
-// with codeToError.
-type BatchEntry struct {
-	Index   int
-	Results []core.Result // global trajectory IDs
-	Stats   core.SearchStats
-	ErrCode string // empty on success
-	ErrMsg  string
-}
-
-// Err rebuilds the entry's canonical error: nil when the entry
-// succeeded, otherwise the coded envelope decoded back into the
-// sentinel-preserving error codeToError produces.
-func (e BatchEntry) Err() error {
-	if e.ErrCode == "" {
-		return nil
-	}
-	return codeToError(e.ErrCode, e.ErrMsg)
-}
-
-// BatchResponse is the wire form of a shard's batch answer.
-type BatchResponse struct {
-	Entries []BatchEntry
-	Stats   core.BatchStats
-	// Span and SpanDropped mirror SearchResponse (one shared recorder
-	// for the whole batch, so cross-query event order is scheduling-
-	// dependent — per-query order is not).
-	Span        []obs.SpanEvent
 	SpanDropped int
 }
 

@@ -34,9 +34,6 @@ func wireRoots() []reflect.Type {
 	return []reflect.Type{
 		reflect.TypeOf(SearchRequest{}),
 		reflect.TypeOf(SearchResponse{}),
-		reflect.TypeOf(BatchRequest{}),
-		reflect.TypeOf(BatchEntry{}),
-		reflect.TypeOf(BatchResponse{}),
 		reflect.TypeOf(HealthResponse{}),
 	}
 }
@@ -49,7 +46,7 @@ func wireRoots() []reflect.Type {
 // unsafe names every exported field that reaches an interface, func or
 // channel. Gob cannot carry those, and it drops such a field silently
 // when the value is nil - so a round-trip test does not see it (errors
-// cross as (code, message) string pairs instead, see BatchEntry).
+// cross as the coded Error envelope instead).
 func wireSchema(roots []reflect.Type) (schema string, unsafe []string) {
 	blocks := make(map[string][]string)
 	seen := make(map[string]bool)
@@ -159,7 +156,7 @@ func TestWireSchemaGolden(t *testing.T) {
 	// Each structural check, on an input that breaks it.
 	t.Run("rejects gob-unsafe kinds", func(t *testing.T) {
 		type inner struct {
-			Err  error  // what core.BatchResult carries and BatchEntry must not
+			Err  error  // what core.BatchResult carries and the wire must not
 			skip func() // unexported: gob never sees it
 		}
 		type bad struct {
@@ -203,7 +200,7 @@ func helper() {}
 	}
 	schema, unsafe := wireSchema(wireRoots())
 	for _, field := range unsafe {
-		t.Errorf("wire field %s: gob cannot encode it; carry a coded representation instead (see BatchEntry.ErrCode/ErrMsg)", field)
+		t.Errorf("wire field %s: gob cannot encode it; carry a coded representation instead (see Error)", field)
 	}
 	if t.Failed() {
 		return // a schema of the wrong structs is meaningless
@@ -269,31 +266,6 @@ func TestWireGobRoundTrip(t *testing.T) {
 	gobRoundTrip(t, &in, &out)
 	if !reflect.DeepEqual(in, out) {
 		t.Errorf("response changed on the wire:\n sent %+v\n got  %+v", in, out)
-	}
-
-	// Older nodes sent BatchRequest.Opts as a wire-local struct with the
-	// same two fields as core.BatchOptions. Gob matches fields by name,
-	// so old and new nodes decode each other's batch requests.
-	type oldBatchOptions struct {
-		Workers         int
-		SharedExpansion bool
-	}
-	type oldBatchRequest struct {
-		Queries []core.Query
-		Opts    oldBatchOptions
-		Trace   bool
-		TraceID string
-	}
-	old := oldBatchRequest{Queries: []core.Query{q}, Opts: oldBatchOptions{Workers: 2, SharedExpansion: true}, Trace: true, TraceID: "b"}
-	var fromOld BatchRequest
-	gobRoundTrip(t, &old, &fromOld)
-	if want := (BatchRequest{Queries: old.Queries, Opts: core.BatchOptions{Workers: 2, SharedExpansion: true}, Trace: true, TraceID: "b"}); !reflect.DeepEqual(fromOld, want) {
-		t.Errorf("old-shape batch request decoded as %+v, want %+v", fromOld, want)
-	}
-	var toOld oldBatchRequest
-	gobRoundTrip(t, &fromOld, &toOld)
-	if !reflect.DeepEqual(toOld, old) {
-		t.Errorf("batch request decoded by an old node as %+v, want %+v", toOld, old)
 	}
 }
 

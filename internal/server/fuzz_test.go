@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
+
+	"uots/internal/ingest"
 )
 
 // FuzzSearchHandler posts arbitrary bodies to /search and /batch. Every
@@ -102,6 +105,88 @@ func (s *Server) checkAnswers(t *testing.T, path string, body, reply []byte) {
 		got, _ := json.Marshal(append([]ResultJSON{}, entry.Results...))
 		if w, _ := json.Marshal(want); !bytes.Equal(got, w) {
 			t.Fatalf("%s %q: request %d answered\n%s\nthe engine answers\n%s", path, body, i, got, w)
+		}
+	}
+}
+
+// FuzzIngestHandler posts arbitrary bodies to POST /trajectories on a
+// live-ingest server whose WAL sits in a temp dir. Every answer is a
+// coded 4xx, a deadline 503, or a 200 whose IDs are then queryable:
+// GET /trajectory/{id} serves each with the samples it was sent — never
+// a 500, which is how recoverPanics and a storage failure report.
+func FuzzIngestHandler(f *testing.F) {
+	s, _ := liveServer(f, ingest.Config{Fsync: ingest.FsyncNone}, Config{Timeout: 5 * time.Second})
+	h := s.Handler()
+	valid, err := json.Marshal(ingestBody(2, 3, 4))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	for _, body := range []string{
+		`{"trajectories":[{"samples":[{"vertex":10,"t":100},{"vertex":11,"t":110}],"keywords":"museum t0_kw0"}]}`,
+		`{"trajectories":[{"samples":[{"vertex":0,"t":0}]}]}`,
+		`{"trajectories":[]}`,
+		`{"trajectories":[{"samples":[]}]}`,
+		`{"trajectories":[{"samples":[{"vertex":64,"t":1}]}]}`,
+		`{"trajectories":[{"samples":[{"vertex":-1,"t":1}]}]}`,
+		`{"trajectories":[{"samples":[{"vertex":1,"t":200},{"vertex":2,"t":100}]}]}`,
+		`{"trajectories":[{"samples":[{"vertex":1,"t":86400}]}]}`,
+		`{"trajectories":[{"samples":[{"vertex":1,"t":-1}]}],"extra":1}`,
+		`{"trajectories":[{"samples":[{"vertex":1,"t":1}],"keywords":"été café"}]} {}`,
+	} {
+		f.Add([]byte(body))
+	}
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/trajectories", bytes.NewReader(body)))
+		var e errorJSON
+		switch code := rec.Code; {
+		case code == http.StatusOK:
+			checkIngested(t, h, body, rec.Body.Bytes())
+		case json.Unmarshal(rec.Body.Bytes(), &e) != nil || e.Code == "":
+			t.Fatalf("%q: status %d with an uncoded body %q", body, code, rec.Body)
+		case code == http.StatusServiceUnavailable && e.Code == codeDeadline:
+		case code < 400 || code >= 500:
+			t.Fatalf("%q: status %d code %q, want a coded 4xx, a deadline 503 or a 200", body, code, e.Code)
+		}
+	})
+}
+
+// checkIngested reads back every trajectory an ingest reply acknowledged
+// and compares its samples with the ones the request sent.
+func checkIngested(t *testing.T, h http.Handler, body, reply []byte) {
+	t.Helper()
+	var req IngestRequest
+	var resp IngestResponse
+	if err := json.Unmarshal(body, &req); err != nil {
+		t.Fatalf("%q: answered 200, but it does not decode: %v", body, err)
+	}
+	if err := json.Unmarshal(reply, &resp); err != nil {
+		t.Fatalf("%q: undecodable 200 reply %q: %v", body, reply, err)
+	}
+	if len(resp.IDs) != len(req.Trajectories) {
+		t.Fatalf("%q: %d IDs for %d trajectories", body, len(resp.IDs), len(req.Trajectories))
+	}
+	for i, id := range resp.IDs {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, fmt.Sprintf("/trajectory/%d", id), nil))
+		var got struct {
+			Samples []struct {
+				Vertex int32 `json:"vertex"`
+			} `json:"samples"`
+		}
+		if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &got) != nil {
+			t.Fatalf("%q: acknowledged trajectory %d answers %d %q", body, id, rec.Code, rec.Body)
+		}
+		sent := req.Trajectories[i].Samples
+		if len(got.Samples) != len(sent) {
+			t.Fatalf("%q: trajectory %d holds %d samples, %d were sent", body, id, len(got.Samples), len(sent))
+		}
+		for j, smp := range sent {
+			if got.Samples[j].Vertex != smp.Vertex {
+				t.Fatalf("%q: trajectory %d sample %d is vertex %d, %d was sent", body, id, j, got.Samples[j].Vertex, smp.Vertex)
+			}
 		}
 	}
 }

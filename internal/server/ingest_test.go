@@ -16,7 +16,7 @@ import (
 
 // liveServer builds a server in live-ingest mode over an empty dynamic
 // store, logging into a temp dir.
-func liveServer(t *testing.T, icfg ingest.Config, cfg Config) (*Server, *ingest.Service) {
+func liveServer(t testing.TB, icfg ingest.Config, cfg Config) (*Server, *ingest.Service) {
 	t.Helper()
 	g, err := roadnet.GenerateCity(roadnet.CityOptions{
 		Rows: 8, Cols: 8, Style: roadnet.StyleDense, Seed: 21,

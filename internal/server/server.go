@@ -66,10 +66,11 @@ const (
 // points a /search request's core.Request dispatches onto (core.Backend)
 // plus the /batch path. core.Engine satisfies it, as do shard.Executor
 // and shard.RemoteExecutor — wiring one through Config.Searcher scales
-// the default algorithm out without touching the handlers, and batches
-// then scatter whole to every shard. The explicit exhaustive and textfirst
-// algorithms always run on the monolithic engine: they are baselines and
-// diagnostics, not the serving path.
+// the default algorithm out without touching the handlers, and a batch
+// then runs each of its queries as its own scatter (core.RunBatch). The
+// explicit exhaustive and textfirst algorithms always run on the
+// monolithic engine: they are baselines and diagnostics, not the serving
+// path.
 //
 // The handlers speak core.Request and reach a backend only through
 // Request.Run. The seam still spells out five named search methods, and

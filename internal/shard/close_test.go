@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"uots/internal/core"
+	"uots/internal/difftest"
 	"uots/internal/roadnet"
 	"uots/internal/rpc"
 	"uots/internal/trajdb"
@@ -187,5 +188,97 @@ func TestRemoteExecutorCloseDuringQuery(t *testing.T) {
 	}
 	if o.res != nil {
 		t.Fatalf("closed query returned %d results, want none", len(o.res))
+	}
+}
+
+// TestRemoteExecutorCloseDuringBatch: Close racing a multi-query batch
+// whose two workers are parked on a stalled replica lets the batch
+// return: the parked queries and the ones still queued hold ErrClosed,
+// the ones that finished before hold the complete monolithic answer,
+// and a batch issued after Close fails with ErrClosed as a whole. The
+// batch must hold no admission of its own while its queries run: each
+// query's scatter takes one, and a nested read lock deadlocks once
+// Close's write lock is pending.
+func TestRemoteExecutorCloseDuringBatch(t *testing.T) {
+	f := testFixture(t)
+	mono, err := core.NewEngine(f.db, core.Options{})
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	queries := batchQueries(f, rand.New(rand.NewPCG(113, 0)), 8, 4)
+
+	// Partition 0 parks its first and its fifth search until the caller
+	// goes away and serves the rest: one worker parks at once, the other
+	// answers three queries and parks on its fourth, and three queries
+	// stay queued.
+	const parkA, parkB = 1, 5
+	var received atomic.Int64
+	cl := startCluster(t, f.db, 2, 1, RemoteConfig{}, nil, nil,
+		func(p, r int, h http.Handler) http.Handler {
+			if p != 0 {
+				return h
+			}
+			return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+				if req.URL.Path != rpc.PathSearch {
+					h.ServeHTTP(w, req)
+					return
+				}
+				if n := received.Add(1); n != parkA && n != parkB {
+					h.ServeHTTP(w, req)
+					return
+				}
+				io.Copy(io.Discard, req.Body) // see TestRemoteMidQueryCancellation
+				<-req.Context().Done()
+			})
+		})
+
+	type out struct {
+		res []core.BatchResult
+		err error
+	}
+	bdone := make(chan out, 1)
+	go func() {
+		res, _, err := cl.re.SearchBatch(context.Background(), queries, core.BatchOptions{Workers: 2})
+		bdone <- out{res, err}
+	}()
+	waitUntil(t, "both batch workers to park", func() bool { return received.Load() == parkB })
+	cdone := make(chan struct{})
+	go func() {
+		cl.re.Close()
+		close(cdone)
+	}()
+	var o out
+	select {
+	case o = <-bdone:
+	case <-time.After(10 * time.Second):
+		t.Fatal("batch still running 10 s after Close")
+	}
+	<-cdone
+	if o.err != nil {
+		t.Fatalf("batch racing Close: err = %v, want nil (per-slot errors only)", o.err)
+	}
+	closed, complete := 0, 0
+	for i, r := range o.res {
+		if r.Err != nil {
+			if !errors.Is(r.Err, ErrClosed) {
+				t.Errorf("slot %d: err = %v, want ErrClosed or an answer", i, r.Err)
+			}
+			closed++
+			continue
+		}
+		want, _, err := mono.SearchCtx(context.Background(), queries[i])
+		if err != nil {
+			t.Fatalf("monolithic query %d: %v", i, err)
+		}
+		if err := difftest.Mismatch(r.Results, want, len(want)); err != nil {
+			t.Errorf("slot %d: %v", i, err)
+		}
+		complete++
+	}
+	if want := parkB - parkA - 1; complete != want || closed != len(queries)-want {
+		t.Errorf("%d slots complete, %d closed; want %d and %d", complete, closed, want, len(queries)-want)
+	}
+	if _, _, err := cl.re.SearchBatch(context.Background(), queries, core.BatchOptions{}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("SearchBatch after Close: err = %v, want ErrClosed", err)
 	}
 }

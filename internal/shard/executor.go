@@ -156,15 +156,5 @@ func (ex *Executor) search(ctx context.Context, i int, req core.Request, bound *
 	return results, stats, err
 }
 
-// batch implements fleet.
-func (ex *Executor) batch(ctx context.Context, i int, queries []core.Query, opts core.BatchOptions) ([]core.BatchResult, core.BatchStats, error) {
-	h := &ex.shards[i]
-	out, stats, err := h.engine.SearchBatch(ctx, queries, opts)
-	for j := range out {
-		h.remap(out[j].Results)
-	}
-	return out, stats, err
-}
-
 // failure implements fleet: in-process errors are final.
 func (ex *Executor) failure(_ context.Context, err error) error { return err }

@@ -52,7 +52,6 @@ type fleet interface {
 	// is why partition i's task never ran.
 	each(ctx context.Context, task func(ctx context.Context, i int)) (unstarted []error)
 	search(ctx context.Context, i int, req core.Request, bound *core.SharedBound) ([]core.Result, core.SearchStats, error)
-	batch(ctx context.Context, i int, queries []core.Query, opts core.BatchOptions) ([]core.BatchResult, core.BatchStats, error)
 	// failure rewrites a query's error on the way out; ctx is the
 	// caller's own.
 	failure(ctx context.Context, err error) error
@@ -153,9 +152,7 @@ func (g *gatherer) do(ctx context.Context, req core.Request) ([]core.Result, cor
 	}
 
 	trace := g.begin(ctx, req.Variant())
-	out := scatter(ctx, g, g.partial == PartialFail, func(ctx context.Context, i int) ([]core.Result, core.SearchStats, error) {
-		return g.fleet.search(ctx, i, part, bound)
-	})
+	out := g.scatter(ctx, part, bound)
 	use, stats, err := g.resolve(ctx, out, trace)
 	if err != nil {
 		stats.Elapsed = elapsed()
@@ -180,32 +177,32 @@ func (g *gatherer) do(ctx context.Context, req core.Request) ([]core.Result, cor
 
 // partOut is one partition's scatter outcome. ran is false only for
 // empty partitions.
-type partOut[T any] struct {
-	val   T
+type partOut struct {
+	val   []core.Result
 	stats core.SearchStats
 	err   error
 	ran   bool
 }
 
-// scatter fans call out over the fleet and waits for every partition.
-// With failFast the first partition error cancels the siblings' context,
-// so they abort within one poll interval.
-func scatter[T any](ctx context.Context, g *gatherer, failFast bool,
-	call func(ctx context.Context, i int) (T, core.SearchStats, error)) []partOut[T] {
+// scatter runs req on every partition, publishing to and pruning
+// against bound, and waits for them all. Under PartialFail the first
+// partition error cancels the siblings' context, so they abort within
+// one poll interval.
+func (g *gatherer) scatter(ctx context.Context, req core.Request, bound *core.SharedBound) []partOut {
 	sctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	out := make([]partOut[T], len(g.counters))
+	out := make([]partOut, len(g.counters))
 	unstarted := g.fleet.each(sctx, func(ctx context.Context, i int) {
-		val, stats, err := call(ctx, i)
-		out[i] = partOut[T]{val: val, stats: stats, err: err, ran: true}
+		val, stats, err := g.fleet.search(ctx, i, req, bound)
+		out[i] = partOut{val: val, stats: stats, err: err, ran: true}
 		g.counters[i].record(stats, err)
-		if err != nil && failFast {
+		if err != nil && g.partial == PartialFail {
 			cancel()
 		}
 	})
 	for i, err := range unstarted {
 		if err != nil {
-			out[i] = partOut[T]{err: err, ran: true}
+			out[i] = partOut{err: err, ran: true}
 		}
 	}
 	return out
@@ -218,7 +215,7 @@ func scatter[T any](ctx context.Context, g *gatherer, failFast bool,
 // lowest-index partition error that is not a secondary cancellation,
 // with PartialDegrade store faults dropped (not failed) unless every
 // partition faulted. trace may be nil.
-func (g *gatherer) resolve(ctx context.Context, out []partOut[[]core.Result], trace obs.Tracer) (use []int, stats core.SearchStats, err error) {
+func (g *gatherer) resolve(ctx context.Context, out []partOut, trace obs.Tracer) (use []int, stats core.SearchStats, err error) {
 	var firstErr, firstNonCancel, firstFault error
 	degraded := 0
 	for i := range out {
@@ -231,7 +228,12 @@ func (g *gatherer) resolve(ctx context.Context, out []partOut[[]core.Result], tr
 			stats.EarlyTerminated = true
 		}
 		if trace != nil {
-			trace.Emit(shardDone(i, len(o.val), o.err))
+			note := ""
+			if o.err != nil {
+				note = "err"
+			}
+			trace.Emit(obs.SpanEvent{Kind: TraceShardDone, Source: -1, Traj: -1,
+				Value: float64(i), Extra: float64(len(o.val)), Note: note})
 		}
 		if o.err == nil {
 			use = append(use, i)
@@ -273,21 +275,12 @@ func (g *gatherer) resolve(ctx context.Context, out []partOut[[]core.Result], tr
 	return use, stats, nil
 }
 
-func shardDone(i, results int, err error) obs.SpanEvent {
-	note := ""
-	if err != nil {
-		note = "err"
-	}
-	return obs.SpanEvent{Kind: TraceShardDone, Source: -1, Traj: -1,
-		Value: float64(i), Extra: float64(results), Note: note}
-}
-
 // merge folds the usable partitions' result lists into the answer and
 // counts the candidates considered: the best k, or with all (threshold
 // searches return every qualifying trajectory) every result. The order
 // — score descending, then global ID ascending — is core's, so the
 // merged list is the monolithic list.
-func merge(out []partOut[[]core.Result], use []int, k int, all bool) ([]core.Result, int) {
+func merge(out []partOut, use []int, k int, all bool) ([]core.Result, int) {
 	considered := 0
 	for _, i := range use {
 		considered += len(out[i].val)
@@ -307,69 +300,21 @@ func merge(out []partOut[[]core.Result], use []int, k int, all bool) ([]core.Res
 	return top.Results(), considered
 }
 
-// SearchBatch mirrors core.Engine.SearchBatch over the partitions: the
-// whole batch scatters to every partition as one call, and the gather
-// resolves and merges per query exactly as a single-query scatter does.
+// SearchBatch mirrors core.Engine.SearchBatch over the partitions: a
+// batch is its queries, and each one is an ordinary scatter (see
+// SearchCtx), with the bound exchange and the partial-results policy.
 // Per-query errors surface in the per-slot Err like the monolithic
 // batch; the returned error is ctx.Err(), matching its contract.
-//
-// The SharedBound exchange stays off: the bound is valid only among
-// participants of the same query, and a batch multiplexes many queries
-// over one scatter. Nor is there fail-fast sibling cancellation: a
-// per-query store fault is a per-query outcome.
 func (g *gatherer) SearchBatch(ctx context.Context, queries []core.Query, opts core.BatchOptions) ([]core.BatchResult, core.BatchStats, error) {
-	elapsed := obs.Stopwatch()
+	// A closed fleet refuses the batch as a whole. The admission is
+	// released before the queries run, because each query's scatter takes
+	// its own: a remote fleet admits under a read lock that Close drains
+	// with the write lock, and a nested read lock deadlocks once a writer
+	// is pending.
 	leave, err := g.fleet.enter()
 	if err != nil {
 		return nil, core.BatchStats{}, err
 	}
-	defer leave()
-
-	answers := make([]core.BatchResult, len(queries))
-	bstats := core.BatchStats{Queries: len(queries)}
-	if len(queries) == 0 {
-		return answers, bstats, ctx.Err()
-	}
-	trace := g.begin(ctx, "batch")
-	outs := scatter(ctx, g, false, func(ctx context.Context, i int) ([]core.BatchResult, core.SearchStats, error) {
-		res, stats, err := g.fleet.batch(ctx, i, queries, opts)
-		return res, stats.PerQuery, err
-	})
-	if trace != nil {
-		for i, o := range outs {
-			if o.ran {
-				trace.Emit(shardDone(i, len(o.val), o.err))
-			}
-		}
-	}
-	considered := 0
-	one := make([]partOut[[]core.Result], len(outs)) // one query's view of outs
-	for j, q := range queries {
-		for i := range outs {
-			o := &outs[i]
-			one[i] = partOut[[]core.Result]{err: o.err, ran: o.ran}
-			if o.ran && o.err == nil {
-				r := o.val[j]
-				one[i] = partOut[[]core.Result]{val: r.Results, stats: r.Stats, err: r.Err, ran: true}
-			}
-		}
-		a := &answers[j]
-		a.Index = j
-		var use []int
-		if use, a.Stats, a.Err = g.resolve(ctx, one, nil); a.Err != nil {
-			a.Err = g.fleet.failure(ctx, a.Err)
-			bstats.Failed++
-			continue
-		}
-		var n int
-		a.Results, n = merge(one, use, q.K, false)
-		considered += n
-		bstats.PerQuery.Add(a.Stats)
-	}
-	if trace != nil {
-		trace.Emit(obs.SpanEvent{Kind: TraceMerge, Source: -1, Traj: -1,
-			Value: float64(len(queries) - bstats.Failed), Extra: float64(considered)})
-	}
-	bstats.WallClock = elapsed()
-	return answers, bstats, ctx.Err()
+	leave()
+	return core.RunBatch(ctx, queries, opts, g.SearchCtx)
 }

@@ -231,17 +231,3 @@ func (re *RemoteExecutor) search(ctx context.Context, i int, req core.Request, b
 	resp, err := re.groups[i].Search(ctx, rpc.SearchRequest{Request: req}, bound)
 	return resp.Results, resp.Stats, err
 }
-
-// batch implements fleet, converting wire entries back into
-// core.BatchResults (coded errors become the canonical sentinels again).
-func (re *RemoteExecutor) batch(ctx context.Context, i int, queries []core.Query, opts core.BatchOptions) ([]core.BatchResult, core.BatchStats, error) {
-	resp, err := re.groups[i].Batch(ctx, rpc.BatchRequest{Queries: queries, Opts: opts})
-	if err != nil {
-		return nil, core.BatchStats{}, err
-	}
-	out := make([]core.BatchResult, len(resp.Entries))
-	for j, e := range resp.Entries {
-		out[j] = core.BatchResult{Index: e.Index, Results: e.Results, Stats: e.Stats, Err: e.Err()}
-	}
-	return out, resp.Stats, nil
-}

@@ -228,7 +228,7 @@ func TestRemoteMidQueryCancellation(t *testing.T) {
 // health probes intact.
 func abortOnSearch(h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if req.URL.Path == rpc.PathSearch || req.URL.Path == rpc.PathBatch {
+		if req.URL.Path == rpc.PathSearch {
 			panic(http.ErrAbortHandler)
 		}
 		h.ServeHTTP(w, req)

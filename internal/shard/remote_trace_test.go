@@ -102,17 +102,20 @@ func checkRemoteTraceShape(t *testing.T, tag string, events []obs.SpanEvent, sha
 }
 
 // TestRemoteTraceDeterministicMerge replays an identical traced query
-// and batch twice against the same N×R cluster and requires the merged
-// trace — client-side attempt ladder, partition brackets, and the
-// shard servers' replayed engine spans — to reproduce byte for byte
-// once the documented wall-clock Extras are masked. The bound exchange
-// is disabled (its piggybacked thresholds depend on shard timing) and
-// the batch runs one worker so the shard-side span is sequential.
+// and three-query batch twice against the same N×R cluster and requires
+// the merged trace — four scatters, each with its client-side attempt
+// ladder, partition brackets, and the shard servers' replayed engine
+// spans — to reproduce byte for byte once the documented wall-clock
+// Extras are masked. The bound exchange is disabled (its piggybacked
+// thresholds depend on shard timing), the batch runs one worker so its
+// scatters run one after the other, and a pass makes an even number of
+// calls per group, so with R = 2 the round-robin cursor starts every
+// pass on the same replica.
 func TestRemoteTraceDeterministicMerge(t *testing.T) {
 	f := testFixture(t)
 	rng := rand.New(rand.NewPCG(91, 0))
 	q := f.randomQuery(rng, 3, 3, 0.5, 5)
-	batch := []core.Query{f.randomQuery(rng, 2, 2, 0.5, 4), f.randomQuery(rng, 2, 3, 0.3, 6)}
+	batch := []core.Query{f.randomQuery(rng, 2, 2, 0.5, 4), f.randomQuery(rng, 2, 3, 0.3, 6), f.randomQuery(rng, 3, 2, 0.7, 3)}
 	ctxBase := context.Background()
 
 	for _, n := range []int{2, 4} {
@@ -121,7 +124,7 @@ func TestRemoteTraceDeterministicMerge(t *testing.T) {
 				cl := startCluster(t, f.db, n, r,
 					RemoteConfig{disableSharedBound: true}, tracedGroup(), nil, nil)
 				run := func(pass int) string {
-					rec := obs.NewTraceRecorder(0)
+					rec := obs.NewTraceRecorder(4 * obs.DefaultTraceEvents) // room for four scatters
 					ctx := obs.ContextWithTracer(ctxBase, rec)
 					ctx = obs.ContextWithTraceID(ctx, "det-merge")
 					if _, _, err := cl.re.SearchCtx(ctx, q); err != nil {
@@ -131,7 +134,7 @@ func TestRemoteTraceDeterministicMerge(t *testing.T) {
 						t.Fatalf("pass %d SearchBatch: %v", pass, err)
 					}
 					events := rec.Events()
-					checkRemoteTraceShape(t, fmt.Sprintf("pass %d", pass), events, n, 2)
+					checkRemoteTraceShape(t, fmt.Sprintf("pass %d", pass), events, n, 1+len(batch))
 					return renderTrace(events)
 				}
 				a, b := run(1), run(2)
