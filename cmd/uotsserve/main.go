@@ -110,10 +110,8 @@ import (
 	"uots"
 	"uots/internal/core"
 	"uots/internal/diskstore"
-	"uots/internal/index"
 	"uots/internal/ingest"
 	"uots/internal/obs"
-	"uots/internal/roadnet"
 	"uots/internal/rpc"
 	"uots/internal/server"
 	"uots/internal/shard"
@@ -143,7 +141,6 @@ func main() {
 	ingestMode := flag.Bool("ingest", false, "enable the live write path (POST /trajectories) backed by a write-ahead log")
 	walDir := flag.String("wal-dir", "", "directory holding the ingest WAL (required with -ingest; replayed on boot)")
 	fsyncPolicy := flag.String("fsync", "always", "ingest WAL durability point: always, interval, or none")
-	landmarksK := flag.Int("landmarks", 0, "build this many ALT landmarks plus a per-trajectory pruning index for every engine in this process; with -remote-shards that is only the router's baseline engine, uotsshard builds no index (0 disables)")
 	flag.Parse()
 
 	// Out-of-range RPC values are refused, not reinterpreted.
@@ -204,40 +201,21 @@ func main() {
 		memStore = db
 	}
 
-	// -landmarks K builds the pruning index once over the boot store and
-	// threads it into every engine this process builds (monolithic,
-	// per-shard rebuilds under -shards, and the ingest snapshot path,
-	// which keeps it extended incrementally). Remote shard servers build
-	// their own engines and have no such flag.
-	engineOpts := core.Options{}
-	var indexBuildSecs float64
-	if *landmarksK > 0 {
-		start := time.Now()
-		lm := roadnet.NewLandmarks(g, *landmarksK, 0)
-		engineOpts.Index = index.NewTrajBounds(store, lm)
-		indexBuildSecs = time.Since(start).Seconds()
-		log.Printf("uotsserve: pruning index ready (%d landmarks, %d trajectories, %.2fs)",
-			lm.Count(), engineOpts.Index.NumTrajectories(), indexBuildSecs)
-	}
 	// One registry serves every mode: the HTTP instruments, the
-	// uots_index_* family with its boot-time events backfilled here (index
-	// build, sidecar warm start vs rebuild scan), and whichever of the
+	// uots_index_* counters with the disk store's open backfilled here
+	// (sidecar warm start vs rebuild scan), and whichever of the
 	// uots_shard_*, uots_rpc_* and uots_ingest_* families the mode adds.
 	reg := obs.NewRegistry()
 	indexMetrics := obs.NewIndexMetrics(reg)
 	if ds, ok := store.(*diskstore.Store); ok {
 		indexMetrics.RecordOpen(ds.WarmStart())
 	}
-	if engineOpts.Index != nil {
-		indexMetrics.RecordBuild(engineOpts.Index.Landmarks().Count(),
-			engineOpts.Index.NumTrajectories(), indexBuildSecs)
-	}
 
 	// In live-ingest mode engines are resolved per request from the
 	// service's MVCC snapshot cache; the fixed boot engine stays nil.
 	var engine *core.Engine
 	if !*ingestMode {
-		engine, err = core.NewEngine(store, engineOpts)
+		engine, err = core.NewEngine(store, core.Options{})
 		if err != nil {
 			fatal(err)
 		}
@@ -317,7 +295,7 @@ func main() {
 			len(groups), partial, *rpcRetries, *rpcTimeout, *probeInterval)
 	}
 	if *shards > 1 {
-		sharded, err := shard.NewExecutor(store, engineOpts, shard.Config{Shards: *shards, Metrics: reg})
+		sharded, err := shard.NewExecutor(store, core.Options{}, shard.Config{Shards: *shards, Metrics: reg})
 		if err != nil {
 			fatal(err)
 		}
@@ -337,11 +315,9 @@ func main() {
 		walPath := filepath.Join(*walDir, "ingest.wal")
 		dyn := trajdb.NewDynamicFromStore(memStore)
 		svc, err := ingest.Open(dyn, ingest.Config{
-			WALPath:      walPath,
-			Fsync:        pol,
-			Engine:       engineOpts,
-			Metrics:      obs.NewIngestMetrics(reg),
-			IndexMetrics: indexMetrics,
+			WALPath: walPath,
+			Fsync:   pol,
+			Metrics: obs.NewIngestMetrics(reg),
 		})
 		if err != nil {
 			fatal(err)

@@ -8,7 +8,7 @@
 // The package is a facade over the implementation packages:
 //
 //   - a road-network substrate (graphs, Dijkstra, bidirectional and
-//     goal-directed search, incremental network expansion, landmarks,
+//     goal-directed search, incremental network expansion,
 //     nearest-vertex indexing, synthetic city generation),
 //   - a trajectory store with vertex and keyword inverted indexes and a
 //     synthetic trip generator,
@@ -16,9 +16,8 @@
 //   - an HMM map matcher for raw GPS input,
 //   - the UOTS engine: the expansion search with upper-bound pruning,
 //     heuristic query-source scheduling, adaptive probes and early
-//     termination, plus Exhaustive and TextFirst baselines, a parallel
-//     batch engine, and one optional pruning aid (Options.Index, built
-//     with NewTrajBounds) that prunes work without changing an answer.
+//     termination, plus Exhaustive and TextFirst baselines and a
+//     parallel batch engine.
 //
 // # Quickstart
 //

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"uots"
@@ -21,9 +20,6 @@ func TestFacadeWrappers(t *testing.T) {
 	}
 	if g.NumVertices() != 64 {
 		t.Fatalf("city has %d vertices", g.NumVertices())
-	}
-	if lm := uots.NewLandmarks(g, 4, 0); lm.Count() != 4 {
-		t.Errorf("landmarks = %d", lm.Count())
 	}
 	if got := uots.Tokenize("Market, Food!"); len(got) != 2 {
 		t.Errorf("Tokenize = %v", got)
@@ -82,16 +78,6 @@ func TestFacadeWrappers(t *testing.T) {
 	}
 	if len(res) != 2 {
 		t.Fatalf("disk engine results = %d", len(res))
-	}
-
-	// The pruning aid through the facade: same answer, built from outside
-	// the module's internal packages.
-	indexed, err := uots.NewEngine(disk, uots.Options{Index: uots.NewTrajBounds(disk, uots.NewLandmarks(g, 4, 0))})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, _, err := indexed.SearchCtx(context.Background(), uots.Query{Locations: []uots.VertexID{3}, Lambda: 1, K: 2}); err != nil || !reflect.DeepEqual(got, res) {
-		t.Fatalf("indexed search = (%+v, %v), want the plain engine's %+v", got, err, res)
 	}
 
 	// ShortestPath helper.

@@ -116,48 +116,30 @@ func (e *Engine) exhaustiveScan(ctx context.Context, q Query, sink func(Result))
 // TextFirstSearchCtx answers a top-k UOTS query with the
 // one-domain-first baseline: trajectories are visited in descending
 // textual-similarity order; each visit computes the exact spatial
-// similarity with early-terminating Dijkstras; the scan stops once even a
-// spatially perfect trajectory could not beat the current k-th best.
-// Because a trajectory with zero textual score can still win on spatial
-// similarity alone, the baseline must fall back to scanning the zero-text
-// tail whenever the bar allows it — the structural weakness the paper's
-// expansion algorithm removes. When the engine carries a pruning aid
-// (Options.Index) the baseline uses it to skip exact spatial evaluations
-// that provably cannot qualify. The candidate scan polls ctx between
-// per-trajectory evaluations and inside each evaluation's Dijkstras (see
-// SearchCtx).
+// similarity; the scan stops once even a spatially perfect trajectory
+// could not beat the current k-th best. Because a trajectory with zero
+// textual score can still win on spatial similarity alone, the baseline
+// must fall back to scanning the zero-text tail whenever the bar allows
+// it — the structural weakness the paper's expansion algorithm removes.
+// The candidate scan polls ctx between per-trajectory evaluations and
+// inside each evaluation's distance resolution (see SearchCtx).
 func (e *Engine) TextFirstSearchCtx(ctx context.Context, q Query) ([]Result, SearchStats, error) {
 	return e.run(ctx, Request{Query: q}, AlgoTextFirst)
 }
 
-// textFirst is the textual-order candidate generator.
-func (e *Engine) textFirst(ctx context.Context, q Query) ([]Result, SearchStats, error) {
+// textFirst is the textual-order candidate generator. Each visit's
+// distances come from scr's goal search, the request's one Dijkstra per
+// query location, resumed from visit to visit; scr's dense text table
+// marks the trajectories phase 1 ranks, so phase 2 skips them.
+func (e *Engine) textFirst(ctx context.Context, q Query, scr *scratch) ([]Result, SearchStats, error) {
 	var stats SearchStats
 	cancel := newCanceller(ctx)
 	topk := pqueue.NewTopK[Result](q.K)
-	sssp := roadnet.NewSSSP(e.g)
-
-	var cancelErr error
-	settled := func() bool {
-		stats.SettledVertices++
-		if stats.SettledVertices%1024 == 0 {
-			cancelErr = cancel.check()
-		}
-		return cancelErr == nil
-	}
-	evaluate := func(tid trajdb.TrajID, text float64) {
+	evaluate := func(tid trajdb.TrajID, text float64) error {
 		stats.VisitedTrajectories++
-		// Landmark pruning: a lower bound on every query-location distance
-		// upper-bounds the spatial similarity.
-		if bar, ok := topk.Threshold(); ok && e.opts.Index != nil {
-			if combine(q.Lambda, e.landmarkSpatialUB(q.Locations, tid), text) < bar {
-				stats.LandmarkPrunes++
-				return
-			}
-		}
-		dists := e.exactDists(sssp, q.Locations, tid, settled)
-		if cancelErr != nil {
-			return
+		dists := make([]float64, len(q.Locations))
+		if err := e.resolveDists(scr.goal, tid, dists, cancel, &stats); err != nil {
+			return err
 		}
 		spatial := e.spatialFromDists(dists)
 		stats.Candidates++
@@ -168,47 +150,42 @@ func (e *Engine) textFirst(ctx context.Context, q Query) ([]Result, SearchStats,
 			Textual: text,
 			Dists:   dists,
 		})
+		return nil
 	}
 
 	// Phase 1: descending textual order.
-	type scored struct {
-		id   trajdb.TrajID
-		text float64
-	}
-	var ranked []scored
-	inRanked := make(map[trajdb.TrajID]bool)
 	if len(q.Keywords) > 0 {
 		docs := e.db.TextIndex().DocsWithAny(q.Keywords)
 		stats.TextScored = len(docs)
-		ranked = make([]scored, 0, len(docs))
 		for i, d := range docs {
 			if i%cancelPollEvery == 0 {
 				if err := cancel.check(); err != nil {
 					return nil, stats, err
 				}
 			}
+			// Every document shares a query keyword: its score is positive.
 			id := trajdb.TrajID(d)
-			ranked = append(ranked, scored{id, e.textScore(q.Keywords, id)})
-			inRanked[id] = true
+			scr.text[id] = e.textScore(q.Keywords, id)
+			scr.textIDs = append(scr.textIDs, id)
 		}
-		sort.Slice(ranked, func(i, j int) bool {
-			if ranked[i].text != ranked[j].text {
-				return ranked[i].text > ranked[j].text
+		ids := scr.textIDs
+		sort.Slice(ids, func(i, j int) bool {
+			if ti, tj := scr.text[ids[i]], scr.text[ids[j]]; ti != tj {
+				return ti > tj
 			}
-			return ranked[i].id < ranked[j].id
+			return ids[i] < ids[j]
 		})
 	}
-	for _, s := range ranked {
+	for _, id := range scr.textIDs {
 		if err := cancel.check(); err != nil {
 			return nil, stats, err
 		}
-		if bar, ok := topk.Threshold(); ok && combine(q.Lambda, 1, s.text) < bar {
+		if bar, ok := topk.Threshold(); ok && combine(q.Lambda, 1, scr.text[id]) < bar {
 			stats.EarlyTerminated = true
 			break
 		}
-		evaluate(s.id, s.text)
-		if cancelErr != nil {
-			return nil, stats, cancelErr
+		if err := evaluate(id, scr.text[id]); err != nil {
+			return nil, stats, err
 		}
 	}
 
@@ -217,7 +194,7 @@ func (e *Engine) textFirst(ctx context.Context, q Query) ([]Result, SearchStats,
 	if bar, ok := topk.Threshold(); !ok || combine(q.Lambda, 1, 0) >= bar {
 		for id := 0; id < e.db.NumTrajectories(); id++ {
 			tid := trajdb.TrajID(id)
-			if inRanked[tid] {
+			if scr.text[tid] > 0 {
 				continue
 			}
 			if id%cancelPollEvery == 0 {
@@ -229,9 +206,8 @@ func (e *Engine) textFirst(ctx context.Context, q Query) ([]Result, SearchStats,
 				stats.EarlyTerminated = true
 				break
 			}
-			evaluate(tid, 0)
-			if cancelErr != nil {
-				return nil, stats, cancelErr
+			if err := evaluate(tid, 0); err != nil {
+				return nil, stats, err
 			}
 		}
 	} else {

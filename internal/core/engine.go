@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"uots/internal/roadnet"
@@ -35,12 +34,6 @@ func NewEngine(db TrajStore, opts Options) (*Engine, error) {
 	opts, err := opts.normalize()
 	if err != nil {
 		return nil, err
-	}
-	if opts.Index != nil && opts.Index.NumTrajectories() != db.NumTrajectories() {
-		// A stale or foreign index would bound the wrong trajectories —
-		// silently wrong prunes — so a size mismatch is a hard error.
-		return nil, fmt.Errorf("%w: index covers %d trajectories, store has %d",
-			ErrIndexMismatch, opts.Index.NumTrajectories(), db.NumTrajectories())
 	}
 	return &Engine{g: db.Graph(), db: db, opts: opts}, nil
 }
@@ -81,18 +74,6 @@ func combine(lambda, spatial, textual float64) float64 {
 	return lambda*spatial + (1-lambda)*textual
 }
 
-// landmarkSpatialUB upper-bounds a trajectory's spatial similarity from
-// Options.Index's landmark lower bounds on its distance to every query
-// location: an O(K) interval lookup per location that touches no store
-// state. Callers check Options.Index != nil first.
-func (e *Engine) landmarkSpatialUB(locations []roadnet.VertexID, tid trajdb.TrajID) float64 {
-	var sum float64
-	for _, o := range locations {
-		sum += e.kernel(e.opts.Index.LowerBound(o, tid))
-	}
-	return sum / float64(len(locations))
-}
-
 // Evaluate computes the exact similarity of one trajectory against a
 // query, including per-location network distances. It is the reference
 // scorer used by tests and by callers that want to explain a
@@ -108,8 +89,13 @@ func (e *Engine) Evaluate(q Query, id trajdb.TrajID) (res Result, err error) {
 	if id < 0 || int(id) >= e.db.NumTrajectories() {
 		return Result{}, ErrTrajRange
 	}
+	// One early-terminating Dijkstra per location, targeted at the
+	// trajectory's vertex set: independent of the searches' goal search.
 	sssp := roadnet.NewSSSP(e.g)
-	dists := e.exactDists(sssp, q.Locations, id, nil)
+	dists := make([]float64, len(q.Locations))
+	for i, o := range q.Locations {
+		_, dists[i] = sssp.DistToSet(o, func(v roadnet.VertexID) bool { return e.db.ContainsVertex(id, v) })
+	}
 	spatial := e.spatialFromDists(dists)
 	text := e.textScore(q.Keywords, id)
 	return Result{
@@ -121,25 +107,30 @@ func (e *Engine) Evaluate(q Query, id trajdb.TrajID) (res Result, err error) {
 	}, nil
 }
 
-// exactDists computes d(o, τ) for each query location o with an
-// early-terminating Dijkstra whose target set is τ's vertex set. A
-// non-nil settled is called once per settled vertex — the TextFirst
-// baseline counts its work and polls cancellation there — and abandons
-// the computation (nil distances) by returning false.
-func (e *Engine) exactDists(sssp *roadnet.SSSP, locations []roadnet.VertexID, id trajdb.TrajID, settled func() bool) []float64 {
-	dists := make([]float64, len(locations))
-	for i, o := range locations {
-		abandoned := false
-		_, dists[i] = sssp.DistToSet(o, func(v roadnet.VertexID) bool {
-			if settled != nil && !settled() {
-				abandoned = true
-				return true
+// resolveDists writes to dists the distance from each query location to
+// trajectory id's vertex set, read from gs, the request's goal search: a
+// location whose run has not met the set yet is stepped until it does,
+// or until it exhausts its component (Unreachable). The settles count in
+// stats, and cancel is polled every cancelPollEvery of them. The λ = 0
+// text ranking resolves its returned trips with it, and the TextFirst
+// baseline every trip it visits.
+func (e *Engine) resolveDists(gs *roadnet.GoalSearch, id trajdb.TrajID, dists []float64, cancel canceller, stats *SearchStats) error {
+	gs.Target(e.db.UniqueVertices(id))
+	for i := range dists {
+		d, known := gs.Known(i)
+		for !known {
+			if stats.SettledVertices%cancelPollEvery == 0 {
+				if err := cancel.check(); err != nil {
+					return err
+				}
 			}
-			return e.db.ContainsVertex(id, v)
-		})
-		if abandoned {
-			return nil
+			var hit, ok bool
+			d, hit, ok = gs.Step(i)
+			if known = hit || !ok; ok {
+				stats.SettledVertices++
+			}
 		}
+		dists[i] = d
 	}
-	return dists
+	return nil
 }

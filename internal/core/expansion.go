@@ -271,19 +271,6 @@ func (st *expansionState) candFor(tid trajdb.TrajID) *cand {
 	st.active = append(st.active, tid)
 	st.stats.VisitedTrajectories++
 	st.emit(TraceAdmit, -1, int64(tid), c.text, 0, "")
-	// Admission-time landmark prune: with the per-trajectory interval
-	// index the spatial upper bound costs O(K) per location and no store
-	// access, cheap enough to test every admission against the bar. Like
-	// every prune it is strict, so ties at the bar survive.
-	if !c.complete && st.e.opts.Index != nil {
-		if bar, ok := st.bar(); ok {
-			if ub := combine(st.q.Lambda, st.e.landmarkSpatialUB(st.q.Locations, tid), c.text); ub < bar {
-				c.complete = true
-				st.stats.LandmarkPrunes++
-				st.emit(TracePrune, -1, int64(tid), ub, bar, NoteLandmark)
-			}
-		}
-	}
 	return c
 }
 
@@ -431,7 +418,7 @@ func (st *expansionState) rescan() bool {
 				!st.radiiPastFloor() {
 				break
 			}
-			// Unseen: probe's candFor admits it (and may landmark-prune it).
+			// Unseen: probe's candFor admits it.
 			_, tid, _ := st.textHeap.Pop()
 			if st.probe(tid) != nil {
 				return false
@@ -785,7 +772,6 @@ func (e *Engine) textOnly(ctx context.Context, q Query, theta float64, keep func
 
 	// Each returned trajectory's distances come from the request's goal
 	// search, one Dijkstra per location resumed from hit to hit.
-	gs := scr.goal
 	buf := make([]float64, len(hits)*len(q.Locations))
 	for i := range hits {
 		if err := cancel.check(); err != nil {
@@ -804,17 +790,8 @@ func (e *Engine) textOnly(ctx context.Context, q Query, theta float64, keep func
 			hits[i] = r
 			continue
 		}
-		gs.Target(e.db.UniqueVertices(hits[i].Traj))
-		for j := range dists {
-			d, known := gs.Known(j)
-			for !known {
-				var hit, ok bool
-				d, hit, ok = gs.Step(j)
-				if known = hit || !ok; ok {
-					stats.SettledVertices++
-				}
-			}
-			dists[j] = d
+		if err := e.resolveDists(scr.goal, hits[i].Traj, dists, cancel, &stats); err != nil {
+			return nil, stats, err
 		}
 		hits[i].Dists = dists
 		hits[i].Spatial = e.spatialFromDists(dists)

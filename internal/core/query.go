@@ -13,7 +13,7 @@
 //   - the Exhaustive baseline: full Dijkstra per query location, exact
 //     scores for every trajectory;
 //   - the TextFirst baseline: descending textual order with per-candidate
-//     exact spatial evaluation and landmark-assisted pruning.
+//     exact spatial evaluation.
 //
 // See DESIGN.md at the repository root for the reconstruction notes: the
 // similarity definitions follow the BCT `Σ e^{−d}` family the paper
@@ -67,7 +67,6 @@ var (
 	ErrEmptyStore        = errors.New("core: trajectory store is empty")
 	ErrBadDistScale      = errors.New("core: DistScale must be positive")
 	ErrUnknownScheduling = errors.New("core: unknown scheduling strategy")
-	ErrIndexMismatch     = errors.New("core: Options.Index does not cover the engine's store")
 	ErrTrajRange         = errors.New("core: trajectory id outside store")
 )
 
@@ -167,16 +166,10 @@ type Options struct {
 	// expansion; only blockers that survive even that radius are resolved
 	// with direct distance probes; 2.5.
 	probeRadiusFactor float64
-	// Index, when non-nil, is the engine's one pruning aid: precomputed
-	// per-trajectory landmark interval bounds (index.NewTrajBounds). A
-	// lower bound on every query-location distance upper-bounds the
-	// spatial similarity, at O(K) per (location, trajectory) with no
-	// store access, so the expansion search tests every admission and
-	// every termination-blocking textual candidate against the bar, and
-	// the TextFirst baseline every visit, before any Dijkstra runs. The
-	// index must cover exactly the engine's store (same dense IDs);
-	// NewEngine rejects a size mismatch. Optional; a systems-level
-	// optimization flagged as an extension in DESIGN.md.
+	// Index is ignored. It carried a landmark pruning index that the
+	// engine consulted before any exact distance, since removed as a
+	// measured wash; the field stays so that callers built against it
+	// still compile.
 	Index *index.TrajBounds
 }
 
@@ -237,10 +230,9 @@ type SearchStats struct {
 	// the work the shard executor's bound exchange saves. Always 0 outside
 	// sharded execution.
 	SharedBoundPrunes int
-	// LandmarkPrunes counts trajectories discarded purely from landmark
-	// lower bounds (Options.Index): their spatial upper bound fell below
-	// the bar before any exact distance was computed, so no Dijkstra or
-	// record access was spent on them.
+	// LandmarkPrunes is always 0. It counted the prunes of the deleted
+	// landmark index (Options.Index) and stays on the wire so that
+	// peers and callers built against it still decode and compile.
 	LandmarkPrunes int
 	// EarlyTerminated reports whether the upper bound dropped below the
 	// pruning threshold before the search space was exhausted.
@@ -261,6 +253,5 @@ func (s *SearchStats) Add(other SearchStats) {
 	s.TextScored += other.TextScored
 	s.Probes += other.Probes
 	s.SharedBoundPrunes += other.SharedBoundPrunes
-	s.LandmarkPrunes += other.LandmarkPrunes
 	s.Elapsed += other.Elapsed
 }

@@ -216,8 +216,8 @@ func (e *Engine) run(ctx context.Context, req Request, algo Algorithm) (results 
 // least θ when req sets Theta, only the trips departing inside req's
 // Window, ranked by the ordered similarity when req is OrderAware. The
 // baselines generate the plain top-k, except that the exhaustive scan
-// also honours θ. The expansion and the text ranking run on scr, the
-// request's scratch.
+// also honours θ. The expansion, the text ranking and TextFirst run on
+// scr, the request's scratch.
 func (e *Engine) candidates(ctx context.Context, req Request, algo Algorithm, scr *scratch) ([]Result, SearchStats, error) {
 	q := req.Query
 	var theta float64
@@ -232,7 +232,7 @@ func (e *Engine) candidates(ctx context.Context, req Request, algo Algorithm, sc
 	case algo == AlgoExhaustive:
 		return e.exhaustive(ctx, q, theta)
 	case algo == AlgoTextFirst:
-		return e.textFirst(ctx, q)
+		return e.textFirst(ctx, q, scr)
 	case q.Lambda == 0:
 		return e.textOnly(ctx, q, theta, keep, req.OrderAware, scr)
 	}

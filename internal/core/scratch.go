@@ -25,7 +25,7 @@ type scratch struct {
 	// goal is the request's one Dijkstra per query location, rooted
 	// when the request acquires the scratch: the expansion scans its runs
 	// through their cursors, and the probes, the λ = 0 distance
-	// resolution and the ordered scorings step them.
+	// resolution, the ordered scorings and TextFirst's visits step them.
 	goal *roadnet.GoalSearch
 
 	live   []bool

@@ -20,19 +20,13 @@ var updateStats = flag.Bool("update-stats", false, "rewrite testdata/stats.golde
 // TestWorkCountersGolden pins the deterministic work counters —
 // SearchStats minus Elapsed — of every search on one seeded corpus: the
 // five variants, both exhaustive baselines and TextFirst, at λ ∈ {0, 0.5,
-// 1}, on a plain engine and on an Options.Index engine; and of the plain
+// 1}, on a plain engine (rows named "/plain"); and of the plain
 // search on an NRN-like corpus at λ ∈ {0.1, 0.3}, where text probes
 // decide the cost. A refactor that claims "same work" commits the golden
 // unchanged; a change that moves a counter regenerates it with
 // make stats-golden and says why.
 func TestWorkCountersGolden(t *testing.T) {
-	tb, _ := testBounds(t)
-	plain, f := newTestEngine(t, Options{})
-	indexed, _ := newTestEngine(t, Options{Index: tb})
-	engines := []struct {
-		name string
-		e    *Engine
-	}{{"plain", plain}, {"index", indexed}}
+	e, f := newTestEngine(t, Options{})
 
 	window := TimeWindow{From: 7 * 3600, To: 11 * 3600}
 	kinds := []ctxVariant{
@@ -74,13 +68,11 @@ func TestWorkCountersGolden(t *testing.T) {
 		for _, lambda := range []float64{0, 0.5, 1} {
 			q.Lambda = lambda
 			for _, kind := range kinds {
-				for _, eng := range engines {
-					res, s, err := kind.run(eng.e, context.Background(), q)
-					if err != nil {
-						t.Fatalf("q%d λ=%g %s/%s: %v", qi, lambda, kind.name, eng.name, err)
-					}
-					row(fmt.Sprintf("q%d lambda=%g %s/%s", qi, lambda, kind.name, eng.name), res, s)
+				res, s, err := kind.run(e, context.Background(), q)
+				if err != nil {
+					t.Fatalf("q%d λ=%g %s: %v", qi, lambda, kind.name, err)
 				}
+				row(fmt.Sprintf("q%d lambda=%g %s/plain", qi, lambda, kind.name), res, s)
 			}
 		}
 	}
@@ -92,7 +84,7 @@ func TestWorkCountersGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	nrn := fixture{g: g, vocab: vocab, db: db}
-	e, err := NewEngine(db, Options{})
+	e, err = NewEngine(db, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

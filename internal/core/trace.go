@@ -64,12 +64,6 @@ const (
 // not (counted in SearchStats.SharedBoundPrunes).
 const NoteCrossShard = "xshard"
 
-// NoteLandmark marks a TracePrune decided purely from landmark
-// lower bounds (Options.Index): the candidate was discarded before any
-// exact distance computation or record access (counted in
-// SearchStats.LandmarkPrunes).
-const NoteLandmark = "landmark"
-
 // Termination causes carried in TraceTerminate's Note.
 const (
 	// TermBound: the upper bound dropped below the bar (early stop).

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"sync"
 
-	"uots/internal/index"
 	"uots/internal/roadnet"
 	"uots/internal/textual"
 	"uots/internal/trajdb"
@@ -25,19 +24,6 @@ type Dataset struct {
 
 	ixOnce sync.Once
 	ix     *roadnet.VertexIndex
-
-	tbOnce sync.Once
-	tb     *index.TrajBounds
-}
-
-// Bounds returns (building lazily, once) the pruning index every
-// measured engine carries: per-trajectory interval bounds over 16 ALT
-// landmarks, what `uotsserve -landmarks 16` builds at boot.
-func (d *Dataset) Bounds() *index.TrajBounds {
-	d.tbOnce.Do(func() {
-		d.tb = index.NewTrajBounds(d.Store, roadnet.NewLandmarks(d.Graph, 16, 0))
-	})
-	return d.tb
 }
 
 // VertexIndex returns (building lazily, once) the nearest-vertex grid

@@ -47,10 +47,7 @@ func DiskResident(ctx context.Context, w io.Writer, p Profile) error {
 		"storage", "buffer", "mean ms", "hit rate", "MiB read", "visited")
 
 	run := func(label, buffer string, store core.TrajStore, stats func() (hits, loads, bytes int64)) error {
-		// ds.Bounds() serves the disk rows too: the file is written from
-		// ds.Store (same dense IDs), so no index-build scan touches the
-		// buffer whose statistics the table reports.
-		e, err := core.NewEngine(store, core.Options{Index: ds.Bounds()})
+		e, err := core.NewEngine(store, core.Options{})
 		if err != nil {
 			return err
 		}

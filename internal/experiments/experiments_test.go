@@ -3,7 +3,6 @@ package experiments
 import (
 	"bytes"
 	"context"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -55,7 +54,7 @@ func TestBuildCachedMemoizes(t *testing.T) {
 	if a != b {
 		t.Error("same spec should return the same dataset instance")
 	}
-	if a.Bounds() != b.Bounds() || a.VertexIndex() == nil {
+	if a.VertexIndex() != b.VertexIndex() {
 		t.Error("lazy accessories should be shared")
 	}
 }
@@ -162,51 +161,6 @@ func TestMeasureAgainstAllAlgorithms(t *testing.T) {
 	}
 	if len(aggs) != 2 {
 		t.Fatalf("threshold mode: %d aggregates", len(aggs))
-	}
-}
-
-// TestMeasureUsesIndex: the engine Measure runs on carries the pruning
-// index, and the index changes work, never answers.
-func TestMeasureUsesIndex(t *testing.T) {
-	ds, err := BuildCached(tinyProfile().BRNSpec(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := core.NewEngine(ds.Store, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	measured, err := measuredEngine(ds, DefaultAlgos()[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if measured.Options().Index != ds.Bounds() {
-		t.Fatal("Measure's engine does not carry the dataset's pruning index")
-	}
-	prunes := 0
-	for i, q := range GenQueries(ds, DefaultQuerySpec(), 6) {
-		for name, run := range map[string]func(*core.Engine, context.Context, core.Query) ([]core.Result, core.SearchStats, error){
-			"expansion": (*core.Engine).SearchCtx,
-			"textfirst": (*core.Engine).TextFirstSearchCtx,
-		} {
-			want, _, err := run(plain, context.Background(), q)
-			if err != nil {
-				t.Fatalf("query %d %s unassisted: %v", i, name, err)
-			}
-			got, stats, err := run(measured, context.Background(), q)
-			if err != nil {
-				t.Fatalf("query %d %s indexed: %v", i, name, err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("query %d %s: indexed answer differs from the unassisted engine's\ngot  %+v\nwant %+v", i, name, got, want)
-			}
-			if name == "textfirst" {
-				prunes += stats.LandmarkPrunes
-			}
-		}
-	}
-	if prunes == 0 {
-		t.Error("TextFirst never pruned through the index")
 	}
 }
 

@@ -41,27 +41,15 @@ type Aggregate struct {
 	VisitRatio     float64 // MeanVisited / |T|
 }
 
-// measuredEngine builds the engine Measure runs cfg on — the one
-// `uotsserve -landmarks 16` serves: cfg.Opts plus the dataset's pruning
-// index (which the exhaustive baseline never consults).
-func measuredEngine(ds *Dataset, cfg AlgoConfig) (*core.Engine, error) {
-	cfg.Opts.Index = ds.Bounds()
-	e, err := core.NewEngine(ds.Store, cfg.Opts)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %s: %w", cfg.Name, err)
-	}
-	return e, nil
-}
-
 // Measure runs every query under one algorithm configuration and averages
 // the work counters. theta > 0 switches the expansion/exhaustive
 // algorithms to their threshold variants (TextFirst has no threshold
 // variant and keeps using top-k). Cancelling ctx aborts the in-flight
 // search and returns its error.
 func Measure(ctx context.Context, ds *Dataset, cfg AlgoConfig, queries []core.Query, theta float64) (Aggregate, error) {
-	e, err := measuredEngine(ds, cfg)
+	e, err := core.NewEngine(ds.Store, cfg.Opts)
 	if err != nil {
-		return Aggregate{}, err
+		return Aggregate{}, fmt.Errorf("experiments: %s: %w", cfg.Name, err)
 	}
 	agg := Aggregate{Algo: cfg.Name, Queries: len(queries)}
 	var totalMs float64

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"uots/internal/core"
-	"uots/internal/index"
 	"uots/internal/obs"
 	"uots/internal/trajdb"
 )
@@ -35,15 +34,10 @@ type Config struct {
 	// 128).
 	MaxBatch int
 	// Engine configures the query engines built over snapshots. The
-	// zero value selects the paper configuration. A non-nil Engine.Index
-	// seeds the pruning index: Engine() keeps it covering the current
-	// snapshot by incremental extension as ingest grows the corpus.
+	// zero value selects the paper configuration.
 	Engine core.Options
 	// Metrics receives the uots_ingest_* instruments; nil disables.
 	Metrics *obs.IngestMetrics
-	// IndexMetrics receives the uots_index_* instruments describing the
-	// incremental pruning-index maintenance; nil disables.
-	IndexMetrics *obs.IndexMetrics
 	// Hooks injects I/O faults for tests.
 	Hooks Hooks
 }
@@ -67,7 +61,6 @@ type Service struct {
 	emu       sync.Mutex // engine cache, keyed by snapshot generation
 	engine    *core.Engine
 	engineGen uint64
-	index     *index.TrajBounds // current pruning index (nil when disabled)
 
 	closeOnce sync.Once
 	closeErr  error
@@ -162,42 +155,12 @@ func (s *Service) Engine() (*core.Engine, uint64, error) {
 	if s.engine != nil && s.engineGen == gen {
 		return s.engine, gen, nil
 	}
-	opts := s.cfg.Engine
-	if opts.Index != nil {
-		opts.Index = s.indexFor(snap)
-	}
-	e, err := core.NewEngine(snap, opts)
+	e, err := core.NewEngine(snap, s.cfg.Engine)
 	if err != nil {
 		return nil, gen, err
 	}
 	s.engine, s.engineGen = e, gen
 	return e, gen, nil
-}
-
-// indexFor keeps the pruning index covering the snapshot the next engine
-// is built over — the incremental MVCC maintenance path. An add-only
-// epoch extends the previous index with just the appended tail; anything
-// else (a seed index that never matched, which cannot happen through
-// this service's add-only writes, but is cheap to defend against) falls
-// back to a full rebuild. Old engines keep their old index value: Extend
-// never mutates the receiver. Callers hold s.emu.
-func (s *Service) indexFor(snap *trajdb.Store) *index.TrajBounds {
-	if s.index == nil {
-		s.index = s.cfg.Engine.Index
-	}
-	switch n := snap.NumTrajectories(); {
-	case s.index.NumTrajectories() == n:
-		// Up to date (the seed index already covers the boot snapshot).
-	case s.index.NumTrajectories() < n:
-		added := n - s.index.NumTrajectories()
-		s.index = s.index.Extend(snap)
-		s.cfg.IndexMetrics.RecordExtension(added, n)
-	default:
-		start := time.Now()
-		s.index = index.NewTrajBounds(snap, s.cfg.Engine.Index.Landmarks())
-		s.cfg.IndexMetrics.RecordBuild(s.cfg.Engine.Index.Landmarks().Count(), n, time.Since(start).Seconds())
-	}
-	return s.index
 }
 
 // Stats is a point-in-time snapshot of the write path, served at

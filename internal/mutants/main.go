@@ -185,6 +185,33 @@ var mutants = []mutant{
 		run:  "^(TestRemoteMatchesMonolithic|TestRemoteExecutorCloseDuringBatch)$",
 		why:  "a remote scatter returns before its partitions answer, so the merge reads partition slots the calls are still writing",
 	},
+	{
+		name: "close-no-drain",
+		file: "internal/shard/remote.go",
+		old:  "\t\tre.inflight.Wait() // no query is admitted after closed is set\n",
+		new:  "",
+		pkgs: []string{"./internal/shard"},
+		run:  "^(TestRemoteExecutorCloseWaitsForQueries|TestRemoteExecutorCloseDuringBatch)$",
+		why:  "Close returns, and closes the replica groups, while admitted queries are still running",
+	},
+	{
+		name: "textfirst-stop-at-bar",
+		file: "internal/core/baselines.go",
+		old:  "ok && combine(q.Lambda, 1, scr.text[id]) < bar {",
+		new:  "ok && combine(q.Lambda, 1, scr.text[id]) <= bar {",
+		pkgs: []string{"./internal/core"},
+		run:  "^TestTiesAtTheBar$",
+		why:  "TextFirst stops its textual scan at a trip whose best possible score equals the bar, dropping a tie of smaller ID",
+	},
+	{
+		name: "textfirst-skip-tail",
+		file: "internal/core/baselines.go",
+		old:  "!ok || combine(q.Lambda, 1, 0) >= bar {",
+		new:  "!ok || combine(q.Lambda, 1, 0) > bar {",
+		pkgs: []string{"./internal/core"},
+		run:  "^TestTiesAtTheBar$",
+		why:  "TextFirst skips the zero-text tail when a spatially perfect zero-text trip would tie the bar",
+	},
 }
 
 func main() {

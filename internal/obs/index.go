@@ -1,74 +1,27 @@
 package obs
 
-// indexBuildSecondsBuckets span in-memory builds over small synthetic
-// corpora to multi-second builds that fault every record of a large
-// disk-resident store.
-var indexBuildSecondsBuckets = []float64{
-	0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25,
-	0.5, 1, 2.5, 5, 10, 30,
-}
-
-// IndexMetrics bundles the uots_index_* instruments describing the
-// pruning-index subsystem: landmark/TrajBounds builds and incremental
-// extensions, and the disk store's persistent-sidecar open outcomes.
-// See CONTRIBUTING.md for the family contract.
+// IndexMetrics bundles the two uots_index_* counters: how the disk
+// store's keyword and vertex indexes were loaded at open, from the
+// persistent sidecar or by a rebuild scan. See CONTRIBUTING.md for the
+// family contract.
 type IndexMetrics struct {
-	Landmarks    *Gauge     // uots_index_landmarks
-	Trajectories *Gauge     // uots_index_trajectories
-	BuildSeconds *Histogram // uots_index_build_seconds
-	Extensions   *Counter   // uots_index_extensions_total
-	ExtendedRows *Counter   // uots_index_extended_trajectories_total
-
 	WarmStarts   *Counter // uots_index_warm_starts_total
 	RebuildScans *Counter // uots_index_rebuild_scans_total
 }
 
-// NewIndexMetrics registers the uots_index_* instruments on reg. A nil
-// registry returns nil; every record helper on a nil receiver is a
-// no-op, so callers with optional metrics need no guard.
+// NewIndexMetrics registers the uots_index_* counters on reg. A nil
+// registry returns nil; RecordOpen on a nil receiver is a no-op, so
+// callers with optional metrics need no guard.
 func NewIndexMetrics(reg *Registry) *IndexMetrics {
 	if reg == nil {
 		return nil
 	}
 	return &IndexMetrics{
-		Landmarks: reg.Gauge("uots_index_landmarks",
-			"Landmarks in the active TrajBounds pruning index (0 when disabled)."),
-		Trajectories: reg.Gauge("uots_index_trajectories",
-			"Trajectories covered by the active TrajBounds pruning index."),
-		BuildSeconds: reg.Histogram("uots_index_build_seconds",
-			"Wall time of full TrajBounds builds (landmark selection excluded) in seconds.",
-			indexBuildSecondsBuckets),
-		Extensions: reg.Counter("uots_index_extensions_total",
-			"Incremental TrajBounds extensions performed along the MVCC snapshot path."),
-		ExtendedRows: reg.Counter("uots_index_extended_trajectories_total",
-			"Trajectories appended to the TrajBounds index by incremental extensions."),
 		WarmStarts: reg.Counter("uots_index_warm_starts_total",
 			"Disk-store opens served from the persistent index sidecar (no rebuild scan)."),
 		RebuildScans: reg.Counter("uots_index_rebuild_scans_total",
 			"Disk-store opens that fell back to the sequential index rebuild scan."),
 	}
-}
-
-// RecordBuild publishes one full TrajBounds build: the landmark count,
-// the covered trajectory count, and the build wall time.
-func (m *IndexMetrics) RecordBuild(landmarks, trajectories int, seconds float64) {
-	if m == nil {
-		return
-	}
-	m.Landmarks.Set(int64(landmarks))
-	m.Trajectories.Set(int64(trajectories))
-	m.BuildSeconds.Observe(seconds)
-}
-
-// RecordExtension accumulates one incremental extension that appended
-// added trajectories, publishing the new coverage.
-func (m *IndexMetrics) RecordExtension(added, trajectories int) {
-	if m == nil {
-		return
-	}
-	m.Extensions.Inc()
-	m.ExtendedRows.AddInt(added)
-	m.Trajectories.Set(int64(trajectories))
 }
 
 // RecordOpen counts one disk-store open by how its indexes were loaded.

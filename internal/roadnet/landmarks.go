@@ -78,9 +78,7 @@ func NewLandmarks(g *Graph, count int, seed VertexID) *Landmarks {
 func (l *Landmarks) Count() int { return len(l.ids) }
 
 // Dist returns the precomputed shortest-path distance from landmark i to
-// vertex v (Unreachable when v lies in another component). It exposes
-// the raw distance field so derived structures — per-trajectory interval
-// bounds in internal/index — can aggregate it without re-running SSSP.
+// vertex v (Unreachable when v lies in another component).
 func (l *Landmarks) Dist(i int, v VertexID) float64 { return l.dist[i][v] }
 
 // IDs returns the landmark vertex IDs. The slice must not be modified.

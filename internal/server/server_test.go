@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"uots/internal/core"
-	"uots/internal/index"
 	"uots/internal/ingest"
 	"uots/internal/roadnet"
 	"uots/internal/textual"
@@ -247,41 +246,6 @@ func TestSearchAlgorithmsAgree(t *testing.T) {
 		if fmt.Sprint(scores[i]) != fmt.Sprint(scores[0]) {
 			t.Errorf("algorithm %d scores %v != expansion %v", i, scores[i], scores[0])
 		}
-	}
-}
-
-// TestTextFirstUsesEngineIndex: pruning aids are configured on the engine
-// and nowhere else, so "algorithm":"textfirst" on a server whose engine
-// carries Options.Index prunes with it — same answer, byte for byte, from
-// strictly fewer exact evaluations than the plain engine needs.
-func TestTextFirstUsesEngineIndex(t *testing.T) {
-	plain, db := testServer(t)
-	indexed, err := core.NewEngine(db, core.Options{
-		Index: index.NewTrajBounds(db, roadnet.NewLandmarks(db.Graph(), 8, 0)),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := SearchRequest{VertexIDs: []int32{5, 60}, Keywords: "t0_kw0", K: 3, Algorithm: "textfirst"}
-	var results [2]string
-	var candidates [2]float64
-	for i, h := range []http.Handler{plain.Handler(), New(indexed, mustVocab(plain), nil).Handler()} {
-		rec, body := doJSON(t, h, "POST", "/search", req)
-		if rec.Code != http.StatusOK {
-			t.Fatalf("server %d = %d: %v", i, rec.Code, body)
-		}
-		raw, err := json.Marshal(body["results"])
-		if err != nil {
-			t.Fatal(err)
-		}
-		results[i] = string(raw)
-		candidates[i] = body["stats"].(map[string]any)["candidates"].(float64)
-	}
-	if results[1] != results[0] {
-		t.Errorf("indexed textfirst answer diverges from plain\n got  %s\n want %s", results[1], results[0])
-	}
-	if candidates[1] >= candidates[0] {
-		t.Errorf("indexed textfirst evaluated %v candidates, plain %v: the engine's index was not used", candidates[1], candidates[0])
 	}
 }
 

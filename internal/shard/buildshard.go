@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"uots/internal/core"
-	"uots/internal/index"
 	"uots/internal/textual"
 	"uots/internal/trajdb"
 )
@@ -25,20 +24,6 @@ func buildSubStore(db core.TrajStore, ids []trajdb.TrajID, shardIdx int) (core.T
 	return b.Freeze(), nil
 }
 
-// subOptions derives one shard engine's options from the global ones. A
-// global TrajBounds index is keyed by global dense IDs, so each shard
-// rebuilds its own over the shard-local store; the landmark distance
-// tables depend only on the graph and are shared, making the rebuild
-// O(shard trajectories · K). The wire protocol is untouched: bounds are
-// consulted locally per shard, and only the SharedBound scalar — already
-// wire-safe by the strict-< prune contract — crosses shard boundaries.
-func subOptions(opts core.Options, sub core.TrajStore) core.Options {
-	if opts.Index != nil {
-		opts.Index = index.NewTrajBounds(sub, opts.Index.Landmarks())
-	}
-	return opts
-}
-
 // buildShard builds shard i of an n-way split of db: the shard-local →
 // global trajectory ID mapping (ascending) and the core.Engine over those
 // trajectories, both nil when the shard holds none. It is the one place a
@@ -55,11 +40,6 @@ func buildShard(db core.TrajStore, opts core.Options, n, i int, assign func(traj
 	if err != nil {
 		return nil, nil, err
 	}
-	// Derive the shard-local options (per-shard TrajBounds rebuild) from
-	// the clean sub-store before any fault-injection wrapper: the index
-	// build is part of construction, not of the query paths the wrapper
-	// is meant to perturb.
-	opts = subOptions(opts, sub)
 	if wrap != nil {
 		sub = wrap(i, sub)
 	}

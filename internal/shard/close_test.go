@@ -13,6 +13,7 @@ import (
 
 	"uots/internal/core"
 	"uots/internal/difftest"
+	"uots/internal/obs"
 	"uots/internal/roadnet"
 	"uots/internal/rpc"
 	"uots/internal/trajdb"
@@ -191,14 +192,66 @@ func TestRemoteExecutorCloseDuringQuery(t *testing.T) {
 	}
 }
 
+// gateTracer parks the first event it receives on gate, signalling
+// parked: a query emits its scatter event after its admission, so the
+// query is then held admitted where Close's cancellation cannot reach.
+type gateTracer struct {
+	once   sync.Once
+	parked chan struct{}
+	gate   chan struct{}
+}
+
+func (g *gateTracer) Emit(obs.SpanEvent) {
+	g.once.Do(func() {
+		close(g.parked)
+		<-g.gate
+	})
+}
+
+// TestRemoteExecutorCloseWaitsForQueries: Close does not return while an
+// admitted query is still running, even one its cancellation cannot
+// reach, and refuses new queries with ErrClosed while it waits instead
+// of blocking them; the held query, once released, fails with ErrClosed.
+func TestRemoteExecutorCloseWaitsForQueries(t *testing.T) {
+	f := testFixture(t)
+	q := f.randomQuery(rand.New(rand.NewPCG(127, 0)), 2, 2, 0.5, 5)
+	cl := startCluster(t, f.db, 2, 1, RemoteConfig{}, nil, nil, nil)
+	tr := &gateTracer{parked: make(chan struct{}), gate: make(chan struct{})}
+	release := sync.OnceFunc(func() { close(tr.gate) })
+	defer release()
+
+	qdone := make(chan error, 1)
+	go func() {
+		_, _, err := cl.re.SearchCtx(obs.ContextWithTracer(context.Background(), tr), q)
+		qdone <- err
+	}()
+	<-tr.parked
+	cdone := make(chan struct{})
+	go func() {
+		cl.re.Close()
+		close(cdone)
+	}()
+	waitUntil(t, "Close to refuse a new query", func() bool {
+		_, _, err := cl.re.SearchCtx(context.Background(), q)
+		return errors.Is(err, ErrClosed)
+	})
+	select {
+	case <-cdone:
+		t.Fatal("Close returned while an admitted query was still running")
+	case <-time.After(50 * time.Millisecond):
+	}
+	release()
+	<-cdone
+	if err := <-qdone; !errors.Is(err, ErrClosed) {
+		t.Fatalf("query held across Close: err = %v, want ErrClosed", err)
+	}
+}
+
 // TestRemoteExecutorCloseDuringBatch: Close racing a multi-query batch
 // whose two workers are parked on a stalled replica lets the batch
 // return: the parked queries and the ones still queued hold ErrClosed,
 // the ones that finished before hold the complete monolithic answer,
-// and a batch issued after Close fails with ErrClosed as a whole. The
-// batch must hold no admission of its own while its queries run: each
-// query's scatter takes one, and a nested read lock deadlocks once
-// Close's write lock is pending.
+// and a batch issued after Close fails with ErrClosed as a whole.
 func TestRemoteExecutorCloseDuringBatch(t *testing.T) {
 	f := testFixture(t)
 	mono, err := core.NewEngine(f.db, core.Options{})

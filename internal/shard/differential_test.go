@@ -12,7 +12,6 @@ import (
 	"uots/internal/core"
 	"uots/internal/difftest"
 	"uots/internal/geo"
-	"uots/internal/index"
 	"uots/internal/roadnet"
 	"uots/internal/testworld"
 	"uots/internal/textual"
@@ -360,7 +359,6 @@ func (r *rig) build(tb testing.TB) *rig {
 		return e
 	}
 	r.oracle = engine(core.Options{})
-	indexed := engine(core.Options{Index: index.NewTrajBounds(r.db, roadnet.NewLandmarks(r.g, 4, 0))})
 	textFirst := func(name string, e *core.Engine) backend {
 		return backend{name: name, topK: true, run: func(ctx context.Context, req core.Request) ([][]core.Result, error) {
 			res, _, err := e.TextFirstSearchCtx(ctx, req.Query)
@@ -375,9 +373,7 @@ func (r *rig) build(tb testing.TB) *rig {
 	for _, b := range []backend{
 		single("engine", r.oracle),
 		single("engine/round-robin", engine(core.Options{Scheduling: core.ScheduleRoundRobin})),
-		single("engine/index", indexed),
 		textFirst("textfirst", r.oracle),
-		textFirst("textfirst/index", indexed),
 		batch("batch", r.oracle),
 	} {
 		add(b)

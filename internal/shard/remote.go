@@ -61,7 +61,8 @@ type RemoteExecutor struct {
 	closeCancel context.CancelFunc
 	closeOnce   sync.Once
 	closed      atomic.Bool
-	mu          sync.RWMutex // held shared by in-flight queries; Close drains it
+	mu          sync.Mutex     // orders enter's admission against Close's closed flag
+	inflight    sync.WaitGroup // admitted queries; Close waits for them
 }
 
 // NewRemoteExecutor builds a remote executor over one replica group per
@@ -102,30 +103,31 @@ func NewRemoteExecutor(groups []*rpc.Group, cfg RemoteConfig) (*RemoteExecutor, 
 // context died first, which takes precedence).
 func (re *RemoteExecutor) Close() {
 	re.closeOnce.Do(func() {
+		re.mu.Lock()
 		re.closed.Store(true)
-		re.closeCancel()
-		re.mu.Lock() // barrier: every in-flight query holds the read side
 		re.mu.Unlock()
+		re.closeCancel()
+		re.inflight.Wait() // no query is admitted after closed is set
 		for _, g := range re.groups {
 			g.Close()
 		}
 	})
 }
 
-// enter implements fleet: it admits one query, returning its release
-// func. The read lock is held for the query's whole lifetime so Close
-// can drain: every caller defers the release, and Close takes the write
-// side as the drain barrier.
+// enter implements fleet: it admits one query, counted in inflight
+// until the caller runs the returned release. The closed check and the
+// count share one short critical section, so Close, which sets closed
+// under the same mutex, waits for exactly the queries admitted before
+// it. No lock is held while a query runs, so a caller that nests
+// admissions is refused by a pending Close instead of blocking on it.
 func (re *RemoteExecutor) enter() (func(), error) {
+	re.mu.Lock()
+	defer re.mu.Unlock()
 	if re.closed.Load() {
 		return nil, ErrClosed
 	}
-	re.mu.RLock()
-	if re.closed.Load() { // lost the race with Close
-		re.mu.RUnlock()
-		return nil, ErrClosed
-	}
-	return re.mu.RUnlock, nil
+	re.inflight.Add(1)
+	return re.inflight.Done, nil
 }
 
 // failure implements fleet: it rewrites the cancellation injected by

@@ -6,7 +6,6 @@ import (
 	"uots/internal/core"
 	"uots/internal/diskstore"
 	"uots/internal/geo"
-	"uots/internal/index"
 	"uots/internal/mapmatch"
 	"uots/internal/roadnet"
 	"uots/internal/textual"
@@ -31,11 +30,6 @@ type (
 	GridStyle = roadnet.GridStyle
 	// VertexIndex snaps coordinates to network vertices.
 	VertexIndex = roadnet.VertexIndex
-	// Landmarks provides ALT network-distance lower bounds.
-	Landmarks = roadnet.Landmarks
-	// TrajBounds is the engine's pruning aid (Options.Index): landmark
-	// lower bounds precomputed per trajectory.
-	TrajBounds = index.TrajBounds
 	// Bidirectional is a reusable point-to-point shortest-path workspace.
 	Bidirectional = roadnet.Bidirectional
 )
@@ -219,18 +213,6 @@ func Densify(s *Store) (*Store, error) { return trajdb.Densify(s) }
 func NewVertexIndex(g *Graph, cellSize float64) *VertexIndex {
 	return roadnet.NewVertexIndex(g, cellSize)
 }
-
-// NewLandmarks selects count ALT landmarks on g by farthest-point
-// sampling.
-func NewLandmarks(g *Graph, count int, seed VertexID) *Landmarks {
-	return roadnet.NewLandmarks(g, count, seed)
-}
-
-// NewTrajBounds precomputes the pruning index for Options.Index over
-// db's trajectories. Answers are byte-identical with and without it;
-// only the work a search does changes. It covers db as it is now: an
-// engine over a grown or different store needs its own.
-func NewTrajBounds(db TrajStore, lm *Landmarks) *TrajBounds { return index.NewTrajBounds(db, lm) }
 
 // NewMatcher returns an HMM map matcher over g (idx may be nil).
 func NewMatcher(g *Graph, idx *VertexIndex, opts MatchOptions) *Matcher {
