@@ -220,9 +220,17 @@ func (st *expansionState) run() error {
 		}
 		st.radExp[i] = st.e.kernel(d)
 		bit := uint64(1) << i
+		seen := st.seen[i*st.seenWords : (i+1)*st.seenWords]
 		for _, tid := range st.e.db.TrajsAtVertex(v) {
+			// A trip source i met before holds bit i in its mask or is
+			// complete, and both are final: skip it on one bit test.
+			w, b := tid>>6, uint64(1)<<(tid&63)
+			if seen[w]&b != 0 {
+				continue
+			}
+			seen[w] |= b
 			c := st.candFor(tid)
-			if c.complete || c.mask&bit != 0 {
+			if c.complete {
 				continue
 			}
 			c.mask |= bit
@@ -537,10 +545,16 @@ func (st *expansionState) prune(tid trajdb.TrajID, c *cand, ub, bar float64) {
 // prunes it once it provably cannot reach the bar. The distances come
 // from the scratch's goal search, the request's one Dijkstra per query
 // location, which the probe steps past the expansion's cursors
-// (DESIGN.md, "Adaptive distance probes"). After each settle the score
-// is bounded with the exact score's own expression, each open distance
-// replaced by its run's radius, so the bound is at least the exact score
-// in floating point too. It returns (and leaves in st.err) a
+// (DESIGN.md, "Adaptive distance probes"). It steps the open run of
+// least radius, the lower index on a tie. The score is bounded with the
+// exact score's own expression, each open distance replaced by its
+// run's radius, so the bound is at least the exact score in floating
+// point too; after each such evaluation, probeSlack gives how far the
+// open runs may grow before the bound can fall below the bar, and the
+// runs are stepped with no kernel evaluated until one grows past it,
+// hits the trip or exhausts. A skipped evaluation is one that provably
+// would not prune, so every prune, settle and counter is that of an
+// evaluation after every settle. It returns (and leaves in st.err) a
 // cancellation.
 func (st *expansionState) probe(tid trajdb.TrajID) error {
 	c := st.candFor(tid)
@@ -551,7 +565,7 @@ func (st *expansionState) probe(tid trajdb.TrajID) error {
 	st.emit(TraceProbe, -1, int64(tid), 0, 0, "")
 	gs := st.goal
 	gs.Target(st.e.db.UniqueVertices(tid))
-	kern, open := st.kern, st.open
+	kern, open, base := st.kern, st.open, st.base
 	clear(open) // every kern[i] is set below
 	for i, d := range c.dists {
 		// A scanned location holds its exact distance; an exhausted source
@@ -567,38 +581,98 @@ func (st *expansionState) probe(tid trajdb.TrajID) error {
 		kern[i] = st.e.kernel(d)
 	}
 	bar, haveBar := st.bar()
+	eval := haveBar      // the bound must be evaluated before the next settle
+	slack := math.Inf(1) // without a bar nothing prunes
+	var stale uint64     // runs stepped since the last evaluation
 	for {
-		j, sum := -1, 0.0
-		for i, k := range kern {
-			sum += k
-			if open[i] && (j < 0 || gs.Radius(i) < gs.Radius(j)) {
-				j = i
+		// j is the run to step; m, the next open run in the pick order,
+		// takes over once j's radius passes it.
+		j, m := -1, -1
+		for i, o := range open {
+			switch {
+			case !o:
+			case j < 0 || gs.Radius(i) < gs.Radius(j):
+				j, m = i, j
+			case m < 0 || gs.Radius(i) < gs.Radius(m):
+				m = i
 			}
 		}
 		if j < 0 {
 			break
 		}
-		if ub := combine(st.q.Lambda, sum/float64(len(kern)), c.text); haveBar && ub < bar {
-			st.prune(tid, c, ub, bar)
-			return nil
+		if eval {
+			sum := 0.0
+			for i := range kern {
+				if stale&(uint64(1)<<i) != 0 {
+					kern[i] = st.e.kernel(gs.Radius(i)) // a hit's distance is the radius it hit at
+				}
+				sum += kern[i]
+			}
+			if ub := combine(st.q.Lambda, sum/float64(len(kern)), c.text); ub < bar {
+				st.prune(tid, c, ub, bar)
+				return nil
+			}
+			slack = probeSlack(sum, bar, st.q.Lambda, c.text, len(kern), st.e.opts.DistScale)
+			for i, o := range open {
+				if o {
+					base[i] = gs.Radius(i)
+				}
+			}
+			eval, stale = false, 0
 		}
-		if st.stats.ProbeSettled%cancelPollEvery == 0 {
-			if st.err = st.cancel.check(); st.err != nil {
-				return st.err
+		for {
+			if st.stats.ProbeSettled%cancelPollEvery == 0 {
+				if st.err = st.cancel.check(); st.err != nil {
+					return st.err
+				}
+			}
+			d, hit, ok := gs.Step(j)
+			if ok {
+				st.stats.ProbeSettled++
+				st.stats.SettledVertices++
+			}
+			stale |= uint64(1) << j
+			if open[j] = ok && !hit; !open[j] {
+				c.dists[j] = d
+				eval = haveBar
+				break
+			}
+			if !(d-base[j] <= slack) {
+				eval = true
+				break
+			}
+			if m >= 0 && (d > gs.Radius(m) || d == gs.Radius(m) && m < j) {
+				break
 			}
 		}
-		d, hit, ok := gs.Step(j)
-		if ok {
-			st.stats.ProbeSettled++
-			st.stats.SettledVertices++
-		}
-		if open[j] = ok && !hit; !open[j] {
-			c.dists[j] = d
-		}
-		kern[j] = st.e.kernel(d)
 	}
 	st.complete(tid, c)
 	return st.err
+}
+
+// probeMargin is the score the probe's slack keeps in hand against the
+// rounding of the kernels, their sum, the bound and the slack itself.
+// Each of those errs by a relative ~10⁻¹³ at most (an exponent of at
+// most 745 rounded once, a sum of at most 64 terms, a logarithm of at
+// most ~750 off by an ulp) on a spatial term of at most 1, so they move
+// the bound by far less than 2⁻³².
+const probeMargin = 0x1p-32
+
+// probeSlack returns how far, in distance, each open run of a probe may
+// grow from its radius at an evaluation whose kernels summed to sum, with
+// the bound's exact expression still at least bar: combine(λ, S/n, text)
+// stays at least bar while the kernel sum S stays at least
+// k_c = (bar − (1−λ)·text)·n/λ, and growing every open radius by Δ at
+// most scales the sum by e^{−Δ/γ}, so Δ = γ·ln(sum/k_c) is the slack in
+// real numbers. k_c is taken at bar + probeMargin to cover rounding. It
+// is +Inf when the text alone holds the bound above the bar, and
+// negative (evaluate after every settle) when sum is already below k_c.
+func probeSlack(sum, bar, lambda, text float64, nLoc int, gamma float64) float64 {
+	kc := (bar + probeMargin - (1-lambda)*text) * float64(nLoc) / lambda
+	if kc <= 0 {
+		return math.Inf(1)
+	}
+	return gamma * math.Log(sum/kc)
 }
 
 // probeFloor is the spatial-kernel value at the radius the probe policy is

@@ -159,6 +159,8 @@ func TestRelabelEveryOne(t *testing.T) {
 // The fourth runs the TextFirst baseline, whose two scan stops test a
 // spatially perfect score against the bar: at λ = 1 every trip through
 // a lone place scores 1, so a stop at the bar drops ties of smaller ID.
+// The fifth asks θ = 1 with two to five places on one trip (onOneTrip),
+// so a probe meets a bound equal to its bar.
 func TestTiesAtTheBar(t *testing.T) {
 	g := testworld.UnitGrid(12)
 	vocab := textual.GenerateVocab(2, 3, 1.0, 5)
@@ -169,19 +171,44 @@ func TestTiesAtTheBar(t *testing.T) {
 	w := world{g: g, vocab: vocab, db: testworld.Ties(db, 30, 7)}
 	lambdas := []float64{0.1, 0.3, 0.5, 0.7, 0.9, 1}
 	for _, r := range []struct {
-		seed                  uint64
-		trials, places        int // places: the fewest query locations; up to three more
-		orderAware, textFirst bool
-	}{{907, 300, 1, false, false}, {1018, 155, 6, false, false}, {1129, 200, 1, true, false}, {1231, 200, 1, false, true}} {
-		row{w: w, opts: core.WithPolicies(core.Options{}, 1, -1, 0), textFirst: r.textFirst, seed: r.seed, trials: r.trials,
+		seed                         uint64
+		trials, places               int // places: the fewest query locations; up to three more
+		orderAware, textFirst, probe bool
+	}{{907, 300, 1, false, false, false}, {1018, 155, 6, false, false, false}, {1129, 200, 1, true, false, false},
+		{1231, 200, 1, false, true, false}, {1337, 40, 2, false, false, true}} {
+		probeRadiusFactor := 0.0 // the default
+		if r.probe {
+			probeRadiusFactor = 1e-18 // a floor kernel that rounds to 1: radius 0
+		}
+		row{w: w, opts: core.WithPolicies(core.Options{}, 1, -1, probeRadiusFactor), textFirst: r.textFirst, seed: r.seed, trials: r.trials,
 			draw: func(w world, rng *rand.Rand, _ int) core.Request {
 				q := w.query(rng, r.places+rng.IntN(4), rng.IntN(5), lambdas[rng.IntN(len(lambdas))], 1+rng.IntN(10))
+				if r.probe {
+					return onOneTrip(w, rng, q)
+				}
 				if len(q.Locations) > 1 && rng.IntN(2) == 0 {
 					q.Locations[1] = q.Locations[0]
 				}
 				return core.Request{Query: q, OrderAware: r.orderAware}
 			}}.check(t)
 	}
+}
+
+// onOneTrip turns q into a threshold request at θ = 1 and λ = 1 whose
+// places all lie on one trip: every trip through all of them scores 1
+// exactly, and so does every bound the search takes on it while the
+// runs it waits on are still at radius 0. The first scan meets the
+// trip from one place; the rescan after it probes the trip (the row's
+// probe floor is at radius 0), and the probe's first bound equals the
+// bar.
+func onOneTrip(w world, rng *rand.Rand, q core.Query) core.Request {
+	samples := w.db.Traj(trajdb.TrajID(rng.IntN(w.db.NumTrajectories()))).Samples
+	for i := range q.Locations {
+		q.Locations[i] = samples[rng.IntN(len(samples))].V
+	}
+	q.Lambda, q.Keywords = 1, nil
+	theta := 1.0
+	return core.Request{Query: q, Theta: &theta}
 }
 
 // TestTextFirstMatchesExhaustive validates the second baseline against

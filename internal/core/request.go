@@ -192,8 +192,11 @@ func (e *Engine) run(ctx context.Context, req Request, algo Algorithm) (results 
 	}
 	req.Query = q
 	// A store fault panics through here: the scratch is then dropped,
-	// never put back half-written.
-	scr := acquireScratch(e.g, e.db.NumTrajectories(), q.Locations)
+	// never put back half-written. The exhaustive scan reads no scratch.
+	var scr *scratch
+	if algo != AlgoExhaustive {
+		scr = acquireScratch(e.g, e.db.NumTrajectories(), q.Locations)
+	}
 	if req.Diversify != nil {
 		pool, k, opts := req.Pool()
 		results, stats, err = e.candidates(ctx, pool, algo, scr)
@@ -203,7 +206,9 @@ func (e *Engine) run(ctx context.Context, req Request, algo Algorithm) (results 
 	} else {
 		results, stats, err = e.candidates(ctx, req, algo, scr)
 	}
-	scr.release()
+	if scr != nil {
+		scr.release()
+	}
 	stats.Elapsed = elapsed()
 	if err != nil {
 		return nil, stats, err

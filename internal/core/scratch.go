@@ -15,10 +15,11 @@ import (
 // seen.
 //
 // Everything a search writes is recorded where release can undo it: the
-// candidate table and the text scores through the lists of the IDs they
-// hold, the goal search through its runs' touched lists when the next
-// request roots it. A request that ends in a panic (a store fault) never
-// puts its scratch back, so a half-written one is never reused.
+// candidate table, the seen bitsets and the text scores through the
+// lists of the IDs they hold, the goal search through its runs' touched
+// lists when the next request roots it. A request that ends in a panic
+// (a store fault) never puts its scratch back, so a half-written one is
+// never reused.
 type scratch struct {
 	g *roadnet.Graph
 
@@ -32,17 +33,25 @@ type scratch struct {
 	radExp []float64 // e^{−rᵢ/γ}; 0 once source i is exhausted
 	kern   []float64 // probe scratch: e^{−d/γ} per location, d exact or a lower bound
 	open   []bool    // probe scratch: the location's distance is still unknown
+	base   []float64 // probe scratch: an open run's radius at the last bound evaluation
 
 	// The ordered scoring's buffers: one trip's kernel table (|O| rows
 	// of its samples) and its dynamic program's two rows.
 	kernelAt, dp, next []float64
 
 	cands    []*cand         // dense by TrajID; nil until first touch
-	admitted []trajdb.TrajID // IDs whose cands entry is set
+	admitted []trajdb.TrajID // IDs whose cands entry is set, and every ID with a seen bit
 	active   []trajdb.TrajID // incomplete candidates; compacted at rescans
 	text     []float64       // dense by TrajID: the textual score, 0 when none
 	textIDs  []trajdb.TrajID // IDs whose text entry is set
 	textHeap pqueue.Max[trajdb.TrajID]
+
+	// seen holds one bitset over trajectory IDs per query location,
+	// seenWords words each: bit id of bitset i is set once source i's
+	// scan has met trip id, so the scan loop skips a trip it met before
+	// without loading its candidate. At 30 000 trips a bitset is 3.75 KB.
+	seen      []uint64
+	seenWords int
 
 	// Arenas the candidates and their distance vectors are cut from, one
 	// chunk at a time; release rewinds them.
@@ -74,15 +83,34 @@ func acquireScratch(g *roadnet.Graph, nTraj int, locations []roadnet.VertexID) *
 	}
 	n := len(locations)
 	s.live, s.radExp = resize(s.live, n), resize(s.radExp, n)
-	s.kern, s.open = resize(s.kern, n), resize(s.open, n)
+	s.kern, s.open, s.base = resize(s.kern, n), resize(s.open, n), resize(s.base, n)
 	if len(s.cands) < nTraj {
 		// Headroom: a growing store's next generations fit without a
 		// new table each.
-		n := nTraj + nTraj/8
-		s.cands = make([]*cand, n)
-		s.text = make([]float64, n)
+		size := nTraj + nTraj/8
+		s.cands = make([]*cand, size)
+		s.text = make([]float64, size)
+		s.seen, s.seenWords = nil, (size+63)/64
+	}
+	if need := n * s.seenWords; len(s.seen) < need {
+		s.seen = make([]uint64, need) // release keeps every bit clear
 	}
 	return s
+}
+
+// clearSeen zeroes the bitsets of nLoc sources: every set bit is an
+// admitted ID, so the words that hold one are zeroed through that list,
+// or the whole bitsets when that is fewer words.
+func (s *scratch) clearSeen(nLoc int) {
+	if len(s.admitted) >= s.seenWords {
+		clear(s.seen[:nLoc*s.seenWords])
+		return
+	}
+	for _, id := range s.admitted {
+		for i := range nLoc {
+			s.seen[i*s.seenWords+int(id>>6)] = 0
+		}
+	}
 }
 
 // resize returns xs with length n and every element zero, reusing its
@@ -123,6 +151,7 @@ func (s *scratch) newCand(nLoc int) *cand {
 // slabKeep chunks and puts s back in its graph's pool. The goal search
 // keeps its runs until the next request roots it.
 func (s *scratch) release() {
+	s.clearSeen(len(s.live))
 	for _, id := range s.admitted {
 		s.cands[id] = nil
 	}

@@ -26,6 +26,11 @@ func dirt(s *scratch) string {
 			return fmt.Sprintf("text[%d] = %g", id, x)
 		}
 	}
+	for w, x := range s.seen {
+		if x != 0 {
+			return fmt.Sprintf("seen bitset %d, word %d is %#x", w/s.seenWords, w%s.seenWords, x)
+		}
+	}
 	switch {
 	case len(s.admitted) > 0, len(s.textIDs) > 0, len(s.active) > 0:
 		return fmt.Sprintf("ID lists hold %d admitted, %d text, %d active", len(s.admitted), len(s.textIDs), len(s.active))

@@ -60,6 +60,24 @@ var mutants = []mutant{
 		why:  "rescan's sweep prunes a candidate whose bound equals the bar, dropping a tie it must keep",
 	},
 	{
+		name: "probe-prune-at-bar",
+		file: "internal/core/expansion.go",
+		old:  "c.text); ub < bar {",
+		new:  "c.text); ub <= bar {",
+		pkgs: []string{"./internal/core"},
+		run:  "^TestTiesAtTheBar$",
+		why:  "a probe prunes a trip whose bound equals the bar, dropping a tie it must keep",
+	},
+	{
+		name: "probe-no-margin",
+		file: "internal/core/expansion.go",
+		old:  "(bar + probeMargin - (1-lambda)*text)",
+		new:  "(bar - (1-lambda)*text)",
+		pkgs: []string{"./internal/core"},
+		run:  "^TestProbeSlackKeepsTheBound$",
+		why:  "the probe's slack drops its rounding margin, so a run grown by the slack can take the exact bound below the bar unevaluated",
+	},
+	{
 		name: "rerank-stale-target",
 		file: "internal/core/orderaware.go",
 		old:  "\tgs.Target(uniq)\n",
@@ -103,6 +121,15 @@ var mutants = []mutant{
 		pkgs: []string{"./internal/core"},
 		run:  "^(TestScratchComesBackClean|TestExpansionMatchesExhaustiveTopK)$",
 		why:  "a pooled scratch keeps the last query's text scores, so the next query scores trips by another query's keywords",
+	},
+	{
+		name: "seen-not-cleared",
+		file: "internal/core/scratch.go",
+		old:  "\ts.clearSeen(len(s.live))\n",
+		new:  "",
+		pkgs: []string{"./internal/core"},
+		run:  "^(TestScratchComesBackClean|TestExpansionMatchesExhaustiveTopK)$",
+		why:  "a pooled scratch keeps the last query's seen bitsets, so the next query's scans skip trips they never met",
 	},
 	{
 		name: "rescan-no-floor",

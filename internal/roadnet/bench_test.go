@@ -47,6 +47,31 @@ func BenchmarkScanDrain(b *testing.B) {
 	}
 }
 
+// BenchmarkGoalSearchStep drains a four-root goal search on the
+// benchmark's city (BRNLike(0.5, 1), 7 056 vertices), stepping the runs
+// in turn, and reports the cost of one Step as ns/settle.
+func BenchmarkGoalSearchStep(b *testing.B) {
+	g := BRNLike(0.5, 1)
+	n := g.NumVertices()
+	gs := NewGoalSearch(g, nil)
+	settles := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		roots := []VertexID{VertexID(i % n), VertexID((i + n/4) % n), VertexID((i + n/2) % n), VertexID((i + 3*n/4) % n)}
+		gs.Reset(roots)
+		for open := len(roots); open > 0; {
+			open = 0
+			for j := range roots {
+				if _, _, ok := gs.Step(j); ok {
+					settles++
+					open++
+				}
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(settles), "ns/settle")
+}
+
 func BenchmarkVertexIndexNearest(b *testing.B) {
 	g := benchCity(b)
 	idx := NewVertexIndex(g, 0)

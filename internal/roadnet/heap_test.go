@@ -146,9 +146,12 @@ func TestHeapInterleavedMatchesReference(t *testing.T) {
 				t.Fatalf("trial %d op %d: %d queued / %d touched, reference %d / %d",
 					trial, op, len(s.keys), len(s.touched), len(queued), len(dist))
 			}
-			for v := range queued {
+			for v, d := range queued {
 				if s.pos[v] == posAbsent {
 					t.Fatalf("trial %d op %d: vertex %d missing", trial, op, v)
+				}
+				if e := s.keys[s.pos[v]]; e != (heapEntry{d, v}) {
+					t.Fatalf("trial %d op %d: vertex %d's heap entry is %+v, reference key %g", trial, op, v, e, d)
 				}
 			}
 			least := Unreachable

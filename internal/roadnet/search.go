@@ -11,7 +11,9 @@ const posAbsent = int32(-1)
 
 // search is the per-vertex state every graph search in this package runs
 // on: tentative distances, the settled set, and an indexed binary min-heap
-// of queued vertices, keyed by distance, with decrease-key. Every vertex
+// of queued vertices, keyed by distance, with decrease-key. A heap entry
+// carries its vertex's distance, so sifting compares the heap array
+// alone instead of loading dist per comparison. Every vertex
 // whose distance leaves Unreachable is recorded once in touched, so reset
 // costs time proportional to the vertices the previous run reached, not
 // to the graph size. The faces differ in their roots, in when they stop,
@@ -23,9 +25,16 @@ type search struct {
 	g       *Graph
 	dist    []float64
 	settled []bool
-	pos     []int32 // pos[v] = index of v in keys, or posAbsent
-	keys    []int32 // heap array of vertices, ordered by dist
-	touched []int32 // vertices whose state reset must clear
+	pos     []int32     // pos[v] = index of v in keys, or posAbsent
+	keys    []heapEntry // heap array of queued vertices, ordered by d
+	touched []int32     // vertices whose state reset must clear
+}
+
+// heapEntry is one queued vertex and its key, the vertex's tentative
+// distance (always equal to dist[v]).
+type heapEntry struct {
+	d float64
+	v int32
 }
 
 func newSearch(g *Graph) search {
@@ -66,11 +75,12 @@ func (s *search) push(v int32, d float64) (improved bool) {
 	}
 	s.dist[v] = d
 	if p := s.pos[v]; p != posAbsent {
+		s.keys[p].d = d
 		s.up(int(p))
 		return true
 	}
 	s.pos[v] = int32(len(s.keys))
-	s.keys = append(s.keys, v)
+	s.keys = append(s.keys, heapEntry{d, v})
 	s.up(len(s.keys) - 1)
 	return true
 }
@@ -81,11 +91,10 @@ func (s *search) Pop() (v int32, d float64, ok bool) {
 	if len(s.keys) == 0 {
 		return 0, 0, false
 	}
-	v = s.keys[0]
-	d = s.dist[v]
+	v, d = s.keys[0].v, s.keys[0].d
 	last := len(s.keys) - 1
 	s.keys[0] = s.keys[last]
-	s.pos[s.keys[0]] = 0
+	s.pos[s.keys[0].v] = 0
 	s.keys = s.keys[:last]
 	s.pos[v] = posAbsent
 	if last > 0 {
@@ -101,7 +110,7 @@ func (s *search) minKey() float64 {
 	if len(s.keys) == 0 {
 		return Unreachable
 	}
-	return s.dist[s.keys[0]]
+	return s.keys[0].d
 }
 
 // Next is one Dijkstra step: it settles the nearest queued vertex and
@@ -121,44 +130,42 @@ func (s *search) Next() (v int32, d float64, ok bool) {
 }
 
 func (s *search) up(i int) {
-	key := s.keys[i]
-	p := s.dist[key]
+	e := s.keys[i]
 	for i > 0 {
 		parent := (i - 1) / 2
-		pk := s.keys[parent]
-		if s.dist[pk] <= p {
+		pe := s.keys[parent]
+		if pe.d <= e.d {
 			break
 		}
-		s.keys[i] = pk
-		s.pos[pk] = int32(i)
+		s.keys[i] = pe
+		s.pos[pe.v] = int32(i)
 		i = parent
 	}
-	s.keys[i] = key
-	s.pos[key] = int32(i)
+	s.keys[i] = e
+	s.pos[e.v] = int32(i)
 }
 
 func (s *search) down(i int) {
 	n := len(s.keys)
-	key := s.keys[i]
-	p := s.dist[key]
+	e := s.keys[i]
 	for {
 		child := 2*i + 1
 		if child >= n {
 			break
 		}
-		ck := s.keys[child]
+		ce := s.keys[child]
 		if r := child + 1; r < n {
-			if rk := s.keys[r]; s.dist[rk] < s.dist[ck] {
-				child, ck = r, rk
+			if re := s.keys[r]; re.d < ce.d {
+				child, ce = r, re
 			}
 		}
-		if p <= s.dist[ck] {
+		if e.d <= ce.d {
 			break
 		}
-		s.keys[i] = ck
-		s.pos[ck] = int32(i)
+		s.keys[i] = ce
+		s.pos[ce.v] = int32(i)
 		i = child
 	}
-	s.keys[i] = key
-	s.pos[key] = int32(i)
+	s.keys[i] = e
+	s.pos[e.v] = int32(i)
 }

@@ -12,6 +12,7 @@ import (
 	"uots/internal/core"
 	"uots/internal/difftest"
 	"uots/internal/geo"
+	"uots/internal/obs"
 	"uots/internal/roadnet"
 	"uots/internal/testworld"
 	"uots/internal/textual"
@@ -524,7 +525,31 @@ func (r *rig) checkRequest(t *testing.T, label string, req core.Request, layout 
 			}
 		}
 	}
+	if v := req.Variant(); (v == "search" || v == "threshold") && req.Query.Lambda > 0 && r.kept("engine") {
+		r.checkProbePrunes(t, label, req)
+	}
 	return tie
+}
+
+// checkProbePrunes runs req on the oracle's engine under a
+// difftest.PruneChecker and fails on every prune a probe made with a
+// bound not below its bar, or below the trip's exact score.
+func (r *rig) checkProbePrunes(t *testing.T, label string, req core.Request) {
+	t.Helper()
+	ctx := context.Background()
+	exact, err := difftest.ExactScores(ctx, r.oracle, r.db, req.Query)
+	if err != nil {
+		t.Errorf("%s: exact scores: %v", label, err)
+		return
+	}
+	pc := difftest.NewPruneChecker()
+	if _, _, err := req.Run(obs.ContextWithTracer(ctx, pc), r.oracle); err != nil {
+		t.Errorf("%s: traced engine: %v", label, err)
+		return
+	}
+	for _, p := range pc.Probes(exact) {
+		t.Errorf("%s: a probe pruned trip %d on the bound %v against the bar %v; its exact score is %v", label, p.Traj, p.UB, p.Bar, exact[p.Traj])
+	}
 }
 
 // expect is the oracle (difftest.Expect). On the plain top-k it also
